@@ -17,7 +17,11 @@ test:
 # obs parser accepts), a trace smoke test (a traced run must emit a
 # Chrome trace-event file that the tracer validator accepts), and a
 # non-grid engine smoke: the continuum space instance of the shared
-# engine must run end to end from the CLI. The fault smoke runs one
+# engine must run end to end from the CLI. The series smoke writes a
+# run's per-step series with --series and a stride-1 one with
+# --trace-out (grid and continuum) and has validate-metrics re-check
+# each, including the engine's trajectory invariants; an unwritable
+# output path must be a usage error (exit 2, "cannot write"). The fault smoke runs one
 # loss + churn plan through --faults end to end, then asserts the
 # fault sweep F1 is byte-identical at --jobs 1 and --jobs 2 (fault
 # draws live in their own streams, so worker count can never leak into
@@ -40,6 +44,14 @@ check:
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 --trace-events /tmp/mobisim-trace.json
 	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-trace.json
 	dune exec bin/mobisim.exe -- simulate --space continuum --side 8 -k 16 -r 2
+	dune exec bin/mobisim.exe -- simulate --side 16 -k 8 --series /tmp/mobisim-series.json
+	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-series.json
+	dune exec bin/mobisim.exe -- simulate --side 16 -k 8 --trace-out /tmp/mobisim-traj-grid.json
+	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-traj-grid.json
+	dune exec bin/mobisim.exe -- simulate --space continuum --side 8 -k 16 -r 2 --trace-out /tmp/mobisim-traj-cont.json
+	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-traj-cont.json
+	dune exec bin/mobisim.exe -- simulate --side 16 -k 8 --series /nonexistent-dir/x.json > /dev/null 2> /tmp/mobisim-unwritable.err; test $$? -eq 2
+	grep -q 'cannot write' /tmp/mobisim-unwritable.err
 	printf '{ "loss_p": 0.3, "churn": { "leave_p": 0.05, "return_p": 0.5 } }' > /tmp/mobisim-faults.json
 	dune exec bin/mobisim.exe -- simulate --side 24 --agents 12 --radius 1 --faults /tmp/mobisim-faults.json
 	dune exec bin/mobisim.exe -- exp F1 --quick --jobs 1 > /tmp/mobisim-faults-j1.out

@@ -7,6 +7,29 @@ module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
 
+(* --- files ------------------------------------------------------------------ *)
+
+let read_text_file what path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e ->
+    Printf.eprintf "cannot read %s: %s\n" what e;
+    exit 2
+
+(* Output files are written after the run: an unwritable path is a
+   usage error (exit 2), not an uncaught exception. *)
+let write_text_file path text =
+  try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  with Sys_error e ->
+    (* open's message already leads with the path *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    let reason =
+      if String.starts_with ~prefix e then String.sub e n (String.length e - n)
+      else e
+    in
+    Printf.eprintf "cannot write %s: %s\n" path reason;
+    exit 2
+
 (* --- shared argument definitions ----------------------------------------- *)
 
 let side_arg =
@@ -135,33 +158,50 @@ let trace_events_arg =
 
 let series_arg =
   let doc =
-    "Record a per-step timeseries (informed count, component count, \
-     largest island, theory-curve residual, per-phase ns, GC counters; \
-     fixed capacity with power-of-two decimation) and write it as \
-     schema'd NDJSON to $(docv) after the run. Pure observation: it \
-     never changes results."
+    "Record a per-step timeseries (informed count, frontier, component \
+     count, largest island, coverage, theory-curve residual, per-phase \
+     ns, GC counters; fixed capacity with power-of-two decimation) and \
+     write it as schema'd NDJSON to $(docv) after the run. Pure \
+     observation: it never changes results."
   in
   Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
 
-(* Recorder for `--series FILE`, and the finalizer that writes it.
-   With [None] no recorder exists and the engine keeps its zero-
-   allocation disabled path. *)
-let make_series path =
-  match path with
-  | None -> None
-  | Some _ ->
-      Some
-        (Obs.Series.create ~columns:Mobile_network.Engine.series_columns ())
+(* The run's series recorder and its destination: `--series FILE`
+   (bounded, decimating) or `--trace-out FILE` (the same record at
+   stride 1 — storage grows on demand, so an unbounded capacity costs
+   memory only for the steps the run takes). Without either no recorder
+   exists and the engine keeps its zero-allocation disabled path. *)
+let series_output ~series_file ~trace_out =
+  let create ?capacity path =
+    Some
+      ( path,
+        Obs.Series.create ?capacity
+          ~columns:Mobile_network.Engine.series_columns () )
+  in
+  match (series_file, trace_out) with
+  | Some _, Some _ ->
+      Printf.eprintf "--series and --trace-out are mutually exclusive\n";
+      exit 2
+  | Some path, None -> create path
+  | None, Some path -> create ~capacity:max_int path
+  | None, None -> None
 
-let finish_series path series ~meta =
-  match (path, series) with
-  | Some path, Some sr ->
-      let oc = open_out_bin path in
-      output_string oc (Obs.Series.export_string ~meta sr);
-      close_out oc;
+let finish_series out ~meta =
+  Option.iter
+    (fun (path, sr) ->
+      write_text_file path (Obs.Series.export_string ~meta sr);
       Printf.eprintf "series: wrote %s (%d rows, stride %d)\n" path
-        (Obs.Series.rows sr) (Obs.Series.stride sr)
-  | _ -> ()
+        (Obs.Series.rows sr) (Obs.Series.stride sr))
+    out
+
+(* The run-level fields [Engine.validate_series] checks the trajectory
+   columns against. *)
+let outcome_meta ~population ~protocol ~completed =
+  [
+    ("population", Obs.Json.Int population);
+    ("protocol", Obs.Json.String (Protocol.to_string protocol));
+    ("completed", Obs.Json.Bool completed);
+  ]
 
 (* Install a recording ambient tracer (and hand it to the ambient pool)
    and return the finalizer that writes the merged timeline to FILE.
@@ -174,9 +214,7 @@ let install_trace path =
       Obs.Tracer.set_ambient tr;
       Runtime.Pool.set_ambient_tracer tr;
       fun () ->
-        let oc = open_out path in
-        output_string oc (Obs.Tracer.export_string tr);
-        close_out oc;
+        write_text_file path (Obs.Tracer.export_string tr);
         Printf.eprintf "trace: wrote %s (%d events, %d dropped)\n" path
           (Obs.Tracer.events tr) (Obs.Tracer.dropped tr)
 
@@ -216,9 +254,7 @@ let install_metrics ?(pool = false) path =
           (Obs.Registry.gauge reg "process.wall_s")
           (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - wall));
         if pool then Runtime.Pool.publish_stats (Runtime.Pool.ambient ());
-        let oc = open_out path in
-        output_string oc (Obs.Snapshot.to_json_string reg);
-        close_out oc;
+        write_text_file path (Obs.Snapshot.to_json_string reg);
         prerr_string (Obs.Snapshot.to_table reg);
         Printf.eprintf "metrics: wrote %s\n" path
 
@@ -293,17 +329,7 @@ let load_fault_plan faults_file loss_p outage churn =
     match faults_file with
     | None -> Faults.Plan.empty
     | Some path -> (
-        let text =
-          try
-            let ic = open_in path in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            s
-          with Sys_error e ->
-            Printf.eprintf "cannot read fault plan: %s\n" e;
-            exit 2
-        in
+        let text = read_text_file "fault plan" path in
         match Faults.Plan.of_string ~filename:path text with
         | Ok p -> p
         | Error msg ->
@@ -352,7 +378,7 @@ let space_arg =
      side x side box, r and sigma = r/4 in continuous units) or domain \
      (an unobstructed barrier domain). Non-grid spaces run a plain \
      broadcast; the grid-only flags \
-     --protocol/--kernel/--torus/--trace/--render/--trace-out/--full-rebuild \
+     --protocol/--kernel/--torus/--trace/--render/--full-rebuild \
      and the fault flags --faults/--loss-p/--outage/--churn are ignored \
      there (with a warning on stderr if one was set)."
   in
@@ -364,15 +390,14 @@ let space_arg =
    Detection is by comparison with the flag's default, so re-stating a
    default (e.g. an explicit `--trace 0`) goes unnoticed — fine for a
    warning. *)
-let grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~trace_out
-    ~full_rebuild ~faults_file ~loss_p ~outage ~churn =
+let grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
+    ~faults_file ~loss_p ~outage ~churn =
   [
     (protocol <> Protocol.Broadcast, "--protocol");
     (kernel <> Walk.Lazy_one_fifth, "--kernel");
     (torus, "--torus");
     (trace > 0, "--trace");
     (render > 0, "--render");
-    (trace_out <> None, "--trace-out");
     (full_rebuild, "--full-rebuild");
     (faults_file <> None, "--faults");
     (loss_p <> None, "--loss-p");
@@ -386,11 +411,11 @@ let set_flags table =
 (* The non-grid spaces run a fixed plain broadcast: flag values that only
    the grid engine interprets would be dropped silently. *)
 let warn_ignored_flags ~space ~protocol ~kernel ~torus ~trace ~render
-    ~trace_out ~full_rebuild ~faults_file ~loss_p ~outage ~churn =
+    ~full_rebuild ~faults_file ~loss_p ~outage ~churn =
   let ignored =
     set_flags
-      (grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~trace_out
-         ~full_rebuild ~faults_file ~loss_p ~outage ~churn)
+      (grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
+         ~faults_file ~loss_p ~outage ~churn)
   in
   if ignored <> [] then
     Printf.eprintf
@@ -399,10 +424,9 @@ let warn_ignored_flags ~space ~protocol ~kernel ~torus ~trace ~render
       (String.concat ", " ignored)
 
 let run_simulate_continuum side agents radius seed trial max_steps metrics
-    trace_events series_file =
+    trace_events series =
   let finish_metrics = install_metrics metrics in
   let finish_trace = install_trace trace_events in
-  let series = make_series series_file in
   let box_side = float_of_int side in
   let radius = float_of_int radius in
   let rc = Continuum.critical_radius ~box_side ~agents in
@@ -415,64 +439,79 @@ let run_simulate_continuum side agents radius seed trial max_steps metrics
     box_side agents radius
     (if rc > 0. then radius /. rc else 0.)
     cfg.Continuum.sigma;
-  let report = as_pool_job (fun () -> Continuum.broadcast ?series cfg) in
-  (match report.Continuum.outcome with
-  | Continuum.Completed ->
-      Printf.printf "completed in %d steps\n" report.Continuum.steps
-  | Continuum.Timed_out ->
-      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-        report.Continuum.steps report.Continuum.informed agents);
-  finish_series series_file series
+  let report =
+    as_pool_job (fun () ->
+        Continuum.broadcast ?series:(Option.map snd series) cfg)
+  in
+  let completed =
+    match report.Continuum.outcome with
+    | Continuum.Completed ->
+        Printf.printf "completed in %d steps\n" report.Continuum.steps;
+        true
+    | Continuum.Timed_out ->
+        Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
+          report.Continuum.steps report.Continuum.informed agents;
+        false
+  in
+  finish_series series
     ~meta:
-      [
-        ("space", Obs.Json.String "continuum");
-        ("side", Obs.Json.Int side);
-        ("agents", Obs.Json.Int agents);
-        ("radius", Obs.Json.Float radius);
-        ("seed", Obs.Json.Int seed);
-        ("trial", Obs.Json.Int trial);
-      ];
+      ([
+         ("space", Obs.Json.String "continuum");
+         ("side", Obs.Json.Int side);
+         ("agents", Obs.Json.Int agents);
+         ("radius", Obs.Json.Float radius);
+         ("seed", Obs.Json.Int seed);
+         ("trial", Obs.Json.Int trial);
+       ]
+      @ outcome_meta ~population:agents ~protocol:Protocol.Broadcast
+          ~completed);
   finish_trace ();
   finish_metrics ()
 
 let run_simulate_domain side agents radius seed trial max_steps metrics
-    trace_events series_file =
+    trace_events series =
   let finish_metrics = install_metrics metrics in
   let finish_trace = install_trace trace_events in
-  let series = make_series series_file in
   let domain = Barriers.Domain.unobstructed (Grid.create ~side ()) in
   Printf.printf "domain: open %dx%d, k=%d r=%d\n" side side agents radius;
   let report =
     as_pool_job (fun () ->
-        Barriers.Barrier_sim.broadcast ?series
+        Barriers.Barrier_sim.broadcast ?series:(Option.map snd series)
           { Barriers.Barrier_sim.domain; agents; radius; los_blocking = false;
             seed; trial;
             max_steps =
               (match max_steps with Some m -> m | None -> 100 * side * side) })
   in
-  (match report.Barriers.Barrier_sim.outcome with
-  | Barriers.Barrier_sim.Completed ->
-      Printf.printf "completed in %d steps\n" report.Barriers.Barrier_sim.steps
-  | Barriers.Barrier_sim.Timed_out ->
-      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-        report.Barriers.Barrier_sim.steps
-        report.Barriers.Barrier_sim.informed agents);
-  finish_series series_file series
+  let completed =
+    match report.Barriers.Barrier_sim.outcome with
+    | Barriers.Barrier_sim.Completed ->
+        Printf.printf "completed in %d steps\n"
+          report.Barriers.Barrier_sim.steps;
+        true
+    | Barriers.Barrier_sim.Timed_out ->
+        Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
+          report.Barriers.Barrier_sim.steps
+          report.Barriers.Barrier_sim.informed agents;
+        false
+  in
+  finish_series series
     ~meta:
-      [
-        ("space", Obs.Json.String "domain");
-        ("side", Obs.Json.Int side);
-        ("agents", Obs.Json.Int agents);
-        ("radius", Obs.Json.Int radius);
-        ("seed", Obs.Json.Int seed);
-        ("trial", Obs.Json.Int trial);
-      ];
+      ([
+         ("space", Obs.Json.String "domain");
+         ("side", Obs.Json.Int side);
+         ("nodes", Obs.Json.Int (side * side));
+         ("agents", Obs.Json.Int agents);
+         ("radius", Obs.Json.Int radius);
+         ("seed", Obs.Json.Int seed);
+         ("trial", Obs.Json.Int trial);
+       ]
+      @ outcome_meta ~population:agents ~protocol:Protocol.Broadcast
+          ~completed);
   finish_trace ();
   finish_metrics ()
 
 let run_simulate_grid side agents radius protocol kernel seed trial max_steps
-    trace render torus trace_out metrics trace_events faults full_rebuild
-    series_file =
+    trace render torus metrics trace_events faults full_rebuild series =
   let cfg =
     Config.make ~torus ~side ~agents ~radius ~protocol ~kernel ~seed ~trial
       ?max_steps ~faults ()
@@ -484,7 +523,6 @@ let run_simulate_grid side agents radius protocol kernel seed trial max_steps
   | Ok () ->
       let finish_metrics = install_metrics metrics in
       let finish_trace = install_trace trace_events in
-      let series = make_series series_file in
       Printf.printf "config: %s\n" (Config.to_string cfg);
       Printf.printf "n = %d nodes, r_c = %.2f, subcritical: %b\n"
         (Config.n cfg)
@@ -504,32 +542,31 @@ let run_simulate_grid side agents radius protocol kernel seed trial max_steps
       in
       let report =
         as_pool_job (fun () ->
-            Simulation.run_config ~on_step ?series ~full_rebuild cfg)
+            Simulation.run_config ~on_step ?series:(Option.map snd series)
+              ~full_rebuild cfg)
       in
-      (match report.Simulation.outcome with
-      | Simulation.Completed ->
-          Printf.printf "completed in %d steps\n" report.Simulation.steps
-      | Simulation.Timed_out ->
-          Printf.printf "TIMED OUT after %d steps\n" report.Simulation.steps);
+      let completed =
+        match report.Simulation.outcome with
+        | Simulation.Completed ->
+            Printf.printf "completed in %d steps\n" report.Simulation.steps;
+            true
+        | Simulation.Timed_out ->
+            Printf.printf "TIMED OUT after %d steps\n" report.Simulation.steps;
+            false
+      in
       Printf.printf "final: informed=%d covered=%d\n" report.Simulation.informed
         report.Simulation.covered;
-      finish_series series_file series
+      finish_series series
         ~meta:
-          [
-            ("space", Obs.Json.String "grid");
-            ("config", Obs.Json.String (Config.to_string cfg));
-          ];
-      Option.iter
-        (fun path ->
-          (* re-run deterministically through the trace recorder *)
-          let t = Trace.capture cfg in
-          let oc = open_out path in
-          output_string oc (Trace.to_jsonl t);
-          close_out oc;
-          Printf.printf "wrote trace (%d entries) to %s\n"
-            (Array.length t.Trace.entries)
-            path)
-        trace_out;
+          ([
+             ("space", Obs.Json.String "grid");
+             ("config", Obs.Json.String (Config.to_string cfg));
+             ("side", Obs.Json.Int side);
+             ("nodes", Obs.Json.Int (Config.n cfg));
+           ]
+          @ outcome_meta
+              ~population:(Protocol.population protocol ~k:agents)
+              ~protocol ~completed);
       finish_trace ();
       finish_metrics ()
 
@@ -537,8 +574,8 @@ let run_simulate_grid side agents radius protocol kernel seed trial max_steps
    file pins every semantic parameter, so a conflicting flag on the same
    command line would be dropped silently without this. *)
 let warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
-    ~seed ~trial ~max_steps ~trace ~render ~torus ~trace_out ~full_rebuild
-    ~faults_file ~loss_p ~outage ~churn =
+    ~seed ~trial ~max_steps ~trace ~render ~torus ~full_rebuild ~faults_file
+    ~loss_p ~outage ~churn =
   let ignored =
     set_flags
       ([
@@ -550,8 +587,8 @@ let warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
          (trial <> 0, "--trial");
          (max_steps <> None, "--max-steps");
        ]
-      @ grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~trace_out
-          ~full_rebuild ~faults_file ~loss_p ~outage ~churn)
+      @ grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
+          ~faults_file ~loss_p ~outage ~churn)
   in
   if ignored <> [] then
     Printf.eprintf
@@ -559,18 +596,7 @@ let warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
        (the scenario file wins)\n"
       (String.concat ", " ignored)
 
-let read_text_file what path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error e ->
-    Printf.eprintf "cannot read %s: %s\n" what e;
-    exit 2
-
-let run_simulate_scenario path metrics trace_events series_file =
+let run_simulate_scenario path metrics trace_events series =
   let text = read_text_file "scenario" path in
   match Scenario.Compile.compile ~filename:path text with
   | Error errs ->
@@ -582,17 +608,17 @@ let run_simulate_scenario path metrics trace_events series_file =
           let seed = compiled.Scenario.Compile.seed in
           let finish_metrics = install_metrics metrics in
           let finish_trace = install_trace trace_events in
-          let series = make_series series_file in
           Printf.printf "scenario %s: hash=%s seed=%d trial=0\n" path
             compiled.Scenario.Compile.hash seed;
           Printf.printf "cell: %s\n"
             (Obs.Json.to_string (Scenario.Ast.cell_json cell));
           let payload =
             as_pool_job (fun () ->
-                Service.Runner.run_payload ?series cell ~seed ~trial:0)
+                Service.Runner.run_payload ?series:(Option.map snd series)
+                  cell ~seed ~trial:0)
           in
           Printf.printf "result: %s\n" payload;
-          finish_series series_file series
+          finish_series series
             ~meta:
               [
                 ("cell", Scenario.Ast.cell_json cell);
@@ -612,31 +638,32 @@ let run_simulate_scenario path metrics trace_events series_file =
 let run_simulate scenario space side agents radius protocol kernel seed trial
     max_steps trace render torus trace_out full_rebuild metrics trace_events
     series_file faults_file loss_p outage churn =
+  let series = series_output ~series_file ~trace_out in
   match scenario with
   | Some path ->
       warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
-        ~seed ~trial ~max_steps ~trace ~render ~torus ~trace_out ~full_rebuild
+        ~seed ~trial ~max_steps ~trace ~render ~torus ~full_rebuild
         ~faults_file ~loss_p ~outage ~churn;
-      run_simulate_scenario path metrics trace_events series_file
+      run_simulate_scenario path metrics trace_events series
   | None -> (
       let warn space =
         warn_ignored_flags ~space ~protocol ~kernel ~torus ~trace ~render
-          ~trace_out ~full_rebuild ~faults_file ~loss_p ~outage ~churn
+          ~full_rebuild ~faults_file ~loss_p ~outage ~churn
       in
       match space with
       | `Grid ->
           let faults = load_fault_plan faults_file loss_p outage churn in
           run_simulate_grid side agents radius protocol kernel seed trial
-            max_steps trace render torus trace_out metrics trace_events faults
-            full_rebuild series_file
+            max_steps trace render torus metrics trace_events faults
+            full_rebuild series
       | `Continuum ->
           warn "continuum";
           run_simulate_continuum side agents radius seed trial max_steps metrics
-            trace_events series_file
+            trace_events series
       | `Domain ->
           warn "domain";
           run_simulate_domain side agents radius seed trial max_steps metrics
-            trace_events series_file)
+            trace_events series)
 
 let simulate_cmd =
   let trace =
@@ -648,7 +675,14 @@ let simulate_cmd =
     Arg.(value & opt int 0 & info [ "render" ] ~docv:"N" ~doc)
   in
   let trace_out =
-    let doc = "Write the run's per-step metrics as JSONL to $(docv)." in
+    let doc =
+      "Record the run's series at stride 1 — one row per step, including \
+       the informed count, frontier, largest island and coverage — and \
+       write it as schema'd NDJSON to $(docv) after the run, with the \
+       run's population, protocol and outcome under meta; \
+       'validate-metrics' re-checks the engine's invariants on it. Works \
+       on every space. Cannot be combined with --series."
+    in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let full_rebuild =
@@ -690,11 +724,10 @@ let simulate_cmd =
 (* --- experiments ---------------------------------------------------------- *)
 
 let write_csv dir (result : Experiments.Exp_result.t) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  (* a directory that cannot be made surfaces as the write's error *)
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   let path = Filename.concat dir (String.lowercase_ascii result.id ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (Experiments.Exp_result.to_csv result);
-  close_out oc;
+  write_text_file path (Experiments.Exp_result.to_csv result);
   Printf.printf "wrote %s\n" path
 
 let run_experiments ids quick seed jobs csv_dir metrics trace_events series_dir
@@ -944,52 +977,10 @@ let continuum_cmd =
           al. model of par. 1.1).")
     term
 
-(* --- trace validation --------------------------------------------------------- *)
-
-let run_validate_trace path =
-  let text =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match Trace.of_jsonl text with
-  | Error e ->
-      Printf.eprintf "parse error: %s\n" e;
-      exit 1
-  | Ok t -> (
-      Format.printf "%a@." Trace.pp_summary t;
-      match Trace.validate t with
-      | Ok () -> Printf.printf "trace is internally consistent.\n"
-      | Error e ->
-          Printf.eprintf "INVALID trace: %s\n" e;
-          exit 1)
-
-let validate_trace_cmd =
-  let path =
-    let doc = "Trace file written by 'simulate --trace-out'." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "validate-trace"
-       ~doc:"Parse a JSONL run trace and re-check the engine's invariants.")
-    Term.(const run_validate_trace $ path)
-
 (* --- metrics validation -------------------------------------------------- *)
 
 let run_validate_metrics path =
-  let text =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error e ->
-      Printf.eprintf "cannot read metrics snapshot: %s\n" e;
-      exit 1
-  in
+  let text = read_text_file "metrics file" path in
   (* A trace-event file is a JSON array; a series file declares
      "schema":"mobisim-series/1" in its first line (NDJSON export) or
      top-level object; anything else is a metrics snapshot. *)
@@ -1030,7 +1021,12 @@ let run_validate_metrics path =
         in
         Printf.printf "trace-event file OK: %d events\n" n
   else if is_series then
-    match Obs.Series.parse text with
+    match
+      Result.bind (Obs.Series.parse text) (fun json ->
+          Result.map
+            (fun () -> json)
+            (Mobile_network.Engine.validate_series json))
+    with
     | Error e ->
         Printf.eprintf "INVALID series file: %s\n" e;
         exit 1
@@ -1088,17 +1084,7 @@ let validate_metrics_cmd =
    probes does not break CI against an older baseline. *)
 
 let read_bench_file path =
-  let text =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error e ->
-      Printf.eprintf "cannot read bench file: %s\n" e;
-      exit 1
-  in
+  let text = read_text_file "bench file" path in
   match Obs.Json.parse text with
   | Error e ->
       Printf.eprintf "INVALID bench file %s: %s\n" path e;
@@ -1508,7 +1494,7 @@ let () =
          (Pettarin, Pietracaprina, Pucci, Upfal; PODC 2011)."
   in
   let group = Cmd.group info [ simulate_cmd; exp_cmd; list_cmd; percolation_cmd; theory_cmd;
-       barrier_cmd; continuum_cmd; validate_trace_cmd; validate_metrics_cmd;
+       barrier_cmd; continuum_cmd; validate_metrics_cmd;
        bench_check_cmd; scenario_cmd; serve_cmd; submit_cmd; serve_health_cmd;
        serve_metrics_cmd; serve_watch_cmd; serve_stop_cmd ] in
   exit (Cmd.eval group)

@@ -55,9 +55,9 @@ let spec_of_config cfg =
     track_islands = false;
   }
 
-let create ?metrics cfg =
+let create ?metrics ?series cfg =
   validate cfg;
-  E.create ?metrics ~space:(space_of_config cfg) (spec_of_config cfg)
+  E.create ?metrics ?series ~space:(space_of_config cfg) (spec_of_config cfg)
 
 let report_of (r : Engine.report) =
   {
@@ -69,9 +69,5 @@ let report_of (r : Engine.report) =
     informed = r.Engine.informed;
   }
 
-let run ?metrics ?(record_history = false) cfg =
-  validate cfg;
-  let spec = { (spec_of_config cfg) with Engine.record_history } in
-  E.run (E.create ?metrics ~space:(space_of_config cfg) spec)
-
-let broadcast ?metrics cfg = report_of (E.run (create ?metrics cfg))
+let broadcast ?metrics ?series cfg =
+  report_of (E.run (create ?metrics ?series cfg))

@@ -19,9 +19,10 @@
     Since the Space/Exchange/Engine refactor this simulator is the
     {!Mobile_network.Grid_space} instance of the shared engine with the
     {!Walk.Jump} kernel and the single-hop exchange mechanism — it
-    inherits phase metrics and history recording (the island series is
-    all zeros: their model has no component statistic and the dense pair
-    set makes the DSU build expensive, so the spec turns it off).
+    inherits phase metrics and series recording (the island and
+    components columns stay at 0 and -1: their model has no component
+    statistic and the dense pair set makes the DSU build expensive, so
+    the spec turns it off).
     Reports are byte-identical to the pre-refactor implementation. *)
 
 type config = {
@@ -49,19 +50,12 @@ val jump : Grid.t -> Prng.t -> int -> Grid.node -> Grid.node
     over the Manhattan ball of radius [rho] around [v] intersected with
     the grid. An alias for [Walk.step grid (Walk.Jump rho) rng v]. *)
 
-val broadcast : ?metrics:Obs.Sink.t -> config -> report
+val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
 (** Single-rumor broadcast from a random source under the
     jump-and-exchange dynamics. Deterministic given [(seed, trial)].
     [metrics] (default the ambient sink) receives the engine's
-    per-phase timings.
+    per-phase timings; [series] (default none) a per-step
+    {!Obs.Series} recorder, whose theory-residual column uses the
+    grid's [n = side²].
     @raise Invalid_argument on non-positive [agents]/[side], negative
     radii or a negative step cap. *)
-
-val run :
-  ?metrics:Obs.Sink.t ->
-  ?record_history:bool ->
-  config ->
-  Mobile_network.Engine.report
-(** Same run, exposing the full engine report (per-step history when
-    [record_history] is set). Consumes the same streams as
-    {!broadcast}. *)

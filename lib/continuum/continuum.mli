@@ -20,7 +20,7 @@
 
     Since the Space/Exchange/Engine refactor this simulator is a thin
     wrapper over {!Mobile_network.Engine} instantiated at {!Space}: the
-    same step loop, phase metrics and history recording as the grid
+    same step loop, phase metrics and series recording as the grid
     engine, with the Brownian box supplying mobility and the
     close-pair index. Reports are byte-identical to the standalone
     implementation it replaced (same seeds, same streams). *)
@@ -70,13 +70,3 @@ val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
     continuum analogue of the grid's node count).
     @raise Invalid_argument on non-positive box/agents/sigma, negative
     radius or negative step cap. *)
-
-val run :
-  ?metrics:Obs.Sink.t ->
-  ?series:Obs.Series.t ->
-  ?record_history:bool ->
-  config ->
-  Mobile_network.Engine.report
-(** Same run, exposing the full engine report (per-step history when
-    [record_history] is set). [run cfg] and [broadcast cfg] consume
-    identical random streams and agree on outcome/steps/informed. *)

@@ -219,7 +219,7 @@ let cover_target _ = 0
 
 let observe _t p ~informed ~frontier ~cover:_ ~cover_any:_ =
   (* the informed frontier generalises to the continuum as the largest
-     informed x-coordinate, floored to keep the history series integral *)
+     informed x-coordinate, floored to keep the frontier series column integral *)
   let frontier = ref frontier in
   for i = 0 to Array.length p.xs - 1 do
     if informed.(i) then begin

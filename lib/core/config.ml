@@ -19,14 +19,13 @@ type t = {
   source : int option;
   sources : int;
   max_steps : int option;
-  record_history : bool;
   faults : Faults.Plan.t;
 }
 
 let make ?(torus = false) ?(radius = 0) ?(kernel = Walk.Lazy_one_fifth)
     ?(protocol = Protocol.Broadcast) ?(exchange = Flood_component)
     ?(seed = 0) ?(trial = 0) ?source ?(sources = 1) ?max_steps
-    ?(record_history = false) ?(faults = Faults.Plan.empty) ~side ~agents () =
+    ?(faults = Faults.Plan.empty) ~side ~agents () =
   {
     side;
     torus;
@@ -40,7 +39,6 @@ let make ?(torus = false) ?(radius = 0) ?(kernel = Walk.Lazy_one_fifth)
     source;
     sources;
     max_steps;
-    record_history;
     faults;
   }
 

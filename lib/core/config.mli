@@ -40,9 +40,6 @@ type t = {
           uniformly without replacement and [source] must be [None] *)
   max_steps : int option;
       (** hard safety cap; [None] uses {!default_max_steps} *)
-  record_history : bool;
-      (** whether per-step series (informed count, frontier, island
-          sizes) are retained in the report *)
   faults : Faults.Plan.t;
       (** fault adversary ({!Faults.Plan.empty} for the paper's
           loss-free world — the default; an empty plan is byte-identical
@@ -52,12 +49,11 @@ type t = {
 val make :
   ?torus:bool -> ?radius:int -> ?kernel:Walk.kernel -> ?protocol:Protocol.t ->
   ?exchange:exchange -> ?seed:int -> ?trial:int -> ?source:int ->
-  ?sources:int -> ?max_steps:int -> ?record_history:bool ->
-  ?faults:Faults.Plan.t ->
+  ?sources:int -> ?max_steps:int -> ?faults:Faults.Plan.t ->
   side:int -> agents:int -> unit -> t
 (** Defaults: [radius = 0], the paper's lazy kernel, [Broadcast],
     [Flood_component], [seed = 0], [trial = 0], one random source,
-    computed step cap, no history, no faults. *)
+    computed step cap, no faults. *)
 
 val exchange_to_string : exchange -> string
 

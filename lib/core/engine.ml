@@ -2,19 +2,11 @@ type outcome =
   | Completed
   | Timed_out
 
-type history = {
-  informed : int array;
-  frontier_x : int array;
-  max_island : int array;
-  covered : int array;
-}
-
 type report = {
   outcome : outcome;
   steps : int;
   informed : int;
   covered : int;
-  history : history option;
 }
 
 type spec = {
@@ -26,7 +18,6 @@ type spec = {
   source : int option;
   sources : int;
   max_steps : int;
-  record_history : bool;
   track_islands : bool;
   faults : Faults.Plan.t;
 }
@@ -41,30 +32,28 @@ let default_spec ~agents ~seed ~trial ~max_steps =
     source = None;
     sources = 1;
     max_steps;
-    record_history = false;
     track_islands = true;
     faults = Faults.Plan.empty;
   }
 
-(* Recording buffers, allocated only when history is requested. *)
-type recorder = {
-  rec_informed : Intbuf.t;
-  rec_frontier : Intbuf.t;
-  rec_island : Intbuf.t;
-  rec_covered : Intbuf.t;
-}
+(* The step pipeline's phases, in order. One table names every phase
+   sink: histogram [sim.phase.<name>_ns], tracer duration event
+   [sim.phase.<name>] and series column [<name>_ns]. Each sink below
+   holds one slot per phase, indexed by these constants, so a phase
+   boundary is one [phase_end t ph t0]. *)
+let phase_names = [| "move"; "index"; "components"; "exchange"; "record" |]
+let ph_move = 0
+let ph_index = 1
+let ph_components = 2
+let ph_exchange = 3
+let ph_record = 4
 
 (* Pre-resolved phase instruments, allocated only when a recording
-   metrics sink is attached. The step pipeline (move -> index ->
-   components -> exchange -> record) observes one latency sample per
-   phase per step; all simulations sharing a registry (e.g. the trials
-   of a sweep) aggregate into the same histograms. *)
+   metrics sink is attached. The step pipeline observes one latency
+   sample per phase per step; all simulations sharing a registry (e.g.
+   the trials of a sweep) aggregate into the same histograms. *)
 type phase_timers = {
-  ph_move : Obs.Metric.Histogram.t;
-  ph_index : Obs.Metric.Histogram.t;
-  ph_components : Obs.Metric.Histogram.t;
-  ph_exchange : Obs.Metric.Histogram.t;
-  ph_record : Obs.Metric.Histogram.t;
+  ph_hist : Obs.Metric.Histogram.t array;  (* one per phase *)
   ph_steps : Obs.Metric.Counter.t;
 }
 
@@ -75,52 +64,132 @@ type phase_timers = {
    STW GC cycle instants — the timeline view of the same pipeline. *)
 type trace_ctx = {
   tc : Obs.Tracer.t;
-  tn_move : Obs.Tracer.name;
-  tn_index : Obs.Tracer.name;
-  tn_components : Obs.Tracer.name;
-  tn_exchange : Obs.Tracer.name;
-  tn_record : Obs.Tracer.name;
+  tn_phase : Obs.Tracer.name array;  (* one per phase *)
   tn_run : Obs.Tracer.name;
   tn_informed : Obs.Tracer.name;
   tgc : Obs.Tracer.gc_track;
 }
 
 (* Per-step timeseries columns (see {!Obs.Series}): the dissemination
-   trajectory itself, one int row per sampled step. [components] is -1
-   on paths that never build the DSU (predator–prey; single-hop with
-   the island metric off). [theory_residual] is
-   informed(t) - round(k * min(1, t / T_B)) with T_B = n/sqrt(k), the
-   paper's Θ̃(n/√k) broadcast bound rendered as a linear ramp — a run
-   tracking the bound stays near 0. [minor_words] and [gc_minor]/
-   [gc_major] are cumulative since engine creation (cumulative counters
-   survive decimation; per-row deltas would not). Phase columns are the
-   same boundaries the histograms and tracer see, in ns. *)
+   trajectory itself, one int row per sampled step. [frontier] and
+   [covered] are the {!Make.frontier_x} and {!Make.covered_count}
+   getters. [components] is -1 on paths that never build the DSU
+   (predator–prey; single-hop with the island metric off).
+   [theory_residual] is informed(t) - round(k * min(1, t / T_B)) with
+   T_B = n/sqrt(k), the paper's Θ̃(n/√k) broadcast bound rendered as a
+   linear ramp — a run tracking the bound stays near 0. [minor_words]
+   and [gc_minor]/[gc_major] are cumulative since engine creation
+   (cumulative counters survive decimation; per-row deltas would not).
+   Phase columns are the same boundaries the histograms and tracer see,
+   in ns. *)
 let series_columns =
-  [
-    "informed"; "components"; "max_island"; "theory_residual"; "move_ns";
-    "index_ns"; "components_ns"; "exchange_ns"; "record_ns"; "minor_words";
-    "gc_minor"; "gc_major";
-  ]
+  [ "informed"; "frontier"; "components"; "max_island"; "covered";
+    "theory_residual" ]
+  @ List.map (fun p -> p ^ "_ns") (Array.to_list phase_names)
+  @ [ "minor_words"; "gc_minor"; "gc_major" ]
+
+(* The offline re-check of an exported trajectory: the invariants the
+   engine guarantees, so a tampered, truncated or buggy-build series
+   fails without re-running anything. Rows are read positionally from
+   the combined form that [Obs.Series.parse] returns. *)
+exception Invalid_row of string
+
+let validate_series json =
+  let module J = Obs.Json in
+  let columns =
+    match J.member "columns" json with
+    | Some (J.List cs) -> List.map (function J.String c -> c | _ -> "") cs
+    | Some _ | None -> []
+  in
+  let col name = List.find_index (String.equal name) columns in
+  let meta key = Option.bind (J.member "meta" json) (J.member key) in
+  let meta_int key =
+    match meta key with Some (J.Int v) -> Some v | Some _ | None -> None
+  in
+  let ints = function
+    | J.List cells ->
+        Array.of_list (List.map (function J.Int v -> v | _ -> 0) cells)
+    | _ -> [||]
+  in
+  let rows =
+    match J.member "data" json with
+    | Some (J.List rows) -> Array.of_list (List.map ints rows)
+    | Some _ | None -> [||]
+  in
+  match (col "informed", col "frontier", col "covered") with
+  | Some ci, Some cf, Some cc -> (
+      let stride =
+        match J.member "stride" json with Some (J.Int s) -> s | _ -> 1
+      in
+      let population = meta_int "population" and nodes = meta_int "nodes" in
+      let fail i what =
+        raise
+          (Invalid_row
+             (Printf.sprintf "row %d (step %d): %s" i rows.(i).(0) what))
+      in
+      let within i c ~lo hi what =
+        match (c, hi) with
+        | Some c, Some hi when rows.(i).(c) < lo || rows.(i).(c) > hi ->
+            fail i (what ^ " out of range")
+        | _ -> ()
+      in
+      let monotone i c what =
+        if i > 0 && rows.(i).(c) < rows.(i - 1).(c) then
+          fail i (what ^ " decreased")
+      in
+      (* the completed flag is decidable from the last row only at
+         stride 1, where that row is the final state *)
+      let goal =
+        match meta "protocol" with
+        | Some (J.String ("broadcast" | "frog")) ->
+            Option.map (fun p -> (ci, p, "informed count")) population
+        | Some (J.String ("broadcast-cover" | "cover-walks")) ->
+            Option.map (fun n -> (cc, n, "coverage")) nodes
+        | Some _ | None -> None
+      in
+      let last = Array.length rows - 1 in
+      try
+        Array.iteri
+          (fun i (row : int array) ->
+            if row.(0) <> i * stride then
+              fail i
+                (Printf.sprintf "expected step %d (row i holds step i * stride)"
+                   (i * stride));
+            within i (Some ci) ~lo:0 population "informed count";
+            within i (Some cf) ~lo:(-1)
+              (Option.map pred (meta_int "side"))
+              "frontier";
+            within i (col "max_island") ~lo:0 population "island size";
+            within i (Some cc) ~lo:0 nodes "coverage";
+            monotone i ci "informed";
+            monotone i cf "frontier";
+            monotone i cc "coverage")
+          rows;
+        (match (stride, goal, meta "completed") with
+        | 1, Some (c, target, what), Some (J.Bool completed)
+          when last >= 0 && completed <> (rows.(last).(c) = target) ->
+            fail last ("completed flag inconsistent with final " ^ what)
+        | _ -> ());
+        Ok ()
+      with Invalid_row msg -> Error msg)
+  | _ -> Ok ()
 
 (* Pre-resolved series state, allocated only when a recording series is
-   attached. [ph_ns] stages the step's per-phase durations (indexed by
-   the [ph_*] constants below) so the sample committed at the end of the
-   step sees every phase of that step. *)
+   attached. [ph_ns] stages the step's per-phase durations so the sample
+   committed at the end of the step sees every phase of that step. *)
 type series_ctx = {
   sr : Obs.Series.t;
   sc_informed : Obs.Series.col;
+  sc_frontier : Obs.Series.col;
   sc_components : Obs.Series.col;
   sc_island : Obs.Series.col;
+  sc_covered : Obs.Series.col;
   sc_residual : Obs.Series.col;
-  sc_move : Obs.Series.col;
-  sc_index : Obs.Series.col;
-  sc_components_ns : Obs.Series.col;
-  sc_exchange : Obs.Series.col;
-  sc_record : Obs.Series.col;
+  sc_phase : Obs.Series.col array;  (* one per phase *)
   sc_minor : Obs.Series.col;
   sc_gc_minor : Obs.Series.col;
   sc_gc_major : Obs.Series.col;
-  ph_ns : int array;  (* 5 slots, one per phase *)
+  ph_ns : int array;  (* one slot per phase *)
   dsu_live : bool;  (* does this spec's step path maintain the DSU? *)
   theory_tb : float;  (* T_B = n/sqrt(k); 0 when n is unknown *)
   agents_f : float;  (* k as float, for the residual ramp *)
@@ -128,12 +197,6 @@ type series_ctx = {
   base_gc_minor : int;
   base_gc_major : int;
 }
-
-let ph_move = 0
-let ph_index = 1
-let ph_components = 2
-let ph_exchange = 3
-let ph_record = 4
 
 let tracks_coverage = function
   | Protocol.Broadcast_cover | Protocol.Cover_walks -> true
@@ -166,7 +229,6 @@ module Make (S : Space.S) = struct
     mutable frontier : int;
     mutable island : int;
     mutable time : int;
-    recorder : recorder option;
     obs : phase_timers option;
     trc : trace_ctx option;
     ser : series_ctx option;
@@ -176,24 +238,24 @@ module Make (S : Space.S) = struct
   (* Timing helpers. With metrics, tracing and series all off,
      [phase_start] returns an immediate 0 and [phase_end] is a branch —
      no clock read, no allocation, so the disabled hot path stays
-     exactly as fast as before the subsystem existed. The [sel]/[tsel]
-     arguments below are closed closures (statically allocated); [ph]
-     is the phase's [ph_ns] staging slot. *)
+     exactly as fast as before the subsystem existed. [ph] indexes every
+     sink's per-phase slot (see [phase_names]). *)
   let[@inline] phase_start t = if t.timed then Obs.Clock.now_ns () else 0
 
-  let[@inline] phase_end t ph sel tsel t0 =
+  let[@inline] phase_end t ph t0 =
     if t.timed then begin
-      let now = Obs.Clock.now_ns () in
-      (match t.ser with
-      | None -> ()
-      | Some s -> s.ph_ns.(ph) <- now - t0);
+      let dur = Obs.Clock.now_ns () - t0 in
+      (match t.ser with None -> () | Some s -> s.ph_ns.(ph) <- dur);
       (match t.obs with
       | None -> ()
-      | Some p -> Obs.Metric.Histogram.observe (sel p) (now - t0));
+      | Some p -> Obs.Metric.Histogram.observe p.ph_hist.(ph) dur);
       match t.trc with
       | None -> ()
-      | Some c -> Obs.Tracer.duration c.tc (tsel c) ~ts:t0 ~dur:(now - t0)
+      | Some c -> Obs.Tracer.duration c.tc c.tn_phase.(ph) ~ts:t0 ~dur
     end
+
+  let covered_count t =
+    match t.cover with Some c -> Space.Cover.count c | None -> 0
 
   (* One series sample: staged at the end of a step so every phase
      duration of that step is in [ph_ns]. Gated on [Series.want] so
@@ -208,9 +270,11 @@ module Make (S : Space.S) = struct
         if Obs.Series.want s.sr ~step:t.time then begin
           let sr = s.sr in
           Obs.Series.stage sr s.sc_informed t.ex.Exchange.informed_count;
+          Obs.Series.stage sr s.sc_frontier t.frontier;
           Obs.Series.stage sr s.sc_components
             (if s.dsu_live then Dsu.set_count t.dsu else -1);
           Obs.Series.stage sr s.sc_island t.island;
+          Obs.Series.stage sr s.sc_covered (covered_count t);
           let expected =
             if s.theory_tb <= 0. then 0.
             else
@@ -218,11 +282,9 @@ module Make (S : Space.S) = struct
           in
           Obs.Series.stage sr s.sc_residual
             (t.ex.Exchange.informed_count - int_of_float (Float.round expected));
-          Obs.Series.stage sr s.sc_move s.ph_ns.(ph_move);
-          Obs.Series.stage sr s.sc_index s.ph_ns.(ph_index);
-          Obs.Series.stage sr s.sc_components_ns s.ph_ns.(ph_components);
-          Obs.Series.stage sr s.sc_exchange s.ph_ns.(ph_exchange);
-          Obs.Series.stage sr s.sc_record s.ph_ns.(ph_record);
+          for ph = 0 to Array.length s.sc_phase - 1 do
+            Obs.Series.stage sr s.sc_phase.(ph) s.ph_ns.(ph)
+          done;
           Obs.Series.stage sr s.sc_minor
             (int_of_float (Gc.minor_words () -. s.base_minor));
           let st = Gc.quick_stat () in
@@ -238,7 +300,7 @@ module Make (S : Space.S) = struct
   let rebuild_components t =
     let t0 = phase_start t in
     let upd = S.rebuild_index t.space t.pos in
-    phase_end t ph_index (fun p -> p.ph_index) (fun c -> c.tn_index) t0;
+    phase_end t ph_index t0;
     let t1 = phase_start t in
     (match upd with
     | Space.Delta ->
@@ -255,7 +317,7 @@ module Make (S : Space.S) = struct
         (* no dissolve happened in this epoch, so the running union
            maximum is exactly the largest set — in O(1) *)
         t.island <- Dsu.max_union_size t.dsu);
-    phase_end t ph_components (fun p -> p.ph_components) (fun c -> c.tn_components) t1
+    phase_end t ph_components t1
 
   (* Index rebuild without the component (DSU) pass — for exchanges that
      only consume raw pairs when the island metric is off. *)
@@ -263,12 +325,12 @@ module Make (S : Space.S) = struct
     let t0 = phase_start t in
     (* the DSU is not in use on this path, so a Delta report is moot *)
     ignore (S.rebuild_index t.space t.pos : Space.index_update);
-    phase_end t ph_index (fun p -> p.ph_index) (fun c -> c.tn_index) t0
+    phase_end t ph_index t0
 
   let timed_exchange t f =
     let t0 = phase_start t in
     f t;
-    phase_end t ph_exchange (fun p -> p.ph_exchange) (fun c -> c.tn_exchange) t0
+    phase_end t ph_exchange t0
 
   (* Single-hop exchanges read pairs directly, so the DSU build is pure
      island-metric bookkeeping there; flooding always needs it. *)
@@ -328,7 +390,7 @@ module Make (S : Space.S) = struct
     ignore
       (S.rebuild_index ?present:(Faults.present_mask f) t.space t.pos
         : Space.index_update);
-    phase_end t ph_index (fun p -> p.ph_index) (fun c -> c.tn_index) t0;
+    phase_end t ph_index t0;
     let t1 = phase_start t in
     Intbuf.clear t.live_pairs;
     if not (Faults.blackout f) then
@@ -338,7 +400,7 @@ module Make (S : Space.S) = struct
       t.iter_live t.union_edge;
       t.island <- Dsu.max_union_size t.dsu
     end;
-    phase_end t ph_components (fun p -> p.ph_components) (fun c -> c.tn_components) t1
+    phase_end t ph_components t1
 
   let[@alloc_ok
        "fault-path dispatch builds one exchange closure over the \
@@ -405,25 +467,12 @@ module Make (S : Space.S) = struct
         | None -> false)
     | Protocol.Predator_prey _ -> t.ex.Exchange.live_preys = 0
 
-  (* --- recording --------------------------------------------------------- *)
+  (* --- observation ------------------------------------------------------- *)
 
-  let covered_count t =
-    match t.cover with Some c -> Space.Cover.count c | None -> 0
-
-  let record t =
-    match t.recorder with
-    | None -> ()
-    | Some r ->
-        Intbuf.push r.rec_informed t.ex.Exchange.informed_count;
-        Intbuf.push r.rec_frontier t.frontier;
-        Intbuf.push r.rec_island t.island;
-        Intbuf.push r.rec_covered (covered_count t)
-
-  let observe_and_record t =
+  let observe t =
     t.frontier <-
       S.observe t.space t.pos ~informed:t.ex.Exchange.informed
-        ~frontier:t.frontier ~cover:t.cover ~cover_any:t.cover_any;
-    record t
+        ~frontier:t.frontier ~cover:t.cover ~cover_any:t.cover_any
 
   (* --- construction ------------------------------------------------------ *)
 
@@ -444,16 +493,12 @@ module Make (S : Space.S) = struct
       | None -> None
       | Some reg ->
           Obs.Metric.Counter.incr (Obs.Registry.counter reg "sim.runs");
-          Some
-            {
-              ph_move = Obs.Registry.histogram reg "sim.phase.move_ns";
-              ph_index = Obs.Registry.histogram reg "sim.phase.index_ns";
-              ph_components =
-                Obs.Registry.histogram reg "sim.phase.components_ns";
-              ph_exchange = Obs.Registry.histogram reg "sim.phase.exchange_ns";
-              ph_record = Obs.Registry.histogram reg "sim.phase.record_ns";
-              ph_steps = Obs.Registry.counter reg "sim.steps";
-            }
+          let ph_hist =
+            Array.map
+              (fun p -> Obs.Registry.histogram reg ("sim.phase." ^ p ^ "_ns"))
+              phase_names
+          in
+          Some { ph_hist; ph_steps = Obs.Registry.counter reg "sim.steps" }
     in
     let tracer =
       match tracer with Some tr -> tr | None -> Obs.Tracer.ambient ()
@@ -461,14 +506,14 @@ module Make (S : Space.S) = struct
     let trc =
       if not (Obs.Tracer.enabled tracer) then None
       else
+        let tn_phase =
+          Array.map (fun p -> Obs.Tracer.name tracer ("sim.phase." ^ p))
+            phase_names
+        in
         Some
           {
             tc = tracer;
-            tn_move = Obs.Tracer.name tracer "sim.phase.move";
-            tn_index = Obs.Tracer.name tracer "sim.phase.index";
-            tn_components = Obs.Tracer.name tracer "sim.phase.components";
-            tn_exchange = Obs.Tracer.name tracer "sim.phase.exchange";
-            tn_record = Obs.Tracer.name tracer "sim.phase.record";
+            tn_phase;
             tn_run = Obs.Tracer.name tracer "sim.run";
             tn_informed = Obs.Tracer.name tracer "sim.informed";
             tgc = Obs.Tracer.gc_track tracer;
@@ -500,18 +545,17 @@ module Make (S : Space.S) = struct
             {
               sr;
               sc_informed = Obs.Series.col sr "informed";
+              sc_frontier = Obs.Series.col sr "frontier";
               sc_components = Obs.Series.col sr "components";
               sc_island = Obs.Series.col sr "max_island";
+              sc_covered = Obs.Series.col sr "covered";
               sc_residual = Obs.Series.col sr "theory_residual";
-              sc_move = Obs.Series.col sr "move_ns";
-              sc_index = Obs.Series.col sr "index_ns";
-              sc_components_ns = Obs.Series.col sr "components_ns";
-              sc_exchange = Obs.Series.col sr "exchange_ns";
-              sc_record = Obs.Series.col sr "record_ns";
+              sc_phase =
+                Array.map (fun p -> Obs.Series.col sr (p ^ "_ns")) phase_names;
               sc_minor = Obs.Series.col sr "minor_words";
               sc_gc_minor = Obs.Series.col sr "gc_minor";
               sc_gc_major = Obs.Series.col sr "gc_major";
-              ph_ns = Array.make 5 0;
+              ph_ns = Array.make (Array.length phase_names) 0;
               dsu_live;
               theory_tb;
               agents_f = float_of_int spec.agents;
@@ -652,16 +696,6 @@ module Make (S : Space.S) = struct
         trc;
         ser;
         timed = (obs <> None || trc <> None || ser <> None);
-        recorder =
-          (if spec.record_history then
-             Some
-               {
-                 rec_informed = Intbuf.create ();
-                 rec_frontier = Intbuf.create ();
-                 rec_island = Intbuf.create ();
-                 rec_covered = Intbuf.create ();
-               }
-           else None);
       }
     in
     (* time-0 exchange on the initial placement (§2: G_0 already floods) *)
@@ -669,7 +703,7 @@ module Make (S : Space.S) = struct
     | None -> ()
     | Some f -> Faults.begin_step f ~time:0);
     exchange t;
-    observe_and_record t;
+    observe t;
     series_commit t;
     t
 
@@ -683,7 +717,7 @@ module Make (S : Space.S) = struct
       | Some s ->
           (* phases a protocol skips (e.g. no exchange under cover
              walks) must sample as 0, not as the previous step's ns *)
-          Array.fill s.ph_ns 0 5 0);
+          Array.fill s.ph_ns 0 (Array.length s.ph_ns) 0);
       (match t.faults with
       | None -> ()
       | Some f -> Faults.begin_step f ~time:t.time);
@@ -694,11 +728,11 @@ module Make (S : Space.S) = struct
           S.move_all
             ?present:(Faults.present_mask f)
             t.space t.pos t.rngs t.mobility);
-      phase_end t ph_move (fun p -> p.ph_move) (fun c -> c.tn_move) t0;
+      phase_end t ph_move t0;
       exchange t;
       let t1 = phase_start t in
-      observe_and_record t;
-      phase_end t ph_record (fun p -> p.ph_record) (fun c -> c.tn_record) t1;
+      observe t;
+      phase_end t ph_record t1;
       (match t.obs with
       | None -> ()
       | Some p -> Obs.Metric.Counter.incr p.ph_steps);
@@ -726,23 +760,11 @@ module Make (S : Space.S) = struct
         Obs.Tracer.duration_v c.tc c.tn_run ~ts:run_t0
           ~dur:(Obs.Clock.now_ns () - run_t0)
           ~v:t.spec.trial);
-    let history =
-      Option.map
-        (fun r ->
-          {
-            informed = Intbuf.to_array r.rec_informed;
-            frontier_x = Intbuf.to_array r.rec_frontier;
-            max_island = Intbuf.to_array r.rec_island;
-            covered = Intbuf.to_array r.rec_covered;
-          })
-        t.recorder
-    in
     {
       outcome = (if is_done t then Completed else Timed_out);
       steps = t.time;
       informed = t.ex.Exchange.informed_count;
       covered = covered_count t;
-      history;
     }
 
   (* --- getters ------------------------------------------------------------ *)

@@ -4,7 +4,7 @@
     {!Make} supplies everything the four concrete simulators used to
     duplicate: seed mixing and per-agent stream splitting, uniform
     placement, source selection, the time-0 exchange (§2: [G_0] already
-    floods), the step loop with per-phase {!Obs} timers, history
+    floods), the step loop with per-phase {!Obs} timers and series
     recording, coverage/frontier tracking, the protocol stopping
     predicates and the report type. A concrete simulator is then a space
     instance plus a {!spec} — see {!Simulation} (grid),
@@ -22,21 +22,11 @@ type outcome =
   | Completed  (** the protocol's stopping predicate became true *)
   | Timed_out  (** the step cap was reached first *)
 
-(** Per-step series, recorded when [spec.record_history] is set. Index
-    [i] is the state after step [i]; index 0 is the initial state. *)
-type history = {
-  informed : int array;
-  frontier_x : int array;
-  max_island : int array;
-  covered : int array;
-}
-
 type report = {
   outcome : outcome;
   steps : int;
   informed : int;
   covered : int;
-  history : history option;
 }
 
 (** The space-independent run parameters. *)
@@ -49,7 +39,6 @@ type spec = {
   source : int option;  (** explicit source agent (broadcast-like only) *)
   sources : int;  (** number of initially informed agents *)
   max_steps : int;  (** resolved step cap (callers apply their defaults) *)
-  record_history : bool;
   track_islands : bool;
       (** build components (DSU) even when the exchange mechanism only
           needs raw pairs, so {!Make.max_island}/{!Make.island_sizes}
@@ -75,13 +64,29 @@ val default_spec : agents:int -> seed:int -> trial:int -> max_steps:int -> spec
 
 val series_columns : string list
 (** The column set every engine records into an attached {!Obs.Series}:
-    [informed], [components] (DSU set count; [-1] on step paths that
-    never build components), [max_island], [theory_residual] (informed
-    minus the Θ̃(n/√k) linear ramp [round (k * min 1 (t / T_B))] with
-    [T_B = Theory.broadcast_theta]), the five per-phase [_ns] columns,
-    and cumulative-since-creation [minor_words] / [gc_minor] /
-    [gc_major]. Create recorders with
-    [Obs.Series.create ~columns:series_columns ()]. *)
+    [informed], [frontier] ({!Make.frontier_x}), [components] (DSU set
+    count; [-1] on step paths that never build components),
+    [max_island], [covered] ({!Make.covered_count}), [theory_residual]
+    (informed minus the Θ̃(n/√k) linear ramp [round (k * min 1 (t /
+    T_B))] with [T_B = Theory.broadcast_theta]), the five per-phase
+    [_ns] columns, and cumulative-since-creation [minor_words] /
+    [gc_minor] / [gc_major]. Create recorders with
+    [Obs.Series.create ~columns:series_columns ()]; a capacity above
+    the run's step count records every step (see {!Obs.Series}). *)
+
+val validate_series : Obs.Json.t -> (unit, string) result
+(** Re-check the engine's invariants on an exported series (the
+    combined form {!Obs.Series.parse} returns), for any series with the
+    [informed], [frontier] and [covered] columns; others pass
+    unchecked. Row [i] holds step [i * stride] (no gaps), and informed
+    count, frontier and coverage never decrease.
+    When the export's ["meta"] carries them, [population] bounds the
+    informed count and the largest island, [side] the frontier
+    ([-1 <= x < side]) and [nodes] the coverage. At stride 1 a
+    ["completed"] flag must agree with the last row for the protocols
+    where the metrics decide it ([broadcast]/[frog]: everyone informed;
+    [broadcast-cover]/[cover-walks]: every node covered). Errors name
+    the offending row and its step. *)
 
 module Make (S : Space.S) : sig
   type t

@@ -1,7 +1,6 @@
-(** Growable integer buffer for per-step metric series.
-
-    The simulator appends one value per time step when history recording
-    is on; amortised O(1) pushes, O(n) conversion at the end. *)
+(** Growable integer buffer: amortised O(1) pushes, O(n) conversion at
+    the end. The engine reuses buffers across steps (see {!clear});
+    experiments collect per-step trajectories in them. *)
 
 type t
 

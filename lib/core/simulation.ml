@@ -11,20 +11,12 @@ type outcome = Engine.outcome =
   | Completed
   | Timed_out
 
-type history = Engine.history = {
-  informed : int array;
-  frontier_x : int array;
-  max_island : int array;
-  covered : int array;
-}
-
 type report = {
   config : Config.t;
   outcome : outcome;
   steps : int;
   informed : int;
   covered : int;
-  history : history option;
 }
 
 type t = {
@@ -45,7 +37,6 @@ let spec_of_config cfg =
     source = cfg.Config.source;
     sources = cfg.Config.sources;
     max_steps = Config.effective_max_steps cfg;
-    record_history = cfg.Config.record_history;
     track_islands = true;
     faults = cfg.Config.faults;
   }
@@ -83,7 +74,6 @@ let report_of t (r : Engine.report) =
     steps = r.Engine.steps;
     informed = r.Engine.informed;
     covered = r.Engine.covered;
-    history = r.Engine.history;
   }
 
 let run ?on_step t =

@@ -26,22 +26,6 @@ type outcome =
   | Completed  (** the protocol's stopping predicate became true *)
   | Timed_out  (** the step cap was reached first *)
 
-(** Per-step series, recorded when [config.record_history] is set.
-    Index [i] is the state after step [i]; index 0 is the initial
-    state. *)
-type history = {
-  informed : int array;
-      (** informed agents (caught preys for predator–prey) *)
-  frontier_x : int array;
-      (** rightmost x-coordinate ever occupied by an informed agent —
-          the frontier of the informed area [I(t)] of §3.2 *)
-  max_island : int array;
-      (** largest connected component of [G_t(r)]; 0 for predator–prey *)
-  covered : int array;
-      (** covered-node count; all zeros unless the protocol tracks
-          coverage *)
-}
-
 type report = {
   config : Config.t;
   outcome : outcome;
@@ -51,7 +35,6 @@ type report = {
           time) *)
   informed : int;  (** final informed/caught count *)
   covered : int;  (** final covered-node count (0 when not tracked) *)
-  history : history option;
 }
 
 val create :
@@ -76,7 +59,7 @@ val create :
     [sim.phase.index_ns] (spatial-index rebuild),
     [sim.phase.components_ns] (DSU build + island statistic),
     [sim.phase.exchange_ns] (flood / single-hop / catch) and
-    [sim.phase.record_ns] (frontier, coverage, history), and increments
+    [sim.phase.record_ns] (frontier, coverage), and increments
     the [sim.steps] counter ([sim.runs] counts simulations). All
     simulations sharing a registry aggregate into the same histograms —
     that is how a sweep's trials produce one per-phase cost profile.

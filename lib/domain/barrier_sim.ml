@@ -56,12 +56,5 @@ let report_of (r : Engine.report) =
     informed = r.Engine.informed;
   }
 
-let run ?metrics ?series ?(record_history = false) cfg =
-  validate cfg;
-  let spec = { (spec_of_config cfg) with Engine.record_history } in
-  E.run
-    (E.create ?metrics ?series ~theory_n:(Domain.free_count cfg.domain)
-       ~space:(space_of_config cfg) spec)
-
 let broadcast ?metrics ?series cfg =
   report_of (E.run (create ?metrics ?series cfg))

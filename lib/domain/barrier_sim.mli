@@ -11,7 +11,7 @@
 
     Since the Space/Exchange/Engine refactor this simulator is the
     {!Domain_space} instance of {!Mobile_network.Engine} — it inherits
-    phase metrics, history recording and the island/frontier statistics.
+    phase metrics, series recording and the island/frontier statistics.
     Reports are byte-identical to the standalone loop it replaced. *)
 
 type config = {
@@ -44,13 +44,3 @@ val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
     (the reachable nodes).
     @raise Invalid_argument if [agents <= 0], [radius < 0],
     [max_steps < 0], or the domain has no free node. *)
-
-val run :
-  ?metrics:Obs.Sink.t ->
-  ?series:Obs.Series.t ->
-  ?record_history:bool ->
-  config ->
-  Mobile_network.Engine.report
-(** Same run, exposing the full engine report (per-step history when
-    [record_history] is set). Consumes the same streams as
-    {!broadcast}. *)

@@ -24,22 +24,18 @@ let run ?(quick = false) ~seed () =
     (fun k ->
       let quantile_times =
         List.init trials (fun trial ->
-            let cfg =
-              Config.make ~side ~agents:k ~radius:0 ~seed ~trial
-                ~record_history:true ()
+            let series =
+              Sweep.trajectory
+                (Config.make ~side ~agents:k ~radius:0 ~seed ~trial ())
+                Simulation.informed_count
             in
-            let report = Simulation.run_config cfg in
-            match report.Simulation.history with
-            | None -> [| 0.; 0.; 0.; 0. |]
-            | Some h ->
-                let series = h.Simulation.informed in
-                Array.map
-                  (fun pct ->
-                    let target =
-                      max 1 (int_of_float (Float.ceil (pct *. float_of_int k)))
-                    in
-                    float_of_int (time_to_reach series target))
-                  [| 0.1; 0.5; 0.9; 1.0 |])
+            Array.map
+              (fun pct ->
+                let target =
+                  max 1 (int_of_float (Float.ceil (pct *. float_of_int k)))
+                in
+                float_of_int (time_to_reach series target))
+              [| 0.1; 0.5; 0.9; 1.0 |])
       in
       let median idx =
         let values =

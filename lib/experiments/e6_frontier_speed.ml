@@ -24,14 +24,9 @@ let run ?(quick = false) ~seed () =
      pre-saturation phase so every window size has data *)
   let series =
     List.init trials (fun trial ->
-        let cfg =
-          Config.make ~side ~agents:k ~radius:0 ~seed ~trial
-            ~record_history:true ()
-        in
-        let report = Simulation.run_config cfg in
-        match report.Simulation.history with
-        | Some h -> h.Simulation.frontier_x
-        | None -> [||])
+        Sweep.trajectory
+          (Config.make ~side ~agents:k ~radius:0 ~seed ~trial ())
+          Simulation.frontier_x)
   in
   (* saturation time: first index where the frontier reaches the border *)
   let horizon frontier =

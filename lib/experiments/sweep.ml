@@ -110,6 +110,15 @@ let completion_times ~trials ~cfg =
         | Mobile_network.Simulation.Completed -> false
         | Mobile_network.Simulation.Timed_out -> true ))
 
+let trajectory cfg get =
+  let module Simulation = Mobile_network.Simulation in
+  let sim = Simulation.create cfg in
+  let values = Mobile_network.Intbuf.create () in
+  let record sim = Mobile_network.Intbuf.push values (get sim) in
+  record sim;
+  let (_ : Simulation.report) = Simulation.run ~on_step:record sim in
+  Mobile_network.Intbuf.to_array values
+
 let probability ~trials ~f =
   if trials <= 0 then invalid_arg "Sweep.probability: trials <= 0";
   let obs = trial_obs () in

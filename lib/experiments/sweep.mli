@@ -42,6 +42,14 @@ val completion_times :
     results (and experiment output bytes) are unchanged at any
     [--jobs]. @raise Invalid_argument if [trials <= 0]. *)
 
+val trajectory :
+  Mobile_network.Config.t -> (Mobile_network.Simulation.t -> int) -> int array
+(** [trajectory cfg get] runs one simulation and returns [get] read
+    after the initial placement and after every step: [steps + 1]
+    values, index [i] the state after step [i]. One column of the
+    per-step record, for experiments that reason about the trajectory
+    itself (E6's frontier, E14's informed count). *)
+
 val probability :
   trials:int -> f:(trial:int -> bool) -> float
 (** Empirical success probability over [trials] runs of an indicator. *)

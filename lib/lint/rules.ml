@@ -263,7 +263,6 @@ let dag =
     ("lib/continuum", ("continuum", [ "obs"; "prng"; "dsu"; "mobile_network" ]));
     ( "lib/baselines",
       ("baselines", [ "obs"; "prng"; "grid"; "walk"; "mobile_network" ]) );
-    ("lib/trace", ("trace", [ "mobile_network" ]));
     ("lib/render", ("render", [ "grid"; "mobile_network"; "barriers" ]));
     ( "lib/experiments",
       ( "experiments",

@@ -1,9 +1,11 @@
 type active = {
   capacity : int;
   columns : string array;  (* data columns; "step" is implicit column 0 *)
-  steps : int array;  (* step number per retained row *)
-  data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array2.t;
-      (* columns × capacity; c_layout keeps each column contiguous *)
+  mutable steps : int array;  (* step number per retained row *)
+  mutable data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array2.t;
+      (* columns × allocated rows; c_layout keeps each column contiguous.
+         Both buffers start small and double on demand up to [capacity],
+         so a large capacity costs memory only for the rows recorded. *)
   staging : int array;  (* one slot per column, written by [stage] *)
   mutable count : int;
   mutable stride : int;  (* always a power of two *)
@@ -14,6 +16,7 @@ type col = int
 
 let null = Nil
 let default_capacity = 1024
+let initial_rows = 64
 let schema = "mobisim-series/1"
 
 let create ?(capacity = default_capacity) ~columns () =
@@ -31,12 +34,13 @@ let create ?(capacity = default_capacity) ~columns () =
     columns;
   let columns = Array.of_list columns in
   let ncols = Array.length columns in
+  let rows = min capacity initial_rows in
   Active
     {
       capacity;
       columns;
-      steps = Array.make capacity 0;
-      data = Bigarray.Array2.create Bigarray.int Bigarray.c_layout ncols capacity;
+      steps = Array.make rows 0;
+      data = Bigarray.Array2.create Bigarray.int Bigarray.c_layout ncols rows;
       staging = Array.make ncols 0;
       count = 0;
       stride = 1;
@@ -62,19 +66,42 @@ let stage t c v =
 let want t ~step =
   match t with Nil -> false | Active a -> step mod a.stride = 0
 
-(* Append the staged row, then — at capacity — drop every other row.
-   Kept rows sit at the even indices, i.e. at steps that are multiples
-   of the doubled stride, so row [i] always holds step [i * stride] and
-   the retained series stays uniformly spaced from step 0. *)
+(* Double the row buffers (capped at [capacity]), keeping the [count]
+   rows recorded so far. Allocates, but at most O(log capacity) times
+   per recorder, never on a commit between doublings. *)
+let grow a =
+  let rows = min a.capacity (2 * Array.length a.steps) in
+  let steps = Array.make rows 0 in
+  Array.blit a.steps 0 steps 0 a.count;
+  let data =
+    Bigarray.Array2.create Bigarray.int Bigarray.c_layout
+      (Array.length a.columns) rows
+  in
+  for c = 0 to Array.length a.columns - 1 do
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub (Bigarray.Array2.slice_left a.data c) 0 a.count)
+      (Bigarray.Array1.sub (Bigarray.Array2.slice_left data c) 0 a.count)
+  done;
+  a.steps <- steps;
+  a.data <- data
+
+(* Append the staged row (growing the buffers first when they are
+   full), then — at capacity — drop every other row. Kept rows sit at
+   the even indices, i.e. at steps that are multiples of the doubled
+   stride, so row [i] always holds step [i * stride] and the retained
+   series stays uniformly spaced from step 0. *)
 let[@unsafe_invariant
-     "c < ncols = Array2.dim1 data and row/i/2*i < capacity = Array2.dim2 \
-      data (halving keeps kept - 1 < count <= capacity)"] commit t ~step =
+     "c < ncols = Array2.dim1 data; row < Array2.dim2 data because [grow] \
+      runs whenever count reaches dim2; halving runs only at count = \
+      capacity, when dim2 = capacity, and i < 2*i <= 2*(kept-1) < \
+      capacity"] commit t ~step =
   match t with
   | Nil -> ()
   | Active a ->
       if step mod a.stride = 0 then begin
         let ncols = Array.length a.columns in
         let row = a.count in
+        if row = Array.length a.steps then grow a;
         a.steps.(row) <- step;
         for c = 0 to ncols - 1 do
           Bigarray.Array2.unsafe_set a.data c row a.staging.(c)
@@ -237,30 +264,36 @@ let parse text =
     | Ok () -> Ok json
     | Error msg -> Error ("invalid series: " ^ msg)
   in
-  match Json.parse text with
-  | Ok json -> finish json
-  | Error whole_err -> (
-      (* NDJSON form: header object on line 1, one row array per line. *)
-      match String.split_on_char '\n' (String.trim text) with
-      | [] | [ _ ] -> Error whole_err
-      | header :: rest -> (
-          match Json.parse header with
-          | Error _ -> Error whole_err
-          | Ok (Json.Assoc members) ->
-              let ( let* ) = Result.bind in
-              let* data =
-                List.fold_left
-                  (fun acc line ->
-                    let* acc = acc in
-                    if String.trim line = "" then Ok acc
-                    else
-                      match Json.parse line with
-                      | Ok row -> Ok (row :: acc)
-                      | Error e -> Error ("invalid series row: " ^ e))
-                  (Ok []) rest
-              in
-              finish (Json.Assoc (members @ [ ("data", Json.List (List.rev data)) ]))
-          | Ok _ -> Error "series header line is not a JSON object"))
+  let whole = Json.parse text in
+  match whole with
+  | Ok json when Option.is_some (Json.member "data" json) -> finish json
+  | _ -> (
+      (* NDJSON form: header object on line 1, one row array per line. A
+         zero-row export is the header line alone, which also parses as
+         a whole document — hence the ["data"] test above. *)
+      let header, rest =
+        match String.split_on_char '\n' (String.trim text) with
+        | [] -> ("", [])
+        | header :: rest -> (header, rest)
+      in
+      match (Json.parse header, whole) with
+      | Ok (Json.Assoc members), _ ->
+          let ( let* ) = Result.bind in
+          let* data =
+            List.fold_left
+              (fun acc line ->
+                let* acc = acc in
+                if String.trim line = "" then Ok acc
+                else
+                  match Json.parse line with
+                  | Ok row -> Ok (row :: acc)
+                  | Error e -> Error ("invalid series row: " ^ e))
+              (Ok []) rest
+          in
+          finish (Json.Assoc (members @ [ ("data", Json.List (List.rev data)) ]))
+      | _, Ok json -> finish json
+      | Ok _, Error _ -> Error "series header line is not a JSON object"
+      | Error _, Error whole_err -> Error whole_err)
 
 (* --- ambient series directory --------------------------------------------- *)
 

@@ -6,13 +6,17 @@
     reasons about (how the informed set grows toward the Θ̃(n/√k)
     broadcast bound) is itself an exportable artifact.
 
-    {b Bounded memory for any run length.} A recorder holds at most
-    [capacity] rows in preallocated storage (one {!Bigarray} row per
-    column plus a step vector — no per-step allocation). When the buffer
-    fills, every other row is dropped and the sampling stride doubles:
-    after any number of steps the series holds between [capacity/2] and
-    [capacity] rows, uniformly spaced at a power-of-two stride from step
-    0. Row [i] always holds step [i * stride].
+    {b Bounded memory for any run length.} A recorder holds fewer than
+    [capacity] rows (one {!Bigarray} row per column plus a step vector).
+    The storage starts small and doubles on demand up to [capacity], so
+    memory follows the rows actually recorded; between doublings a
+    commit allocates nothing. When the buffer reaches [capacity], every
+    other row is dropped and the sampling stride doubles: after any
+    number of steps the series holds between [capacity/2] and
+    [capacity - 1] rows, uniformly spaced at a power-of-two stride from
+    step 0. Row [i] always holds step [i * stride]. A recorder that will
+    see fewer than [capacity] commits is therefore an exact stride-1
+    record (what [simulate --trace-out] uses).
 
     {b The disabled path costs nothing.} Against {!null} every
     operation reduces to an immediate-value branch: no clock read, no
@@ -78,7 +82,8 @@ val stage : t -> col -> int -> unit
 
 val commit : t -> step:int -> unit
 (** Append the staged row for [step] (ignored when [step] is off the
-    current stride), decimating at capacity. Allocation-free. *)
+    current stride), decimating at capacity. Allocation-free except
+    when it doubles the row storage. *)
 
 (** {2 Reading back} *)
 

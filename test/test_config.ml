@@ -15,7 +15,6 @@ let test_defaults () =
     (Protocol.equal cfg.Config.protocol Protocol.Broadcast);
   Alcotest.(check int) "seed" 0 cfg.Config.seed;
   Alcotest.(check int) "trial" 0 cfg.Config.trial;
-  Alcotest.(check bool) "no history" false cfg.Config.record_history;
   Alcotest.(check bool) "valid" true (ok cfg);
   Alcotest.(check int) "n" 100 (Config.n cfg)
 

@@ -41,67 +41,111 @@ let test_clementi_equals_grid_engine () =
         true
     | _ -> false)
 
-(* run (full engine report) and broadcast (condensed report) consume the
-   same streams in every satellite. *)
-let test_run_agrees_with_broadcast () =
-  let module E = Mobile_network.Engine in
+let stride1_series () =
+  Obs.Series.create ~capacity:max_int
+    ~columns:Mobile_network.Engine.series_columns ()
+
+(* Attaching a series is pure observation in every satellite: the
+   recorded run agrees with the plain one, and its series holds steps + 1
+   rows (row 0 is the initial state) ending at the final informed
+   count. *)
+let test_recorded_run_agrees_with_broadcast () =
+  let check label ~steps ~informed ~steps' ~informed' sr =
+    Alcotest.(check int) (label ^ " steps") steps steps';
+    Alcotest.(check int) (label ^ " informed") informed informed';
+    Alcotest.(check int) (label ^ " rows") (steps + 1) (Obs.Series.rows sr);
+    let col = Obs.Series.column sr "informed" in
+    Alcotest.(check int)
+      (label ^ " final informed row")
+      informed
+      col.(Array.length col - 1)
+  in
   let ccfg =
     { Clementi.side = 16; agents = 24; big_r = 2; rho = 2; seed = 3;
       trial = 1; max_steps = 2_000 }
   in
-  let cb = Clementi.broadcast ccfg and cr = Clementi.run ccfg in
-  Alcotest.(check int) "clementi steps" cb.Clementi.steps cr.E.steps;
-  Alcotest.(check int) "clementi informed" cb.Clementi.informed cr.E.informed;
+  let sr = stride1_series () in
+  let cb = Clementi.broadcast ccfg and cr = Clementi.broadcast ~series:sr ccfg in
+  check "clementi" ~steps:cb.Clementi.steps ~informed:cb.Clementi.informed
+    ~steps':cr.Clementi.steps ~informed':cr.Clementi.informed sr;
   let ucfg =
     { Continuum.box_side = 8.; agents = 32; radius = 1.; sigma = 0.25;
       seed = 3; trial = 1; max_steps = 50_000 }
   in
-  let ub = Continuum.broadcast ucfg and ur = Continuum.run ucfg in
-  Alcotest.(check int) "continuum steps" ub.Continuum.steps ur.E.steps;
-  Alcotest.(check int) "continuum informed" ub.Continuum.informed
-    ur.E.informed;
+  let sr = stride1_series () in
+  let ub = Continuum.broadcast ucfg
+  and ur = Continuum.broadcast ~series:sr ucfg in
+  check "continuum" ~steps:ub.Continuum.steps ~informed:ub.Continuum.informed
+    ~steps':ur.Continuum.steps ~informed':ur.Continuum.informed sr;
   let domain = Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
   let bcfg =
     { Barrier_sim.domain; agents = 12; radius = 0; los_blocking = false;
       seed = 3; trial = 1; max_steps = 20_000 }
   in
-  let bb = Barrier_sim.broadcast bcfg and br = Barrier_sim.run bcfg in
-  Alcotest.(check int) "barrier steps" bb.Barrier_sim.steps br.E.steps;
-  Alcotest.(check int) "barrier informed" bb.Barrier_sim.informed
-    br.E.informed
+  let sr = stride1_series () in
+  let bb = Barrier_sim.broadcast bcfg
+  and br = Barrier_sim.broadcast ~series:sr bcfg in
+  check "barrier" ~steps:bb.Barrier_sim.steps
+    ~informed:bb.Barrier_sim.informed ~steps':br.Barrier_sim.steps
+    ~informed':br.Barrier_sim.informed sr
 
-(* Recorded histories are per-step series consistent with the report:
-   steps + 1 entries (index 0 is the initial state), final entry equal
-   to the final count — across all engine instances. *)
-let test_history_consistent () =
-  let module E = Mobile_network.Engine in
-  let check_history label (r : E.report) =
-    match r.E.history with
-    | None -> Alcotest.failf "%s: no history" label
-    | Some h ->
-        Alcotest.(check int)
-          (label ^ ": history length")
-          (r.E.steps + 1)
-          (Array.length h.E.informed);
-        Alcotest.(check int)
-          (label ^ ": final informed")
-          r.E.informed
-          h.E.informed.(Array.length h.E.informed - 1)
-  in
-  check_history "clementi"
-    (Clementi.run ~record_history:true
-       { Clementi.side = 16; agents = 24; big_r = 2; rho = 2; seed = 1;
-         trial = 0; max_steps = 2_000 });
-  check_history "continuum"
-    (Continuum.run ~record_history:true
-       { Continuum.box_side = 8.; agents = 32; radius = 1.; sigma = 0.25;
-         seed = 1; trial = 0; max_steps = 50_000 });
-  check_history "barrier"
-    (Barrier_sim.run ~record_history:true
-       { Barrier_sim.domain =
-           Barriers.Domain.unobstructed (Grid.create ~side:16 ());
-         agents = 12; radius = 0; los_blocking = false; seed = 1; trial = 0;
-         max_steps = 20_000 })
+(* A stride-1 series is the run's per-step record: steps + 1 rows whose
+   trajectory columns equal what [on_step] observes through the engine
+   getters, on every space instance. *)
+module Series_vs_on_step (S : Space.S) = struct
+  module E = Mobile_network.Engine.Make (S)
+
+  let check label ~space spec =
+    let sr = stride1_series () in
+    let e = E.create ~series:sr ~space spec in
+    let seen = ref [] in
+    let observe e =
+      seen :=
+        [| E.informed_count e; E.frontier_x e; E.max_island e;
+           E.covered_count e |]
+        :: !seen
+    in
+    observe e;
+    let r = E.run ~on_step:observe e in
+    let seen = Array.of_list (List.rev !seen) in
+    Alcotest.(check int) (label ^ ": rows = steps + 1") (r.steps + 1)
+      (Obs.Series.rows sr);
+    List.iteri
+      (fun i name ->
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: %s column = on_step" label name)
+          (Array.map (fun obs -> obs.(i)) seen)
+          (Obs.Series.column sr name))
+      [ "informed"; "frontier"; "max_island"; "covered" ]
+end
+
+let test_stride1_series_equals_on_step () =
+  let module Engine = Mobile_network.Engine in
+  let module G = Series_vs_on_step (Mobile_network.Grid_space) in
+  let grid = Grid.create ~side:12 () in
+  G.check "grid"
+    ~space:
+      (Mobile_network.Grid_space.create grid ~kernel:Walk.Lazy_one_fifth
+         ~radius:1)
+    { (Engine.default_spec ~agents:10 ~seed:1 ~trial:0 ~max_steps:5_000) with
+      Engine.protocol = Mobile_network.Protocol.Broadcast_cover };
+  G.check "clementi"
+    ~space:
+      (Mobile_network.Grid_space.create grid ~kernel:(Walk.Jump 2) ~radius:2)
+    { (Engine.default_spec ~agents:24 ~seed:1 ~trial:0 ~max_steps:2_000) with
+      Engine.exchange = Exchange.Single_hop;
+      track_islands = false };
+  let module C = Series_vs_on_step (Continuum.Space) in
+  C.check "continuum"
+    ~space:(Continuum.Space.create ~box_side:8. ~radius:1. ~sigma:0.25 ~agents:32)
+    (Engine.default_spec ~agents:32 ~seed:1 ~trial:0 ~max_steps:50_000);
+  let module B = Series_vs_on_step (Barriers.Domain_space) in
+  B.check "barrier"
+    ~space:
+      (Barriers.Domain_space.create
+         (Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2)
+         ~radius:0 ~los_blocking:false)
+    (Engine.default_spec ~agents:12 ~seed:1 ~trial:0 ~max_steps:20_000)
 
 (* --- degenerate parameters ------------------------------------------------ *)
 
@@ -266,10 +310,10 @@ let () =
         [
           Alcotest.test_case "clementi = grid engine with jump kernel" `Quick
             test_clementi_equals_grid_engine;
-          Alcotest.test_case "run agrees with broadcast" `Quick
-            test_run_agrees_with_broadcast;
-          Alcotest.test_case "histories consistent" `Quick
-            test_history_consistent;
+          Alcotest.test_case "recorded run agrees with broadcast" `Quick
+            test_recorded_run_agrees_with_broadcast;
+          Alcotest.test_case "stride-1 series = on_step" `Quick
+            test_stride1_series_equals_on_step;
         ] );
       ( "degenerate",
         [

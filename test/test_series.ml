@@ -5,17 +5,23 @@
    - decimation keeps the row/step invariant: row i holds step
      i * stride, stride a power of two, bounded rows for any run length;
    - the export is golden-stable and self-validating (export -> parse
-     round-trips through the documented schema);
+     round-trips through the documented schema, zero rows included);
+   - storage grows on demand, so a huge capacity is an exact stride-1
+     record that costs memory only for the rows committed;
    - the disabled path allocates nothing (same discipline as Span);
    - recording is pure observation: reports are identical with a
      recorder attached or not, and experiment output stays
-     byte-identical at any jobs count with an ambient series dir set. *)
+     byte-identical at any jobs count with an ambient series dir set.
+
+   The stride-1 capture ([simulate --trace-out]) and its invariant
+   check are tested in test_capture.ml. *)
 
 module Series = Obs.Series
 module Json = Obs.Json
 module Config = Mobile_network.Config
 module Engine = Mobile_network.Engine
 module Simulation = Mobile_network.Simulation
+module Protocol = Mobile_network.Protocol
 
 (* --- recorder semantics --------------------------------------------------- *)
 
@@ -69,6 +75,24 @@ let test_want_gates_stride () =
   Alcotest.(check bool) "null never wants" false
     (Series.want Series.null ~step:0)
 
+let test_on_demand_growth () =
+  let t = Series.create ~capacity:1_000_000 ~columns:[ "x" ] () in
+  let cx = Series.col t "x" in
+  for step = 0 to 4999 do
+    Series.stage t cx (step * 3);
+    Series.commit t ~step
+  done;
+  Alcotest.(check int) "stride 1 below capacity" 1 (Series.stride t);
+  Alcotest.(check int) "every commit kept" 5000 (Series.rows t);
+  Alcotest.(check (array int))
+    "step column is 0..4999"
+    (Array.init 5000 Fun.id)
+    (Series.column t "step");
+  Alcotest.(check (array int))
+    "data survives every doubling"
+    (Array.init 5000 (fun i -> i * 3))
+    (Series.column t "x")
+
 (* --- export --------------------------------------------------------------- *)
 
 let test_golden_export () =
@@ -96,9 +120,19 @@ let test_golden_export () =
   (match Series.parse exported with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "export rejected by own parser: %s" e);
-  match Series.parse (Json.to_string (Series.to_json t)) with
+  (match Series.parse (Json.to_string (Series.to_json t)) with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "combined form rejected: %s" e
+  | Error e -> Alcotest.failf "combined form rejected: %s" e);
+  (* a zero-row NDJSON export is its header line alone *)
+  match Series.parse (Series.export_string (Series.create ~columns:[ "x" ] ()))
+  with
+  | Ok j ->
+      Alcotest.(check string) "zero-row export parses to no data"
+        "[]"
+        (match Json.member "data" j with
+        | Some d -> Json.to_string d
+        | None -> "missing")
+  | Error e -> Alcotest.failf "zero-row export rejected: %s" e
 
 let test_validator_rejections () =
   let t = Series.create ~capacity:4 ~columns:[ "x" ] () in
@@ -292,6 +326,7 @@ let () =
           Alcotest.test_case "want gates the stride" `Quick
             test_want_gates_stride;
           Alcotest.test_case "null no-alloc" `Quick test_null_no_alloc;
+          Alcotest.test_case "on-demand growth" `Quick test_on_demand_growth;
         ] );
       ( "export",
         [

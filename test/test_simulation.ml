@@ -4,14 +4,26 @@
 module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
+module Series = Obs.Series
 
-let run ?source ?max_steps ?(record_history = false) ?(seed = 0) ?(trial = 0)
-    ?(radius = 0) ~side ~agents protocol =
+let run ?source ?max_steps ?(seed = 0) ?(trial = 0) ?(radius = 0) ~side ~agents
+    protocol =
   let cfg =
     Config.make ~side ~agents ~radius ~protocol ~seed ~trial ?source
-      ?max_steps ~record_history ()
+      ?max_steps ()
   in
   Simulation.run_config cfg
+
+(* A run with an exact stride-1 series attached (its capacity exceeds
+   any run here): the report and a column reader, index [i] of a column
+   being the state after step [i]. *)
+let run_series ?full_rebuild cfg =
+  let sr =
+    Series.create ~capacity:max_int
+      ~columns:Mobile_network.Engine.series_columns ()
+  in
+  let report = Simulation.run_config ?full_rebuild ~series:sr cfg in
+  (report, Series.column sr)
 
 let completed (r : Simulation.report) =
   match r.Simulation.outcome with
@@ -46,16 +58,13 @@ let test_broadcast_explicit_source () =
     (Simulation.is_informed sim 4)
 
 let test_broadcast_deterministic () =
-  let cfg = Config.make ~side:16 ~agents:8 ~seed:3 ~trial:5 ~record_history:true () in
-  let a = Simulation.run_config cfg and b = Simulation.run_config cfg in
+  let cfg = Config.make ~side:16 ~agents:8 ~seed:3 ~trial:5 () in
+  let a, ca = run_series cfg and b, cb = run_series cfg in
   Alcotest.(check int) "same steps" a.Simulation.steps b.Simulation.steps;
-  match (a.Simulation.history, b.Simulation.history) with
-  | Some ha, Some hb ->
-      Alcotest.(check (array int)) "same informed series"
-        ha.Simulation.informed hb.Simulation.informed;
-      Alcotest.(check (array int)) "same frontier series"
-        ha.Simulation.frontier_x hb.Simulation.frontier_x
-  | _ -> Alcotest.fail "histories missing"
+  Alcotest.(check (array int)) "same informed series" (ca "informed")
+    (cb "informed");
+  Alcotest.(check (array int)) "same frontier series" (ca "frontier")
+    (cb "frontier")
 
 let test_trials_differ () =
   let steps trial =
@@ -66,36 +75,27 @@ let test_trials_differ () =
     (List.exists (fun s -> s <> List.hd all) (List.tl all))
 
 let test_informed_monotone_and_bounded () =
-  let cfg = Config.make ~side:16 ~agents:10 ~record_history:true () in
-  let r = Simulation.run_config cfg in
-  match r.Simulation.history with
-  | None -> Alcotest.fail "history requested"
-  | Some h ->
-      let series = h.Simulation.informed in
-      Alcotest.(check int) "history length = steps + 1"
-        (r.Simulation.steps + 1) (Array.length series);
-      Alcotest.(check int) "starts with one informed" 1 series.(0);
-      Alcotest.(check int) "ends all informed" 10
-        series.(Array.length series - 1);
-      for i = 1 to Array.length series - 1 do
-        Alcotest.(check bool) "monotone" true (series.(i) >= series.(i - 1));
-        Alcotest.(check bool) "bounded" true (series.(i) <= 10)
-      done
+  let r, column = run_series (Config.make ~side:16 ~agents:10 ()) in
+  let series = column "informed" in
+  Alcotest.(check int) "series length = steps + 1"
+    (r.Simulation.steps + 1) (Array.length series);
+  Alcotest.(check int) "starts with one informed" 1 series.(0);
+  Alcotest.(check int) "ends all informed" 10 series.(Array.length series - 1);
+  for i = 1 to Array.length series - 1 do
+    Alcotest.(check bool) "monotone" true (series.(i) >= series.(i - 1));
+    Alcotest.(check bool) "bounded" true (series.(i) <= 10)
+  done
 
 let test_frontier_monotone_and_bounded () =
   let side = 16 in
-  let cfg = Config.make ~side ~agents:10 ~record_history:true () in
-  let r = Simulation.run_config cfg in
-  match r.Simulation.history with
-  | None -> Alcotest.fail "history requested"
-  | Some h ->
-      let series = h.Simulation.frontier_x in
-      for i = 0 to Array.length series - 1 do
-        Alcotest.(check bool) "within grid" true
-          (series.(i) >= 0 && series.(i) < side);
-        if i > 0 then
-          Alcotest.(check bool) "monotone" true (series.(i) >= series.(i - 1))
-      done
+  let _, column = run_series (Config.make ~side ~agents:10 ()) in
+  let series = column "frontier" in
+  for i = 0 to Array.length series - 1 do
+    Alcotest.(check bool) "within grid" true
+      (series.(i) >= 0 && series.(i) < side);
+    if i > 0 then
+      Alcotest.(check bool) "monotone" true (series.(i) >= series.(i - 1))
+  done
 
 let test_timeout () =
   let r = run ~side:32 ~agents:4 ~max_steps:3 Protocol.Broadcast in
@@ -217,19 +217,13 @@ let test_broadcast_cover_subsumes_broadcast () =
   Alcotest.(check int) "everyone informed on the way" 5 r.Simulation.informed
 
 let test_coverage_monotone () =
-  let cfg =
-    Config.make ~side:10 ~agents:4 ~protocol:Protocol.Cover_walks
-      ~record_history:true ()
+  let _, column =
+    run_series (Config.make ~side:10 ~agents:4 ~protocol:Protocol.Cover_walks ())
   in
-  let r = Simulation.run_config cfg in
-  match r.Simulation.history with
-  | None -> Alcotest.fail "history requested"
-  | Some h ->
-      let series = h.Simulation.covered in
-      for i = 1 to Array.length series - 1 do
-        Alcotest.(check bool) "covered monotone" true
-          (series.(i) >= series.(i - 1))
-      done
+  let series = column "covered" in
+  for i = 1 to Array.length series - 1 do
+    Alcotest.(check bool) "covered monotone" true (series.(i) >= series.(i - 1))
+  done
 
 (* --- predator-prey --- *)
 
@@ -535,7 +529,7 @@ let config_gen =
     map
       (fun (side, agents, radius, seed, proto) ->
         Config.make ~side ~agents ~radius ~protocol:proto ~seed
-          ~max_steps:400 ~record_history:true ())
+          ~max_steps:400 ())
       (tup5 (int_range 3 10) (int_range 1 6) (int_range 0 3) (int_range 0 999)
          protocol_gen))
 
@@ -545,21 +539,17 @@ let arb_config =
 let prop_run_invariants =
   QCheck.Test.make ~name:"reports are internally consistent" ~count:150
     arb_config (fun cfg ->
-      let r = Simulation.run_config cfg in
+      let r, column = run_series cfg in
       let population = Protocol.population cfg.Config.protocol ~k:cfg.Config.agents in
-      let history_ok =
-        match r.Simulation.history with
-        | None -> false
-        | Some h ->
-            Array.length h.Simulation.informed = r.Simulation.steps + 1
-            && Array.for_all
-                 (fun c -> c >= 0 && c <= population)
-                 h.Simulation.informed
+      let informed = column "informed" in
+      let series_ok =
+        Array.length informed = r.Simulation.steps + 1
+        && Array.for_all (fun c -> c >= 0 && c <= population) informed
       in
       r.Simulation.steps <= 400
       && r.Simulation.informed <= population
       && r.Simulation.informed >= 0
-      && history_ok)
+      && series_ok)
 
 let prop_completed_means_goal_reached =
   QCheck.Test.make ~name:"completed runs reached their protocol goal"
@@ -593,7 +583,8 @@ let prop_determinism =
 
 (* The incremental component-maintenance fast path is an optimisation,
    never a semantics change: a run with --full-rebuild (scratch DSU
-   every step) must produce the identical report, history included. *)
+   every step) must produce the identical report and per-step
+   trajectory (the series' non-timing columns). *)
 let prop_full_rebuild_identical =
   QCheck.Test.make
     ~name:"incremental components = full rebuild, report and history"
@@ -604,11 +595,14 @@ let prop_full_rebuild_identical =
            (int_range 0 999) bool))
     (fun (side, agents, radius, seed, torus) ->
       let cfg =
-        Config.make ~side ~agents ~radius ~torus ~seed ~max_steps:300
-          ~record_history:true ()
+        Config.make ~side ~agents ~radius ~torus ~seed ~max_steps:300 ()
       in
-      Simulation.run_config cfg
-      = Simulation.run_config ~full_rebuild:true cfg)
+      let a, ca = run_series cfg
+      and b, cb = run_series ~full_rebuild:true cfg in
+      a = b
+      && List.for_all
+           (fun c -> ca c = cb c)
+           [ "informed"; "frontier"; "components"; "max_island"; "covered" ])
 
 let () =
   Alcotest.run "simulation"
