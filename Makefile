@@ -31,9 +31,15 @@ test:
 # output-identical to the incremental default. The service smoke
 # drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
-# mid-sweep and a byte-identical checkpoint resume. The lint gate keeps
-# the determinism/concurrency/io/poly-compare/layering invariants
-# machine-checked. `dune build @all` also builds examples/.
+# mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
+# check that `simulate` flags compile through the scenario validator
+# (invalid flag runs are usage errors, exit 2 with a diagnostic) and that
+# a flag run and its one-cell --scenario twin take the same steps, on the
+# grid and on a domain. `@bench/smoke` runs every benchmark workload at
+# small scale, so an Obs/Service API change that breaks bench/suite fails
+# here. The lint gate keeps the determinism/concurrency/io/poly-compare/
+# layering invariants machine-checked. `dune build @all` also builds
+# examples/.
 check:
 	dune build @all
 	dune runtest
@@ -62,7 +68,17 @@ check:
 	dune exec bin/mobisim.exe -- simulate --side 64 -k 64 -r 0 --seed 7 > /tmp/mobisim-inc.out
 	dune exec bin/mobisim.exe -- simulate --side 64 -k 64 -r 0 --seed 7 --full-rebuild > /tmp/mobisim-fullrb.out
 	cmp /tmp/mobisim-inc.out /tmp/mobisim-fullrb.out
+	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --side 16 -k 8 -r 1 --seed 3 | grep -qx 'completed in 146 steps'
+	printf '{ "side": 16, "agents": 8, "radius": 1, "seed": 3 }' > /tmp/mobisim-grid-cell.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-grid-cell.json | grep -q '"steps":146'
+	dune exec bin/mobisim.exe -- simulate --space domain --side 12 -k 6 -r 1 --seed 2 | grep -qx 'completed in 89 steps'
+	printf '{ "space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2 }' > /tmp/mobisim-domain-cell.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-domain-cell.json | grep -q '"steps":89'
 	sh test/service_smoke.sh
+	dune build @bench/smoke
 
 bench:
 	dune exec bench/main.exe

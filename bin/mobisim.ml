@@ -6,6 +6,7 @@ open Cmdliner
 module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
+module Ast = Scenario.Ast
 
 (* --- files ------------------------------------------------------------------ *)
 
@@ -30,84 +31,78 @@ let write_text_file path text =
     Printf.eprintf "cannot write %s: %s\n" path reason;
     exit 2
 
+(* Reject out-of-range arguments as a usage error (exit 2) before they
+   reach a library precondition. *)
+let require checks =
+  match
+    List.filter_map (fun (ok, msg) -> if ok then None else Some msg) checks
+  with
+  | [] -> ()
+  | errs ->
+      List.iter (Printf.eprintf "invalid arguments: %s\n") errs;
+      exit 2
+
+let positive x = x > 0. && Float.is_finite x
+
 (* --- shared argument definitions ----------------------------------------- *)
+
+(* Run-parameter defaults are the scenario defaults: a flag left unset
+   and a scenario field left out mean the same run. *)
 
 let side_arg =
   let doc = "Grid side length (the paper's n is side * side)." in
-  Arg.(value & opt int 64 & info [ "side" ] ~docv:"SIDE" ~doc)
+  Arg.(
+    value & opt int (List.hd Ast.default.Ast.sides)
+    & info [ "side" ] ~docv:"SIDE" ~doc)
 
 let agents_arg =
   let doc = "Number of agents (the paper's k)." in
-  Arg.(value & opt int 32 & info [ "k"; "agents" ] ~docv:"K" ~doc)
+  Arg.(
+    value & opt int (List.hd Ast.default.Ast.agents)
+    & info [ "k"; "agents" ] ~docv:"K" ~doc)
 
 let radius_arg =
   let doc = "Transmission radius r (Manhattan distance)." in
-  Arg.(value & opt int 0 & info [ "r"; "radius" ] ~docv:"R" ~doc)
+  Arg.(
+    value & opt int (List.hd Ast.default.Ast.radii)
+    & info [ "r"; "radius" ] ~docv:"R" ~doc)
 
 let seed_arg =
   let doc = "Deterministic master seed." in
-  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int Ast.default.Ast.seed & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let trial_arg =
   let doc = "Trial (replicate) index; distinct trials are independent." in
   Arg.(value & opt int 0 & info [ "trial" ] ~docv:"TRIAL" ~doc)
 
+let ast_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
 let protocol_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "broadcast" -> Ok Protocol.Broadcast
-    | "gossip" -> Ok Protocol.Gossip
-    | "frog" -> Ok Protocol.Frog
-    | "broadcast-cover" -> Ok Protocol.Broadcast_cover
-    | "cover-walks" -> Ok Protocol.Cover_walks
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "predator-prey" -> (
-            let rest = String.sub s (i + 1) (String.length s - i - 1) in
-            match int_of_string_opt rest with
-            | Some preys when preys >= 0 ->
-                Ok (Protocol.Predator_prey { preys })
-            | Some _ | None ->
-                Error (`Msg "predator-prey:<preys> needs a non-negative int"))
-        | Some _ | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "unknown protocol %S (expected broadcast, gossip, frog, \
-                     broadcast-cover, cover-walks or predator-prey:<preys>)"
-                    s)))
-  in
-  let print fmt p = Format.pp_print_string fmt (Protocol.to_string p) in
-  let protocol_conv = Arg.conv (parse, print) in
   let doc =
     "Protocol: broadcast, gossip, frog, broadcast-cover, cover-walks or \
      predator-prey:<preys>."
   in
-  Arg.(value & opt protocol_conv Protocol.Broadcast & info [ "protocol" ] ~docv:"PROTO" ~doc)
+  Arg.(
+    value
+    & opt
+        (ast_conv Ast.protocol_of_string Ast.protocol_to_string)
+        (List.hd Ast.default.Ast.protocols)
+    & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
 let kernel_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "lazy" | "lazy-1/5" | "paper" -> Ok Walk.Lazy_one_fifth
-    | "simple" | "srw" -> Ok Walk.Simple
-    | "lazy-half" | "lazy-1/2" -> Ok Walk.Lazy_half
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "jump" -> (
-            let rest = String.sub s (i + 1) (String.length s - i - 1) in
-            match int_of_string_opt rest with
-            | Some rho when rho >= 0 -> Ok (Walk.Jump rho)
-            | Some _ | None ->
-                Error (`Msg "jump:<rho> needs a non-negative int"))
-        | Some _ | None -> Error (`Msg (Printf.sprintf "unknown kernel %S" s)))
-  in
-  let print fmt k = Format.pp_print_string fmt (Walk.kernel_to_string k) in
-  let kernel_conv = Arg.conv (parse, print) in
   let doc =
     "Mobility kernel: lazy (paper's 1/5 walk), simple, lazy-half or \
      jump:<rho> (the dense-baseline jump within Manhattan distance rho)."
   in
-  Arg.(value & opt kernel_conv Walk.Lazy_one_fifth & info [ "kernel" ] ~docv:"KERNEL" ~doc)
+  Arg.(
+    value
+    & opt
+        (ast_conv Ast.kernel_of_string Ast.kernel_to_string)
+        (List.hd Ast.default.Ast.kernels)
+    & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
 let torus_arg =
   let doc = "Use a torus (periodic boundary) instead of the bounded grid." in
@@ -322,8 +317,9 @@ let churn_arg =
   Arg.(value & opt (some churn_conv) None & info [ "churn" ] ~docv:"LEAVE[:RETURN]" ~doc)
 
 (* Merge the declarative plan file (if any) with the shorthand overrides
-   into one validated plan. Exits with the parser/validator message on a
-   bad file, matching the Config.validate path below. *)
+   into one plan. Exits with the parser/validator message on a bad file;
+   the shorthands are checked with the rest of the run by the scenario
+   compiler. *)
 let load_fault_plan faults_file loss_p outage churn =
   let base =
     match faults_file with
@@ -353,248 +349,146 @@ let load_fault_plan faults_file loss_p outage churn =
 (* --- simulate ------------------------------------------------------------- *)
 
 let space_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "grid" -> Ok `Grid
-    | "continuum" -> Ok `Continuum
-    | "domain" -> Ok `Domain
-    | s ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown space %S (expected grid, continuum or domain)" s))
-  in
-  let print fmt s =
-    Format.pp_print_string fmt
-      (match s with
-      | `Grid -> "grid"
-      | `Continuum -> "continuum"
-      | `Domain -> "domain")
-  in
-  let space_conv = Arg.conv (parse, print) in
   let doc =
     "Space instance to run the shared engine on: grid (the paper's model; \
      full protocol/kernel support), continuum (Brownian agents in a \
      side x side box, r and sigma = r/4 in continuous units) or domain \
      (an unobstructed barrier domain). Non-grid spaces run a plain \
-     broadcast; the grid-only flags \
-     --protocol/--kernel/--torus/--trace/--render/--full-rebuild \
-     and the fault flags --faults/--loss-p/--outage/--churn are ignored \
-     there (with a warning on stderr if one was set)."
+     broadcast: there the grid-only flags \
+     --protocol/--kernel/--torus/--faults/--loss-p/--outage/--churn get \
+     the scenario compiler's diagnostic and \
+     --trace/--render/--full-rebuild a usage error (exit 2 either way)."
   in
-  Arg.(value & opt space_conv `Grid & info [ "space" ] ~docv:"SPACE" ~doc)
+  Arg.(
+    value
+    & opt
+        (ast_conv Ast.space_of_string Ast.space_to_string)
+        Ast.default.Ast.space
+    & info [ "space" ] ~docv:"SPACE" ~doc)
 
-(* The grid-only flags and their explicitly-set detectors, as one table:
-   both the non-grid-space warning and the scenario-conflict warning
-   consume it, so a new grid-only flag is declared in exactly one place.
-   Detection is by comparison with the flag's default, so re-stating a
-   default (e.g. an explicit `--trace 0`) goes unnoticed — fine for a
+(* Run one compiled cell and print its per-space header and outcome
+   lines. The engine parameters, non-grid defaults included, come from
+   [Service.Runner.run_cell], the dispatch the service and [--scenario]
+   also use. *)
+let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render
+    ~full_rebuild metrics trace_events series =
+  let finish_metrics = install_metrics metrics in
+  let finish_trace = install_trace trace_events in
+  let side = cell.Ast.c_side
+  and agents = cell.Ast.c_agents
+  and radius = cell.Ast.c_radius in
+  let meta =
+    match cell.Ast.c_space with
+    | Ast.Grid ->
+        let cfg = Ast.cell_config cell ~seed ~trial in
+        Printf.printf "config: %s\n" (Config.to_string cfg);
+        Printf.printf "n = %d nodes, r_c = %.2f, subcritical: %b\n"
+          (Config.n cfg)
+          (Config.percolation_radius cfg)
+          (Config.is_subcritical cfg);
+        [
+          ("space", Obs.Json.String "grid");
+          ("config", Obs.Json.String (Config.to_string cfg));
+          ("side", Obs.Json.Int side);
+          ("nodes", Obs.Json.Int (Config.n cfg));
+        ]
+    | Ast.Continuum ->
+        let cfg = Service.Runner.continuum_config cell ~seed ~trial in
+        let rc =
+          Continuum.critical_radius ~box_side:cfg.Continuum.box_side ~agents
+        in
+        Printf.printf "continuum: box=%.1f k=%d r=%.2f (%.2f r_c) sigma=%.2f\n"
+          cfg.Continuum.box_side agents cfg.Continuum.radius
+          (if rc > 0. then cfg.Continuum.radius /. rc else 0.)
+          cfg.Continuum.sigma;
+        [
+          ("space", Obs.Json.String "continuum");
+          ("side", Obs.Json.Int side);
+          ("agents", Obs.Json.Int agents);
+          ("radius", Obs.Json.Float cfg.Continuum.radius);
+          ("seed", Obs.Json.Int seed);
+          ("trial", Obs.Json.Int trial);
+        ]
+    | Ast.Domain ->
+        Printf.printf "domain: open %dx%d, k=%d r=%d\n" side side agents radius;
+        [
+          ("space", Obs.Json.String "domain");
+          ("side", Obs.Json.Int side);
+          ("nodes", Obs.Json.Int (side * side));
+          ("agents", Obs.Json.Int agents);
+          ("radius", Obs.Json.Int radius);
+          ("seed", Obs.Json.Int seed);
+          ("trial", Obs.Json.Int trial);
+        ]
+  in
+  let on_step sim =
+    if trace > 0 && Simulation.time sim mod trace = 0 then
+      Printf.printf
+        "t=%7d informed=%5d frontier_x=%4d max_island=%3d covered=%d\n"
+        (Simulation.time sim)
+        (Simulation.informed_count sim)
+        (Simulation.frontier_x sim)
+        (Simulation.max_island sim)
+        (Simulation.covered_count sim);
+    if render > 0 && Simulation.time sim mod render = 0 then
+      print_string (Render.frame sim)
+  in
+  let o =
+    as_pool_job (fun () ->
+        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step
+          ~full_rebuild cell ~seed ~trial)
+  in
+  (match (cell.Ast.c_space, o.Service.Runner.completed) with
+  | _, true -> Printf.printf "completed in %d steps\n" o.Service.Runner.steps
+  | Ast.Grid, false ->
+      Printf.printf "TIMED OUT after %d steps\n" o.Service.Runner.steps
+  | (Ast.Continuum | Ast.Domain), false ->
+      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
+        o.Service.Runner.steps o.Service.Runner.informed agents);
+  (match cell.Ast.c_space with
+  | Ast.Grid ->
+      Printf.printf "final: informed=%d covered=%d\n" o.Service.Runner.informed
+        o.Service.Runner.covered
+  | Ast.Continuum | Ast.Domain -> ());
+  let protocol = cell.Ast.c_protocol in
+  finish_series series
+    ~meta:
+      (meta
+      @ outcome_meta
+          ~population:(Protocol.population protocol ~k:agents)
+          ~protocol ~completed:o.Service.Runner.completed);
+  finish_trace ();
+  finish_metrics ()
+
+(* A scenario file pins every semantic parameter, so a flag that moves
+   the flag-built scenario off [Ast.default] (or a run option the
+   scenario path does not take) would be dropped silently without this
    warning. *)
-let grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
-    ~faults_file ~loss_p ~outage ~churn =
-  [
-    (protocol <> Protocol.Broadcast, "--protocol");
-    (kernel <> Walk.Lazy_one_fifth, "--kernel");
-    (torus, "--torus");
-    (trace > 0, "--trace");
-    (render > 0, "--render");
-    (full_rebuild, "--full-rebuild");
-    (faults_file <> None, "--faults");
-    (loss_p <> None, "--loss-p");
-    (outage <> None, "--outage");
-    (churn <> None, "--churn");
-  ]
-
-let set_flags table =
-  List.filter_map (fun (set, flag) -> if set then Some flag else None) table
-
-(* The non-grid spaces run a fixed plain broadcast: flag values that only
-   the grid engine interprets would be dropped silently. *)
-let warn_ignored_flags ~space ~protocol ~kernel ~torus ~trace ~render
-    ~full_rebuild ~faults_file ~loss_p ~outage ~churn =
-  let ignored =
-    set_flags
-      (grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
-         ~faults_file ~loss_p ~outage ~churn)
+let warn_scenario_conflicts flags ~trial ~trace ~render ~full_rebuild =
+  let fields t =
+    match Ast.canonical_json t with Obs.Json.Assoc kvs -> kvs | _ -> []
   in
-  if ignored <> [] then
-    Printf.eprintf
-      "warning: --space %s runs a plain broadcast; ignoring grid-only %s\n"
-      space
-      (String.concat ", " ignored)
-
-let run_simulate_continuum side agents radius seed trial max_steps metrics
-    trace_events series =
-  let finish_metrics = install_metrics metrics in
-  let finish_trace = install_trace trace_events in
-  let box_side = float_of_int side in
-  let radius = float_of_int radius in
-  let rc = Continuum.critical_radius ~box_side ~agents in
-  let cfg =
-    { Continuum.box_side; agents; radius;
-      sigma = (if radius > 0. then radius /. 4. else 1.0); seed; trial;
-      max_steps = (match max_steps with Some m -> m | None -> 1_000_000) }
+  let moved =
+    (* the canonical form lists the same keys in the same order *)
+    List.filter_map
+      (fun ((k, v), (_, d)) ->
+        if String.equal (Obs.Json.to_string v) (Obs.Json.to_string d) then None
+        else Some k)
+      (List.combine (fields flags) (fields Ast.default))
+    @ List.filter_map
+        (fun (set, name) -> if set then Some name else None)
+        [
+          (trial <> 0, "trial");
+          (trace > 0, "trace");
+          (render > 0, "render");
+          (full_rebuild, "full-rebuild");
+        ]
   in
-  Printf.printf "continuum: box=%.1f k=%d r=%.2f (%.2f r_c) sigma=%.2f\n"
-    box_side agents radius
-    (if rc > 0. then radius /. rc else 0.)
-    cfg.Continuum.sigma;
-  let report =
-    as_pool_job (fun () ->
-        Continuum.broadcast ?series:(Option.map snd series) cfg)
-  in
-  let completed =
-    match report.Continuum.outcome with
-    | Continuum.Completed ->
-        Printf.printf "completed in %d steps\n" report.Continuum.steps;
-        true
-    | Continuum.Timed_out ->
-        Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-          report.Continuum.steps report.Continuum.informed agents;
-        false
-  in
-  finish_series series
-    ~meta:
-      ([
-         ("space", Obs.Json.String "continuum");
-         ("side", Obs.Json.Int side);
-         ("agents", Obs.Json.Int agents);
-         ("radius", Obs.Json.Float radius);
-         ("seed", Obs.Json.Int seed);
-         ("trial", Obs.Json.Int trial);
-       ]
-      @ outcome_meta ~population:agents ~protocol:Protocol.Broadcast
-          ~completed);
-  finish_trace ();
-  finish_metrics ()
-
-let run_simulate_domain side agents radius seed trial max_steps metrics
-    trace_events series =
-  let finish_metrics = install_metrics metrics in
-  let finish_trace = install_trace trace_events in
-  let domain = Barriers.Domain.unobstructed (Grid.create ~side ()) in
-  Printf.printf "domain: open %dx%d, k=%d r=%d\n" side side agents radius;
-  let report =
-    as_pool_job (fun () ->
-        Barriers.Barrier_sim.broadcast ?series:(Option.map snd series)
-          { Barriers.Barrier_sim.domain; agents; radius; los_blocking = false;
-            seed; trial;
-            max_steps =
-              (match max_steps with Some m -> m | None -> 100 * side * side) })
-  in
-  let completed =
-    match report.Barriers.Barrier_sim.outcome with
-    | Barriers.Barrier_sim.Completed ->
-        Printf.printf "completed in %d steps\n"
-          report.Barriers.Barrier_sim.steps;
-        true
-    | Barriers.Barrier_sim.Timed_out ->
-        Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-          report.Barriers.Barrier_sim.steps
-          report.Barriers.Barrier_sim.informed agents;
-        false
-  in
-  finish_series series
-    ~meta:
-      ([
-         ("space", Obs.Json.String "domain");
-         ("side", Obs.Json.Int side);
-         ("nodes", Obs.Json.Int (side * side));
-         ("agents", Obs.Json.Int agents);
-         ("radius", Obs.Json.Int radius);
-         ("seed", Obs.Json.Int seed);
-         ("trial", Obs.Json.Int trial);
-       ]
-      @ outcome_meta ~population:agents ~protocol:Protocol.Broadcast
-          ~completed);
-  finish_trace ();
-  finish_metrics ()
-
-let run_simulate_grid side agents radius protocol kernel seed trial max_steps
-    trace render torus metrics trace_events faults full_rebuild series =
-  let cfg =
-    Config.make ~torus ~side ~agents ~radius ~protocol ~kernel ~seed ~trial
-      ?max_steps ~faults ()
-  in
-  match Config.validate cfg with
-  | Error msg ->
-      Printf.eprintf "invalid configuration: %s\n" msg;
-      exit 2
-  | Ok () ->
-      let finish_metrics = install_metrics metrics in
-      let finish_trace = install_trace trace_events in
-      Printf.printf "config: %s\n" (Config.to_string cfg);
-      Printf.printf "n = %d nodes, r_c = %.2f, subcritical: %b\n"
-        (Config.n cfg)
-        (Config.percolation_radius cfg)
-        (Config.is_subcritical cfg);
-      let on_step sim =
-        if trace > 0 && Simulation.time sim mod trace = 0 then
-          Printf.printf
-            "t=%7d informed=%5d frontier_x=%4d max_island=%3d covered=%d\n"
-            (Simulation.time sim)
-            (Simulation.informed_count sim)
-            (Simulation.frontier_x sim)
-            (Simulation.max_island sim)
-            (Simulation.covered_count sim);
-        if render > 0 && Simulation.time sim mod render = 0 then
-          print_string (Render.frame sim)
-      in
-      let report =
-        as_pool_job (fun () ->
-            Simulation.run_config ~on_step ?series:(Option.map snd series)
-              ~full_rebuild cfg)
-      in
-      let completed =
-        match report.Simulation.outcome with
-        | Simulation.Completed ->
-            Printf.printf "completed in %d steps\n" report.Simulation.steps;
-            true
-        | Simulation.Timed_out ->
-            Printf.printf "TIMED OUT after %d steps\n" report.Simulation.steps;
-            false
-      in
-      Printf.printf "final: informed=%d covered=%d\n" report.Simulation.informed
-        report.Simulation.covered;
-      finish_series series
-        ~meta:
-          ([
-             ("space", Obs.Json.String "grid");
-             ("config", Obs.Json.String (Config.to_string cfg));
-             ("side", Obs.Json.Int side);
-             ("nodes", Obs.Json.Int (Config.n cfg));
-           ]
-          @ outcome_meta
-              ~population:(Protocol.population protocol ~k:agents)
-              ~protocol ~completed);
-      finish_trace ();
-      finish_metrics ()
-
-(* Same explicitly-set detection as [warn_ignored_flags]: a scenario
-   file pins every semantic parameter, so a conflicting flag on the same
-   command line would be dropped silently without this. *)
-let warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
-    ~seed ~trial ~max_steps ~trace ~render ~torus ~full_rebuild ~faults_file
-    ~loss_p ~outage ~churn =
-  let ignored =
-    set_flags
-      ([
-         (space <> `Grid, "--space");
-         (side <> 64, "--side");
-         (agents <> 32, "--agents");
-         (radius <> 0, "--radius");
-         (seed <> 0, "--seed");
-         (trial <> 0, "--trial");
-         (max_steps <> None, "--max-steps");
-       ]
-      @ grid_only_flags ~protocol ~kernel ~torus ~trace ~render ~full_rebuild
-          ~faults_file ~loss_p ~outage ~churn)
-  in
-  if ignored <> [] then
+  if moved <> [] then
     Printf.eprintf
       "warning: --scenario defines the whole run; ignoring conflicting %s \
        (the scenario file wins)\n"
-      (String.concat ", " ignored)
+      (String.concat ", " moved)
 
 let run_simulate_scenario path metrics trace_events series =
   let text = read_text_file "scenario" path in
@@ -611,7 +505,7 @@ let run_simulate_scenario path metrics trace_events series =
           Printf.printf "scenario %s: hash=%s seed=%d trial=0\n" path
             compiled.Scenario.Compile.hash seed;
           Printf.printf "cell: %s\n"
-            (Obs.Json.to_string (Scenario.Ast.cell_json cell));
+            (Obs.Json.to_string (Ast.cell_json cell));
           let payload =
             as_pool_job (fun () ->
                 Service.Runner.run_payload ?series:(Option.map snd series)
@@ -621,8 +515,8 @@ let run_simulate_scenario path metrics trace_events series =
           finish_series series
             ~meta:
               [
-                ("cell", Scenario.Ast.cell_json cell);
-                ("hash", Obs.Json.String (Scenario.Ast.cell_hash cell));
+                ("cell", Ast.cell_json cell);
+                ("hash", Obs.Json.String (Ast.cell_hash cell));
                 ("seed", Obs.Json.Int seed);
                 ("trial", Obs.Json.Int 0);
               ];
@@ -635,35 +529,50 @@ let run_simulate_scenario path metrics trace_events series =
             path (List.length cells);
           exit 2)
 
+(* The flags describe a one-cell scenario: it compiles through the same
+   validator as a scenario file and runs through the same dispatch. *)
 let run_simulate scenario space side agents radius protocol kernel seed trial
     max_steps trace render torus trace_out full_rebuild metrics trace_events
     series_file faults_file loss_p outage churn =
   let series = series_output ~series_file ~trace_out in
+  let flags =
+    {
+      Ast.default with
+      Ast.space;
+      sides = [ side ];
+      agents = [ agents ];
+      radii = [ radius ];
+      protocols = [ protocol ];
+      kernels = [ kernel ];
+      torus;
+      seed;
+      max_steps;
+      faults = load_fault_plan faults_file loss_p outage churn;
+    }
+  in
   match scenario with
   | Some path ->
-      warn_scenario_conflicts ~space ~side ~agents ~radius ~protocol ~kernel
-        ~seed ~trial ~max_steps ~trace ~render ~torus ~full_rebuild
-        ~faults_file ~loss_p ~outage ~churn;
+      warn_scenario_conflicts flags ~trial ~trace ~render ~full_rebuild;
       run_simulate_scenario path metrics trace_events series
   | None -> (
-      let warn space =
-        warn_ignored_flags ~space ~protocol ~kernel ~torus ~trace ~render
-          ~full_rebuild ~faults_file ~loss_p ~outage ~churn
-      in
-      match space with
-      | `Grid ->
-          let faults = load_fault_plan faults_file loss_p outage churn in
-          run_simulate_grid side agents radius protocol kernel seed trial
-            max_steps trace render torus metrics trace_events faults
-            full_rebuild series
-      | `Continuum ->
-          warn "continuum";
-          run_simulate_continuum side agents radius seed trial max_steps metrics
-            trace_events series
-      | `Domain ->
-          warn "domain";
-          run_simulate_domain side agents radius seed trial max_steps metrics
-            trace_events series)
+      (match space with
+      | Ast.Grid -> ()
+      | Ast.Continuum | Ast.Domain ->
+          if trace > 0 || render > 0 || full_rebuild then begin
+            Printf.eprintf
+              "--trace, --render and --full-rebuild need --space grid\n";
+            exit 2
+          end);
+      match Scenario.Compile.compile_ast flags with
+      | Error errs ->
+          List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
+          exit 2
+      | Ok compiled ->
+          List.iter
+            (fun cell ->
+              run_simulate_cell cell ~seed ~trial ~trace ~render ~full_rebuild
+                metrics trace_events series)
+            compiled.Scenario.Compile.cells)
 
 let simulate_cmd =
   let trace =
@@ -818,6 +727,12 @@ let list_cmd =
 (* --- percolation ---------------------------------------------------------- *)
 
 let run_percolation side agents seed trials =
+  require
+    [
+      (side > 0, "--side must be positive");
+      (agents > 0, "--agents must be positive");
+      (trials > 0, "--trials must be positive");
+    ];
   let grid = Grid.create ~side () in
   let n = side * side in
   let rng = Prng.of_seed seed in
@@ -869,6 +784,14 @@ let parse_plan side plan =
 
 let run_barrier side agents radius plan los seed trial max_steps show_map
     metrics =
+  require
+    [
+      (side > 0, "--side must be positive");
+      (agents > 0, "--agents must be positive");
+      (radius >= 0, "--radius must be non-negative");
+      (Option.fold ~none:true ~some:(fun m -> m >= 0) max_steps,
+       "--max-steps must be non-negative");
+    ];
   match parse_plan side plan with
   | Error msg ->
       Printf.eprintf "invalid floor plan %S: %s\n" plan msg;
@@ -932,6 +855,13 @@ let barrier_cmd =
 (* --- continuum ---------------------------------------------------------------- *)
 
 let run_continuum agents density radius_mult sigma_frac seed trial metrics =
+  require
+    [
+      (agents > 0, "--agents must be positive");
+      (positive density, "--density must be positive and finite");
+      (positive radius_mult, "--rc-mult must be positive and finite");
+      (positive sigma_frac, "--sigma-frac must be positive and finite");
+    ];
   let finish_metrics = install_metrics metrics in
   let box_side = sqrt (float_of_int agents /. density) in
   let rc = Continuum.critical_radius ~box_side ~agents in
@@ -1200,6 +1130,11 @@ let bench_check_cmd =
 (* --- theory ----------------------------------------------------------------- *)
 
 let run_theory side agents =
+  require
+    [
+      (side > 0, "--side must be positive");
+      (agents > 0, "--agents must be positive");
+    ];
   let module Theory = Mobile_network.Theory in
   let n = side * side in
   let k = agents in

@@ -83,10 +83,7 @@ module Plan = struct
 
   (* Parsing runs over the positioned surface (Obs.Pjson): every
      diagnostic is anchored at the offending value (or, for unknown
-     fields, the offending key) and rendered as file:line:col: message.
-     The position-less of_json entry lifts its document with
-     Pjson.of_json, whose no_pos nodes make [diag] degenerate to the
-     bare message — one parser, both surfaces. *)
+     fields, the offending key) and rendered as file:line:col: message. *)
 
   let ( let* ) r f = Result.bind r f
 
@@ -267,8 +264,6 @@ module Plan = struct
           diag ?filename pos msg
     in
     Ok t
-
-  let of_json j = of_pjson (Pjson.of_json j)
 
   let of_string ?filename s =
     match Pjson.parse s with

@@ -24,7 +24,7 @@
 
 module Plan : sig
   (** A declarative fault plan: pure data, comparable and printable,
-      parsed from JSON by [of_string]/[of_json] (the [--faults FILE]
+      parsed from JSON by [of_string]/[of_pjson] (the [--faults FILE]
       format) and validated structurally by [validate]. *)
 
   type window = {
@@ -82,7 +82,7 @@ module Plan : sig
       ids. Population-dependent checks belong to the caller (see
       {!max_agent_id}). *)
 
-  val of_json : Obs.Json.t -> (t, string) result
+  val of_pjson : ?filename:string -> Obs.Pjson.t -> (t, string) result
   (** Parse the declarative plan object. Recognised fields (all
       optional): ["loss_p"] (number), ["outage"] (object with ["off"]
       and ["period"]), ["windows"] (list of objects with ["from"],
@@ -90,23 +90,17 @@ module Plan : sig
       ["leave_p"] and optional ["return_p"], default [1.0]), ["silent"]
       and ["deaf"] (lists of agent indices). Unknown fields are an
       error — a mistyped key never silently disables an adversary. The
-      result is validated. Errors carry no source position (the plain
-      {!Obs.Json.t} has none); use {!of_pjson} or {!of_string} for
-      [file:line:col] diagnostics. *)
-
-  val of_pjson : ?filename:string -> Obs.Pjson.t -> (t, string) result
-  (** The positioned parser all other entry points delegate to: every
-      diagnostic is anchored at the offending value (unknown fields at
-      the offending key) and rendered by {!Obs.Pjson.format}, so
-      [--faults FILE] errors read [file:line:col: message] like the
-      scenario front-end's. *)
+      result is validated. Every diagnostic is anchored at the
+      offending value (unknown fields at the offending key) and
+      rendered by {!Obs.Pjson.format}, so [--faults FILE] errors read
+      [file:line:col: message] like the scenario front-end's. *)
 
   val of_string : ?filename:string -> string -> (t, string) result
   (** [of_pjson] over {!Obs.Pjson.parse}; [filename] prefixes
       diagnostics. *)
 
   val to_json : t -> Obs.Json.t
-  (** Round-trips through {!of_json}. *)
+  (** Rendered by {!to_string}, which round-trips through {!of_string}. *)
 
   val to_string : t -> string
   (** Compact JSON rendering of {!to_json}. *)

@@ -97,192 +97,21 @@ let to_string_pretty t = render ~indent:2 t
 
 (* --- parsing ------------------------------------------------------------- *)
 
-exception Parse_error of int * string
+(* Pjson is the one reader; the plain tree is its output minus positions. *)
+let rec strip (j : Pjson.t) =
+  match j.Pjson.v with
+  | Pjson.Null -> Null
+  | Pjson.Bool b -> Bool b
+  | Pjson.Int i -> Int i
+  | Pjson.Float f -> Float f
+  | Pjson.String s -> String s
+  | Pjson.List l -> List (List.map strip l)
+  | Pjson.Assoc kvs -> Assoc (List.map (fun (k, _, v) -> (k, strip v)) kvs)
 
 let parse text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n
-       && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "invalid literal (expected %s)" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = text.[!pos] in
-          advance ();
-          match e with
-          | '"' | '\\' | '/' ->
-              Buffer.add_char buf e;
-              loop ()
-          | 'n' ->
-              Buffer.add_char buf '\n';
-              loop ()
-          | 't' ->
-              Buffer.add_char buf '\t';
-              loop ()
-          | 'r' ->
-              Buffer.add_char buf '\r';
-              loop ()
-          | 'b' ->
-              Buffer.add_char buf '\b';
-              loop ()
-          | 'f' ->
-              Buffer.add_char buf '\012';
-              loop ()
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | None -> fail "invalid \\u escape"
-              | Some code when code < 0x80 ->
-                  Buffer.add_char buf (Char.chr code)
-              | Some code ->
-                  (* non-ASCII escapes: emit UTF-8 (BMP only; snapshots
-                     never produce them, but round-trip anyway) *)
-                  if code < 0x800 then begin
-                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                  end
-                  else begin
-                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                    Buffer.add_char buf
-                      (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                  end);
-              loop ()
-          | c -> fail (Printf.sprintf "invalid escape \\%c" c))
-      | c ->
-          Buffer.add_char buf c;
-          loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char text.[!pos] do
-      advance ()
-    done;
-    let s = String.sub text start (!pos - start) in
-    let has_frac =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s
-    in
-    if has_frac then
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "invalid number %S" s)
-    else
-      match int_of_string_opt s with
-      | Some i -> Int i
-      | None -> (
-          (* integer syntax too large for int: keep it as a float *)
-          match float_of_string_opt s with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "invalid number %S" s))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Assoc []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, value) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, value) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Assoc (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (value :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (value :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          List (items [])
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing characters after JSON value";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (at, msg) ->
-      Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
+  match Pjson.parse text with
+  | Ok j -> Ok (strip j)
+  | Error (pos, msg) -> Error (Pjson.format pos ("JSON parse error: " ^ msg))
 
 let member key = function
   | Assoc members -> List.assoc_opt key members

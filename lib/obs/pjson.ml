@@ -1,6 +1,5 @@
-(* Positioned JSON. The grammar and number semantics mirror Json.parse
-   exactly (strip-after-parse agrees with Json.parse on every input,
-   enforced by test); the only addition is line/col tracking. *)
+(* Positioned JSON: the repo's one JSON reader. Json.parse is this
+   parser followed by Json.strip. *)
 
 type pos = { line : int; col : int }
 
@@ -208,38 +207,12 @@ let parse text =
     in
     { pos = at; v }
   in
-  match
+  try
     let v = parse_value () in
     skip_ws ();
     if !pos <> n then fail "trailing characters after JSON value";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (at, msg) -> Error (at, msg)
-
-let rec of_json (j : Json.t) =
-  let v =
-    match j with
-    | Json.Null -> Null
-    | Json.Bool b -> Bool b
-    | Json.Int i -> Int i
-    | Json.Float f -> Float f
-    | Json.String s -> String s
-    | Json.List l -> List (List.map of_json l)
-    | Json.Assoc kvs ->
-        Assoc (List.map (fun (k, v) -> (k, no_pos, of_json v)) kvs)
-  in
-  { pos = no_pos; v }
-
-let rec strip t : Json.t =
-  match t.v with
-  | Null -> Json.Null
-  | Bool b -> Json.Bool b
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | String s -> Json.String s
-  | List l -> Json.List (List.map strip l)
-  | Assoc kvs -> Json.Assoc (List.map (fun (k, _, v) -> (k, strip v)) kvs)
+    Ok v
+  with Parse_error (at, msg) -> Error (at, msg)
 
 let member key t =
   match t.v with

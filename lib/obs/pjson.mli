@@ -1,21 +1,19 @@
-(** Positioned JSON: the {!Json} document model annotated with source
-    positions.
+(** Positioned JSON: the repo's one JSON reader.
 
-    The compiler-style front-ends (scenario files, fault plans) want
-    [file:line:col] on every diagnostic, while {!Json} deliberately
-    stays a bare value model for metric snapshots. This module is the
-    shared positioned surface: a lexer/parser over exactly the grammar
-    {!Json.parse} accepts, producing the same tree shape with a
-    position on every value and on every object key. [strip] erases
-    positions back to a {!Json.t}, so anything written against the
-    plain model (printers, validators) keeps working. *)
+    Every value and every object key carries its source position, so
+    the compiler-style front-ends (scenario files, fault plans) report
+    [file:line:col] on every diagnostic. {!Json.parse} is this parser
+    followed by {!Json.strip}, which erases the positions: anything
+    written against the plain model (printers, validators) reads the
+    same documents with the same grammar and number semantics. *)
 
 type pos = { line : int; col : int }
 (** 1-based line and column (columns count bytes, like the compiler). *)
 
 val no_pos : pos
-(** [{line = 0; col = 0}] — the position of values that never came from
-    source text (see {!of_json}). {!format} omits it. *)
+(** [{line = 0; col = 0}] — the position of diagnostics that never came
+    from source text (a programmatically built scenario). {!format}
+    omits it. *)
 
 type t = { pos : pos; v : value }
 
@@ -30,18 +28,10 @@ and value =
       (** members as [(key, key position, value)], in source order *)
 
 val parse : string -> (t, pos * string) result
-(** Whole-input parse, same grammar and number semantics as
-    {!Json.parse}; the error carries the position where the lexer or
-    parser stopped. *)
-
-val of_json : Json.t -> t
-(** Lift a plain document; every node gets {!no_pos}. Lets one
-    positioned validator serve both surfaces — plain callers simply get
-    diagnostics without a location prefix. *)
-
-val strip : t -> Json.t
-(** Erase positions. [strip] after {!parse} agrees with {!Json.parse}
-    on every input (enforced by test). *)
+(** Whole-input parse; trailing non-whitespace is an error. Numbers
+    without ['.'], ['e'] or ['E'] parse as [Int] (as [Float] when too
+    large for [int]). The error carries the position where the lexer
+    or parser stopped. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing field or non-object. *)

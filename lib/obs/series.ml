@@ -270,25 +270,33 @@ let parse text =
   | _ -> (
       (* NDJSON form: header object on line 1, one row array per line. A
          zero-row export is the header line alone, which also parses as
-         a whole document — hence the ["data"] test above. *)
-      let header, rest =
-        match String.split_on_char '\n' (String.trim text) with
+         a whole document — hence the ["data"] test above. Rows parse
+         one line at a time, so a bad row's diagnostic names its line
+         in the file, not column C of a one-line document. *)
+      let header, rows =
+        match
+          String.split_on_char '\n' text
+          |> List.mapi (fun i line -> (i + 1, line))
+          |> List.filter (fun (_, line) -> String.trim line <> "")
+        with
         | [] -> ("", [])
-        | header :: rest -> (header, rest)
+        | (_, header) :: rows -> (header, rows)
       in
       match (Json.parse header, whole) with
       | Ok (Json.Assoc members), _ ->
           let ( let* ) = Result.bind in
           let* data =
             List.fold_left
-              (fun acc line ->
+              (fun acc (line_no, line) ->
                 let* acc = acc in
-                if String.trim line = "" then Ok acc
-                else
-                  match Json.parse line with
-                  | Ok row -> Ok (row :: acc)
-                  | Error e -> Error ("invalid series row: " ^ e))
-              (Ok []) rest
+                match Pjson.parse line with
+                | Ok row -> Ok (Json.strip row :: acc)
+                | Error (pos, msg) ->
+                    Error
+                      ("invalid series row: "
+                      ^ Pjson.format { pos with Pjson.line = line_no }
+                          ("JSON parse error: " ^ msg)))
+              (Ok []) rows
           in
           finish (Json.Assoc (members @ [ ("data", Json.List (List.rev data)) ]))
       | _, Ok json -> finish json

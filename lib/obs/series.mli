@@ -118,7 +118,10 @@ val validate : Json.t -> (unit, string) result
     stride. *)
 
 val parse : string -> (Json.t, string) result
-(** Parse either rendering, validate, and return the combined form. *)
+(** Parse either rendering, validate, and return the combined form. An
+    NDJSON row that is not JSON is reported at its line in the file
+    (the header is line 1): ["invalid series row: L:C: JSON parse
+    error: ..."]. *)
 
 (** {2 Ambient series directory}
 

@@ -41,9 +41,10 @@ type t = {
 }
 
 val default : t
-(** One-point axes matching the CLI defaults: side 64, 32 agents,
-    radius 0, broadcast, the paper's lazy kernel, component flooding,
-    bounded grid, seed 0, 1 trial, computed step cap, no faults. *)
+(** One-point axes: side 64, 32 agents, radius 0, broadcast, the
+    paper's lazy kernel, component flooding, bounded grid, seed 0, 1
+    trial, computed step cap, no faults. [mobisim simulate] takes its
+    flag defaults from here and overrides the fields its flags set. *)
 
 val equal : t -> t -> bool
 

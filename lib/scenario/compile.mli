@@ -41,4 +41,5 @@ val compile : ?filename:string -> string -> (compiled, string list) result
 
 val compile_ast : Ast.t -> (compiled, string list) result
 (** Validate + desugar an already-built AST (diagnostics without
-    positions); used by tests and programmatic submitters. *)
+    positions); [mobisim simulate] compiles its flag-built one-cell
+    scenario through this. *)

@@ -2,57 +2,50 @@ module Json = Obs.Json
 module Ast = Scenario.Ast
 module Compile = Scenario.Compile
 
-let outcome_payload ~outcome ~steps ~informed ~covered =
-  Json.to_string
-    (Json.Assoc
-       [
-         ("outcome", Json.String outcome);
-         ("steps", Json.Int steps);
-         ("informed", Json.Int informed);
-         ("covered", Json.Int covered);
-       ])
+type outcome = { completed : bool; steps : int; informed : int; covered : int }
 
-let run_payload ?series (c : Ast.cell) ~seed ~trial =
+let continuum_config (c : Ast.cell) ~seed ~trial =
+  let radius = float_of_int c.Ast.c_radius in
+  {
+    Continuum.box_side = float_of_int c.Ast.c_side;
+    agents = c.Ast.c_agents;
+    radius;
+    sigma = (if radius > 0. then radius /. 4. else 1.0);
+    seed;
+    trial;
+    max_steps = (match c.Ast.c_max_steps with Some m -> m | None -> 1_000_000);
+  }
+
+let run_cell ?series ?on_step ?full_rebuild (c : Ast.cell) ~seed ~trial =
   match c.Ast.c_space with
   | Ast.Grid ->
-      let report =
-        Mobile_network.Simulation.run_config ?series
+      let r =
+        Mobile_network.Simulation.run_config ?on_step ?series ?full_rebuild
           (Ast.cell_config c ~seed ~trial)
       in
-      outcome_payload
-        ~outcome:
-          (match report.Mobile_network.Simulation.outcome with
-          | Mobile_network.Simulation.Completed -> "completed"
-          | Mobile_network.Simulation.Timed_out -> "timed-out")
-        ~steps:report.Mobile_network.Simulation.steps
-        ~informed:report.Mobile_network.Simulation.informed
-        ~covered:report.Mobile_network.Simulation.covered
+      {
+        completed =
+          (match r.Mobile_network.Simulation.outcome with
+          | Mobile_network.Simulation.Completed -> true
+          | Mobile_network.Simulation.Timed_out -> false);
+        steps = r.Mobile_network.Simulation.steps;
+        informed = r.Mobile_network.Simulation.informed;
+        covered = r.Mobile_network.Simulation.covered;
+      }
   | Ast.Continuum ->
-      (* same derived parameters as `mobisim simulate --space continuum` *)
-      let radius = float_of_int c.Ast.c_radius in
-      let report =
-        Continuum.broadcast ?series
-          {
-            Continuum.box_side = float_of_int c.Ast.c_side;
-            agents = c.Ast.c_agents;
-            radius;
-            sigma = (if radius > 0. then radius /. 4. else 1.0);
-            seed;
-            trial;
-            max_steps =
-              (match c.Ast.c_max_steps with Some m -> m | None -> 1_000_000);
-          }
-      in
-      outcome_payload
-        ~outcome:
-          (match report.Continuum.outcome with
-          | Continuum.Completed -> "completed"
-          | Continuum.Timed_out -> "timed-out")
-        ~steps:report.Continuum.steps ~informed:report.Continuum.informed
-        ~covered:0
+      let r = Continuum.broadcast ?series (continuum_config c ~seed ~trial) in
+      {
+        completed =
+          (match r.Continuum.outcome with
+          | Continuum.Completed -> true
+          | Continuum.Timed_out -> false);
+        steps = r.Continuum.steps;
+        informed = r.Continuum.informed;
+        covered = 0;
+      }
   | Ast.Domain ->
       let side = c.Ast.c_side in
-      let report =
+      let r =
         Barriers.Barrier_sim.broadcast ?series
           {
             Barriers.Barrier_sim.domain =
@@ -68,13 +61,27 @@ let run_payload ?series (c : Ast.cell) ~seed ~trial =
               | None -> 100 * side * side);
           }
       in
-      outcome_payload
-        ~outcome:
-          (match report.Barriers.Barrier_sim.outcome with
-          | Barriers.Barrier_sim.Completed -> "completed"
-          | Barriers.Barrier_sim.Timed_out -> "timed-out")
-        ~steps:report.Barriers.Barrier_sim.steps
-        ~informed:report.Barriers.Barrier_sim.informed ~covered:0
+      {
+        completed =
+          (match r.Barriers.Barrier_sim.outcome with
+          | Barriers.Barrier_sim.Completed -> true
+          | Barriers.Barrier_sim.Timed_out -> false);
+        steps = r.Barriers.Barrier_sim.steps;
+        informed = r.Barriers.Barrier_sim.informed;
+        covered = 0;
+      }
+
+let run_payload ?series c ~seed ~trial =
+  let o = run_cell ?series c ~seed ~trial in
+  Json.to_string
+    (Json.Assoc
+       [
+         ( "outcome",
+           Json.String (if o.completed then "completed" else "timed-out") );
+         ("steps", Json.Int o.steps);
+         ("informed", Json.Int o.informed);
+         ("covered", Json.Int o.covered);
+       ])
 
 (* One run of the matrix: cell index, its hash, and the trial. *)
 type task = {

@@ -46,11 +46,39 @@ val run :
     result payloads and the body are unaffected) and writes
     [<series_dir>/<cell hash>.series.json] atomically. *)
 
+type outcome = {
+  completed : bool;  (** [false]: the step cap was hit first *)
+  steps : int;
+  informed : int;
+  covered : int;  (** grid coverage; [0] on the non-grid spaces *)
+}
+
+val run_cell :
+  ?series:Obs.Series.t ->
+  ?on_step:(Mobile_network.Simulation.t -> unit) ->
+  ?full_rebuild:bool ->
+  Scenario.Ast.cell ->
+  seed:int ->
+  trial:int ->
+  outcome
+(** One engine run of a compiled cell: the single per-space dispatch
+    behind the service, [mobisim simulate] and
+    [mobisim simulate --scenario]. [series] attaches a per-step
+    recorder (all three spaces); [on_step] and [full_rebuild] reach
+    {!Mobile_network.Simulation.run_config} and are ignored on the
+    non-grid spaces. Non-grid cells derive their engine parameters
+    here: see {!continuum_config}; a domain cell is the unobstructed
+    [side x side] domain with a [100 * side * side] default step cap. *)
+
+val continuum_config :
+  Scenario.Ast.cell -> seed:int -> trial:int -> Continuum.config
+(** The continuum engine configuration of a cell: box side [side],
+    connection radius [r], Brownian step [sigma = r / 4] ([1.0] when
+    [r = 0]) and a default step cap of [1_000_000]. *)
+
 val run_payload :
   ?series:Obs.Series.t -> Scenario.Ast.cell -> seed:int -> trial:int -> string
-(** One engine run, rendered as the compact canonical payload
+(** {!run_cell} rendered as the compact canonical payload
     [{"outcome":...,"steps":...,"informed":...,"covered":...}]. This is
-    what the cache stores; exposed for direct (daemonless)
-    [mobisim simulate --scenario] execution and tests. [series]
-    attaches a per-step recorder to the underlying engine (all three
-    spaces). *)
+    what the cache stores and what [mobisim simulate --scenario]
+    prints. *)

@@ -140,6 +140,14 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "\"unterminated"; "{}trailing" ]
 
+(* Errors carry line:col into a multi-line document, not a byte offset. *)
+let test_json_error_position () =
+  match Json.parse "{\n  \"a\": 1,\n  \"b\": tru\n}" with
+  | Ok _ -> Alcotest.fail "accepted a truncated literal"
+  | Error e ->
+      Alcotest.(check string) "line:col of the bad literal"
+        "3:8: JSON parse error: invalid literal (expected true)" e
+
 (* Golden test: a small registry must serialise to exactly this
    document — stable sorted keys, stable number formatting. *)
 let test_snapshot_golden () =
@@ -328,6 +336,8 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "json rejects garbage" `Quick
             test_json_rejects_garbage;
+          Alcotest.test_case "json error position" `Quick
+            test_json_error_position;
           Alcotest.test_case "golden" `Quick test_snapshot_golden;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "prometheus" `Quick test_prometheus;

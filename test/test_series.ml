@@ -134,6 +134,28 @@ let test_golden_export () =
         | None -> "missing")
   | Error e -> Alcotest.failf "zero-row export rejected: %s" e
 
+(* NDJSON rows parse one line at a time: a corrupt row is reported at
+   its line in the file (header = line 1, row 3 = line 4), not at
+   line 1 of the one-line document it was parsed as. *)
+let test_bad_row_names_file_line () =
+  let t = Series.create ~columns:[ "x" ] () in
+  let cx = Series.col t "x" in
+  for step = 0 to 3 do
+    Series.stage t cx (10 * step);
+    Series.commit t ~step
+  done;
+  let corrupt =
+    String.split_on_char '\n' (Series.export_string t)
+    |> List.mapi (fun i line -> if i = 3 then "[2,20" else line)
+    |> String.concat "\n"
+  in
+  match Series.parse corrupt with
+  | Ok _ -> Alcotest.fail "a truncated row was accepted"
+  | Error e ->
+      Alcotest.(check string) "error names file line 4"
+        "invalid series row: 4:6: JSON parse error: expected , or ] in array"
+        e
+
 let test_validator_rejections () =
   let t = Series.create ~capacity:4 ~columns:[ "x" ] () in
   let cx = Series.col t "x" in
@@ -333,6 +355,8 @@ let () =
           Alcotest.test_case "golden self-validating" `Quick test_golden_export;
           Alcotest.test_case "validator rejections" `Quick
             test_validator_rejections;
+          Alcotest.test_case "bad row names its file line" `Quick
+            test_bad_row_names_file_line;
         ] );
       ( "engine",
         [
