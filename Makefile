@@ -25,11 +25,13 @@ test:
 # loss + churn plan through --faults end to end, then asserts the
 # fault sweep F1 is byte-identical at --jobs 1 and --jobs 2 (fault
 # draws live in their own streams, so worker count can never leak into
-# results). The big-k smoke exercises the SoA/Morton/incremental data
-# plane at population scale (65536 agents, step-capped) with a metrics
-# snapshot the obs parser accepts, and asserts --full-rebuild is
-# output-identical to the incremental default. The service smoke
-# drives the job daemon over its socket:
+# results). The big-k smoke exercises the SoA/Morton data plane at
+# population scale (65536 agents, step-capped) with a metrics snapshot
+# the obs parser accepts; the engine's components are checked against
+# brute-force oracles in test_simulation and test_engine instead. The
+# size smokes feed a radius, a side and an agent count beyond the
+# engine's limits (each once crashed a run) and expect exit 2 with a
+# diagnostic. The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
 # mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
 # check that `simulate` flags compile through the scenario validator
@@ -65,9 +67,11 @@ check:
 	cmp /tmp/mobisim-faults-j1.out /tmp/mobisim-faults-j2.out
 	dune exec bin/mobisim.exe -- simulate --side 1024 -k 65536 -r 0 --max-steps 100 --metrics /tmp/mobisim-bigk.json
 	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-bigk.json
-	dune exec bin/mobisim.exe -- simulate --side 64 -k 64 -r 0 --seed 7 > /tmp/mobisim-inc.out
-	dune exec bin/mobisim.exe -- simulate --side 64 -k 64 -r 0 --seed 7 --full-rebuild > /tmp/mobisim-fullrb.out
-	cmp /tmp/mobisim-inc.out /tmp/mobisim-fullrb.out
+	dune exec bin/mobisim.exe -- simulate --side 16 -k 2 -r 4611686018427387889 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	printf '{ "side": 3037000500, "agents": 2 }' > /tmp/mobisim-big-side.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-big-side.json > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	printf '{ "side": 16, "agents": 4611686018427387903 }' > /tmp/mobisim-big-k.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-big-k.json > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err

@@ -107,7 +107,7 @@ let () =
          (Config.make ~side:64 ~agents:64 ~radius:8 ~seed:7 ~max_steps:2000 ()))
         .Simulation.steps);
   (* large-k data-plane probes: SoA positions + Morton index +
-     incremental components at population scale. Broadcast cannot finish
+     per-step component rebuild at population scale. Broadcast cannot finish
      in 100 steps at these sizes; the probe measures steady-state
      step cost, not completion. *)
   time_alloc ~label:"core broadcast side=1024 k=65536 r=0" ~reps:3 (fun () ->

@@ -357,7 +357,7 @@ let space_arg =
      broadcast: there the grid-only flags \
      --protocol/--kernel/--torus/--faults/--loss-p/--outage/--churn get \
      the scenario compiler's diagnostic and \
-     --trace/--render/--full-rebuild a usage error (exit 2 either way)."
+     --trace/--render a usage error (exit 2 either way)."
   in
   Arg.(
     value
@@ -370,8 +370,8 @@ let space_arg =
    lines. The engine parameters, non-grid defaults included, come from
    [Service.Runner.run_cell], the dispatch the service and [--scenario]
    also use. *)
-let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render
-    ~full_rebuild metrics trace_events series =
+let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
+    trace_events series =
   let finish_metrics = install_metrics metrics in
   let finish_trace = install_trace trace_events in
   let side = cell.Ast.c_side
@@ -435,8 +435,8 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render
   in
   let o =
     as_pool_job (fun () ->
-        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step
-          ~full_rebuild cell ~seed ~trial)
+        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step cell
+          ~seed ~trial)
   in
   (match (cell.Ast.c_space, o.Service.Runner.completed) with
   | _, true -> Printf.printf "completed in %d steps\n" o.Service.Runner.steps
@@ -464,7 +464,7 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render
    the flag-built scenario off [Ast.default] (or a run option the
    scenario path does not take) would be dropped silently without this
    warning. *)
-let warn_scenario_conflicts flags ~trial ~trace ~render ~full_rebuild =
+let warn_scenario_conflicts flags ~trial ~trace ~render =
   let fields t =
     match Ast.canonical_json t with Obs.Json.Assoc kvs -> kvs | _ -> []
   in
@@ -481,7 +481,6 @@ let warn_scenario_conflicts flags ~trial ~trace ~render ~full_rebuild =
           (trial <> 0, "trial");
           (trace > 0, "trace");
           (render > 0, "render");
-          (full_rebuild, "full-rebuild");
         ]
   in
   if moved <> [] then
@@ -532,8 +531,8 @@ let run_simulate_scenario path metrics trace_events series =
 (* The flags describe a one-cell scenario: it compiles through the same
    validator as a scenario file and runs through the same dispatch. *)
 let run_simulate scenario space side agents radius protocol kernel seed trial
-    max_steps trace render torus trace_out full_rebuild metrics trace_events
-    series_file faults_file loss_p outage churn =
+    max_steps trace render torus trace_out metrics trace_events series_file
+    faults_file loss_p outage churn =
   let series = series_output ~series_file ~trace_out in
   let flags =
     {
@@ -552,15 +551,14 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
   in
   match scenario with
   | Some path ->
-      warn_scenario_conflicts flags ~trial ~trace ~render ~full_rebuild;
+      warn_scenario_conflicts flags ~trial ~trace ~render;
       run_simulate_scenario path metrics trace_events series
   | None -> (
       (match space with
       | Ast.Grid -> ()
       | Ast.Continuum | Ast.Domain ->
-          if trace > 0 || render > 0 || full_rebuild then begin
-            Printf.eprintf
-              "--trace, --render and --full-rebuild need --space grid\n";
+          if trace > 0 || render > 0 then begin
+            Printf.eprintf "--trace and --render need --space grid\n";
             exit 2
           end);
       match Scenario.Compile.compile_ast flags with
@@ -570,8 +568,8 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
       | Ok compiled ->
           List.iter
             (fun cell ->
-              run_simulate_cell cell ~seed ~trial ~trace ~render ~full_rebuild
-                metrics trace_events series)
+              run_simulate_cell cell ~seed ~trial ~trace ~render metrics
+                trace_events series)
             compiled.Scenario.Compile.cells)
 
 let simulate_cmd =
@@ -594,17 +592,6 @@ let simulate_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let full_rebuild =
-    let doc =
-      "Disable the incremental component-maintenance fast path: rebuild \
-       the visibility-graph components from scratch every step (the \
-       reference behaviour the incremental path is tested against). \
-       Results are byte-identical either way; the flag only trades speed \
-       for simplicity, which is why it is not part of the configuration \
-       or scenario hash."
-    in
-    Arg.(value & flag & info [ "full-rebuild" ] ~doc)
-  in
   let scenario =
     let doc =
       "Run the single-cell scenario file $(docv) instead of the flag-built \
@@ -622,7 +609,7 @@ let simulate_cmd =
       const run_simulate $ scenario $ space_arg $ side_arg $ agents_arg
       $ radius_arg
       $ protocol_arg $ kernel_arg $ seed_arg $ trial_arg $ max_steps_arg
-      $ trace $ render $ torus_arg $ trace_out $ full_rebuild $ metrics_arg
+      $ trace $ render $ torus_arg $ trace_out $ metrics_arg
       $ trace_events_arg $ series_arg $ faults_file_arg $ loss_p_arg
       $ outage_arg $ churn_arg)
   in

@@ -42,9 +42,7 @@ let components ~box_side ~radius ~xs ~ys =
   let dsu = Dsu.create k in
   if radius > 0. && k > 0 then begin
     let space = Continuum_space.create ~box_side ~radius ~sigma:0. ~agents:k in
-    ignore
-      (Continuum_space.rebuild_index space { Continuum_space.xs; ys }
-        : Mobile_network.Space.index_update);
+    Continuum_space.rebuild_index space { Continuum_space.xs; ys };
     Continuum_space.iter_close_pairs space ~f:(fun i j ->
         ignore (Dsu.union dsu i j))
   end;

@@ -160,14 +160,7 @@ let rebuild_index ?present t p =
     done;
     t.n <- n;
     t.cur <- p
-  end;
-  (* no incremental path: Brownian increments are unbounded, so bucket
-     membership offers no delta the engine could exploit *)
-  Space.Rebuilt
-
-let reconcile_components _ ~dissolve:_ ~union:_ = ()
-
-let max_occupancy _ = 0
+  end
 
 let iter_close_pairs t ~f =
   if t.radius > 0. && t.n > 0 then begin

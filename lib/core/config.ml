@@ -58,13 +58,27 @@ let default_max_steps t =
 let effective_max_steps t =
   match t.max_steps with Some cap -> cap | None -> default_max_steps t
 
+let max_side = 1 lsl 16
+
+let max_radius = 2 * max_side
+
+let max_population = 1 lsl 30
+
 let validate t =
   let ( let* ) r f = Result.bind r f in
   let check cond msg = if cond then Ok () else Error msg in
   let* () = check (t.side > 0) "side must be positive" in
+  let* () =
+    check (t.side <= max_side)
+      (Printf.sprintf "side must be at most %d" max_side)
+  in
   let* () = check ((not t.torus) || t.side >= 3) "torus needs side >= 3" in
   let* () = check (t.agents > 0) "agents must be positive" in
   let* () = check (t.radius >= 0) "radius must be non-negative" in
+  let* () =
+    check (t.radius <= max_radius)
+      (Printf.sprintf "radius must be at most %d" max_radius)
+  in
   let* () =
     check
       (match t.max_steps with Some s -> s >= 0 | None -> true)
@@ -85,6 +99,13 @@ let validate t =
       | Protocol.Broadcast_cover | Protocol.Cover_walks ->
           true)
       "prey count must be non-negative"
+  in
+  let* () =
+    check
+      (t.agents <= max_population
+      && Protocol.population t.protocol ~k:0 <= max_population - t.agents)
+      (Printf.sprintf "population (agents + preys) must be at most %d"
+         max_population)
   in
   let* () =
     check

@@ -68,9 +68,29 @@ val default_max_steps : t -> int
 
 val effective_max_steps : t -> int
 
+(** {1 Size limits}
+
+    The largest runs the engine can allocate. A size beyond them fails
+    {!validate} (and the scenario compiler) instead of overflowing an
+    index computation or an allocation. *)
+
+val max_side : int
+(** [65536]: at radius 0 the spatial index keys cells by 16-bit
+    coordinates. *)
+
+val max_radius : int
+(** [2 * max_side]: every pair on a legal grid already lies within
+    Manhattan distance [2 (side - 1)], so no larger radius could change
+    a run. *)
+
+val max_population : int
+(** [2^30] agents, preys included: gossip counts the population squared
+    in one int. *)
+
 val validate : t -> (unit, string) result
-(** Check structural validity (positive sizes, source in range, agents
-    fit on the grid for sparse placement, ...). *)
+(** Check structural validity (positive sizes within the limits above,
+    source in range, agents fit on the grid for sparse placement,
+    ...). *)
 
 val rng_for : t -> Prng.t
 (** The root random stream of this (seed, trial) pair. *)

@@ -214,7 +214,6 @@ module Make (S : Space.S) = struct
     ex : Exchange.t;
     dsu : Dsu.t;
     union_edge : int -> int -> unit;  (* preallocated: unions into dsu *)
-    dissolve_elt : int -> unit;  (* preallocated: detaches one element *)
     iter_pairs : (int -> int -> unit) -> unit;  (* preallocated *)
     mobility : Space.mobility;
     cover : Space.Cover.t option;
@@ -297,34 +296,27 @@ module Make (S : Space.S) = struct
 
   (* --- information exchange --------------------------------------------- *)
 
+  (* Components are rebuilt from scratch every step: under the lazy
+     walk about 4/5 of agents move each step, so nearly every occupied
+     bucket changes, and repairing only the changed buckets would touch
+     as much as a rebuild, in a more random order (THEORY.md). *)
   let rebuild_components t =
     let t0 = phase_start t in
-    let upd = S.rebuild_index t.space t.pos in
+    S.rebuild_index t.space t.pos;
     phase_end t ph_index t0;
     let t1 = phase_start t in
-    (match upd with
-    | Space.Delta ->
-        (* few agents changed bucket: dissolve and re-union only the
-           affected groups; untouched components carry over. The island
-           statistic comes from the index (at radius 0 a component is
-           one bucket's population), not from an O(k) DSU scan. *)
-        S.reconcile_components t.space ~dissolve:t.dissolve_elt
-          ~union:t.union_edge;
-        t.island <- S.max_occupancy t.space
-    | Space.Rebuilt ->
-        Dsu.reset t.dsu;
-        S.iter_close_pairs t.space ~f:t.union_edge;
-        (* no dissolve happened in this epoch, so the running union
-           maximum is exactly the largest set — in O(1) *)
-        t.island <- Dsu.max_union_size t.dsu);
+    Dsu.reset t.dsu;
+    S.iter_close_pairs t.space ~f:t.union_edge;
+    (* no dissolve happens in this epoch, so the running union maximum
+       is exactly the largest set — in O(1) *)
+    t.island <- Dsu.max_union_size t.dsu;
     phase_end t ph_components t1
 
   (* Index rebuild without the component (DSU) pass — for exchanges that
      only consume raw pairs when the island metric is off. *)
   let rebuild_index_only t =
     let t0 = phase_start t in
-    (* the DSU is not in use on this path, so a Delta report is moot *)
-    ignore (S.rebuild_index t.space t.pos : Space.index_update);
+    S.rebuild_index t.space t.pos;
     phase_end t ph_index t0
 
   let timed_exchange t f =
@@ -384,12 +376,7 @@ module Make (S : Space.S) = struct
      over the live graph is built (island metric + component flooding). *)
   let prepare_graph_faulted t f ~components =
     let t0 = phase_start t in
-    (* the live graph is loss-filtered below, so bucket-membership
-       deltas say nothing about which components survive: always rebuild
-       the DSU from the live pairs *)
-    ignore
-      (S.rebuild_index ?present:(Faults.present_mask f) t.space t.pos
-        : Space.index_update);
+    S.rebuild_index ?present:(Faults.present_mask f) t.space t.pos;
     phase_end t ph_index t0;
     let t1 = phase_start t in
     Intbuf.clear t.live_pairs;
@@ -661,7 +648,6 @@ module Make (S : Space.S) = struct
         ex;
         dsu;
         union_edge = (fun i j -> ignore (Dsu.union dsu i j));
-        dissolve_elt = (fun i -> Dsu.dissolve dsu i);
         iter_pairs = (fun f -> S.iter_close_pairs space ~f);
         faults;
         live_pairs;

@@ -2,15 +2,12 @@
    positions live in two int32 Bigarray coordinate vectors, walk kernels
    mutate them in place ([Walk.step_inplace]), and the spatial index is
    fed through [Spatial.rebuild_soa] — the whole move/index/observe
-   steady state allocates nothing. At radius 0 with no presence mask the
-   index reports membership deltas, which the engine uses to reconcile
-   connected components incrementally instead of rebuilding them. *)
+   steady state allocates nothing. *)
 
 type t = {
   grid : Grid.t;
   kernel : Walk.kernel;
   spatial : Spatial.t;
-  incremental : bool;
 }
 
 type pos = {
@@ -19,8 +16,8 @@ type pos = {
   ys : Walk.vec;
 }
 
-let create ?(incremental = true) grid ~kernel ~radius =
-  { grid; kernel; spatial = Spatial.create grid ~radius; incremental }
+let create grid ~kernel ~radius =
+  { grid; kernel; spatial = Spatial.create grid ~radius }
 
 let grid t = t.grid
 
@@ -78,16 +75,12 @@ let[@hot] move_all ?present t pos rngs mobility =
       done
 
 let[@hot] rebuild_index ?present t pos =
-  match
-    Spatial.rebuild_soa ?present t.spatial ~xs:pos.xs ~ys:pos.ys ~n:(agents pos)
-  with
-  | Spatial.Full -> Space.Rebuilt
-  | Spatial.Delta -> if t.incremental then Space.Delta else Space.Rebuilt
-
-let reconcile_components t ~dissolve ~union =
-  Spatial.reconcile t.spatial ~dissolve ~union
-
-let max_occupancy t = Spatial.max_occupancy t.spatial
+  (* the engine rebuilds components every step, so whether a
+     [Spatial.reconcile] could follow is moot here *)
+  ignore
+    (Spatial.rebuild_soa ?present t.spatial ~xs:pos.xs ~ys:pos.ys
+       ~n:(agents pos)
+      : Spatial.update)
 
 let iter_close_pairs t ~f = Spatial.iter_close_pairs t.spatial ~f
 

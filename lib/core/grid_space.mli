@@ -4,9 +4,7 @@
 
     Positions are structure-of-arrays int32 coordinate vectors
     ({!Walk.vec}): moves mutate them in place and the index loads them
-    directly, so the steady-state step allocates nothing. At radius 0
-    (with no presence mask) [rebuild_index] reports {!Space.Delta} and
-    the engine maintains connected components incrementally.
+    directly, so the steady-state step allocates nothing.
 
     This is the {!Space.S} instance behind {!Simulation} (with the lazy
     walk of §2) and behind the Clementi dense baseline of §1.1 (with
@@ -21,12 +19,8 @@ type pos = {
 
 include Space.S with type pos := pos
 
-val create : ?incremental:bool -> Grid.t -> kernel:Walk.kernel -> radius:int -> t
-(** [incremental] (default [true]) permits the {!Space.Delta}
-    reconciliation path when the index can track membership changes;
-    [false] forces a full component rebuild every step (the reference
-    behaviour the incremental path is property-tested against).
-    @raise Invalid_argument if [radius < 0] (via {!Spatial.create}). *)
+val create : Grid.t -> kernel:Walk.kernel -> radius:int -> t
+(** @raise Invalid_argument if [radius < 0] (via {!Spatial.create}). *)
 
 val grid : t -> Grid.t
 

@@ -41,7 +41,7 @@ let spec_of_config cfg =
     faults = cfg.Config.faults;
   }
 
-let create ?metrics ?series ?(full_rebuild = false) cfg =
+let create ?metrics ?series ?full_rebuild:_ cfg =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Simulation.create: " ^ msg));
@@ -51,8 +51,7 @@ let create ?metrics ?series ?(full_rebuild = false) cfg =
       ~side:cfg.Config.side ()
   in
   let space =
-    Grid_space.create ~incremental:(not full_rebuild) grid
-      ~kernel:cfg.Config.kernel ~radius:cfg.Config.radius
+    Grid_space.create grid ~kernel:cfg.Config.kernel ~radius:cfg.Config.radius
   in
   {
     cfg;
@@ -80,8 +79,8 @@ let run ?on_step t =
   let on_step = Option.map (fun f _e -> f t) on_step in
   report_of t (E.run ?on_step t.e)
 
-let run_config ?on_step ?metrics ?series ?full_rebuild cfg =
-  run ?on_step (create ?metrics ?series ?full_rebuild cfg)
+let run_config ?on_step ?metrics ?series ?full_rebuild:_ cfg =
+  run ?on_step (create ?metrics ?series cfg)
 
 let completion_time cfg =
   let report = run_config cfg in

@@ -43,13 +43,9 @@ val create :
   ?full_rebuild:bool ->
   Config.t ->
   t
-(** [full_rebuild] (default [false]) disables the incremental
-    component-maintenance path: the visibility-graph DSU is reset and
-    re-unioned from scratch every step, the reference behaviour the
-    incremental path is tested against. Results are identical either
-    way — the flag only trades speed for simplicity, which is why it is
-    not a {!Config.t} field (it cannot affect a run's outcome or its
-    scenario hash).
+(** [full_rebuild] is accepted and ignored: the engine rebuilds the
+    visibility-graph components from scratch every step, so there is no
+    other path to select. It remains only for existing callers.
 
     [metrics] (default {!Obs.Sink.ambient}) selects where per-phase
     timings go. Against the null sink instrumentation is free: the

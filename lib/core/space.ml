@@ -9,10 +9,6 @@ type mobility =
       predators : int;
     }
 
-type index_update =
-  | Rebuilt
-  | Delta
-
 module Cover = struct
   type t = {
     bits : Bytes.t;
@@ -46,12 +42,7 @@ module type S = sig
 
   val move_all : ?present:bool array -> t -> pos -> Prng.t array -> mobility -> unit
 
-  val rebuild_index : ?present:bool array -> t -> pos -> index_update
-
-  val reconcile_components :
-    t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit
-
-  val max_occupancy : t -> int
+  val rebuild_index : ?present:bool array -> t -> pos -> unit
 
   val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
 

@@ -29,17 +29,6 @@ type mobility =
     }
       (** predator–prey: predators always move, caught preys stop *)
 
-(** What a [rebuild_index] call did, and therefore how the engine must
-    bring its component structure (DSU) up to date. *)
-type index_update =
-  | Rebuilt
-      (** membership was reloaded with no change tracking: reset the DSU
-          and re-union every close pair *)
-  | Delta
-      (** the index recorded which buckets changed membership since the
-          previous step: [reconcile_components] can repair the existing
-          DSU without a reset *)
-
 (** Coverage bitmaps over a space's discrete cells. *)
 module Cover : sig
   type t
@@ -82,27 +71,10 @@ module type S = sig
       [present] (the engine's churn adversary) freeze in place and draw
       nothing — their stream pauses until they return. *)
 
-  val rebuild_index : ?present:bool array -> t -> pos -> index_update
+  val rebuild_index : ?present:bool array -> t -> pos -> unit
   (** Load current positions into the spatial index (reusing internal
       storage across steps). Agents masked out by [present] are left out
-      of the index entirely, so [iter_close_pairs] never visits them.
-      Returns {!Delta} when the space tracked membership changes since
-      the previous step and supports {!reconcile_components}; spaces
-      with no incremental path always return {!Rebuilt}. *)
-
-  val reconcile_components :
-    t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit
-  (** After a {!Delta} rebuild: repair the engine's component structure.
-      Calls [dissolve] on every agent whose component may have changed
-      (all dissolves precede all unions), then [union] to re-link each
-      affected group. Never called after {!Rebuilt}. *)
-
-  val max_occupancy : t -> int
-  (** Largest agent group sharing one index bucket as of the last
-      rebuild. For spaces whose {!Delta} path is live (radius-0 grid:
-      bucket = cell) this equals the largest connected component of the
-      visibility graph; meaningless (0) for spaces that never return
-      {!Delta}. *)
+      of the index entirely, so [iter_close_pairs] never visits them. *)
 
   val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
   (** Visit every visibility edge of the last [rebuild_index] exactly

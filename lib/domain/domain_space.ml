@@ -49,14 +49,7 @@ let move_all ?present t pos rngs mobility =
 
 let rebuild_index ?present t pos =
   t.cur <- pos;
-  Spatial.rebuild ?present t.spatial ~positions:pos;
-  (* node-array path: no membership-change tracking (and line-of-sight
-     blocking would break the bucket-local component argument anyway) *)
-  Space.Rebuilt
-
-let reconcile_components _ ~dissolve:_ ~union:_ = ()
-
-let max_occupancy _ = 0
+  Spatial.rebuild ?present t.spatial ~positions:pos
 
 let iter_close_pairs t ~f =
   if t.los_blocking then

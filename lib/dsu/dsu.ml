@@ -5,8 +5,9 @@
    stamp lags the current epoch is a singleton that has not been touched
    yet, and is healed (parent := self, size := 1, stamp := epoch) the
    first time an operation reaches it. This makes reset O(1), which is
-   what lets the engine alternate cheap full resets with incremental
-   [dissolve]-based reconciliation without an O(n) sweep per step.
+   what lets the engine reset every step, and [Spatial.reconcile]
+   callers mix resets with [dissolve]-based repair, without an O(n)
+   sweep per step.
 
    Stale pointers cannot be followed by accident: parent pointers of
    current-epoch elements only ever point at current-epoch elements

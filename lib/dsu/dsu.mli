@@ -9,10 +9,11 @@
     bumps an epoch counter and elements are lazily re-initialised as
     singletons on first touch), so the simulator reuses one allocation
     across all steps without paying an O(n) sweep per step. {!dissolve}
-    supports *incremental* component maintenance: instead of resetting,
-    the engine dissolves only the members of spatial buckets whose
-    occupancy changed and re-unions them, leaving untouched components
-    intact across steps. *)
+    supports *incremental* component maintenance through
+    [Spatial.reconcile]: instead of resetting, a caller dissolves only
+    the members of spatial buckets whose occupancy changed and re-unions
+    them, leaving untouched components intact across steps. (The engine
+    resets and re-unions every step instead.) *)
 
 type t
 
@@ -34,11 +35,11 @@ val dissolve : t -> int -> unit
     Soundness invariant (caller's obligation): between two queries,
     dissolves must cover whole sets — if any member of a set is
     dissolved, every member must be, before new unions touch any of
-    them. The engine satisfies this because at radius 0 a component is
-    exactly the population of one spatial bucket, and it dissolves every
-    current member of every dirty bucket. Partial dissolution would
-    leave surviving members pointing at a recycled root with a stale
-    size. Taints {!set_count}'s O(1) counter (recomputed on demand). *)
+    them. [Spatial.reconcile] satisfies this because at radius 0 a
+    component is exactly the population of one spatial bucket, and it
+    dissolves every current member of every dirty bucket. Partial
+    dissolution would leave surviving members pointing at a recycled
+    root with a stale size. Taints {!set_count}'s O(1) counter (recomputed on demand). *)
 
 val find : t -> int -> int
 (** Canonical representative of the element's set. Performs path

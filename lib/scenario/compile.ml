@@ -173,6 +173,16 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
     "agents must be positive";
   check_axis "radius" ast.Ast.radii (fun r -> r >= 0)
     "radius must be non-negative";
+  (* sizes beyond the engine's limits (Config.max_* say why) would
+     overflow an index or an allocation: reject them before any cell is
+     built *)
+  let check_max name vals hi =
+    check_axis name vals (fun v -> v <= hi)
+      (Printf.sprintf "%s must be at most %d" name hi)
+  in
+  check_max "side" ast.Ast.sides Config.max_side;
+  check_max "agents" ast.Ast.agents Config.max_population;
+  check_max "radius" ast.Ast.radii Config.max_radius;
   if ast.Ast.trials < 1 then diag ctx (where "trials") "trials must be >= 1";
   (match ast.Ast.max_steps with
   | Some m when m <= 0 -> diag ctx (where "max_steps") "max_steps must be positive"

@@ -16,11 +16,11 @@ let continuum_config (c : Ast.cell) ~seed ~trial =
     max_steps = (match c.Ast.c_max_steps with Some m -> m | None -> 1_000_000);
   }
 
-let run_cell ?series ?on_step ?full_rebuild (c : Ast.cell) ~seed ~trial =
+let run_cell ?series ?on_step (c : Ast.cell) ~seed ~trial =
   match c.Ast.c_space with
   | Ast.Grid ->
       let r =
-        Mobile_network.Simulation.run_config ?on_step ?series ?full_rebuild
+        Mobile_network.Simulation.run_config ?on_step ?series
           (Ast.cell_config c ~seed ~trial)
       in
       {

@@ -56,7 +56,6 @@ type outcome = {
 val run_cell :
   ?series:Obs.Series.t ->
   ?on_step:(Mobile_network.Simulation.t -> unit) ->
-  ?full_rebuild:bool ->
   Scenario.Ast.cell ->
   seed:int ->
   trial:int ->
@@ -64,8 +63,8 @@ val run_cell :
 (** One engine run of a compiled cell: the single per-space dispatch
     behind the service, [mobisim simulate] and
     [mobisim simulate --scenario]. [series] attaches a per-step
-    recorder (all three spaces); [on_step] and [full_rebuild] reach
-    {!Mobile_network.Simulation.run_config} and are ignored on the
+    recorder (all three spaces); [on_step] reaches
+    {!Mobile_network.Simulation.run_config} and is ignored on the
     non-grid spaces. Non-grid cells derive their engine parameters
     here: see {!continuum_config}; a domain cell is the unobstructed
     [side x side] domain with a [100 * side * side] default step cap. *)

@@ -8,10 +8,11 @@
    Two position representations feed the same table:
    - [rebuild] takes the legacy [Grid.node array];
    - [rebuild_soa] takes structure-of-arrays int32 coordinate vectors
-     (the engine's zero-allocation path) and additionally maintains a
-     per-agent previous-bucket table so that steps where few agents
-     changed bucket can reconcile components incrementally instead of
-     rebuilding them ([update], [reconcile]).
+     (the engine's zero-allocation path).
+   Both record each agent's bucket in [bucket]; the previous rebuild's
+   buckets stay in [prev_bucket] (the two arrays swap every rebuild), so
+   [reconcile] can derive which buckets changed membership without the
+   rebuild paying for it.
 
    Morton keys interleave the x/y bucket coordinates bit by bit, so
    spatially adjacent buckets land near each other in the flat arrays
@@ -47,16 +48,17 @@ type t = {
   mutable xs : vec;
   mutable ys : vec;
   mutable soa : bool;  (* which representation the last rebuild used *)
-  mutable n : int;  (* population of the last SoA rebuild *)
-  (* incremental state: bucket of each agent as of the last rebuild, and
-     the scratch for the dirty-bucket set of the current step *)
+  mutable n : int;  (* population of the last rebuild *)
+  (* bucket of each agent as of the last rebuild and the one before;
+     entries are 0 or bucket ids this index wrote, so always < buckets *)
+  mutable bucket : int array;
   mutable prev_bucket : int array;
-  mutable delta_ok : bool;  (* prev_bucket covers all n agents *)
+  mutable delta_ok : bool;  (* [bucket] covers all n agents at radius 0 *)
+  (* [reconcile]'s scratch for the dirty-bucket set *)
   dirty : int array;
   dirty_stamp : int array;
   mutable dirty_len : int;
   mutable dirty_epoch : int;
-  mutable max_occ : int;  (* max bucket occupancy of the last rebuild *)
 }
 
 (* --- Morton codes (16-bit coordinates interleaved into 32 bits) --- *)
@@ -100,7 +102,9 @@ let morton_y b = compact1by1 (b lsr 1)
 
 let create grid ~radius =
   if radius < 0 then invalid_arg "Spatial.create: negative radius";
-  let bucket_side = max 1 radius in
+  (* every pair lies within Chebyshev distance side - 1, so buckets
+     wider than the grid only overflow the column count below *)
+  let bucket_side = max 1 (min radius (Grid.side grid)) in
   (* bounded: ceil division (a trailing narrow column is harmless).
      torus: floor division, merging the remainder into the last column —
      every column is then at least bucket_side wide, so wrap-distance
@@ -137,13 +141,13 @@ let create grid ~radius =
     ys = empty_vec;
     soa = false;
     n = 0;
+    bucket = [||];
     prev_bucket = [||];
     delta_ok = false;
     dirty = Array.make buckets 0;
     dirty_stamp = Array.make buckets 0;
     dirty_len = 0;
     dirty_epoch = 0;
-    max_occ = 0;
   }
 
 let radius t = t.radius
@@ -157,9 +161,9 @@ let bucket_of t v =
 (* The per-step loops below use unchecked array accesses. The indices
    are structurally in range: bucket ids come from [bucket_of]/[morton]
    over clamped coordinates (< buckets, the arrays' length), agent ids
-   are < n (and [items]/[prev_bucket] are grown to n before the loops),
-   and [touched_len]/[dirty_len] count distinct bucket ids, so they
-   never exceed [buckets]. *)
+   are < n (and [items]/[bucket]/[prev_bucket] are grown to n by
+   [begin_rebuild]), and [touched_len]/[dirty_len] count distinct bucket
+   ids, so they never exceed [buckets]. *)
 
 let[@unsafe_invariant
      "touched.(i < touched_len) holds distinct bucket ids < length \
@@ -168,53 +172,142 @@ let[@unsafe_invariant
   for i = 0 to t.touched_len - 1 do
     Array.unsafe_set t.count (Array.unsafe_get t.touched i) 0
   done;
-  t.touched_len <- 0;
-  t.max_occ <- 0
+  t.touched_len <- 0
+
+(* Shared prologue of both rebuild paths: empty the table, keep the
+   previous rebuild's buckets in [prev_bucket], and size the per-agent
+   scratch for [n] agents. *)
+let begin_rebuild ?present t ~n =
+  clear_table t;
+  let b = t.prev_bucket in
+  t.prev_bucket <- t.bucket;
+  t.bucket <- b;
+  if Array.length t.items < n then
+    t.items <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
+  if Array.length t.bucket < n then
+    t.bucket <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
+  if Array.length t.prev_bucket < n then
+    t.prev_bucket <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
+  t.n <- n;
+  t.present <- present
+
+let[@inline]
+    [@unsafe_invariant
+      "b is a bucket id < length count = length touched, and touched_len \
+       counts distinct buckets"] count_agent t b =
+  let c = Array.unsafe_get t.count b in
+  if c = 0 then begin
+    Array.unsafe_set t.touched t.touched_len b;
+    t.touched_len <- t.touched_len + 1
+  end;
+  Array.unsafe_set t.count b (c + 1)
+
+(* Prefix sums over the touched buckets, written as each bucket's *end*
+   offset: [place] then fills every slice backwards, leaving [start] at
+   the slice's first slot with no restore pass. A tail-recursive loop,
+   so the hot rebuild carries no [ref] cell. *)
+let[@unsafe_invariant
+     "touched.(i < touched_len) holds distinct bucket ids < length \
+      start = length count"] rec end_offsets t i off =
+  if i < t.touched_len then begin
+    let b = Array.unsafe_get t.touched i in
+    let off = off + Array.unsafe_get t.count b in
+    Array.unsafe_set t.start b off;
+    end_offsets t (i + 1) off
+  end
+
+(* Place agents [0..n-1] into their bucket slices in reverse id order,
+   so each slice ends up in increasing agent order. *)
+let[@unsafe_invariant
+     "agent < n <= length bucket, length items (begin_rebuild); bucket \
+      holds this rebuild's bucket id of every indexed agent, and start \
+      stays within the bucket's slice of items"] place t =
+  match t.present with
+  | None ->
+      for agent = t.n - 1 downto 0 do
+        let b = Array.unsafe_get t.bucket agent in
+        let s = Array.unsafe_get t.start b - 1 in
+        Array.unsafe_set t.items s agent;
+        Array.unsafe_set t.start b s
+      done
+  | Some pr ->
+      for agent = t.n - 1 downto 0 do
+        if pr.(agent) then begin
+          let b = Array.unsafe_get t.bucket agent in
+          let s = Array.unsafe_get t.start b - 1 in
+          Array.unsafe_set t.items s agent;
+          Array.unsafe_set t.start b s
+        end
+      done
 
 let rebuild ?present t ~positions =
-  clear_table t;
+  let k = Array.length positions in
+  begin_rebuild ?present t ~n:k;
   t.positions <- positions;
-  t.present <- present;
   t.soa <- false;
   t.delta_ok <- false;
-  let k = Array.length positions in
-  if Array.length t.items < k then t.items <- Array.make k 0;
-  let indexed agent =
-    match present with None -> true | Some pr -> pr.(agent)
-  in
   (* pass 1: count agents per bucket, recording first-touched buckets *)
   for agent = 0 to k - 1 do
-    if indexed agent then begin
+    if match present with None -> true | Some pr -> pr.(agent) then begin
       let b = bucket_of t positions.(agent) in
-      if t.count.(b) = 0 then begin
-        t.touched.(t.touched_len) <- b;
-        t.touched_len <- t.touched_len + 1
-      end;
-      let c = t.count.(b) + 1 in
-      t.count.(b) <- c;
-      if c > t.max_occ then t.max_occ <- c
+      t.bucket.(agent) <- b;
+      count_agent t b
     end
   done;
-  (* pass 2: prefix offsets over touched buckets (order irrelevant) *)
-  let offset = ref 0 in
-  for i = 0 to t.touched_len - 1 do
-    let b = t.touched.(i) in
-    t.start.(b) <- !offset;
-    offset := !offset + t.count.(b)
-  done;
-  (* pass 3: place agents; [start] doubles as the write cursor, then is
-     restored by subtracting the counts *)
-  for agent = 0 to k - 1 do
-    if indexed agent then begin
-      let b = bucket_of t positions.(agent) in
-      t.items.(t.start.(b)) <- agent;
-      t.start.(b) <- t.start.(b) + 1
-    end
-  done;
-  for i = 0 to t.touched_len - 1 do
-    let b = t.touched.(i) in
-    t.start.(b) <- t.start.(b) - t.count.(b)
-  done
+  (* passes 2 and 3: slice offsets, then agents into their slices *)
+  end_offsets t 0 0;
+  place t
+
+let[@unsafe_invariant
+     "i is an agent index < n <= Array1.dim v (rebuild_soa contract)"] vget
+    (v : vec) i =
+  Int32.to_int (Bigarray.Array1.unsafe_get v i)
+
+let[@hot]
+    [@unsafe_invariant
+      "agent < n with bucket grown to n by begin_rebuild; bucket ids \
+       come from morton over clamped coordinates < buckets"] rebuild_soa
+    ?present t ~xs ~ys ~n =
+  (* Delta eligibility is judged against the *previous* rebuild:
+     radius 0 (bucket = cell, components are bucket-local) and a
+     previous unmasked SoA rebuild of the same population, so every
+     agent has a previous bucket to compare. The delta itself is
+     distance-agnostic — [reconcile] compares buckets, so even jump
+     kernels that hop several cells stay correct. *)
+  let unmasked = match present with None -> true | Some _ -> false in
+  let eligible = t.radius = 0 && t.delta_ok && t.n = n && unmasked in
+  begin_rebuild ?present t ~n;
+  t.xs <- xs;
+  t.ys <- ys;
+  t.soa <- true;
+  let bs = t.bucket_side and clamp_hi = t.per_row - 1 in
+  (* pass 1: count agents per bucket, recording first-touched buckets *)
+  if bs = 1 && unmasked then
+    (* radius-0 hot path: bucket side 1 makes bucket coordinates the
+       cell coordinates themselves — no per-agent division, and no
+       clamp since coordinates are already < per_row *)
+    for agent = 0 to n - 1 do
+      let b = morton (vget xs agent) (vget ys agent) in
+      Array.unsafe_set t.bucket agent b;
+      count_agent t b
+    done
+  else
+    for agent = 0 to n - 1 do
+      if match present with None -> true | Some pr -> pr.(agent) then begin
+        let bx = min (vget xs agent / bs) clamp_hi
+        and by = min (vget ys agent / bs) clamp_hi in
+        let b = morton bx by in
+        Array.unsafe_set t.bucket agent b;
+        count_agent t b
+      end
+    done;
+  (* passes 2 and 3: slice offsets, then agents into their slices *)
+  end_offsets t 0 0;
+  place t;
+  (* bucket is only trustworthy for the next step if every agent was
+     indexed this step *)
+  t.delta_ok <- t.radius = 0 && unmasked;
+  if eligible then Delta else Full
 
 let[@unsafe_invariant
      "b is a bucket id < buckets = length dirty = length dirty_stamp, \
@@ -225,132 +318,24 @@ let[@unsafe_invariant
     t.dirty_len <- t.dirty_len + 1
   end
 
-let[@unsafe_invariant
-     "i is an agent index < n <= Array1.dim v (rebuild_soa contract)"] vget
-    (v : vec) i =
-  Int32.to_int (Bigarray.Array1.unsafe_get v i)
-
-(* Prefix-sum over the touched buckets, as a tail-recursive loop so the
-   hot rebuild carries no [ref] cell. *)
-let[@unsafe_invariant
-     "touched.(i < touched_len) holds distinct bucket ids < length \
-      start = length count"] rec prefix_offsets t i off =
-  if i < t.touched_len then begin
-    let b = Array.unsafe_get t.touched i in
-    Array.unsafe_set t.start b off;
-    prefix_offsets t (i + 1) (off + Array.unsafe_get t.count b)
-  end
-
 let[@hot]
     [@unsafe_invariant
-      "agent < n with items/prev_bucket grown to n above; bucket ids \
-       come from morton over clamped coordinates < buckets"] rebuild_soa
-    ?present t ~xs ~ys ~n =
-  (* Delta eligibility is judged against the *previous* rebuild, before
-     prev_bucket is overwritten: radius 0 (bucket = cell, components are
-     bucket-local), a previous unmasked SoA rebuild of the same
-     population, so prev_bucket.(i) is valid for every agent. The delta
-     machinery itself is distance-agnostic — it compares buckets, so
-     even jump kernels that hop several cells stay correct; step
-     distance only governs how many buckets turn dirty. *)
-  let unmasked = match present with None -> true | Some _ -> false in
-  let eligible = t.radius = 0 && t.delta_ok && t.n = n && unmasked in
-  clear_table t;
-  t.xs <- xs;
-  t.ys <- ys;
-  t.n <- n;
-  t.soa <- true;
-  t.present <- present;
+      "agent < n <= length prev_bucket, length bucket (begin_rebuild), \
+       both holding bucket ids < buckets; dirty.(idx < dirty_len) holds \
+       bucket ids; start/count slices lie within items, whose length is \
+       >= n"] reconcile t ~dissolve ~union =
+  (* The dirty set: an agent that switched buckets dirties both its old
+     and its new bucket. *)
   t.dirty_epoch <- t.dirty_epoch + 1;
   t.dirty_len <- 0;
-  if Array.length t.items < n then
-    t.items <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
-  if Array.length t.prev_bucket < n then
-    t.prev_bucket <- (Array.make n (-1) [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
-  let bs = t.bucket_side and clamp_hi = t.per_row - 1 in
-  (* pass 1: count agents per bucket, recording first-touched buckets
-     and (when eligible) buckets whose membership changed — an agent
-     that switched buckets dirties both its old and its new bucket *)
-  if bs = 1 && unmasked then
-    (* radius-0 hot path: bucket side 1 makes bucket coordinates the
-       cell coordinates themselves — no per-agent division, and no
-       clamp since coordinates are already < per_row *)
-    for agent = 0 to n - 1 do
-      let b = morton (vget xs agent) (vget ys agent) in
-      if eligible then begin
-        let pb = Array.unsafe_get t.prev_bucket agent in
-        if pb <> b then begin
-          mark_dirty t pb;
-          mark_dirty t b
-        end
-      end;
-      Array.unsafe_set t.prev_bucket agent b;
-      let c = Array.unsafe_get t.count b in
-      if c = 0 then begin
-        Array.unsafe_set t.touched t.touched_len b;
-        t.touched_len <- t.touched_len + 1
-      end;
-      let c = c + 1 in
-      Array.unsafe_set t.count b c;
-      if c > t.max_occ then t.max_occ <- c
-    done
-  else
-    for agent = 0 to n - 1 do
-      if (match present with None -> true | Some pr -> pr.(agent)) then begin
-        let x = vget xs agent and y = vget ys agent in
-        let bx = min (x / bs) clamp_hi and by = min (y / bs) clamp_hi in
-        let b = morton bx by in
-        if eligible then begin
-          let pb = t.prev_bucket.(agent) in
-          if pb <> b then begin
-            mark_dirty t pb;
-            mark_dirty t b
-          end
-        end;
-        t.prev_bucket.(agent) <- b;
-        if t.count.(b) = 0 then begin
-          t.touched.(t.touched_len) <- b;
-          t.touched_len <- t.touched_len + 1
-        end;
-        let c = t.count.(b) + 1 in
-        t.count.(b) <- c;
-        if c > t.max_occ then t.max_occ <- c
-      end
-    done;
-  (* pass 2: prefix offsets over touched buckets (order irrelevant) *)
-  prefix_offsets t 0 0;
-  (* pass 3: place agents, reusing the bucket computed in pass 1 *)
-  if unmasked then
-    for agent = 0 to n - 1 do
-      let b = Array.unsafe_get t.prev_bucket agent in
-      let s = Array.unsafe_get t.start b in
-      Array.unsafe_set t.items s agent;
-      Array.unsafe_set t.start b (s + 1)
-    done
-  else
-    for agent = 0 to n - 1 do
-      if (match present with None -> true | Some pr -> pr.(agent)) then begin
-        let b = Array.unsafe_get t.prev_bucket agent in
-        let s = Array.unsafe_get t.start b in
-        Array.unsafe_set t.items s agent;
-        Array.unsafe_set t.start b (s + 1)
-      end
-    done;
-  for i = 0 to t.touched_len - 1 do
-    let b = Array.unsafe_get t.touched i in
-    Array.unsafe_set t.start b
-      (Array.unsafe_get t.start b - Array.unsafe_get t.count b)
+  for agent = 0 to t.n - 1 do
+    let pb = Array.unsafe_get t.prev_bucket agent
+    and b = Array.unsafe_get t.bucket agent in
+    if pb <> b then begin
+      mark_dirty t pb;
+      mark_dirty t b
+    end
   done;
-  (* prev_bucket is only trustworthy for the next step if every agent
-     was indexed this step *)
-  t.delta_ok <- (t.radius = 0 && unmasked);
-  if eligible then Delta else Full
-
-let[@hot]
-    [@unsafe_invariant
-      "dirty.(idx < dirty_len) holds bucket ids < buckets; start/count \
-       slices lie within items, whose length is >= n"] reconcile t
-    ~dissolve ~union =
   (* Two phases, dissolve-all before union-any: an agent that left a
      dirty bucket is a current member of another dirty bucket (both
      endpoints of a move are marked), so phase 1 detaches every element
@@ -379,10 +364,6 @@ let[@hot]
       done
     end
   done
-
-let max_occupancy t = t.max_occ
-
-let population t = if t.soa then t.n else Array.length t.positions
 
 let axis_dist t a b =
   let d = abs (a - b) in
@@ -427,7 +408,7 @@ let present_at t i =
   match t.present with None -> true | Some pr -> pr.(i)
 
 let iter_all_pairs t ~f =
-  let k = population t in
+  let k = t.n in
   for i = 0 to k - 1 do
     if present_at t i then
       for j = i + 1 to k - 1 do
@@ -499,7 +480,7 @@ let iter_agents_near t v ~range ~f =
   if t.torus then begin
     (* wrap-aware bucket windows are not worth the complexity for this
        query (it is off the simulation hot path): scan all agents *)
-    let k = population t in
+    let k = t.n in
     let indexed i =
       match t.present with None -> true | Some pr -> pr.(i)
     in

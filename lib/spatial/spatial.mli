@@ -16,10 +16,11 @@
     The index is rebuilt each simulation step ({!rebuild} from a node
     array, or {!rebuild_soa} from int32 coordinate vectors — the
     engine's allocation-free path); the structure reuses its internal
-    table across rebuilds. The SoA path additionally tracks which
-    buckets changed membership between consecutive rebuilds, enabling
-    *incremental* connected-component maintenance ({!reconcile}) when a
-    rebuild reports {!Delta}.
+    table across rebuilds. It also keeps each agent's bucket from the
+    rebuild before, so a caller that maintains components across steps
+    can repair them incrementally ({!reconcile}) when a radius-0
+    rebuild reports {!Delta}. The engine itself does not: it rebuilds
+    its components from {!iter_close_pairs} every step.
 
     Torus grids are fully supported: bucket adjacency wraps around, and
     degenerate layouts (fewer than 3 bucket columns) fall back to an
@@ -32,15 +33,18 @@ type vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
     of agent [i]. *)
 
 type update =
-  | Full  (** bucket membership was rebuilt with no change tracking *)
+  | Full  (** no usable previous membership to compare against *)
   | Delta
-      (** membership changes since the previous rebuild were recorded;
+      (** the previous rebuild indexed the same agents at radius 0;
           {!reconcile} can repair components incrementally *)
 
 val create : Grid.t -> radius:int -> t
 (** [create grid ~radius] prepares an index for agents on [grid] with
-    transmission radius [radius]. @raise Invalid_argument if
-    [radius < 0] or the grid needs more than 65536 bucket columns. *)
+    transmission radius [radius]. Any radius works: buckets never grow
+    wider than the grid, since every pair already lies within
+    Chebyshev distance [side - 1]. @raise Invalid_argument if
+    [radius < 0] or the grid needs more than 65536 bucket columns (a
+    side above 65536 at radius 0 or 1). *)
 
 val radius : t -> int
 
@@ -54,28 +58,23 @@ val rebuild_soa :
   ?present:bool array -> t -> xs:vec -> ys:vec -> n:int -> update
 (** [rebuild_soa t ~xs ~ys ~n] loads positions of agents [0..n-1] from
     coordinate vectors. Same table and iteration semantics as
-    {!rebuild}, with no per-step allocation. Returns {!Delta} when the
-    rebuild also recorded the set of buckets whose membership changed
-    since the previous step — available at radius 0 (bucket = grid
-    cell) for consecutive unmasked rebuilds of the same population;
-    otherwise {!Full}. *)
+    {!rebuild}, with no per-step allocation. Returns {!Delta} when
+    {!reconcile} may follow: at radius 0 (bucket = grid cell), for
+    consecutive unmasked rebuilds of the same population; otherwise
+    {!Full}. *)
 
 val reconcile :
   t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit
 (** After a {!rebuild_soa} that returned {!Delta}: repair an external
-    component structure. Calls [dissolve i] for every current member of
-    every bucket whose membership changed (all dissolves precede all
-    unions), then [union i j] to re-link each such bucket's cohabitants.
-    Components of untouched buckets are never visited — at radius 0
-    their members are pairwise cohabiting, so their old unions remain
-    exact. After a {!Full} rebuild the dirty set is empty or stale; do
-    not call this. *)
-
-val max_occupancy : t -> int
-(** Largest number of agents in one bucket as of the last rebuild. At
-    radius 0 a bucket is a single grid cell, so this is the size of the
-    largest cohabitation group — i.e. the largest connected component of
-    the visibility graph. *)
+    component structure that matched the previous rebuild. First
+    computes the buckets whose membership changed (an agent that
+    switched buckets dirties both), in O(k). Then calls [dissolve i] for
+    every current member of every such bucket (all dissolves precede
+    all unions), then [union i j] to re-link each such bucket's
+    cohabitants. Components of untouched buckets are never visited — at
+    radius 0 their members are pairwise cohabiting, so their old unions
+    remain exact. After a {!Full} rebuild the comparison is meaningless
+    (though memory-safe); do not call this. *)
 
 val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
 (** Call [f i j] (with [i < j]) exactly once for every pair of agents at

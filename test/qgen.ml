@@ -54,10 +54,10 @@ let plan ~agents =
 (* A random <=1-cell-per-step walk workload over a side x side grid:
    initial positions plus per-step per-agent axis moves, with optional
    per-step churn masks (None = everyone present). Raw material for the
-   incremental spatial-index properties: the engine's bucket-delta fast
-   path must agree with a from-scratch rebuild on exactly these inputs,
-   and masked steps force the index back onto the full-rebuild path so
-   the Delta/Full transitions get exercised too. *)
+   [Spatial.reconcile] properties: repairing components from the
+   bucket delta must agree with a from-scratch rebuild on exactly these
+   inputs, and masked steps force the index to report [Full] so the
+   Delta/Full transitions get exercised too. *)
 type walk_script = {
   ws_side : int;
   ws_agents : int;

@@ -147,6 +147,99 @@ let test_stride1_series_equals_on_step () =
          ~radius:0 ~los_blocking:false)
     (Engine.default_spec ~agents:12 ~seed:1 ~trial:0 ~max_steps:20_000)
 
+(* --- pair-set oracle ------------------------------------------------------- *)
+
+(* Each space's [iter_close_pairs] against the O(k^2) scan of its own
+   distance rule: the same set of unordered pairs, each exactly once.
+   The index is loaded four times over a few moves (so every rebuild but
+   the first reuses the previous one's state, as in a run), the third
+   time under a churn mask. *)
+module Pair_oracle (S : Space.S) = struct
+  let holds space ~n ~seed ~close =
+    let pos = S.init_positions space (Prng.of_seed seed) ~n in
+    let rngs = Array.init n (fun i -> Prng.of_seed (seed + i + 1)) in
+    List.for_all
+      (fun step ->
+        if step > 0 then S.move_all space pos rngs Space.Mobile_all;
+        let present =
+          if step = 2 then Some (Array.init n (fun i -> i mod 3 <> 1)) else None
+        in
+        let indexed i = match present with None -> true | Some p -> p.(i) in
+        S.rebuild_index ?present space pos;
+        let got = ref [] in
+        S.iter_close_pairs space ~f:(fun i j ->
+            got := (min i j, max i j) :: !got);
+        let expected = ref [] in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            if indexed i && indexed j && close pos i j then
+              expected := (i, j) :: !expected
+          done
+        done;
+        List.sort compare !got = List.sort compare !expected)
+      [ 0; 1; 2; 3 ]
+end
+
+let prop_grid_pairs =
+  let module O = Pair_oracle (Mobile_network.Grid_space) in
+  QCheck.Test.make ~name:"grid pairs = brute force" ~count:150
+    QCheck.(
+      pair
+        (quad (int_range 3 14) (int_range 1 30) (int_range 0 6) bool)
+        (pair small_int bool))
+    (fun ((side, n, radius, torus), (seed, jump)) ->
+      let grid =
+        Grid.create
+          ~topology:(if torus then Grid.Torus else Grid.Bounded)
+          ~side ()
+      in
+      let kernel = if jump then Walk.Jump 2 else Walk.Lazy_one_fifth in
+      O.holds
+        (Mobile_network.Grid_space.create grid ~kernel ~radius)
+        ~n ~seed
+        ~close:(fun pos i j ->
+          Grid.manhattan grid
+            (Mobile_network.Grid_space.node_at pos i)
+            (Mobile_network.Grid_space.node_at pos j)
+          <= radius))
+
+let prop_continuum_pairs =
+  let module S = Continuum.Space in
+  let module O = Pair_oracle (S) in
+  QCheck.Test.make ~name:"continuum pairs = brute force" ~count:150
+    QCheck.(
+      quad (float_range 1. 12.) (int_range 1 30) (float_range 0. 4.) small_int)
+    (fun (box_side, n, radius, seed) ->
+      O.holds
+        (S.create ~box_side ~radius ~sigma:(box_side /. 8.) ~agents:n)
+        ~n ~seed
+        ~close:(fun pos i j ->
+          (* a zero radius has no edges, even between coinciding agents *)
+          let dx = pos.S.xs.(i) -. pos.S.xs.(j)
+          and dy = pos.S.ys.(i) -. pos.S.ys.(j) in
+          radius > 0. && (dx *. dx) +. (dy *. dy) <= radius *. radius))
+
+let prop_domain_pairs =
+  let module O = Pair_oracle (Barriers.Domain_space) in
+  QCheck.Test.make ~name:"domain pairs = brute force" ~count:150
+    QCheck.(
+      pair
+        (quad (int_range 4 14) (int_range 1 30) (int_range 0 6) small_int)
+        (pair bool bool))
+    (fun ((side, n, radius, seed), (wall, los_blocking)) ->
+      let grid = Grid.create ~side () in
+      let domain =
+        if wall then Barriers.Domain.central_wall grid ~gap:1
+        else Barriers.Domain.unobstructed grid
+      in
+      O.holds
+        (Barriers.Domain_space.create domain ~radius ~los_blocking)
+        ~n ~seed
+        ~close:(fun pos i j ->
+          Grid.manhattan grid pos.(i) pos.(j) <= radius
+          && ((not los_blocking)
+             || Barriers.Domain.line_of_sight domain pos.(i) pos.(j))))
+
 (* --- degenerate parameters ------------------------------------------------ *)
 
 let test_jump_zero_is_identity () =
@@ -186,7 +279,7 @@ let test_continuum_zero_radius_no_pairs () =
   let module S = Continuum.Space in
   let s = S.create ~box_side:4. ~radius:0. ~sigma:0.25 ~agents:8 in
   let pos = S.init_positions s (Prng.of_seed 1) ~n:8 in
-  ignore (S.rebuild_index s pos : Space.index_update);
+  S.rebuild_index s pos;
   let pairs = ref 0 in
   S.iter_close_pairs s ~f:(fun _ _ -> incr pairs);
   Alcotest.(check int) "no visibility edges at radius 0" 0 !pairs
@@ -328,6 +421,9 @@ let () =
           Alcotest.test_case "continuum sigma=0 is static" `Quick
             test_continuum_zero_sigma_is_static;
         ] );
+      ( "oracles",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_grid_pairs; prop_continuum_pairs; prop_domain_pairs ] );
       ( "policies",
         [
           Alcotest.test_case "flood_single" `Quick test_flood_single;

@@ -226,6 +226,50 @@ let test_diag_no_filename () =
         "1:12: scenario: trials must be >= 1" e
   | Error errs -> Alcotest.failf "expected one diagnostic, got %d" (List.length errs)
 
+(* Sizes the engine cannot allocate are diagnosed at the value; each of
+   these inputs once crashed a run (exit 125, or SIGSEGV for the radius
+   on the flag path). The edge of every range still compiles. *)
+let test_diag_size_limits () =
+  check_diags "side beyond the largest grid"
+    {|{"side": 3037000500, "agents": 2}|}
+    [ "sc.json:1:10: scenario: side must be at most 65536" ];
+  check_diags "agents beyond the largest population"
+    "{\n  \"side\": 16,\n  \"agents\": 4611686018427387903\n}"
+    [ "sc.json:3:13: scenario: agents must be at most 1073741824" ];
+  check_diags "radius beyond any pair's distance"
+    {|{"side": 16, "agents": 2, "radius": [1, 4611686018427387889]}|}
+    [ "sc.json:1:37: scenario: radius must be at most 131072" ];
+  (match
+     Compile.compile_ast
+       {
+         Ast.default with
+         Ast.sides = [ 16 ];
+         agents = [ 2 ];
+         radii = [ max_int ];
+       }
+   with
+  | Ok _ -> Alcotest.fail "flag-built AST with radius max_int compiled"
+  | Error errs ->
+      Alcotest.(check (list string)) "flag path, no position"
+        [ "scenario: radius must be at most 131072" ] errs);
+  ignore
+    (compile_exn
+       {|{"side": 65536, "agents": 1, "radius": [0, 131072], "space": "domain"}|}
+      : Compile.compiled);
+  ignore
+    (compile_exn {|{"side": 16, "agents": 1073741824, "protocol": "frog"}|}
+      : Compile.compiled);
+  match
+    Compile.compile
+      {|{"side": 16, "agents": 2, "protocol": "predator-prey:1073741823"}|}
+  with
+  | Ok _ -> Alcotest.fail "agents + preys beyond the limit compiled"
+  | Error [ e ] ->
+      Alcotest.(check bool) "per-cell population check" true
+        (String.ends_with ~suffix:"must be at most 1073741824" e)
+  | Error errs ->
+      Alcotest.failf "expected one diagnostic, got %d" (List.length errs)
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -258,5 +302,6 @@ let () =
             test_diag_faults_position;
           Alcotest.test_case "non-grid fields" `Quick test_diag_non_grid;
           Alcotest.test_case "no filename" `Quick test_diag_no_filename;
+          Alcotest.test_case "size limits" `Quick test_diag_size_limits;
         ] );
     ]

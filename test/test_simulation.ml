@@ -17,12 +17,12 @@ let run ?source ?max_steps ?(seed = 0) ?(trial = 0) ?(radius = 0) ~side ~agents
 (* A run with an exact stride-1 series attached (its capacity exceeds
    any run here): the report and a column reader, index [i] of a column
    being the state after step [i]. *)
-let run_series ?full_rebuild cfg =
+let run_series cfg =
   let sr =
     Series.create ~capacity:max_int
       ~columns:Mobile_network.Engine.series_columns ()
   in
-  let report = Simulation.run_config ?full_rebuild ~series:sr cfg in
+  let report = Simulation.run_config ~series:sr cfg in
   (report, Series.column sr)
 
 let completed (r : Simulation.report) =
@@ -581,28 +581,75 @@ let prop_determinism =
       && a.Simulation.informed = b.Simulation.informed
       && a.Simulation.covered = b.Simulation.covered)
 
-(* The incremental component-maintenance fast path is an optimisation,
-   never a semantics change: a run with --full-rebuild (scratch DSU
-   every step) must produce the identical report and per-step
-   trajectory (the series' non-timing columns). *)
-let prop_full_rebuild_identical =
-  QCheck.Test.make
-    ~name:"incremental components = full rebuild, report and history"
+(* The components oracle: after every step, label the visibility
+   graph's components by a naive flood fill over the O(k^2) Manhattan
+   pair scan of [Simulation.positions] (distances wrap on a torus). The
+   engine's island sizes must be the same multiset, its max island the
+   largest of them, and every component all-informed or all-uninformed
+   (a flooding exchange crosses whole components). *)
+let brute_components (cfg : Config.t) positions =
+  let side = cfg.Config.side and k = Array.length positions in
+  let axis a b =
+    let d = abs (a - b) in
+    if cfg.Config.torus then min d (side - d) else d
+  in
+  let close i j =
+    let p = positions.(i) and q = positions.(j) in
+    axis (p mod side) (q mod side) + axis (p / side) (q / side)
+    <= cfg.Config.radius
+  in
+  let label = Array.make k (-1) in
+  let rec fill c i =
+    if label.(i) < 0 then begin
+      label.(i) <- c;
+      for j = 0 to k - 1 do
+        if close i j then fill c j
+      done
+    end
+  in
+  let count = ref 0 in
+  for i = 0 to k - 1 do
+    if label.(i) < 0 then begin
+      fill !count i;
+      incr count
+    end
+  done;
+  (label, !count)
+
+let prop_components_oracle =
+  QCheck.Test.make ~name:"islands = brute-force components, every step"
     ~count:40
     (QCheck.make
        QCheck.Gen.(
-         tup5 (int_range 3 10) (int_range 1 8) (int_range 0 2)
-           (int_range 0 999) bool))
-    (fun (side, agents, radius, seed, torus) ->
+         tup6 (int_range 3 10) (int_range 1 12) (int_range 0 2)
+           (int_range 0 999) bool
+           (oneofl [ Protocol.Broadcast; Protocol.Frog; Protocol.Gossip ])))
+    (fun (side, agents, radius, seed, torus, protocol) ->
       let cfg =
-        Config.make ~side ~agents ~radius ~torus ~seed ~max_steps:300 ()
+        Config.make ~side ~agents ~radius ~torus ~protocol ~seed ~max_steps:300
+          ()
       in
-      let a, ca = run_series cfg
-      and b, cb = run_series ~full_rebuild:true cfg in
-      a = b
-      && List.for_all
-           (fun c -> ca c = cb c)
-           [ "informed"; "frontier"; "components"; "max_island"; "covered" ])
+      let ok = ref true in
+      let check sim =
+        let label, count = brute_components cfg (Simulation.positions sim) in
+        let sizes = Array.make count 0 and informed = Array.make count 0 in
+        Array.iteri
+          (fun i c ->
+            sizes.(c) <- sizes.(c) + 1;
+            if Simulation.is_informed sim i then
+              informed.(c) <- informed.(c) + 1)
+          label;
+        let sorted a = List.sort compare (Array.to_list a) in
+        ok :=
+          !ok
+          && sorted sizes = sorted (Simulation.island_sizes sim)
+          && Simulation.max_island sim = Array.fold_left max 0 sizes
+          && Array.for_all2 (fun n i -> i = 0 || i = n) sizes informed
+      in
+      ignore
+        (Simulation.run ~on_step:check (Simulation.create cfg)
+          : Simulation.report);
+      !ok)
 
 let () =
   Alcotest.run "simulation"
@@ -704,6 +751,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_run_invariants; prop_completed_means_goal_reached;
-            prop_determinism; prop_full_rebuild_identical;
+            prop_determinism; prop_components_oracle;
           ] );
     ]

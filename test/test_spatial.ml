@@ -19,6 +19,14 @@ let index_pairs grid ~radius positions =
   Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
   List.sort compare !out
 
+let vec_of_coords coords =
+  let v =
+    Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
+      (Array.length coords)
+  in
+  Array.iteri (fun i c -> Bigarray.Array1.set v i (Int32.of_int c)) coords;
+  v
+
 let test_matches_brute_force_various () =
   let grid = Grid.create ~side:20 () in
   let rng = Prng.of_seed 100 in
@@ -80,6 +88,38 @@ let test_radius_getter_and_invalid () =
   Alcotest.check_raises "negative radius"
     (Invalid_argument "Spatial.create: negative radius") (fun () ->
       ignore (Spatial.create grid ~radius:(-1)))
+
+(* Radii up to max_int: the bucket side is clamped to the grid side, so
+   the column count cannot overflow (it once went negative and the
+   unchecked rebuild wrote out of bounds). From r = 2 (side - 1) on,
+   every pair is close. *)
+let test_huge_radius () =
+  let all_pairs k =
+    List.concat
+      (List.init k (fun i -> List.init (k - 1 - i) (fun d -> (i, i + 1 + d))))
+  in
+  List.iter
+    (fun (topology, radius) ->
+      let grid = Grid.create ~topology ~side:16 () in
+      let positions = [| 0; 255; 17; 240; 128 |] in
+      let label = Printf.sprintf "r=%d" radius in
+      Alcotest.(check (list (pair int int)))
+        (label ^ " node path") (all_pairs 5)
+        (index_pairs grid ~radius positions);
+      let index = Spatial.create grid ~radius in
+      let coords f = vec_of_coords (Array.map f positions) in
+      ignore
+        (Spatial.rebuild_soa index
+           ~xs:(coords (Grid.x_of grid))
+           ~ys:(coords (Grid.y_of grid))
+           ~n:5
+          : Spatial.update);
+      Alcotest.(check int) (label ^ " SoA path") 10
+        (Spatial.count_close_pairs index))
+    [
+      (Grid.Bounded, 4611686018427387889); (Grid.Bounded, max_int);
+      (Grid.Torus, max_int); (Grid.Bounded, 30);
+    ]
 
 let test_iter_agents_near () =
   let grid = Grid.create ~side:15 () in
@@ -171,20 +211,12 @@ let test_degenerate_torus_fallback () =
 
 (* --- incremental reconcile ≡ from-scratch rebuild -------------------
 
-   Drive one long-lived index + DSU through a random walk script
-   exactly the way the engine does (Delta -> reconcile, Full -> reset +
+   Drive one long-lived index + DSU through a random walk script the
+   way an incremental caller does (Delta -> reconcile, Full -> reset +
    re-union) and check the resulting components against a freshly built
    index + freshly unioned DSU after every step. Churn scripts insert
    masked rebuilds, which force the Full path and exercise the
    Delta/Full transitions on either side of a mask. *)
-
-let vec_of_coords coords =
-  let v =
-    Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
-      (Array.length coords)
-  in
-  Array.iteri (fun i c -> Bigarray.Array1.set v i (Int32.of_int c)) coords;
-  v
 
 let components_agree k inc scratch =
   let ok = ref true in
@@ -309,6 +341,7 @@ let () =
           Alcotest.test_case "rebuild replaces" `Quick test_rebuild_replaces;
           Alcotest.test_case "radius getter / invalid" `Quick
             test_radius_getter_and_invalid;
+          Alcotest.test_case "huge radius" `Quick test_huge_radius;
         ] );
       ( "queries",
         [
