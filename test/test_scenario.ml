@@ -163,6 +163,52 @@ let test_desugared_config () =
         [ "side=16"; "k=8"; "r=1"; "gossip"; "seed=5"; "trial=3" ]
   | cells -> Alcotest.failf "expected one cell, got %d" (List.length cells)
 
+(* ---- pinned hashes ------------------------------------------------------ *)
+
+(* Canonical hashes key the service's result cache and the benchmark's
+   pinned digests, so a refactor of the AST or its canonical form must
+   leave every existing cell's hash exactly as it was. Each row: a
+   scenario file, its {!Ast.hash} and the {!Ast.cell_hash} of each
+   desugared cell, in cell order. *)
+let pinned_hashes =
+  [
+    ({|{}|}, "0d3bdc17a00aa5dd", [ "58f64845b3ffa1a8" ]);
+    ( {|{"side": 24, "agents": 12, "radius": 1, "faults": {"loss_p": 0.3,
+         "churn": {"leave_p": 0.05, "return_p": 0.5}}}|},
+      "722af6760cd61198",
+      [ "d480a84dae9d3525" ] );
+    ( {|{"side": 16, "agents": 8, "protocol": "gossip", "torus": true,
+         "max_steps": 500}|},
+      "64774d042fc844d4",
+      [ "22288bd9401d8c03" ] );
+    ( {|{"space": "continuum", "side": 8, "agents": 16, "radius": 2}|},
+      "8b0e67bf6750cb8b",
+      [ "88026402b62305f2" ] );
+    ( {|{"space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2}|},
+      "c786000e2e0f6b6a",
+      [ "f9b6649ed9804cb1" ] );
+    ( {|{"side": 48, "agents": 1152, "radius": 4, "kernel": "jump:4",
+         "exchange": "single-hop"}|},
+      "3f3b9e8a3f70c7f3",
+      [ "da482eb96f398b5a" ] );
+    ( {|{"side": [16, 32], "agents": [8, 16], "seed": 7, "trials": 3}|},
+      "133a1ac498ba37dc",
+      [
+        "aec58b093c72f2ce"; "e05129f8cbf59b3f"; "323c70ca933ab7b8";
+        "0980750fbb7a3319";
+      ] );
+  ]
+
+let test_pinned_hashes () =
+  List.iter
+    (fun (text, hash, cell_hashes) ->
+      let c = compile_exn text in
+      Alcotest.(check string) ("hash of " ^ text) hash c.Compile.hash;
+      Alcotest.(check (list string))
+        ("cell hashes of " ^ text) cell_hashes
+        (List.map Ast.cell_hash c.Compile.cells))
+    pinned_hashes
+
 (* ---- golden diagnostics ------------------------------------------------- *)
 
 let check_diags name text expected =
@@ -290,6 +336,7 @@ let () =
             test_scalar_equals_singleton;
           Alcotest.test_case "desugared engine config" `Quick
             test_desugared_config;
+          Alcotest.test_case "pinned hashes" `Quick test_pinned_hashes;
         ] );
       ( "diagnostics",
         [
