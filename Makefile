@@ -37,7 +37,12 @@ test:
 # check that `simulate` flags compile through the scenario validator
 # (invalid flag runs are usage errors, exit 2 with a diagnostic) and that
 # a flag run and its one-cell --scenario twin take the same steps, on the
-# grid and on a domain. `@bench/smoke` runs every benchmark workload at
+# grid and on a domain. The floor-plan and continuum-box smokes pin the
+# step counts the retired `barrier` and `continuum` subcommands printed
+# for the same runs (now `simulate --space domain --plan ...` and
+# `simulate --space continuum --density ... --rc-mult ...`); a continuum
+# density whose box exceeds the engine's limits, and a negative --trace
+# or --render, are usage errors. `@bench/smoke` runs every benchmark workload at
 # small scale, so an Obs/Service API change that breaks bench/suite fails
 # here. The lint gate keeps the determinism/concurrency/io/poly-compare/
 # layering invariants machine-checked. `dune build @all` also builds
@@ -81,6 +86,14 @@ check:
 	dune exec bin/mobisim.exe -- simulate --space domain --side 12 -k 6 -r 1 --seed 2 | grep -qx 'completed in 89 steps'
 	printf '{ "space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2 }' > /tmp/mobisim-domain-cell.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-domain-cell.json | grep -q '"steps":89'
+	dune exec bin/mobisim.exe -- simulate --space domain --plan wall:2 | grep -qx 'completed in 4506 steps'
+	dune exec bin/mobisim.exe -- simulate --space domain --plan rooms:3:2 --side 24 -k 12 -r 1 | grep -qx 'completed in 511 steps'
+	dune exec bin/mobisim.exe -- simulate --space domain --plan wall:2 --los-blocking -r 2 | grep -qx 'completed in 2382 steps'
+	dune exec bin/mobisim.exe -- simulate --space continuum --density 1 --rc-mult 0.5 | grep -qx 'completed in 142 steps'
+	dune exec bin/mobisim.exe -- simulate --space continuum -k 64 --density 0.5 --rc-mult 0.5 --sigma-frac 0.5 --seed 3 | grep -qx 'completed in 69 steps'
+	dune exec bin/mobisim.exe -- simulate --space continuum -k 8 --density 1e-300 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --trace=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --render=-1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
 	sh test/service_smoke.sh
 	dune build @bench/smoke
 

@@ -138,13 +138,13 @@ let () =
       (Continuum.broadcast
          { Continuum.box_side = 16.; agents = 256; radius = 1.2; sigma = 0.3;
            seed = 7; trial = 0; max_steps = 500 })
-        .Continuum.steps);
+        .Mobile_network.Engine.steps);
   (* clementi dense baseline: one-hop exchange at scale *)
   time_alloc ~label:"clementi side=48 k=1152 R=4" ~reps:10 (fun () ->
       (Baselines.Clementi.broadcast
          { Baselines.Clementi.side = 48; agents = 1152; big_r = 4; rho = 4;
            seed = 7; trial = 0; max_steps = 4800 })
-        .Baselines.Clementi.steps);
+        .Mobile_network.Engine.steps);
   (* barriers: DSU + LOS exchange *)
   let domain =
     Barriers.Domain.central_wall (Grid.create ~side:40 ()) ~gap:2
@@ -153,5 +153,5 @@ let () =
       (Barriers.Barrier_sim.broadcast
          { Barriers.Barrier_sim.domain; agents = 24; radius = 4;
            los_blocking = true; seed = 7; trial = 0; max_steps = 20_000 })
-        .Barriers.Barrier_sim.steps);
+        .Mobile_network.Engine.steps);
   Option.iter write_json json_file

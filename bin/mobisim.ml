@@ -4,6 +4,7 @@
 open Cmdliner
 
 module Config = Mobile_network.Config
+module Engine = Mobile_network.Engine
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
 module Ast = Scenario.Ast
@@ -41,8 +42,6 @@ let require checks =
   | errs ->
       List.iter (Printf.eprintf "invalid arguments: %s\n") errs;
       exit 2
-
-let positive x = x > 0. && Float.is_finite x
 
 (* --- shared argument definitions ----------------------------------------- *)
 
@@ -352,12 +351,13 @@ let space_arg =
   let doc =
     "Space instance to run the shared engine on: grid (the paper's model; \
      full protocol/kernel support), continuum (Brownian agents in a \
-     side x side box, r and sigma = r/4 in continuous units) or domain \
-     (an unobstructed barrier domain). Non-grid spaces run a plain \
-     broadcast: there the grid-only flags \
-     --protocol/--kernel/--torus/--faults/--loss-p/--outage/--churn get \
-     the scenario compiler's diagnostic and \
-     --trace/--render a usage error (exit 2 either way)."
+     side x side box, r and sigma = r/4 in continuous units; see \
+     --density, --rc-mult and --sigma-frac) or domain (a barrier domain \
+     with the floor plan --plan, by default open; see --los-blocking and \
+     --map). Non-grid spaces run a plain broadcast: there the grid-only \
+     flags --protocol/--kernel/--torus/--faults/--loss-p/--outage/--churn \
+     get the scenario compiler's diagnostic and --trace/--render a usage \
+     error (exit 2 either way), as do the other space's flags."
   in
   Arg.(
     value
@@ -366,12 +366,42 @@ let space_arg =
         Ast.default.Ast.space
     & info [ "space" ] ~docv:"SPACE" ~doc)
 
+let plan_arg =
+  let doc = "Domain floor plan: open, wall:<gap> or rooms:<per-side>:<door>." in
+  let plan = ast_conv Ast.plan_of_string Ast.plan_to_string in
+  Arg.(
+    value & opt plan Ast.default.Ast.plan & info [ "plan" ] ~docv:"PLAN" ~doc)
+
+let los_blocking_arg =
+  let doc = "Domain walls also block radio (line-of-sight connectivity)." in
+  Arg.(value & flag & info [ "los-blocking" ] ~doc)
+
+let map_arg =
+  let doc = "Print the domain's floor plan before simulating." in
+  Arg.(value & flag & info [ "map" ] ~doc)
+
+let continuum_arg kind name ~docv ~doc default =
+  Arg.(value & opt kind default & info [ name ] ~docv ~doc)
+
+let density_arg =
+  continuum_arg Arg.(some float) "density" ~docv:"LAMBDA"
+    Ast.default.Ast.density
+    ~doc:"Continuum agents per unit area: the box side is sqrt(k / $(docv))."
+
+let rc_mult_arg =
+  continuum_arg Arg.(some float) "rc-mult" ~docv:"M" Ast.default.Ast.rc_mult
+    ~doc:"Continuum radius as a multiple of the box's percolation radius."
+
+let sigma_frac_arg =
+  continuum_arg Arg.float "sigma-frac" ~docv:"F" Ast.default.Ast.sigma_frac
+    ~doc:"Continuum Brownian step std as a fraction of the radius."
+
 (* Run one compiled cell and print its per-space header and outcome
    lines. The engine parameters, non-grid defaults included, come from
    [Service.Runner.run_cell], the dispatch the service and [--scenario]
    also use. *)
-let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
-    trace_events series =
+let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
+    metrics trace_events series =
   let finish_metrics = install_metrics metrics in
   let finish_trace = install_trace trace_events in
   let side = cell.Ast.c_side
@@ -403,18 +433,25 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
           cfg.Continuum.sigma;
         [
           ("space", Obs.Json.String "continuum");
-          ("side", Obs.Json.Int side);
+          ( "side",
+            Obs.Json.Int (int_of_float (Float.ceil cfg.Continuum.box_side)) );
           ("agents", Obs.Json.Int agents);
           ("radius", Obs.Json.Float cfg.Continuum.radius);
           ("seed", Obs.Json.Int seed);
           ("trial", Obs.Json.Int trial);
         ]
     | Ast.Domain ->
-        Printf.printf "domain: open %dx%d, k=%d r=%d\n" side side agents radius;
+        let domain = Service.Runner.domain_of_cell cell in
+        if show_map then
+          print_string (Render.domain_ascii ~max_width:64 domain);
+        Printf.printf "domain: %s %dx%d, k=%d r=%d%s\n"
+          (Ast.plan_to_string cell.Ast.c_plan)
+          side side agents radius
+          (if cell.Ast.c_los_blocking then " los-blocking" else "");
         [
           ("space", Obs.Json.String "domain");
           ("side", Obs.Json.Int side);
-          ("nodes", Obs.Json.Int (side * side));
+          ("nodes", Obs.Json.Int (Barriers.Domain.free_count domain));
           ("agents", Obs.Json.Int agents);
           ("radius", Obs.Json.Int radius);
           ("seed", Obs.Json.Int seed);
@@ -433,22 +470,26 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
     if render > 0 && Simulation.time sim mod render = 0 then
       print_string (Render.frame sim)
   in
-  let o =
+  let r =
     as_pool_job (fun () ->
         Service.Runner.run_cell ?series:(Option.map snd series) ~on_step cell
           ~seed ~trial)
   in
-  (match (cell.Ast.c_space, o.Service.Runner.completed) with
-  | _, true -> Printf.printf "completed in %d steps\n" o.Service.Runner.steps
-  | Ast.Grid, false ->
-      Printf.printf "TIMED OUT after %d steps\n" o.Service.Runner.steps
+  let completed =
+    match r.Engine.outcome with
+    | Engine.Completed -> true
+    | Engine.Timed_out -> false
+  in
+  (match (cell.Ast.c_space, completed) with
+  | _, true -> Printf.printf "completed in %d steps\n" r.Engine.steps
+  | Ast.Grid, false -> Printf.printf "TIMED OUT after %d steps\n" r.Engine.steps
   | (Ast.Continuum | Ast.Domain), false ->
-      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-        o.Service.Runner.steps o.Service.Runner.informed agents);
+      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n" r.Engine.steps
+        r.Engine.informed agents);
   (match cell.Ast.c_space with
   | Ast.Grid ->
-      Printf.printf "final: informed=%d covered=%d\n" o.Service.Runner.informed
-        o.Service.Runner.covered
+      Printf.printf "final: informed=%d covered=%d\n" r.Engine.informed
+        r.Engine.covered
   | Ast.Continuum | Ast.Domain -> ());
   let protocol = cell.Ast.c_protocol in
   finish_series series
@@ -456,7 +497,7 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
       (meta
       @ outcome_meta
           ~population:(Protocol.population protocol ~k:agents)
-          ~protocol ~completed:o.Service.Runner.completed);
+          ~protocol ~completed);
   finish_trace ();
   finish_metrics ()
 
@@ -464,23 +505,28 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render metrics
    the flag-built scenario off [Ast.default] (or a run option the
    scenario path does not take) would be dropped silently without this
    warning. *)
-let warn_scenario_conflicts flags ~trial ~trace ~render =
+let warn_scenario_conflicts flags ~trial ~trace ~render ~show_map =
   let fields t =
     match Ast.canonical_json t with Obs.Json.Assoc kvs -> kvs | _ -> []
   in
   let moved =
-    (* the canonical form lists the same keys in the same order *)
+    (* fields left at their defaults render identically; the
+       space-specific ones render only off their defaults *)
+    let defaults = fields Ast.default in
     List.filter_map
-      (fun ((k, v), (_, d)) ->
-        if String.equal (Obs.Json.to_string v) (Obs.Json.to_string d) then None
-        else Some k)
-      (List.combine (fields flags) (fields Ast.default))
+      (fun (k, v) ->
+        match List.assoc_opt k defaults with
+        | Some d when Obs.Json.(String.equal (to_string v) (to_string d)) ->
+            None
+        | Some _ | None -> Some k)
+      (fields flags)
     @ List.filter_map
         (fun (set, name) -> if set then Some name else None)
         [
           (trial <> 0, "trial");
           (trace > 0, "trace");
           (render > 0, "render");
+          (show_map, "map");
         ]
   in
   if moved <> [] then
@@ -532,7 +578,13 @@ let run_simulate_scenario path metrics trace_events series =
    validator as a scenario file and runs through the same dispatch. *)
 let run_simulate scenario space side agents radius protocol kernel seed trial
     max_steps trace render torus trace_out metrics trace_events series_file
-    faults_file loss_p outage churn =
+    faults_file loss_p outage churn plan los_blocking show_map density rc_mult
+    sigma_frac =
+  require
+    [
+      (trace >= 0, "--trace must be non-negative");
+      (render >= 0, "--render must be non-negative");
+    ];
   let series = series_output ~series_file ~trace_out in
   let flags =
     {
@@ -547,20 +599,30 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
       seed;
       max_steps;
       faults = load_fault_plan faults_file loss_p outage churn;
+      plan;
+      los_blocking;
+      density;
+      rc_mult;
+      sigma_frac;
     }
   in
   match scenario with
   | Some path ->
-      warn_scenario_conflicts flags ~trial ~trace ~render;
+      warn_scenario_conflicts flags ~trial ~trace ~render ~show_map;
       run_simulate_scenario path metrics trace_events series
   | None -> (
-      (match space with
-      | Ast.Grid -> ()
-      | Ast.Continuum | Ast.Domain ->
-          if trace > 0 || render > 0 then begin
-            Printf.eprintf "--trace and --render need --space grid\n";
-            exit 2
-          end);
+      let grid, domain =
+        match space with
+        | Ast.Grid -> (true, false)
+        | Ast.Continuum -> (false, false)
+        | Ast.Domain -> (false, true)
+      in
+      require
+        [
+          ( grid || trace + render = 0,
+            "--trace and --render need --space grid" );
+          (domain || not show_map, "--map needs --space domain");
+        ];
       match Scenario.Compile.compile_ast flags with
       | Error errs ->
           List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
@@ -568,8 +630,8 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
       | Ok compiled ->
           List.iter
             (fun cell ->
-              run_simulate_cell cell ~seed ~trial ~trace ~render metrics
-                trace_events series)
+              run_simulate_cell cell ~seed ~trial ~trace ~render ~show_map
+                metrics trace_events series)
             compiled.Scenario.Compile.cells)
 
 let simulate_cmd =
@@ -611,7 +673,8 @@ let simulate_cmd =
       $ protocol_arg $ kernel_arg $ seed_arg $ trial_arg $ max_steps_arg
       $ trace $ render $ torus_arg $ trace_out $ metrics_arg
       $ trace_events_arg $ series_arg $ faults_file_arg $ loss_p_arg
-      $ outage_arg $ churn_arg)
+      $ outage_arg $ churn_arg $ plan_arg $ los_blocking_arg $ map_arg
+      $ density_arg $ rc_mult_arg $ sigma_frac_arg)
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a single simulation and report its outcome.")
@@ -750,148 +813,6 @@ let percolation_cmd =
   Cmd.v
     (Cmd.info "percolation"
        ~doc:"Estimate the percolation radius of the visibility graph.")
-    term
-
-(* --- barrier domains --------------------------------------------------------- *)
-
-let parse_plan side plan =
-  let grid = Grid.create ~side () in
-  match String.split_on_char ':' (String.lowercase_ascii plan) with
-  | [ "open" ] -> Ok (Barriers.Domain.unobstructed grid)
-  | [ "wall"; gap ] -> (
-      match int_of_string_opt gap with
-      | Some gap when gap >= 1 -> Ok (Barriers.Domain.central_wall grid ~gap)
-      | Some _ | None -> Error "wall:<gap> needs a positive integer gap")
-  | [ "rooms"; per_side; door ] -> (
-      match (int_of_string_opt per_side, int_of_string_opt door) with
-      | Some p, Some d when p >= 1 && d >= 1 ->
-          Ok (Barriers.Domain.rooms grid ~rooms_per_side:p ~door:d)
-      | _ -> Error "rooms:<per-side>:<door> needs positive integers")
-  | _ -> Error "expected open, wall:<gap> or rooms:<per-side>:<door>"
-
-let run_barrier side agents radius plan los seed trial max_steps show_map
-    metrics =
-  require
-    [
-      (side > 0, "--side must be positive");
-      (agents > 0, "--agents must be positive");
-      (radius >= 0, "--radius must be non-negative");
-      (Option.fold ~none:true ~some:(fun m -> m >= 0) max_steps,
-       "--max-steps must be non-negative");
-    ];
-  match parse_plan side plan with
-  | Error msg ->
-      Printf.eprintf "invalid floor plan %S: %s\n" plan msg;
-      exit 2
-  | Ok domain ->
-      let finish_metrics = install_metrics metrics in
-      if show_map then
-        print_string (Render.domain_ascii ~max_width:64 domain);
-      Printf.printf
-        "plan=%s free=%d/%d connected=%b agents=%d r=%d los-blocking=%b\n"
-        plan
-        (Barriers.Domain.free_count domain)
-        (side * side)
-        (Barriers.Domain.is_connected domain)
-        agents radius los;
-      let report =
-        Barriers.Barrier_sim.broadcast
-          { Barriers.Barrier_sim.domain; agents; radius; los_blocking = los;
-            seed; trial;
-            max_steps =
-              (match max_steps with Some m -> m | None -> 100 * side * side) }
-      in
-      (match report.Barriers.Barrier_sim.outcome with
-      | Barriers.Barrier_sim.Completed ->
-          Printf.printf "completed in %d steps\n"
-            report.Barriers.Barrier_sim.steps
-      | Barriers.Barrier_sim.Timed_out ->
-          Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-            report.Barriers.Barrier_sim.steps
-            report.Barriers.Barrier_sim.informed agents);
-      finish_metrics ()
-
-let barrier_cmd =
-  let plan =
-    let doc =
-      "Floor plan: open, wall:<gap> (central wall with a gap) or \
-       rooms:<per-side>:<door>."
-    in
-    Arg.(value & opt string "wall:2" & info [ "plan" ] ~docv:"PLAN" ~doc)
-  in
-  let los =
-    let doc = "Walls also block radio (line-of-sight connectivity)." in
-    Arg.(value & flag & info [ "los-blocking" ] ~doc)
-  in
-  let show_map =
-    let doc = "Print the floor plan before simulating." in
-    Arg.(value & flag & info [ "map" ] ~doc)
-  in
-  let term =
-    Term.(
-      const run_barrier $ side_arg $ agents_arg $ radius_arg $ plan $ los
-      $ seed_arg $ trial_arg $ max_steps_arg $ show_map $ metrics_arg)
-  in
-  Cmd.v
-    (Cmd.info "barrier"
-       ~doc:
-         "Broadcast on a domain with mobility/communication barriers (the \
-          paper's par. 4 future work).")
-    term
-
-(* --- continuum ---------------------------------------------------------------- *)
-
-let run_continuum agents density radius_mult sigma_frac seed trial metrics =
-  require
-    [
-      (agents > 0, "--agents must be positive");
-      (positive density, "--density must be positive and finite");
-      (positive radius_mult, "--rc-mult must be positive and finite");
-      (positive sigma_frac, "--sigma-frac must be positive and finite");
-    ];
-  let finish_metrics = install_metrics metrics in
-  let box_side = sqrt (float_of_int agents /. density) in
-  let rc = Continuum.critical_radius ~box_side ~agents in
-  let radius = radius_mult *. rc in
-  Printf.printf
-    "k=%d box=%.2f density=%.2f r_c=%.3f r=%.3f (%.2f r_c) sigma=%.3f\n"
-    agents box_side density rc radius radius_mult (radius *. sigma_frac);
-  let report =
-    Continuum.broadcast
-      { Continuum.box_side; agents; radius; sigma = radius *. sigma_frac;
-        seed; trial; max_steps = 1_000_000 }
-  in
-  (match report.Continuum.outcome with
-  | Continuum.Completed ->
-      Printf.printf "completed in %d steps\n" report.Continuum.steps
-  | Continuum.Timed_out ->
-      Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n"
-        report.Continuum.steps report.Continuum.informed agents);
-  finish_metrics ()
-
-let continuum_cmd =
-  let density =
-    let doc = "Agents per unit area (the box side follows from k)." in
-    Arg.(value & opt float 1.0 & info [ "density" ] ~docv:"LAMBDA" ~doc)
-  in
-  let radius_mult =
-    let doc = "Connection radius as a multiple of the percolation radius." in
-    Arg.(value & opt float 0.5 & info [ "rc-mult" ] ~docv:"M" ~doc)
-  in
-  let sigma_frac =
-    let doc = "Brownian step std as a fraction of the connection radius." in
-    Arg.(value & opt float 0.25 & info [ "sigma-frac" ] ~docv:"F" ~doc)
-  in
-  let term =
-    Term.(
-      const run_continuum $ agents_arg $ density $ radius_mult $ sigma_frac
-      $ seed_arg $ trial_arg $ metrics_arg)
-  in
-  Cmd.v
-    (Cmd.info "continuum"
-       ~doc:
-         "Broadcast among Brownian agents in continuous space (the Peres et \
-          al. model of par. 1.1).")
     term
 
 (* --- metrics validation -------------------------------------------------- *)
@@ -1416,7 +1337,7 @@ let () =
          (Pettarin, Pietracaprina, Pucci, Upfal; PODC 2011)."
   in
   let group = Cmd.group info [ simulate_cmd; exp_cmd; list_cmd; percolation_cmd; theory_cmd;
-       barrier_cmd; continuum_cmd; validate_metrics_cmd;
+       validate_metrics_cmd;
        bench_check_cmd; scenario_cmd; serve_cmd; submit_cmd; serve_health_cmd;
        serve_metrics_cmd; serve_watch_cmd; serve_stop_cmd ] in
   exit (Cmd.eval group)

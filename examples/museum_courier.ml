@@ -19,7 +19,7 @@ let median_time ~domain ~radius ~los_blocking =
             { B.domain; agents = 20; radius; los_blocking; seed = 23; trial;
               max_steps = 500_000 }
         in
-        float_of_int report.B.steps)
+        float_of_int report.Mobile_network.Engine.steps)
   in
   Array.sort compare times;
   times.(trials / 2)

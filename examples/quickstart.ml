@@ -4,6 +4,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Config = Mobile_network.Config
+module Engine = Mobile_network.Engine
 module Simulation = Mobile_network.Simulation
 module Theory = Mobile_network.Theory
 
@@ -32,14 +33,14 @@ let () =
   let report = Simulation.run_config ~on_step cfg in
 
   let theory = Theory.broadcast_theta ~n:(Config.n cfg) ~k:agents in
-  (match report.Simulation.outcome with
-  | Simulation.Completed ->
+  (match report.Engine.outcome with
+  | Engine.Completed ->
       Printf.printf "\nbroadcast completed: T_B = %d steps\n"
-        report.Simulation.steps
-  | Simulation.Timed_out ->
+        report.Engine.steps
+  | Engine.Timed_out ->
       Printf.printf "\nhit the step cap after %d steps\n"
-        report.Simulation.steps);
+        report.Engine.steps);
   Printf.printf "paper's shape n/sqrt(k) = %.0f  (measured/theory = %.2f, \
                  the gap is the Theta~ polylog factor)\n"
     theory
-    (float_of_int report.Simulation.steps /. theory)
+    (float_of_int report.Engine.steps /. theory)

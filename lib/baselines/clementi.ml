@@ -14,16 +14,6 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;
-}
-
 (* One transition of the jump kernel, kept as a named entry point for
    the walk-statistics tests; the simulator itself runs [Walk.Jump]
    through the shared engine. *)
@@ -59,15 +49,4 @@ let create ?metrics ?series cfg =
   validate cfg;
   E.create ?metrics ?series ~space:(space_of_config cfg) (spec_of_config cfg)
 
-let report_of (r : Engine.report) =
-  {
-    outcome =
-      (match r.Engine.outcome with
-      | Engine.Completed -> Completed
-      | Engine.Timed_out -> Timed_out);
-    steps = r.Engine.steps;
-    informed = r.Engine.informed;
-  }
-
-let broadcast ?metrics ?series cfg =
-  report_of (E.run (create ?metrics ?series cfg))
+let broadcast ?metrics ?series cfg = E.run (create ?metrics ?series cfg)

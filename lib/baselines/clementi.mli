@@ -23,7 +23,7 @@
     components columns stay at 0 and -1: their model has no component
     statistic and the dense pair set makes the DSU build expensive, so
     the spec turns it off).
-    Reports are byte-identical to the pre-refactor implementation. *)
+    Results are byte-identical to the pre-refactor implementation. *)
 
 type config = {
   side : int;
@@ -35,24 +35,17 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;
-}
-
 val jump : Grid.t -> Prng.t -> int -> Grid.node -> Grid.node
 (** [jump grid rng rho v]: one transition of the jump kernel — uniform
     over the Manhattan ball of radius [rho] around [v] intersected with
     the grid. An alias for [Walk.step grid (Walk.Jump rho) rng v]. *)
 
-val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
+val broadcast :
+  ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config ->
+  Mobile_network.Engine.report
 (** Single-rumor broadcast from a random source under the
-    jump-and-exchange dynamics. Deterministic given [(seed, trial)].
+    jump-and-exchange dynamics, as the engine's run record (its
+    [covered] is 0). Deterministic given [(seed, trial)].
     [metrics] (default the ambient sink) receives the engine's
     per-phase timings; [series] (default none) a per-step
     {!Obs.Series} recorder, whose theory-residual column uses the

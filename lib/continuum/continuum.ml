@@ -17,25 +17,10 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;
-}
-
-(* continuum percolation constant for Gilbert disk graphs:
-   lambda_c * r^2 ~ 1.436 (Quintanilla et al. estimates) *)
-let percolation_constant = 1.436
-
 let critical_radius ~box_side ~agents =
   if not (box_side > 0.) then invalid_arg "Continuum.critical_radius: box <= 0";
   if agents <= 0 then invalid_arg "Continuum.critical_radius: agents <= 0";
-  let lambda = float_of_int agents /. (box_side *. box_side) in
-  sqrt (percolation_constant /. lambda)
+  Mobile_network.Theory.continuum_critical_radius ~box_side ~agents
 
 let components ~box_side ~radius ~xs ~ys =
   let k = Array.length xs in
@@ -83,15 +68,4 @@ let create ?metrics ?series cfg =
   E.create ?metrics ?series ~theory_n:(theory_n cfg)
     ~space:(space_of_config cfg) (spec_of_config cfg)
 
-let report_of (r : Engine.report) =
-  {
-    outcome =
-      (match r.Engine.outcome with
-      | Engine.Completed -> Completed
-      | Engine.Timed_out -> Timed_out);
-    steps = r.Engine.steps;
-    informed = r.Engine.informed;
-  }
-
-let broadcast ?metrics ?series cfg =
-  report_of (E.run (create ?metrics ?series cfg))
+let broadcast ?metrics ?series cfg = E.run (create ?metrics ?series cfg)

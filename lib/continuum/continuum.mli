@@ -22,8 +22,9 @@
     wrapper over {!Mobile_network.Engine} instantiated at {!Space}: the
     same step loop, phase metrics and series recording as the grid
     engine, with the Brownian box supplying mobility and the
-    close-pair index. Reports are byte-identical to the standalone
-    implementation it replaced (same seeds, same streams). *)
+    close-pair index, and it returns the engine's run record. Results are
+    byte-identical to the standalone implementation it replaced (same
+    seeds, same streams). *)
 
 (** The {!Mobile_network.Space.S} instance: float positions, Gaussian
     moves, reflecting box, radius-bucket close pairs. *)
@@ -39,16 +40,6 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;
-}
-
 val critical_radius : box_side:float -> agents:int -> float
 (** The Gilbert-graph percolation radius for [agents] uniform points in
     the box: [sqrt (1.436 / lambda)] with [lambda = agents / box_side²].
@@ -60,9 +51,12 @@ val giant_fraction :
 (** Mean largest-component fraction over fresh uniform placements —
     the continuum order parameter. *)
 
-val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
+val broadcast :
+  ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config ->
+  Mobile_network.Engine.report
 (** Single-rumor broadcast from a uniformly chosen source under
-    reflected-Brownian dynamics with instant component flooding.
+    reflected-Brownian dynamics with instant component flooding; the
+    report's [covered] is 0.
     [metrics] (default the ambient sink) receives the engine's
     per-phase timings, exactly as for {!Mobile_network.Simulation};
     [series] (default none) a per-step {!Obs.Series} recorder, whose

@@ -6,11 +6,12 @@
     placement, source selection, the time-0 exchange (§2: [G_0] already
     floods), the step loop with per-phase {!Obs} timers and series
     recording, coverage/frontier tracking, the protocol stopping
-    predicates and the report type. A concrete simulator is then a space
+    predicates and the run record. A concrete simulator is then a space
     instance plus a {!spec} — see {!Simulation} (grid),
     [Continuum.broadcast], [Baselines.Clementi.broadcast] and
     [Barriers.Barrier_sim.broadcast], all thin wrappers over this
-    functor.
+    functor. Every one of them returns {!report}: it is the only record
+    of how a run ended ({!Simulation.report} is an alias of it).
 
     Determinism contract: for a fixed space, [spec.seed]/[spec.trial]
     fully determine the run. The draw order is {e observable state} —
@@ -25,8 +26,11 @@ type outcome =
 type report = {
   outcome : outcome;
   steps : int;
-  informed : int;
-  covered : int;
+      (** number of steps executed; on [Completed] this is the protocol's
+          completion time ([T_B], [T_G], [T_C], cover or extinction
+          time) *)
+  informed : int;  (** final informed/caught count *)
+  covered : int;  (** final covered-node count (0 when not tracked) *)
 }
 
 (** The space-independent run parameters. *)

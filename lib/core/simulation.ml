@@ -2,8 +2,7 @@
    engine: Grid_space carries the lazy walk and the bucket-grid
    visibility index, Engine carries the step loop, phase timers,
    recording and stopping predicates. This module only adds the
-   Config-level API (validation, default step caps, the config field in
-   reports). *)
+   Config-level API (validation, default step caps). *)
 
 module E = Engine.Make (Grid_space)
 
@@ -11,8 +10,7 @@ type outcome = Engine.outcome =
   | Completed
   | Timed_out
 
-type report = {
-  config : Config.t;
+type report = Engine.report = {
   outcome : outcome;
   steps : int;
   informed : int;
@@ -66,18 +64,9 @@ let step t = E.step t.e
 
 let is_done t = E.is_done t.e
 
-let report_of t (r : Engine.report) =
-  {
-    config = t.cfg;
-    outcome = r.Engine.outcome;
-    steps = r.Engine.steps;
-    informed = r.Engine.informed;
-    covered = r.Engine.covered;
-  }
-
 let run ?on_step t =
   let on_step = Option.map (fun f _e -> f t) on_step in
-  report_of t (E.run ?on_step t.e)
+  E.run ?on_step t.e
 
 let run_config ?on_step ?metrics ?series ?full_rebuild:_ cfg =
   run ?on_step (create ?metrics ?series cfg)

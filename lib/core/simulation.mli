@@ -22,19 +22,16 @@
 type t
 
 (** Why a run stopped. *)
-type outcome =
+type outcome = Engine.outcome =
   | Completed  (** the protocol's stopping predicate became true *)
   | Timed_out  (** the step cap was reached first *)
 
-type report = {
-  config : Config.t;
+(** How a run ended: the engine's one run record. *)
+type report = Engine.report = {
   outcome : outcome;
   steps : int;
-      (** number of steps executed; on [Completed] this is the protocol's
-          completion time ([T_B], [T_G], [T_C], cover or extinction
-          time) *)
-  informed : int;  (** final informed/caught count *)
-  covered : int;  (** final covered-node count (0 when not tracked) *)
+  informed : int;
+  covered : int;
 }
 
 val create :

@@ -26,6 +26,14 @@ let peres_polylog ~k = lnf k ** 2.
 let percolation_radius ~n ~k =
   Visibility.Percolation.rc_theory ~n ~k
 
+(* continuum percolation constant for Gilbert disk graphs:
+   lambda_c * r^2 ~ 1.436 (Quintanilla et al. estimates) *)
+let continuum_percolation_constant = 1.436
+
+let continuum_critical_radius ~box_side ~agents =
+  let lambda = float_of_int agents /. (box_side *. box_side) in
+  sqrt (continuum_percolation_constant /. lambda)
+
 let subcritical_radius ~n ~k =
   Visibility.Percolation.sub_critical_radius ~n ~k
 

@@ -47,6 +47,12 @@ val peres_polylog : k:int -> float
 val percolation_radius : n:int -> k:int -> float
 (** [r_c ~ sqrt (n / k)]. *)
 
+val continuum_critical_radius : box_side:float -> agents:int -> float
+(** The continuum (Peres et al.) analogue of {!percolation_radius}: the
+    Gilbert disk-graph percolation radius [sqrt (1.436 / lambda)],
+    [lambda = agents / box_side²] (Quintanilla et al.'s constant).
+    Unchecked; see [Continuum.critical_radius]. *)
+
 val subcritical_radius : n:int -> k:int -> float
 (** Theorem 2's radius threshold [sqrt (n / (64 e^6 k))]. *)
 

@@ -12,16 +12,6 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;
-}
-
 let validate cfg =
   if cfg.agents <= 0 then invalid_arg "Barrier_sim.broadcast: agents <= 0";
   if cfg.radius < 0 then invalid_arg "Barrier_sim.broadcast: negative radius";
@@ -46,15 +36,4 @@ let create ?metrics ?series cfg =
   E.create ?metrics ?series ~theory_n:(Domain.free_count cfg.domain)
     ~space:(space_of_config cfg) (spec_of_config cfg)
 
-let report_of (r : Engine.report) =
-  {
-    outcome =
-      (match r.Engine.outcome with
-      | Engine.Completed -> Completed
-      | Engine.Timed_out -> Timed_out);
-    steps = r.Engine.steps;
-    informed = r.Engine.informed;
-  }
-
-let broadcast ?metrics ?series cfg =
-  report_of (E.run (create ?metrics ?series cfg))
+let broadcast ?metrics ?series cfg = E.run (create ?metrics ?series cfg)

@@ -11,8 +11,9 @@
 
     Since the Space/Exchange/Engine refactor this simulator is the
     {!Domain_space} instance of {!Mobile_network.Engine} — it inherits
-    phase metrics, series recording and the island/frontier statistics.
-    Reports are byte-identical to the standalone loop it replaced. *)
+    phase metrics, series recording, the island/frontier statistics and
+    the engine's run record. Results are byte-identical to the
+    standalone loop it replaced. *)
 
 type config = {
   domain : Domain.t;
@@ -26,18 +27,11 @@ type config = {
   max_steps : int;
 }
 
-type outcome =
-  | Completed
-  | Timed_out
-
-type report = {
-  outcome : outcome;
-  steps : int;
-  informed : int;  (** final informed count *)
-}
-
-val broadcast : ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config -> report
-(** Run a single-rumor broadcast from a uniformly chosen source agent.
+val broadcast :
+  ?metrics:Obs.Sink.t -> ?series:Obs.Series.t -> config ->
+  Mobile_network.Engine.report
+(** Run a single-rumor broadcast from a uniformly chosen source agent;
+    the report's [covered] is 0.
     [metrics] (default the ambient sink) receives the engine's
     per-phase timings; [series] (default none) a per-step {!Obs.Series}
     recorder whose theory-residual column uses [n = Domain.free_count]

@@ -42,7 +42,13 @@ let samples_named name ~trials ~run =
   let out =
     Runtime.Pool.init (Runtime.Pool.ambient ()) ~n:trials ~f:(fun trial ->
         let t0 = match obs with None -> 0 | Some _ -> Obs.Clock.now_ns () in
-        let steps, timed_out = run ~trial in
+        let report = run ~trial in
+        let steps = report.Mobile_network.Engine.steps in
+        let timed_out =
+          match report.Mobile_network.Engine.outcome with
+          | Mobile_network.Engine.Completed -> false
+          | Mobile_network.Engine.Timed_out -> true
+        in
         (match obs with
         | None -> ()
         | Some o ->
@@ -105,10 +111,7 @@ let completion_times ~trials ~cfg =
       (match (series_dir, series) with
       | Some dir, Some sr -> write_series dir sr config
       | (Some _ | None), _ -> ());
-      ( report.Mobile_network.Simulation.steps,
-        match report.Mobile_network.Simulation.outcome with
-        | Mobile_network.Simulation.Completed -> false
-        | Mobile_network.Simulation.Timed_out -> true ))
+      report)
 
 let trajectory cfg get =
   let module Simulation = Mobile_network.Simulation in

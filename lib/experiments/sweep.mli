@@ -23,9 +23,10 @@ type measured = {
   timeouts : int;  (** how many of them hit the step cap *)
 }
 
-val samples : trials:int -> run:(trial:int -> int * bool) -> measured
+val samples :
+  trials:int -> run:(trial:int -> Mobile_network.Engine.report) -> measured
 (** Generic trial replication over any engine: [run ~trial] performs one
-    run keyed by its trial index and returns [(steps, timed_out)]. All
+    run keyed by its trial index and returns its report. All
     the satellite simulators (continuum, Clementi baseline, barrier
     domains) replicate through this, so their trials fan out over the
     same pool and report into the same [sweep.*] metrics as the grid

@@ -4,11 +4,8 @@ let median_broadcast ~domain ~agents ~radius ~los_blocking ~seed ~trials
     ~max_steps =
   let measured =
     Sweep.samples ~trials ~run:(fun ~trial ->
-        let report =
-          B.broadcast
-            { B.domain; agents; radius; los_blocking; seed; trial; max_steps }
-        in
-        (report.B.steps, report.B.outcome = B.Timed_out))
+        B.broadcast
+          { B.domain; agents; radius; los_blocking; seed; trial; max_steps })
   in
   Sweep.median measured.Sweep.times
 

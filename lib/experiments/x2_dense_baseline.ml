@@ -17,12 +17,9 @@ let run ?(quick = false) ~seed () =
       (fun big_r ->
         let measured =
           Sweep.samples ~trials ~run:(fun ~trial ->
-              let report =
-                C.broadcast
-                  { C.side; agents = dense_k; big_r; rho = big_r; seed; trial;
-                    max_steps = 100 * side }
-              in
-              (report.C.steps, report.C.outcome = C.Timed_out))
+              C.broadcast
+                { C.side; agents = dense_k; big_r; rho = big_r; seed; trial;
+                  max_steps = 100 * side })
         in
         let med = Sweep.median measured.Sweep.times in
         Table.add_row table

@@ -7,6 +7,11 @@ module Config = Mobile_network.Config
 
 type space = Grid | Continuum | Domain
 
+type plan =
+  | Open
+  | Wall of { gap : int }
+  | Rooms of { per_side : int; door : int }
+
 type t = {
   name : string;
   space : space;
@@ -21,6 +26,11 @@ type t = {
   trials : int;
   max_steps : int option;
   faults : Faults.Plan.t;
+  plan : plan;
+  los_blocking : bool;
+  density : float option;
+  rc_mult : float option;
+  sigma_frac : float;
 }
 
 let default =
@@ -38,51 +48,12 @@ let default =
     trials = 1;
     max_steps = None;
     faults = Faults.Plan.empty;
+    plan = Open;
+    los_blocking = false;
+    density = None;
+    rc_mult = None;
+    sigma_frac = 0.25;
   }
-
-(* structural equality via the canonical rendering: the AST contains
-   only data (ints, floats inside the plan, variants), so comparing the
-   canonical JSON strings is total, NaN-free and keeps poly-compare out *)
-let kernel_equal a b =
-  match (a, b) with
-  | Walk.Lazy_one_fifth, Walk.Lazy_one_fifth
-  | Walk.Simple, Walk.Simple
-  | Walk.Lazy_half, Walk.Lazy_half ->
-      true
-  | Walk.Jump a, Walk.Jump b -> Int.equal a b
-  | _ -> false
-
-let space_equal a b =
-  match (a, b) with
-  | Grid, Grid | Continuum, Continuum | Domain, Domain -> true
-  | _ -> false
-
-let exchange_equal a b =
-  match (a, b) with
-  | Config.Flood_component, Config.Flood_component
-  | Config.Single_hop, Config.Single_hop ->
-      true
-  | _ -> false
-
-let list_equal eq a b =
-  List.length a = List.length b && List.for_all2 eq a b
-
-let equal a b =
-  String.equal a.name b.name
-  && space_equal a.space b.space
-  && list_equal Int.equal a.sides b.sides
-  && list_equal Int.equal a.agents b.agents
-  && list_equal Int.equal a.radii b.radii
-  && list_equal Protocol.equal a.protocols b.protocols
-  && list_equal kernel_equal a.kernels b.kernels
-  && exchange_equal a.exchange b.exchange
-  && Bool.equal a.torus b.torus
-  && Int.equal a.seed b.seed
-  && Int.equal a.trials b.trials
-  && Option.equal Int.equal a.max_steps b.max_steps
-  && String.equal
-       (Faults.Plan.to_string a.faults)
-       (Faults.Plan.to_string b.faults)
 
 (* --- string forms ------------------------------------------------------ *)
 
@@ -169,6 +140,25 @@ let exchange_of_string s =
       Error
         (Printf.sprintf "unknown exchange %S (expected flood or single-hop)" s)
 
+let plan_to_string = function
+  | Open -> "open"
+  | Wall { gap } -> Printf.sprintf "wall:%d" gap
+  | Rooms { per_side; door } -> Printf.sprintf "rooms:%d:%d" per_side door
+
+let plan_of_string s =
+  match String.split_on_char ':' (String.lowercase_ascii s) with
+  | [ "open" ] -> Ok Open
+  | [ "wall"; gap ] -> (
+      match int_of_string_opt gap with
+      | Some gap when gap >= 1 -> Ok (Wall { gap })
+      | Some _ | None -> Error "wall:<gap> needs a positive integer gap")
+  | [ "rooms"; per_side; door ] -> (
+      match (int_of_string_opt per_side, int_of_string_opt door) with
+      | Some per_side, Some door when per_side >= 1 && door >= 1 ->
+          Ok (Rooms { per_side; door })
+      | _ -> Error "rooms:<per-side>:<door> needs positive integers")
+  | _ -> Error "expected open, wall:<gap> or rooms:<per-side>:<door>"
+
 (* --- desugaring --------------------------------------------------------- *)
 
 type cell = {
@@ -182,6 +172,11 @@ type cell = {
   c_torus : bool;
   c_max_steps : int option;
   c_faults : Faults.Plan.t;
+  c_plan : plan;
+  c_los_blocking : bool;
+  c_density : float option;
+  c_rc_mult : float option;
+  c_sigma_frac : float;
 }
 
 let cells t =
@@ -208,6 +203,11 @@ let cells t =
                         c_torus = t.torus;
                         c_max_steps = t.max_steps;
                         c_faults = t.faults;
+                        c_plan = t.plan;
+                        c_los_blocking = t.los_blocking;
+                        c_density = t.density;
+                        c_rc_mult = t.rc_mult;
+                        c_sigma_frac = t.sigma_frac;
                       })
                     t.kernels)
                 t.protocols)
@@ -225,6 +225,28 @@ let cell_config c ~seed ~trial =
     ?max_steps:c.c_max_steps ~faults:c.c_faults ~side:c.c_side
     ~agents:c.c_agents ()
 
+type geometry = { g_box_side : float; g_radius : float; g_sigma : float }
+
+let continuum_geometry c =
+  let g_box_side =
+    match c.c_density with
+    | Some density -> sqrt (float_of_int c.c_agents /. density)
+    | None -> float_of_int c.c_side
+  in
+  let g_radius =
+    match c.c_rc_mult with
+    | Some m ->
+        m
+        *. Mobile_network.Theory.continuum_critical_radius
+             ~box_side:g_box_side ~agents:c.c_agents
+    | None -> float_of_int c.c_radius
+  in
+  {
+    g_box_side;
+    g_radius;
+    g_sigma = (if g_radius > 0. then g_radius *. c.c_sigma_frac else 1.0);
+  }
+
 (* --- canonical form ------------------------------------------------------ *)
 
 let axis ints = Json.List (List.map (fun i -> Json.Int i) ints)
@@ -232,14 +254,32 @@ let axis ints = Json.List (List.map (fun i -> Json.Int i) ints)
 let axis_str to_string vals =
   Json.List (List.map (fun v -> Json.String (to_string v)) vals)
 
+let space_settings t =
+  List.filter_map Fun.id
+    [
+      (match t.plan with
+      | Open -> None
+      | Wall _ | Rooms _ ->
+          Some ("plan", Domain, Json.String (plan_to_string t.plan)));
+      (if t.los_blocking then Some ("los_blocking", Domain, Json.Bool true)
+       else None);
+      Option.map (fun d -> ("density", Continuum, Json.Float d)) t.density;
+      Option.map (fun m -> ("rc_mult", Continuum, Json.Float m)) t.rc_mult;
+      (if Float.equal t.sigma_frac default.sigma_frac then None
+       else Some ("sigma_frac", Continuum, Json.Float t.sigma_frac));
+    ]
+
 (* semantic fields in fixed order; [name] is prepended only by
    [canonical_json] so the hash never sees it *)
 let semantic_fields t =
-  [
-    ("space", Json.String (space_to_string t.space));
-    ("side", axis t.sides);
-    ("agents", axis t.agents);
-    ("radius", axis t.radii);
+  (* a set [density] ([rc_mult]) replaces [side] ([radius]), which the
+     compiler then rejects if written, so the canonical form omits it *)
+  let unless replaced field = if replaced then [] else [ field ] in
+  [ ("space", Json.String (space_to_string t.space)) ]
+  @ unless (Option.is_some t.density) ("side", axis t.sides)
+  @ [ ("agents", axis t.agents) ]
+  @ unless (Option.is_some t.rc_mult) ("radius", axis t.radii)
+  @ [
     ("protocol", axis_str protocol_to_string t.protocols);
     ("kernel", axis_str kernel_to_string t.kernels);
     ("exchange", Json.String (exchange_to_string t.exchange));
@@ -250,11 +290,19 @@ let semantic_fields t =
       match t.max_steps with Some m -> Json.Int m | None -> Json.Null );
     ("faults", Faults.Plan.to_json t.faults);
   ]
+  @ List.map (fun (k, _, v) -> (k, v)) (space_settings t)
 
 let canonical_json t =
   Json.Assoc (("name", Json.String t.name) :: semantic_fields t)
 
 let to_string t = Json.to_string_pretty (canonical_json t) ^ "\n"
+
+(* the AST holds only data, so its canonical rendering is a total,
+   NaN-free equality that keeps poly-compare out *)
+let equal a b =
+  String.equal
+    (Json.to_string (canonical_json a))
+    (Json.to_string (canonical_json b))
 
 let fnv1a64 s =
   let prime = 0x100000001B3L in
@@ -282,6 +330,11 @@ let cell_scenario c =
     trials = 1;
     max_steps = c.c_max_steps;
     faults = c.c_faults;
+    plan = c.c_plan;
+    los_blocking = c.c_los_blocking;
+    density = c.c_density;
+    rc_mult = c.c_rc_mult;
+    sigma_frac = c.c_sigma_frac;
   }
 
 (* A cell's identity deliberately excludes seed/trials (those key the

@@ -34,7 +34,8 @@ let value_pos (j : Pjson.t) = j.Pjson.pos
 let known_fields =
   [
     "name"; "space"; "side"; "agents"; "radius"; "protocol"; "kernel";
-    "exchange"; "torus"; "seed"; "trials"; "max_steps"; "faults";
+    "exchange"; "torus"; "seed"; "trials"; "max_steps"; "faults"; "plan";
+    "los_blocking"; "density"; "rc_mult"; "sigma_frac";
   ]
 
 let read_string ctx name default j =
@@ -57,6 +58,14 @@ let read_int ctx name default j =
   | _ ->
       diag ctx (value_pos j) (Printf.sprintf "%s must be an integer" name);
       default
+
+let read_number ctx name (j : Pjson.t) =
+  match j.Pjson.v with
+  | Pjson.Int i -> Some (float_of_int i)
+  | Pjson.Float f -> Some f
+  | _ ->
+      diag ctx (value_pos j) (Printf.sprintf "%s must be a number" name);
+      None
 
 (* An axis field: a scalar or a non-empty list of scalars. [read_one]
    parses a single element (reporting at its own position). *)
@@ -87,6 +96,10 @@ let parsed_elem ctx name of_string (j : Pjson.t) =
       diag ctx (value_pos j) (Printf.sprintf "%s must be a string" name);
       None
 
+(* A scalar string field; an unreadable value keeps [default]. *)
+let parsed ctx name of_string default j =
+  Option.value (parsed_elem ctx name of_string j) ~default
+
 let parse_pjson ctx (j : Pjson.t) =
   (match j.Pjson.v with
   | Pjson.Assoc _ -> ()
@@ -105,10 +118,8 @@ let parse_pjson ctx (j : Pjson.t) =
   {
     Ast.name = field "name" d.Ast.name (read_string ctx "name" d.Ast.name);
     space =
-      field "space" d.Ast.space (fun v ->
-          match parsed_elem ctx "space" Ast.space_of_string v with
-          | Some s -> s
-          | None -> d.Ast.space);
+      field "space" d.Ast.space
+        (parsed ctx "space" Ast.space_of_string d.Ast.space);
     sides =
       field "side" d.Ast.sides
         (read_axis ctx "side" d.Ast.sides (int_elem ctx "side"));
@@ -127,10 +138,8 @@ let parse_pjson ctx (j : Pjson.t) =
         (read_axis ctx "kernel" d.Ast.kernels
            (parsed_elem ctx "kernel" Ast.kernel_of_string));
     exchange =
-      field "exchange" d.Ast.exchange (fun v ->
-          match parsed_elem ctx "exchange" Ast.exchange_of_string v with
-          | Some e -> e
-          | None -> d.Ast.exchange);
+      field "exchange" d.Ast.exchange
+        (parsed ctx "exchange" Ast.exchange_of_string d.Ast.exchange);
     torus = field "torus" d.Ast.torus (read_bool ctx "torus" d.Ast.torus);
     seed = field "seed" d.Ast.seed (read_int ctx "seed" d.Ast.seed);
     trials = field "trials" d.Ast.trials (read_int ctx "trials" d.Ast.trials);
@@ -150,6 +159,17 @@ let parse_pjson ctx (j : Pjson.t) =
               (* already formatted with file:line:col by Faults *)
               record ctx v.Pjson.pos msg;
               d.Ast.faults);
+    plan =
+      field "plan" d.Ast.plan (parsed ctx "plan" Ast.plan_of_string d.Ast.plan);
+    los_blocking =
+      field "los_blocking" d.Ast.los_blocking
+        (read_bool ctx "los_blocking" d.Ast.los_blocking);
+    density = field "density" d.Ast.density (read_number ctx "density");
+    rc_mult = field "rc_mult" d.Ast.rc_mult (read_number ctx "rc_mult");
+    sigma_frac =
+      field "sigma_frac" d.Ast.sigma_frac (fun v ->
+          Option.value (read_number ctx "sigma_frac" v)
+            ~default:d.Ast.sigma_frac);
   }
 
 (* --- validation --------------------------------------------------------- *)
@@ -208,10 +228,80 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
       if ast.Ast.torus then diag ctx (where "torus") (non_grid "torus");
       if not (Faults.Plan.is_empty ast.Ast.faults) then
         diag ctx (where "faults") (non_grid "faults"));
-  (* per-cell engine validation (grid only): every desugared point must
-     be a configuration the engine accepts *)
+  (* the space-specific scalars off their defaults belong to one space,
+     and the continuum's numbers must be positive and finite *)
+  List.iter
+    (fun (name, owner, v) ->
+      let owner = Ast.space_to_string owner
+      and space = Ast.space_to_string ast.Ast.space in
+      if not (String.equal owner space) then
+        diag ctx (where name)
+          (Printf.sprintf "%s is %s-only: --space %s does not take it" name
+             owner space);
+      match v with
+      | Obs.Json.Float x when not (x > 0. && Float.is_finite x) ->
+          diag ctx (where name)
+            (Printf.sprintf "%s must be positive and finite" name)
+      | _ -> ())
+    (Ast.space_settings ast);
+  (* [density] and [rc_mult] replace [side] and [radius]: set one of
+     each pair (a file writes it, a flag moves it off its default) *)
+  List.iter
+    (fun (set, name, replaced, is_default) ->
+      let written =
+        match src with
+        | Some j -> Option.is_some (Pjson.member replaced j)
+        | None -> not is_default
+      in
+      if set && written then
+        diag ctx (where name)
+          (Printf.sprintf "%s replaces %s: set one of them, not both" name
+             replaced))
+    [
+      ( Option.is_some ast.Ast.density, "density", "side",
+        List.equal Int.equal ast.Ast.sides Ast.default.Ast.sides );
+      ( Option.is_some ast.Ast.rc_mult, "rc_mult", "radius",
+        List.equal Int.equal ast.Ast.radii Ast.default.Ast.radii );
+    ];
+  (* one cell per room keeps a free node in every rooms plan *)
+  (match ast.Ast.plan with
+  | Ast.Rooms { per_side; _ } ->
+      check_axis "plan" ast.Ast.sides (fun side -> per_side <= side)
+        (Printf.sprintf "plan %s needs a side of at least %d"
+           (Ast.plan_to_string ast.Ast.plan)
+           per_side)
+  | Ast.Open | Ast.Wall _ -> ());
+  (* per-cell engine validation: every desugared point must be a
+     configuration the engine accepts *)
   if ctx.errs = [] then
     match ast.Ast.space with
+    | Ast.Continuum ->
+        (* the derived box side, radius and Brownian step obey the limits
+           of the side and radius they replace (Config.max_* say why);
+           each derives from the one before, so report the first *)
+        let limits =
+          [
+            ("density", "box side", 1., float_of_int Config.max_side);
+            ("rc_mult", "radius", 0., float_of_int Config.max_radius);
+            ("sigma_frac", "Brownian step", 0., float_of_int Config.max_radius);
+          ]
+        in
+        List.iter
+          (fun (c : Ast.cell) ->
+            let g = Ast.continuum_geometry c in
+            match
+              List.find_opt
+                (fun ((_, _, lo, hi), v) -> not (v >= lo && v <= hi))
+                (List.combine limits
+                   [ g.Ast.g_box_side; g.Ast.g_radius; g.Ast.g_sigma ])
+            with
+            | Some ((name, what, lo, hi), v) ->
+                diag ctx (where name)
+                  (Printf.sprintf
+                     "%s makes the %s %g (k=%d); it must lie in [%g, %g]" name
+                     what v c.Ast.c_agents lo hi)
+            | None -> ())
+          (Ast.cells ast)
     | Ast.Grid ->
         List.iter
           (fun (c : Ast.cell) ->
@@ -227,7 +317,7 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
                      (Ast.protocol_to_string c.Ast.c_protocol)
                      msg))
           (Ast.cells ast)
-    | Ast.Continuum | Ast.Domain -> ()
+    | Ast.Domain -> ()
 
 let finish ctx =
   List.rev ctx.errs

@@ -2,85 +2,64 @@ module Json = Obs.Json
 module Ast = Scenario.Ast
 module Compile = Scenario.Compile
 
-type outcome = { completed : bool; steps : int; informed : int; covered : int }
+module Engine = Mobile_network.Engine
 
 let continuum_config (c : Ast.cell) ~seed ~trial =
-  let radius = float_of_int c.Ast.c_radius in
+  let g = Ast.continuum_geometry c in
   {
-    Continuum.box_side = float_of_int c.Ast.c_side;
+    Continuum.box_side = g.Ast.g_box_side;
     agents = c.Ast.c_agents;
-    radius;
-    sigma = (if radius > 0. then radius /. 4. else 1.0);
+    radius = g.Ast.g_radius;
+    sigma = g.Ast.g_sigma;
     seed;
     trial;
     max_steps = (match c.Ast.c_max_steps with Some m -> m | None -> 1_000_000);
   }
 
+let domain_of_cell (c : Ast.cell) =
+  let grid = Grid.create ~side:c.Ast.c_side () in
+  match c.Ast.c_plan with
+  | Ast.Open -> Barriers.Domain.unobstructed grid
+  | Ast.Wall { gap } -> Barriers.Domain.central_wall grid ~gap
+  | Ast.Rooms { per_side; door } ->
+      Barriers.Domain.rooms grid ~rooms_per_side:per_side ~door
+
 let run_cell ?series ?on_step (c : Ast.cell) ~seed ~trial =
   match c.Ast.c_space with
   | Ast.Grid ->
-      let r =
-        Mobile_network.Simulation.run_config ?on_step ?series
-          (Ast.cell_config c ~seed ~trial)
-      in
-      {
-        completed =
-          (match r.Mobile_network.Simulation.outcome with
-          | Mobile_network.Simulation.Completed -> true
-          | Mobile_network.Simulation.Timed_out -> false);
-        steps = r.Mobile_network.Simulation.steps;
-        informed = r.Mobile_network.Simulation.informed;
-        covered = r.Mobile_network.Simulation.covered;
-      }
+      Mobile_network.Simulation.run_config ?on_step ?series
+        (Ast.cell_config c ~seed ~trial)
   | Ast.Continuum ->
-      let r = Continuum.broadcast ?series (continuum_config c ~seed ~trial) in
-      {
-        completed =
-          (match r.Continuum.outcome with
-          | Continuum.Completed -> true
-          | Continuum.Timed_out -> false);
-        steps = r.Continuum.steps;
-        informed = r.Continuum.informed;
-        covered = 0;
-      }
+      Continuum.broadcast ?series (continuum_config c ~seed ~trial)
   | Ast.Domain ->
       let side = c.Ast.c_side in
-      let r =
-        Barriers.Barrier_sim.broadcast ?series
-          {
-            Barriers.Barrier_sim.domain =
-              Barriers.Domain.unobstructed (Grid.create ~side ());
-            agents = c.Ast.c_agents;
-            radius = c.Ast.c_radius;
-            los_blocking = false;
-            seed;
-            trial;
-            max_steps =
-              (match c.Ast.c_max_steps with
-              | Some m -> m
-              | None -> 100 * side * side);
-          }
-      in
-      {
-        completed =
-          (match r.Barriers.Barrier_sim.outcome with
-          | Barriers.Barrier_sim.Completed -> true
-          | Barriers.Barrier_sim.Timed_out -> false);
-        steps = r.Barriers.Barrier_sim.steps;
-        informed = r.Barriers.Barrier_sim.informed;
-        covered = 0;
-      }
+      Barriers.Barrier_sim.broadcast ?series
+        {
+          Barriers.Barrier_sim.domain = domain_of_cell c;
+          agents = c.Ast.c_agents;
+          radius = c.Ast.c_radius;
+          los_blocking = c.Ast.c_los_blocking;
+          seed;
+          trial;
+          max_steps =
+            (match c.Ast.c_max_steps with
+            | Some m -> m
+            | None -> 100 * side * side);
+        }
 
 let run_payload ?series c ~seed ~trial =
-  let o = run_cell ?series c ~seed ~trial in
+  let r = run_cell ?series c ~seed ~trial in
   Json.to_string
     (Json.Assoc
        [
          ( "outcome",
-           Json.String (if o.completed then "completed" else "timed-out") );
-         ("steps", Json.Int o.steps);
-         ("informed", Json.Int o.informed);
-         ("covered", Json.Int o.covered);
+           Json.String
+             (match r.Engine.outcome with
+             | Engine.Completed -> "completed"
+             | Engine.Timed_out -> "timed-out") );
+         ("steps", Json.Int r.Engine.steps);
+         ("informed", Json.Int r.Engine.informed);
+         ("covered", Json.Int r.Engine.covered);
        ])
 
 (* One run of the matrix: cell index, its hash, and the trial. *)

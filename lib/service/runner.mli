@@ -46,34 +46,32 @@ val run :
     result payloads and the body are unaffected) and writes
     [<series_dir>/<cell hash>.series.json] atomically. *)
 
-type outcome = {
-  completed : bool;  (** [false]: the step cap was hit first *)
-  steps : int;
-  informed : int;
-  covered : int;  (** grid coverage; [0] on the non-grid spaces *)
-}
-
 val run_cell :
   ?series:Obs.Series.t ->
   ?on_step:(Mobile_network.Simulation.t -> unit) ->
   Scenario.Ast.cell ->
   seed:int ->
   trial:int ->
-  outcome
+  Mobile_network.Engine.report
 (** One engine run of a compiled cell: the single per-space dispatch
     behind the service, [mobisim simulate] and
-    [mobisim simulate --scenario]. [series] attaches a per-step
-    recorder (all three spaces); [on_step] reaches
+    [mobisim simulate --scenario] ([covered] is 0 off the grid).
+    [series] attaches a per-step recorder (all three spaces); [on_step]
+    reaches
     {!Mobile_network.Simulation.run_config} and is ignored on the
     non-grid spaces. Non-grid cells derive their engine parameters
-    here: see {!continuum_config}; a domain cell is the unobstructed
-    [side x side] domain with a [100 * side * side] default step cap. *)
+    here: see {!continuum_config}; a domain cell runs {!domain_of_cell}
+    with a [100 * side * side] default step cap. *)
 
 val continuum_config :
   Scenario.Ast.cell -> seed:int -> trial:int -> Continuum.config
-(** The continuum engine configuration of a cell: box side [side],
-    connection radius [r], Brownian step [sigma = r / 4] ([1.0] when
-    [r = 0]) and a default step cap of [1_000_000]. *)
+(** The continuum engine configuration of a cell: the box of
+    {!Scenario.Ast.continuum_geometry} (by default side [side], radius
+    [r], [sigma = r / 4], [1.0] when [r = 0]) and a default step cap of
+    [1_000_000]. *)
+
+val domain_of_cell : Scenario.Ast.cell -> Barriers.Domain.t
+(** The cell's floor plan on a bounded [side x side] grid. *)
 
 val run_payload :
   ?series:Obs.Series.t -> Scenario.Ast.cell -> seed:int -> trial:int -> string

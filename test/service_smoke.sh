@@ -1,5 +1,5 @@
 #!/bin/sh
-# End-to-end smoke for the mobisim service daemon. Three scenes:
+# End-to-end smoke for the mobisim service daemon. Four scenes:
 #
 #   1. cache: submit the same sweep twice to one daemon — responses must
 #      be byte-identical, and after the warm submit the metrics must show
@@ -16,6 +16,12 @@
 #      the final progress line), the streamed result lines must equal
 #      the persisted artifact bytes, per-cell series files must
 #      validate, and serve-watch / serve-metrics --prom must answer.
+#
+#   4. bad input: sizes beyond the engine's limits, a malformed floor
+#      plan and a zero continuum density each get an error response
+#      (never a dead daemon: serve-health must still answer), and a
+#      floor-plan cell's result line equals `simulate --scenario` on the
+#      same file.
 #
 # Needs only the built binary: MOBISIM=... overrides the default path.
 set -eu
@@ -206,4 +212,46 @@ watch_lines=$("$BIN" serve-watch --root "$ROOT_D" --socket "$SOCK_D" \
 
 "$BIN" serve-stop --root "$ROOT_D" --socket "$SOCK_D" > /dev/null
 echo "service_smoke: stream scene ok (first result at line $first_result, series files: $n_series)"
+
+# --- scene 4: bad input gets an error response, the daemon lives on ------
+
+ROOT_E=$TMP/e
+SOCK_E=$TMP/e.sock
+"$BIN" serve --quiet --root "$ROOT_E" --socket "$SOCK_E" --jobs 1 &
+PIDS="$PIDS $!"
+wait_health "$ROOT_E" "$SOCK_E"
+
+n_bad=0
+for bad in \
+  '{"side": 16, "agents": 2, "radius": 4611686018427387889}' \
+  '{"side": 3037000500, "agents": 2}' \
+  '{"side": 16, "agents": 4611686018427387903}' \
+  '{"space": "domain", "side": 12, "agents": 6, "plan": "wall:0"}' \
+  '{"space": "continuum", "agents": 8, "density": 0}'; do
+  n_bad=$((n_bad + 1))
+  printf '%s\n' "$bad" > "$TMP/bad$n_bad.json"
+  if "$BIN" submit "$TMP/bad$n_bad.json" --root "$ROOT_E" --socket "$SOCK_E" \
+    > "$TMP/bad$n_bad.out" 2>&1; then
+    fail "bad input $n_bad was accepted: $bad"
+  fi
+  grep -q '"ok":false' "$TMP/bad$n_bad.out" \
+    || fail "bad input $n_bad got no error response: $(cat "$TMP/bad$n_bad.out")"
+  "$BIN" serve-health --root "$ROOT_E" --socket "$SOCK_E" > /dev/null \
+    || fail "daemon stopped answering after bad input $n_bad"
+done
+
+cat > "$TMP/wall.json" <<'EOF'
+{"space": "domain", "side": 16, "agents": 8, "radius": 1, "plan": "wall:2",
+ "seed": 5}
+EOF
+"$BIN" submit "$TMP/wall.json" --root "$ROOT_E" --socket "$SOCK_E" \
+  > "$TMP/wall.out"
+served=$(grep '"result"' "$TMP/wall.out" | sed 's/.*"result"://; s/}$//')
+local_run=$("$BIN" simulate --scenario "$TMP/wall.json" | sed -n 's/^result: //p')
+[ -n "$served" ] || fail "floor-plan submit returned no result line"
+[ "$served" = "$local_run" ] \
+  || fail "floor-plan result differs: daemon $served, simulate $local_run"
+
+"$BIN" serve-stop --root "$ROOT_E" --socket "$SOCK_E" > /dev/null
+echo "service_smoke: bad-input scene ok ($n_bad rejected, wall:2 result $served)"
 echo "service_smoke: OK"

@@ -2,6 +2,7 @@
 
 module Domain = Barriers.Domain
 module B = Barriers.Barrier_sim
+module E = Mobile_network.Engine
 
 let grid10 = Grid.create ~side:10 ()
 
@@ -209,22 +210,22 @@ let default_cfg domain =
 let test_sim_completes_open () =
   let d = Domain.unobstructed (Grid.create ~side:16 ()) in
   let r = B.broadcast (default_cfg d) in
-  (match r.B.outcome with
-  | B.Completed -> ()
-  | B.Timed_out -> Alcotest.fail "should complete");
-  Alcotest.(check int) "all informed" 8 r.B.informed
+  (match r.E.outcome with
+  | E.Completed -> ()
+  | E.Timed_out -> Alcotest.fail "should complete");
+  Alcotest.(check int) "all informed" 8 r.E.informed
 
 let test_sim_completes_through_wall () =
   let d = Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
   let r = B.broadcast (default_cfg d) in
-  match r.B.outcome with
-  | B.Completed -> Alcotest.(check int) "all informed" 8 r.B.informed
-  | B.Timed_out -> Alcotest.fail "connected domain must complete"
+  match r.E.outcome with
+  | E.Completed -> Alcotest.(check int) "all informed" 8 r.E.informed
+  | E.Timed_out -> Alcotest.fail "connected domain must complete"
 
 let test_sim_deterministic () =
   let d = Domain.rooms (Grid.create ~side:18 ()) ~rooms_per_side:2 ~door:2 in
   let a = B.broadcast (default_cfg d) and b = B.broadcast (default_cfg d) in
-  Alcotest.(check int) "same steps" a.B.steps b.B.steps
+  Alcotest.(check int) "same steps" a.E.steps b.E.steps
 
 let test_sim_times_out_when_disconnected () =
   let g = Grid.create ~side:10 () in
@@ -235,20 +236,20 @@ let test_sim_times_out_when_disconnected () =
   let r = B.broadcast cfg in
   (* with 8 agents both chambers are occupied w.h.p., so the rumor can
      never cross *)
-  match r.B.outcome with
-  | B.Timed_out ->
-      Alcotest.(check bool) "someone stayed uninformed" true (r.B.informed < 8)
-  | B.Completed ->
+  match r.E.outcome with
+  | E.Timed_out ->
+      Alcotest.(check bool) "someone stayed uninformed" true (r.E.informed < 8)
+  | E.Completed ->
       (* possible only if every agent started in the source's chamber *)
-      Alcotest.(check int) "degenerate completion" 8 r.B.informed
+      Alcotest.(check int) "degenerate completion" 8 r.E.informed
 
 let test_sim_single_agent () =
   let d = Domain.unobstructed grid10 in
   let r = B.broadcast { (default_cfg d) with B.agents = 1 } in
-  (match r.B.outcome with
-  | B.Completed -> ()
-  | B.Timed_out -> Alcotest.fail "single agent completes at t0");
-  Alcotest.(check int) "zero steps" 0 r.B.steps
+  (match r.E.outcome with
+  | E.Completed -> ()
+  | E.Timed_out -> Alcotest.fail "single agent completes at t0");
+  Alcotest.(check int) "zero steps" 0 r.E.steps
 
 let test_sim_validation () =
   let d = Domain.unobstructed grid10 in
@@ -269,7 +270,7 @@ let test_sim_los_blocking_not_faster () =
       Array.init 7 (fun trial ->
           (B.broadcast
              { (default_cfg d) with B.radius = 4; los_blocking; trial })
-            .B.steps)
+            .E.steps)
     in
     Array.sort compare times;
     float_of_int times.(3)

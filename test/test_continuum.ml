@@ -1,13 +1,14 @@
 (* Tests for the continuous-space (Peres et al.) Brownian model. *)
 
 module C = Continuum
+module E = Mobile_network.Engine
 
 let cfg ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) ?(sigma = 0.25)
     ?(seed = 0) ?(trial = 0) ?(max_steps = 200_000) () =
   { C.box_side; agents; radius; sigma; seed; trial; max_steps }
 
-let completed (r : C.report) =
-  match r.C.outcome with C.Completed -> true | C.Timed_out -> false
+let completed (r : E.report) =
+  match r.E.outcome with E.Completed -> true | E.Timed_out -> false
 
 let test_critical_radius () =
   (* lambda = 1: rc = sqrt(1.436) *)
@@ -24,21 +25,21 @@ let test_critical_radius () =
 let test_broadcast_completes () =
   let r = C.broadcast (cfg ()) in
   Alcotest.(check bool) "completed" true (completed r);
-  Alcotest.(check int) "all informed" 32 r.C.informed
+  Alcotest.(check int) "all informed" 32 r.E.informed
 
 let test_single_agent () =
   let r = C.broadcast (cfg ~agents:1 ()) in
   Alcotest.(check bool) "completed" true (completed r);
-  Alcotest.(check int) "instant" 0 r.C.steps
+  Alcotest.(check int) "instant" 0 r.E.steps
 
 let test_deterministic () =
   let a = C.broadcast (cfg ~seed:4 ~trial:1 ()) in
   let b = C.broadcast (cfg ~seed:4 ~trial:1 ()) in
-  Alcotest.(check int) "same steps" a.C.steps b.C.steps;
-  Alcotest.(check int) "same informed" a.C.informed b.C.informed
+  Alcotest.(check int) "same steps" a.E.steps b.E.steps;
+  Alcotest.(check int) "same informed" a.E.informed b.E.informed
 
 let test_trials_vary () =
-  let steps trial = (C.broadcast (cfg ~trial ())).C.steps in
+  let steps trial = (C.broadcast (cfg ~trial ())).E.steps in
   let all = List.init 6 steps in
   Alcotest.(check bool) "trials differ" true
     (List.exists (fun s -> s <> List.hd all) (List.tl all))
@@ -47,13 +48,13 @@ let test_huge_radius_instant () =
   (* radius covering the whole box: one component at t0 *)
   let r = C.broadcast (cfg ~radius:20. ()) in
   Alcotest.(check bool) "completed" true (completed r);
-  Alcotest.(check int) "instant flood" 0 r.C.steps
+  Alcotest.(check int) "instant flood" 0 r.E.steps
 
 let test_zero_radius_stalls () =
   (* measure-zero meeting probability: nothing ever happens *)
   let r = C.broadcast (cfg ~agents:4 ~radius:0. ~max_steps:100 ()) in
   Alcotest.(check bool) "timed out" false (completed r);
-  Alcotest.(check int) "only the source knows" 1 r.C.informed
+  Alcotest.(check int) "only the source knows" 1 r.E.informed
 
 let test_validation () =
   Alcotest.check_raises "agents" (Invalid_argument "Continuum.broadcast: agents <= 0")
@@ -95,9 +96,9 @@ let test_supercritical_is_fast () =
   Alcotest.(check bool) "both complete" true (completed fast && completed slow);
   Alcotest.(check bool)
     (Printf.sprintf "supercritical (%d) much faster than subcritical (%d)"
-       fast.C.steps slow.C.steps)
+       fast.E.steps slow.E.steps)
     true
-    (slow.C.steps > 5 * max 1 fast.C.steps)
+    (slow.E.steps > 5 * max 1 fast.E.steps)
 
 let prop_informed_bounded =
   QCheck.Test.make ~name:"informed within [1, k]" ~count:80
@@ -107,16 +108,16 @@ let prop_informed_bounded =
       let r =
         C.broadcast (cfg ~agents ~radius ~seed ~max_steps:300 ())
       in
-      r.C.informed >= 1 && r.C.informed <= agents)
+      r.E.informed >= 1 && r.E.informed <= agents)
 
 let prop_completed_means_all =
   QCheck.Test.make ~name:"completed implies everyone informed" ~count:80
     QCheck.(pair (int_range 1 30) small_int)
     (fun (agents, seed) ->
       let r = C.broadcast (cfg ~agents ~seed ()) in
-      match r.C.outcome with
-      | C.Completed -> r.C.informed = agents
-      | C.Timed_out -> true)
+      match r.E.outcome with
+      | E.Completed -> r.E.informed = agents
+      | E.Timed_out -> true)
 
 let () =
   Alcotest.run "continuum"

@@ -6,6 +6,7 @@
    visibility graphs. *)
 
 module Config = Mobile_network.Config
+module Engine = Mobile_network.Engine
 module Simulation = Mobile_network.Simulation
 module Exchange = Mobile_network.Exchange
 module Rumor_set = Mobile_network.Rumor_set
@@ -31,13 +32,12 @@ let test_clementi_equals_grid_engine () =
       (Config.make ~side ~agents ~radius:big_r ~kernel:(Walk.Jump rho)
          ~exchange:Config.Single_hop ~seed ~trial ~max_steps ())
   in
-  Alcotest.(check int) "same steps" c.Clementi.steps s.Simulation.steps;
-  Alcotest.(check int) "same informed" c.Clementi.informed
-    s.Simulation.informed;
+  Alcotest.(check int) "same steps" c.Engine.steps s.Engine.steps;
+  Alcotest.(check int) "same informed" c.Engine.informed s.Engine.informed;
   Alcotest.(check bool) "same outcome" true
-    (match (c.Clementi.outcome, s.Simulation.outcome) with
-    | Clementi.Completed, Simulation.Completed
-    | Clementi.Timed_out, Simulation.Timed_out ->
+    (match (c.Engine.outcome, s.Engine.outcome) with
+    | Engine.Completed, Engine.Completed | Engine.Timed_out, Engine.Timed_out
+      ->
         true
     | _ -> false)
 
@@ -66,8 +66,8 @@ let test_recorded_run_agrees_with_broadcast () =
   in
   let sr = stride1_series () in
   let cb = Clementi.broadcast ccfg and cr = Clementi.broadcast ~series:sr ccfg in
-  check "clementi" ~steps:cb.Clementi.steps ~informed:cb.Clementi.informed
-    ~steps':cr.Clementi.steps ~informed':cr.Clementi.informed sr;
+  check "clementi" ~steps:cb.Engine.steps ~informed:cb.Engine.informed
+    ~steps':cr.Engine.steps ~informed':cr.Engine.informed sr;
   let ucfg =
     { Continuum.box_side = 8.; agents = 32; radius = 1.; sigma = 0.25;
       seed = 3; trial = 1; max_steps = 50_000 }
@@ -75,8 +75,8 @@ let test_recorded_run_agrees_with_broadcast () =
   let sr = stride1_series () in
   let ub = Continuum.broadcast ucfg
   and ur = Continuum.broadcast ~series:sr ucfg in
-  check "continuum" ~steps:ub.Continuum.steps ~informed:ub.Continuum.informed
-    ~steps':ur.Continuum.steps ~informed':ur.Continuum.informed sr;
+  check "continuum" ~steps:ub.Engine.steps ~informed:ub.Engine.informed
+    ~steps':ur.Engine.steps ~informed':ur.Engine.informed sr;
   let domain = Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
   let bcfg =
     { Barrier_sim.domain; agents = 12; radius = 0; los_blocking = false;
@@ -85,9 +85,9 @@ let test_recorded_run_agrees_with_broadcast () =
   let sr = stride1_series () in
   let bb = Barrier_sim.broadcast bcfg
   and br = Barrier_sim.broadcast ~series:sr bcfg in
-  check "barrier" ~steps:bb.Barrier_sim.steps
-    ~informed:bb.Barrier_sim.informed ~steps':br.Barrier_sim.steps
-    ~informed':br.Barrier_sim.informed sr
+  check "barrier" ~steps:bb.Engine.steps
+    ~informed:bb.Engine.informed ~steps':br.Engine.steps
+    ~informed':br.Engine.informed sr
 
 (* A stride-1 series is the run's per-step record: steps + 1 rows whose
    trajectory columns equal what [on_step] observes through the engine
@@ -260,10 +260,10 @@ let test_static_disconnected_times_out () =
         trial = 0; max_steps = 50 }
   in
   Alcotest.(check bool) "timed out" true
-    (match r.Clementi.outcome with
-    | Clementi.Timed_out -> true
-    | Clementi.Completed -> false);
-  Alcotest.(check int) "only the source" 1 r.Clementi.informed
+    (match r.Engine.outcome with
+    | Engine.Timed_out -> true
+    | Engine.Completed -> false);
+  Alcotest.(check int) "only the source" 1 r.Engine.informed
 
 let test_full_radius_instant () =
   (* R covering the whole grid: the time-0 exchange already floods *)
@@ -272,8 +272,8 @@ let test_full_radius_instant () =
       { Clementi.side = 8; agents = 6; big_r = 16; rho = 0; seed = 2;
         trial = 0; max_steps = 50 }
   in
-  Alcotest.(check int) "instant" 0 r.Clementi.steps;
-  Alcotest.(check int) "everyone informed" 6 r.Clementi.informed
+  Alcotest.(check int) "instant" 0 r.Engine.steps;
+  Alcotest.(check int) "everyone informed" 6 r.Engine.informed
 
 let test_continuum_zero_radius_no_pairs () =
   let module S = Continuum.Space in

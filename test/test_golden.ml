@@ -60,19 +60,19 @@ let test_satellite_simulators () =
       { Barriers.Barrier_sim.domain = d; agents = 8; radius = 0;
         los_blocking = false; seed = 0; trial = 0; max_steps = 1_000_000 }
   in
-  Alcotest.(check int) "barrier broadcast" 1300 br.Barriers.Barrier_sim.steps;
+  Alcotest.(check int) "barrier broadcast" 1300 br.Mobile_network.Engine.steps;
   let cr =
     Continuum.broadcast
       { Continuum.box_side = 8.; agents = 32; radius = 0.5; sigma = 0.2;
         seed = 0; trial = 0; max_steps = 1_000_000 }
   in
-  Alcotest.(check int) "continuum broadcast" 274 cr.Continuum.steps;
+  Alcotest.(check int) "continuum broadcast" 274 cr.Mobile_network.Engine.steps;
   let cl =
     Baselines.Clementi.broadcast
       { Baselines.Clementi.side = 16; agents = 64; big_r = 2; rho = 2;
         seed = 0; trial = 0; max_steps = 100_000 }
   in
-  Alcotest.(check int) "clementi broadcast" 15 cl.Baselines.Clementi.steps
+  Alcotest.(check int) "clementi broadcast" 15 cl.Mobile_network.Engine.steps
 
 (* The fault adversary draws from its own subsystem streams, so these
    pins also freeze the split_stream derivation: a change to the

@@ -66,6 +66,47 @@ let ast_gen =
 
 let ast_arbitrary = QCheck.make ~print:Ast.to_string ast_gen
 
+(* Valid non-grid scenarios exercising the space-specific scalars: a
+   domain with a floor plan, or a continuum box whose [density] and
+   [rc_mult] (when set) replace the default side and radius. *)
+let space_ast_gen =
+  QCheck.Gen.(
+    let* agents = axis_gen (int_range 1 16) in
+    let* seed = int_range 0 1000 in
+    let domain =
+      let* sides = axis_gen (int_range 8 32) in
+      let* plan =
+        oneof
+          [
+            return Ast.Open;
+            map (fun gap -> Ast.Wall { gap }) (int_range 1 9);
+            map2
+              (fun per_side door -> Ast.Rooms { per_side; door })
+              (int_range 1 8) (int_range 1 3);
+          ]
+      in
+      let* los_blocking = bool in
+      return
+        { Ast.default with Ast.space = Ast.Domain; sides; plan; los_blocking }
+    in
+    let continuum =
+      let* density = opt (float_range 0.01 1.) in
+      let* rc_mult = opt (float_range 0.1 3.) in
+      let* sigma_frac = oneofl [ 0.25; 0.5; 1.0 ] in
+      return
+        {
+          Ast.default with
+          Ast.space = Ast.Continuum;
+          density;
+          rc_mult;
+          sigma_frac;
+        }
+    in
+    let* ast = oneof [ domain; continuum ] in
+    return { ast with Ast.agents; seed })
+
+let space_ast_arbitrary = QCheck.make ~print:Ast.to_string space_ast_gen
+
 (* ---- properties -------------------------------------------------------- *)
 
 let prop_roundtrip =
@@ -106,6 +147,23 @@ let prop_hash_semantic_sensitive =
       let widened = { ast with Ast.sides = 7 :: ast.Ast.sides } in
       (not (String.equal h (Ast.hash bumped)))
       && not (String.equal h (Ast.hash widened)))
+
+(* The space-specific scalars round-trip through the canonical form,
+   which compiles back to the same hash under re-ordering, and a grid
+   scenario's canonical form does not mention them. *)
+let prop_space_fields_roundtrip =
+  QCheck.Test.make ~name:"space-specific fields round-trip" ~count:200
+    space_ast_arbitrary (fun ast ->
+      let text = Ast.to_string ast in
+      let reordered =
+        match Obs.Json.parse text with
+        | Ok (Obs.Json.Assoc fields) ->
+            Obs.Json.to_string (Obs.Json.Assoc (List.rev fields))
+        | Ok _ | Error _ -> Alcotest.fail "canonical form is not an object"
+      in
+      let c = compile_exn text in
+      Ast.equal ast c.Compile.ast
+      && String.equal c.Compile.hash (compile_exn reordered).Compile.hash)
 
 let prop_cells_product =
   QCheck.Test.make ~name:"cells = cross product of axes" ~count:100
@@ -223,7 +281,8 @@ let test_diag_unknown_field () =
     [
       "sc.json:2:3: scenario: unknown field \"sidee\" (expected one of: name, \
        space, side, agents, radius, protocol, kernel, exchange, torus, seed, \
-       trials, max_steps, faults)";
+       trials, max_steps, faults, plan, los_blocking, density, rc_mult, \
+       sigma_frac)";
     ]
 
 let test_diag_collects_all () =
@@ -264,6 +323,54 @@ let test_diag_non_grid () =
      plain broadcast (as on the CLI)"
     (List.nth errs 0)
 
+(* Each space-specific scalar belongs to one space; density and rc_mult
+   replace side and radius, so a file may write only one of each pair. *)
+let test_diag_space_fields () =
+  check_diags "domain fields off the domain"
+    "{\n  \"plan\": \"wall:2\",\n  \"los_blocking\": true\n}"
+    [
+      "sc.json:2:11: scenario: plan is domain-only: --space grid does not \
+       take it";
+      "sc.json:3:19: scenario: los_blocking is domain-only: --space grid \
+       does not take it";
+    ];
+  check_diags "continuum fields off the continuum"
+    {|{"space": "domain", "density": 1, "rc_mult": 0.5, "sigma_frac": 0.5}|}
+    [
+      "sc.json:1:32: scenario: density is continuum-only: --space domain \
+       does not take it";
+      "sc.json:1:46: scenario: rc_mult is continuum-only: --space domain \
+       does not take it";
+      "sc.json:1:65: scenario: sigma_frac is continuum-only: --space domain \
+       does not take it";
+    ];
+  check_diags "density and side both written"
+    {|{"space": "continuum", "side": 64, "density": 1}|}
+    [ "sc.json:1:47: scenario: density replaces side: set one of them, not both" ];
+  check_diags "rc_mult and radius both written"
+    {|{"space": "continuum", "radius": 1, "rc_mult": 1}|}
+    [
+      "sc.json:1:48: scenario: rc_mult replaces radius: set one of them, not \
+       both";
+    ];
+  check_diags "malformed plan at its value" {|{"space": "domain", "plan": "wall:0"}|}
+    [ "sc.json:1:29: scenario: wall:<gap> needs a positive integer gap" ];
+  check_diags "more rooms than cells" {|{"space": "domain", "side": [8, 4], "plan": "rooms:6:1"}|}
+    [ "sc.json:1:45: scenario: plan rooms:6:1 needs a side of at least 6" ];
+  check_diags "density must be a number"
+    {|{"space": "continuum", "density": "dense"}|}
+    [ "sc.json:1:35: scenario: density must be a number" ];
+  ignore
+    (compile_exn
+       {|{"space": "domain", "plan": "rooms:3:2", "los_blocking": true,
+          "side": 24}|}
+      : Compile.compiled);
+  ignore
+    (compile_exn
+       {|{"space": "continuum", "density": 1, "rc_mult": 0.5,
+          "sigma_frac": 0.5}|}
+      : Compile.compiled)
+
 let test_diag_no_filename () =
   match Compile.compile "{\"trials\": 0}" with
   | Ok _ -> Alcotest.fail "expected a diagnostic"
@@ -298,9 +405,58 @@ let test_diag_size_limits () =
   | Error errs ->
       Alcotest.(check (list string)) "flag path, no position"
         [ "scenario: radius must be at most 131072" ] errs);
+  (* the continuum's float inputs must be finite and positive, and the
+     box, radius and Brownian step they derive must respect the same
+     limits as the side and radius they replace *)
+  check_diags "density too small: box beyond the largest side"
+    {|{"space": "continuum", "agents": 8, "density": 1e-300}|}
+    [
+      "sc.json:1:48: scenario: density makes the box side 2.82843e+150 \
+       (k=8); it must lie in [1, 65536]";
+    ];
+  check_diags "density too large: box below one unit"
+    {|{"space": "continuum", "agents": 8, "density": 1e300}|}
+    [
+      "sc.json:1:48: scenario: density makes the box side 2.82843e-150 \
+       (k=8); it must lie in [1, 65536]";
+    ];
+  check_diags "rc_mult beyond the largest radius"
+    {|{"space": "continuum", "agents": 8, "rc_mult": 1e300}|}
+    [
+      "sc.json:1:48: scenario: rc_mult makes the radius 2.71152e+301 (k=8); \
+       it must lie in [0, 131072]";
+    ];
+  check_diags "sigma_frac beyond the largest step"
+    {|{"space": "continuum", "radius": 2, "sigma_frac": 1e300}|}
+    [
+      "sc.json:1:51: scenario: sigma_frac makes the Brownian step 2e+300 \
+       (k=32); it must lie in [0, 131072]";
+    ];
+  check_diags "non-positive and non-finite inputs"
+    {|{"space": "continuum", "density": 0, "rc_mult": -1, "sigma_frac": 1e999}|}
+    [
+      "sc.json:1:35: scenario: density must be positive and finite";
+      "sc.json:1:49: scenario: rc_mult must be positive and finite";
+      "sc.json:1:67: scenario: sigma_frac must be positive and finite";
+    ];
+  (match
+     Compile.compile_ast
+       { Ast.default with Ast.space = Ast.Continuum; density = Some 1e-300 }
+   with
+  | Ok _ -> Alcotest.fail "flag-built AST with density 1e-300 compiled"
+  | Error errs ->
+      Alcotest.(check (list string)) "flag path density, no position"
+        [
+          "scenario: density makes the box side 5.65685e+150 (k=32); it must \
+           lie in [1, 65536]";
+        ]
+        errs);
   ignore
     (compile_exn
        {|{"side": 65536, "agents": 1, "radius": [0, 131072], "space": "domain"}|}
+      : Compile.compiled);
+  ignore
+    (compile_exn {|{"space": "continuum", "agents": 1, "density": 1}|}
       : Compile.compiled);
   ignore
     (compile_exn {|{"side": 16, "agents": 1073741824, "protocol": "frog"}|}
@@ -326,6 +482,7 @@ let () =
           qtest prop_roundtrip;
           qtest prop_hash_spelling_invariant;
           qtest prop_hash_semantic_sensitive;
+          qtest prop_space_fields_roundtrip;
           qtest prop_cells_product;
           qtest prop_cell_hash_ignores_seed_trials;
         ] );
@@ -348,6 +505,8 @@ let () =
           Alcotest.test_case "fault-plan position" `Quick
             test_diag_faults_position;
           Alcotest.test_case "non-grid fields" `Quick test_diag_non_grid;
+          Alcotest.test_case "space-specific fields" `Quick
+            test_diag_space_fields;
           Alcotest.test_case "no filename" `Quick test_diag_no_filename;
           Alcotest.test_case "size limits" `Quick test_diag_size_limits;
         ] );

@@ -195,6 +195,55 @@ let test_run_payload_deterministic () =
     (Runner.run_payload cell ~seed:3 ~trial:1)
     (Runner.run_payload cell ~seed:3 ~trial:1)
 
+(* A floor-plan cell and a density/rc_mult cell run exactly the engines
+   their fields describe: the same reports as building the domain and
+   the continuum box by hand (box side sqrt (k / density), radius
+   rc_mult * r_c, sigma = sigma_frac * radius). *)
+let test_run_cell_space_fields () =
+  let cell text = List.hd (compile_exn text).Compile.cells in
+  let same label (a : Mobile_network.Engine.report)
+      (b : Mobile_network.Engine.report) =
+    Alcotest.(check (list int))
+      label
+      [ a.Mobile_network.Engine.steps; a.Mobile_network.Engine.informed ]
+      [ b.Mobile_network.Engine.steps; b.Mobile_network.Engine.informed ]
+  in
+  same "wall:2 with line-of-sight blocking"
+    (Runner.run_cell
+       (cell
+          {|{"space": "domain", "side": 16, "agents": 8, "radius": 4,
+             "plan": "wall:2", "los_blocking": true}|})
+       ~seed:4 ~trial:1)
+    (Barriers.Barrier_sim.broadcast
+       {
+         Barriers.Barrier_sim.domain =
+           Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2;
+         agents = 8;
+         radius = 4;
+         los_blocking = true;
+         seed = 4;
+         trial = 1;
+         max_steps = 100 * 16 * 16;
+       });
+  let box_side = sqrt (16. /. 0.5) in
+  let radius = 0.8 *. Continuum.critical_radius ~box_side ~agents:16 in
+  same "density, rc_mult and sigma_frac"
+    (Runner.run_cell
+       (cell
+          {|{"space": "continuum", "agents": 16, "density": 0.5,
+             "rc_mult": 0.8, "sigma_frac": 0.5}|})
+       ~seed:4 ~trial:1)
+    (Continuum.broadcast
+       {
+         Continuum.box_side;
+         agents = 16;
+         radius;
+         sigma = radius *. 0.5;
+         seed = 4;
+         trial = 1;
+         max_steps = 1_000_000;
+       })
+
 (* ---- checkpoints -------------------------------------------------------- *)
 
 let test_checkpoint_lifecycle () =
@@ -241,6 +290,8 @@ let () =
             test_runner_series_dir;
           Alcotest.test_case "payload determinism" `Quick
             test_run_payload_deterministic;
+          Alcotest.test_case "space-specific cells" `Quick
+            test_run_cell_space_fields;
         ] );
       ( "checkpoint",
         [
