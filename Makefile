@@ -41,8 +41,9 @@ test:
 # step counts the retired `barrier` and `continuum` subcommands printed
 # for the same runs (now `simulate --space domain --plan ...` and
 # `simulate --space continuum --density ... --rc-mult ...`); a continuum
-# density whose box exceeds the engine's limits, and a negative --trace
-# or --render, are usage errors. `@bench/smoke` runs every benchmark workload at
+# density whose box exceeds the engine's limits, a Brownian step that
+# underflows to 0, --density with --side or --rc-mult with -r, and a
+# negative --trace or --render, are usage errors. `@bench/smoke` runs every benchmark workload at
 # small scale, so an Obs/Service API change that breaks bench/suite fails
 # here. The lint gate keeps the determinism/concurrency/io/poly-compare/
 # layering invariants machine-checked. `dune build @all` also builds
@@ -92,6 +93,9 @@ check:
 	dune exec bin/mobisim.exe -- simulate --space continuum --density 1 --rc-mult 0.5 | grep -qx 'completed in 142 steps'
 	dune exec bin/mobisim.exe -- simulate --space continuum -k 64 --density 0.5 --rc-mult 0.5 --sigma-frac 0.5 --seed 3 | grep -qx 'completed in 69 steps'
 	dune exec bin/mobisim.exe -- simulate --space continuum -k 8 --density 1e-300 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --space continuum --rc-mult 1e-170 --sigma-frac 1e-170 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'Brownian step 0' /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --space continuum --side 64 --density 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- simulate --space continuum -r 0 --rc-mult 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --trace=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --render=-1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
 	sh test/service_smoke.sh

@@ -48,11 +48,11 @@ let require checks =
 (* Run-parameter defaults are the scenario defaults: a flag left unset
    and a scenario field left out mean the same run. *)
 
-let side_arg =
-  let doc = "Grid side length (the paper's n is side * side)." in
-  Arg.(
-    value & opt int (List.hd Ast.default.Ast.sides)
-    & info [ "side" ] ~docv:"SIDE" ~doc)
+let side_info =
+  Arg.info [ "side" ] ~docv:"SIDE"
+    ~doc:"Grid side length (the paper's n is side * side)."
+
+let side_arg = Arg.(value & opt int (List.hd Ast.default.Ast.sides) side_info)
 
 let agents_arg =
   let doc = "Number of agents (the paper's k)." in
@@ -60,11 +60,16 @@ let agents_arg =
     value & opt int (List.hd Ast.default.Ast.agents)
     & info [ "k"; "agents" ] ~docv:"K" ~doc)
 
+(* simulate's --side and -r stay [None] when not given: --density and
+   --rc-mult replace them, so even an explicit default conflicts *)
+let given_arg default arg_info =
+  Arg.(value & opt (some ~none:(string_of_int default) int) None arg_info)
+
 let radius_arg =
-  let doc = "Transmission radius r (Manhattan distance)." in
-  Arg.(
-    value & opt int (List.hd Ast.default.Ast.radii)
-    & info [ "r"; "radius" ] ~docv:"R" ~doc)
+  given_arg
+    (List.hd Ast.default.Ast.radii)
+    (Arg.info [ "r"; "radius" ] ~docv:"R"
+       ~doc:"Transmission radius r (Manhattan distance).")
 
 let seed_arg =
   let doc = "Deterministic master seed." in
@@ -187,15 +192,6 @@ let finish_series out ~meta =
       Printf.eprintf "series: wrote %s (%d rows, stride %d)\n" path
         (Obs.Series.rows sr) (Obs.Series.stride sr))
     out
-
-(* The run-level fields [Engine.validate_series] checks the trajectory
-   columns against. *)
-let outcome_meta ~population ~protocol ~completed =
-  [
-    ("population", Obs.Json.Int population);
-    ("protocol", Obs.Json.String (Protocol.to_string protocol));
-    ("completed", Obs.Json.Bool completed);
-  ]
 
 (* Install a recording ambient tracer (and hand it to the ambient pool)
    and return the finalizer that writes the merged timeline to FILE.
@@ -407,7 +403,7 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
   let side = cell.Ast.c_side
   and agents = cell.Ast.c_agents
   and radius = cell.Ast.c_radius in
-  let meta =
+  let meta, domain =
     match cell.Ast.c_space with
     | Ast.Grid ->
         let cfg = Ast.cell_config cell ~seed ~trial in
@@ -416,12 +412,13 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
           (Config.n cfg)
           (Config.percolation_radius cfg)
           (Config.is_subcritical cfg);
-        [
-          ("space", Obs.Json.String "grid");
-          ("config", Obs.Json.String (Config.to_string cfg));
-          ("side", Obs.Json.Int side);
-          ("nodes", Obs.Json.Int (Config.n cfg));
-        ]
+        ( [
+            ("space", Obs.Json.String "grid");
+            ("config", Obs.Json.String (Config.to_string cfg));
+            ("side", Obs.Json.Int side);
+            ("nodes", Obs.Json.Int (Config.n cfg));
+          ],
+          None )
     | Ast.Continuum ->
         let cfg = Service.Runner.continuum_config cell ~seed ~trial in
         let rc =
@@ -431,15 +428,17 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
           cfg.Continuum.box_side agents cfg.Continuum.radius
           (if rc > 0. then cfg.Continuum.radius /. rc else 0.)
           cfg.Continuum.sigma;
-        [
-          ("space", Obs.Json.String "continuum");
-          ( "side",
-            Obs.Json.Int (int_of_float (Float.ceil cfg.Continuum.box_side)) );
-          ("agents", Obs.Json.Int agents);
-          ("radius", Obs.Json.Float cfg.Continuum.radius);
-          ("seed", Obs.Json.Int seed);
-          ("trial", Obs.Json.Int trial);
-        ]
+        ( [
+            ("space", Obs.Json.String "continuum");
+            ( "side",
+              Obs.Json.Int (int_of_float (Float.ceil cfg.Continuum.box_side))
+            );
+            ("agents", Obs.Json.Int agents);
+            ("radius", Obs.Json.Float cfg.Continuum.radius);
+            ("seed", Obs.Json.Int seed);
+            ("trial", Obs.Json.Int trial);
+          ],
+          None )
     | Ast.Domain ->
         let domain = Service.Runner.domain_of_cell cell in
         if show_map then
@@ -448,15 +447,16 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
           (Ast.plan_to_string cell.Ast.c_plan)
           side side agents radius
           (if cell.Ast.c_los_blocking then " los-blocking" else "");
-        [
-          ("space", Obs.Json.String "domain");
-          ("side", Obs.Json.Int side);
-          ("nodes", Obs.Json.Int (Barriers.Domain.free_count domain));
-          ("agents", Obs.Json.Int agents);
-          ("radius", Obs.Json.Int radius);
-          ("seed", Obs.Json.Int seed);
-          ("trial", Obs.Json.Int trial);
-        ]
+        ( [
+            ("space", Obs.Json.String "domain");
+            ("side", Obs.Json.Int side);
+            ("nodes", Obs.Json.Int (Barriers.Domain.free_count domain));
+            ("agents", Obs.Json.Int agents);
+            ("radius", Obs.Json.Int radius);
+            ("seed", Obs.Json.Int seed);
+            ("trial", Obs.Json.Int trial);
+          ],
+          Some domain )
   in
   let on_step sim =
     if trace > 0 && Simulation.time sim mod trace = 0 then
@@ -472,8 +472,8 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
   in
   let r =
     as_pool_job (fun () ->
-        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step cell
-          ~seed ~trial)
+        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step
+          ?domain cell ~seed ~trial)
   in
   let completed =
     match r.Engine.outcome with
@@ -481,23 +481,26 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
     | Engine.Timed_out -> false
   in
   (match (cell.Ast.c_space, completed) with
-  | _, true -> Printf.printf "completed in %d steps\n" r.Engine.steps
-  | Ast.Grid, false -> Printf.printf "TIMED OUT after %d steps\n" r.Engine.steps
+  | Ast.Grid, _ ->
+      Printf.printf "%s %d steps\nfinal: informed=%d covered=%d\n"
+        (if completed then "completed in" else "TIMED OUT after")
+        r.Engine.steps r.Engine.informed r.Engine.covered
+  | (Ast.Continuum | Ast.Domain), true ->
+      Printf.printf "completed in %d steps\n" r.Engine.steps
   | (Ast.Continuum | Ast.Domain), false ->
       Printf.printf "TIMED OUT after %d steps (informed %d/%d)\n" r.Engine.steps
         r.Engine.informed agents);
-  (match cell.Ast.c_space with
-  | Ast.Grid ->
-      Printf.printf "final: informed=%d covered=%d\n" r.Engine.informed
-        r.Engine.covered
-  | Ast.Continuum | Ast.Domain -> ());
+  (* the run-level fields [Engine.validate_series] checks the trajectory
+     columns against *)
   let protocol = cell.Ast.c_protocol in
   finish_series series
     ~meta:
       (meta
-      @ outcome_meta
-          ~population:(Protocol.population protocol ~k:agents)
-          ~protocol ~completed);
+      @ [
+          ("population", Obs.Json.Int (Protocol.population protocol ~k:agents));
+          ("protocol", Obs.Json.String (Protocol.to_string protocol));
+          ("completed", Obs.Json.Bool completed);
+        ]);
   finish_trace ();
   finish_metrics ()
 
@@ -586,13 +589,14 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
       (render >= 0, "--render must be non-negative");
     ];
   let series = series_output ~series_file ~trace_out in
+  let or_default axis v = Option.value v ~default:(List.hd axis) in
   let flags =
     {
       Ast.default with
       Ast.space;
-      sides = [ side ];
+      sides = [ or_default Ast.default.Ast.sides side ];
       agents = [ agents ];
-      radii = [ radius ];
+      radii = [ or_default Ast.default.Ast.radii radius ];
       protocols = [ protocol ];
       kernels = [ kernel ];
       torus;
@@ -622,6 +626,10 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
           ( grid || trace + render = 0,
             "--trace and --render need --space grid" );
           (domain || not show_map, "--map needs --space domain");
+          ( Option.is_none density || Option.is_none side,
+            "--density replaces --side: set one of them, not both" );
+          ( Option.is_none rc_mult || Option.is_none radius,
+            "--rc-mult replaces --radius: set one of them, not both" );
         ];
       match Scenario.Compile.compile_ast flags with
       | Error errs ->
@@ -668,8 +676,9 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run_simulate $ scenario $ space_arg $ side_arg $ agents_arg
-      $ radius_arg
+      const run_simulate $ scenario $ space_arg
+      $ given_arg (List.hd Ast.default.Ast.sides) side_info
+      $ agents_arg $ radius_arg
       $ protocol_arg $ kernel_arg $ seed_arg $ trial_arg $ max_steps_arg
       $ trace $ render $ torus_arg $ trace_out $ metrics_arg
       $ trace_events_arg $ series_arg $ faults_file_arg $ loss_p_arg

@@ -48,10 +48,8 @@ val percolation_radius : n:int -> k:int -> float
 (** [r_c ~ sqrt (n / k)]. *)
 
 val continuum_critical_radius : box_side:float -> agents:int -> float
-(** The continuum (Peres et al.) analogue of {!percolation_radius}: the
-    Gilbert disk-graph percolation radius [sqrt (1.436 / lambda)],
-    [lambda = agents / box_side²] (Quintanilla et al.'s constant).
-    Unchecked; see [Continuum.critical_radius]. *)
+(** Unchecked [Continuum.critical_radius], the continuum analogue of
+    {!percolation_radius}: [sqrt (1.436 / (agents / box_side²))]. *)
 
 val subcritical_radius : n:int -> k:int -> float
 (** Theorem 2's radius threshold [sqrt (n / (64 e^6 k))]. *)

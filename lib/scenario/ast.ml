@@ -297,13 +297,6 @@ let canonical_json t =
 
 let to_string t = Json.to_string_pretty (canonical_json t) ^ "\n"
 
-(* the AST holds only data, so its canonical rendering is a total,
-   NaN-free equality that keeps poly-compare out *)
-let equal a b =
-  String.equal
-    (Json.to_string (canonical_json a))
-    (Json.to_string (canonical_json b))
-
 let fnv1a64 s =
   let prime = 0x100000001B3L in
   let h = ref 0xCBF29CE484222325L in

@@ -65,9 +65,6 @@ val default : t
     [mobisim simulate] takes its flag defaults from here and overrides
     the fields its flags set. *)
 
-val equal : t -> t -> bool
-(** Equal {!canonical_json} renderings. *)
-
 (** {1 String forms (CLI-compatible)} *)
 
 val space_to_string : space -> string

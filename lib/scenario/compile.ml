@@ -245,7 +245,9 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
       | _ -> ())
     (Ast.space_settings ast);
   (* [density] and [rc_mult] replace [side] and [radius]: set one of
-     each pair (a file writes it, a flag moves it off its default) *)
+     each pair. A file must not write both; an AST built in code cannot
+     say what was written, so it must leave the replaced field at its
+     default (simulate rejects an explicit --side or -r itself) *)
   List.iter
     (fun (set, name, replaced, is_default) ->
       let written =
@@ -277,30 +279,28 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
     match ast.Ast.space with
     | Ast.Continuum ->
         (* the derived box side, radius and Brownian step obey the limits
-           of the side and radius they replace (Config.max_* say why);
-           each derives from the one before, so report the first *)
-        let limits =
-          [
-            ("density", "box side", 1., float_of_int Config.max_side);
-            ("rc_mult", "radius", 0., float_of_int Config.max_radius);
-            ("sigma_frac", "Brownian step", 0., float_of_int Config.max_radius);
-          ]
-        in
+           of the side and radius they replace (Config.max_* say why),
+           and the step must stay positive (a product of two small
+           positive floats can underflow to 0); each derives from the
+           one before, so report the first *)
+        let side = float_of_int Config.max_side
+        and radius = float_of_int Config.max_radius in
         List.iter
           (fun (c : Ast.cell) ->
             let g = Ast.continuum_geometry c in
-            match
-              List.find_opt
-                (fun ((_, _, lo, hi), v) -> not (v >= lo && v <= hi))
-                (List.combine limits
-                   [ g.Ast.g_box_side; g.Ast.g_radius; g.Ast.g_sigma ])
-            with
-            | Some ((name, what, lo, hi), v) ->
-                diag ctx (where name)
-                  (Printf.sprintf
-                     "%s makes the %s %g (k=%d); it must lie in [%g, %g]" name
-                     what v c.Ast.c_agents lo hi)
-            | None -> ())
+            let bad name what v lo hi =
+              diag ctx (where name)
+                (Printf.sprintf
+                   "%s makes the %s %g (k=%d); it must lie in %s, %d]" name
+                   what v c.Ast.c_agents lo hi)
+            in
+            if not (g.Ast.g_box_side >= 1. && g.Ast.g_box_side <= side) then
+              bad "density" "box side" g.Ast.g_box_side "[1" Config.max_side
+            else if not (g.Ast.g_radius >= 0. && g.Ast.g_radius <= radius)
+            then bad "rc_mult" "radius" g.Ast.g_radius "[0" Config.max_radius
+            else if not (g.Ast.g_sigma > 0. && g.Ast.g_sigma <= radius) then
+              bad "sigma_frac" "Brownian step" g.Ast.g_sigma "(0"
+                Config.max_radius)
           (Ast.cells ast)
     | Ast.Grid ->
         List.iter

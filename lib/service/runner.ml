@@ -24,7 +24,7 @@ let domain_of_cell (c : Ast.cell) =
   | Ast.Rooms { per_side; door } ->
       Barriers.Domain.rooms grid ~rooms_per_side:per_side ~door
 
-let run_cell ?series ?on_step (c : Ast.cell) ~seed ~trial =
+let run_cell ?series ?on_step ?domain (c : Ast.cell) ~seed ~trial =
   match c.Ast.c_space with
   | Ast.Grid ->
       Mobile_network.Simulation.run_config ?on_step ?series
@@ -35,7 +35,8 @@ let run_cell ?series ?on_step (c : Ast.cell) ~seed ~trial =
       let side = c.Ast.c_side in
       Barriers.Barrier_sim.broadcast ?series
         {
-          Barriers.Barrier_sim.domain = domain_of_cell c;
+          Barriers.Barrier_sim.domain =
+            (match domain with Some d -> d | None -> domain_of_cell c);
           agents = c.Ast.c_agents;
           radius = c.Ast.c_radius;
           los_blocking = c.Ast.c_los_blocking;

@@ -49,6 +49,7 @@ val run :
 val run_cell :
   ?series:Obs.Series.t ->
   ?on_step:(Mobile_network.Simulation.t -> unit) ->
+  ?domain:Barriers.Domain.t ->
   Scenario.Ast.cell ->
   seed:int ->
   trial:int ->
@@ -57,11 +58,10 @@ val run_cell :
     behind the service, [mobisim simulate] and
     [mobisim simulate --scenario] ([covered] is 0 off the grid).
     [series] attaches a per-step recorder (all three spaces); [on_step]
-    reaches
-    {!Mobile_network.Simulation.run_config} and is ignored on the
-    non-grid spaces. Non-grid cells derive their engine parameters
-    here: see {!continuum_config}; a domain cell runs {!domain_of_cell}
-    with a [100 * side * side] default step cap. *)
+    reaches {!Mobile_network.Simulation.run_config} and is ignored on
+    the non-grid spaces. Non-grid cells derive their engine parameters
+    here: see {!continuum_config}; a domain cell runs [domain] (default
+    {!domain_of_cell}) with a [100 * side * side] default step cap. *)
 
 val continuum_config :
   Scenario.Ast.cell -> seed:int -> trial:int -> Continuum.config

@@ -227,7 +227,8 @@ for bad in \
   '{"side": 3037000500, "agents": 2}' \
   '{"side": 16, "agents": 4611686018427387903}' \
   '{"space": "domain", "side": 12, "agents": 6, "plan": "wall:0"}' \
-  '{"space": "continuum", "agents": 8, "density": 0}'; do
+  '{"space": "continuum", "agents": 8, "density": 0}' \
+  '{"space": "continuum", "rc_mult": 1e-170, "sigma_frac": 1e-170}'; do
   n_bad=$((n_bad + 1))
   printf '%s\n' "$bad" > "$TMP/bad$n_bad.json"
   if "$BIN" submit "$TMP/bad$n_bad.json" --root "$ROOT_E" --socket "$SOCK_E" \
