@@ -105,7 +105,26 @@ let test_fault_injection () =
   (* a silent agent holds the rumor without retransmitting; the others
      still complete the broadcast around it *)
   Alcotest.(check int) "silent bystander" 218
-    (fsteps ~source:0 { Plan.empty with Plan.silent = [ 3 ] })
+    (fsteps ~source:0 { Plan.empty with Plan.silent = [ 3 ] });
+  (* Radius 0, crowded enough that cells hold several agents: the loss
+     draws follow the order of the index's cohabiting pairs, so these
+     pins freeze that order too, on one- and multi-digit node keys. *)
+  let r0steps ?(torus = false) ~side ~agents ~seed plan =
+    (Simulation.run_config
+       (Config.make ~torus ~radius:0 ~side ~agents ~seed ~faults:plan ()))
+      .Simulation.steps
+  in
+  let loss p = { Plan.empty with Plan.loss_p = p } in
+  Alcotest.(check int) "r=0 loss 0.5" 266
+    (r0steps ~side:32 ~agents:300 ~seed:3 (loss 0.5));
+  Alcotest.(check int) "r=0 loss 0.7, side 128" 1282
+    (r0steps ~side:128 ~agents:3000 ~seed:4 (loss 0.7));
+  Alcotest.(check int) "r=0 loss 0.6 + churn" 767
+    (r0steps ~side:100 ~agents:2000 ~seed:5
+       { (loss 0.6) with
+         Plan.churn = Some { Plan.leave_p = 0.05; return_p = 0.5 } });
+  Alcotest.(check int) "r=0 loss 0.6, torus" 588
+    (r0steps ~torus:true ~side:100 ~agents:2000 ~seed:6 (loss 0.6))
 
 let () =
   Alcotest.run "golden"

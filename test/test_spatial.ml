@@ -315,6 +315,81 @@ let test_iter_agents_near_torus () =
   Alcotest.(check (list int)) "wrap-aware query" expected
     (List.sort compare !got)
 
+(* --- radius-0 pair order ---------------------------------------------
+
+   The engine's loss faults draw one Bernoulli per visited pair, so at
+   radius 0 the order of [iter_close_pairs] is part of the contract, not
+   just the pair set: cells ordered by their smallest indexed agent,
+   agents ascending within a cell, pairs lexicographic within a cell.
+   The reference below builds that list naively; the index must emit it
+   exactly, unsorted. Agents crowd onto a few random cells, so cells
+   hold many agents even on the 300 x 300 grids whose node ids need
+   more than one 12-bit sort digit. *)
+
+let reference_order ?present positions =
+  let k = Array.length positions in
+  let indexed i = match present with None -> true | Some pr -> pr.(i) in
+  let out = ref [] in
+  for i = 0 to k - 1 do
+    let cell = positions.(i) in
+    let smallest =
+      indexed i
+      && not (List.exists (fun a -> indexed a && positions.(a) = cell)
+                (List.init i Fun.id))
+    in
+    if smallest then begin
+      let members =
+        List.filter (fun a -> indexed a && positions.(a) = cell)
+          (List.init k Fun.id)
+      in
+      List.iteri
+        (fun x a ->
+          List.iteri (fun y b -> if y > x then out := (a, b) :: !out) members)
+        members
+    end
+  done;
+  List.rev !out
+
+let emitted index =
+  let out = ref [] in
+  Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
+  List.rev !out
+
+let prop_radius0_pair_order =
+  QCheck.Test.make ~name:"radius-0 pair order = reference order" ~count:300
+    QCheck.(
+      quad (int_range 1 300) (int_range 1 60) (int_range 1 12) small_int)
+    (fun (side, k, cells, seed) ->
+      let rng = Prng.of_seed seed in
+      List.for_all
+        (fun (topology, masked) ->
+          let side =
+            match topology with Grid.Torus -> max 3 side | Grid.Bounded -> side
+          in
+          let grid = Grid.create ~topology ~side () in
+          let hot = Array.init cells (fun _ -> Grid.random_node grid rng) in
+          let positions = Array.init k (fun _ -> hot.(Prng.int rng cells)) in
+          let present =
+            if masked then Some (Array.init k (fun _ -> Prng.int rng 4 > 0))
+            else None
+          in
+          let expected = reference_order ?present positions in
+          let by_nodes = Spatial.create grid ~radius:0 in
+          Spatial.rebuild ?present by_nodes ~positions;
+          let by_soa = Spatial.create grid ~radius:0 in
+          let coords f = vec_of_coords (Array.map f positions) in
+          ignore
+            (Spatial.rebuild_soa ?present by_soa
+               ~xs:(coords (Grid.x_of grid))
+               ~ys:(coords (Grid.y_of grid))
+               ~n:k
+              : Spatial.update);
+          expected = emitted by_nodes && expected = emitted by_soa)
+        [
+          (Grid.Bounded, false); (Grid.Bounded, true);
+          (Grid.Torus, false); (Grid.Torus, true);
+        ])
+
 let prop_torus_agreement =
   QCheck.Test.make ~name:"torus index pairs = brute-force (wrap distances)"
     ~count:200
@@ -356,6 +431,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_agreement; prop_pair_distance; prop_torus_agreement;
+            prop_radius0_pair_order;
             prop_incremental_matches_scratch ~torus:false ~churn:false;
             prop_incremental_matches_scratch ~torus:true ~churn:false;
             prop_incremental_matches_scratch ~torus:false ~churn:true;
