@@ -31,7 +31,9 @@ test:
 # brute-force oracles in test_simulation and test_engine instead. The
 # size smokes feed a radius, a side and an agent count beyond the
 # engine's limits (each once crashed a run) and expect exit 2 with a
-# diagnostic. The service smoke drives the job daemon over its socket:
+# diagnostic; the huge-side smokes run the largest accepted sides at
+# radius 0 under a 2 GB address-space limit (the radius-0 index once
+# allocated a table per grid cell and ran out of memory there). The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
 # mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
 # check that `simulate` flags compile through the scenario validator
@@ -78,6 +80,8 @@ check:
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-big-side.json > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	printf '{ "side": 16, "agents": 4611686018427387903 }' > /tmp/mobisim-big-k.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-big-k.json > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 65536 -k 64 --max-steps 50 > /dev/null
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 --max-steps 50 > /dev/null
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err

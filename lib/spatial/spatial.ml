@@ -1,33 +1,52 @@
-(* Flat-array bucket index keyed by Morton (Z-order) codes. Buckets
-   live in arrays sized to the bucket grid (allocated once); each
-   rebuild touches only the buckets that actually hold agents (recorded
-   in [touched]), so a rebuild costs O(k) regardless of how many buckets
-   the grid has. Agent ids are stored contiguously in [items], grouped
-   by bucket via a counting sort.
+(* Two indexes behind one interface, chosen by the radius.
 
-   Two position representations feed the same table:
+   Radius >= 1: a flat-array bucket table keyed by Morton (Z-order)
+   codes. Buckets live in arrays sized to the bucket grid (allocated
+   once); each rebuild touches only the buckets that actually hold
+   agents (recorded in [touched]), so a rebuild costs O(k) regardless of
+   how many buckets the grid has. Agent ids are stored contiguously in
+   [items], grouped by bucket via a counting sort. Morton keys
+   interleave the x/y bucket coordinates bit by bit, so spatially
+   adjacent buckets land near each other in the flat arrays (better
+   locality for the neighbourhood scans than row-major keys on large
+   grids). The key scheme is invisible to iteration order: pairs are
+   visited in first-touch bucket order (a function of agent order and
+   bucket *membership*, not bucket ids), agent-id order within a
+   bucket, and the same fixed E/N/NE/NW neighbour geometry.
+
+   Radius 0: a close pair is two agents on one node, and no neighbour
+   lookup is needed, so nothing is sized to the grid. Each indexed agent
+   becomes one int, its node id (y * side + x, below 2^32) above its
+   agent id (below 2^30), and an LSD counting sort over digits of at
+   most 12 bits groups these by node. Each pass is the same first-touch
+   counting sort as the bucket table's, over a digit table of at most
+   4096 slots. A pass may order its digit groups any way it likes (a
+   stable pass keeps every group of the earlier passes contiguous), so
+   the result is grouped by node, agent ids ascending within a group.
+   Up to side 64 a node id is a single digit: one pass, whose groups
+   come in first-touch order, i.e. by smallest agent. With more passes
+   the group order is arbitrary, so each run of two or more agents is
+   recorded at its smallest agent ([run_at]) and the pair scan visits
+   agents in id order. Either way the pairs come out in the order the
+   interface promises.
+
+   Two position representations feed both indexes:
    - [rebuild] takes the legacy [Grid.node array];
    - [rebuild_soa] takes structure-of-arrays int32 coordinate vectors
-     (the engine's zero-allocation path).
-   Both record each agent's bucket in [bucket]; the previous rebuild's
-   buckets stay in [prev_bucket] (the two arrays swap every rebuild), so
-   [reconcile] can derive which buckets changed membership without the
-   rebuild paying for it.
-
-   Morton keys interleave the x/y bucket coordinates bit by bit, so
-   spatially adjacent buckets land near each other in the flat arrays
-   (better locality for the neighbourhood scans than row-major keys on
-   large grids). The key scheme is invisible to iteration order: pairs
-   are visited in first-touch bucket order (a function of agent order
-   and bucket *membership*, not bucket ids), agent-id order within a
-   bucket, and the same fixed E/N/NE/NW neighbour geometry — so all
-   output streams are byte-identical to the row-major index. *)
+     (the engine's zero-allocation path). *)
 
 type vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let empty_vec : vec = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout 0
 
 type update = Full | Delta
+
+(* radius-0 packing: node id above agent id *)
+let agent_bits = 30
+
+let agent_mask = (1 lsl agent_bits) - 1
+
+let max_digit_bits = 12
 
 type t = {
   grid : Grid.t;
@@ -36,11 +55,15 @@ type t = {
   per_row : int;
   side : int;
   torus : bool;
-  count : int array;  (* agents per bucket *)
-  start : int array;  (* offset of each bucket's slice in [items] *)
-  mutable items : int array;  (* agent ids grouped by bucket *)
-  touched : int array;  (* buckets used by the last rebuild *)
+  (* the first-touch counting sort's table: one slot per bucket at
+     radius >= 1, one per digit value at radius 0 *)
+  count : int array;  (* agents per slot *)
+  start : int array;  (* offset of each slot's slice of the output *)
+  touched : int array;  (* slots used by the last counting pass *)
   mutable touched_len : int;
+  (* radius >= 1: agent ids grouped by bucket; radius 0: packed keys
+     grouped by node *)
+  mutable items : int array;
   (* node-array path *)
   mutable positions : Grid.node array;
   mutable present : bool array option;  (* agents indexed by the last rebuild *)
@@ -49,16 +72,23 @@ type t = {
   mutable ys : vec;
   mutable soa : bool;  (* which representation the last rebuild used *)
   mutable n : int;  (* population of the last rebuild *)
-  (* bucket of each agent as of the last rebuild and the one before;
-     entries are 0 or bucket ids this index wrote, so always < buckets *)
+  (* radius >= 1: bucket of each agent in the last rebuild; entries are
+     0 or bucket ids this index wrote, so always < buckets *)
   mutable bucket : int array;
-  mutable prev_bucket : int array;
-  mutable delta_ok : bool;  (* [bucket] covers all n agents at radius 0 *)
-  (* [reconcile]'s scratch for the dirty-bucket set *)
-  dirty : int array;
-  dirty_stamp : int array;
-  mutable dirty_len : int;
-  mutable dirty_epoch : int;
+  (* radius 0 *)
+  digit_bits : int;
+  passes : int;
+  mutable m : int;  (* agents indexed by the last rebuild *)
+  (* packed keys of the indexed agents in id order, for the last rebuild
+     and the one before (swapped every rebuild) *)
+  mutable keys : int array;
+  mutable prev_keys : int array;
+  mutable spare : int array;  (* the sort's other ping-pong buffer *)
+  mutable run_at : int array;  (* passes > 1: offset of the run an agent heads, or -1 *)
+  mutable delta_ok : bool;  (* [keys] covers all n agents at radius 0 *)
+  (* [reconcile]'s scratch, grown on first use *)
+  mutable entries : int array;
+  mutable entries' : int array;
 }
 
 (* --- Morton codes (16-bit coordinates interleaved into 32 bits) --- *)
@@ -100,6 +130,11 @@ let[@unsafe_invariant
 let morton_x b = compact1by1 b
 let morton_y b = compact1by1 (b lsr 1)
 
+(* Bits of the largest node id [side^2 - 1]. *)
+let key_bits side =
+  let rec go b = if ((side * side) - 1) lsr b = 0 then b else go (b + 1) in
+  go 0
+
 let create grid ~radius =
   if radius < 0 then invalid_arg "Spatial.create: negative radius";
   (* every pair lies within Chebyshev distance side - 1, so buckets
@@ -115,14 +150,22 @@ let create grid ~radius =
   in
   if per_row > 0x10000 then
     invalid_arg "Spatial.create: more than 65536 bucket columns";
-  (* Morton keys need a power-of-two coordinate space; unused buckets
-     cost idle array slots, never scan time (only touched buckets are
-     visited). *)
-  let np2 = ref 1 in
-  while !np2 < per_row do
-    np2 := !np2 * 2
-  done;
-  let buckets = !np2 * !np2 in
+  let bits = key_bits (Grid.side grid) in
+  let passes = max 1 ((bits + max_digit_bits - 1) / max_digit_bits) in
+  let digit_bits = (bits + passes - 1) / passes in
+  let slots =
+    if radius = 0 then 1 lsl digit_bits
+    else begin
+      (* Morton keys need a power-of-two coordinate space; unused
+         buckets cost idle array slots, never scan time (only touched
+         buckets are visited). *)
+      let np2 = ref 1 in
+      while !np2 < per_row do
+        np2 := !np2 * 2
+      done;
+      !np2 * !np2
+    end
+  in
   {
     grid;
     radius;
@@ -130,11 +173,11 @@ let create grid ~radius =
     per_row;
     side = Grid.side grid;
     torus = Grid.is_torus grid;
-    count = Array.make buckets 0;
-    start = Array.make buckets 0;
-    items = [||];
-    touched = Array.make buckets 0;
+    count = Array.make slots 0;
+    start = Array.make slots 0;
+    touched = Array.make slots 0;
     touched_len = 0;
+    items = [||];
     positions = [||];
     present = None;
     xs = empty_vec;
@@ -142,12 +185,16 @@ let create grid ~radius =
     soa = false;
     n = 0;
     bucket = [||];
-    prev_bucket = [||];
+    digit_bits;
+    passes;
+    m = 0;
+    keys = [||];
+    prev_keys = [||];
+    spare = [||];
+    run_at = [||];
     delta_ok = false;
-    dirty = Array.make buckets 0;
-    dirty_stamp = Array.make buckets 0;
-    dirty_len = 0;
-    dirty_epoch = 0;
+    entries = [||];
+    entries' = [||];
   }
 
 let radius t = t.radius
@@ -160,41 +207,51 @@ let bucket_of t v =
 
 (* The per-step loops below use unchecked array accesses. The indices
    are structurally in range: bucket ids come from [bucket_of]/[morton]
-   over clamped coordinates (< buckets, the arrays' length), agent ids
-   are < n (and [items]/[bucket]/[prev_bucket] are grown to n by
-   [begin_rebuild]), and [touched_len]/[dirty_len] count distinct bucket
-   ids, so they never exceed [buckets]. *)
+   over clamped coordinates (< buckets, the table's length), digits are
+   masked to [digit_bits] (< the table's length at radius 0), agent ids
+   are < n and output offsets < m <= n (every per-agent array is grown
+   to n by [begin_rebuild]), and [touched_len] counts distinct slots, so
+   it never exceeds the table's length. *)
 
 let[@unsafe_invariant
-     "touched.(i < touched_len) holds distinct bucket ids < length \
-      count"] clear_table t =
-  (* reset only the buckets the previous rebuild used *)
+     "touched.(i < touched_len) holds distinct slots < length count"]
+    clear_table t =
+  (* reset only the slots the previous counting pass used *)
   for i = 0 to t.touched_len - 1 do
     Array.unsafe_set t.count (Array.unsafe_get t.touched i) 0
   done;
   t.touched_len <- 0
 
-(* Shared prologue of both rebuild paths: empty the table, keep the
-   previous rebuild's buckets in [prev_bucket], and size the per-agent
-   scratch for [n] agents. *)
+let grow a n =
+  if Array.length a < n then
+    (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"])
+  else a
+
+(* Shared prologue of both rebuild paths: empty the table and size the
+   per-agent scratch for [n] agents; at radius 0 the previous rebuild's
+   keys move to [prev_keys]. *)
 let begin_rebuild ?present t ~n =
+  if n > 1 lsl agent_bits then
+    invalid_arg "Spatial.rebuild: more than 2^30 agents";
   clear_table t;
-  let b = t.prev_bucket in
-  t.prev_bucket <- t.bucket;
-  t.bucket <- b;
-  if Array.length t.items < n then
-    t.items <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
-  if Array.length t.bucket < n then
-    t.bucket <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
-  if Array.length t.prev_bucket < n then
-    t.prev_bucket <- (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"]);
+  t.items <- grow t.items n;
+  if t.radius = 0 then begin
+    let k = t.prev_keys in
+    t.prev_keys <- t.keys;
+    t.keys <- grow k n;
+    t.prev_keys <- grow t.prev_keys n;
+    t.spare <- grow t.spare n;
+    if t.passes > 1 then t.run_at <- grow t.run_at n
+  end
+  else t.bucket <- grow t.bucket n;
   t.n <- n;
+  t.m <- 0;
   t.present <- present
 
 let[@inline]
     [@unsafe_invariant
-      "b is a bucket id < length count = length touched, and touched_len \
-       counts distinct buckets"] count_agent t b =
+      "b is a slot < length count = length touched, and touched_len \
+       counts distinct slots"] count_agent t b =
   let c = Array.unsafe_get t.count b in
   if c = 0 then begin
     Array.unsafe_set t.touched t.touched_len b;
@@ -202,19 +259,21 @@ let[@inline]
   end;
   Array.unsafe_set t.count b (c + 1)
 
-(* Prefix sums over the touched buckets, written as each bucket's *end*
-   offset: [place] then fills every slice backwards, leaving [start] at
-   the slice's first slot with no restore pass. A tail-recursive loop,
-   so the hot rebuild carries no [ref] cell. *)
+(* Prefix sums over the touched slots, written as each slot's *end*
+   offset: the placing pass then fills every slice backwards, leaving
+   [start] at the slice's first entry with no restore pass. A
+   tail-recursive loop, so the hot rebuild carries no [ref] cell. *)
 let[@unsafe_invariant
-     "touched.(i < touched_len) holds distinct bucket ids < length \
-      start = length count"] rec end_offsets t i off =
+     "touched.(i < touched_len) holds distinct slots < length start = \
+      length count"] rec end_offsets t i off =
   if i < t.touched_len then begin
     let b = Array.unsafe_get t.touched i in
     let off = off + Array.unsafe_get t.count b in
     Array.unsafe_set t.start b off;
     end_offsets t (i + 1) off
   end
+
+(* --- radius >= 1: the bucket table --- *)
 
 (* Place agents [0..n-1] into their bucket slices in reverse id order,
    so each slice ends up in increasing agent order. *)
@@ -240,23 +299,115 @@ let[@unsafe_invariant
         end
       done
 
+(* --- radius 0: the LSD sort of packed node keys --- *)
+
+let[@inline] digit_mask t = (1 lsl t.digit_bits) - 1
+
+let[@inline] digit v ~shift ~mask = (v lsr (agent_bits + shift)) land mask
+
+let[@inline] node_of v = v lsr agent_bits
+
+let[@inline] agent_of v = v land agent_mask
+
+let[@unsafe_invariant
+     "i < m <= length src; digits are masked below length count"]
+    count_digit t src ~m ~shift =
+  clear_table t;
+  let mask = digit_mask t in
+  for i = 0 to m - 1 do
+    count_agent t (digit (Array.unsafe_get src i) ~shift ~mask)
+  done
+
+(* Move [src.(0..m-1)] into [dst] grouped by one digit, stably: the
+   table holds this digit's counts of exactly these entries, so the
+   slices tile [dst.(0..m-1)] and each entry lands in its own slot. *)
+let[@unsafe_invariant
+     "i < m <= length src, length dst; digits are masked below length \
+      start, whose slices tile 0..m-1 (counts of these m entries)"]
+    place_digit t ~src ~dst ~m ~shift =
+  end_offsets t 0 0;
+  let mask = digit_mask t in
+  for i = m - 1 downto 0 do
+    let v = Array.unsafe_get src i in
+    let d = digit v ~shift ~mask in
+    let s = Array.unsafe_get t.start d - 1 in
+    Array.unsafe_set dst s v;
+    Array.unsafe_set t.start d s
+  done
+
+(* Passes [p..passes-1] of the sort of [src.(0..m-1)], pass [p]'s digit
+   already counted. Pass [p] writes [a] when [p] is even, else [b], so
+   [src] may be [b]: only pass 0 reads it. Returns the sorted buffer. *)
+let rec sort_from t p ~src ~m ~a ~b =
+  let dst = if p land 1 = 0 then a else b in
+  let shift = p * t.digit_bits in
+  place_digit t ~src ~dst ~m ~shift;
+  if p + 1 < t.passes then begin
+    count_digit t dst ~m ~shift:(shift + t.digit_bits);
+    sort_from t (p + 1) ~src:dst ~m ~a ~b
+  end
+  else dst
+
+(* End of the run of equal nodes that starts at [lo] in [v.(0..m-1)]. *)
+let rec run_end v ~m key hi =
+  if hi < m && node_of v.(hi) = key then run_end v ~m key (hi + 1) else hi
+
+(* Record at its smallest agent each run of two or more agents on one
+   node in [items.(x..m-1)]; the current run started at [lo], on node
+   [key]. *)
+let[@unsafe_invariant "x < m <= length items"] rec mark_runs t lo key x =
+  if x < t.m && node_of (Array.unsafe_get t.items x) = key then
+    mark_runs t lo key (x + 1)
+  else begin
+    if x - lo > 1 then t.run_at.(agent_of t.items.(lo)) <- lo;
+    if x < t.m then mark_runs t x (node_of (Array.unsafe_get t.items x)) (x + 1)
+  end
+
+(* Sort the [m] keys counted into the table, then record the runs if
+   their order is not already by smallest agent. *)
+let group_by_node t =
+  let out = sort_from t 0 ~src:t.keys ~m:t.m ~a:t.items ~b:t.spare in
+  if out != t.items then begin
+    t.spare <- t.items;
+    t.items <- out
+  end;
+  if t.passes > 1 then begin
+    Array.fill t.run_at 0 t.n (-1);
+    if t.m > 0 then mark_runs t 0 (node_of t.items.(0)) 1
+  end
+
+let[@inline]
+    [@unsafe_invariant "m < n <= length keys (begin_rebuild)"] push t key =
+  Array.unsafe_set t.keys t.m key;
+  count_agent t (digit key ~shift:0 ~mask:(digit_mask t));
+  t.m <- t.m + 1
+
 let rebuild ?present t ~positions =
   let k = Array.length positions in
   begin_rebuild ?present t ~n:k;
   t.positions <- positions;
   t.soa <- false;
   t.delta_ok <- false;
-  (* pass 1: count agents per bucket, recording first-touched buckets *)
-  for agent = 0 to k - 1 do
-    if match present with None -> true | Some pr -> pr.(agent) then begin
-      let b = bucket_of t positions.(agent) in
-      t.bucket.(agent) <- b;
-      count_agent t b
-    end
-  done;
-  (* passes 2 and 3: slice offsets, then agents into their slices *)
-  end_offsets t 0 0;
-  place t
+  if t.radius = 0 then begin
+    for agent = 0 to k - 1 do
+      if match present with None -> true | Some pr -> pr.(agent) then
+        push t ((positions.(agent) lsl agent_bits) lor agent)
+    done;
+    group_by_node t
+  end
+  else begin
+    (* pass 1: count agents per bucket, recording first-touched buckets *)
+    for agent = 0 to k - 1 do
+      if match present with None -> true | Some pr -> pr.(agent) then begin
+        let b = bucket_of t positions.(agent) in
+        t.bucket.(agent) <- b;
+        count_agent t b
+      end
+    done;
+    (* passes 2 and 3: slice offsets, then agents into their slices *)
+    end_offsets t 0 0;
+    place t
+  end
 
 let[@unsafe_invariant
      "i is an agent index < n <= Array1.dim v (rebuild_soa contract)"] vget
@@ -269,29 +420,38 @@ let[@hot]
        come from morton over clamped coordinates < buckets"] rebuild_soa
     ?present t ~xs ~ys ~n =
   (* Delta eligibility is judged against the *previous* rebuild:
-     radius 0 (bucket = cell, components are bucket-local) and a
-     previous unmasked SoA rebuild of the same population, so every
-     agent has a previous bucket to compare. The delta itself is
-     distance-agnostic — [reconcile] compares buckets, so even jump
-     kernels that hop several cells stay correct. *)
+     radius 0 (components are cell-local) and a previous unmasked SoA
+     rebuild of the same population, so every agent has a previous key
+     to compare. *)
   let unmasked = match present with None -> true | Some _ -> false in
   let eligible = t.radius = 0 && t.delta_ok && t.n = n && unmasked in
   begin_rebuild ?present t ~n;
   t.xs <- xs;
   t.ys <- ys;
   t.soa <- true;
-  let bs = t.bucket_side and clamp_hi = t.per_row - 1 in
-  (* pass 1: count agents per bucket, recording first-touched buckets *)
-  if bs = 1 && unmasked then
-    (* radius-0 hot path: bucket side 1 makes bucket coordinates the
-       cell coordinates themselves — no per-agent division, and no
-       clamp since coordinates are already < per_row *)
-    for agent = 0 to n - 1 do
-      let b = morton (vget xs agent) (vget ys agent) in
-      Array.unsafe_set t.bucket agent b;
-      count_agent t b
-    done
-  else
+  let side = t.side in
+  if t.radius = 0 then begin
+    if unmasked then begin
+      let mask = digit_mask t in
+      for agent = 0 to n - 1 do
+        let key =
+          (((vget ys agent * side) + vget xs agent) lsl agent_bits) lor agent
+        in
+        Array.unsafe_set t.keys agent key;
+        count_agent t (digit key ~shift:0 ~mask)
+      done;
+      t.m <- n
+    end
+    else
+      for agent = 0 to n - 1 do
+        if match present with None -> true | Some pr -> pr.(agent) then
+          push t ((((vget ys agent * side) + vget xs agent) lsl agent_bits) lor agent)
+      done;
+    group_by_node t
+  end
+  else begin
+    let bs = t.bucket_side and clamp_hi = t.per_row - 1 in
+    (* pass 1: count agents per bucket, recording first-touched buckets *)
     for agent = 0 to n - 1 do
       if match present with None -> true | Some pr -> pr.(agent) then begin
         let bx = min (vget xs agent / bs) clamp_hi
@@ -301,69 +461,91 @@ let[@hot]
         count_agent t b
       end
     done;
-  (* passes 2 and 3: slice offsets, then agents into their slices *)
-  end_offsets t 0 0;
-  place t;
-  (* bucket is only trustworthy for the next step if every agent was
+    (* passes 2 and 3: slice offsets, then agents into their slices *)
+    end_offsets t 0 0;
+    place t
+  end;
+  (* keys is only trustworthy for the next step if every agent was
      indexed this step *)
   t.delta_ok <- t.radius = 0 && unmasked;
   if eligible then Delta else Full
 
+(* [reconcile]'s entries: every agent at its current node, and every
+   agent that moved at its previous node too, so that a node an agent
+   left still shows up as a group. Returns the entry count. *)
 let[@unsafe_invariant
-     "b is a bucket id < buckets = length dirty = length dirty_stamp, \
-      and dirty_len counts distinct marked buckets"] mark_dirty t b =
-  if Array.unsafe_get t.dirty_stamp b <> t.dirty_epoch then begin
-    Array.unsafe_set t.dirty_stamp b t.dirty_epoch;
-    Array.unsafe_set t.dirty t.dirty_len b;
-    t.dirty_len <- t.dirty_len + 1
+     "len <= 2a + 1 < 2n <= length entries (grown by reconcile)"] rec
+    fill_entries t a len =
+  if a >= t.n then len
+  else begin
+    let cur = t.keys.(a) and prev = t.prev_keys.(a) in
+    let mask = digit_mask t in
+    Array.unsafe_set t.entries len cur;
+    count_agent t (digit cur ~shift:0 ~mask);
+    if prev = cur then fill_entries t (a + 1) (len + 1)
+    else begin
+      Array.unsafe_set t.entries (len + 1) prev;
+      count_agent t (digit prev ~shift:0 ~mask);
+      fill_entries t (a + 1) (len + 2)
+    end
   end
 
-let[@hot]
-    [@unsafe_invariant
-      "agent < n <= length prev_bucket, length bucket (begin_rebuild), \
-       both holding bucket ids < buckets; dirty.(idx < dirty_len) holds \
-       bucket ids; start/count slices lie within items, whose length is \
-       >= n"] reconcile t ~dissolve ~union =
-  (* The dirty set: an agent that switched buckets dirties both its old
-     and its new bucket. *)
-  t.dirty_epoch <- t.dirty_epoch + 1;
-  t.dirty_len <- 0;
-  for agent = 0 to t.n - 1 do
-    let pb = Array.unsafe_get t.prev_bucket agent
-    and b = Array.unsafe_get t.bucket agent in
-    if pb <> b then begin
-      mark_dirty t pb;
-      mark_dirty t b
+let[@inline] is_member t e = t.keys.(agent_of e) = e
+
+(* A node's group of entries is dirty when any agent in it moved: a
+   member that arrived, or the entry a departed agent left behind. *)
+let rec dirty t v lo hi =
+  lo < hi
+  &&
+  let a = agent_of v.(lo) in
+  t.keys.(a) <> t.prev_keys.(a) || dirty t v (lo + 1) hi
+
+let rec dissolve_dirty t v ~m ~dissolve lo =
+  if lo < m then begin
+    let hi = run_end v ~m (node_of v.(lo)) (lo + 1) in
+    if dirty t v lo hi then
+      for x = lo to hi - 1 do
+        if is_member t v.(x) then dissolve (agent_of v.(x))
+      done;
+    dissolve_dirty t v ~m ~dissolve hi
+  end
+
+(* Union the members among [v.(x..hi-1)] with the group's first. *)
+let rec union_members t v ~union ~first x hi =
+  if x < hi then begin
+    let e = v.(x) in
+    if not (is_member t e) then union_members t v ~union ~first (x + 1) hi
+    else if first < 0 then union_members t v ~union ~first:(agent_of e) (x + 1) hi
+    else begin
+      union first (agent_of e);
+      union_members t v ~union ~first (x + 1) hi
     end
-  done;
+  end
+
+let rec union_dirty t v ~m ~union lo =
+  if lo < m then begin
+    let hi = run_end v ~m (node_of v.(lo)) (lo + 1) in
+    if dirty t v lo hi then union_members t v ~union ~first:(-1) lo hi;
+    union_dirty t v ~m ~union hi
+  end
+
+let[@hot] reconcile t ~dissolve ~union =
+  if t.radius > 0 then invalid_arg "Spatial.reconcile: radius > 0";
+  let n = t.n in
+  t.entries <- grow t.entries (2 * n);
+  t.entries' <- grow t.entries' (2 * n);
+  clear_table t;
+  let m = fill_entries t 0 0 in
+  let v = sort_from t 0 ~src:t.entries ~m ~a:t.entries' ~b:t.entries in
   (* Two phases, dissolve-all before union-any: an agent that left a
-     dirty bucket is a current member of another dirty bucket (both
-     endpoints of a move are marked), so phase 1 detaches every element
-     whose old component is affected before phase 2 can traverse it —
-     no union ever walks through a stale link. Clean buckets keep their
-     membership (any arrival or departure would have dirtied them), and
+     dirty node is a current member of another dirty node (both ends of
+     a move are dirty), so phase 1 detaches every element whose old
+     component is affected before phase 2 can traverse it — no union
+     ever walks through a stale link. A clean node kept its members, and
      at radius 0 their components are internal, so leaving them alone
      is exact. *)
-  for idx = 0 to t.dirty_len - 1 do
-    let b = Array.unsafe_get t.dirty idx in
-    let lo = Array.unsafe_get t.start b
-    and c = Array.unsafe_get t.count b in
-    if c > 0 then
-      for x = lo to lo + c - 1 do
-        dissolve (Array.unsafe_get t.items x)
-      done
-  done;
-  for idx = 0 to t.dirty_len - 1 do
-    let b = Array.unsafe_get t.dirty idx in
-    let lo = Array.unsafe_get t.start b
-    and c = Array.unsafe_get t.count b in
-    if c > 1 then begin
-      let first = Array.unsafe_get t.items lo in
-      for x = lo + 1 to lo + c - 1 do
-        union first (Array.unsafe_get t.items x)
-      done
-    end
-  done
+  dissolve_dirty t v ~m ~dissolve 0;
+  union_dirty t v ~m ~union 0
 
 let axis_dist t a b =
   let d = abs (a - b) in
@@ -416,19 +598,6 @@ let iter_all_pairs t ~f =
       done
   done
 
-(* Pairs of exactly cohabiting agents within one bucket slice (the
-   radius-0 case: bucket side 1 means same bucket = same node). *)
-let iter_cohabitants t b ~f =
-  let lo = t.start.(b) in
-  let hi = lo + t.count.(b) - 1 in
-  for x = lo to hi - 1 do
-    let i = t.items.(x) in
-    for y = x + 1 to hi do
-      let j = t.items.(y) in
-      f (min i j) (max i j)
-    done
-  done
-
 (* One forward-neighbour probe of [iter_close_pairs], hoisted to module
    level: a local [scan] closure would capture b/bx/by/f and allocate
    once per touched bucket per step. *)
@@ -441,12 +610,38 @@ let scan_neighbour t ~f b bx by dx dy =
     if t.count.(b') > 0 then iter_inter t b b' ~f
   end
 
-let[@hot] iter_close_pairs t ~f =
-  if t.radius = 0 then
-    for idx = 0 to t.touched_len - 1 do
-      let b = t.touched.(idx) in
-      if t.count.(b) > 1 then iter_cohabitants t b ~f
+(* The pairs of the run [items.(lo..hi-1)] (one node, agents
+   ascending), in lexicographic order. *)
+let run_pairs t lo hi ~f =
+  for x = lo to hi - 2 do
+    let i = agent_of t.items.(x) in
+    for y = x + 1 to hi - 1 do
+      f i (agent_of t.items.(y))
     done
+  done
+
+(* One pass: the runs of [items.(x..m-1)] already come by smallest
+   agent; the current run started at [lo], on node [key]. *)
+let[@unsafe_invariant "x < m <= length items"] rec iter_runs t ~f lo key x =
+  if x < t.m && node_of (Array.unsafe_get t.items x) = key then
+    iter_runs t ~f lo key (x + 1)
+  else begin
+    if x - lo > 1 then run_pairs t lo x ~f;
+    if x < t.m then iter_runs t ~f x (node_of (Array.unsafe_get t.items x)) (x + 1)
+  end
+
+let[@hot] iter_close_pairs t ~f =
+  if t.radius = 0 then begin
+    if t.passes = 1 then begin
+      if t.m > 0 then iter_runs t ~f 0 (node_of t.items.(0)) 1
+    end
+    else
+      for agent = 0 to t.n - 1 do
+        let lo = t.run_at.(agent) in
+        if lo >= 0 then
+          run_pairs t lo (run_end t.items ~m:t.m (node_of t.items.(lo)) (lo + 1)) ~f
+      done
+  end
   else if t.torus && t.per_row < 3 then
     (* with fewer than 3 bucket columns, wrapped forward scans would
        revisit pairs; fall back to the exhaustive scan *)
@@ -468,40 +663,3 @@ let count_close_pairs t =
   let n = ref 0 in
   iter_close_pairs t ~f:(fun _ _ -> incr n);
   !n
-
-let near t v i ~range =
-  if t.soa then
-    let x = Grid.x_of t.grid v and y = Grid.y_of t.grid v in
-    axis_dist t x (vget t.xs i) + axis_dist t y (vget t.ys i) <= range
-  else Grid.manhattan t.grid v t.positions.(i) <= range
-
-let iter_agents_near t v ~range ~f =
-  if range < 0 then invalid_arg "Spatial.iter_agents_near: negative range";
-  if t.torus then begin
-    (* wrap-aware bucket windows are not worth the complexity for this
-       query (it is off the simulation hot path): scan all agents *)
-    let k = t.n in
-    let indexed i =
-      match t.present with None -> true | Some pr -> pr.(i)
-    in
-    for i = 0 to k - 1 do
-      if indexed i && near t v i ~range then f i
-    done
-  end
-  else begin
-    let x = Grid.x_of t.grid v and y = Grid.y_of t.grid v in
-    let b_lo_x = max 0 ((x - range) / t.bucket_side)
-    and b_hi_x = min (t.per_row - 1) ((x + range) / t.bucket_side)
-    and b_lo_y = max 0 ((y - range) / t.bucket_side)
-    and b_hi_y = min (t.per_row - 1) ((y + range) / t.bucket_side) in
-    for by = b_lo_y to b_hi_y do
-      for bx = b_lo_x to b_hi_x do
-        let b = morton bx by in
-        let lo = t.start.(b) in
-        for idx = lo to lo + t.count.(b) - 1 do
-          let i = t.items.(idx) in
-          if near t v i ~range then f i
-        done
-      done
-    done
-  end

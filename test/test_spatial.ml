@@ -19,6 +19,12 @@ let index_pairs grid ~radius positions =
   Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
   List.sort compare !out
 
+(* Pairs in the order the index emits them. *)
+let emitted index =
+  let out = ref [] in
+  Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
+  List.rev !out
+
 let vec_of_coords coords =
   let v =
     Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
@@ -121,42 +127,20 @@ let test_huge_radius () =
       (Grid.Torus, max_int); (Grid.Bounded, 30);
     ]
 
-let test_iter_agents_near () =
-  let grid = Grid.create ~side:15 () in
-  let rng = Prng.of_seed 21 in
-  let positions = Array.init 30 (fun _ -> Grid.random_node grid rng) in
-  let index = Spatial.create grid ~radius:2 in
-  Spatial.rebuild index ~positions;
-  for probe = 0 to Grid.nodes grid - 1 do
-    if probe mod 17 = 0 then begin
-      let range = 4 in
-      let expected =
-        List.sort compare
-          (List.filteri (fun _ _ -> true)
-             (List.filter_map
-                (fun i ->
-                  if Grid.manhattan grid probe positions.(i) <= range then
-                    Some i
-                  else None)
-                (List.init 30 (fun i -> i))))
-      in
-      let got = ref [] in
-      Spatial.iter_agents_near index probe ~range ~f:(fun i ->
-          got := i :: !got);
-      Alcotest.(check (list int))
-        (Printf.sprintf "agents near node %d" probe)
-        expected
-        (List.sort compare !got)
-    end
-  done
-
-let test_iter_agents_near_invalid () =
-  let grid = Grid.create ~side:6 () in
-  let index = Spatial.create grid ~radius:1 in
-  Spatial.rebuild index ~positions:[| 0 |];
-  Alcotest.check_raises "negative range"
-    (Invalid_argument "Spatial.iter_agents_near: negative range") (fun () ->
-      Spatial.iter_agents_near index 0 ~range:(-1) ~f:(fun _ -> ()))
+(* At radius 0 nothing is sized to the grid: an index for a side-2048
+   grid (4.2 million nodes) fits in a few dozen KiB, where a table with
+   one slot per node would take tens of MiB. *)
+let test_radius0_memory () =
+  let grid = Grid.create ~side:2048 () in
+  let before = Gc.allocated_bytes () in
+  let index = Spatial.create grid ~radius:0 in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates %.0f bytes < 64 KiB" bytes)
+    true (bytes < 65536.);
+  Spatial.rebuild index ~positions:[| 5; 4194303; 5 |];
+  Alcotest.(check (list (pair int int))) "still indexes" [ (0, 2) ]
+    (emitted index)
 
 (* --- qcheck: randomized agreement with brute force --- *)
 
@@ -294,27 +278,6 @@ let prop_incremental_matches_scratch ~torus ~churn =
         s.Qgen.ws_steps;
       !ok)
 
-let test_iter_agents_near_torus () =
-  let grid = Grid.create ~topology:Grid.Torus ~side:10 () in
-  let rng = Prng.of_seed 31 in
-  let positions = Array.init 20 (fun _ -> Grid.random_node grid rng) in
-  let index = Spatial.create grid ~radius:2 in
-  Spatial.rebuild index ~positions;
-  let probe = Grid.index grid ~x:0 ~y:0 in
-  let range = 3 in
-  let expected =
-    List.sort compare
-      (List.filter_map
-         (fun i ->
-           if Grid.manhattan grid probe positions.(i) <= range then Some i
-           else None)
-         (List.init 20 (fun i -> i)))
-  in
-  let got = ref [] in
-  Spatial.iter_agents_near index probe ~range ~f:(fun i -> got := i :: !got);
-  Alcotest.(check (list int)) "wrap-aware query" expected
-    (List.sort compare !got)
-
 (* --- radius-0 pair order ---------------------------------------------
 
    The engine's loss faults draw one Bernoulli per visited pair, so at
@@ -348,11 +311,6 @@ let reference_order ?present positions =
         members
     end
   done;
-  List.rev !out
-
-let emitted index =
-  let out = ref [] in
-  Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
   List.rev !out
 
 let prop_radius0_pair_order =
@@ -417,13 +375,10 @@ let () =
           Alcotest.test_case "radius getter / invalid" `Quick
             test_radius_getter_and_invalid;
           Alcotest.test_case "huge radius" `Quick test_huge_radius;
+          Alcotest.test_case "radius 0 memory" `Quick test_radius0_memory;
         ] );
       ( "queries",
         [
-          Alcotest.test_case "agents near node" `Quick test_iter_agents_near;
-          Alcotest.test_case "invalid range" `Quick
-            test_iter_agents_near_invalid;
-          Alcotest.test_case "torus query" `Quick test_iter_agents_near_torus;
           Alcotest.test_case "degenerate torus fallback" `Quick
             test_degenerate_torus_fallback;
         ] );
