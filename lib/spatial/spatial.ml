@@ -500,14 +500,21 @@ let rec dirty t v lo hi =
   let a = agent_of v.(lo) in
   t.keys.(a) <> t.prev_keys.(a) || dirty t v (lo + 1) hi
 
-let rec dissolve_dirty t v ~m ~dissolve lo =
-  if lo < m then begin
+(* Dissolve the members of every dirty group in [v.(lo..m-1)], listing
+   each such group's start in [dirty_at.(nd..)]; returns the list's
+   length. *)
+let rec dissolve_dirty t v ~m ~dissolve ~dirty_at lo nd =
+  if lo >= m then nd
+  else begin
     let hi = run_end v ~m (node_of v.(lo)) (lo + 1) in
-    if dirty t v lo hi then
+    if dirty t v lo hi then begin
       for x = lo to hi - 1 do
         if is_member t v.(x) then dissolve (agent_of v.(x))
       done;
-    dissolve_dirty t v ~m ~dissolve hi
+      dirty_at.(nd) <- lo;
+      dissolve_dirty t v ~m ~dissolve ~dirty_at hi (nd + 1)
+    end
+    else dissolve_dirty t v ~m ~dissolve ~dirty_at hi nd
   end
 
 (* Union the members among [v.(x..hi-1)] with the group's first. *)
@@ -520,13 +527,6 @@ let rec union_members t v ~union ~first x hi =
       union first (agent_of e);
       union_members t v ~union ~first (x + 1) hi
     end
-  end
-
-let rec union_dirty t v ~m ~union lo =
-  if lo < m then begin
-    let hi = run_end v ~m (node_of v.(lo)) (lo + 1) in
-    if dirty t v lo hi then union_members t v ~union ~first:(-1) lo hi;
-    union_dirty t v ~m ~union hi
   end
 
 let[@hot] reconcile t ~dissolve ~union =
@@ -544,8 +544,13 @@ let[@hot] reconcile t ~dissolve ~union =
      ever walks through a stale link. A clean node kept its members, and
      at radius 0 their components are internal, so leaving them alone
      is exact. *)
-  dissolve_dirty t v ~m ~dissolve 0;
-  union_dirty t v ~m ~union 0
+  let dirty_at = if v == t.entries then t.entries' else t.entries in
+  let nd = dissolve_dirty t v ~m ~dissolve ~dirty_at 0 0 in
+  for i = 0 to nd - 1 do
+    let lo = dirty_at.(i) in
+    union_members t v ~union ~first:(-1) lo
+      (run_end v ~m (node_of v.(lo)) (lo + 1))
+  done
 
 let axis_dist t a b =
   let d = abs (a - b) in

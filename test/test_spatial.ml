@@ -211,11 +211,15 @@ let components_agree k inc scratch =
   done;
   !ok
 
-let prop_incremental_matches_scratch ~torus ~churn =
+(* [offset] moves the script's box to [offset, offset + side) on a grid
+   of side [side + offset]: from offset 55 on, node ids need two sort
+   digits. *)
+let prop_incremental_matches_scratch ?(offset = 0) ~torus ~churn () =
   let name =
-    Printf.sprintf "incremental reconcile = scratch rebuild (%s%s)"
+    Printf.sprintf "incremental reconcile = scratch rebuild (%s%s%s)"
       (if torus then "torus" else "bounded")
       (if churn then ", churn" else "")
+      (if offset > 0 then Printf.sprintf ", offset %d" offset else "")
   in
   QCheck.Test.make ~name ~count:80 (Qgen.walk_script ~churn ()) (fun s ->
       (* a torus needs side >= 3; widening the grid keeps the generated
@@ -223,11 +227,12 @@ let prop_incremental_matches_scratch ~torus ~churn =
       let side = if torus then max 3 s.Qgen.ws_side else s.Qgen.ws_side in
       let k = s.Qgen.ws_agents in
       let grid =
+        let side = side + offset in
         if torus then Grid.create ~topology:Grid.Torus ~side ()
         else Grid.create ~side ()
       in
-      let xs = vec_of_coords (Array.map fst s.Qgen.ws_starts) in
-      let ys = vec_of_coords (Array.map snd s.Qgen.ws_starts) in
+      let box c = vec_of_coords (Array.map (fun p -> offset + c p) s.Qgen.ws_starts) in
+      let xs = box fst and ys = box snd in
       let index = Spatial.create grid ~radius:0 in
       let dsu = Dsu.create k in
       let ok = ref true in
@@ -257,7 +262,10 @@ let prop_incremental_matches_scratch ~torus ~churn =
         if not (components_agree k dsu scratch) then ok := false
       in
       let move v d =
+        let v = v - offset in
         let nv = v + d in
+        offset
+        +
         if torus then (nv + side) mod side
         else if nv < 0 || nv >= side then v
         else nv
@@ -387,9 +395,10 @@ let () =
           [
             prop_agreement; prop_pair_distance; prop_torus_agreement;
             prop_radius0_pair_order;
-            prop_incremental_matches_scratch ~torus:false ~churn:false;
-            prop_incremental_matches_scratch ~torus:true ~churn:false;
-            prop_incremental_matches_scratch ~torus:false ~churn:true;
-            prop_incremental_matches_scratch ~torus:true ~churn:true;
+            prop_incremental_matches_scratch ~torus:false ~churn:false ();
+            prop_incremental_matches_scratch ~torus:true ~churn:false ();
+            prop_incremental_matches_scratch ~torus:false ~churn:true ();
+            prop_incremental_matches_scratch ~torus:true ~churn:true ();
+            prop_incremental_matches_scratch ~offset:91 ~torus:false ~churn:true ();
           ] );
     ]
