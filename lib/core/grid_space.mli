@@ -1,6 +1,6 @@
 (** The paper's space: agents on a bounded or toroidal grid, moving by a
     {!Walk.kernel} transition per step, with visibility = Manhattan
-    distance [<= radius] found through the bucket-grid {!Spatial} index.
+    distance [<= radius] found through the {!Spatial} index.
 
     Positions are structure-of-arrays int32 coordinate vectors
     ({!Walk.vec}): moves mutate them in place and the index loads them

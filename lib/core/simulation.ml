@@ -1,5 +1,5 @@
 (* The paper's simulator, expressed as the grid instance of the generic
-   engine: Grid_space carries the lazy walk and the bucket-grid
+   engine: Grid_space carries the lazy walk and the spatial
    visibility index, Engine carries the step loop, phase timers,
    recording and stopping predicates. This module only adds the
    Config-level API (validation, default step caps). *)

@@ -11,7 +11,7 @@
     across all steps without paying an O(n) sweep per step. {!dissolve}
     supports *incremental* component maintenance through
     [Spatial.reconcile]: instead of resetting, a caller dissolves only
-    the members of spatial buckets whose occupancy changed and re-unions
+    the members of grid nodes whose occupancy changed and re-unions
     them, leaving untouched components intact across steps. (The engine
     resets and re-unions every step instead.) *)
 
@@ -36,8 +36,8 @@ val dissolve : t -> int -> unit
     dissolves must cover whole sets — if any member of a set is
     dissolved, every member must be, before new unions touch any of
     them. [Spatial.reconcile] satisfies this because at radius 0 a
-    component is exactly the population of one spatial bucket, and it
-    dissolves every current member of every dirty bucket. Partial
+    component is exactly the population of one grid node, and it
+    dissolves every current member of every dirty node. Partial
     dissolution would leave surviving members pointing at a recycled
     root with a stale size. Taints {!set_count}'s O(1) counter (recomputed on demand). *)
 

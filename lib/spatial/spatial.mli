@@ -52,9 +52,9 @@ val create : Grid.t -> radius:int -> t
     transmission radius [radius]. Any radius works: buckets never grow
     wider than the grid, since every pair already lies within
     Chebyshev distance [side - 1]. At radius 0 nothing is sized to the
-    grid beyond a table of at most 4096 slots. @raise Invalid_argument if [radius < 0]
-    or the grid needs more than 65536 bucket columns (a side above
-    65536 at radius 0 or 1). *)
+    grid beyond a table of at most 4096 slots.
+    @raise Invalid_argument if [radius < 0] or the grid needs more than
+    65536 bucket columns (a side above 65536 at radius 0 or 1). *)
 
 val radius : t -> int
 

@@ -55,7 +55,7 @@ let plan ~agents =
    initial positions plus per-step per-agent axis moves, with optional
    per-step churn masks (None = everyone present). Raw material for the
    [Spatial.reconcile] properties: repairing components from the
-   bucket delta must agree with a from-scratch rebuild on exactly these
+   node delta must agree with a from-scratch rebuild on exactly these
    inputs, and masked steps force the index to report [Full] so the
    Delta/Full transitions get exercised too. *)
 type walk_script = {
