@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test check lint bench bench-json clean
+.PHONY: all build test check lint bench clean
 
 all: build
 
@@ -47,8 +47,11 @@ test:
 # underflows to 0, --density with --side or --rc-mult with -r, and a
 # negative --trace or --render, are usage errors. `@bench/smoke` runs every benchmark workload at
 # small scale, so an Obs/Service API change that breaks bench/suite fails
-# here. The lint gate keeps the determinism/concurrency/io/poly-compare/
-# layering invariants machine-checked. `dune build @all` also builds
+# here. The bench-check smokes compare a smoke-scale mobibench run with
+# itself (exit 0), a run whose op_ms_p10 doubled (exit 1, REGRESSION) and
+# a truncated result line (exit 2, a file:line:col diagnostic). The lint
+# gate keeps the determinism/concurrency/io/poly-compare/layering
+# invariants machine-checked. `dune build @all` also builds
 # examples/.
 check:
 	dune build @all
@@ -104,32 +107,31 @@ check:
 	dune exec bin/mobisim.exe -- simulate --render=-1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'invalid arguments' /tmp/mobisim-bad.err
 	sh test/service_smoke.sh
 	dune build @bench/smoke
+	sh bench/suite/run.sh --workload sparse_r0 --scale smoke --seconds 1 --seed 3 > /tmp/mobisim-mb.out
+	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb.out /tmp/mobisim-mb.out
+	printf 'mobibench sparse_r0 seed=1 seconds=1 trace=0 scale=smoke\n{"correct":true,"attempted":6,"failed":0,"metrics":{"setup_s":{"value":0.001,"unit":"s"},"op_ms_p10":{"value":0.002,"unit":"ms"},"peak_rss_mb":{"value":5.0,"unit":"MB"}}}\n' > /tmp/mobisim-mb-old.out
+	sed 's/"value":0.002/"value":0.004/' /tmp/mobisim-mb-old.out > /tmp/mobisim-mb-new.out
+	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb-old.out /tmp/mobisim-mb-new.out > /tmp/mobisim-mb-check.out; test $$? -eq 1 && grep -q 'op_ms_p10 .* REGRESSION' /tmp/mobisim-mb-check.out
+	printf 'mobibench sparse_r0 seed=1 seconds=1 trace=0 scale=smoke\n{"correct":true,"attem\n' > /tmp/mobisim-mb-trunc.out
+	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb-old.out /tmp/mobisim-mb-trunc.out > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q '^/tmp/mobisim-mb-trunc.out:2:[0-9]*: ' /tmp/mobisim-bad.err
 
 bench:
-	dune exec bench/main.exe
+	sh bench/suite/run.sh
 
 # Static analysis over the typed ASTs: forbidden-identifier scan
 # (determinism + concurrency allowlists), polymorphic-compare detection,
 # the lib/ layering DAG, and the allocation-discipline + unsafe-access
-# audit over the [@hot] call graph. `@lib/check @bin/check` emit the
-# .cmt files mobilint reads (a plain `dune build` skips executables'
-# cmts, and the repo-wide `@check` alias is unusable: bechamel ships no
-# bytecode artifacts, so bench/ fails to typecheck under it). mobilint
+# audit over the [@hot] call graph. `@check` emits the .cmt files
+# mobilint reads (a plain `dune build` skips executables' cmts). mobilint
 # exits 2 (not 0) when it finds no .cmt files, so a broken build alias
 # can never masquerade as a clean scan. The JSON round-trip exercises
 # the report writer and the structural validator on every run.
 lint:
-	dune build @lib/check @bin/check bin/mobilint.exe
+	dune build @check bin/mobilint.exe
 	dune exec bin/mobilint.exe --
 	dune exec bin/mobilint.exe -- --rules alloc,unsafe
 	dune exec bin/mobilint.exe -- --json /tmp/mobilint.json
 	dune exec bin/mobilint.exe -- --validate /tmp/mobilint.json
-
-# Machine-readable perf trajectory: one {probe -> ns/step, words/step}
-# JSON per PR, pinned at the repo root (BENCH_PR10.json for this PR).
-# Compare two with `mobisim bench-check OLD NEW`.
-bench-json:
-	dune exec bench/perf_probe.exe -- --json BENCH_PR10.json
 
 clean:
 	dune clean

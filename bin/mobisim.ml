@@ -924,125 +924,275 @@ let validate_metrics_cmd =
 
 (* --- bench-check ----------------------------------------------------------- *)
 
-(* Compare two perf-trajectory files (written by `make bench-json` /
-   `bench/perf_probe.exe --json`): per-probe ns/step deltas, non-zero
-   exit on any regression beyond the threshold. Probes present in only
-   one file are listed but never fail the check, so adding or renaming
-   probes does not break CI against an older baseline. *)
+(* Gate two mobibench result sets. Each file is the concatenated stdout of
+   untraced mobibench runs: a "mobibench NAME seed=N ... trace=T" header
+   opens a run and the next line starting with '{' is its result; other
+   lines are ignored. BENCHMARK.json (read from the current directory)
+   names the end-to-end metrics, the direction that is better and the
+   bound on a worse median. Every workload OLD has must have NEW runs; a
+   workload only NEW has is not compared. *)
 
-let read_bench_file path =
-  let text = read_text_file "bench file" path in
-  match Obs.Json.parse text with
-  | Error e ->
-      Printf.eprintf "INVALID bench file %s: %s\n" path e;
-      exit 1
-  | Ok json -> (
-      match Obs.Json.member "probes" json with
-      | Some (Obs.Json.Assoc probes) -> probes
-      | Some _ | None ->
-          Printf.eprintf "INVALID bench file %s: no \"probes\" object\n" path;
-          exit 1)
+module Pjson = Obs.Pjson
 
-let bench_number field probe json =
-  match Obs.Json.member field json with
-  | Some (Obs.Json.Float f) -> f
-  | Some (Obs.Json.Int i) -> float_of_int i
-  | Some _ | None ->
-      Printf.eprintf "INVALID bench probe %S: missing numeric %S\n" probe field;
-      exit 1
+type bench_metric = {
+  metric : string;
+  unit : string;
+  lower_better : bool;
+  bound : float;
+}
 
-(* Allocation gating needs an absolute slack on top of the percentage:
-   the steady-state probes sit at a couple of words/step, where a
-   harmless 2-word wobble is a three-digit percentage. A probe only
-   counts as an allocation regression when it exceeds the baseline by
-   the percentage threshold AND by more than this many words/step. *)
-let alloc_slack_words = 8.
+type bench_run = {
+  workload : string;
+  seed : int;
+  correct : bool;
+  attempted : int;
+  failed : int;
+  values : (string * float) list;
+}
 
-let run_bench_check old_path new_path threshold alloc_threshold report_only =
-  let old_probes = read_bench_file old_path
-  and new_probes = read_bench_file new_path in
-  let regressions = ref [] in
-  Printf.printf "%-40s %12s %12s %9s %11s %11s\n" "probe" "old ns/step"
-    "new ns/step" "delta" "old w/step" "new w/step";
-  List.iter
-    (fun (probe, nv) ->
-      let ns_new = bench_number "ns_per_step" probe nv in
-      let ws_new = bench_number "minor_words_per_step" probe nv in
-      match List.assoc_opt probe old_probes with
+let bench_input_error file pos msg =
+  prerr_endline (Pjson.format ~filename:file pos msg);
+  exit 2
+
+let pjson_number (j : Pjson.t) =
+  match j.Pjson.v with
+  | Pjson.Int i -> Some (float_of_int i)
+  | Pjson.Float f -> Some f
+  | _ -> None
+
+let pjson_string (j : Pjson.t) =
+  match j.Pjson.v with Pjson.String s -> Some s | _ -> None
+
+let read_bench_spec () =
+  let file = "BENCHMARK.json" in
+  let fail pos msg = bench_input_error file pos msg in
+  let doc =
+    match Pjson.parse (read_text_file "benchmark spec" file) with
+    | Ok doc -> doc
+    | Error (pos, e) -> fail pos e
+  in
+  match Pjson.member "end_to_end" doc with
+  | Some { Pjson.v = Pjson.List (_ :: _ as entries); _ } ->
+      List.map
+        (fun (e : Pjson.t) ->
+          let field name conv = Option.bind (Pjson.member name e) conv in
+          match
+            ( field "name" pjson_string,
+              field "unit" pjson_string,
+              field "better" pjson_string,
+              field "bound" pjson_number )
+          with
+          | ( Some metric,
+              Some unit,
+              Some ("lower" | "higher" as better),
+              Some bound ) ->
+              { metric; unit; lower_better = String.equal better "lower"; bound }
+          | _ ->
+              fail e.Pjson.pos
+                "end_to_end entry needs \"name\", \"unit\", \"better\" \
+                 (\"lower\" or \"higher\") and a numeric \"bound\"")
+        entries
+  | _ -> fail doc.Pjson.pos "no non-empty \"end_to_end\" list"
+
+let read_bench_runs metrics file =
+  let fail line col msg = bench_input_error file { Pjson.line; col } msg in
+  let header line text =
+    match
+      Scanf.sscanf_opt text "mobibench %s seed=%d seconds=%_s trace=%d"
+        (fun workload seed trace -> (workload, seed, trace))
+    with
+    | Some (workload, seed, 0) -> (workload, seed, line)
+    | Some _ ->
+        fail line 1 "traced run; bench-check compares untraced (trace=0) runs"
+    | None ->
+        fail line 1 "expected \"mobibench NAME seed=N seconds=S trace=0 ...\""
+  in
+  let result (workload, seed, _) line text =
+    let j =
+      match Pjson.parse text with
+      | Ok j -> j
+      | Error (pos, e) -> fail line pos.Pjson.col e
+    in
+    let need name conv =
+      match Option.bind (Pjson.member name j) conv with
+      | Some v -> v
       | None ->
-          Printf.printf "%-40s %12s %12.1f %9s %11s %11.1f\n" probe "-" ns_new
-            "new" "-" ws_new
-      | Some ov ->
-          let ns_old = bench_number "ns_per_step" probe ov in
-          let ws_old = bench_number "minor_words_per_step" probe ov in
-          let delta =
-            if ns_old > 0. then (ns_new -. ns_old) /. ns_old *. 100. else 0.
-          in
-          let time_regressed = delta > threshold in
-          let alloc_regressed =
-            match alloc_threshold with
-            | None -> false
-            | Some pct ->
-                ws_new -. ws_old > alloc_slack_words
-                && ws_new > ws_old *. (1. +. (pct /. 100.))
-          in
-          if time_regressed || alloc_regressed then
-            regressions := probe :: !regressions;
-          Printf.printf "%-40s %12.1f %12.1f %+8.1f%% %11.1f %11.1f%s%s\n"
-            probe ns_old ns_new delta ws_old ws_new
-            (if time_regressed then "  REGRESSION" else "")
-            (if alloc_regressed then "  ALLOC-REGRESSION" else ""))
-    new_probes;
+          fail line j.Pjson.pos.Pjson.col
+            (Printf.sprintf "result has no valid %S" name)
+    in
+    let int (v : Pjson.t) =
+      match v.Pjson.v with Pjson.Int i -> Some i | _ -> None
+    in
+    let bool (v : Pjson.t) =
+      match v.Pjson.v with Pjson.Bool b -> Some b | _ -> None
+    in
+    let metrics_obj = need "metrics" Option.some in
+    let values =
+      List.map
+        (fun m ->
+          match
+            Option.bind (Pjson.member m.metric metrics_obj) (fun v ->
+                Option.bind (Pjson.member "value" v) pjson_number)
+          with
+          | Some v -> (m.metric, v)
+          | None ->
+              fail line metrics_obj.Pjson.pos.Pjson.col
+                (Printf.sprintf "result has no value for metric %S" m.metric))
+        metrics
+    in
+    {
+      workload;
+      seed;
+      correct = need "correct" bool;
+      attempted = need "attempted" int;
+      failed = need "failed" int;
+      values;
+    }
+  in
+  let lines =
+    String.split_on_char '\n' (read_text_file "mobibench output" file)
+  in
+  let no_result (_, _, line) = fail line 1 "mobibench run has no result line" in
+  let rec scan line pending acc = function
+    | [] ->
+        Option.iter no_result pending;
+        List.rev acc
+    | text :: rest when String.starts_with ~prefix:"mobibench " text ->
+        Option.iter no_result pending;
+        scan (line + 1) (Some (header line text)) acc rest
+    | text :: rest when String.starts_with ~prefix:"{" text -> (
+        match pending with
+        | Some h -> scan (line + 1) None (result h line text :: acc) rest
+        | None -> fail line 1 "result line with no mobibench header")
+    | _ :: rest -> scan (line + 1) pending acc rest
+  in
+  scan 1 None [] lines
+
+let seed_list runs =
+  List.map (fun r -> r.seed) runs
+  |> List.sort_uniq Int.compare
+  |> List.map string_of_int |> String.concat ", "
+
+(* The i-th OLD run of a seed pairs with the i-th NEW run of that seed. *)
+let rec seed_pairs olds news =
+  match olds with
+  | [] -> []
+  | o :: olds -> (
+      match List.partition (fun n -> n.seed = o.seed) news with
+      | [], _ -> seed_pairs olds news
+      | n :: same, others -> (o, n) :: seed_pairs olds (same @ others))
+
+let run_bench_check old_path new_path =
+  let metrics = read_bench_spec () in
+  let olds = read_bench_runs metrics old_path
+  and news = read_bench_runs metrics new_path in
+  let failures = ref [] in
+  let fail_row what = failures := what :: !failures in
+  print_endline
+    "| workload (seeds) | metric | pairs | old | new | Δ median | better | gate |";
+  print_endline "|---|---|---|---|---|---|---|---|";
+  let workloads =
+    List.fold_left
+      (fun acc r ->
+        if List.exists (String.equal r.workload) acc then acc
+        else acc @ [ r.workload ])
+      [] olds
+  in
   List.iter
-    (fun (probe, _) ->
-      if not (List.mem_assoc probe new_probes) then
-        Printf.printf "%-40s %12s %12s %9s\n" probe "-" "-" "gone")
-    old_probes;
-  match List.rev !regressions with
-  | [] -> Printf.printf "bench-check OK (threshold %.0f%%)\n" threshold
-  | rs ->
-      Printf.printf "bench-check: %d probe(s) regressed beyond %.0f%%: %s\n"
-        (List.length rs) threshold
-        (String.concat ", " rs);
-      if not report_only then exit 1
+    (fun w ->
+      let mine = List.filter (fun r -> String.equal r.workload w) in
+      let olds = mine olds and news = mine news in
+      let label = Printf.sprintf "%s (%s)" w (seed_list (olds @ news)) in
+      match news with
+      | [] ->
+          Printf.printf "| %s | all | 0 | %d runs | — | | | NO NEW RUNS |\n"
+            label (List.length olds);
+          fail_row (w ^ " has no new runs")
+      | _ :: _ ->
+          let pairs = seed_pairs olds news in
+          List.iter
+            (fun m ->
+              let value r = List.assoc m.metric r.values in
+              let quartiles runs =
+                let xs = Array.of_list (List.map value runs) in
+                let q q = Stats.Summary.quantile xs ~q in
+                (q 0.25, q 0.5, q 0.75)
+              in
+              let o25, o50, o75 = quartiles olds
+              and n25, n50, n75 = quartiles news in
+              let better o n = if m.lower_better then n < o else n > o in
+              let worse =
+                if m.lower_better then n50 > o50 *. (1. +. m.bound)
+                else n50 < o50 *. (1. -. m.bound)
+              in
+              let gate =
+                if not worse then "ok"
+                else if n75 < o25 || o75 < n25 then "REGRESSION"
+                else "UNRESOLVED"
+              in
+              if worse then fail_row (Printf.sprintf "%s %s %s" w m.metric gate);
+              let cell q25 q50 q75 =
+                Printf.sprintf "%.4g %s [%.4g, %.4g]" q50 m.unit q25 q75
+              in
+              Printf.printf
+                "| %s | %s | %d | %s | %s | %+.1f %% | %d/%d | %s |\n" label
+                m.metric (List.length pairs) (cell o25 o50 o75)
+                (cell n25 n50 n75)
+                (100. *. (n50 -. o50) /. o50)
+                (List.length
+                   (List.filter (fun (o, n) -> better (value o) (value n)) pairs))
+                (List.length pairs) gate)
+            metrics;
+          let sum f runs = List.fold_left (fun acc r -> acc + f r) 0 runs in
+          let share runs =
+            let failed = sum (fun r -> r.failed) runs in
+            if failed = 0 then 0.
+            else
+              float_of_int failed
+              /. float_of_int (sum (fun r -> r.attempted) runs)
+          in
+          let gate =
+            match List.filter (fun r -> not r.correct) news with
+            | _ :: _ as incorrect ->
+                Printf.sprintf "INCORRECT (seed %s)" (seed_list incorrect)
+            | [] -> if share news > share olds then "MORE FAILURES" else "ok"
+          in
+          if not (String.equal gate "ok") then fail_row (w ^ " " ^ gate);
+          let count runs =
+            Printf.sprintf "%d/%d" (sum (fun r -> r.failed) runs)
+              (sum (fun r -> r.attempted) runs)
+          in
+          Printf.printf "| %s | failed/attempted | %d | %s | %s | | | %s |\n"
+            label (List.length pairs) (count olds) (count news) gate)
+    workloads;
+  match List.rev !failures with
+  | [] -> print_endline "bench-check: OK"
+  | fs ->
+      Printf.printf "bench-check: FAIL: %s\n" (String.concat "; " fs);
+      exit 1
 
 let bench_check_cmd =
-  let old_path =
-    let doc = "Baseline bench JSON (e.g. the committed BENCH_PR4.json)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_path =
-    let doc = "Candidate bench JSON (e.g. a fresh 'make bench-json')." in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-  in
-  let threshold =
-    let doc = "Fail when a probe's ns/step grows by more than $(docv)%." in
-    Arg.(value & opt float 25.0 & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let alloc_threshold =
+  let runs n docv which =
     let doc =
-      "Also fail when a probe's minor_words_per_step grows by more than \
-       $(docv)% over the baseline (and by more than 8 words/step in \
-       absolute terms, so near-zero probes don't trip on noise). Off by \
-       default."
+      Printf.sprintf
+        "The %s mobibench runs: the concatenated stdout of one or more \
+         untraced 'sh bench/suite/run.sh' runs."
+        which
     in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "alloc-threshold" ] ~docv:"PCT" ~doc)
-  in
-  let report_only =
-    let doc = "Print the comparison but always exit 0 (CI advisory mode)." in
-    Arg.(value & flag & info [ "report-only" ] ~doc)
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc)
   in
   Cmd.v
     (Cmd.info "bench-check"
        ~doc:
-         "Compare two perf-trajectory files from 'make bench-json' and fail \
-          on ns/step or allocation regressions.")
+         "Compare two sets of mobibench runs: per workload and end-to-end \
+          metric, the median and quartiles on each side. Exits 1 when a \
+          median is worse than BENCHMARK.json's bound (REGRESSION when the \
+          quartile intervals are disjoint, UNRESOLVED when they overlap), \
+          when a new run is not correct or when the share of failed \
+          operations rises; exits 2 on malformed input. Reads \
+          BENCHMARK.json from the current directory.")
     Term.(
-      const run_bench_check $ old_path $ new_path $ threshold
-      $ alloc_threshold $ report_only)
+      const run_bench_check $ runs 0 "OLD" "baseline" $ runs 1 "NEW" "candidate")
 
 (* --- theory ----------------------------------------------------------------- *)
 

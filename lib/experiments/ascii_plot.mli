@@ -1,7 +1,7 @@
 (** Terminal scatter plots — the "figures" companion to {!Table}.
 
-    Experiments attach these to their results so that a benchmark run
-    regenerates not only the paper-style tables but also the log-log
+    Experiments attach these to their results so that a reproduction
+    run ([mobisim exp]) regenerates not only the paper-style tables but also the log-log
     figures one would plot from them (scaling laws read as straight
     lines of markers). Pure text; no plotting dependency exists in the
     sealed environment. *)

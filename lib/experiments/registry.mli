@@ -1,7 +1,7 @@
 (** Catalogue of all reproduction experiments, keyed by the ids used in
-    DESIGN.md and EXPERIMENTS.md. The CLI, the benchmark harness and the
-    integration tests all dispatch through this table, so adding an
-    experiment here makes it runnable everywhere. *)
+    DESIGN.md and EXPERIMENTS.md. The CLI (and through it the benchmark)
+    and the integration tests all dispatch through this table, so adding
+    an experiment here makes it runnable everywhere. *)
 
 type entry = {
   id : string;  (** canonical id, e.g. ["E1"] *)
