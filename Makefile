@@ -33,7 +33,12 @@ test:
 # engine's limits (each once crashed a run) and expect exit 2 with a
 # diagnostic; the huge-side smokes run the largest accepted sides at
 # radius 0 under a 2 GB address-space limit (the radius-0 index once
-# allocated a table per grid cell and ran out of memory there). The service smoke drives the job daemon over its socket:
+# allocated a table per grid cell and ran out of memory there), and
+# side 16384 at radius 1, whose bucket table would need 6 GiB, must be
+# refused (exit 2) rather than run out of memory. The exchange pins
+# fix the step counts of exchange paths no golden covers: flooding at
+# r = 1, on a torus, for gossip and over a lossy graph, and single-hop
+# for one rumor and for gossip (as scenario cells). The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
 # mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
 # check that `simulate` flags compile through the scenario validator
@@ -85,12 +90,21 @@ check:
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-big-k.json > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 65536 -k 64 --max-steps 50 > /dev/null
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 --max-steps 50 > /dev/null
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 -r 1 --max-steps 50 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'needs a spatial index of' /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --side 16 -k 8 -r 1 --seed 3 | grep -qx 'completed in 146 steps'
 	printf '{ "side": 16, "agents": 8, "radius": 1, "seed": 3 }' > /tmp/mobisim-grid-cell.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-grid-cell.json | grep -q '"steps":146'
+	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 -r 1 --seed 5 | grep -qx 'completed in 207 steps'
+	dune exec bin/mobisim.exe -- simulate --side 48 -k 96 --torus --seed 2 | grep -qx 'completed in 732 steps'
+	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 306 steps'
+	dune exec bin/mobisim.exe -- simulate --side 32 -k 48 -r 1 --loss-p 0.3 --seed 6 | grep -qx 'completed in 315 steps'
+	printf '{"side":32,"agents":64,"radius":1,"exchange":"single-hop","seed":5}' > /tmp/mobisim-single-hop.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-single-hop.json | grep -q '"steps":207'
+	printf '{"side":32,"agents":64,"radius":2,"protocol":"gossip","exchange":"single-hop","seed":4}' > /tmp/mobisim-gossip-single-hop.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-gossip-single-hop.json | grep -q '"steps":306'
 	dune exec bin/mobisim.exe -- simulate --space domain --side 12 -k 6 -r 1 --seed 2 | grep -qx 'completed in 89 steps'
 	printf '{ "space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2 }' > /tmp/mobisim-domain-cell.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-domain-cell.json | grep -q '"steps":89'

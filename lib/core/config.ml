@@ -64,6 +64,18 @@ let max_radius = 2 * max_side
 
 let max_population = 1 lsl 30
 
+let max_index_slots = 1 lsl 24
+
+let check_index ~side ~torus ~radius =
+  let slots = Spatial.table_slots ~side ~torus ~radius in
+  if slots <= max_index_slots then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "side %d at radius %d needs a spatial index of %d buckets; at most \
+          %d fit (use a larger radius or a smaller side)"
+         side radius slots max_index_slots)
+
 let validate t =
   let ( let* ) r f = Result.bind r f in
   let check cond msg = if cond then Ok () else Error msg in
@@ -79,6 +91,7 @@ let validate t =
     check (t.radius <= max_radius)
       (Printf.sprintf "radius must be at most %d" max_radius)
   in
+  let* () = check_index ~side:t.side ~torus:t.torus ~radius:t.radius in
   let* () =
     check
       (match t.max_steps with Some s -> s >= 0 | None -> true)

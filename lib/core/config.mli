@@ -87,6 +87,19 @@ val max_population : int
 (** [2^30] agents, preys included: gossip counts the population squared
     in one int. *)
 
+val max_index_slots : int
+(** [2^24]: the most slots a spatial-index table
+    ([Spatial.table_slots]) may have. The radius-[>= 1] bucket table has
+    three arrays of that many slots (384 MiB at the limit), so side 4096
+    at radius 1 fits and side 16384 at radius 1 (6 GiB) does not. *)
+
+val check_index : side:int -> torus:bool -> radius:int -> (unit, string) result
+(** Whether the spatial index of this geometry stays within
+    {!max_index_slots}; the error names the side, the radius and the
+    slot count. [side] must lie in [[1, max_side]] and [radius] be
+    non-negative. Part of {!validate}; the scenario compiler calls it
+    to place the diagnostic at the radius. *)
+
 val validate : t -> (unit, string) result
 (** Check structural validity (positive sizes within the limits above,
     source in range, agents fit on the grid for sparse placement,

@@ -12,6 +12,8 @@ type t = {
   mutable live_preys : int;
   root_informed : bool array;
   newly_informed : bool array;
+  (* single-hop: the agents marked in [newly_informed] this step *)
+  newly : Intbuf.t;
   (* flood_gossip scratch: one reusable accumulator set per component
      root, materialised on first use and cleared on reuse *)
   acc : Rumor_set.t option array;
@@ -40,6 +42,7 @@ let create ~population ~predators ~informed ~rumors =
     live_preys = 0;
     root_informed = Array.make population false;
     newly_informed = Array.make population false;
+    newly = Intbuf.create ();
     acc = (if gossip then Array.make population None else [||]);
     acc_live = (if gossip then Array.make population false else [||]);
     acc_used = Intbuf.create ~initial_capacity:(if gossip then 64 else 1) ();
@@ -64,20 +67,28 @@ let[@alloc_ok
       s
 
 (* Single-rumor flood: a component containing an informed agent becomes
-   fully informed. Two passes over agents with a root-flag scratch
-   array. *)
+   fully informed. Only agents in the DSU's touched log can share a
+   component with anyone (an untouched agent is a singleton, which a
+   flood leaves as it is), so each pass walks the log: mark the roots
+   of informed members, inform the members of marked roots, then clear
+   the marks through the same log (every root is itself logged). Cost
+   O(touched), not O(population). *)
 let[@hot]
     [@unsafe_invariant
-      "i < population = length informed = length root_informed, and \
-       Dsu.find returns a validated element id"] flood_single t ~dsu =
-  (* unchecked accesses: i < population = length of both arrays, and
-     [Dsu.find] returns a validated element id *)
-  Array.fill t.root_informed 0 t.population false;
-  for i = 0 to t.population - 1 do
+      "Dsu.touched and Dsu.find return validated element ids of a \
+       structure checked on entry to hold population elements, and \
+       population = length informed = length root_informed"] flood_single
+    t ~dsu =
+  if Dsu.length dsu <> t.population then
+    invalid_arg "Exchange.flood_single: dsu size <> population";
+  let touched = Dsu.touched_count dsu in
+  for u = 0 to touched - 1 do
+    let i = Dsu.touched dsu u in
     if Array.unsafe_get t.informed i then
       Array.unsafe_set t.root_informed (Dsu.find dsu i) true
   done;
-  for i = 0 to t.population - 1 do
+  for u = 0 to touched - 1 do
+    let i = Dsu.touched dsu u in
     if
       (not (Array.unsafe_get t.informed i))
       && Array.unsafe_get t.root_informed (Dsu.find dsu i)
@@ -85,16 +96,22 @@ let[@hot]
       Array.unsafe_set t.informed i true;
       t.informed_count <- t.informed_count + 1
     end
+  done;
+  for u = 0 to touched - 1 do
+    Array.unsafe_set t.root_informed (Dsu.touched dsu u) false
   done
 
 (* Gossip flood: every agent's rumor set becomes the union over its
-   component. Singleton components are skipped; each non-trivial
-   component accumulates into one reused per-root scratch set, then
-   copies back. (Clearing a scratch set and unioning the first member
-   into it is the allocation-free equivalent of the copy the
-   pre-refactor engine made every step.) *)
+   component. Only logged agents can sit in a non-trivial component,
+   and singletons are skipped; each non-trivial component accumulates
+   into one reused per-root scratch set, then copies back. (Clearing a
+   scratch set and unioning the first member into it is the
+   allocation-free equivalent of the copy the pre-refactor engine made
+   every step.) *)
 let[@hot] flood_gossip t ~dsu =
-  for i = 0 to t.population - 1 do
+  let touched = Dsu.touched_count dsu in
+  for u = 0 to touched - 1 do
+    let i = Dsu.touched dsu u in
     if Dsu.set_size dsu i > 1 then begin
       let root = Dsu.find dsu i in
       if t.acc_live.(root) then
@@ -109,7 +126,8 @@ let[@hot] flood_gossip t ~dsu =
       end
     end
   done;
-  for i = 0 to t.population - 1 do
+  for u = 0 to touched - 1 do
+    let i = Dsu.touched dsu u in
     if Dsu.set_size dsu i > 1 then begin
       let root = Dsu.find dsu i in
       let acc = Option.get t.acc.(root) in
@@ -163,42 +181,49 @@ let[@hot]
         end)
   done
 
+(* Single-hop commit: [newly] holds each agent the pair pass marked in
+   [newly_informed], once; inform exactly those and clear their marks,
+   so the cost is O(newly informed), not O(population). *)
+let[@hot] commit_newly t =
+  for u = 0 to Intbuf.length t.newly - 1 do
+    let i = Intbuf.get t.newly u in
+    t.newly_informed.(i) <- false;
+    t.informed.(i) <- true
+  done;
+  t.informed_count <- t.informed_count + Intbuf.length t.newly;
+  Intbuf.clear t.newly
+
+(* Mark agent [i] as informed at the end of this step (pair-pass side of
+   [commit_newly]); an agent reached over several edges is logged once. *)
+let[@hot] mark_newly t i =
+  if not t.newly_informed.(i) then begin
+    t.newly_informed.(i) <- true;
+    Intbuf.push t.newly i
+  end
+
 (* Role-aware single-hop (the fault path): as [single_hop_single], plus
    the transmit/accept gates, still based on pre-step knowledge. *)
 let[@hot]
     [@alloc_ok
       "fault path: one pair-visitor closure per step, not per pair"] single_hop_single_masked
     t ~iter_pairs ~transmits ~accepts =
-  Array.fill t.newly_informed 0 t.population false;
   iter_pairs (fun i j ->
       if t.informed.(i) && transmits.(i) && (not t.informed.(j)) && accepts.(j)
-      then t.newly_informed.(j) <- true
+      then mark_newly t j
       else if
         t.informed.(j) && transmits.(j) && (not t.informed.(i)) && accepts.(i)
-      then t.newly_informed.(i) <- true);
-  for i = 0 to t.population - 1 do
-    if t.newly_informed.(i) then begin
-      t.informed.(i) <- true;
-      t.informed_count <- t.informed_count + 1
-    end
-  done
+      then mark_newly t i);
+  commit_newly t
 
 (* Single-hop exchange (ablation): a rumor crosses at most one
    visibility edge per step, based on pre-step knowledge. *)
 let[@hot]
     [@alloc_ok "one pair-visitor closure per step, not per pair"] single_hop_single
     t ~iter_pairs =
-  Array.fill t.newly_informed 0 t.population false;
   iter_pairs (fun i j ->
-      if t.informed.(i) && not t.informed.(j) then t.newly_informed.(j) <- true
-      else if t.informed.(j) && not t.informed.(i) then
-        t.newly_informed.(i) <- true);
-  for i = 0 to t.population - 1 do
-    if t.newly_informed.(i) then begin
-      t.informed.(i) <- true;
-      t.informed_count <- t.informed_count + 1
-    end
-  done
+      if t.informed.(i) && not t.informed.(j) then mark_newly t j
+      else if t.informed.(j) && not t.informed.(i) then mark_newly t i);
+  commit_newly t
 
 let[@hot]
     [@alloc_ok

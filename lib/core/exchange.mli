@@ -14,6 +14,10 @@
     and reused, so a warm exchange step allocates only the small closures
     passed to [iter_pairs].
 
+    No policy walks the whole population: each costs time in the agents
+    on a visibility edge this step, which below the percolation point is
+    a small fraction of [k] (costs are stated per policy below).
+
     The state is deliberately transparent — it is the engine's working
     set, mutated in place by the policies; treat it as internal unless
     you are building an engine. *)
@@ -34,8 +38,11 @@ type t = {
   mutable informed_count : int;
   mutable total_known : int;  (** gossip: sum of rumor-set cardinals *)
   mutable live_preys : int;
-  root_informed : bool array;  (** scratch for the two-pass flood *)
-  newly_informed : bool array;  (** scratch for the single-hop exchange *)
+  root_informed : bool array;
+      (** flood_single per-root marks; all [false] between calls *)
+  newly_informed : bool array;
+      (** single-hop marks; all [false] between calls *)
+  newly : Intbuf.t;  (** single-hop: the agents marked this step *)
   acc : Rumor_set.t option array;  (** flood_gossip per-root accumulators *)
   acc_live : bool array;
   acc_used : Intbuf.t;
@@ -67,14 +74,22 @@ val create :
 
 val flood_single : t -> dsu:Dsu.t -> unit
 (** Every component containing an informed agent becomes fully informed.
-    [dsu] holds the current components. *)
+    [dsu] holds the current components, over [population] elements.
+    Cost: O(the DSU's touched log), i.e. the agents stamped since its
+    last reset ({!Dsu.touched_count}) — every agent on an edge, plus any
+    a caller found or sized.
+    @raise Invalid_argument if [dsu] does not hold [population]
+    elements. *)
 
 val flood_gossip : t -> dsu:Dsu.t -> unit
 (** Every agent's rumor set becomes the union over its component;
-    updates [total_known] and rumor-0 based [informed] tracking. *)
+    updates [total_known] and rumor-0 based [informed] tracking.
+    Cost: O(touched log) DSU operations plus one rumor-set union per
+    member of a non-trivial component, twice. *)
 
 val single_hop_single : t -> iter_pairs:((int -> int -> unit) -> unit) -> unit
-(** The rumor crosses each edge once, based on pre-step knowledge. *)
+(** The rumor crosses each edge once, based on pre-step knowledge.
+    Cost: O(edges + newly informed agents). *)
 
 val flood_single_masked :
   t ->
@@ -87,7 +102,9 @@ val flood_single_masked :
     fixpoint — the closure of reachability through informed agents with
     [transmits] set, into agents with [accepts] set. Order-independent.
     With all-true roles this equals {!flood_single} over the same
-    graph's components. [iter_pairs] may be called several times. *)
+    graph's components. [iter_pairs] may be called several times.
+    Cost: O(edges) per pass, and one pass per hop of the longest
+    informing path plus one. *)
 
 val single_hop_single_masked :
   t ->
@@ -95,12 +112,14 @@ val single_hop_single_masked :
   transmits:bool array ->
   accepts:bool array ->
   unit
-(** {!single_hop_single} with transmit/accept role gates. *)
+(** {!single_hop_single} with transmit/accept role gates. Cost:
+    O(edges + newly informed agents). *)
 
 val single_hop_gossip : t -> iter_pairs:((int -> int -> unit) -> unit) -> unit
 (** Rumor sets merge pairwise across each edge, all reads from pre-step
-    snapshots. *)
+    snapshots. Cost: one rumor-set copy per agent on an edge plus two
+    rumor-set unions per edge. *)
 
 val catch_preys : t -> iter_pairs:((int -> int -> unit) -> unit) -> unit
 (** Each prey sharing an edge with a predator is caught (marked
-    informed); no chaining through preys. *)
+    informed); no chaining through preys. Cost: O(edges). *)

@@ -13,7 +13,17 @@
    current-epoch elements only ever point at current-epoch elements
    (heal writes self-loops, unions link current roots, and dissolve is
    only sound over whole sets — see below), so [find_root] never needs
-   a stamp check past the entry point. *)
+   a stamp check past the entry point.
+
+   Touched log: every element stamped in the current epoch is appended,
+   once, to [touched] ([heal] appends when it stamps; [dissolve] only
+   when the element was not yet stamped this epoch). [reset] empties it
+   in O(1). Unions heal both ends first, so every member of a
+   non-singleton set is in the log, and an element outside it is an
+   untouched singleton: a caller that only cares about non-trivial sets
+   visits [touched_count] elements, not [n]. Fresh stamps start at -1,
+   below the first epoch, so a structure that was never reset logs its
+   first touches too. *)
 
 type t = {
   parent : int array;
@@ -21,6 +31,10 @@ type t = {
   (* epoch in which parent/size were last written; entries with
      [stamp.(i) <> epoch] are untouched singletons of the current epoch *)
   stamp : int array;
+  (* [touched.(0 .. touched_len - 1)]: the elements stamped this epoch,
+     each once, in stamping order *)
+  touched : int array;
+  mutable touched_len : int;
   mutable epoch : int;
   mutable sets : int;
   (* [sets] is only meaningful while [sets_exact]; dissolve cannot know
@@ -37,7 +51,9 @@ let create n =
   {
     parent = Array.init n (fun i -> i);
     size = Array.make n 1;
-    stamp = Array.make n 0;
+    stamp = Array.make n (-1);
+    touched = Array.make n 0;
+    touched_len = 0;
     epoch = 0;
     sets = n;
     sets_exact = true;
@@ -49,6 +65,7 @@ let length t = Array.length t.parent
 let reset t =
   let n = Array.length t.parent in
   t.epoch <- t.epoch + 1;
+  t.touched_len <- 0;
   t.sets <- n;
   t.sets_exact <- true;
   t.max_merged <- min n 1
@@ -61,11 +78,16 @@ let check t i =
    internal accesses below are unchecked: parent pointers only ever hold
    validated element ids. *)
 let[@unsafe_invariant
-     "i is validated by [check] at every public entry point"] heal t i =
+     "i is validated by [check] at every public entry point; each \
+      element is logged at most once per epoch (only when its stamp \
+      lags), so touched_len < n = length touched before the append"] heal
+    t i =
   if Array.unsafe_get t.stamp i <> t.epoch then begin
     Array.unsafe_set t.stamp i t.epoch;
     Array.unsafe_set t.parent i i;
-    Array.unsafe_set t.size i 1
+    Array.unsafe_set t.size i 1;
+    Array.unsafe_set t.touched t.touched_len i;
+    t.touched_len <- t.touched_len + 1
   end
 
 let[@unsafe_invariant
@@ -115,10 +137,19 @@ let[@hot]
 let[@hot]
     [@unsafe_invariant "i is validated by [check] on entry"] dissolve t i =
   check t i;
-  Array.unsafe_set t.stamp i t.epoch;
+  (* [heal] logs i unless it is already stamped (and so logged) *)
+  heal t i;
   Array.unsafe_set t.parent i i;
   Array.unsafe_set t.size i 1;
   t.sets_exact <- false
+
+let touched_count t = t.touched_len
+
+let[@unsafe_invariant
+     "u is checked against touched_len <= length touched"] touched t u =
+  if u < 0 || u >= t.touched_len then
+    invalid_arg "Dsu.touched: index out of range";
+  Array.unsafe_get t.touched u
 
 let same_set t i j =
   check t i;

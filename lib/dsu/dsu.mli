@@ -13,7 +13,18 @@
     [Spatial.reconcile]: instead of resetting, a caller dissolves only
     the members of grid nodes whose occupancy changed and re-unions
     them, leaving untouched components intact across steps. (The engine
-    resets and re-unions every step instead.) *)
+    resets and re-unions every step instead.)
+
+    {b Touched log.} Every element stamped in the current epoch — healed
+    by its first {!find}, {!union}, {!same_set}, {!set_size}, {!groups}
+    or {!dissolve} since the last {!reset} — is listed once in the
+    touched log ({!touched_count}, {!touched}). The log is complete for
+    non-trivial sets: a union stamps both of its elements, so every
+    member of a set of size > 1 is listed, and an element outside the
+    log is a singleton. A caller that only acts on non-trivial sets
+    (the exchange floods) therefore costs O(elements on an edge), not
+    O(n). Fresh stamps start below the first epoch, so this holds on a
+    structure that was never reset as well. *)
 
 type t
 
@@ -26,7 +37,18 @@ val length : t -> int
 
 val reset : t -> unit
 (** Return every element to its own singleton set. O(1): starts a new
-    epoch; stale entries are healed lazily on first touch. *)
+    epoch and empties the touched log; stale entries are healed lazily
+    on first touch. *)
+
+val touched_count : t -> int
+(** Number of elements stamped since the last {!reset} (or {!create}):
+    the length of the touched log. At most {!length}. *)
+
+val touched : t -> int -> int
+(** [touched t u] is the [u]-th element of the touched log, in stamping
+    order, for [0 <= u < touched_count t]. Each stamped element appears
+    exactly once; every member of a non-singleton set appears.
+    @raise Invalid_argument if [u] is out of range. *)
 
 val dissolve : t -> int -> unit
 (** [dissolve t i] detaches element [i] into a singleton of the current

@@ -203,6 +203,21 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
   check_max "side" ast.Ast.sides Config.max_side;
   check_max "agents" ast.Ast.agents Config.max_population;
   check_max "radius" ast.Ast.radii Config.max_radius;
+  (* a grid or floor-plan index sized by side and radius must fit in
+     memory too; report the first (side, radius) that does not, at the
+     radius, which is what a user raises to fix it *)
+  (match ast.Ast.space with
+  | Ast.Continuum -> ()
+  | Ast.Grid | Ast.Domain ->
+      if ctx.errs = [] then
+        List.concat_map
+          (fun side -> List.map (fun radius -> (side, radius)) ast.Ast.radii)
+          ast.Ast.sides
+        |> List.find_map (fun (side, radius) ->
+               match Config.check_index ~side ~torus:ast.Ast.torus ~radius with
+               | Ok () -> None
+               | Error msg -> Some msg)
+        |> Option.iter (diag ctx (where "radius")));
   if ast.Ast.trials < 1 then diag ctx (where "trials") "trials must be >= 1";
   (match ast.Ast.max_steps with
   | Some m when m <= 0 -> diag ctx (where "max_steps") "max_steps must be positive"

@@ -135,44 +135,54 @@ let key_bits side =
   let rec go b = if ((side * side) - 1) lsr b = 0 then b else go (b + 1) in
   go 0
 
+(* The bucket grid of the radius >= 1 table: every pair lies within
+   Chebyshev distance side - 1, so buckets wider than the grid only
+   overflow the column count. Bounded: ceil division (a trailing narrow
+   column is harmless). Torus: floor division, merging the remainder
+   into the last column — every column is then at least bucket_side
+   wide, so wrap-distance <= bucket_side still means cyclically
+   adjacent columns. *)
+let bucket_side ~side ~radius = max 1 (min radius side)
+
+let per_row ~side ~torus ~radius =
+  let bs = bucket_side ~side ~radius in
+  if torus then max 1 (side / bs) else (side + bs - 1) / bs
+
+(* Radix passes and digit width of the radius-0 counting sort. *)
+let digit_bits_of side =
+  let bits = key_bits side in
+  let passes = max 1 ((bits + max_digit_bits - 1) / max_digit_bits) in
+  ((bits + passes - 1) / passes, passes)
+
+let table_slots ~side ~torus ~radius =
+  if radius = 0 then 1 lsl fst (digit_bits_of side)
+  else begin
+    (* Morton keys need a power-of-two coordinate space; unused
+       buckets cost idle array slots, never scan time (only touched
+       buckets are visited). *)
+    let per_row = per_row ~side ~torus ~radius in
+    let np2 = ref 1 in
+    while !np2 < per_row do
+      np2 := !np2 * 2
+    done;
+    !np2 * !np2
+  end
+
 let create grid ~radius =
   if radius < 0 then invalid_arg "Spatial.create: negative radius";
-  (* every pair lies within Chebyshev distance side - 1, so buckets
-     wider than the grid only overflow the column count below *)
-  let bucket_side = max 1 (min radius (Grid.side grid)) in
-  (* bounded: ceil division (a trailing narrow column is harmless).
-     torus: floor division, merging the remainder into the last column —
-     every column is then at least bucket_side wide, so wrap-distance
-     <= bucket_side still means cyclically adjacent columns. *)
-  let per_row =
-    if Grid.is_torus grid then max 1 (Grid.side grid / bucket_side)
-    else (Grid.side grid + bucket_side - 1) / bucket_side
-  in
+  let side = Grid.side grid and torus = Grid.is_torus grid in
+  let per_row = per_row ~side ~torus ~radius in
   if per_row > 0x10000 then
     invalid_arg "Spatial.create: more than 65536 bucket columns";
-  let bits = key_bits (Grid.side grid) in
-  let passes = max 1 ((bits + max_digit_bits - 1) / max_digit_bits) in
-  let digit_bits = (bits + passes - 1) / passes in
-  let slots =
-    if radius = 0 then 1 lsl digit_bits
-    else begin
-      (* Morton keys need a power-of-two coordinate space; unused
-         buckets cost idle array slots, never scan time (only touched
-         buckets are visited). *)
-      let np2 = ref 1 in
-      while !np2 < per_row do
-        np2 := !np2 * 2
-      done;
-      !np2 * !np2
-    end
-  in
+  let digit_bits, passes = digit_bits_of side in
+  let slots = table_slots ~side ~torus ~radius in
   {
     grid;
     radius;
-    bucket_side;
+    bucket_side = bucket_side ~side ~radius;
     per_row;
-    side = Grid.side grid;
-    torus = Grid.is_torus grid;
+    side;
+    torus;
     count = Array.make slots 0;
     start = Array.make slots 0;
     touched = Array.make slots 0;

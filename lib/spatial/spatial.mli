@@ -56,6 +56,14 @@ val create : Grid.t -> radius:int -> t
     @raise Invalid_argument if [radius < 0] or the grid needs more than
     65536 bucket columns (a side above 65536 at radius 0 or 1). *)
 
+val table_slots : side:int -> torus:bool -> radius:int -> int
+(** Slots of each of the three tables {!create} allocates for this
+    geometry ([radius >= 0], [1 <= side <= 65536]): at radius 0 the
+    counting sort's digit table (at most 4096); at radius [r >= 1] the
+    Morton bucket table, the square of the next power of two of the
+    bucket columns per row ([⌈side / r⌉], or [⌊side / r⌋] on a torus).
+    [Config.validate] bounds it so the index fits in memory. *)
+
 val radius : t -> int
 
 val rebuild : ?present:bool array -> t -> positions:Grid.node array -> unit

@@ -81,6 +81,13 @@ let probes =
     ("gossip flood", (fun () -> gossip_run ()), plus_words 25.5);
     ("gossip single-hop", gossip_run ~exchange:Config.Single_hop,
      plus_words 41.2);
+    (* the same run, one rumor: the newly informed agents are committed
+       from a grow-once list *)
+    ( "single-hop",
+      (fun () ->
+        grid_run ~side:32 ~radius:2 ~exchange:Config.Single_hop
+          ~max_steps:500 ()),
+      plus_words 38.4 );
     (* k 256, box 16, r 1.2 *)
     ("continuum", continuum_run, plus_percent 6972.7);
     (* side 48, k 1152, R 4 *)

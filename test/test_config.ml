@@ -36,6 +36,10 @@ let test_validation_errors () =
       ( "source with cover-walks",
         Config.make ~side:10 ~agents:4 ~protocol:Protocol.Cover_walks
           ~source:0 () );
+      (* a radius-1 bucket table of 16384^2 slots, and the bounded
+         side 8193 at radius 2 (4097 columns, padded to 8192^2) *)
+      ("index table", Config.make ~side:16384 ~agents:4 ~radius:1 ());
+      ("index table, bounded", Config.make ~side:8193 ~agents:4 ~radius:2 ());
     ]
   in
   List.iter
@@ -53,6 +57,11 @@ let test_validation_accepts () =
         ~protocol:(Protocol.Predator_prey { preys = 0 })
         ();
       Config.make ~side:10 ~agents:4 ~max_steps:0 ();
+      (* the largest radius-1 table, 2^24 slots; on a torus side 8193
+         at radius 2 has 4096 columns; radius 0 needs no bucket table *)
+      Config.make ~side:4096 ~agents:4 ~radius:1 ();
+      Config.make ~side:8193 ~agents:4 ~radius:2 ~torus:true ();
+      Config.make ~side:65536 ~agents:4 ();
     ]
   in
   List.iter (fun cfg -> Alcotest.(check bool) "accepted" true (ok cfg)) good

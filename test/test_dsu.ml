@@ -258,6 +258,135 @@ let prop_dissolve_whole_set =
       done;
       !ok)
 
+(* --- the touched log --------------------------------------------------- *)
+
+type op =
+  | Union of int * int
+  | Find of int
+  | Set_size of int
+  | Same_set of int * int
+  | Dissolve_set of int  (* every member of the element's set *)
+  | Groups
+  | Reset
+
+let op_gen n =
+  let open QCheck.Gen in
+  let e = int_range 0 (n - 1) in
+  frequency
+    [
+      (6, map2 (fun i j -> Union (i, j)) e e);
+      (2, map (fun i -> Find i) e);
+      (2, map (fun i -> Set_size i) e);
+      (1, map2 (fun i j -> Same_set (i, j)) e e);
+      (2, map (fun i -> Dissolve_set i) e);
+      (1, return Groups);
+      (1, return Reset);
+    ]
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun (n, ops) -> Printf.sprintf "n=%d, %d ops" n (List.length ops))
+    QCheck.Gen.(
+      int_range 1 16 >>= fun n ->
+      map (fun ops -> (n, ops)) (list_size (int_range 0 60) (op_gen n)))
+
+let touched_list d = List.init (Dsu.touched_count d) (Dsu.touched d)
+
+(* After every operation the log lists exactly the elements an operation
+   has reached since the last reset (the model [stamped]: the stamping
+   rule of dsu.ml, stated on the operations), each once; and every
+   member of a non-singleton set is listed. A naive component array
+   tells [Dissolve_set] which members to dissolve, so dissolves always
+   cover whole sets, as the contract requires. *)
+let prop_touched_log =
+  QCheck.Test.make ~name:"touched log = elements stamped this epoch"
+    ~count:500 ops_arb (fun (n, ops) ->
+      let d = Dsu.create n in
+      let comp = Array.init n (fun i -> i) in
+      let stamped = Array.make n false in
+      let stamp i = stamped.(i) <- true in
+      let ok = ref (Dsu.touched_count d = 0) in
+      List.iter
+        (fun op ->
+          (match op with
+          | Union (i, j) ->
+              stamp i;
+              stamp j;
+              ignore (Dsu.union d i j);
+              let ci = comp.(i) and cj = comp.(j) in
+              Array.iteri (fun x c -> if c = cj then comp.(x) <- ci) comp
+          | Find i ->
+              stamp i;
+              ignore (Dsu.find d i)
+          | Set_size i ->
+              stamp i;
+              ignore (Dsu.set_size d i)
+          | Same_set (i, j) ->
+              stamp i;
+              stamp j;
+              ignore (Dsu.same_set d i j)
+          | Dissolve_set i ->
+              let c = comp.(i) in
+              for x = 0 to n - 1 do
+                if comp.(x) = c then begin
+                  stamp x;
+                  Dsu.dissolve d x;
+                  comp.(x) <- x
+                end
+              done
+          | Groups ->
+              Array.fill stamped 0 n true;
+              ignore (Dsu.groups d)
+          | Reset ->
+              Array.fill stamped 0 n false;
+              Array.iteri (fun x _ -> comp.(x) <- x) comp;
+              Dsu.reset d);
+          let log = touched_list d in
+          let sorted = List.sort_uniq Int.compare log in
+          let expected =
+            List.filter (fun x -> stamped.(x)) (List.init n Fun.id)
+          in
+          (* no duplicates, and exactly the stamped elements *)
+          if
+            List.length sorted <> List.length log
+            || not (List.equal Int.equal sorted expected)
+          then
+            ok := false;
+          (* every member of a non-singleton set is logged (the model's
+             sets, so the check itself touches nothing) *)
+          Array.iteri
+            (fun x c ->
+              let shared = ref false in
+              Array.iteri (fun y c' -> if y <> x && c' = c then shared := true)
+                comp;
+              if !shared && not stamped.(x) then ok := false)
+            comp)
+        ops;
+      !ok)
+
+let test_touched_reset () =
+  let d = Dsu.create 6 in
+  Alcotest.(check int) "fresh structure logs nothing" 0 (Dsu.touched_count d);
+  (* no reset yet: the first touches are logged too *)
+  ignore (Dsu.union d 4 1);
+  Alcotest.(check (list int)) "never-reset union logged" [ 4; 1 ]
+    (touched_list d);
+  ignore (Dsu.find d 1);
+  ignore (Dsu.union d 1 4);
+  Alcotest.(check int) "each element once" 2 (Dsu.touched_count d);
+  Dsu.reset d;
+  Alcotest.(check int) "reset empties the log" 0 (Dsu.touched_count d);
+  Dsu.reset d;
+  Alcotest.(check int) "repeated reset" 0 (Dsu.touched_count d);
+  ignore (Dsu.set_size d 5);
+  Dsu.dissolve d 5;
+  Dsu.dissolve d 2;
+  Alcotest.(check (list int)) "dissolve logs only unstamped elements" [ 5; 2 ]
+    (touched_list d);
+  Alcotest.check_raises "index past the log"
+    (Invalid_argument "Dsu.touched: index out of range") (fun () ->
+      ignore (Dsu.touched d 2))
+
 let () =
   Alcotest.run "dsu"
     [
@@ -278,6 +407,9 @@ let () =
           Alcotest.test_case "iter_sets" `Quick test_iter_sets;
           Alcotest.test_case "members sorted" `Quick test_members_sorted;
         ] );
+      ( "touched log",
+        [ Alcotest.test_case "reset and fresh" `Quick test_touched_reset ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_touched_log ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

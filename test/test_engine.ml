@@ -396,6 +396,242 @@ let test_catch_preys_no_chaining () =
   Exchange.catch_preys x ~iter_pairs;
   Alcotest.(check int) "no double catch" 1 x.Exchange.live_preys
 
+(* --- exchange policies against their O(population) reference bodies ------ *)
+
+(* The bodies the touched-log exchange replaced, kept as the obviously
+   correct oracle: every agent is visited and the scratch is fresh. *)
+module Reference = struct
+  type st = {
+    informed : bool array;
+    mutable count : int;
+    rumors : Rumor_set.t array;
+    mutable total_known : int;
+  }
+
+  let inform st i =
+    st.informed.(i) <- true;
+    st.count <- st.count + 1
+
+  let flood_single st ~dsu =
+    let n = Array.length st.informed in
+    let root_informed = Array.make n false in
+    for i = 0 to n - 1 do
+      if st.informed.(i) then root_informed.(Dsu.find dsu i) <- true
+    done;
+    for i = 0 to n - 1 do
+      if (not st.informed.(i)) && root_informed.(Dsu.find dsu i) then
+        inform st i
+    done
+
+  let flood_gossip st ~dsu =
+    let n = Array.length st.informed in
+    let acc = Array.make n None in
+    for i = 0 to n - 1 do
+      if Dsu.set_size dsu i > 1 then begin
+        let root = Dsu.find dsu i in
+        let s =
+          match acc.(root) with
+          | Some s -> s
+          | None ->
+              let s = Rumor_set.create ~capacity:n in
+              acc.(root) <- Some s;
+              s
+        in
+        ignore (Rumor_set.union_into ~src:st.rumors.(i) ~dst:s)
+      end
+    done;
+    for i = 0 to n - 1 do
+      if Dsu.set_size dsu i > 1 then begin
+        let src = Option.get acc.(Dsu.find dsu i) in
+        let added = Rumor_set.union_into ~src ~dst:st.rumors.(i) in
+        st.total_known <- st.total_known + added;
+        if added > 0 && (not st.informed.(i)) && Rumor_set.mem st.rumors.(i) 0
+        then inform st i
+      end
+    done
+
+  let single_hop st ~pairs ~transmits ~accepts =
+    let n = Array.length st.informed in
+    let newly = Array.make n false in
+    List.iter
+      (fun (i, j) ->
+        if st.informed.(i) && transmits.(i) && (not st.informed.(j)) && accepts.(j)
+        then newly.(j) <- true
+        else if
+          st.informed.(j) && transmits.(j) && (not st.informed.(i)) && accepts.(i)
+        then newly.(i) <- true)
+      pairs;
+    for i = 0 to n - 1 do
+      if newly.(i) then inform st i
+    done
+end
+
+(* One step of an exchange case: [resets] resets (0 keeps the previous
+   step's sets; at step 0 it leaves a structure that was never reset),
+   touches on elements that are still singletons ([Find], [Size],
+   [Dissolve]), the step's edges unioned (and, i != j, its pair list),
+   then more finds and sizes. The touches only pollute the log.
+   [forget] un-informs agents before the single-rumor policies run: the
+   engine never does, but the knowledge state is transparent, and a
+   policy must be a function of it and the graph alone — scratch marks
+   left over from an earlier call must not leak into this one (with
+   knowledge only ever growing, a stale mark could hide). *)
+type touch = Find | Size | Dissolve
+
+type step = {
+  resets : int;
+  before : (touch * int) list;
+  edges : (int * int) list;
+  after : (touch * int) list;
+  forget : int list;
+}
+
+type case = {
+  n : int;
+  init : bool array;  (* initially informed (knows rumor 0) *)
+  transmits : bool array;
+  accepts : bool array;
+  steps : step list;
+}
+
+let case_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 64 in
+    let agent = int_range 0 (n - 1) in
+    let flags p = array_size (return n) (map (fun x -> x < p) float) in
+    let touch = oneofl [ Find; Size; Dissolve ] in
+    let step =
+      let* resets = frequency [ (1, return 0); (4, return 1); (1, return 2) ] in
+      let* before = list_size (int_range 0 6) (pair touch agent) in
+      let* edges = list_size (int_range 0 (n + 4)) (pair agent agent) in
+      let* after = list_size (int_range 0 4) (pair (oneofl [ Find; Size ]) agent) in
+      let* forget = list_size (int_range 0 3) agent in
+      return { resets; before; edges; after; forget }
+    in
+    let* init = flags 0.25 in
+    let* transmits = flags 0.8 in
+    let* accepts = flags 0.8 in
+    let* steps = list_size (int_range 1 6) step in
+    return { n; init; transmits; accepts; steps }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "n=%d steps=%d informed=%d" c.n (List.length c.steps)
+        (Array.fold_left (fun a b -> if b then a + 1 else a) 0 c.init))
+
+(* Replay one step's DSU script; the same script on two structures gives
+   the same sets. A dissolve is only applied where the element is
+   provably a singleton (after a reset, or on a never-reset structure
+   at step 0), so dissolves always cover whole sets. *)
+let replay_step dsu ~first s =
+  for _ = 1 to s.resets do
+    Dsu.reset dsu
+  done;
+  let touch (t, i) =
+    match t with
+    | Find -> ignore (Dsu.find dsu i)
+    | Size -> ignore (Dsu.set_size dsu i)
+    | Dissolve -> if first || s.resets > 0 then Dsu.dissolve dsu i
+  in
+  (* before any union of the epoch, every element is a singleton *)
+  List.iter touch s.before;
+  List.iter (fun (i, j) -> ignore (Dsu.union dsu i j)) s.edges;
+  List.iter touch s.after
+
+let pairs_of s = List.filter (fun (i, j) -> i <> j) s.edges
+
+type policy = Flood_single | Flood_gossip | Single_hop | Single_hop_masked
+
+(* Run [policy] over every step on a fresh exchange state and on the
+   reference, each with its own DSU replaying the same script (the
+   reference's O(n) finds must not feed the fast DSU's log), and
+   compare the full knowledge state after each step. *)
+let agrees policy c =
+  let gossip = match policy with Flood_gossip -> true | _ -> false in
+  let rumor_sets () =
+    if gossip then
+      Array.init c.n (fun i ->
+          let s = Rumor_set.singleton ~capacity:c.n i in
+          if c.init.(i) then ignore (Rumor_set.add s 0);
+          s)
+    else [||]
+  in
+  let informed0 = Array.mapi (fun i b -> b || (gossip && i = 0)) c.init in
+  let count0 = Array.fold_left (fun a b -> if b then a + 1 else a) 0 informed0 in
+  let total0 rumors =
+    Array.fold_left (fun a s -> a + Rumor_set.cardinal s) 0 rumors
+  in
+  let x =
+    Exchange.create ~population:c.n ~predators:0
+      ~informed:(Array.copy informed0) ~rumors:(rumor_sets ())
+  in
+  x.Exchange.informed_count <- count0;
+  x.Exchange.total_known <- total0 x.Exchange.rumors;
+  let r =
+    let rumors = rumor_sets () in
+    {
+      Reference.informed = Array.copy informed0;
+      count = count0;
+      rumors;
+      total_known = total0 rumors;
+    }
+  in
+  let fast_dsu = Dsu.create c.n and ref_dsu = Dsu.create c.n in
+  let all_true = Array.make c.n true in
+  let same () =
+    x.Exchange.informed = r.Reference.informed
+    && x.Exchange.informed_count = r.Reference.count
+    && x.Exchange.total_known = r.Reference.total_known
+    && Array.for_all2 Rumor_set.equal x.Exchange.rumors r.Reference.rumors
+  in
+  List.for_all
+    (fun (k, s) ->
+      replay_step fast_dsu ~first:(k = 0) s;
+      replay_step ref_dsu ~first:(k = 0) s;
+      if not gossip then
+        List.iter
+          (fun i ->
+            if x.Exchange.informed.(i) then begin
+              x.Exchange.informed.(i) <- false;
+              x.Exchange.informed_count <- x.Exchange.informed_count - 1
+            end;
+            if r.Reference.informed.(i) then begin
+              r.Reference.informed.(i) <- false;
+              r.Reference.count <- r.Reference.count - 1
+            end)
+          s.forget;
+      let pairs = pairs_of s in
+      let iter_pairs f = List.iter (fun (i, j) -> f i j) pairs in
+      (match policy with
+      | Flood_single ->
+          Exchange.flood_single x ~dsu:fast_dsu;
+          Reference.flood_single r ~dsu:ref_dsu
+      | Flood_gossip ->
+          Exchange.flood_gossip x ~dsu:fast_dsu;
+          Reference.flood_gossip r ~dsu:ref_dsu
+      | Single_hop ->
+          Exchange.single_hop_single x ~iter_pairs;
+          Reference.single_hop r ~pairs ~transmits:all_true ~accepts:all_true
+      | Single_hop_masked ->
+          Exchange.single_hop_single_masked x ~iter_pairs
+            ~transmits:c.transmits ~accepts:c.accepts;
+          Reference.single_hop r ~pairs ~transmits:c.transmits
+            ~accepts:c.accepts);
+      same ())
+    (List.mapi (fun k s -> (k, s)) c.steps)
+
+let prop_policy name policy =
+  QCheck.Test.make ~name:(name ^ " = O(population) reference") ~count:300
+    case_arb (agrees policy)
+
+let prop_policies =
+  [
+    prop_policy "flood_single" Flood_single;
+    prop_policy "flood_gossip" Flood_gossip;
+    prop_policy "single_hop_single" Single_hop;
+    prop_policy "single_hop_single_masked" Single_hop_masked;
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -435,4 +671,5 @@ let () =
           Alcotest.test_case "catch_preys no chaining" `Quick
             test_catch_preys_no_chaining;
         ] );
+      ("policy oracles", List.map QCheck_alcotest.to_alcotest prop_policies);
     ]

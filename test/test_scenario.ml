@@ -417,6 +417,37 @@ let test_diag_size_limits () =
   check_diags "radius beyond any pair's distance"
     {|{"side": 16, "agents": 2, "radius": [1, 4611686018427387889]}|}
     [ "sc.json:1:37: scenario: radius must be at most 131072" ];
+  (* the radius >= 1 bucket table must fit: reported at the radius,
+     torus included (side 8193 at radius 2 has 4097 columns bounded,
+     padded to 8192^2 slots, but 4096 on a torus) *)
+  check_diags "bucket table beyond the index limit"
+    "{\"side\": [64, 16384],\n \"agents\": 64,\n \"radius\": [4, 1]}"
+    [
+      "sc.json:3:12: scenario: side 16384 at radius 1 needs a spatial index \
+       of 268435456 buckets; at most 16777216 fit (use a larger radius or a \
+       smaller side)";
+    ];
+  check_diags "bounded side 8193 at radius 2"
+    {|{"side": 8193, "agents": 4, "radius": 2}|}
+    [
+      "sc.json:1:39: scenario: side 8193 at radius 2 needs a spatial index \
+       of 67108864 buckets; at most 16777216 fit (use a larger radius or a \
+       smaller side)";
+    ];
+  (match
+     Compile.compile {|{"side": 8193, "agents": 4, "radius": 2, "torus": true}|}
+   with
+  | Ok _ -> ()
+  | Error errs ->
+      Alcotest.failf "torus side 8193 at radius 2 rejected: %s"
+        (String.concat "; " errs));
+  check_diags "floor plan side 16384 at radius 1"
+    {|{"space": "domain", "side": 16384, "agents": 4, "radius": 1}|}
+    [
+      "sc.json:1:59: scenario: side 16384 at radius 1 needs a spatial index \
+       of 268435456 buckets; at most 16777216 fit (use a larger radius or a \
+       smaller side)";
+    ];
   (match
      Compile.compile_ast
        {
