@@ -407,7 +407,7 @@ let () =
           Alcotest.test_case "iter_sets" `Quick test_iter_sets;
           Alcotest.test_case "members sorted" `Quick test_members_sorted;
         ] );
-      ( "touched log",
+      ( "touched",
         [ Alcotest.test_case "reset and fresh" `Quick test_touched_reset ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_touched_log ] );
       ( "properties",

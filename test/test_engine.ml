@@ -659,7 +659,8 @@ let () =
         ] );
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_grid_pairs; prop_continuum_pairs; prop_domain_pairs ] );
+          ([ prop_grid_pairs; prop_continuum_pairs; prop_domain_pairs ]
+          @ prop_policies) );
       ( "policies",
         [
           Alcotest.test_case "flood_single" `Quick test_flood_single;
@@ -671,5 +672,4 @@ let () =
           Alcotest.test_case "catch_preys no chaining" `Quick
             test_catch_preys_no_chaining;
         ] );
-      ("policy oracles", List.map QCheck_alcotest.to_alcotest prop_policies);
     ]
