@@ -190,6 +190,150 @@ let test_roles_need_broadcast () =
   | Ok () -> Alcotest.fail "out-of-range deaf agent validated"
   | Error _ -> ()
 
+(* --- step-pipeline regression pins -------------------------------------- *)
+
+(* Every (protocol, mechanism, roles) arm of the engine's faulted step,
+   under loss + churn + a global outage window, pinned as
+   (steps, informed, max_island) plus an MD5 of the per-step informed
+   counts. The pins were measured before the fault-free and faulted
+   steps were merged into one pipeline, so any change to a loss draw,
+   the presence mask or an exchange arm shows here. The single-hop
+   cases also run with the island metric off (no DSU build). *)
+module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
+
+let pinned_plan ~roles =
+  {
+    Plan.empty with
+    Plan.loss_p = 0.3;
+    windows = [ { Plan.w_from = 4; w_until = 9; w_agent = None } ];
+    churn = Some { Plan.leave_p = 0.05; return_p = 0.4 };
+    silent = (if roles then [ 1; 3 ] else []);
+    deaf = (if roles then [ 2 ] else []);
+  }
+
+let pinned_run (protocol, exchange, roles, track_islands) =
+  let space =
+    Mobile_network.Grid_space.create (Grid.create ~side:12 ())
+      ~kernel:Walk.Lazy_one_fifth ~radius:1
+  in
+  let spec =
+    {
+      (Mobile_network.Engine.default_spec ~agents:24 ~seed:5 ~trial:1
+         ~max_steps:300)
+      with
+      Mobile_network.Engine.protocol;
+      exchange;
+      track_islands;
+      faults = pinned_plan ~roles;
+    }
+  in
+  let e = Grid_engine.create ~space spec in
+  let counts = Buffer.create 1024 in
+  let record () =
+    Buffer.add_string counts (string_of_int (Grid_engine.informed_count e));
+    Buffer.add_char counts ' '
+  in
+  record ();
+  let report = Grid_engine.run ~on_step:(fun _ -> record ()) e in
+  ( report.Mobile_network.Engine.steps,
+    report.Mobile_network.Engine.informed,
+    Grid_engine.max_island e,
+    Digest.to_hex (Digest.string (Buffer.contents counts)) )
+
+let pinned_cases =
+  let module P = Mobile_network.Protocol in
+  let flood = Exchange.Flood_component and hop = Exchange.Single_hop in
+  let both roles p =
+    [ (p, flood, roles, true); (p, hop, roles, true); (p, hop, roles, false) ]
+  in
+  let single_rumor = [ P.Broadcast; P.Frog; P.Broadcast_cover ] in
+  List.concat_map (both false)
+    (single_rumor @ [ P.Gossip; P.Cover_walks; P.Predator_prey { preys = 6 } ])
+  @ List.concat_map (both true) single_rumor
+
+let pinned_label (protocol, exchange, roles, track_islands) =
+  Printf.sprintf "%s/%s%s%s"
+    (Mobile_network.Protocol.to_string protocol)
+    (match exchange with
+    | Exchange.Flood_component -> "flood"
+    | Exchange.Single_hop -> "single-hop")
+    (if roles then "/roles" else "")
+    (if track_islands then "" else "/no-islands")
+
+(* measured before the merge; label -> (steps, informed, max_island,
+   MD5 of the informed counts) *)
+let pinned_expected =
+  [
+    ( "broadcast/flood",
+      (51, 24, 3, "29aa275f4b92cd702b1b4130d043f4d7") );
+    ( "broadcast/single-hop",
+      (68, 24, 6, "799b3a09e88b0d17a427438d664b3dd5") );
+    ( "broadcast/single-hop/no-islands",
+      (68, 24, 0, "799b3a09e88b0d17a427438d664b3dd5") );
+    ( "frog/flood",
+      (65, 24, 2, "46d2c3d403a478b054f54adeed14c623") );
+    ( "frog/single-hop",
+      (65, 24, 2, "3b1eb1c9a49626dda200edafed6730d1") );
+    ( "frog/single-hop/no-islands",
+      (65, 24, 0, "3b1eb1c9a49626dda200edafed6730d1") );
+    ( "broadcast-cover/flood",
+      (87, 24, 3, "eda7cfd85d51761c881209c665ca21e3") );
+    ( "broadcast-cover/single-hop",
+      (96, 24, 2, "fbc003a0055437ed76c1d48bcc8c4eeb") );
+    ( "broadcast-cover/single-hop/no-islands",
+      (96, 24, 0, "fbc003a0055437ed76c1d48bcc8c4eeb") );
+    ( "gossip/flood",
+      (117, 24, 3, "9e6b7b05aab4ebb6b5441736380986df") );
+    ( "gossip/single-hop",
+      (117, 24, 3, "5b61d410e260186869fea210350ff6be") );
+    ( "gossip/single-hop/no-islands",
+      (117, 24, 0, "5b61d410e260186869fea210350ff6be") );
+    ( "cover-walks/flood",
+      (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
+    ( "cover-walks/single-hop",
+      (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
+    ( "cover-walks/single-hop/no-islands",
+      (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
+    ( "predator-prey(6)/flood",
+      (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
+    ( "predator-prey(6)/single-hop",
+      (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
+    ( "predator-prey(6)/single-hop/no-islands",
+      (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
+    ( "broadcast/flood/roles",
+      (300, 23, 2, "5460a7374fc2343992587df11f5f507f") );
+    ( "broadcast/single-hop/roles",
+      (300, 23, 2, "6d5cebc2b7f1cfb27f734af223c29042") );
+    ( "broadcast/single-hop/roles/no-islands",
+      (300, 23, 0, "6d5cebc2b7f1cfb27f734af223c29042") );
+    ( "frog/flood/roles",
+      (300, 23, 3, "dcbede4f5cd2fd8ca217099e6376fd50") );
+    ( "frog/single-hop/roles",
+      (300, 23, 2, "9ac5c6f896a3b70c5be886180bc65621") );
+    ( "frog/single-hop/roles/no-islands",
+      (300, 23, 0, "9ac5c6f896a3b70c5be886180bc65621") );
+    ( "broadcast-cover/flood/roles",
+      (96, 23, 2, "12961f104932c9aac99a080d65324652") );
+    ( "broadcast-cover/single-hop/roles",
+      (96, 23, 2, "650e37ff8e7885e579de43fbe61c4e22") );
+    ( "broadcast-cover/single-hop/roles/no-islands",
+      (96, 23, 0, "650e37ff8e7885e579de43fbe61c4e22") );
+  ]
+
+let test_pinned_fault_runs () =
+  List.iter
+    (fun case ->
+      let label = pinned_label case in
+      let steps, informed, island, digest = pinned_run case in
+      let e_steps, e_informed, e_island, e_digest =
+        List.assoc label pinned_expected
+      in
+      Alcotest.(check int) (label ^ " steps") e_steps steps;
+      Alcotest.(check int) (label ^ " informed") e_informed informed;
+      Alcotest.(check int) (label ^ " max_island") e_island island;
+      Alcotest.(check string) (label ^ " informed series") e_digest digest)
+    pinned_cases
+
 (* --- masked flood vs component flood ----------------------------------- *)
 
 (* With all-true roles, the fixpoint flood over a pair list must inform
@@ -281,6 +425,7 @@ let () =
             test_replay_identical;
           Alcotest.test_case "roles need broadcast" `Quick
             test_roles_need_broadcast;
+          Alcotest.test_case "pinned fault runs" `Quick test_pinned_fault_runs;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
