@@ -25,10 +25,6 @@ let usage () =
      \  --jobs N         scan cmt files over N pool workers (default:\n\
      \                   Runtime.Pool.recommended_jobs; output is\n\
      \                   byte-identical at any N)\n\
-     \  --baseline FILE  suppress findings listed in FILE (JSON)\n\
-     \  --write-baseline FILE\n\
-     \                   write the surviving findings to FILE as a\n\
-     \                   mobilint-baseline/1 document and exit 0\n\
      \  --json FILE      also write the report as JSON ('-' = stdout)\n\
      \  --validate FILE  structurally check a --json report, then exit\n\
      \  --list-rules     print the rule tags and exit\n\
@@ -53,8 +49,6 @@ let () =
   let dune_root = ref "." in
   let rules = ref Lint.Finding.all_rules in
   let jobs = ref (Runtime.Pool.recommended_jobs ()) in
-  let baseline = ref None in
-  let write_baseline = ref None in
   let json_out = ref None in
   let paths = ref [] in
   let args = Array.to_list Sys.argv in
@@ -88,12 +82,6 @@ let () =
         | Some n when n >= 1 -> jobs := n
         | _ -> fail "--jobs wants a positive integer, got %S" v);
         parse rest
-    | "--baseline" :: v :: rest ->
-        baseline := Some v;
-        parse rest
-    | "--write-baseline" :: v :: rest ->
-        write_baseline := Some v;
-        parse rest
     | "--json" :: v :: rest ->
         json_out := Some v;
         parse rest
@@ -112,8 +100,8 @@ let () =
         | Error e ->
             Printf.eprintf "%s: invalid report: %s\n" v e;
             exit 1)
-    | ("--root" | "--dune-root" | "--rules" | "--jobs" | "--baseline"
-      | "--write-baseline" | "--json" | "--validate")
+    | ("--root" | "--dune-root" | "--rules" | "--jobs" | "--json"
+      | "--validate")
       :: [] ->
         fail "missing argument (try --help)"
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
@@ -169,29 +157,6 @@ let () =
     else []
   in
   let findings = Lint.Report.sort (cmt_findings @ layering) in
-  let findings =
-    match !baseline with
-    | None -> findings
-    | Some path -> (
-        match Lint.Report.load_baseline path with
-        | Error e -> fail "%s" e
-        | Ok b -> Lint.Report.apply_baseline b findings)
-  in
-  (match !write_baseline with
-  | None -> ()
-  | Some file ->
-      let doc =
-        Obs.Json.to_string_pretty (Lint.Report.to_baseline_json findings)
-      in
-      let oc = open_out file in
-      output_string oc doc;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "mobilint: wrote %d baseline entr%s to %s\n"
-        (List.length findings)
-        (if List.length findings = 1 then "y" else "ies")
-        file;
-      exit 0);
   let json () =
     Obs.Json.to_string_pretty (Lint.Report.to_json ~root:!root findings)
   in

@@ -190,7 +190,6 @@ type series_ctx = {
   sc_gc_minor : Obs.Series.col;
   sc_gc_major : Obs.Series.col;
   ph_ns : int array;  (* one slot per phase *)
-  dsu_live : bool;  (* does this spec's step path maintain the DSU? *)
   theory_tb : float;  (* T_B = n/sqrt(k); 0 when n is unknown *)
   agents_f : float;  (* k as float, for the residual ramp *)
   base_minor : float;  (* Gc.minor_words at creation *)
@@ -214,15 +213,24 @@ module Make (S : Space.S) = struct
     ex : Exchange.t;
     dsu : Dsu.t;
     union_edge : int -> int -> unit;  (* preallocated: unions into dsu *)
-    iter_pairs : (int -> int -> unit) -> unit;  (* preallocated *)
+    (* Per-spec decisions, fixed once by [create]. *)
+    components : bool;  (* does the step build the DSU? *)
+    pairs : (int -> int -> unit) -> unit;
+        (* the step's pair source: the index's close pairs, or under
+           faults the replay of [live_pairs]; preallocated *)
+    body : (t -> unit) option;  (* the exchange; [None]: no exchange *)
     mobility : Space.mobility;
     cover : Space.Cover.t option;
     cover_any : bool;
-    (* Fault adversary, [None] for an empty plan: the pristine path
-       below never touches any of these four fields. *)
+    (* Fault adversary, [None] for an empty plan: a fault-free step
+       never touches fault state. [present] is the adversary's live
+       presence mask (churn only); [transmits]/[accepts] its role masks,
+       [[||]] without roles. *)
     faults : Faults.t option;
+    present : bool array option;
+    transmits : bool array;
+    accepts : bool array;
     live_pairs : Intbuf.t;  (* flattened (i, j) live-edge log, per step *)
-    iter_live : (int -> int -> unit) -> unit;  (* preallocated replay *)
     collect_live : int -> int -> unit;  (* preallocated filter+push *)
     src : int option;
     mutable frontier : int;
@@ -271,7 +279,7 @@ module Make (S : Space.S) = struct
           Obs.Series.stage sr s.sc_informed t.ex.Exchange.informed_count;
           Obs.Series.stage sr s.sc_frontier t.frontier;
           Obs.Series.stage sr s.sc_components
-            (if s.dsu_live then Dsu.set_count t.dsu else -1);
+            (if t.components then Dsu.set_count t.dsu else -1);
           Obs.Series.stage sr s.sc_island t.island;
           Obs.Series.stage sr s.sc_covered (covered_count t);
           let expected =
@@ -296,149 +304,92 @@ module Make (S : Space.S) = struct
 
   (* --- information exchange --------------------------------------------- *)
 
-  (* Components are rebuilt from scratch every step: under the lazy
-     walk about 4/5 of agents move each step, so nearly every occupied
-     bucket changes, and repairing only the changed buckets would touch
-     as much as a rebuild, in a more random order (THEORY.md). *)
-  let rebuild_components t =
+  (* The graph phase. The index is rebuilt from scratch every step: under
+     the lazy walk about 4/5 of agents move each step, so nearly every
+     occupied bucket changes, and repairing only the changed buckets
+     would touch as much as a rebuild, in a more random order
+     (THEORY.md). Under faults the live edges are then collected {e once}
+     into [live_pairs] — every candidate edge gets exactly one loss draw,
+     in index order, shared by the component build and the exchange, so
+     the effective graph is one consistent object per step. The DSU is
+     built from the step's pair source iff [t.components]. A fault-free
+     step without components records no components sample. *)
+  let build_graph t =
     let t0 = phase_start t in
-    S.rebuild_index t.space t.pos;
+    S.rebuild_index ?present:t.present t.space t.pos;
     phase_end t ph_index t0;
-    let t1 = phase_start t in
-    Dsu.reset t.dsu;
-    S.iter_close_pairs t.space ~f:t.union_edge;
-    (* no dissolve happens in this epoch, so the running union maximum
-       is exactly the largest set — in O(1) *)
-    t.island <- Dsu.max_union_size t.dsu;
-    phase_end t ph_components t1
+    if t.components || Option.is_some t.faults then begin
+      let t1 = phase_start t in
+      (match t.faults with
+      | None -> ()
+      | Some f ->
+          Intbuf.clear t.live_pairs;
+          if not (Faults.blackout f) then
+            S.iter_close_pairs t.space ~f:t.collect_live);
+      if t.components then begin
+        Dsu.reset t.dsu;
+        t.pairs t.union_edge;
+        (* no dissolve happens in this epoch, so the running union
+           maximum is exactly the largest set — in O(1) *)
+        t.island <- Dsu.max_union_size t.dsu
+      end;
+      phase_end t ph_components t1
+    end
 
-  (* Index rebuild without the component (DSU) pass — for exchanges that
-     only consume raw pairs when the island metric is off. *)
-  let rebuild_index_only t =
-    let t0 = phase_start t in
-    S.rebuild_index t.space t.pos;
-    phase_end t ph_index t0
-
-  let timed_exchange t f =
-    let t0 = phase_start t in
-    f t;
-    phase_end t ph_exchange t0
-
-  (* Single-hop exchanges read pairs directly, so the DSU build is pure
-     island-metric bookkeeping there; flooding always needs it. *)
-  let prepare_graph t =
-    match t.spec.exchange with
-    | Exchange.Flood_component -> rebuild_components t
-    | Exchange.Single_hop ->
-        if t.spec.track_islands then rebuild_components t
-        else rebuild_index_only t
-
-  (* The per-mechanism exchange bodies passed to [timed_exchange] are
-     named module-level functions: selecting one is a code-pointer load,
-     never a closure allocation. *)
+  (* The exchange bodies, one per (protocol, mechanism, roles) arm of
+     [exchange_body], each a named module-level function over the step's
+     pair source: selecting one is a code-pointer load, never a closure
+     allocation. *)
   let ex_flood_single t = Exchange.flood_single t.ex ~dsu:t.dsu
 
-  let ex_single_hop t =
-    Exchange.single_hop_single t.ex ~iter_pairs:t.iter_pairs
+  (* with roles, flooding is the reachability closure through
+     transmitting agents rather than plain components *)
+  let ex_flood_masked t =
+    Exchange.flood_single_masked t.ex ~iter_pairs:t.pairs
+      ~transmits:t.transmits ~accepts:t.accepts
+
+  let ex_single_hop t = Exchange.single_hop_single t.ex ~iter_pairs:t.pairs
+
+  let ex_single_hop_masked t =
+    Exchange.single_hop_single_masked t.ex ~iter_pairs:t.pairs
+      ~transmits:t.transmits ~accepts:t.accepts
 
   let ex_flood_gossip t = Exchange.flood_gossip t.ex ~dsu:t.dsu
 
   let ex_single_hop_gossip t =
-    Exchange.single_hop_gossip t.ex ~iter_pairs:t.iter_pairs
+    Exchange.single_hop_gossip t.ex ~iter_pairs:t.pairs
 
-  let ex_catch_preys t = Exchange.catch_preys t.ex ~iter_pairs:t.iter_pairs
+  let ex_catch_preys t = Exchange.catch_preys t.ex ~iter_pairs:t.pairs
 
-  let exchange_pristine t =
-    match t.spec.protocol with
+  (* [roles] (silent/deaf agents) only occur with single-rumor
+     broadcasts: [create] rejects them elsewhere, and loss, outages and
+     churn act purely through the pair source. Without roles the
+     component flood gives the masked flood's result, cheaper. Cover
+     walks have no exchange: everyone is informed from the start, and
+     components only matter for the island metric. *)
+  let exchange_body spec ~roles =
+    match spec.protocol with
     | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> (
-        prepare_graph t;
-        match t.spec.exchange with
-        | Exchange.Flood_component -> timed_exchange t ex_flood_single
-        | Exchange.Single_hop -> timed_exchange t ex_single_hop)
-    | Protocol.Cover_walks ->
-        (* everyone is informed from the start; components only matter for
-           the island metric *)
-        rebuild_components t
+        match (spec.exchange, roles) with
+        | Exchange.Flood_component, false -> Some ex_flood_single
+        | Exchange.Flood_component, true -> Some ex_flood_masked
+        | Exchange.Single_hop, false -> Some ex_single_hop
+        | Exchange.Single_hop, true -> Some ex_single_hop_masked)
     | Protocol.Gossip -> (
-        prepare_graph t;
-        match t.spec.exchange with
-        | Exchange.Flood_component -> timed_exchange t ex_flood_gossip
-        | Exchange.Single_hop -> timed_exchange t ex_single_hop_gossip)
-    | Protocol.Predator_prey _ ->
-        rebuild_index_only t;
-        timed_exchange t ex_catch_preys
-
-  (* Fault path. The (presence-masked) index is rebuilt, then the live
-     edges are collected {e once} into [live_pairs] — every candidate
-     edge gets exactly one loss draw, in index order, shared by the
-     component build and the exchange, so the effective graph is one
-     consistent object per step. [components] selects whether the DSU
-     over the live graph is built (island metric + component flooding). *)
-  let prepare_graph_faulted t f ~components =
-    let t0 = phase_start t in
-    S.rebuild_index ?present:(Faults.present_mask f) t.space t.pos;
-    phase_end t ph_index t0;
-    let t1 = phase_start t in
-    Intbuf.clear t.live_pairs;
-    if not (Faults.blackout f) then
-      S.iter_close_pairs t.space ~f:t.collect_live;
-    if components then begin
-      Dsu.reset t.dsu;
-      t.iter_live t.union_edge;
-      t.island <- Dsu.max_union_size t.dsu
-    end;
-    phase_end t ph_components t1
-
-  let[@alloc_ok
-       "fault-path dispatch builds one exchange closure over the \
-        adversary per step; the pristine path's closures are closed \
-        and statically allocated"] exchange_faulted t f =
-    match t.spec.protocol with
-    | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> (
-        match t.spec.exchange with
-        | Exchange.Flood_component ->
-            prepare_graph_faulted t f ~components:true;
-            timed_exchange t (fun t ->
-                (* with roles, flooding is the reachability closure
-                   through transmitting agents rather than plain
-                   components; without them the component flood over the
-                   live-pair DSU is the same result, cheaper *)
-                if Faults.has_roles f then
-                  Exchange.flood_single_masked t.ex ~iter_pairs:t.iter_live
-                    ~transmits:(Faults.transmits f) ~accepts:(Faults.accepts f)
-                else Exchange.flood_single t.ex ~dsu:t.dsu)
-        | Exchange.Single_hop ->
-            prepare_graph_faulted t f ~components:t.spec.track_islands;
-            timed_exchange t (fun t ->
-                if Faults.has_roles f then
-                  Exchange.single_hop_single_masked t.ex
-                    ~iter_pairs:t.iter_live
-                    ~transmits:(Faults.transmits f) ~accepts:(Faults.accepts f)
-                else Exchange.single_hop_single t.ex ~iter_pairs:t.iter_live))
-    | Protocol.Cover_walks ->
-        (* no exchange; the masked index/DSU keep the island metric
-           consistent with the live graph *)
-        prepare_graph_faulted t f ~components:true
-    | Protocol.Gossip -> (
-        (* silent/deaf roles are rejected at [create] for gossip; loss,
-           outages and churn act purely through the live graph *)
-        match t.spec.exchange with
-        | Exchange.Flood_component ->
-            prepare_graph_faulted t f ~components:true;
-            timed_exchange t (fun t -> Exchange.flood_gossip t.ex ~dsu:t.dsu)
-        | Exchange.Single_hop ->
-            prepare_graph_faulted t f ~components:t.spec.track_islands;
-            timed_exchange t (fun t ->
-                Exchange.single_hop_gossip t.ex ~iter_pairs:t.iter_live))
-    | Protocol.Predator_prey _ ->
-        prepare_graph_faulted t f ~components:false;
-        timed_exchange t (fun t ->
-            Exchange.catch_preys t.ex ~iter_pairs:t.iter_live)
+        match spec.exchange with
+        | Exchange.Flood_component -> Some ex_flood_gossip
+        | Exchange.Single_hop -> Some ex_single_hop_gossip)
+    | Protocol.Cover_walks -> None
+    | Protocol.Predator_prey _ -> Some ex_catch_preys
 
   let exchange t =
-    match t.faults with
-    | None -> exchange_pristine t
-    | Some f -> exchange_faulted t f
+    build_graph t;
+    match t.body with
+    | None -> ()
+    | Some body ->
+        let t0 = phase_start t in
+        body t;
+        phase_end t ph_exchange t0
 
   (* --- stopping predicate ------------------------------------------------ *)
 
@@ -517,16 +468,6 @@ module Make (S : Space.S) = struct
           let theory_tb =
             if n > 0 then Theory.broadcast_theta ~n ~k:spec.agents else 0.
           in
-          let dsu_live =
-            match spec.protocol with
-            | Protocol.Predator_prey _ -> false
-            | Protocol.Cover_walks -> true
-            | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-            | Protocol.Broadcast_cover -> (
-                match spec.exchange with
-                | Exchange.Flood_component -> true
-                | Exchange.Single_hop -> spec.track_islands)
-          in
           let st = Gc.quick_stat () in
           Some
             {
@@ -543,7 +484,6 @@ module Make (S : Space.S) = struct
               sc_gc_minor = Obs.Series.col sr "gc_minor";
               sc_gc_major = Obs.Series.col sr "gc_major";
               ph_ns = Array.make (Array.length phase_names) 0;
-              dsu_live;
               theory_tb;
               agents_f = float_of_int spec.agents;
               base_minor = Gc.minor_words ();
@@ -638,6 +578,24 @@ module Make (S : Space.S) = struct
     in
     let dsu = Dsu.create population in
     let live_pairs = Intbuf.create () in
+    (* Single-hop exchanges read pairs directly, so the DSU build is pure
+       island-metric bookkeeping there; flooding always needs it. *)
+    let components =
+      match spec.protocol with
+      | Protocol.Predator_prey _ -> false
+      | Protocol.Cover_walks -> true
+      | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
+      | Protocol.Broadcast_cover -> (
+          match spec.exchange with
+          | Exchange.Flood_component -> true
+          | Exchange.Single_hop -> spec.track_islands)
+    in
+    let roles, transmits, accepts =
+      match faults with
+      | Some f when Faults.has_roles f ->
+          (true, Faults.transmits f, Faults.accepts f)
+      | Some _ | None -> (false, [||], [||])
+    in
     let t =
       {
         spec;
@@ -648,15 +606,22 @@ module Make (S : Space.S) = struct
         ex;
         dsu;
         union_edge = (fun i j -> ignore (Dsu.union dsu i j));
-        iter_pairs = (fun f -> S.iter_close_pairs space ~f);
+        components;
+        pairs =
+          (match faults with
+          | None -> fun f -> S.iter_close_pairs space ~f
+          | Some _ ->
+              fun f ->
+                for p = 0 to (Intbuf.length live_pairs / 2) - 1 do
+                  f (Intbuf.get live_pairs (2 * p))
+                    (Intbuf.get live_pairs ((2 * p) + 1))
+                done);
+        body = exchange_body spec ~roles;
         faults;
+        present = Option.bind faults Faults.present_mask;
+        transmits;
+        accepts;
         live_pairs;
-        iter_live =
-          (fun f ->
-            let np = Intbuf.length live_pairs / 2 in
-            for p = 0 to np - 1 do
-              f (Intbuf.get live_pairs (2 * p)) (Intbuf.get live_pairs ((2 * p) + 1))
-            done);
         collect_live =
           (match faults with
           | None -> fun _ _ -> ()
@@ -708,12 +673,7 @@ module Make (S : Space.S) = struct
       | None -> ()
       | Some f -> Faults.begin_step f ~time:t.time);
       let t0 = phase_start t in
-      (match t.faults with
-      | None -> S.move_all t.space t.pos t.rngs t.mobility
-      | Some f ->
-          S.move_all
-            ?present:(Faults.present_mask f)
-            t.space t.pos t.rngs t.mobility);
+      S.move_all ?present:t.present t.space t.pos t.rngs t.mobility;
       phase_end t ph_move t0;
       exchange t;
       let t1 = phase_start t in
@@ -793,6 +753,4 @@ module Make (S : Space.S) = struct
     match t.faults with
     | None -> t.population
     | Some f -> Faults.present_count f
-
-  let fault_state t = t.faults
 end

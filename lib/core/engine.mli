@@ -183,9 +183,5 @@ module Make (S : Space.S) : sig
   (** Agents currently present (population minus churn departures);
       [population t] when the plan has no churn. *)
 
-  val fault_state : t -> Faults.t option
-  (** The live adversary state, [None] for an empty plan. Read-only
-      inspection for tests and tooling. *)
-
   val is_done : t -> bool
 end

@@ -78,8 +78,13 @@ module type S = sig
 
   val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
   (** Visit every visibility edge of the last [rebuild_index] exactly
-      once. Pair order is unconstrained — the engine only unions them
-      into a DSU or applies symmetric exchange, both order-independent. *)
+      once, in an order fixed by that rebuild alone. The order is part
+      of every faulted run's result: under loss faults the engine draws
+      one random number per visited pair, in visit order (the DSU build
+      and the exchange policies are order-independent; the loss draws
+      are not). The grid space inherits {!Spatial}'s order, a contract
+      at radius 0; changing a space's pair order changes its lossy
+      runs. *)
 
   val cover_cells : t -> int
   (** Size of the discrete cell-id range coverage bitmaps must span, or

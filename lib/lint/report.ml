@@ -1,9 +1,7 @@
-(* Rendering, machine-readable output, structural validation of that
-   output (mirroring the obs metrics/trace validators), and baseline
-   filtering. *)
+(* Rendering, machine-readable output and structural validation of that
+   output (mirroring the obs metrics/trace validators). *)
 
 let schema = "mobilint/1"
-let baseline_schema = "mobilint-baseline/1"
 
 let sort findings = List.sort_uniq Finding.compare findings
 
@@ -108,109 +106,3 @@ let validate json =
       if line < 0 then Error (Printf.sprintf "%s: negative line" file)
       else Ok ())
     (Ok ()) findings
-
-(* ---- baselines -------------------------------------------------------- *)
-
-(* A baseline entry accepts one known finding: same file, same rule,
-   and, when given, same line. Line-less entries survive unrelated
-   edits to the file. *)
-type baseline_entry = {
-  b_file : string;
-  b_rule : Finding.rule;
-  b_line : int option;
-}
-
-type baseline = baseline_entry list
-
-let parse_baseline json =
-  let ( let* ) r f = Result.bind r f in
-  let* s =
-    match Obs.Json.member "schema" json with
-    | Some (Obs.Json.String s) -> Ok s
-    | _ -> Error "baseline: missing or non-string field \"schema\""
-  in
-  let* () =
-    if String.equal s baseline_schema then Ok ()
-    else
-      Error
-        (Printf.sprintf "baseline: schema is %S, expected %S" s
-           baseline_schema)
-  in
-  let* entries =
-    match Obs.Json.member "ignore" json with
-    | Some (Obs.Json.List l) -> Ok l
-    | _ -> Error "baseline: missing or non-array field \"ignore\""
-  in
-  List.fold_left
-    (fun acc e ->
-      let* entries = acc in
-      let* file =
-        match Obs.Json.member "file" e with
-        | Some (Obs.Json.String s) -> Ok s
-        | _ -> Error "baseline: entry without a string \"file\""
-      in
-      let* rule =
-        match Obs.Json.member "rule" e with
-        | Some (Obs.Json.String tag) -> (
-            match Finding.rule_of_tag tag with
-            | Some r -> Ok r
-            | None ->
-                Error (Printf.sprintf "baseline: unknown rule tag %S" tag))
-        | _ -> Error "baseline: entry without a string \"rule\""
-      in
-      let line =
-        match Obs.Json.member "line" e with
-        | Some (Obs.Json.Int n) -> Some n
-        | _ -> None
-      in
-      Ok ({ b_file = file; b_rule = rule; b_line = line } :: entries))
-    (Ok []) entries
-  |> Result.map List.rev
-
-let load_baseline path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "baseline file %s does not exist" path)
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error e -> Error (Printf.sprintf "baseline %s: %s" path e)
-    | Ok json -> parse_baseline json
-  end
-
-(* The writer: pin every current finding (file + rule + line) so a new
-   rule family can be adopted incrementally — write once, then burn
-   entries down. Line-pinned entries go stale on unrelated edits by
-   design: a moved finding resurfaces rather than staying masked. *)
-let to_baseline_json findings =
-  Obs.Json.Assoc
-    [
-      ("schema", Obs.Json.String baseline_schema);
-      ( "ignore",
-        Obs.Json.List
-          (List.map
-             (fun f ->
-               Obs.Json.Assoc
-                 [
-                   ("file", Obs.Json.String f.Finding.file);
-                   ("rule", Obs.Json.String (Finding.rule_tag f.Finding.rule));
-                   ("line", Obs.Json.Int f.Finding.line);
-                 ])
-             findings) );
-    ]
-
-let apply_baseline baseline findings =
-  List.filter
-    (fun f ->
-      not
-        (List.exists
-           (fun b ->
-             String.equal b.b_file f.Finding.file
-             && b.b_rule = f.Finding.rule
-             && match b.b_line with
-                | None -> true
-                | Some l -> l = f.Finding.line)
-           baseline))
-    findings

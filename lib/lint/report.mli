@@ -1,10 +1,7 @@
-(** Report rendering, JSON export + structural validation, baselines. *)
+(** Report rendering, JSON export + structural validation. *)
 
 val schema : string
 (** ["mobilint/1"] — the [--json] document schema tag. *)
-
-val baseline_schema : string
-(** ["mobilint-baseline/1"]. *)
 
 val sort : Finding.t list -> Finding.t list
 (** Deterministic report order (also dedups identical findings). *)
@@ -17,17 +14,3 @@ val to_json : root:string -> Finding.t list -> Obs.Json.t
 val validate : Obs.Json.t -> (unit, string) result
 (** Structural check of a [--json] document: schema tag, count/by_rule
     consistency, per-finding field types, known rule tags. *)
-
-type baseline
-
-val load_baseline : string -> (baseline, string) result
-(** Read a [mobilint-baseline/1] JSON file: [{"schema": ...,
-    "ignore": [{"file": ..., "rule": ..., "line"?: ...}]}]. *)
-
-val apply_baseline : baseline -> Finding.t list -> Finding.t list
-(** Drop findings matched by a baseline entry (file + rule, and line
-    when the entry pins one). *)
-
-val to_baseline_json : Finding.t list -> Obs.Json.t
-(** Emit the findings as a [mobilint-baseline/1] document (one
-    line-pinned ignore entry per finding), for [--write-baseline]. *)

@@ -20,8 +20,8 @@
 
     {b The disabled path costs nothing.} Against {!null} every
     operation reduces to an immediate-value branch: no clock read, no
-    store, no allocation — the same discipline as {!Span} and {!Tracer}.
-    Instrumented code resolves {!col} ids once, outside its loops, and
+    store, no allocation — the same discipline as the null {!Sink} and
+    {!Tracer}. Instrumented code resolves {!col} ids once, outside its loops, and
     gates per-step work on {!want}.
 
     {b Recording is pure observation.} A recorder must never influence

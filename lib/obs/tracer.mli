@@ -17,7 +17,7 @@
 
     {b The disabled path costs nothing.} Against {!null} every emit
     reduces to an immediate-value branch: no clock read, no allocation —
-    the same discipline as {!Span} on the null sink. Instrumented layers
+    the same discipline as the null {!Sink}. Instrumented layers
     resolve {!name} ids once, outside their loops, exactly like
     pre-resolved histograms.
 

@@ -375,11 +375,6 @@ let compile ?filename text =
       validate_ast ctx (Some j) ast;
       match finish ctx with [] -> Ok (desugar ast) | errs -> Error errs)
 
-let validate ?filename text =
-  match compile ?filename text with
-  | Ok _ -> Ok ()
-  | Error errs -> Error errs
-
 let compile_ast ast =
   let ctx = { filename = None; errs = [] } in
   validate_ast ctx None ast;

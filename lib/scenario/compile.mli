@@ -29,15 +29,12 @@ val parse : ?filename:string -> string -> (Ast.t, string list) result
     wrong types, malformed protocol/kernel strings. Diagnostics are
     formatted [file:line:col: scenario: message]. *)
 
-val validate : ?filename:string -> string -> (unit, string list) result
-(** {!parse} plus semantic validation: positive sizes, non-empty axes,
-    grid-only fields on non-grid spaces, per-cell
-    {!Mobile_network.Config.validate}, fault-plan agent ranges. This is
-    what [mobisim scenario check] runs. *)
-
 val compile : ?filename:string -> string -> (compiled, string list) result
-(** The full pipeline; [Ok] implies every cell's configuration is
-    accepted by the engine. *)
+(** The full pipeline: {!parse} plus semantic validation (positive
+    sizes, non-empty axes, grid-only fields on non-grid spaces, per-cell
+    {!Mobile_network.Config.validate}, fault-plan agent ranges), then
+    desugaring. [Ok] implies every cell's configuration is accepted by
+    the engine. This is what [mobisim scenario check] runs. *)
 
 val compile_ast : Ast.t -> (compiled, string list) result
 (** Validate + desugar an already-built AST (diagnostics without

@@ -13,12 +13,20 @@ module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
 
-let grid_run ?series ?(side = 64) ?radius ?protocol ?exchange
+let grid_run ?series ?(side = 64) ?radius ?protocol ?exchange ?faults
     ?(max_steps = 2000) () =
   (Simulation.run_config ?series
-     (Config.make ~side ~agents:64 ?radius ?protocol ?exchange ~seed:7
-        ~max_steps ()))
+     (Config.make ~side ~agents:64 ?radius ?protocol ?exchange ?faults
+        ~seed:7 ~max_steps ()))
     .Simulation.steps
+
+let faulted_run ?exchange () =
+  grid_run ~side:32 ~radius:1 ?exchange
+    ~faults:
+      { Faults.Plan.empty with
+        Faults.Plan.loss_p = 0.3;
+        churn = Some { Faults.Plan.leave_p = 0.02; return_p = 0.3 } }
+    ~max_steps:2000 ()
 
 let traced_run () =
   let tracer = Obs.Tracer.create ~capacity:(1 lsl 16) () in
@@ -88,6 +96,11 @@ let probes =
         grid_run ~side:32 ~radius:2 ~exchange:Config.Single_hop
           ~max_steps:500 ()),
       plus_words 38.4 );
+    (* side 32, k 64, r 1, loss 0.3, churn 0.02/0.3: the churn and loss
+       draws box their floats (4 words per Prng.bernoulli) *)
+    ("faulted flood", (fun () -> faulted_run ()), plus_words 291.0);
+    ("faulted single-hop", faulted_run ~exchange:Config.Single_hop,
+     plus_words 296.0);
     (* k 256, box 16, r 1.2 *)
     ("continuum", continuum_run, plus_percent 6972.7);
     (* side 48, k 1152, R 4 *)

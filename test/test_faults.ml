@@ -198,7 +198,10 @@ let test_roles_need_broadcast () =
    counts. The pins were measured before the fault-free and faulted
    steps were merged into one pipeline, so any change to a loss draw,
    the presence mask or an exchange arm shows here. The single-hop
-   cases also run with the island metric off (no DSU build). *)
+   cases also run with the island metric off (no DSU build). Each
+   no-roles case also runs fault-free, to check which phases record a
+   sample: components iff the step builds the DSU or faults are on,
+   exchange unless the protocol has none (cover walks). *)
 module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 
 let pinned_plan ~roles =
@@ -211,7 +214,7 @@ let pinned_plan ~roles =
     deaf = (if roles then [ 2 ] else []);
   }
 
-let pinned_run (protocol, exchange, roles, track_islands) =
+let pinned_run ~faulted (protocol, exchange, roles, track_islands) =
   let space =
     Mobile_network.Grid_space.create (Grid.create ~side:12 ())
       ~kernel:Walk.Lazy_one_fifth ~radius:1
@@ -224,10 +227,11 @@ let pinned_run (protocol, exchange, roles, track_islands) =
       Mobile_network.Engine.protocol;
       exchange;
       track_islands;
-      faults = pinned_plan ~roles;
+      faults = (if faulted then pinned_plan ~roles else Plan.empty);
     }
   in
-  let e = Grid_engine.create ~space spec in
+  let reg = Obs.Registry.create () in
+  let e = Grid_engine.create ~metrics:(Obs.Sink.of_registry reg) ~space spec in
   let counts = Buffer.create 1024 in
   let record () =
     Buffer.add_string counts (string_of_int (Grid_engine.informed_count e));
@@ -235,10 +239,15 @@ let pinned_run (protocol, exchange, roles, track_islands) =
   in
   record ();
   let report = Grid_engine.run ~on_step:(fun _ -> record ()) e in
-  ( report.Mobile_network.Engine.steps,
-    report.Mobile_network.Engine.informed,
-    Grid_engine.max_island e,
-    Digest.to_hex (Digest.string (Buffer.contents counts)) )
+  let samples phase =
+    Obs.Metric.Histogram.count
+      (Obs.Registry.histogram reg ("sim.phase." ^ phase ^ "_ns"))
+  in
+  ( ( report.Mobile_network.Engine.steps,
+      report.Mobile_network.Engine.informed,
+      Grid_engine.max_island e,
+      Digest.to_hex (Digest.string (Buffer.contents counts)) ),
+    (samples "components", samples "exchange") )
 
 let pinned_cases =
   let module P = Mobile_network.Protocol in
@@ -320,18 +329,40 @@ let pinned_expected =
       (96, 23, 0, "650e37ff8e7885e579de43fbe61c4e22") );
   ]
 
+let check_phase_samples ~faulted case =
+  let protocol, exchange, _, track_islands = case in
+  let module P = Mobile_network.Protocol in
+  let (steps, _, _, _), (components, exchanges) = pinned_run ~faulted case in
+  let label = pinned_label case ^ if faulted then "" else "/fault-free" in
+  (* one sample per executed step plus the time-0 exchange *)
+  let per_step on = if on then steps + 1 else 0 in
+  let builds_dsu =
+    match (protocol, exchange) with
+    | P.Predator_prey _, _ -> false
+    | P.Cover_walks, _ | _, Exchange.Flood_component -> true
+    | _, Exchange.Single_hop -> track_islands
+  in
+  Alcotest.(check int) (label ^ " components samples")
+    (per_step (faulted || builds_dsu)) components;
+  Alcotest.(check int) (label ^ " exchange samples")
+    (per_step (protocol <> P.Cover_walks)) exchanges
+
 let test_pinned_fault_runs () =
   List.iter
-    (fun case ->
+    (fun ((_, _, roles, _) as case) ->
       let label = pinned_label case in
-      let steps, informed, island, digest = pinned_run case in
+      let (steps, informed, island, digest), _ =
+        pinned_run ~faulted:true case
+      in
       let e_steps, e_informed, e_island, e_digest =
         List.assoc label pinned_expected
       in
       Alcotest.(check int) (label ^ " steps") e_steps steps;
       Alcotest.(check int) (label ^ " informed") e_informed informed;
       Alcotest.(check int) (label ^ " max_island") e_island island;
-      Alcotest.(check string) (label ^ " informed series") e_digest digest)
+      Alcotest.(check string) (label ^ " informed series") e_digest digest;
+      check_phase_samples ~faulted:true case;
+      if not roles then check_phase_samples ~faulted:false case)
     pinned_cases
 
 (* --- masked flood vs component flood ----------------------------------- *)

@@ -3,8 +3,8 @@
    Each fixture module under lint_fixtures/ must trigger exactly one
    rule (fx_clean none); the real codebase must come out clean; the
    CLI must exit 1 on findings and 0 on a clean scan; the --json
-   report must satisfy its own structural validator; baselines and
-   the layering DAG are exercised on synthetic inputs.
+   report must satisfy its own structural validator; the layering DAG
+   is exercised on synthetic inputs.
 
    Runs from _build/default/test, so fixture cmts live under
    lint_fixtures/.lint_fixtures.objs/byte and the source tree (for
@@ -183,32 +183,6 @@ let test_cli_rules_filter () =
     "no determinism finding under --rules concurrency" false
     (contains ~needle:"[determinism]" out)
 
-let test_cli_write_baseline () =
-  (* --write-baseline must emit a mobilint-baseline/1 file that, fed
-     back through --baseline, silences the very findings it recorded *)
-  let bl = Filename.temp_file "mobilint_wb" ".json" in
-  let code, out =
-    run_cli
-      (Printf.sprintf "--write-baseline %s %s %s" bl
-         (fixture_cmt "fx_det_random")
-         (fixture_cmt "fx_cmp_tuple"))
-  in
-  Alcotest.(check int) "--write-baseline exits 0" 0 code;
-  Alcotest.(check bool)
-    "reports how many entries were written" true
-    (contains ~needle:"wrote 2 baseline entries" out);
-  (match Lint.Report.load_baseline bl with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "written baseline should load: %s" e);
-  let code, _ =
-    run_cli
-      (Printf.sprintf "--baseline %s %s %s" bl
-         (fixture_cmt "fx_det_random")
-         (fixture_cmt "fx_cmp_tuple"))
-  in
-  Sys.remove bl;
-  Alcotest.(check int) "round-trip: baselined scan exits 0" 0 code
-
 let test_cli_zero_cmts_fails () =
   (* an unbuilt tree must fail loudly (exit 2), not pass as clean *)
   let code, out = run_cli "--root /nonexistent-mobilint-root" in
@@ -216,20 +190,6 @@ let test_cli_zero_cmts_fails () =
   Alcotest.(check bool)
     "error names the missing cmts" true
     (contains ~needle:"no .cmt files" out)
-
-let test_cli_baseline () =
-  let bl = Filename.temp_file "mobilint_baseline" ".json" in
-  let oc = open_out bl in
-  output_string oc
-    {|{"schema": "mobilint-baseline/1",
-       "ignore": [{"file": "test/lint_fixtures/fx_det_random.ml",
-                   "rule": "determinism"}]}|};
-  close_out oc;
-  let code, _ =
-    run_cli (Printf.sprintf "--baseline %s %s" bl (fixture_cmt "fx_det_random"))
-  in
-  Sys.remove bl;
-  Alcotest.(check int) "baselined finding suppressed, exits 0" 0 code
 
 (* ---- JSON report ------------------------------------------------------ *)
 
@@ -326,52 +286,6 @@ let test_json_validator_rejects () =
              ] );
        ]);
   reject "not an object" (Obs.Json.List [])
-
-(* ---- baselines -------------------------------------------------------- *)
-
-let test_baseline_matching () =
-  let f ~file ~line ~rule =
-    Lint.Finding.make ~file ~line ~col:0 ~rule "msg"
-  in
-  let findings =
-    [
-      f ~file:"lib/a.ml" ~line:3 ~rule:Lint.Finding.Determinism;
-      f ~file:"lib/a.ml" ~line:9 ~rule:Lint.Finding.Determinism;
-      f ~file:"lib/b.ml" ~line:3 ~rule:Lint.Finding.Poly_compare;
-    ]
-  in
-  let write_baseline body =
-    let path = Filename.temp_file "baseline" ".json" in
-    let oc = open_out path in
-    output_string oc body;
-    close_out oc;
-    let r = Lint.Report.load_baseline path in
-    Sys.remove path;
-    r
-  in
-  let b =
-    match
-      write_baseline
-        {|{"schema": "mobilint-baseline/1",
-           "ignore": [{"file": "lib/a.ml", "rule": "determinism", "line": 3},
-                      {"file": "lib/b.ml", "rule": "poly-compare"}]}|}
-    with
-    | Ok b -> b
-    | Error e -> Alcotest.failf "baseline should load: %s" e
-  in
-  let kept = Lint.Report.apply_baseline b findings in
-  Alcotest.(check (list string))
-    "line-pinned and line-less entries suppress, others survive"
-    [ "lib/a.ml:9:0: [determinism] msg" ]
-    (List.map Lint.Finding.to_string kept);
-  (match
-     write_baseline {|{"schema": "nope/1", "ignore": []}|}
-   with
-  | Ok _ -> Alcotest.fail "wrong baseline schema should be rejected"
-  | Error _ -> ());
-  match Lint.Report.load_baseline "/nonexistent/baseline.json" with
-  | Ok _ -> Alcotest.fail "missing baseline file should be an error"
-  | Error _ -> ()
 
 (* ---- layering --------------------------------------------------------- *)
 
@@ -481,9 +395,6 @@ let () =
           Alcotest.test_case "exit codes per fixture" `Quick
             test_cli_exit_codes;
           Alcotest.test_case "--rules filter" `Quick test_cli_rules_filter;
-          Alcotest.test_case "--baseline suppression" `Quick test_cli_baseline;
-          Alcotest.test_case "--write-baseline round-trip" `Quick
-            test_cli_write_baseline;
           Alcotest.test_case "zero cmts fail loudly" `Quick
             test_cli_zero_cmts_fails;
         ] );
@@ -494,9 +405,6 @@ let () =
           Alcotest.test_case "validator rejection matrix" `Quick
             test_json_validator_rejects;
         ] );
-      ( "baseline",
-        [ Alcotest.test_case "matching semantics" `Quick test_baseline_matching ]
-      );
       ( "layering",
         [
           Alcotest.test_case "violations" `Quick test_layering_violations;

@@ -2,18 +2,18 @@
    with the engine, the domain pool and the experiment harness.
 
    The load-bearing properties:
-   - instrument semantics (counters, gauges, histograms, spans) are
+   - instrument semantics (counters, gauges, histograms) are
      exact and thread-safe enough for the pool's use;
    - snapshots are stable: sorted keys, deterministic JSON that the
      in-tree parser round-trips;
-   - the null sink costs nothing: no allocation on the disabled path;
+   - the null sink costs nothing (test_alloc_discipline measures the
+     engine's disabled path per step);
    - metrics are pure observation: experiment output is byte-identical
      at jobs = 1 and jobs = 4 with metrics enabled. *)
 
 module Metric = Obs.Metric
 module Registry = Obs.Registry
 module Sink = Obs.Sink
-module Span = Obs.Span
 module Json = Obs.Json
 module Snapshot = Obs.Snapshot
 module Pool = Runtime.Pool
@@ -70,51 +70,6 @@ let test_histogram_buckets () =
     "cumulative-free per-bucket counts"
     [ (10, 2); (100, 2); (max_int, 2) ]
     (Array.to_list buckets)
-
-(* --- spans --- *)
-
-let test_span_nesting () =
-  let reg = Registry.create () in
-  let sink = Sink.of_registry reg in
-  Span.with_ sink "outer" (fun () ->
-      Span.with_ sink "inner" (fun () -> ignore (Sys.opaque_identity 0));
-      Span.with_ sink "inner" (fun () -> ignore (Sys.opaque_identity 1)));
-  let outer = Registry.histogram reg "outer" in
-  let inner = Registry.histogram reg "inner" in
-  Alcotest.(check int) "outer observed once" 1 (Metric.Histogram.count outer);
-  Alcotest.(check int) "inner observed twice" 2 (Metric.Histogram.count inner);
-  Alcotest.(check bool) "outer spans both inners" true
-    (Metric.Histogram.sum_ns outer >= Metric.Histogram.sum_ns inner)
-
-let test_span_null_sink () =
-  Span.with_ Sink.null "h" (fun () -> ());
-  (* raising inside a span still records into the live sink *)
-  let reg = Registry.create () in
-  let sink = Sink.of_registry reg in
-  (try Span.with_ sink "raises" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span recorded on raise" 1
-    (Metric.Histogram.count (Registry.histogram reg "raises"))
-
-(* The disabled hot path must not allocate: entering/exiting a span on
-   the null sink is a pair of immediate-value operations. Measured via
-   the domain-local minor allocation counter. *)
-let test_null_sink_no_alloc () =
-  let span_once () =
-    let s = Span.enter Sink.null "h" in
-    Span.exit s
-  in
-  (* warm up: any one-time lazy setup happens outside the measurement *)
-  for _ = 1 to 100 do
-    span_once ()
-  done;
-  let before = (Gc.quick_stat ()).Gc.minor_words in
-  for _ = 1 to 10_000 do
-    span_once ()
-  done;
-  let after = (Gc.quick_stat ()).Gc.minor_words in
-  Alcotest.(check (float 0.0))
-    "no minor allocation across 10k null spans" 0.0 (after -. before)
 
 (* --- JSON and snapshots --- *)
 
@@ -324,12 +279,6 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-        ] );
-      ( "spans",
-        [
-          Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "null sink inert" `Quick test_span_null_sink;
-          Alcotest.test_case "null sink no-alloc" `Quick test_null_sink_no_alloc;
         ] );
       ( "snapshots",
         [

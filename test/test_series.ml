@@ -8,7 +8,7 @@
      round-trips through the documented schema, zero rows included);
    - storage grows on demand, so a huge capacity is an exact stride-1
      record that costs memory only for the rows committed;
-   - the disabled path allocates nothing (same discipline as Span);
+   - the disabled path allocates nothing (same discipline as the null sink);
    - recording is pure observation: reports are identical with a
      recorder attached or not, and experiment output stays
      byte-identical at any jobs count with an ambient series dir set.
