@@ -252,13 +252,13 @@ let pinned_run ~faulted (protocol, exchange, roles, track_islands) =
 let pinned_cases =
   let module P = Mobile_network.Protocol in
   let flood = Exchange.Flood_component and hop = Exchange.Single_hop in
-  let both roles p =
+  let arms roles p =
     [ (p, flood, roles, true); (p, hop, roles, true); (p, hop, roles, false) ]
   in
   let single_rumor = [ P.Broadcast; P.Frog; P.Broadcast_cover ] in
-  List.concat_map (both false)
+  List.concat_map (arms false)
     (single_rumor @ [ P.Gossip; P.Cover_walks; P.Predator_prey { preys = 6 } ])
-  @ List.concat_map (both true) single_rumor
+  @ List.concat_map (arms true) single_rumor
 
 let pinned_label (protocol, exchange, roles, track_islands) =
   Printf.sprintf "%s/%s%s%s"
