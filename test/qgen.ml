@@ -51,6 +51,48 @@ let plan ~agents =
   in
   QCheck.make ~print:Faults.Plan.to_string gen
 
+(* [text] after 1-4 random byte edits: a byte flipped, a byte inserted
+   or a byte deleted. Half the new bytes are JSON punctuation, digits or
+   letters of the literals, so a mutant often still lexes and reaches the
+   field readers rather than stopping at the first character. Raw
+   material for the parsers' never-raises properties. *)
+let mutate text =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (1, map Char.chr (int_range 0 255));
+        (1, oneofl (List.init 26 (String.get "{}[]:,\"-.eE0123456789tfnul ")));
+      ]
+  in
+  let edit s =
+    let n = String.length s in
+    let* at = int_range 0 n in
+    let* b = byte in
+    let* kind = int_range 0 2 in
+    let before = String.sub s 0 at in
+    let after skip = String.sub s (at + skip) (n - at - skip) in
+    return
+      (match kind with
+      | 0 when at < n -> before ^ String.make 1 b ^ after 1
+      | 1 when at < n -> before ^ after 1
+      | _ -> before ^ String.make 1 b ^ after 0)
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  int_range 1 4 >>= fun k -> edits k text
+
+(* Does [msg] start with [file:line:col: ] (line and column >= 1)? *)
+let has_position ~file msg =
+  let prefix = file ^ ":" in
+  String.starts_with ~prefix msg
+  &&
+  let rest = String.sub msg (String.length prefix) (String.length msg - String.length prefix) in
+  match
+    Scanf.sscanf_opt rest "%u:%u:%c" (fun line col sp -> line >= 1 && col >= 1 && sp = ' ')
+  with
+  | Some ok -> ok
+  | None -> false
+
 (* A random <=1-cell-per-step walk workload over a side x side grid:
    initial positions plus per-step per-agent axis moves, with optional
    per-step churn masks (None = everyone present). Raw material for the

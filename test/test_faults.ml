@@ -39,9 +39,83 @@ let test_plan_json_errors () =
   (match Plan.of_string "not json" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  match Plan.of_string "{ \"loss_p\": 2.0 }" with
+  (match Plan.of_string "{ \"loss_p\": 2.0 }" with
   | Ok _ -> Alcotest.fail "invalid probability accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* the pinned diagnostic of each malformed plan: a plan stops at its
+     first problem, reported at the offending value, the unknown key or
+     the object missing a required key *)
+  List.iter
+    (fun (text, expected) ->
+      match Plan.of_string ~filename:"f.json" text with
+      | Ok _ -> Alcotest.failf "%s: accepted" text
+      | Error msg -> Alcotest.(check string) text expected msg)
+    [
+      ({|{"loss_p": "high"}|}, "f.json:1:12: faults: loss_p must be a number");
+      ({|{"outage": 3}|}, "f.json:1:12: faults: outage must be an object");
+      ( {|{"outage": {"off": "1", "period": 4}}|},
+        "f.json:1:20: faults: outage 'off' must be an integer" );
+      ( {|{"outage": {"off": 1, "period": 4.5}}|},
+        "f.json:1:33: faults: outage 'period' must be an integer" );
+      ( {|{"outage": {"period": 4}}|},
+        "f.json:1:12: faults: outage is missing 'off'" );
+      ( {|{"outage": {"off": 1}}|},
+        "f.json:1:12: faults: outage is missing 'period'" );
+      ( {|{"outage": {"off": 1, "period": 4, "phase": 2}}|},
+        "f.json:1:36: faults: unknown field \"phase\" in outage (expected: \
+         off, period)" );
+      ({|{"windows": {}}|}, "f.json:1:13: faults: windows must be a list");
+      ( {|{"windows": [3]}|},
+        "f.json:1:14: faults: windows entry must be an object" );
+      ( {|{"windows": [{"from": "0", "until": 3}]}|},
+        "f.json:1:23: faults: window 'from' must be an integer" );
+      ( {|{"windows": [{"from": 0, "until": null}]}|},
+        "f.json:1:35: faults: window 'until' must be an integer" );
+      ( {|{"windows": [{"from": 0, "until": 3, "agent": "a"}]}|},
+        "f.json:1:47: faults: window 'agent' must be an integer" );
+      ( {|{"windows": [{"until": 3}]}|},
+        "f.json:1:14: faults: window is missing 'from'" );
+      ( {|{"windows": [{"from": 0}]}|},
+        "f.json:1:14: faults: window is missing 'until'" );
+      ( {|{"windows": [{"from": 0, "until": 3, "agents": 1}]}|},
+        "f.json:1:38: faults: unknown field \"agents\" in windows entry \
+         (expected: from, until, agent)" );
+      ({|{"churn": true}|}, "f.json:1:11: faults: churn must be an object");
+      ( {|{"churn": {"leave_p": "0.1"}}|},
+        "f.json:1:23: faults: churn 'leave_p' must be a number" );
+      ( {|{"churn": {"leave_p": 0.1, "return_p": [1]}}|},
+        "f.json:1:40: faults: churn 'return_p' must be a number" );
+      ( {|{"churn": {"return_p": 0.5}}|},
+        "f.json:1:11: faults: churn is missing 'leave_p'" );
+      ( {|{"churn": {"leave_p": 0.1, "rejoin_p": 0.5}}|},
+        "f.json:1:28: faults: unknown field \"rejoin_p\" in churn (expected: \
+         leave_p, return_p)" );
+      ({|{"silent": 3}|}, "f.json:1:12: faults: silent must be a list");
+      ( {|{"silent": [1, "two"]}|},
+        "f.json:1:16: faults: silent entry must be an integer" );
+      ({|{"deaf": [0.5]}|}, "f.json:1:11: faults: deaf entry must be an integer");
+      ({|{"deaf": "all"}|}, "f.json:1:10: faults: deaf must be a list");
+      ( {|{"loss_q": 0.5, "dead": [1]}|},
+        "f.json:1:2: faults: unknown field \"loss_q\" in fault plan \
+         (expected: loss_p, outage, windows, churn, silent, deaf)" );
+      ("[]", "f.json:1:1: faults: fault plan must be an object");
+      ( {|{"outage": {"off": 5, "period": 4}}|},
+        "f.json:1:12: outage duty cycle needs 0 <= off <= period and period > 0"
+      );
+      ( {|{"windows": [{"from": 4, "until": 2}]}|},
+        "f.json:1:13: window 'from' exceeds 'until'" );
+      ( {|{"churn": {"leave_p": 0.1, "return_p": 1.5}}|},
+        "f.json:1:11: churn return_p must lie in [0, 1]" );
+      ({|{"deaf": [-1]}|}, "f.json:1:10: deaf agent indices must be non-negative");
+      ( "{\n\
+        \  \"loss_p\": 0.1,\n\
+        \  \"windows\": [\n\
+        \    {\"from\": 1, \"until\": 2},\n\
+        \    {\"from\": 1, \"until\": \"3\"}\n\
+        \  ]\n\
+         }",
+        "f.json:5:26: faults: window 'until' must be an integer" );
+    ]
 
 let test_plan_max_agent () =
   Alcotest.(check int) "empty" (-1) (Plan.max_agent_id Plan.empty);
@@ -62,6 +136,16 @@ let prop_plan_roundtrip =
       match Plan.of_string (Plan.to_string p) with
       | Error msg -> QCheck.Test.fail_reportf "re-parse failed: %s" msg
       | Ok p' -> String.equal (Plan.to_string p) (Plan.to_string p'))
+
+let prop_mutated_plans_diagnosed =
+  QCheck.Test.make ~name:"mutated plans never raise" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         QCheck.gen (Qgen.plan ~agents:8) >|= Plan.to_string >>= Qgen.mutate))
+    (fun text ->
+      match Plan.of_string ~filename:"f.json" text with
+      | Ok _ -> true
+      | Error msg -> Qgen.has_position ~file:"f.json" msg)
 
 (* --- runtime invariants ------------------------------------------------- *)
 
@@ -435,7 +519,11 @@ let () =
         ] );
       ( "plan-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_generated_plans_validate; prop_plan_roundtrip ] );
+          [ prop_generated_plans_validate; prop_plan_roundtrip ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+              prop_mutated_plans_diagnosed;
+          ] );
       ( "invariants",
         [
           Alcotest.test_case "monotone fault-free" `Quick

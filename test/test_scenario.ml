@@ -294,6 +294,41 @@ let test_diag_unknown_field () =
        space, side, agents, radius, protocol, kernel, exchange, torus, seed, \
        trials, max_steps, faults, plan, los_blocking, density, rc_mult, \
        sigma_frac)";
+    ];
+  let expected =
+    "(expected one of: name, space, side, agents, radius, protocol, kernel, \
+     exchange, torus, seed, trials, max_steps, faults, plan, los_blocking, \
+     density, rc_mult, sigma_frac)"
+  in
+  check_diags "every unknown top-level key"
+    {|{"sid": 16, "agent": 2, "seed": 1}|}
+    [
+      "sc.json:1:2: scenario: unknown field \"sid\" " ^ expected;
+      "sc.json:1:13: scenario: unknown field \"agent\" " ^ expected;
+    ];
+  (* a fault plan stops at its first problem, reported at the key *)
+  check_diags "unknown fault-plan key" {|{"faults": {"loss": 0.1}}|}
+    [
+      "sc.json:1:13: faults: unknown field \"loss\" in fault plan (expected: \
+       loss_p, outage, windows, churn, silent, deaf)";
+    ];
+  check_diags "unknown outage key"
+    {|{"faults": {"outage": {"off": 1, "period": 4, "phase": 2}}}|}
+    [
+      "sc.json:1:47: faults: unknown field \"phase\" in outage (expected: off, \
+       period)";
+    ];
+  check_diags "unknown churn key"
+    {|{"faults": {"churn": {"leave_p": 0.1, "rejoin_p": 0.5}}}|}
+    [
+      "sc.json:1:39: faults: unknown field \"rejoin_p\" in churn (expected: \
+       leave_p, return_p)";
+    ];
+  check_diags "unknown windows key"
+    {|{"faults": {"windows": [{"from": 1, "until": 2, "agnt": 0}]}}|}
+    [
+      "sc.json:1:49: faults: unknown field \"agnt\" in windows entry \
+       (expected: from, until, agent)";
     ]
 
 let test_diag_collects_all () =
@@ -311,7 +346,72 @@ let test_diag_collects_all () =
   Alcotest.(check string) "second is the protocol spelling"
     "sc.json:3:15: scenario: unknown protocol \"gossipp\" (expected broadcast, \
      gossip, frog, broadcast-cover, cover-walks or predator-prey:<preys>)"
-    (List.nth errs 1)
+    (List.nth errs 1);
+  (* a wrong type at every field: one diagnostic each, at the value *)
+  check_diags "wrong type at every field"
+    "{\n\
+    \  \"name\": 1,\n\
+    \  \"space\": 2,\n\
+    \  \"side\": \"16\",\n\
+    \  \"agents\": true,\n\
+    \  \"radius\": 1.5,\n\
+    \  \"protocol\": 3,\n\
+    \  \"kernel\": null,\n\
+    \  \"exchange\": [\"flood\"],\n\
+    \  \"torus\": \"yes\",\n\
+    \  \"seed\": 1.5,\n\
+    \  \"trials\": \"3\",\n\
+    \  \"max_steps\": \"10\",\n\
+    \  \"faults\": [],\n\
+    \  \"plan\": 4,\n\
+    \  \"los_blocking\": 1,\n\
+    \  \"density\": \"x\",\n\
+    \  \"rc_mult\": true,\n\
+    \  \"sigma_frac\": \"half\"\n\
+     }"
+    [
+      "sc.json:2:11: scenario: name must be a string";
+      "sc.json:3:12: scenario: space must be a string";
+      "sc.json:4:11: scenario: side must be an integer";
+      "sc.json:5:13: scenario: agents must be an integer";
+      "sc.json:6:13: scenario: radius must be an integer";
+      "sc.json:7:15: scenario: protocol must be a string";
+      "sc.json:8:13: scenario: kernel must be a string";
+      "sc.json:9:15: scenario: exchange must be a string";
+      "sc.json:10:12: scenario: torus must be a boolean";
+      "sc.json:11:11: scenario: seed must be an integer";
+      "sc.json:12:13: scenario: trials must be an integer";
+      "sc.json:13:16: scenario: max_steps must be an integer or null";
+      "sc.json:14:13: faults: fault plan must be an object";
+      "sc.json:15:11: scenario: plan must be a string";
+      "sc.json:16:19: scenario: los_blocking must be a boolean";
+      "sc.json:17:14: scenario: density must be a number";
+      "sc.json:18:14: scenario: rc_mult must be a number";
+      "sc.json:19:17: scenario: sigma_frac must be a number";
+    ];
+  check_diags "wrong-typed list entries, each at its entry"
+    "{\"side\": [16, \"x\", 32], \"agents\": [true, 2], \"radius\": [0, 1.5],\n\
+    \ \"protocol\": [\"gossip\", 7], \"kernel\": [\"simple\", null]}"
+    [
+      "sc.json:1:15: scenario: side must be an integer";
+      "sc.json:1:36: scenario: agents must be an integer";
+      "sc.json:1:60: scenario: radius must be an integer";
+      "sc.json:2:25: scenario: protocol must be a string";
+      "sc.json:2:50: scenario: kernel must be a string";
+    ];
+  check_diags "empty axis beside a semantic error" {|{"side": [], "agents": 0}|}
+    [
+      "sc.json:1:10: scenario: side axis must not be empty";
+      "sc.json:1:24: scenario: agents must be positive";
+    ];
+  check_diags "not an object" "[1, 2]"
+    [ "sc.json:1:1: scenario: a scenario file must be a JSON object" ];
+  check_diags "fault-plan and scenario errors together"
+    {|{"faults": {"loss_p": "high"}, "seed": "x"}|}
+    [
+      "sc.json:1:23: faults: loss_p must be a number";
+      "sc.json:1:40: scenario: seed must be an integer";
+    ]
 
 let test_diag_semantic_position () =
   check_diags "semantic check anchored at the field value"
@@ -321,7 +421,22 @@ let test_diag_semantic_position () =
 let test_diag_faults_position () =
   check_diags "fault-plan diagnostics keep file positions"
     "{\n  \"faults\": {\n    \"loss_p\": 2.0\n  }\n}"
-    [ "sc.json:3:15: loss_p must lie in [0, 1]" ]
+    [ "sc.json:3:15: loss_p must lie in [0, 1]" ];
+  (* a missing required key is reported at the object that lacks it *)
+  List.iter
+    (fun (text, expected) -> check_diags text text [ expected ])
+    [
+      ( {|{"faults": {"outage": {"period": 4}}}|},
+        "sc.json:1:23: faults: outage is missing 'off'" );
+      ( {|{"faults": {"outage": {"off": 1}}}|},
+        "sc.json:1:23: faults: outage is missing 'period'" );
+      ( {|{"faults": {"windows": [{"until": 3}]}}|},
+        "sc.json:1:25: faults: window is missing 'from'" );
+      ( {|{"faults": {"windows": [{"from": 0}]}}|},
+        "sc.json:1:25: faults: window is missing 'until'" );
+      ( {|{"faults": {"churn": {"return_p": 0.5}}}|},
+        "sc.json:1:22: faults: churn is missing 'leave_p'" );
+    ]
 
 let test_diag_non_grid () =
   let errs =
@@ -534,6 +649,36 @@ let test_diag_size_limits () =
   | Error errs ->
       Alcotest.failf "expected one diagnostic, got %d" (List.length errs)
 
+(* ---- malformed input never raises ----------------------------------------- *)
+
+(* Every valid file above, and one writing every fault-plan field, as
+   seeds for byte-level mutants. *)
+let valid_files =
+  List.map (fun (text, _, _) -> text) pinned_hashes
+  @ [
+      {|{"side": 16, "agents": 8, "radius": 1, "protocol": "gossip",
+         "kernel": "jump:2", "exchange": "single-hop", "torus": true,
+         "seed": 5, "max_steps": 99}|};
+      {|{"space": "domain", "plan": "rooms:3:2", "los_blocking": true,
+          "side": 24}|};
+      {|{"space": "continuum", "density": 1, "rc_mult": 0.5,
+          "sigma_frac": 0.5}|};
+      {|{"name": "all faults", "kernel": ["simple", "jump:2"], "max_steps": null,
+         "faults": {"loss_p": 0.1, "outage": {"off": 1, "period": 4},
+                    "windows": [{"from": 1, "until": 5, "agent": 0}],
+                    "churn": {"leave_p": 0.05, "return_p": 0.5},
+                    "silent": [1], "deaf": [2]}}|};
+    ]
+
+let prop_mutants_diagnosed =
+  QCheck.Test.make ~name:"mutated files never raise" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneofl valid_files >>= Qgen.mutate))
+    (fun text ->
+      match Compile.compile ~filename:"m.json" text with
+      | Ok _ -> true
+      | Error errs -> List.for_all (Qgen.has_position ~file:"m.json") errs)
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -546,6 +691,8 @@ let () =
           qtest prop_hash_semantic_sensitive;
           qtest prop_cells_product;
           qtest prop_cell_hash_ignores_seed_trials;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+            prop_mutants_diagnosed;
         ] );
       ( "compile",
         [
