@@ -53,8 +53,9 @@ test:
 # negative --trace or --render, are usage errors. `@bench/smoke` runs every benchmark workload at
 # small scale, so an Obs/Service API change that breaks bench/suite fails
 # here. The bench-check smokes compare a smoke-scale mobibench run with
-# itself (exit 0), a run whose op_ms_p10 doubled (exit 1, REGRESSION) and
-# a truncated result line (exit 2, a file:line:col diagnostic). The lint
+# itself (exit 0), a run whose op_ms_p10 doubled (exit 1, REGRESSION), a
+# truncated result line and a result whose op_ms_p10 value is a string
+# (each exit 2, a file:line:col diagnostic). The lint
 # gate keeps the determinism/concurrency/io/poly-compare/layering
 # invariants machine-checked. `dune build @all` also builds
 # examples/.
@@ -128,6 +129,8 @@ check:
 	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb-old.out /tmp/mobisim-mb-new.out > /tmp/mobisim-mb-check.out; test $$? -eq 1 && grep -q 'op_ms_p10 .* REGRESSION' /tmp/mobisim-mb-check.out
 	printf 'mobibench sparse_r0 seed=1 seconds=1 trace=0 scale=smoke\n{"correct":true,"attem\n' > /tmp/mobisim-mb-trunc.out
 	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb-old.out /tmp/mobisim-mb-trunc.out > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q '^/tmp/mobisim-mb-trunc.out:2:[0-9]*: ' /tmp/mobisim-bad.err
+	sed 's/"value":0.002/"value":"fast"/' /tmp/mobisim-mb-old.out > /tmp/mobisim-mb-typed.out
+	dune exec bin/mobisim.exe -- bench-check /tmp/mobisim-mb-old.out /tmp/mobisim-mb-typed.out > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q '^/tmp/mobisim-mb-typed.out:2:[0-9]*: op_ms_p10 value must be a number' /tmp/mobisim-bad.err
 
 bench:
 	sh bench/suite/run.sh

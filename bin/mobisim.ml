@@ -954,14 +954,14 @@ let bench_input_error file pos msg =
   prerr_endline (Pjson.format ~filename:file pos msg);
   exit 2
 
-let pjson_number (j : Pjson.t) =
-  match j.Pjson.v with
-  | Pjson.Int i -> Some (float_of_int i)
-  | Pjson.Float f -> Some f
-  | _ -> None
+(* [owner]'s field [name], read by [read]; a missing or mistyped field
+   goes to [fail] (which does not return) at its object or its value. *)
+let bench_field ~fail owner read name (j : Pjson.t) =
+  match Pjson.member name j with
+  | Some v -> ( match read name v with Ok x -> x | Error (pos, msg) -> fail pos msg)
+  | None -> fail j.Pjson.pos (Printf.sprintf "%s has no %S" owner name)
 
-let pjson_string (j : Pjson.t) =
-  match j.Pjson.v with Pjson.String s -> Some s | _ -> None
+let any _ v = Ok v
 
 let read_bench_spec () =
   let file = "BENCHMARK.json" in
@@ -971,28 +971,25 @@ let read_bench_spec () =
     | Ok doc -> doc
     | Error (pos, e) -> fail pos e
   in
-  match Pjson.member "end_to_end" doc with
-  | Some { Pjson.v = Pjson.List (_ :: _ as entries); _ } ->
+  let need owner read name j = bench_field ~fail owner read name j in
+  let better name (v : Pjson.t) =
+    Result.bind (Pjson.string name v) (function
+      | "lower" -> Ok true
+      | "higher" -> Ok false
+      | _ -> Error (v.Pjson.pos, name ^ " must be \"lower\" or \"higher\""))
+  in
+  match need "benchmark spec" Pjson.list "end_to_end" doc with
+  | [] -> fail doc.Pjson.pos "no non-empty \"end_to_end\" list"
+  | entries ->
       List.map
-        (fun (e : Pjson.t) ->
-          let field name conv = Option.bind (Pjson.member name e) conv in
-          match
-            ( field "name" pjson_string,
-              field "unit" pjson_string,
-              field "better" pjson_string,
-              field "bound" pjson_number )
-          with
-          | ( Some metric,
-              Some unit,
-              Some ("lower" | "higher" as better),
-              Some bound ) ->
-              { metric; unit; lower_better = String.equal better "lower"; bound }
-          | _ ->
-              fail e.Pjson.pos
-                "end_to_end entry needs \"name\", \"unit\", \"better\" \
-                 (\"lower\" or \"higher\") and a numeric \"bound\"")
+        (fun e ->
+          let need read name = need "end_to_end entry" read name e in
+          let metric = need Pjson.string "name" in
+          let unit = need Pjson.string "unit" in
+          let lower_better = need better "better" in
+          let bound = need Pjson.number "bound" in
+          { metric; unit; lower_better; bound })
         entries
-  | _ -> fail doc.Pjson.pos "no non-empty \"end_to_end\" list"
 
 let read_bench_runs metrics file =
   let fail line col msg = bench_input_error file { Pjson.line; col } msg in
@@ -1008,46 +1005,27 @@ let read_bench_runs metrics file =
         fail line 1 "expected \"mobibench NAME seed=N seconds=S trace=0 ...\""
   in
   let result (workload, seed, _) line text =
+    (* the line parses alone, so only the column of a position counts *)
+    let fail (pos : Pjson.pos) msg = fail line pos.Pjson.col msg in
     let j =
-      match Pjson.parse text with
-      | Ok j -> j
-      | Error (pos, e) -> fail line pos.Pjson.col e
+      match Pjson.parse text with Ok j -> j | Error (pos, e) -> fail pos e
     in
-    let need name conv =
-      match Option.bind (Pjson.member name j) conv with
-      | Some v -> v
-      | None ->
-          fail line j.Pjson.pos.Pjson.col
-            (Printf.sprintf "result has no valid %S" name)
-    in
-    let int (v : Pjson.t) =
-      match v.Pjson.v with Pjson.Int i -> Some i | _ -> None
-    in
-    let bool (v : Pjson.t) =
-      match v.Pjson.v with Pjson.Bool b -> Some b | _ -> None
-    in
-    let metrics_obj = need "metrics" Option.some in
+    let need owner read name j = bench_field ~fail owner read name j in
+    let correct = need "result" Pjson.bool "correct" j in
+    let attempted = need "result" Pjson.int "attempted" j in
+    let failed = need "result" Pjson.int "failed" j in
+    let metrics_obj = need "result" any "metrics" j in
     let values =
       List.map
         (fun m ->
-          match
-            Option.bind (Pjson.member m.metric metrics_obj) (fun v ->
-                Option.bind (Pjson.member "value" v) pjson_number)
-          with
-          | Some v -> (m.metric, v)
-          | None ->
-              fail line metrics_obj.Pjson.pos.Pjson.col
-                (Printf.sprintf "result has no value for metric %S" m.metric))
+          let entry = need "metrics" any m.metric metrics_obj in
+          ( m.metric,
+            need m.metric
+              (fun _ -> Pjson.number (m.metric ^ " value"))
+              "value" entry ))
         metrics
     in
-    {
-      workload;
-      seed;
-      correct = need "correct" bool;
-      attempted = need "attempted" int;
-      failed = need "failed" int;
-      values;
-    }
+    { workload; seed; correct; attempted; failed; values }
   in
   let lines =
     String.split_on_char '\n' (read_text_file "mobibench output" file)

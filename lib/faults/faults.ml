@@ -81,9 +81,10 @@ module Plan = struct
 
   (* --- JSON ------------------------------------------------------------ *)
 
-  (* Parsing runs over the positioned surface (Obs.Pjson): every
-     diagnostic is anchored at the offending value (or, for unknown
-     fields, the offending key) and rendered as file:line:col: message. *)
+  (* Parsing runs over the positioned surface (Obs.Pjson) and stops at
+     the first problem: every diagnostic is anchored at the offending
+     value (or, for unknown fields, the offending key; for a missing
+     field, its object) and rendered as file:line:col: message. *)
 
   let ( let* ) r f = Result.bind r f
 
@@ -91,157 +92,94 @@ module Plan = struct
 
   let diag ?filename pos msg = Error (Pjson.format ?filename pos msg)
 
-  let expect_num ?filename name (j : Pjson.t) =
-    match j.Pjson.v with
-    | Pjson.Int i -> Ok (float_of_int i)
-    | Pjson.Float f -> Ok f
-    | _ -> diag ?filename j.Pjson.pos (Printf.sprintf "faults: %s must be a number" name)
-
-  let expect_int ?filename name (j : Pjson.t) =
-    match j.Pjson.v with
-    | Pjson.Int i -> Ok i
-    | _ ->
-        diag ?filename j.Pjson.pos
-          (Printf.sprintf "faults: %s must be an integer" name)
-
-  let expect_assoc ?filename name (j : Pjson.t) =
-    match j.Pjson.v with
-    | Pjson.Assoc _ -> Ok (Pjson.keys j)
-    | _ ->
-        diag ?filename j.Pjson.pos
-          (Printf.sprintf "faults: %s must be an object" name)
-
-  let expect_list ?filename name (j : Pjson.t) =
-    match j.Pjson.v with
-    | Pjson.List l -> Ok l
-    | _ ->
-        diag ?filename j.Pjson.pos
-          (Printf.sprintf "faults: %s must be a list" name)
-
-  (* A validating field reader: every key of the object must be consumed
-     by one of the [fields], so typos fail loudly instead of silently
-     disabling an adversary. The diagnostic points at the unknown key. *)
-  let check_keys ?filename name fields keys =
-    let unknown =
-      List.filter (fun (k, _) -> not (List.mem k fields)) keys
-    in
-    match unknown with
-    | [] -> Ok ()
-    | (k, pos) :: _ ->
-        diag ?filename pos
-          (Printf.sprintf "faults: unknown field %S in %s (expected: %s)" k
-             name
-             (String.concat ", " fields))
-
-  let int_list ?filename name j =
-    let* l = expect_list ?filename name j in
-    List.fold_left
-      (fun acc v ->
-        let* ids = acc in
-        let* i = expect_int ?filename (name ^ " entry") v in
-        Ok (i :: ids))
-      (Ok []) l
-    |> Result.map List.rev
-
-  let parse_window ?filename (j : Pjson.t) =
-    let* keys = expect_assoc ?filename "windows entry" j in
-    let* () =
-      check_keys ?filename "windows entry" [ "from"; "until"; "agent" ] keys
-    in
-    let* w_from =
-      match Pjson.member "from" j with
-      | Some v -> expect_int ?filename "window 'from'" v
-      | None -> diag ?filename j.Pjson.pos "faults: window is missing 'from'"
-    in
-    let* w_until =
-      match Pjson.member "until" j with
-      | Some v -> expect_int ?filename "window 'until'" v
-      | None -> diag ?filename j.Pjson.pos "faults: window is missing 'until'"
-    in
-    let* w_agent =
-      match Pjson.member "agent" j with
-      | Some v ->
-          Result.map Option.some (expect_int ?filename "window 'agent'" v)
-      | None -> Ok None
-    in
-    Ok { w_from; w_until; w_agent }
+  let rec all f = function
+    | [] -> Ok []
+    | x :: xs ->
+        let* y = f x in
+        let* ys = all f xs in
+        Ok (y :: ys)
 
   let of_pjson ?filename (j : Pjson.t) =
-    let* keys = expect_assoc ?filename "fault plan" j in
-    let* () =
-      check_keys ?filename "fault plan"
-        [ "loss_p"; "outage"; "windows"; "churn"; "silent"; "deaf" ]
-        keys
+    let lift r =
+      Result.map_error
+        (fun (pos, msg) -> Pjson.format ?filename pos ("faults: " ^ msg))
+        r
     in
-    let* loss_p =
-      match Pjson.member "loss_p" j with
-      | Some v -> expect_num ?filename "loss_p" v
-      | None -> Ok 0.
+    let fail pos msg = lift (Error (pos, msg)) in
+    let int name v = lift (Pjson.int name v)
+    and num name v = lift (Pjson.number name v) in
+    (* every key must be one of [fields], so a typo fails loudly instead
+       of silently disabling an adversary *)
+    let obj name fields o =
+      let* () = lift (Pjson.obj name o) in
+      match Pjson.unknown_keys fields o with
+      | [] -> Ok ()
+      | (k, pos) :: _ ->
+          fail pos
+            (Printf.sprintf "unknown field %S in %s (expected: %s)" k name
+               (String.concat ", " fields))
     in
-    let* duty =
-      match Pjson.member "outage" j with
+    let opt o key read =
+      match Pjson.member key o with
       | None -> Ok None
-      | Some o ->
-          let* okeys = expect_assoc ?filename "outage" o in
-          let* () = check_keys ?filename "outage" [ "off"; "period" ] okeys in
-          let* off =
-            match Pjson.member "off" o with
-            | Some v -> expect_int ?filename "outage 'off'" v
-            | None -> diag ?filename o.Pjson.pos "faults: outage is missing 'off'"
-          in
-          let* period =
-            match Pjson.member "period" o with
-            | Some v -> expect_int ?filename "outage 'period'" v
-            | None ->
-                diag ?filename o.Pjson.pos "faults: outage is missing 'period'"
-          in
-          Ok (Some (off, period))
+      | Some v -> Result.map Option.some (read v)
+    in
+    (* [owner]'s required field [key], named [owner 'key'] *)
+    let req o owner key read =
+      let* v = opt o key (read (Printf.sprintf "%s '%s'" owner key)) in
+      match v with
+      | Some v -> Ok v
+      | None -> fail o.Pjson.pos (Printf.sprintf "%s is missing '%s'" owner key)
+    in
+    let ids name =
+      opt j name (fun l ->
+          let* l = lift (Pjson.list name l) in
+          all (int (name ^ " entry")) l)
+    in
+    let* () =
+      obj "fault plan"
+        [ "loss_p"; "outage"; "windows"; "churn"; "silent"; "deaf" ]
+        j
+    in
+    let* loss_p = opt j "loss_p" (num "loss_p") in
+    let* duty =
+      opt j "outage" (fun o ->
+          let* () = obj "outage" [ "off"; "period" ] o in
+          let* off = req o "outage" "off" int in
+          let* period = req o "outage" "period" int in
+          Ok (off, period))
     in
     let* windows =
-      match Pjson.member "windows" j with
-      | None -> Ok []
-      | Some l ->
-          let* l = expect_list ?filename "windows" l in
-          List.fold_left
-            (fun acc v ->
-              let* ws = acc in
-              let* w = parse_window ?filename v in
-              Ok (w :: ws))
-            (Ok []) l
-          |> Result.map List.rev
+      opt j "windows" (fun l ->
+          let* l = lift (Pjson.list "windows" l) in
+          all
+            (fun w ->
+              let* () = obj "windows entry" [ "from"; "until"; "agent" ] w in
+              let* w_from = req w "window" "from" int in
+              let* w_until = req w "window" "until" int in
+              let* w_agent = opt w "agent" (int "window 'agent'") in
+              Ok { w_from; w_until; w_agent })
+            l)
     in
     let* churn =
-      match Pjson.member "churn" j with
-      | None -> Ok None
-      | Some c ->
-          let* ckeys = expect_assoc ?filename "churn" c in
-          let* () =
-            check_keys ?filename "churn" [ "leave_p"; "return_p" ] ckeys
-          in
-          let* leave_p =
-            match Pjson.member "leave_p" c with
-            | Some v -> expect_num ?filename "churn 'leave_p'" v
-            | None ->
-                diag ?filename c.Pjson.pos "faults: churn is missing 'leave_p'"
-          in
-          let* return_p =
-            match Pjson.member "return_p" c with
-            | Some v -> expect_num ?filename "churn 'return_p'" v
-            | None -> Ok 1.0
-          in
-          Ok (Some { leave_p; return_p })
+      opt j "churn" (fun c ->
+          let* () = obj "churn" [ "leave_p"; "return_p" ] c in
+          let* leave_p = req c "churn" "leave_p" num in
+          let* return_p = opt c "return_p" (num "churn 'return_p'") in
+          Ok { leave_p; return_p = Option.value return_p ~default:1.0 })
     in
-    let* silent =
-      match Pjson.member "silent" j with
-      | None -> Ok []
-      | Some l -> int_list ?filename "silent" l
+    let* silent = ids "silent" in
+    let* deaf = ids "deaf" in
+    let t =
+      {
+        loss_p = Option.value loss_p ~default:0.;
+        duty;
+        windows = Option.value windows ~default:[];
+        churn;
+        silent = Option.value silent ~default:[];
+        deaf = Option.value deaf ~default:[];
+      }
     in
-    let* deaf =
-      match Pjson.member "deaf" j with
-      | None -> Ok []
-      | Some l -> int_list ?filename "deaf" l
-    in
-    let t = { loss_p; duty; windows; churn; silent; deaf } in
     let* () =
       match validate t with
       | Ok () -> Ok ()

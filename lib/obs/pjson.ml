@@ -1,5 +1,5 @@
-(* Positioned JSON: the repo's one JSON reader. Json.parse is this
-   parser followed by Json.strip. *)
+(* Positioned JSON: the repo's one JSON reader and its typed field
+   readers. Json.parse is this parser followed by Json.strip. *)
 
 type pos = { line : int; col : int }
 
@@ -222,18 +222,48 @@ let member key t =
         kvs
   | _ -> None
 
-let member_key_pos key t =
+let unknown_keys known t =
   match t.v with
   | Assoc kvs ->
-      List.find_map
-        (fun (k, p, _) -> if String.equal k key then Some p else None)
+      List.filter_map
+        (fun (k, p, _) ->
+          if List.exists (String.equal k) known then None else Some (k, p))
         kvs
-  | _ -> None
-
-let keys t =
-  match t.v with
-  | Assoc kvs -> List.map (fun (k, p, _) -> (k, p)) kvs
   | _ -> []
+
+type 'a read = string -> t -> ('a, pos * string) result
+
+let expected what name t =
+  Error (t.pos, Printf.sprintf "%s must be %s" name what)
+
+let int name t =
+  match t.v with Int i -> Ok i | _ -> expected "an integer" name t
+
+let number name t =
+  match t.v with
+  | Int i -> Ok (float_of_int i)
+  | Float f -> Ok f
+  | _ -> expected "a number" name t
+
+let string name t =
+  match t.v with String s -> Ok s | _ -> expected "a string" name t
+
+let bool name t =
+  match t.v with Bool b -> Ok b | _ -> expected "a boolean" name t
+
+let list name t =
+  match t.v with List l -> Ok l | _ -> expected "a list" name t
+
+let obj name t =
+  match t.v with Assoc _ -> Ok () | _ -> expected "an object" name t
+
+let nullable read name t =
+  match t.v with
+  | Null -> Ok None
+  | _ -> (
+      match read name t with
+      | Ok v -> Ok (Some v)
+      | Error (pos, msg) -> Error (pos, msg ^ " or null"))
 
 let format ?filename pos msg =
   if pos.line = 0 then

@@ -15,8 +15,8 @@ type compiled = {
 
 let total_runs c = List.length c.cells * c.trials
 
-(* Diagnostics accumulate with their positions; every reader returns
-   its default on error so later fields still get checked. [finish]
+(* Diagnostics accumulate with their positions; a field that fails to
+   read keeps its default so later fields still get checked. [finish]
    sorts by position, so a file's problems report in source order no
    matter which phase (or record-field evaluation order) found them. *)
 type ctx = {
@@ -29,8 +29,6 @@ let record ctx pos msg = ctx.errs <- (pos, msg) :: ctx.errs
 let diag ctx pos msg =
   record ctx pos (Pjson.format ?filename:ctx.filename pos ("scenario: " ^ msg))
 
-let value_pos (j : Pjson.t) = j.Pjson.pos
-
 let known_fields =
   [
     "name"; "space"; "side"; "agents"; "radius"; "protocol"; "kernel";
@@ -38,138 +36,81 @@ let known_fields =
     "los_blocking"; "density"; "rc_mult"; "sigma_frac";
   ]
 
-let read_string ctx name default j =
-  match (j : Pjson.t).Pjson.v with
-  | Pjson.String s -> s
-  | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be a string" name);
-      default
+(* A reader's error becomes a diagnostic; the caller keeps its default. *)
+let read ctx r =
+  Result.iter_error (fun (pos, msg) -> diag ctx pos msg) r;
+  Result.to_option r
 
-let read_bool ctx name default j =
-  match (j : Pjson.t).Pjson.v with
-  | Pjson.Bool b -> b
-  | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be a boolean" name);
-      default
+(* A string spelled for [of_string], whose error sits at the value. *)
+let parsed of_string name (j : Pjson.t) =
+  Result.bind (Pjson.string name j) (fun s ->
+      Result.map_error (fun msg -> (j.Pjson.pos, msg)) (of_string s))
 
-let read_int ctx name default j =
-  match (j : Pjson.t).Pjson.v with
-  | Pjson.Int i -> i
-  | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be an integer" name);
-      default
-
-let read_number ctx name (j : Pjson.t) =
-  match j.Pjson.v with
-  | Pjson.Int i -> Some (float_of_int i)
-  | Pjson.Float f -> Some f
-  | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be a number" name);
-      None
-
-(* An axis field: a scalar or a non-empty list of scalars. [read_one]
-   parses a single element (reporting at its own position). *)
+(* An axis field: a scalar or a non-empty list of scalars, each read by
+   [read_one] and reported at its own position. *)
 let read_axis ctx name default read_one (j : Pjson.t) =
   match j.Pjson.v with
   | Pjson.List [] ->
-      diag ctx (value_pos j) (Printf.sprintf "%s axis must not be empty" name);
+      diag ctx j.Pjson.pos (Printf.sprintf "%s axis must not be empty" name);
       default
   | Pjson.List items ->
-      let vals = List.filter_map read_one items in
-      if List.length vals = List.length items then vals else default
-  | _ -> ( match read_one j with Some v -> [ v ] | None -> default)
-
-let int_elem ctx name (j : Pjson.t) =
-  match j.Pjson.v with
-  | Pjson.Int i -> Some i
+      let vals = List.filter_map (fun v -> read ctx (read_one name v)) items in
+      if List.compare_lengths vals items = 0 then vals else default
   | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be an integer" name);
-      None
-
-let parsed_elem ctx name of_string (j : Pjson.t) =
-  match j.Pjson.v with
-  | Pjson.String s -> (
-      match of_string s with
-      | Ok v -> Some v
-      | Error msg -> diag ctx (value_pos j) msg; None)
-  | _ ->
-      diag ctx (value_pos j) (Printf.sprintf "%s must be a string" name);
-      None
-
-(* A scalar string field; an unreadable value keeps [default]. *)
-let parsed ctx name of_string default j =
-  Option.value (parsed_elem ctx name of_string j) ~default
+      Option.fold ~none:default
+        ~some:(fun v -> [ v ])
+        (read ctx (read_one name j))
 
 let parse_pjson ctx (j : Pjson.t) =
   (match j.Pjson.v with
   | Pjson.Assoc _ -> ()
-  | _ -> diag ctx (value_pos j) "a scenario file must be a JSON object");
+  | _ -> diag ctx j.Pjson.pos "a scenario file must be a JSON object");
   List.iter
     (fun (k, pos) ->
-      if not (List.mem k known_fields) then
-        diag ctx pos
-          (Printf.sprintf "unknown field %S (expected one of: %s)" k
-             (String.concat ", " known_fields)))
-    (Pjson.keys j);
+      diag ctx pos
+        (Printf.sprintf "unknown field %S (expected one of: %s)" k
+           (String.concat ", " known_fields)))
+    (Pjson.unknown_keys known_fields j);
   let d = Ast.default in
-  let field name default read =
-    match Pjson.member name j with Some v -> read v | None -> default
+  let field name default read_value =
+    match Pjson.member name j with
+    | Some v -> Option.value (read ctx (read_value name v)) ~default
+    | None -> default
   in
+  let axis name default read_one =
+    match Pjson.member name j with
+    | Some v -> read_axis ctx name default read_one v
+    | None -> default
+  in
+  let some_number name v = Result.map Option.some (Pjson.number name v) in
   {
-    Ast.name = field "name" d.Ast.name (read_string ctx "name" d.Ast.name);
-    space =
-      field "space" d.Ast.space
-        (parsed ctx "space" Ast.space_of_string d.Ast.space);
-    sides =
-      field "side" d.Ast.sides
-        (read_axis ctx "side" d.Ast.sides (int_elem ctx "side"));
-    agents =
-      field "agents" d.Ast.agents
-        (read_axis ctx "agents" d.Ast.agents (int_elem ctx "agents"));
-    radii =
-      field "radius" d.Ast.radii
-        (read_axis ctx "radius" d.Ast.radii (int_elem ctx "radius"));
-    protocols =
-      field "protocol" d.Ast.protocols
-        (read_axis ctx "protocol" d.Ast.protocols
-           (parsed_elem ctx "protocol" Ast.protocol_of_string));
-    kernels =
-      field "kernel" d.Ast.kernels
-        (read_axis ctx "kernel" d.Ast.kernels
-           (parsed_elem ctx "kernel" Ast.kernel_of_string));
-    exchange =
-      field "exchange" d.Ast.exchange
-        (parsed ctx "exchange" Ast.exchange_of_string d.Ast.exchange);
-    torus = field "torus" d.Ast.torus (read_bool ctx "torus" d.Ast.torus);
-    seed = field "seed" d.Ast.seed (read_int ctx "seed" d.Ast.seed);
-    trials = field "trials" d.Ast.trials (read_int ctx "trials" d.Ast.trials);
-    max_steps =
-      field "max_steps" d.Ast.max_steps (fun v ->
-          match v.Pjson.v with
-          | Pjson.Null -> None
-          | Pjson.Int i -> Some i
-          | _ ->
-              diag ctx (value_pos v) "max_steps must be an integer or null";
-              d.Ast.max_steps);
+    Ast.name = field "name" d.Ast.name Pjson.string;
+    space = field "space" d.Ast.space (parsed Ast.space_of_string);
+    sides = axis "side" d.Ast.sides Pjson.int;
+    agents = axis "agents" d.Ast.agents Pjson.int;
+    radii = axis "radius" d.Ast.radii Pjson.int;
+    protocols = axis "protocol" d.Ast.protocols (parsed Ast.protocol_of_string);
+    kernels = axis "kernel" d.Ast.kernels (parsed Ast.kernel_of_string);
+    exchange = field "exchange" d.Ast.exchange (parsed Ast.exchange_of_string);
+    torus = field "torus" d.Ast.torus Pjson.bool;
+    seed = field "seed" d.Ast.seed Pjson.int;
+    trials = field "trials" d.Ast.trials Pjson.int;
+    max_steps = field "max_steps" d.Ast.max_steps (Pjson.nullable Pjson.int);
     faults =
-      field "faults" d.Ast.faults (fun v ->
+      (match Pjson.member "faults" j with
+      | None -> d.Ast.faults
+      | Some v -> (
           match Faults.Plan.of_pjson ?filename:ctx.filename v with
           | Ok p -> p
           | Error msg ->
               (* already formatted with file:line:col by Faults *)
               record ctx v.Pjson.pos msg;
-              d.Ast.faults);
-    plan =
-      field "plan" d.Ast.plan (parsed ctx "plan" Ast.plan_of_string d.Ast.plan);
-    los_blocking =
-      field "los_blocking" d.Ast.los_blocking
-        (read_bool ctx "los_blocking" d.Ast.los_blocking);
-    density = field "density" d.Ast.density (read_number ctx "density");
-    rc_mult = field "rc_mult" d.Ast.rc_mult (read_number ctx "rc_mult");
-    sigma_frac =
-      field "sigma_frac" d.Ast.sigma_frac (fun v ->
-          Option.value (read_number ctx "sigma_frac" v)
-            ~default:d.Ast.sigma_frac);
+              d.Ast.faults));
+    plan = field "plan" d.Ast.plan (parsed Ast.plan_of_string);
+    los_blocking = field "los_blocking" d.Ast.los_blocking Pjson.bool;
+    density = field "density" d.Ast.density some_number;
+    rc_mult = field "rc_mult" d.Ast.rc_mult some_number;
+    sigma_frac = field "sigma_frac" d.Ast.sigma_frac Pjson.number;
   }
 
 (* --- validation --------------------------------------------------------- *)
@@ -181,8 +122,8 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
     match src with
     | Some j -> (
         match Pjson.member name j with
-        | Some v -> value_pos v
-        | None -> ( match j.Pjson.v with _ -> j.Pjson.pos))
+        | Some v -> v.Pjson.pos
+        | None -> j.Pjson.pos)
     | None -> Pjson.no_pos
   in
   let check_axis name vals ok msg =

@@ -58,6 +58,85 @@ let error_response errors =
          ("errors", Json.List (List.map (fun e -> Json.String e) errors));
        ])
 
+(* --- requests ------------------------------------------------------------ *)
+
+type request =
+  | Submit of {
+      text : string;
+      filename : string option;
+      progress : bool;
+      series : bool;
+    }
+  | Check of { text : string; filename : string option }
+  | Health
+  | Metrics of { prom : bool }
+  | Watch of { interval_ms : int; count : int }
+  | Shutdown
+
+module Pjson = Obs.Pjson
+
+(* An int of at least [lo]; [what] names the range in the error. *)
+let int_from lo what name (v : Pjson.t) =
+  Result.bind (Pjson.int name v) (fun n ->
+      if n >= lo then Ok n
+      else Error (v.Pjson.pos, Printf.sprintf "%s must be %s" name what))
+
+let decode_request line =
+  let ( let* ) = Result.bind in
+  let fail pos msg = Error (Pjson.format pos msg) in
+  let lift = function Ok v -> Ok v | Error (pos, msg) -> fail pos msg in
+  match Pjson.parse line with
+  | Error (pos, msg) -> fail pos ("bad request: " ^ msg)
+  | Ok j -> (
+      let opt read name =
+        match Pjson.member name j with
+        | None -> Ok None
+        | Some v -> Result.map Option.some (lift (read name v))
+      in
+      let field read name ~default =
+        Result.map (Option.value ~default) (opt read name)
+      in
+      let* () = lift (Pjson.obj "request" j) in
+      match Pjson.member "op" j with
+      | None -> fail j.Pjson.pos "missing \"op\""
+      | Some v -> (
+          let* op = lift (Pjson.string "op" v) in
+          match op with
+          | ("submit" | "check") as op -> (
+              let* text = opt Pjson.string "text" in
+              let* filename = opt Pjson.string "filename" in
+              match text with
+              | None -> fail j.Pjson.pos (op ^ ": missing \"text\"")
+              | Some text when String.equal op "check" ->
+                  Ok (Check { text; filename })
+              | Some text ->
+                  let* progress = field Pjson.bool "progress" ~default:false in
+                  let* series = field Pjson.bool "series" ~default:false in
+                  Ok (Submit { text; filename; progress; series }))
+          | "health" -> Ok Health
+          | "metrics" ->
+              let format name (v : Pjson.t) =
+                Result.bind (Pjson.string name v) (function
+                  | "prom" -> Ok true
+                  | "json" -> Ok false
+                  | _ ->
+                      Error
+                        (v.Pjson.pos, name ^ " must be \"json\" or \"prom\""))
+              in
+              let* prom = field format "format" ~default:false in
+              Ok (Metrics { prom })
+          | "watch" ->
+              let* interval_ms =
+                field (int_from 1 "a positive integer") "interval_ms"
+                  ~default:1000
+              in
+              let* count =
+                field (int_from 0 "a non-negative integer") "count" ~default:0
+              in
+              Ok (Watch { interval_ms; count })
+          | "shutdown" -> Ok Shutdown
+          | op -> fail v.Pjson.pos (Printf.sprintf "unknown op %S" op)))
+
 (* --- request handling ---------------------------------------------------- *)
 
 type state = {
@@ -96,70 +175,46 @@ let execute ?on_progress ?on_line ?series_dir st (text : string)
   Checkpoint.remove ~root ~id;
   body
 
-let member_string name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Some s
-  | Some _ | None -> None
+let handle_submit st client ~text ?filename ~progress ~series () =
+  match Compile.compile ?filename text with
+  | Error errors -> write_all client (error_response errors)
+  | Ok compiled ->
+      let on_progress =
+        if progress then
+          Some
+            (fun ~done_ ~total ->
+              write_all client
+                (json_line
+                   (Json.Assoc
+                      [
+                        ( "progress",
+                          Json.Assoc
+                            [
+                              ("done", Json.Int done_);
+                              ("total", Json.Int total);
+                            ] );
+                      ])))
+        else None
+      in
+      (* Each result line streams the moment it is persisted; the
+         response header goes first so a streaming client can parse the
+         run count before the first line lands. Without ["progress"] the
+         bytes are exactly [header ^ body], as before. *)
+      let on_line =
+        if progress then Some (fun line -> write_all client line) else None
+      in
+      let series_dir =
+        if series then Some (Filename.concat st.cfg.root "series") else None
+      in
+      write_all client (header_line compiled);
+      let body = execute ?on_progress ?on_line ?series_dir st text compiled in
+      incr st.served;
+      if not progress then write_all client body
 
-let member_true name j =
-  match Json.member name j with Some (Json.Bool b) -> b | Some _ | None -> false
-
-let member_int name j =
-  match Json.member name j with Some (Json.Int n) -> Some n | Some _ | None -> None
-
-let handle_submit st client j =
-  match member_string "text" j with
-  | None -> write_all client (error_response [ "submit: missing \"text\"" ])
-  | Some text -> (
-      let filename = member_string "filename" j in
-      match Compile.compile ?filename text with
-      | Error errors -> write_all client (error_response errors)
-      | Ok compiled ->
-          let streaming = member_true "progress" j in
-          let on_progress =
-            if streaming then
-              Some
-                (fun ~done_ ~total ->
-                  write_all client
-                    (json_line
-                       (Json.Assoc
-                          [
-                            ( "progress",
-                              Json.Assoc
-                                [
-                                  ("done", Json.Int done_);
-                                  ("total", Json.Int total);
-                                ] );
-                          ])))
-            else None
-          in
-          (* Each result line streams the moment it is persisted; the
-             response header goes first so a streaming client can parse
-             the run count before the first line lands. Without
-             ["progress"] the bytes are exactly [header ^ body], as
-             before. *)
-          let on_line =
-            if streaming then Some (fun line -> write_all client line)
-            else None
-          in
-          let series_dir =
-            if member_true "series" j then
-              Some (Filename.concat st.cfg.root "series")
-            else None
-          in
-          write_all client (header_line compiled);
-          let body = execute ?on_progress ?on_line ?series_dir st text compiled in
-          incr st.served;
-          if not streaming then write_all client body)
-
-let handle_check client j =
-  match member_string "text" j with
-  | None -> write_all client (error_response [ "check: missing \"text\"" ])
-  | Some text -> (
-      let filename = member_string "filename" j in
-      match Compile.compile ?filename text with
-      | Error errors -> write_all client (error_response errors)
-      | Ok compiled -> write_all client (header_line compiled))
+let handle_check client ~text ?filename () =
+  match Compile.compile ?filename text with
+  | Error errors -> write_all client (error_response errors)
+  | Ok compiled -> write_all client (header_line compiled)
 
 let handle_health st client =
   write_all client
@@ -174,23 +229,18 @@ let handle_health st client =
             );
           ]))
 
-let handle_metrics st client j =
+let handle_metrics st client ~prom =
   Runtime.Pool.publish_stats st.pool;
-  match member_string "format" j with
-  | Some "prom" -> write_all client (Obs.Snapshot.to_prometheus st.registry)
-  | Some _ | None ->
-      write_all client (Json.to_string (Obs.Snapshot.to_json st.registry) ^ "\n")
+  write_all client
+    (if prom then Obs.Snapshot.to_prometheus st.registry
+     else Json.to_string (Obs.Snapshot.to_json st.registry) ^ "\n")
 
 (* Periodic metrics snapshots over the same connection: one compact
    snapshot line per tick. The daemon is single-threaded, so a watch
    blocks the accept loop for its duration — it is an introspection
    probe for between-submit monitoring, not a concurrent feed. A client
    hang-up raises EPIPE, which the serve loop treats as end-of-watch. *)
-let handle_watch st client j =
-  let interval_ms =
-    match member_int "interval_ms" j with Some n when n > 0 -> n | _ -> 1000
-  in
-  let count = match member_int "count" j with Some n when n > 0 -> n | _ -> 0 in
+let handle_watch st client ~interval_ms ~count =
   let tick () =
     Runtime.Pool.publish_stats st.pool;
     write_all client (Json.to_string (Obs.Snapshot.to_json st.registry) ^ "\n")
@@ -207,24 +257,21 @@ let handle_watch st client j =
     done
 
 let handle_request st client line =
-  match Json.parse line with
-  | Error msg -> write_all client (error_response [ "bad request: " ^ msg ])
-  | Ok j -> (
-      match member_string "op" j with
-      | Some "submit" -> handle_submit st client j
-      | Some "check" -> handle_check client j
-      | Some "health" -> handle_health st client
-      | Some "metrics" -> handle_metrics st client j
-      | Some "watch" -> handle_watch st client j
-      | Some "shutdown" ->
-          st.stop <- true;
-          write_all client
-            (json_line
-               (Json.Assoc
-                  [ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ]))
-      | Some op ->
-          write_all client (error_response [ Printf.sprintf "unknown op %S" op ])
-      | None -> write_all client (error_response [ "missing \"op\"" ]))
+  match decode_request line with
+  | Error msg -> write_all client (error_response [ msg ])
+  | Ok (Submit { text; filename; progress; series }) ->
+      handle_submit st client ~text ?filename ~progress ~series ()
+  | Ok (Check { text; filename }) -> handle_check client ~text ?filename ()
+  | Ok Health -> handle_health st client
+  | Ok (Metrics { prom }) -> handle_metrics st client ~prom
+  | Ok (Watch { interval_ms; count }) ->
+      handle_watch st client ~interval_ms ~count
+  | Ok Shutdown ->
+      st.stop <- true;
+      write_all client
+        (json_line
+           (Json.Assoc
+              [ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ]))
 
 (* --- server -------------------------------------------------------------- *)
 

@@ -31,14 +31,25 @@
     - [{"op":"health"}]: [{"ok":true,"jobs":J,"served":N,"pending":P}].
     - [{"op":"metrics"}]: one line, the compact {!Obs.Snapshot} of the
       daemon's registry (cache hit/miss and cells-computed counters,
-      pool stats). With ["format":"prom"], the same registry in
+      pool stats); ["format"] is ["json"] (the default) or ["prom"].
+      With ["format":"prom"], the same registry in
       Prometheus text exposition format ({!Obs.Snapshot.to_prometheus})
       instead.
     - [{"op":"watch","interval_ms":M,"count":N}]: stream one compact
-      snapshot line every [M] ms (default 1000), [N] times (absent or
-      0 = until the client hangs up). The daemon is single-threaded, so
+      snapshot line every [M] ms (a positive integer, default 1000),
+      [N] times (a non-negative integer; absent or 0 = until the client
+      hangs up). The daemon is single-threaded, so
       a watch occupies the accept loop for its duration.
     - [{"op":"shutdown"}]: acknowledge and exit the accept loop.
+
+    Each request is decoded once ({!decode_request}) through
+    {!Obs.Pjson}'s typed readers. A request that is not JSON, lacks
+    ["op"] or ["text"], names an unknown op, or has a mistyped or
+    out-of-range field (["progress":"yes"], ["interval_ms":0],
+    ["count":-1], ["format":"xml"]) is rejected with
+    [{"ok":false,"errors":["line:col: ..."]}], positioned in the request
+    line; no field falls back to its default. Unknown fields are
+    ignored.
 
     {2 Durability}
 
@@ -63,6 +74,23 @@ val default_socket : root:string -> string
 
 val artifact_path : root:string -> hash:string -> string
 (** [<root>/results/<hash>.ndjson]. *)
+
+(** A decoded request, one constructor per op (see the protocol above). *)
+type request =
+  | Submit of {
+      text : string;
+      filename : string option;
+      progress : bool;
+      series : bool;
+    }
+  | Check of { text : string; filename : string option }
+  | Health
+  | Metrics of { prom : bool }
+  | Watch of { interval_ms : int; count : int }  (** [count] 0 = no end *)
+  | Shutdown
+
+val decode_request : string -> (request, string) result
+(** Decode one request line; the error reads ["line:col: message"]. *)
 
 val serve : ?quiet:bool -> config -> unit
 (** Run the daemon until a shutdown request: replay pending

@@ -1,6 +1,7 @@
 (* Service-layer suite: store round-trip and counters, runner
    cache-correctness (cold = warm = any --jobs, bytes included),
-   partial-cache resume, and checkpoint bookkeeping. Everything runs
+   partial-cache resume, checkpoint bookkeeping, and the daemon's
+   request decoder. Everything runs
    in-process against temp directories — the socket daemon itself is
    exercised end-to-end by test/service_smoke.sh. *)
 
@@ -8,6 +9,7 @@ module Compile = Scenario.Compile
 module Store = Service.Store
 module Checkpoint = Service.Checkpoint
 module Runner = Service.Runner
+module Daemon = Service.Daemon
 
 let with_temp_dir fn =
   let root = Filename.temp_file "mobisim_service" "" in
@@ -264,6 +266,73 @@ let test_checkpoint_lifecycle () =
         [ ("bbb", "{\"agents\": 2}") ]
         (Checkpoint.list_pending ~root))
 
+(* ---- daemon requests ------------------------------------------------------ *)
+
+let decode line =
+  match Daemon.decode_request line with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "%s rejected: %s" line msg
+
+let test_decode_requests () =
+  let check label expected line =
+    Alcotest.(check bool) label true (decode line = expected)
+  in
+  check "submit, defaults"
+    (Daemon.Submit
+       { text = "{}"; filename = None; progress = false; series = false })
+    {|{"op":"submit","text":"{}"}|};
+  check "submit, every field"
+    (Daemon.Submit
+       { text = "{}"; filename = Some "a.json"; progress = true; series = true })
+    {|{"op":"submit","text":"{}","filename":"a.json","progress":true,
+       "series":true}|};
+  check "check" (Daemon.Check { text = "{}"; filename = None })
+    {|{"op":"check","text":"{}"}|};
+  check "health" Daemon.Health {|{"op":"health"}|};
+  check "metrics, default format" (Daemon.Metrics { prom = false })
+    {|{"op":"metrics"}|};
+  check "metrics, prom" (Daemon.Metrics { prom = true })
+    {|{"op":"metrics","format":"prom"}|};
+  check "watch, defaults"
+    (Daemon.Watch { interval_ms = 1000; count = 0 })
+    {|{"op":"watch"}|};
+  check "watch, as serve-watch sends it"
+    (Daemon.Watch { interval_ms = 50; count = 0 })
+    {|{"op":"watch","interval_ms":50,"count":0}|};
+  check "shutdown" Daemon.Shutdown {|{"op":"shutdown"}|}
+
+(* A mistyped or out-of-range field is an error at its value, never a
+   silent default. *)
+let test_reject_requests () =
+  List.iter
+    (fun (line, expected) ->
+      match Daemon.decode_request line with
+      | Ok _ -> Alcotest.failf "%s accepted" line
+      | Error msg -> Alcotest.(check string) line expected msg)
+    [
+      ( {|{"op":"submit","text":"{}","progress":"yes"}|},
+        "1:39: progress must be a boolean" );
+      ( {|{"op":"submit","text":"{}","series":1}|},
+        "1:37: series must be a boolean" );
+      ({|{"op":"submit","text":3}|}, "1:23: text must be a string");
+      ( {|{"op":"check","text":"{}","filename":["a"]}|},
+        "1:38: filename must be a string" );
+      ({|{"op":"submit"}|}, "1:1: submit: missing \"text\"");
+      ( {|{"op":"watch","interval_ms":"x"}|},
+        "1:29: interval_ms must be an integer" );
+      ( {|{"op":"watch","interval_ms":0}|},
+        "1:29: interval_ms must be a positive integer" );
+      ( {|{"op":"watch","count":-1}|},
+        "1:23: count must be a non-negative integer" );
+      ( {|{"op":"metrics","format":"xml"}|},
+        "1:26: format must be \"json\" or \"prom\"" );
+      ({|{"op":"frobnicate"}|}, "1:7: unknown op \"frobnicate\"");
+      ({|{"op":7}|}, "1:7: op must be a string");
+      ({|{"text":"{}"}|}, "1:1: missing \"op\"");
+      ({|["submit"]|}, "1:1: request must be an object");
+      ({|{"op":"submit",|}, "1:16: bad request: expected \", found end of input");
+    ]
+
 let () =
   Alcotest.run "service"
     [
@@ -292,6 +361,12 @@ let () =
             test_run_payload_deterministic;
           Alcotest.test_case "space-specific cells" `Quick
             test_run_cell_space_fields;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "requests decode" `Quick test_decode_requests;
+          Alcotest.test_case "bad requests rejected" `Quick
+            test_reject_requests;
         ] );
       ( "checkpoint",
         [
