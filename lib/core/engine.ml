@@ -517,7 +517,7 @@ module Make (S : Space.S) = struct
     let master =
       Prng.split_stream ~seed:spec.seed ~trial:spec.trial ~subsystem:0
     in
-    let rngs = Array.init population (fun _ -> Prng.split master) in
+    let rngs = Prng.split_n master population in
     let pos = S.init_positions space master ~n:population in
     let informed = Array.make population false in
     let rumors =

@@ -268,6 +268,11 @@ type t = {
   loss_rng : Prng.t;
   churn_rng : Prng.t;
   present : bool array option;  (* Some iff the plan has churn *)
+  (* The churn probabilities, copied out of the plan's float-only
+     [Plan.churn] record: a float read from there is boxed afresh for
+     every draw, one held in this record is passed as it is. *)
+  leave_p : float;
+  return_p : float;
   mutable present_count : int;
   out : bool array;  (* per-agent outage flags for the current step *)
   mutable blackout : bool;
@@ -294,6 +299,11 @@ let create plan ~population ~seed ~trial =
   let accepts = Array.make population true in
   List.iter (fun i -> transmits.(i) <- false) plan.Plan.silent;
   List.iter (fun i -> accepts.(i) <- false) plan.Plan.deaf;
+  let leave_p, return_p =
+    match plan.Plan.churn with
+    | Some c -> (c.Plan.leave_p, c.Plan.return_p)
+    | None -> (0., 0.)
+  in
   {
     plan;
     population;
@@ -303,6 +313,8 @@ let create plan ~population ~seed ~trial =
       (match plan.Plan.churn with
       | Some _ -> Some (Array.make population true)
       | None -> None);
+    leave_p;
+    return_p;
     present_count = population;
     out = Array.make population false;
     blackout = false;
@@ -316,20 +328,20 @@ let create plan ~population ~seed ~trial =
 let plan t = t.plan
 
 let[@alloc_ok
-     "fault-adversary bookkeeping: a scrutinee pair and a handful of \
-      window-predicate closures per step, never per pair; the pristine \
-      engine path skips this function entirely"] begin_step t ~time =
+     "fault-adversary bookkeeping: a handful of window-predicate \
+      closures per step, never per pair; the pristine engine path skips \
+      this function entirely"] begin_step t ~time =
   (* churn: one Bernoulli per agent per step (time 0 starts complete) *)
-  (match (t.plan.Plan.churn, t.present) with
-  | Some c, Some present when time > 0 ->
+  (match t.present with
+  | Some present when time > 0 ->
       for i = 0 to t.population - 1 do
         if present.(i) then begin
-          if Prng.bernoulli t.churn_rng ~p:c.Plan.leave_p then begin
+          if Prng.bernoulli t.churn_rng ~p:t.leave_p then begin
             present.(i) <- false;
             t.present_count <- t.present_count - 1
           end
         end
-        else if Prng.bernoulli t.churn_rng ~p:c.Plan.return_p then begin
+        else if Prng.bernoulli t.churn_rng ~p:t.return_p then begin
           present.(i) <- true;
           t.present_count <- t.present_count + 1
         end

@@ -163,6 +163,55 @@ let pident_candidates path name =
   in
   List.rev (prefixes [] path)
 
+(* ---- module aliases --------------------------------------------------- *)
+
+(* The typedtree keeps a path as written: after [module R = Random],
+   [R.int] is [R.int], not [Stdlib.Random.int]. The rules classify
+   identifiers by name, so every name they classify is first resolved
+   through the file's module aliases ([module M = P] and
+   [let module M = P in], through module constraints). The table maps
+   each alias's stamped identifier to the resolved name of its target,
+   so a chain of aliases resolves to its end. *)
+type aliases = (string, string) Hashtbl.t
+
+let rec resolve (aliases : aliases) p =
+  match p with
+  | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some target -> target
+      | None -> Ident.name id)
+  | Path.Pdot (q, s) -> resolve aliases q ^ "." ^ s
+  | _ -> Path.name p
+
+let rec alias_target aliases (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some (resolve aliases p)
+  | Typedtree.Tmod_constraint (inner, _, _, _) -> alias_target aliases inner
+  | _ -> None
+
+let aliases str : aliases =
+  let table = Hashtbl.create 8 in
+  let add id me =
+    match (id, alias_target table me) with
+    | Some id, Some target ->
+        Hashtbl.replace table (Ident.unique_name id) target
+    | _ -> ()
+  in
+  let default = Tast_iterator.default_iterator in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    add mb.mb_id mb.mb_expr;
+    default.module_binding sub mb
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_letmodule (id, _, _, me, _) -> add id me
+    | _ -> ());
+    default.expr sub e
+  in
+  let it = { default with module_binding; expr } in
+  it.structure it str;
+  table
+
 (* ---- ident collection (portable free-variable analysis) --------------- *)
 
 (* All locally-stamped identifiers used ([Texp_ident (Pident _)]) and
@@ -199,7 +248,7 @@ type acc = {
   mutable a_errs : Finding.t list;
 }
 
-let walk_body ~file ~path ~bound_all ~suppress0 ~covered0 acc body =
+let walk_body ~aliases ~file ~path ~bound_all ~suppress0 ~covered0 acc body =
   let suppress = ref suppress0 in
   let covered = ref covered0 in
   (* true while descending the direct body chain of a function literal:
@@ -264,13 +313,13 @@ let walk_body ~file ~path ~bound_all ~suppress0 ~covered0 acc body =
     (match e.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
         record_ref p;
-        let name = Path.name p in
+        let name = resolve aliases p in
         if Rules.is_unsafe_ident name then add_unsafe e.exp_loc name;
         default.expr sub e
     | Typedtree.Texp_apply (f, _) ->
         (match f.exp_desc with
         | Typedtree.Texp_ident (p, _, _) ->
-            let name = Path.name p in
+            let name = resolve aliases p in
             if Rules.is_printf_ident name then
               add_alloc e.exp_loc
                 (Printf.sprintf
@@ -413,7 +462,8 @@ let walk_body ~file ~path ~bound_all ~suppress0 ~covered0 acc body =
 
 (* ---- structure walk --------------------------------------------------- *)
 
-let collect_binding ~file ~path acc_fns (vb : Typedtree.value_binding) =
+let collect_binding ~aliases ~file ~path acc_fns
+    (vb : Typedtree.value_binding) =
   let name =
     match Typedtree.pat_bound_idents vb.vb_pat with
     | [ id ] -> Ident.name id
@@ -459,7 +509,8 @@ let collect_binding ~file ~path acc_fns (vb : Typedtree.value_binding) =
         true
   in
   let _, bound_all = collect_idents vb.vb_expr in
-  walk_body ~file ~path ~bound_all ~suppress0 ~covered0 acc vb.vb_expr;
+  walk_body ~aliases ~file ~path ~bound_all ~suppress0 ~covered0 acc
+    vb.vb_expr;
   acc_fns :=
     {
       f_qual = qual;
@@ -472,46 +523,51 @@ let collect_binding ~file ~path acc_fns (vb : Typedtree.value_binding) =
     }
     :: !acc_fns
 
-let rec walk_module_expr ~file ~path acc_fns (me : Typedtree.module_expr) =
+let rec walk_module_expr ~aliases ~file ~path acc_fns
+    (me : Typedtree.module_expr) =
   match me.mod_desc with
-  | Typedtree.Tmod_structure s -> walk_structure ~file ~path acc_fns s
-  | Typedtree.Tmod_functor (_, body) -> walk_module_expr ~file ~path acc_fns body
+  | Typedtree.Tmod_structure s -> walk_structure ~aliases ~file ~path acc_fns s
+  | Typedtree.Tmod_functor (_, body) ->
+      walk_module_expr ~aliases ~file ~path acc_fns body
   | Typedtree.Tmod_constraint (inner, _, _, _) ->
-      walk_module_expr ~file ~path acc_fns inner
+      walk_module_expr ~aliases ~file ~path acc_fns inner
   | _ -> ()
 
-and walk_structure ~file ~path acc_fns (str : Typedtree.structure) =
+and walk_structure ~aliases ~file ~path acc_fns (str : Typedtree.structure) =
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
       | Typedtree.Tstr_value (_, vbs) ->
-          List.iter (collect_binding ~file ~path acc_fns) vbs
+          List.iter (collect_binding ~aliases ~file ~path acc_fns) vbs
       | Typedtree.Tstr_module mb -> (
           match mb.mb_id with
           | Some id ->
-              walk_module_expr ~file ~path:(path @ [ Ident.name id ]) acc_fns
-                mb.mb_expr
-          | None -> walk_module_expr ~file ~path acc_fns mb.mb_expr)
+              walk_module_expr ~aliases ~file
+                ~path:(path @ [ Ident.name id ])
+                acc_fns mb.mb_expr
+          | None -> walk_module_expr ~aliases ~file ~path acc_fns mb.mb_expr)
       | Typedtree.Tstr_recmodule mbs ->
           List.iter
             (fun (mb : Typedtree.module_binding) ->
               match mb.mb_id with
               | Some id ->
-                  walk_module_expr ~file ~path:(path @ [ Ident.name id ])
+                  walk_module_expr ~aliases ~file
+                    ~path:(path @ [ Ident.name id ])
                     acc_fns mb.mb_expr
-              | None -> walk_module_expr ~file ~path acc_fns mb.mb_expr)
+              | None ->
+                  walk_module_expr ~aliases ~file ~path acc_fns mb.mb_expr)
             mbs
       | Typedtree.Tstr_include i ->
-          walk_module_expr ~file ~path acc_fns i.incl_mod
+          walk_module_expr ~aliases ~file ~path acc_fns i.incl_mod
       | _ -> ())
     str.str_items
 
-let collect ~file ~modname str =
+let collect ~aliases ~file ~modname str =
   let acc_fns = ref [] in
   let path =
     match norm_component modname with "" -> [] | m -> [ m ]
   in
-  walk_structure ~file ~path acc_fns str;
+  walk_structure ~aliases ~file ~path acc_fns str;
   List.rev !acc_fns
 
 (* ---- reachability ----------------------------------------------------- *)

@@ -2,6 +2,9 @@
    reader), so the linter sees resolved paths and instantiated types,
    not text: [compare] below means [Stdlib.compare] even under local
    opens, and its type at the use site is the monomorphic instantiation.
+   A path through a module alias ([module R = Random] ... [R.int]) is
+   kept as written, so every classified name goes through
+   [Callgraph.resolve] first.
 
    No environment reconstruction is attempted: every judgement is
    structural on the saved typedtree. The cost is that type aliases
@@ -126,7 +129,7 @@ let check_poly_compare ~applied name ty =
 
 (* ---- the traversal ---------------------------------------------------- *)
 
-let scan_structure ~file str =
+let scan_structure ~aliases ~file str =
   let findings = ref [] in
   let layer = Rules.layer_of_source file in
   let add loc rule message =
@@ -138,7 +141,7 @@ let scan_structure ~file str =
       :: !findings
   in
   let check_ident loc path =
-    let name = Path.name path in
+    let name = Callgraph.resolve aliases path in
     (match Rules.classify_ident name with
     | Some group ->
         let allowed =
@@ -151,7 +154,7 @@ let scan_structure ~file str =
     | None -> ())
   in
   let check_prim ~applied loc path ty =
-    let name = Path.name path in
+    let name = Callgraph.resolve aliases path in
     if Rules.is_poly_compare name then
       match check_poly_compare ~applied name ty with
       | Some msg -> add loc Finding.Poly_compare msg
@@ -162,7 +165,7 @@ let scan_structure ~file str =
     match e.exp_desc with
     | Typedtree.Texp_apply
         (({ exp_desc = Typedtree.Texp_ident (p, _, _); _ } as f), args)
-      when Rules.is_poly_compare (Path.name p) ->
+      when Rules.is_poly_compare (Callgraph.resolve aliases p) ->
         check_prim ~applied:true f.exp_loc p f.exp_type;
         List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a)
           args
@@ -195,10 +198,12 @@ let scan_file_full path =
   else
     match cmt.Cmt_format.cmt_annots with
     | Cmt_format.Implementation str ->
+        let aliases = Callgraph.aliases str in
         {
-          sf_findings = scan_structure ~file str;
+          sf_findings = scan_structure ~aliases ~file str;
           sf_fns =
-            Callgraph.collect ~file ~modname:cmt.Cmt_format.cmt_modname str;
+            Callgraph.collect ~aliases ~file
+              ~modname:cmt.Cmt_format.cmt_modname str;
         }
     | _ -> empty_scan
 

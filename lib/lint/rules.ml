@@ -227,6 +227,7 @@ let audited_unsafe =
     "lib/core/exchange.ml";
     "lib/core/grid_space.ml";
     "lib/obs/series.ml";
+    "lib/prng/prng.ml";
     "test/lint_fixtures/fx_unsafe_no_invariant.ml";
     "test/lint_fixtures/fx_unsafe_ok.ml";
   ]

@@ -1,76 +1,87 @@
 (* Xoshiro256** seeded via SplitMix64. Reference: Blackman & Vigna,
    "Scrambled linear pseudorandom number generators", 2018.
 
-   The 256-bit state is stored as eight unboxed OCaml [int] fields, each
-   holding one 32-bit half of a state word (value in [0, 2^32)). The
-   obvious representation — four mutable [int64] fields — boxes an
-   [Int64.t] on every store without flambda, which put the generator at
-   the top of every allocation profile (~30 minor words per draw). With
-   halves, [advance] is pure untagged-int arithmetic: zero allocation
-   per draw, and the simulator's steady state allocates nothing. The
-   output streams are bit-identical to the int64 formulation; the
-   SplitMix64 seeding path stays on [Int64] (cold, runs once per
-   stream). *)
+   The state of every stream lives in a store: a Bigarray of native
+   int64 words, four consecutive slots per stream. A stream [t] is a
+   view of its four slots. Without flambda an [Int64.t] is boxed in a
+   record field and across a call, but a Bigarray int64 slot is
+   unboxed storage: a draw loads the four words, steps them in
+   registers and stores them back, allocating nothing. [split_n] seeds
+   the engine's k per-agent streams into one shared store, so a
+   population costs 32 bytes of state per agent outside the OCaml heap
+   plus one small view, not one heap record each; [of_seed], [split]
+   and [split_stream] make one-stream stores. SplitMix64 expands a seed
+   straight into the four slots, through int64 locals the compiler
+   keeps unboxed. *)
 
-type t = {
-  mutable s0l : int;
-  mutable s0h : int;
-  mutable s1l : int;
-  mutable s1h : int;
-  mutable s2l : int;
-  mutable s2h : int;
-  mutable s3l : int;
-  mutable s3h : int;
-  (* Halves of the most recent output, written by [advance]. Returning
-     a tuple or int64 from [advance] would allocate; derived draws read
-     these fields instead. *)
-  mutable rl : int;
-  mutable rh : int;
-}
+type store = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let mask32 = 0xFFFFFFFF
-let lo32 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
-let hi32 x = Int64.to_int (Int64.shift_right_logical x 32)
+(* A stream is the four slots from [offset]. Views are built only by
+   [view], so [offset = words * i] with [i < dim store / words]; the
+   record is immutable and abstract. *)
+type t = { store : store; offset : int }
 
-let to64 ~hi ~lo =
-  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let words = 4
+
+let create_store streams =
+  Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (words * streams)
+
+let[@inline always] view store i = { store; offset = words * i }
+
+(* The slot accessors of the draw loop; [j] is a constant in [0, words). *)
+let[@inline always] [@unsafe_invariant
+     "offset + j < dim store: view sets offset = words * i with i < dim \
+      store / words, and callers pass a constant j < words"] get t j =
+  Bigarray.Array1.unsafe_get t.store (t.offset + j)
+
+let[@inline always] [@unsafe_invariant
+     "offset + j < dim store: view sets offset = words * i with i < dim \
+      store / words, and callers pass a constant j < words"] set t j v =
+  Bigarray.Array1.unsafe_set t.store (t.offset + j) v
+
+let[@inline always] rotl64 x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* --- SplitMix64: used only to expand seeds into initial states. --- *)
 
-let splitmix_next state =
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline always] splitmix_mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let state_of_seed64 seed64 =
-  let sm = ref seed64 in
-  let s0 = splitmix_next sm in
-  let s1 = splitmix_next sm in
-  let s2 = splitmix_next sm in
-  let s3 = splitmix_next sm in
+(* The first four SplitMix64 outputs from [seed64], written to the
+   stream at [offset]: the generator's k-th output mixes
+   [seed64 + k * golden_gamma]. *)
+let[@inline always] seed_stream (store : store) offset seed64 =
+  let z0 = Int64.add seed64 golden_gamma in
+  let z1 = Int64.add z0 golden_gamma in
+  let z2 = Int64.add z1 golden_gamma in
+  let z3 = Int64.add z2 golden_gamma in
+  let s0 = splitmix_mix z0 and s1 = splitmix_mix z1 in
+  let s2 = splitmix_mix z2 and s3 = splitmix_mix z3 in
   (* All-zero state is a fixed point of xoshiro; splitmix of any seed
      cannot produce four zero outputs, but guard anyway. *)
-  let s0, s1, s2, s3 =
-    if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then (1L, 2L, 3L, 4L)
-    else (s0, s1, s2, s3)
-  in
-  {
-    s0l = lo32 s0;
-    s0h = hi32 s0;
-    s1l = lo32 s1;
-    s1h = hi32 s1;
-    s2l = lo32 s2;
-    s2h = hi32 s2;
-    s3l = lo32 s3;
-    s3h = hi32 s3;
-    rl = 0;
-    rh = 0;
-  }
+  if Int64.equal (Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3)) 0L
+  then begin
+    store.{offset} <- 1L;
+    store.{offset + 1} <- 2L;
+    store.{offset + 2} <- 3L;
+    store.{offset + 3} <- 4L
+  end
+  else begin
+    store.{offset} <- s0;
+    store.{offset + 1} <- s1;
+    store.{offset + 2} <- s2;
+    store.{offset + 3} <- s3
+  end
 
-let of_seed seed = state_of_seed64 (Int64.of_int seed)
+let of_seed seed =
+  let store = create_store 1 in
+  seed_stream store 0 (Int64.of_int seed);
+  view store 0
 
 (* The repo-wide (seed, trial) folding discipline. The golden-ratio
    multiplier spreads adjacent seeds across the integer range so that
@@ -90,99 +101,73 @@ let subsystem_salt = 0x9E3779B9
 
 (* --- Core generator --- *)
 
-(* One xoshiro256** step on 32-bit halves. Multiplication by a small
-   constant c: low = (l*c) land mask, carry = (l*c) lsr 32,
-   high = (h*c + carry) land mask — products stay below 2^36, well
-   within the 63-bit native int. rotl by k < 32 crosses the halves in
-   both directions; rotl 45 is a half-swap followed by rotl 13. *)
-let[@inline always] advance t =
-  let s1l = t.s1l and s1h = t.s1h in
-  (* m = s1 * 5 *)
-  let p = s1l * 5 in
-  let ml = p land mask32 in
-  let mh = ((s1h * 5) + (p lsr 32)) land mask32 in
-  (* r = rotl m 7 *)
-  let rl = ((ml lsl 7) lor (mh lsr 25)) land mask32 in
-  let rh = ((mh lsl 7) lor (ml lsr 25)) land mask32 in
-  (* result = r * 9 *)
-  let q = rl * 9 in
-  t.rl <- q land mask32;
-  t.rh <- ((rh * 9) + (q lsr 32)) land mask32;
-  (* tmp = s1 lsl 17 *)
-  let tl = (s1l lsl 17) land mask32 in
-  let th = ((s1h lsl 17) lor (s1l lsr 15)) land mask32 in
-  let s2l = t.s2l lxor t.s0l and s2h = t.s2h lxor t.s0h in
-  let s3l = t.s3l lxor s1l and s3h = t.s3h lxor s1h in
-  let ns1l = s1l lxor s2l and ns1h = s1h lxor s2h in
-  let s0l = t.s0l lxor s3l and s0h = t.s0h lxor s3h in
-  let ns2l = s2l lxor tl and ns2h = s2h lxor th in
-  (* s3 = rotl s3 45 = swap halves, then rotl 13 *)
-  let ns3l = ((s3h lsl 13) lor (s3l lsr 19)) land mask32 in
-  let ns3h = ((s3l lsl 13) lor (s3h lsr 19)) land mask32 in
-  t.s0l <- s0l;
-  t.s0h <- s0h;
-  t.s1l <- ns1l;
-  t.s1h <- ns1h;
-  t.s2l <- ns2l;
-  t.s2h <- ns2h;
-  t.s3l <- ns3l;
-  t.s3h <- ns3h
+(* One xoshiro256** step: returns the output and advances the state. *)
+let[@inline always] next t =
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl64 (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 (Int64.logxor s2 tmp);
+  set t 3 (rotl64 s3 45);
+  result
 
-let bits64 t =
-  advance t;
-  to64 ~hi:t.rh ~lo:t.rl
+let bits64 t = next t
 
-let rotl64 x k =
-  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* Derive a fresh seed from two parent outputs, re-expanded through
+   splitmix so parent and child states share no linear structure. *)
+let[@inline always] split_into parent (store : store) offset =
+  let a = next parent in
+  let b = next parent in
+  seed_stream store offset (Int64.logxor a (rotl64 b 32))
 
 let split t =
-  (* Derive a fresh seed from two parent outputs, re-expanded through
-     splitmix so parent and child states share no linear structure. *)
-  let a = bits64 t in
-  let b = bits64 t in
-  state_of_seed64 (Int64.logxor a (rotl64 b 32))
+  let store = create_store 1 in
+  split_into t store 0;
+  view store 0
+
+let split_n master n =
+  if n < 0 then invalid_arg "Prng.split_n: negative count";
+  let store = create_store n in
+  for i = 0 to n - 1 do
+    split_into master store (words * i)
+  done;
+  Array.init n (view store)
 
 let split_stream ~seed ~trial ~subsystem =
   if subsystem < 0 then invalid_arg "Prng.split_stream: negative subsystem";
   split (of_seed (mix_seed ~seed ~trial lxor (subsystem * subsystem_salt)))
 
 let copy t =
-  {
-    s0l = t.s0l;
-    s0h = t.s0h;
-    s1l = t.s1l;
-    s1h = t.s1h;
-    s2l = t.s2l;
-    s2h = t.s2h;
-    s3l = t.s3l;
-    s3h = t.s3h;
-    rl = t.rl;
-    rh = t.rh;
-  }
+  let store = create_store 1 in
+  for j = 0 to words - 1 do
+    store.{j} <- t.store.{t.offset + j}
+  done;
+  view store 0
 
 let fingerprint t =
   let open Int64 in
-  let s0 = to64 ~hi:t.s0h ~lo:t.s0l in
-  let s1 = to64 ~hi:t.s1h ~lo:t.s1l in
-  let s2 = to64 ~hi:t.s2h ~lo:t.s2l in
-  let s3 = to64 ~hi:t.s3h ~lo:t.s3l in
-  logxor (logxor s0 (rotl64 s1 16)) (logxor (rotl64 s2 32) (rotl64 s3 48))
+  logxor
+    (logxor (get t 0) (rotl64 (get t 1) 16))
+    (logxor (rotl64 (get t 2) 32) (rotl64 (get t 3) 48))
 
 (* --- Derived draws ---
 
-   Each reads the output halves directly: bits64 = rh·2^32 + rl, so
-   bits64 lsr 34 = rh lsr 2, bits64 lsr 2 = (rh lsl 30) lor (rl lsr 2),
-   and bits64 lsr 11 = (rh lsl 21) lor (rl lsr 11) < 2^53 (exact as a
-   float). All match the int64 formulation bit for bit. *)
+   Each shifts the output right before converting, so the value fits a
+   non-negative OCaml int: bits64 lsr 11 < 2^53 is exact as a float. *)
 
-let bits30 t =
-  advance t;
-  t.rh lsr 2
+let[@inline always] bits53 t =
+  Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 (* 62 uniform bits as a non-negative OCaml int. *)
-let bits62 t =
-  advance t;
-  (t.rh lsl 30) lor (t.rl lsr 2)
+let[@inline always] bits62 t =
+  Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let max62 = (1 lsl 62) - 1
 
@@ -240,23 +225,22 @@ let[@hot] int_incl t lo hi =
       reject_wide t lo hi
     else lo + int t span
 
-let unit_float t =
-  (* 53 high bits, standard doubles-in-[0,1) construction *)
-  advance t;
-  float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. 0x1p-53
+(* 53 high bits, standard doubles-in-[0,1) construction *)
+let[@inline] unit_float t = float_of_int (bits53 t) *. 0x1p-53
 
 let float t bound =
   if not (bound > 0.) || not (Float.is_finite bound) then
     invalid_arg "Prng.float: bound must be positive and finite";
   unit_float t *. bound
 
-let[@hot] bool t =
-  advance t;
-  t.rl land 1 = 1
+let[@hot] bool t = Int64.to_int (next t) land 1 = 1
 
+(* [unit_float t < p] without the float: unit_float is [b * 2^-53] for
+   the integer [b = bits53 t], and [p * 2^53] is exact, so the draw
+   holds exactly when [b < ceil (p * 2^53)]. *)
 let bernoulli t ~p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Prng.bernoulli: p not in [0,1]";
-  unit_float t < p
+  bits53 t < int_of_float (Float.ceil (p *. 0x1p53))
 
 let geometric t ~p =
   if not (p > 0. && p <= 1.) then invalid_arg "Prng.geometric: p not in (0,1]";

@@ -15,7 +15,12 @@
 
 type t
 (** A mutable pseudo-random stream. Not thread-safe: use one stream per
-    domain of execution (the simulator allocates one per agent). *)
+    domain of execution (the simulator allocates one per agent).
+
+    A stream is a view of four 64-bit state words in a store, an
+    unboxed [int64] Bigarray that may hold many streams side by side
+    ({!split_n}). Streams of one store share no state: drawing from one
+    never changes another. *)
 
 val of_seed : int -> t
 (** [of_seed seed] creates a fresh stream. Any integer is acceptable,
@@ -36,6 +41,14 @@ val split : t -> t
 (** [split parent] advances [parent] and returns a child stream whose
     future output is statistically independent of the parent's. Splitting
     is deterministic: the same parent state always yields the same child. *)
+
+val split_n : t -> int -> t array
+(** [split_n master n] is [n] child streams held in one shared store:
+    exactly the streams [Array.init n (fun _ -> split master)] gives, in
+    the same order, and it leaves [master] in the same state. One store
+    of [32 * n] bytes outside the OCaml heap replaces [n] separate
+    allocations, which is how the engine seeds its per-agent streams.
+    @raise Invalid_argument if [n < 0]. *)
 
 val split_stream : seed:int -> trial:int -> subsystem:int -> t
 (** [split_stream ~seed ~trial ~subsystem] is the root stream of one

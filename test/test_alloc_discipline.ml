@@ -79,34 +79,35 @@ let plus_percent measured = measured *. 1.02
    it was set. *)
 let probes =
   [
-    (* side 64, k 64, r 0; measured ~2 *)
-    ("headline probe", (fun () -> grid_run ()), 10.0);
-    ("r=8", (fun () -> grid_run ~radius:8 ()), plus_words 51.8);
+    (* side 64, k 64, r 0 *)
+    ("headline probe", (fun () -> grid_run ()), plus_words 0.8);
+    ("r=8", (fun () -> grid_run ~radius:8 ()), plus_words 20.2);
     (* the headline run with a recording tracer / a series recorder *)
-    ("traced", traced_run, plus_words 26.2);
-    ("series", series_run, plus_words 21.6);
+    ("traced", traced_run, plus_words 25.0);
+    ("series", series_run, plus_words 20.3);
     (* side 32, k 64, r 2 *)
-    ("gossip flood", (fun () -> gossip_run ()), plus_words 25.5);
+    ("gossip flood", (fun () -> gossip_run ()), plus_words 14.9);
     ("gossip single-hop", gossip_run ~exchange:Config.Single_hop,
-     plus_words 41.2);
+     plus_words 30.7);
     (* the same run, one rumor: the newly informed agents are committed
        from a grow-once list *)
     ( "single-hop",
       (fun () ->
         grid_run ~side:32 ~radius:2 ~exchange:Config.Single_hop
           ~max_steps:500 ()),
-      plus_words 38.4 );
+      plus_words 20.4 );
     (* side 32, k 64, r 1, loss 0.3, churn 0.02/0.3: the churn and loss
-       draws box their floats (4 words per Prng.bernoulli) *)
-    ("faulted flood", (fun () -> faulted_run ()), plus_words 291.0);
+       draws allocate nothing (Prng.bernoulli compares integers) *)
+    ("faulted flood", (fun () -> faulted_run ()), plus_words 12.5);
     ("faulted single-hop", faulted_run ~exchange:Config.Single_hop,
-     plus_words 296.0);
-    (* k 256, box 16, r 1.2 *)
-    ("continuum", continuum_run, plus_percent 6972.7);
+     plus_words 17.5);
+    (* k 256, box 16, r 1.2: each Prng.gaussian boxes its result (2
+       words, 2 draws per agent per step); the rest is the pair scan *)
+    ("continuum", continuum_run, plus_percent 4141.1);
     (* side 48, k 1152, R 4 *)
-    ("clementi", clementi_run, plus_percent 6016.6);
+    ("clementi", clementi_run, plus_words 558.1);
     (* side 40, k 24, central wall with gap 2, line of sight *)
-    ("barrier", barrier_run, plus_words 8.9);
+    ("barrier", barrier_run, plus_words 7.7);
   ]
 
 let test_probe_budget run budget () =
@@ -124,17 +125,31 @@ let test_probe_budget run budget () =
       per_step budget !steps
 
 (* Population scale: side 1024, k = 65536, r = 0 (density 1/16), in a
-   step-capped window that cannot complete. Set-up allocates ~46 words
-   per agent (streams, index scratch); the steady state must allocate
-   nothing, so the budget is one word per step — room for the
-   measurement itself, none for a per-agent or per-bucket allocation. *)
+   step-capped window that cannot complete. Set-up allocates 3.0 minor
+   words per agent: the agent's stream view into the shared int64 store
+   ({!Prng.split_n}); the positions, the store and the index scratch are
+   large blocks outside the minor heap. The set-up budget leaves one word
+   per agent of room, none for a second per-agent block. The steady
+   state must allocate nothing, so the step budget is one word per
+   step — room for the measurement itself, none for a per-agent or
+   per-bucket allocation. *)
+let population_budget_setup_words_per_agent = 4.0
 let population_budget_words_per_step = 1.0
 
 let test_population_budget () =
-  let sim =
-    Simulation.create
-      (Config.make ~side:1024 ~agents:65536 ~radius:0 ~seed:7 ~max_steps:60 ())
+  let agents = 65536 in
+  let cfg =
+    Config.make ~side:1024 ~agents ~radius:0 ~seed:7 ~max_steps:60 ()
   in
+  let setup0 = Gc.minor_words () in
+  let sim = Simulation.create cfg in
+  let setup =
+    (Gc.minor_words () -. setup0) /. float_of_int agents
+  in
+  if setup > population_budget_setup_words_per_agent then
+    Alcotest.failf
+      "population-scale set-up allocates %.2f minor words/agent (budget %.1f)"
+      setup population_budget_setup_words_per_agent;
   (* warmup: the grow-once index scratch is sized by the first steps *)
   for _ = 1 to 5 do
     Simulation.step sim

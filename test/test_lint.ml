@@ -33,6 +33,7 @@ let rule_tag_of_findings = function
 let fixtures =
   [
     ("fx_det_random", "determinism");
+    ("fx_det_random_alias", "determinism");
     ("fx_det_clock", "determinism");
     ("fx_det_hash", "determinism");
     ("fx_det_hash_iter", "determinism");
@@ -51,6 +52,7 @@ let fixtures =
     ("fx_alloc_hot_propagation", "alloc");
     ("fx_alloc_ok_noreason", "alloc");
     ("fx_unsafe_unaudited", "unsafe");
+    ("fx_unsafe_alias", "unsafe");
     ("fx_unsafe_no_invariant", "unsafe");
   ]
 

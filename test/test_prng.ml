@@ -300,6 +300,188 @@ let test_sample_distinct () =
     (Invalid_argument "Prng.sample_distinct: m exceeds bound") (fun () ->
       ignore (Prng.sample_distinct rng ~m:6 ~bound:5))
 
+(* --- known answers ---
+
+   The raw streams, pinned from the generator before its state moved
+   into int64 stores: every golden and pinned digest in the repo rests
+   on these sequences staying bit-identical. *)
+
+let kat_bits64 =
+  [
+    ( "0",
+      0,
+      [ 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L;
+        0x6AA594F1262D2D2CL; 0xBBA5AD4A1F842E59L; 0xFFEF8375D9EBCACAL;
+        0x6C160DEED2F54C98L; 0x8920AD648FC30A3FL ] );
+    ( "1",
+      1,
+      [ 0xB3F2AF6D0FC710C5L; 0x853B559647364CEAL; 0x92F89756082A4514L;
+        0x642E1C7BC266A3A7L; 0xB27A48E29A233673L; 0x24C123126FFDA722L;
+        0x123004EF8DF510E6L; 0x61954DCC47B1E89DL ] );
+    ( "-1",
+      -1,
+      [ 0x8F5520D52A7EAD08L; 0xC476A018CAA1802DL; 0x81DE31C0D260469EL;
+        0xBF658D7E065F3C2FL; 0x913593FDA1BCA32AL; 0xBB535E93941BA525L;
+        0x5ECDA415C3C6DFDEL; 0xC487398FC9DE9AE2L ] );
+    ( "max_int",
+      max_int,
+      [ 0x6A2DF487BD4ABDE8L; 0x7089A21212EAB9FCL; 0x81C431E01D397A88L;
+        0x367A434D4B649925L; 0x3552CC64BFEA0899L; 0x10DFA2F3C87EBCD8L;
+        0xBFEF86687180DE25L; 0xE6602B4C3A69EF87L ] );
+    ( "min_int",
+      min_int,
+      [ 0x427D4A3696F6512EL; 0xCAAC0C9F8F82A2C1L; 0x1B7B0B2D8F27E48EL;
+        0x55A3002D40F3CF72L; 0x4AE14B2E06733AD7L; 0x8D05BAA9ED5D6499L;
+        0x5CF2765C268C5EF8L; 0xA82CF09331B27002L ] );
+  ]
+
+let test_kat_bits64 () =
+  List.iter
+    (fun (name, seed, expected) ->
+      let rng = Prng.of_seed seed in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %s, draw %d" name i)
+            want (Prng.bits64 rng))
+        expected)
+    kat_bits64
+
+let check_floats name expected f =
+  let rng = Prng.of_seed 7 in
+  List.iteri
+    (fun i want ->
+      (* bit patterns, so a last-ulp change fails *)
+      Alcotest.(check int64)
+        (Printf.sprintf "%s draw %d" name i)
+        (Int64.bits_of_float want)
+        (Int64.bits_of_float (f rng)))
+    expected
+
+let test_kat_derived () =
+  let rng = Prng.of_seed 7 in
+  Alcotest.(check (list int))
+    "int 5 at seed 7"
+    [ 3; 3; 4; 1; 1; 0; 4; 4; 2; 4; 0; 4; 4; 2; 2; 0 ]
+    (List.init 16 (fun _ -> Prng.int rng 5));
+  check_floats "unit_float"
+    [ 0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1;
+      0x1.f65270e63d00ep-1; 0x1.fb5209d8fca8p-1; 0x1.bedc39c76c431p-1;
+      0x1.f1ae5852bd8bp-5; 0x1.abc4dcb546f6p-4 ]
+    Prng.unit_float;
+  check_floats "gaussian"
+    [ -0x1.1db8771102afbp-2; 0x1.e6573bcb6ffe2p+0; 0x1.117279b9c2ee5p+1;
+      0x1.1f4131d968bf5p-2; 0x1.2d3324419fe68p-1; -0x1.22da6f15a6984p-3;
+      0x1.bb8852f76e4b4p+0; -0x1.04421023eae33p+0 ]
+    (fun rng -> Prng.gaussian rng ~mean:0. ~stddev:1.)
+
+(* bernoulli compares integers, not floats: it must still agree with
+   [unit_float < p] draw for draw, at thresholds that sit exactly on,
+   and one ulp either side of, a multiple of 2^-53 *)
+let test_bernoulli_matches_unit_float () =
+  let ps =
+    [ 0.; 0.3; 0.5; 1.; 0x1p-53; Float.pred 0x1p-53; Float.succ 0x1p-53;
+      Float.pred 1.; 5e-324; 0.02 ]
+  in
+  List.iter
+    (fun p ->
+      let a = Prng.of_seed 97 in
+      let b = Prng.copy a in
+      for i = 1 to 2000 do
+        Alcotest.(check bool)
+          (Printf.sprintf "p = %h, draw %d" p i)
+          (Prng.unit_float b < p) (Prng.bernoulli a ~p)
+      done)
+    ps;
+  (* a draw that lands exactly on the threshold is not below it *)
+  let rng = Prng.of_seed 7 in
+  let u = Prng.unit_float (Prng.copy rng) in
+  Alcotest.(check bool) "u < u is false" false (Prng.bernoulli rng ~p:u);
+  Alcotest.(check bool) "u < succ u" true
+    (Prng.bernoulli (Prng.of_seed 7) ~p:(Float.succ u))
+
+(* --- stores --- *)
+
+let draws50 rng = List.init 50 (fun _ -> Prng.bits64 rng)
+
+let test_split_n_matches_split () =
+  List.iter
+    (fun n ->
+      let m1 = Prng.of_seed 101 and m2 = Prng.of_seed 101 in
+      let bulk = Prng.split_n m1 n in
+      let one_by_one = Array.init n (fun _ -> Prng.split m2) in
+      Alcotest.(check int) (Printf.sprintf "n = %d: count" n) n
+        (Array.length bulk);
+      Alcotest.(check int64)
+        (Printf.sprintf "n = %d: master left in the same state" n)
+        (Prng.fingerprint m2) (Prng.fingerprint m1);
+      (* draw stream by stream, in reverse, so a stream that reached a
+         neighbour's slots would show *)
+      for i = n - 1 downto 0 do
+        Alcotest.(check (list int64))
+          (Printf.sprintf "n = %d: stream %d" n i)
+          (draws50 one_by_one.(i)) (draws50 bulk.(i))
+      done)
+    [ 0; 1; 2; 64; 1000 ];
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Prng.split_n: negative count") (fun () ->
+      ignore (Prng.split_n (Prng.of_seed 1) (-1)))
+
+let test_copy_of_view_independent () =
+  let streams = Prng.split_n (Prng.of_seed 103) 3 in
+  let mid = Prng.copy streams.(1) in
+  let reference = Prng.copy streams.(1) in
+  (* the neighbours move, and the original view moves: the copy must not *)
+  ignore (draws50 streams.(0));
+  ignore (draws50 streams.(2));
+  ignore (draws50 streams.(1));
+  let fp = Prng.fingerprint streams.(0) and fp2 = Prng.fingerprint streams.(2) in
+  Alcotest.(check (list int64)) "copy kept the state it was taken at"
+    (draws50 reference) (draws50 mid);
+  (* and drawing from the copy left every view of the store alone *)
+  Alcotest.(check int64) "left neighbour untouched" fp
+    (Prng.fingerprint streams.(0));
+  Alcotest.(check int64) "right neighbour untouched" fp2
+    (Prng.fingerprint streams.(2))
+
+(* --- allocation --- *)
+
+(* Minor words per call of [f], over many calls. A float result that
+   escapes into a boxed context would show as 2 words per call. *)
+let words_per_call f =
+  let n = 10_000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let sink = ref 0
+
+let test_draws_allocate_nothing () =
+  let rng = Prng.of_seed 5 in
+  let p = Sys.opaque_identity 0.3 in
+  let check name f =
+    Alcotest.(check (float 0.)) (name ^ ": minor words per call") 0.
+      (words_per_call f)
+  in
+  check "int 5" (fun () -> sink := !sink + Prng.int rng 5);
+  check "int 6" (fun () -> sink := !sink + Prng.int rng 6);
+  check "bits30" (fun () -> sink := !sink + Prng.bits30 rng);
+  check "bool" (fun () -> if Prng.bool rng then incr sink);
+  check "bernoulli" (fun () -> if Prng.bernoulli rng ~p then incr sink);
+  (* a float result crosses the call boxed, 2 words; nothing else may
+     allocate (Box-Muller's two uniforms stay unboxed inside) *)
+  let at_most_the_result name f =
+    let w = words_per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
+    if w > 2. then
+      Alcotest.failf "%s allocates %.2f minor words per call (at most 2)" name w
+  in
+  at_most_the_result "unit_float" (fun () -> Prng.unit_float rng);
+  at_most_the_result "gaussian" (fun () ->
+      Prng.gaussian rng ~mean:0. ~stddev:p)
+
 (* --- qcheck properties --- *)
 
 let prop_int_in_range =
@@ -380,6 +562,26 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
           Alcotest.test_case "shuffle uniform" `Slow test_shuffle_uniform_first;
           Alcotest.test_case "sample_distinct" `Quick test_sample_distinct;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "bits64 at five seeds" `Quick test_kat_bits64;
+          Alcotest.test_case "int, unit_float, gaussian at seed 7" `Quick
+            test_kat_derived;
+          Alcotest.test_case "bernoulli = unit_float < p" `Quick
+            test_bernoulli_matches_unit_float;
+        ] );
+      ( "stores",
+        [
+          Alcotest.test_case "split_n = repeated split" `Quick
+            test_split_n_matches_split;
+          Alcotest.test_case "copy of a view is independent" `Quick
+            test_copy_of_view_independent;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
