@@ -35,10 +35,15 @@ test:
 # radius 0 under a 2 GB address-space limit (the radius-0 index once
 # allocated a table per grid cell and ran out of memory there), and
 # side 16384 at radius 1, whose bucket table would need 6 GiB, must be
-# refused (exit 2) rather than run out of memory. The exchange pins
+# refused (exit 2) rather than run out of memory; so must a floor plan
+# of side 16384, which allocates per node, while one of side 4096 still
+# runs there. The exchange pins
 # fix the step counts of exchange paths no golden covers: flooding at
 # r = 1, on a torus, for gossip and over a lossy graph, and single-hop
-# for one rumor and for gossip (as scenario cells). The service smoke drives the job daemon over its socket:
+# for one rumor and for gossip (as scenario cells). The dense-baseline
+# pin runs Clementi et al.'s model (jump kernel, single-hop exchange) as
+# an ordinary scenario cell and expects the 15 steps the golden test
+# pins. The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
 # mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
 # check that `simulate` flags compile through the scenario validator
@@ -92,6 +97,8 @@ check:
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 65536 -k 64 --max-steps 50 > /dev/null
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 --max-steps 50 > /dev/null
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 -r 1 --max-steps 50 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'needs a spatial index of' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --space domain --side 16384 -k 4 --max-steps 5 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'a floor plan of side 16384 has' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --space domain --side 4096 -k 4 --max-steps 5 > /dev/null
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
@@ -106,6 +113,8 @@ check:
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-single-hop.json | grep -q '"steps":207'
 	printf '{"side":32,"agents":64,"radius":2,"protocol":"gossip","exchange":"single-hop","seed":4}' > /tmp/mobisim-gossip-single-hop.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-gossip-single-hop.json | grep -q '"steps":306'
+	printf '{"side":16,"agents":64,"radius":2,"kernel":"jump:2","exchange":"single-hop","seed":0,"max_steps":100000}' > /tmp/mobisim-dense.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-dense.json | grep -q '"steps":15,'
 	dune exec bin/mobisim.exe -- simulate --space domain --side 12 -k 6 -r 1 --seed 2 | grep -qx 'completed in 89 steps'
 	printf '{ "space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2 }' > /tmp/mobisim-domain-cell.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-domain-cell.json | grep -q '"steps":89'

@@ -1,4 +1,4 @@
-type exchange =
+type exchange = Exchange.mechanism =
   | Flood_component
   | Single_hop
 
@@ -76,86 +76,68 @@ let check_index ~side ~torus ~radius =
           %d fit (use a larger radius or a smaller side)"
          side radius slots max_index_slots)
 
+(* The checks run in order and the first failure is reported. Written
+   as one if-chain over constant messages, validation allocates nothing
+   on success: every simulation, the dense baseline's short runs
+   included, pays it once at creation. *)
+let side_limit = Printf.sprintf "side must be at most %d" max_side
+let radius_limit = Printf.sprintf "radius must be at most %d" max_radius
+
+let population_limit =
+  Printf.sprintf "population (agents + preys) must be at most %d"
+    max_population
+
 let validate t =
-  let ( let* ) r f = Result.bind r f in
-  let check cond msg = if cond then Ok () else Error msg in
-  let* () = check (t.side > 0) "side must be positive" in
-  let* () =
-    check (t.side <= max_side)
-      (Printf.sprintf "side must be at most %d" max_side)
+  let broadcast_like =
+    match t.protocol with
+    | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> true
+    | Protocol.Gossip | Protocol.Cover_walks | Protocol.Predator_prey _ ->
+        false
   in
-  let* () = check ((not t.torus) || t.side >= 3) "torus needs side >= 3" in
-  let* () = check (t.agents > 0) "agents must be positive" in
-  let* () = check (t.radius >= 0) "radius must be non-negative" in
-  let* () =
-    check (t.radius <= max_radius)
-      (Printf.sprintf "radius must be at most %d" max_radius)
-  in
-  let* () = check_index ~side:t.side ~torus:t.torus ~radius:t.radius in
-  let* () =
-    check
-      (match t.max_steps with Some s -> s >= 0 | None -> true)
-      "max_steps must be non-negative"
-  in
-  let* () =
-    check
-      (match t.source with
-      | Some s -> s >= 0 && s < t.agents
-      | None -> true)
-      "source agent index out of range"
-  in
-  let* () =
-    check
-      (match t.protocol with
-      | Protocol.Predator_prey { preys } -> preys >= 0
-      | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-      | Protocol.Broadcast_cover | Protocol.Cover_walks ->
-          true)
-      "prey count must be non-negative"
-  in
-  let* () =
-    check
-      (t.agents <= max_population
-      && Protocol.population t.protocol ~k:0 <= max_population - t.agents)
-      (Printf.sprintf "population (agents + preys) must be at most %d"
-         max_population)
-  in
-  let* () =
-    check
-      (match (t.protocol, t.source) with
-      | (Protocol.Gossip | Protocol.Cover_walks | Protocol.Predator_prey _), Some _ ->
-          false
-      | _ -> true)
-      "source is only meaningful for broadcast-like protocols"
-  in
-  let* () =
-    check
-      (t.sources >= 1 && t.sources <= t.agents)
-      "sources must lie in [1, agents]"
-  in
-  let* () =
-    check
-      (t.sources = 1 || t.source = None)
-      "an explicit source requires sources = 1"
-  in
-  let* () = Faults.Plan.validate t.faults in
-  let* () =
-    check
-      (Faults.Plan.max_agent_id t.faults < t.agents)
-      "fault plan references an agent index out of range"
-  in
-  let* () =
-    check
-      ((not (Faults.Plan.has_roles t.faults))
-      ||
-      match t.protocol with
-      | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> true
-      | Protocol.Gossip | Protocol.Cover_walks | Protocol.Predator_prey _ ->
-          false)
-      "silent/deaf agents are only meaningful for single-rumor broadcast \
-       protocols"
-  in
-  Ok ()
+  if t.side <= 0 then Error "side must be positive"
+  else if t.side > max_side then Error side_limit
+  else if t.torus && t.side < 3 then Error "torus needs side >= 3"
+  else if t.agents <= 0 then Error "agents must be positive"
+  else if t.radius < 0 then Error "radius must be non-negative"
+  else if t.radius > max_radius then Error radius_limit
+  else
+    match check_index ~side:t.side ~torus:t.torus ~radius:t.radius with
+    | Error _ as e -> e
+    | Ok () -> (
+        if match t.max_steps with Some s -> s < 0 | None -> false then
+          Error "max_steps must be non-negative"
+        else if
+          match t.source with Some s -> s < 0 || s >= t.agents | None -> false
+        then Error "source agent index out of range"
+        else if
+          match t.protocol with
+          | Protocol.Predator_prey { preys } -> preys < 0
+          | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
+          | Protocol.Broadcast_cover | Protocol.Cover_walks ->
+              false
+        then Error "prey count must be non-negative"
+        else if
+          t.agents > max_population
+          || Protocol.population t.protocol ~k:0 > max_population - t.agents
+        then Error population_limit
+        else if Option.is_some t.source && not broadcast_like then
+          Error "source is only meaningful for broadcast-like protocols"
+        else if t.sources < 1 || t.sources > t.agents then
+          Error "sources must lie in [1, agents]"
+        else if t.sources <> 1 && Option.is_some t.source then
+          Error "an explicit source requires sources = 1"
+        else
+          match Faults.Plan.validate t.faults with
+          | Error _ as e -> e
+          | Ok () ->
+              if Faults.Plan.max_agent_id t.faults >= t.agents then
+                Error "fault plan references an agent index out of range"
+              else if Faults.Plan.has_roles t.faults && not broadcast_like
+              then
+                Error
+                  "silent/deaf agents are only meaningful for single-rumor \
+                   broadcast protocols"
+              else Ok ())
 
 let rng_for t = Prng.split_stream ~seed:t.seed ~trial:t.trial ~subsystem:0
 

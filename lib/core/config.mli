@@ -5,18 +5,11 @@
     [(seed, trial)] through splittable streams. Sweeps vary [trial] to
     obtain independent replicates of the same parameter point. *)
 
-(** How information moves within one time step. *)
-type exchange =
+(** How information moves within one time step (see
+    {!Exchange.mechanism}). *)
+type exchange = Exchange.mechanism =
   | Flood_component
-      (** the paper's model (§2): a rumor crosses an entire connected
-          component of [G_t(r)] before the next move — radio is much
-          faster than motion *)
   | Single_hop
-      (** ablation: a rumor crosses at most one visibility edge per time
-          step. Below the percolation point components are tiny, so this
-          barely differs from flooding — measuring that difference is
-          exactly what validates the paper's modelling assumption
-          (experiment A1) *)
 
 type t = {
   side : int;  (** grid side; the paper's [n] is [side * side] *)
@@ -102,8 +95,10 @@ val check_index : side:int -> torus:bool -> radius:int -> (unit, string) result
 
 val validate : t -> (unit, string) result
 (** Check structural validity (positive sizes within the limits above,
-    source in range, agents fit on the grid for sparse placement,
-    ...). *)
+    source and sources in range, a valid fault plan whose agents and
+    roles fit the run, ...) and report the first failure. Any density
+    is valid: the dense baseline runs [k = n/2] agents. Allocates
+    nothing on success. *)
 
 val rng_for : t -> Prng.t
 (** The root random stream of this (seed, trial) pair. *)

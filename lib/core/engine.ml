@@ -18,7 +18,6 @@ type spec = {
   source : int option;
   sources : int;
   max_steps : int;
-  track_islands : bool;
   faults : Faults.Plan.t;
 }
 
@@ -32,7 +31,6 @@ let default_spec ~agents ~seed ~trial ~max_steps =
     source = None;
     sources = 1;
     max_steps;
-    track_islands = true;
     faults = Faults.Plan.empty;
   }
 
@@ -73,8 +71,8 @@ type trace_ctx = {
 (* Per-step timeseries columns (see {!Obs.Series}): the dissemination
    trajectory itself, one int row per sampled step. [frontier] and
    [covered] are the {!Make.frontier_x} and {!Make.covered_count}
-   getters. [components] is -1 on paths that never build the DSU
-   (predator–prey; single-hop with the island metric off).
+   getters. [components] is the DSU's set count, -1 for predator–prey,
+   which has no island statistic.
    [theory_residual] is informed(t) - round(k * min(1, t / T_B)) with
    T_B = n/sqrt(k), the paper's Θ̃(n/√k) broadcast bound rendered as a
    linear ramp — a run tracking the bound stays near 0. [minor_words]
@@ -214,7 +212,7 @@ module Make (S : Space.S) = struct
     dsu : Dsu.t;
     union_edge : int -> int -> unit;  (* preallocated: unions into dsu *)
     (* Per-spec decisions, fixed once by [create]. *)
-    components : bool;  (* does the step build the DSU? *)
+    components : bool;  (* does the exchange read the DSU (flooding)? *)
     pairs : (int -> int -> unit) -> unit;
         (* the step's pair source: the index's close pairs, or under
            faults the replay of [live_pairs]; preallocated *)
@@ -234,7 +232,7 @@ module Make (S : Space.S) = struct
     collect_live : int -> int -> unit;  (* preallocated filter+push *)
     src : int option;
     mutable frontier : int;
-    mutable island : int;
+    mutable islands_at : int;  (* the step whose graph [dsu] holds; -1: none *)
     mutable time : int;
     obs : phase_timers option;
     trc : trace_ctx option;
@@ -264,6 +262,37 @@ module Make (S : Space.S) = struct
   let covered_count t =
     match t.cover with Some c -> Space.Cover.count c | None -> 0
 
+  (* --- islands ------------------------------------------------------------ *)
+
+  (* The island statistic is the DSU over the step's graph. Flooding
+     reads it, so [build_graph] builds it during the step; every other
+     exchange reads raw pairs, so [refresh_islands] builds it from the
+     step's pair source the first time the statistic is read: the last
+     rebuild's close pairs, or under faults the step's live pairs. A
+     read-time build is no phase and records no sample. Predator–prey
+     has no island statistic. The engine never dissolves, so the DSU's
+     running union maximum is the largest island, in O(1). *)
+  let build_islands t =
+    Dsu.reset t.dsu;
+    t.pairs t.union_edge;
+    t.islands_at <- t.time
+
+  let has_islands t =
+    match t.spec.protocol with
+    | Protocol.Predator_prey _ -> false
+    | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
+    | Protocol.Broadcast_cover | Protocol.Cover_walks ->
+        true
+
+  let refresh_islands t = if t.islands_at <> t.time then build_islands t
+
+  let max_island t =
+    if has_islands t then begin
+      refresh_islands t;
+      Dsu.max_union_size t.dsu
+    end
+    else 0
+
   (* One series sample: staged at the end of a step so every phase
      duration of that step is in [ph_ns]. Gated on [Series.want] so
      off-stride steps (after a decimation) skip the GC stat reads. *)
@@ -279,8 +308,12 @@ module Make (S : Space.S) = struct
           Obs.Series.stage sr s.sc_informed t.ex.Exchange.informed_count;
           Obs.Series.stage sr s.sc_frontier t.frontier;
           Obs.Series.stage sr s.sc_components
-            (if t.components then Dsu.set_count t.dsu else -1);
-          Obs.Series.stage sr s.sc_island t.island;
+            (if has_islands t then begin
+               refresh_islands t;
+               Dsu.set_count t.dsu
+             end
+             else -1);
+          Obs.Series.stage sr s.sc_island (max_island t);
           Obs.Series.stage sr s.sc_covered (covered_count t);
           let expected =
             if s.theory_tb <= 0. then 0.
@@ -312,8 +345,9 @@ module Make (S : Space.S) = struct
      into [live_pairs] — every candidate edge gets exactly one loss draw,
      in index order, shared by the component build and the exchange, so
      the effective graph is one consistent object per step. The DSU is
-     built from the step's pair source iff [t.components]. A fault-free
-     step without components records no components sample. *)
+     built from the step's pair source iff the exchange floods
+     ([t.components]). A fault-free step that does not flood records no
+     components sample. *)
   let build_graph t =
     let t0 = phase_start t in
     S.rebuild_index ?present:t.present t.space t.pos;
@@ -326,13 +360,7 @@ module Make (S : Space.S) = struct
           Intbuf.clear t.live_pairs;
           if not (Faults.blackout f) then
             S.iter_close_pairs t.space ~f:t.collect_live);
-      if t.components then begin
-        Dsu.reset t.dsu;
-        t.pairs t.union_edge;
-        (* no dissolve happens in this epoch, so the running union
-           maximum is exactly the largest set — in O(1) *)
-        t.island <- Dsu.max_union_size t.dsu
-      end;
+      if t.components then build_islands t;
       phase_end t ph_components t1
     end
 
@@ -365,8 +393,7 @@ module Make (S : Space.S) = struct
      broadcasts: [create] rejects them elsewhere, and loss, outages and
      churn act purely through the pair source. Without roles the
      component flood gives the masked flood's result, cheaper. Cover
-     walks have no exchange: everyone is informed from the start, and
-     components only matter for the island metric. *)
+     walks have no exchange: everyone is informed from the start. *)
   let exchange_body spec ~roles =
     match spec.protocol with
     | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> (
@@ -578,23 +605,26 @@ module Make (S : Space.S) = struct
     in
     let dsu = Dsu.create population in
     let live_pairs = Intbuf.create () in
-    (* Single-hop exchanges read pairs directly, so the DSU build is pure
-       island-metric bookkeeping there; flooding always needs it. *)
-    let components =
-      match spec.protocol with
-      | Protocol.Predator_prey _ -> false
-      | Protocol.Cover_walks -> true
-      | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-      | Protocol.Broadcast_cover -> (
-          match spec.exchange with
-          | Exchange.Flood_component -> true
-          | Exchange.Single_hop -> spec.track_islands)
-    in
     let roles, transmits, accepts =
       match faults with
       | Some f when Faults.has_roles f ->
           (true, Faults.transmits f, Faults.accepts f)
       | Some _ | None -> (false, [||], [||])
+    in
+    (* only the component floods read the DSU; the masked flood (roles)
+       and single hop read pairs, and cover walks and predator–prey do
+       not flood *)
+    let components =
+      (not roles)
+      &&
+      match (spec.protocol, spec.exchange) with
+      | ( (Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
+          | Protocol.Broadcast_cover),
+          Exchange.Flood_component ) ->
+          true
+      | (Protocol.Cover_walks | Protocol.Predator_prey _), _
+      | _, Exchange.Single_hop ->
+          false
     in
     let t =
       {
@@ -641,7 +671,7 @@ module Make (S : Space.S) = struct
               false);
         src;
         frontier = -1;
-        island = 0;
+        islands_at = -1;
         time = 0;
         obs;
         trc;
@@ -735,17 +765,15 @@ module Make (S : Space.S) = struct
 
   let frontier_x t = t.frontier
 
-  let max_island t = t.island
-
   let island_sizes t =
-    match t.spec.protocol with
-    | Protocol.Predator_prey _ -> [||]
-    | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-    | Protocol.Broadcast_cover | Protocol.Cover_walks ->
-        let sizes = ref [] in
-        Dsu.iter_sets t.dsu ~f:(fun ~representative:_ ~members ->
-            sizes := List.length members :: !sizes);
-        Array.of_list !sizes
+    if not (has_islands t) then [||]
+    else begin
+      refresh_islands t;
+      let sizes = ref [] in
+      Dsu.iter_sets t.dsu ~f:(fun ~representative:_ ~members ->
+          sizes := List.length members :: !sizes);
+      Array.of_list !sizes
+    end
 
   let live_preys t = t.ex.Exchange.live_preys
 

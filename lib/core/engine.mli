@@ -7,8 +7,9 @@
     floods), the step loop with per-phase {!Obs} timers and series
     recording, coverage/frontier tracking, the protocol stopping
     predicates and the run record. A concrete simulator is then a space
-    instance plus a {!spec} — see {!Simulation} (grid),
-    [Continuum.broadcast], [Baselines.Clementi.broadcast] and
+    instance plus a {!spec} — see {!Simulation} (grid, including
+    Clementi et al.'s dense baseline: the {!Walk.Jump} kernel with
+    [Single_hop] exchange), [Continuum.broadcast] and
     [Barriers.Barrier_sim.broadcast], all thin wrappers over this
     functor. Every one of them returns {!report}: it is the only record
     of how a run ended ({!Simulation.report} is an alias of it).
@@ -43,13 +44,6 @@ type spec = {
   source : int option;  (** explicit source agent (broadcast-like only) *)
   sources : int;  (** number of initially informed agents *)
   max_steps : int;  (** resolved step cap (callers apply their defaults) *)
-  track_islands : bool;
-      (** build components (DSU) even when the exchange mechanism only
-          needs raw pairs, so {!Make.max_island}/{!Make.island_sizes}
-          stay meaningful. Flooding mechanisms always build components;
-          single-hop engines that never read the island metric (the
-          Clementi dense baseline, where the pair set is huge) turn this
-          off to skip the per-pair union work. *)
   faults : Faults.Plan.t;
       (** the fault adversary ({!Faults.Plan.empty} for none). An empty
           plan allocates no fault state and leaves every draw — and
@@ -63,14 +57,15 @@ type spec = {
 }
 
 val default_spec : agents:int -> seed:int -> trial:int -> max_steps:int -> spec
-(** Single-source broadcast with component flooding and no recording —
-    the satellite engines' common case; override fields as needed. *)
+(** Single-source broadcast with component flooding and no faults — the
+    continuum and floor-plan simulators' case; override fields as
+    needed. *)
 
 val series_columns : string list
 (** The column set every engine records into an attached {!Obs.Series}:
-    [informed], [frontier] ({!Make.frontier_x}), [components] (DSU set
-    count; [-1] on step paths that never build components),
-    [max_island], [covered] ({!Make.covered_count}), [theory_residual]
+    [informed], [frontier] ({!Make.frontier_x}), [components] (the
+    step graph's component count; [-1] for predator–prey only, which
+    has no island statistic), [max_island], [covered] ({!Make.covered_count}), [theory_residual]
     (informed minus the Θ̃(n/√k) linear ramp [round (k * min 1 (t /
     T_B))] with [T_B = Theory.broadcast_theta]), the five per-phase
     [_ns] columns, and cumulative-since-creation [minor_words] /
@@ -109,7 +104,10 @@ module Make (S : Space.S) : sig
       observes one sample per executed step into [sim.phase.move_ns],
       [sim.phase.index_ns], [sim.phase.components_ns],
       [sim.phase.exchange_ns] and [sim.phase.record_ns], and increments
-      [sim.steps] ([sim.runs] counts engine instances) — every space
+      [sim.steps] ([sim.runs] counts engine instances). A phase a step
+      does not run records nothing: [components] runs only when the
+      exchange floods or faults filter the pairs, [exchange] not for
+      cover walks. Every space
       shares the same instrument names, so continuum or barrier runs
       profile exactly like grid runs.
 
@@ -170,10 +168,15 @@ module Make (S : Space.S) : sig
   val frontier_x : t -> int
 
   val max_island : t -> int
+  (** The largest component of the last step's graph; 0 for
+      predator–prey. A step whose exchange floods builds the components
+      anyway; after any other exchange the first read builds them from
+      the step's pairs (O(edges), no allocation, no phase sample). *)
 
   val island_sizes : t -> int array
-  (** Component sizes at the last exchange; empty for predator–prey.
-      O(population); allocates. *)
+  (** Component sizes of the last step's graph, built on first read like
+      {!max_island}; empty for predator–prey. O(population);
+      allocates. *)
 
   val covered_count : t -> int
 

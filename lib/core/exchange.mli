@@ -22,12 +22,19 @@
     set, mutated in place by the policies; treat it as internal unless
     you are building an engine. *)
 
-(** How information crosses the visibility graph. Mirrors
-    [Config.exchange] for the core engine; satellite engines pick their
-    model's rule directly. *)
+(** How information crosses the visibility graph ([Config.exchange] is
+    this type). *)
 type mechanism =
-  | Flood_component  (** instantaneous flooding of each component *)
-  | Single_hop  (** one edge per time step *)
+  | Flood_component
+      (** the paper's model (§2): a rumor crosses an entire connected
+          component of [G_t(r)] before the next move — radio is much
+          faster than motion *)
+  | Single_hop
+      (** one visibility edge per time step: the exchange of Clementi et
+          al.'s dense model, and the paper's ablation. Below the
+          percolation point components are tiny, so this barely differs
+          from flooding — measuring that difference is exactly what
+          validates the paper's modelling assumption (experiment A1) *)
 
 type t = {
   population : int;  (** number of individuals (agents + preys) *)

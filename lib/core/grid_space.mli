@@ -6,10 +6,10 @@
     ({!Walk.vec}): moves mutate them in place and the index loads them
     directly, so the steady-state step allocates nothing.
 
-    This is the {!Space.S} instance behind {!Simulation} (with the lazy
-    walk of §2) and behind the Clementi dense baseline of §1.1 (with
-    [Walk.Jump]) — the two models differ only in kernel, radius and
-    exchange mechanism once expressed as spaces. *)
+    This is the {!Space.S} instance behind {!Simulation}, for the
+    paper's lazy walk of §2 and for the Clementi dense baseline of §1.1
+    alike (with [Walk.Jump]): the two models differ only in kernel,
+    radius and exchange mechanism, all fields of one {!Config.t}. *)
 
 type pos = {
   side : int;  (** grid side, for node reconstruction *)

@@ -26,16 +26,12 @@ let spec_of_config cfg =
   {
     Engine.agents = cfg.Config.agents;
     protocol = cfg.Config.protocol;
-    exchange =
-      (match cfg.Config.exchange with
-      | Config.Flood_component -> Exchange.Flood_component
-      | Config.Single_hop -> Exchange.Single_hop);
+    exchange = cfg.Config.exchange;
     seed = cfg.Config.seed;
     trial = cfg.Config.trial;
     source = cfg.Config.source;
     sources = cfg.Config.sources;
     max_steps = Config.effective_max_steps cfg;
-    track_islands = true;
     faults = cfg.Config.faults;
   }
 

@@ -26,11 +26,11 @@ type measured = {
 val samples :
   trials:int -> run:(trial:int -> Mobile_network.Engine.report) -> measured
 (** Generic trial replication over any engine: [run ~trial] performs one
-    run keyed by its trial index and returns its report. All
-    the satellite simulators (continuum, Clementi baseline, barrier
-    domains) replicate through this, so their trials fan out over the
-    same pool and report into the same [sweep.*] metrics as the grid
-    model's {!completion_times}.
+    run keyed by its trial index and returns its report. The
+    continuum and floor-plan simulators replicate through this, so
+    their trials fan out over the same pool and report into the same
+    [sweep.*] metrics as the grid model's {!completion_times} (which
+    also runs the grid's dense baseline).
     @raise Invalid_argument if [trials <= 0]. *)
 
 val completion_times :

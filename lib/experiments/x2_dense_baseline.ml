@@ -1,4 +1,3 @@
-module C = Baselines.Clementi
 module Config = Mobile_network.Config
 
 let run ?(quick = false) ~seed () =
@@ -9,17 +8,18 @@ let run ?(quick = false) ~seed () =
     Table.create
       ~header:[ "system"; "radius"; "median T_B"; "sqrt(n)/R" ]
   in
-  (* dense baseline: k = n/2 agents, jump radius = R *)
+  (* dense baseline: k = n/2 agents jumping up to R per step, one hop
+     at radius R per step *)
   let dense_k = n / 2 in
   let rs = if quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16 ] in
   let dense_points =
     List.map
       (fun big_r ->
         let measured =
-          Sweep.samples ~trials ~run:(fun ~trial ->
-              C.broadcast
-                { C.side; agents = dense_k; big_r; rho = big_r; seed; trial;
-                  max_steps = 100 * side })
+          Sweep.completion_times ~trials ~cfg:(fun ~trial ->
+              Config.make ~side ~agents:dense_k ~radius:big_r
+                ~kernel:(Walk.Jump big_r) ~exchange:Config.Single_hop ~seed
+                ~trial ~max_steps:(100 * side) ())
         in
         let med = Sweep.median measured.Sweep.times in
         Table.add_row table

@@ -7,7 +7,9 @@
     headline result is that below the percolation point this dependence
     vanishes. The experiment runs both systems side by side:
 
-    - baseline, dense, sweep [R]: log-log slope of [T_B] vs [R] near −1;
+    - baseline, dense, sweep [R]: log-log slope of [T_B] vs [R] near −1.
+      Their model is the grid engine with the [Walk.Jump R] kernel and
+      [Single_hop] exchange, an ordinary {!Mobile_network.Config};
     - the paper's model, sparse, sweep [r < r_c]: near-flat.
 
     One table, the two regimes, opposite behaviour. *)

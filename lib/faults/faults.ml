@@ -42,42 +42,40 @@ module Plan = struct
     List.iter see t.deaf;
     !m
 
+  (* The first failing check is reported. Written as one if-chain over
+     constant messages (the closures below capture nothing), validation
+     allocates nothing on success. *)
   let validate t =
-    let ( let* ) r f = Result.bind r f in
-    let check cond msg = if cond then Ok () else Error msg in
-    let prob p name =
-      check (p >= 0. && p <= 1.) (name ^ " must lie in [0, 1]")
+    let prob_ok p = p >= 0. && p <= 1. in
+    let window_error w =
+      if w.w_from < 0 then Some "window 'from' must be non-negative"
+      else if w.w_from > w.w_until then Some "window 'from' exceeds 'until'"
+      else if match w.w_agent with Some i -> i < 0 | None -> false then
+        Some "window agent index must be non-negative"
+      else None
     in
-    let* () = prob t.loss_p "loss_p" in
-    let* () =
+    let negative i = i < 0 in
+    if not (prob_ok t.loss_p) then Error "loss_p must lie in [0, 1]"
+    else if
       match t.duty with
-      | None -> Ok ()
-      | Some (off, period) ->
-          check
-            (period > 0 && off >= 0 && off <= period)
-            "outage duty cycle needs 0 <= off <= period and period > 0"
-    in
-    let* () =
-      List.fold_left
-        (fun acc w ->
-          let* () = acc in
-          let* () = check (w.w_from >= 0) "window 'from' must be non-negative" in
-          let* () = check (w.w_from <= w.w_until) "window 'from' exceeds 'until'" in
-          check
-            (match w.w_agent with Some i -> i >= 0 | None -> true)
-            "window agent index must be non-negative")
-        (Ok ()) t.windows
-    in
-    let* () =
-      match t.churn with
-      | None -> Ok ()
-      | Some c ->
-          let* () = prob c.leave_p "churn leave_p" in
-          prob c.return_p "churn return_p"
-    in
-    let ids_ok = List.for_all (fun i -> i >= 0) in
-    let* () = check (ids_ok t.silent) "silent agent indices must be non-negative" in
-    check (ids_ok t.deaf) "deaf agent indices must be non-negative"
+      | Some (off, period) -> not (period > 0 && off >= 0 && off <= period)
+      | None -> false
+    then Error "outage duty cycle needs 0 <= off <= period and period > 0"
+    else
+      match List.find_map window_error t.windows with
+      | Some msg -> Error msg
+      | None -> (
+          match t.churn with
+          | Some c when not (prob_ok c.leave_p) ->
+              Error "churn leave_p must lie in [0, 1]"
+          | Some c when not (prob_ok c.return_p) ->
+              Error "churn return_p must lie in [0, 1]"
+          | Some _ | None ->
+              if List.exists negative t.silent then
+                Error "silent agent indices must be non-negative"
+              else if List.exists negative t.deaf then
+                Error "deaf agent indices must be non-negative"
+              else Ok ())
 
   (* --- JSON ------------------------------------------------------------ *)
 

@@ -262,14 +262,12 @@ let dag =
         [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "mobile_network" ]
       ) );
     ("lib/continuum", ("continuum", [ "obs"; "prng"; "dsu"; "mobile_network" ]));
-    ( "lib/baselines",
-      ("baselines", [ "obs"; "prng"; "grid"; "walk"; "mobile_network" ]) );
     ("lib/render", ("render", [ "grid"; "mobile_network"; "barriers" ]));
     ( "lib/experiments",
       ( "experiments",
         [ "obs"; "runtime"; "prng"; "grid"; "dsu"; "spatial"; "walk";
-          "visibility"; "stats"; "mobile_network"; "barriers"; "baselines";
-          "continuum"; "faults" ] ) );
+          "visibility"; "stats"; "mobile_network"; "barriers"; "continuum";
+          "faults" ] ) );
     ("lib/scenario", ("scenario", [ "obs"; "walk"; "faults"; "mobile_network" ]));
     ( "lib/service",
       ( "service",

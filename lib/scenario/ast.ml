@@ -128,10 +128,6 @@ let kernel_of_string s =
                 jump:<rho>)"
                s))
 
-let exchange_to_string = function
-  | Config.Flood_component -> "flood"
-  | Config.Single_hop -> "single-hop"
-
 let exchange_of_string s =
   match String.lowercase_ascii s with
   | "flood" -> Ok Config.Flood_component
@@ -282,7 +278,7 @@ let semantic_fields t =
   @ [
     ("protocol", axis_str protocol_to_string t.protocols);
     ("kernel", axis_str kernel_to_string t.kernels);
-    ("exchange", Json.String (exchange_to_string t.exchange));
+    ("exchange", Json.String (Config.exchange_to_string t.exchange));
     ("torus", Json.Bool t.torus);
     ("seed", Json.Int t.seed);
     ("trials", Json.Int t.trials);

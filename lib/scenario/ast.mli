@@ -82,8 +82,9 @@ val kernel_to_string : Walk.kernel -> string
 
 val kernel_of_string : string -> (Walk.kernel, string) result
 
-val exchange_to_string : Config.exchange -> string
 val exchange_of_string : string -> (Config.exchange, string) result
+(** ["flood"] or ["single-hop"], the spelling
+    {!Mobile_network.Config.exchange_to_string} prints. *)
 
 val plan_to_string : plan -> string
 (** ["open"], ["wall:<gap>"], ["rooms:<per-side>:<door>"] — the CLI's

@@ -159,6 +159,21 @@ let validate_ast ctx (src : Pjson.t option) (ast : Ast.t) =
                | Ok () -> None
                | Error msg -> Some msg)
         |> Option.iter (diag ctx (where "radius")));
+  (* a floor plan allocates per grid node, so its node count obeys the
+     index's slot bound too; reported at the side *)
+  (match ast.Ast.space with
+  | Ast.Grid | Ast.Continuum -> ()
+  | Ast.Domain ->
+      if ctx.errs = [] then
+        List.find_opt
+          (fun side -> side * side > Config.max_index_slots)
+          ast.Ast.sides
+        |> Option.iter (fun side ->
+               diag ctx (where "side")
+                 (Printf.sprintf
+                    "a floor plan of side %d has %d nodes; at most %d fit \
+                     (use a smaller side)"
+                    side (side * side) Config.max_index_slots)));
   if ast.Ast.trials < 1 then diag ctx (where "trials") "trials must be >= 1";
   (match ast.Ast.max_steps with
   | Some m when m <= 0 -> diag ctx (where "max_steps") "max_steps must be positive"

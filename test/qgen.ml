@@ -81,9 +81,10 @@ let mutate text =
   let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
   int_range 1 4 >>= fun k -> edits k text
 
-(* Does [msg] start with [file:line:col: ] (line and column >= 1)? *)
-let has_position ~file msg =
-  let prefix = file ^ ":" in
+(* Does [msg] start with [file:line:col: ] (line and column >= 1), or
+   with [line:col: ] when no [file] is given? *)
+let has_position ?file msg =
+  let prefix = match file with Some f -> f ^ ":" | None -> "" in
   String.starts_with ~prefix msg
   &&
   let rest = String.sub msg (String.length prefix) (String.length msg - String.length prefix) in

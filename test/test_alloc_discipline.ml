@@ -56,11 +56,12 @@ let continuum_run () =
        seed = 7; trial = 0; max_steps = 500 })
     .Mobile_network.Engine.steps
 
+(* Clementi et al.'s dense model: the jump kernel with one-hop exchange *)
 let clementi_run () =
-  (Baselines.Clementi.broadcast
-     { Baselines.Clementi.side = 48; agents = 1152; big_r = 4; rho = 4;
-       seed = 7; trial = 0; max_steps = 4800 })
-    .Mobile_network.Engine.steps
+  (Simulation.run_config
+     (Config.make ~side:48 ~agents:1152 ~radius:4 ~kernel:(Walk.Jump 4)
+        ~exchange:Config.Single_hop ~seed:7 ~max_steps:4800 ()))
+    .Simulation.steps
 
 (* the floor plan is built once, so only the run is measured *)
 let barrier_run =

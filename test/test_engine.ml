@@ -1,9 +1,8 @@
-(* Tests for the generic engine layers introduced by the Space/Exchange/
-   Engine refactor: cross-engine equivalence (the satellites are now
-   instances of one engine, so engines that model the same process must
-   produce identical runs), degenerate parameter values at the space
-   level, and unit tests of each exchange policy on hand-built
-   visibility graphs. *)
+(* Tests for the generic engine layers: every space instance records
+   its run the same way (a series is pure observation and equals what
+   [on_step] sees), degenerate parameter values at the space level, pair
+   sets against brute force, and unit tests of each exchange policy on
+   hand-built visibility graphs. *)
 
 module Config = Mobile_network.Config
 module Engine = Mobile_network.Engine
@@ -11,41 +10,22 @@ module Simulation = Mobile_network.Simulation
 module Exchange = Mobile_network.Exchange
 module Rumor_set = Mobile_network.Rumor_set
 module Space = Mobile_network.Space
-module Clementi = Baselines.Clementi
 module Barrier_sim = Barriers.Barrier_sim
 
-(* --- cross-engine equivalence --------------------------------------------- *)
+(* Clementi et al.'s dense model: the grid engine with a jump kernel of
+   radius [rho] and one-hop exchange at radius [big_r] *)
+let clementi ?series ~side ~agents ~big_r ~rho ~seed ~trial ~max_steps () =
+  Simulation.run_config ?series
+    (Config.make ~side ~agents ~radius:big_r ~kernel:(Walk.Jump rho)
+       ~exchange:Config.Single_hop ~seed ~trial ~max_steps ())
 
-(* The Clementi baseline is by construction the grid engine with the
-   jump kernel and single-hop exchange; running the same parameters
-   through the core Simulation front end must give the identical run
-   (same streams, same draw order, same exchange rule). *)
-let test_clementi_equals_grid_engine () =
-  let side = 24 and agents = 40 and big_r = 3 and rho = 2 in
-  let seed = 5 and trial = 2 and max_steps = 5_000 in
-  let c =
-    Clementi.broadcast
-      { Clementi.side; agents; big_r; rho; seed; trial; max_steps }
-  in
-  let s =
-    Simulation.run_config
-      (Config.make ~side ~agents ~radius:big_r ~kernel:(Walk.Jump rho)
-         ~exchange:Config.Single_hop ~seed ~trial ~max_steps ())
-  in
-  Alcotest.(check int) "same steps" c.Engine.steps s.Engine.steps;
-  Alcotest.(check int) "same informed" c.Engine.informed s.Engine.informed;
-  Alcotest.(check bool) "same outcome" true
-    (match (c.Engine.outcome, s.Engine.outcome) with
-    | Engine.Completed, Engine.Completed | Engine.Timed_out, Engine.Timed_out
-      ->
-        true
-    | _ -> false)
+(* --- recording ------------------------------------------------------------- *)
 
 let stride1_series () =
   Obs.Series.create ~capacity:max_int
     ~columns:Mobile_network.Engine.series_columns ()
 
-(* Attaching a series is pure observation in every satellite: the
+(* Attaching a series is pure observation on every space: the
    recorded run agrees with the plain one, and its series holds steps + 1
    rows (row 0 is the initial state) ending at the final informed
    count. *)
@@ -61,11 +41,11 @@ let test_recorded_run_agrees_with_broadcast () =
       col.(Array.length col - 1)
   in
   let ccfg =
-    { Clementi.side = 16; agents = 24; big_r = 2; rho = 2; seed = 3;
-      trial = 1; max_steps = 2_000 }
+    clementi ~side:16 ~agents:24 ~big_r:2 ~rho:2 ~seed:3 ~trial:1
+      ~max_steps:2_000
   in
   let sr = stride1_series () in
-  let cb = Clementi.broadcast ccfg and cr = Clementi.broadcast ~series:sr ccfg in
+  let cb = ccfg () and cr = ccfg ~series:sr () in
   check "clementi" ~steps:cb.Engine.steps ~informed:cb.Engine.informed
     ~steps':cr.Engine.steps ~informed':cr.Engine.informed sr;
   let ucfg =
@@ -133,8 +113,7 @@ let test_stride1_series_equals_on_step () =
     ~space:
       (Mobile_network.Grid_space.create grid ~kernel:(Walk.Jump 2) ~radius:2)
     { (Engine.default_spec ~agents:24 ~seed:1 ~trial:0 ~max_steps:2_000) with
-      Engine.exchange = Exchange.Single_hop;
-      track_islands = false };
+      Engine.exchange = Exchange.Single_hop };
   let module C = Series_vs_on_step (Continuum.Space) in
   C.check "continuum"
     ~space:(Continuum.Space.create ~box_side:8. ~radius:1. ~sigma:0.25 ~agents:32)
@@ -255,9 +234,8 @@ let test_static_disconnected_times_out () =
   (* rho = 0 and R = 0: nobody moves, nobody meets — the run must time
      out with only the source informed *)
   let r =
-    Clementi.broadcast
-      { Clementi.side = 8; agents = 6; big_r = 0; rho = 0; seed = 2;
-        trial = 0; max_steps = 50 }
+    clementi ~side:8 ~agents:6 ~big_r:0 ~rho:0 ~seed:2 ~trial:0 ~max_steps:50
+      ()
   in
   Alcotest.(check bool) "timed out" true
     (match r.Engine.outcome with
@@ -268,9 +246,8 @@ let test_static_disconnected_times_out () =
 let test_full_radius_instant () =
   (* R covering the whole grid: the time-0 exchange already floods *)
   let r =
-    Clementi.broadcast
-      { Clementi.side = 8; agents = 6; big_r = 16; rho = 0; seed = 2;
-        trial = 0; max_steps = 50 }
+    clementi ~side:8 ~agents:6 ~big_r:16 ~rho:0 ~seed:2 ~trial:0 ~max_steps:50
+      ()
   in
   Alcotest.(check int) "instant" 0 r.Engine.steps;
   Alcotest.(check int) "everyone informed" 6 r.Engine.informed
@@ -637,8 +614,6 @@ let () =
     [
       ( "cross-engine",
         [
-          Alcotest.test_case "clementi = grid engine with jump kernel" `Quick
-            test_clementi_equals_grid_engine;
           Alcotest.test_case "recorded run agrees with broadcast" `Quick
             test_recorded_run_agrees_with_broadcast;
           Alcotest.test_case "stride-1 series = on_step" `Quick

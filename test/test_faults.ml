@@ -281,11 +281,12 @@ let test_roles_need_broadcast () =
    (steps, informed, max_island) plus an MD5 of the per-step informed
    counts. The pins were measured before the fault-free and faulted
    steps were merged into one pipeline, so any change to a loss draw,
-   the presence mask or an exchange arm shows here. The single-hop
-   cases also run with the island metric off (no DSU build). Each
-   no-roles case also runs fault-free, to check which phases record a
-   sample: components iff the step builds the DSU or faults are on,
-   exchange unless the protocol has none (cover walks). *)
+   the presence mask or an exchange arm shows here. Only the component
+   floods build the DSU during the step; the other arms' max_island is
+   built from the last step's pairs when it is read. Each no-roles case
+   also runs fault-free, to check which phases record a sample:
+   components iff the exchange floods or faults are on, exchange unless
+   the protocol has none (cover walks). *)
 module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 
 let pinned_plan ~roles =
@@ -298,7 +299,7 @@ let pinned_plan ~roles =
     deaf = (if roles then [ 2 ] else []);
   }
 
-let pinned_run ~faulted (protocol, exchange, roles, track_islands) =
+let pinned_run ~faulted (protocol, exchange, roles) =
   let space =
     Mobile_network.Grid_space.create (Grid.create ~side:12 ())
       ~kernel:Walk.Lazy_one_fifth ~radius:1
@@ -310,7 +311,6 @@ let pinned_run ~faulted (protocol, exchange, roles, track_islands) =
       with
       Mobile_network.Engine.protocol;
       exchange;
-      track_islands;
       faults = (if faulted then pinned_plan ~roles else Plan.empty);
     }
   in
@@ -336,22 +336,19 @@ let pinned_run ~faulted (protocol, exchange, roles, track_islands) =
 let pinned_cases =
   let module P = Mobile_network.Protocol in
   let flood = Exchange.Flood_component and hop = Exchange.Single_hop in
-  let arms roles p =
-    [ (p, flood, roles, true); (p, hop, roles, true); (p, hop, roles, false) ]
-  in
+  let arms roles p = [ (p, flood, roles); (p, hop, roles) ] in
   let single_rumor = [ P.Broadcast; P.Frog; P.Broadcast_cover ] in
   List.concat_map (arms false)
     (single_rumor @ [ P.Gossip; P.Cover_walks; P.Predator_prey { preys = 6 } ])
   @ List.concat_map (arms true) single_rumor
 
-let pinned_label (protocol, exchange, roles, track_islands) =
-  Printf.sprintf "%s/%s%s%s"
+let pinned_label (protocol, exchange, roles) =
+  Printf.sprintf "%s/%s%s"
     (Mobile_network.Protocol.to_string protocol)
     (match exchange with
     | Exchange.Flood_component -> "flood"
     | Exchange.Single_hop -> "single-hop")
     (if roles then "/roles" else "")
-    (if track_islands then "" else "/no-islands")
 
 (* measured before the merge; label -> (steps, informed, max_island,
    MD5 of the informed counts) *)
@@ -361,79 +358,60 @@ let pinned_expected =
       (51, 24, 3, "29aa275f4b92cd702b1b4130d043f4d7") );
     ( "broadcast/single-hop",
       (68, 24, 6, "799b3a09e88b0d17a427438d664b3dd5") );
-    ( "broadcast/single-hop/no-islands",
-      (68, 24, 0, "799b3a09e88b0d17a427438d664b3dd5") );
     ( "frog/flood",
       (65, 24, 2, "46d2c3d403a478b054f54adeed14c623") );
     ( "frog/single-hop",
       (65, 24, 2, "3b1eb1c9a49626dda200edafed6730d1") );
-    ( "frog/single-hop/no-islands",
-      (65, 24, 0, "3b1eb1c9a49626dda200edafed6730d1") );
     ( "broadcast-cover/flood",
       (87, 24, 3, "eda7cfd85d51761c881209c665ca21e3") );
     ( "broadcast-cover/single-hop",
       (96, 24, 2, "fbc003a0055437ed76c1d48bcc8c4eeb") );
-    ( "broadcast-cover/single-hop/no-islands",
-      (96, 24, 0, "fbc003a0055437ed76c1d48bcc8c4eeb") );
     ( "gossip/flood",
       (117, 24, 3, "9e6b7b05aab4ebb6b5441736380986df") );
     ( "gossip/single-hop",
       (117, 24, 3, "5b61d410e260186869fea210350ff6be") );
-    ( "gossip/single-hop/no-islands",
-      (117, 24, 0, "5b61d410e260186869fea210350ff6be") );
     ( "cover-walks/flood",
       (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
     ( "cover-walks/single-hop",
-      (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
-    ( "cover-walks/single-hop/no-islands",
       (87, 24, 3, "2c89ee20645d93ae5c854821daaeabd2") );
     ( "predator-prey(6)/flood",
       (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
     ( "predator-prey(6)/single-hop",
       (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
-    ( "predator-prey(6)/single-hop/no-islands",
-      (32, 30, 0, "8629f3d366116ac370054e43b86e27e3") );
     ( "broadcast/flood/roles",
       (300, 23, 2, "5460a7374fc2343992587df11f5f507f") );
     ( "broadcast/single-hop/roles",
       (300, 23, 2, "6d5cebc2b7f1cfb27f734af223c29042") );
-    ( "broadcast/single-hop/roles/no-islands",
-      (300, 23, 0, "6d5cebc2b7f1cfb27f734af223c29042") );
     ( "frog/flood/roles",
       (300, 23, 3, "dcbede4f5cd2fd8ca217099e6376fd50") );
     ( "frog/single-hop/roles",
       (300, 23, 2, "9ac5c6f896a3b70c5be886180bc65621") );
-    ( "frog/single-hop/roles/no-islands",
-      (300, 23, 0, "9ac5c6f896a3b70c5be886180bc65621") );
     ( "broadcast-cover/flood/roles",
       (96, 23, 2, "12961f104932c9aac99a080d65324652") );
     ( "broadcast-cover/single-hop/roles",
       (96, 23, 2, "650e37ff8e7885e579de43fbe61c4e22") );
-    ( "broadcast-cover/single-hop/roles/no-islands",
-      (96, 23, 0, "650e37ff8e7885e579de43fbe61c4e22") );
   ]
 
 let check_phase_samples ~faulted case =
-  let protocol, exchange, _, track_islands = case in
+  let protocol, exchange, _ = case in
   let module P = Mobile_network.Protocol in
   let (steps, _, _, _), (components, exchanges) = pinned_run ~faulted case in
   let label = pinned_label case ^ if faulted then "" else "/fault-free" in
   (* one sample per executed step plus the time-0 exchange *)
   let per_step on = if on then steps + 1 else 0 in
-  let builds_dsu =
+  let floods =
     match (protocol, exchange) with
-    | P.Predator_prey _, _ -> false
-    | P.Cover_walks, _ | _, Exchange.Flood_component -> true
-    | _, Exchange.Single_hop -> track_islands
+    | (P.Cover_walks | P.Predator_prey _), _ | _, Exchange.Single_hop -> false
+    | _, Exchange.Flood_component -> true
   in
   Alcotest.(check int) (label ^ " components samples")
-    (per_step (faulted || builds_dsu)) components;
+    (per_step (faulted || floods)) components;
   Alcotest.(check int) (label ^ " exchange samples")
     (per_step (protocol <> P.Cover_walks)) exchanges
 
 let test_pinned_fault_runs () =
   List.iter
-    (fun ((_, _, roles, _) as case) ->
+    (fun ((_, _, roles) as case) ->
       let label = pinned_label case in
       let (steps, informed, island, digest), _ =
         pinned_run ~faulted:true case

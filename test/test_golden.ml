@@ -67,12 +67,14 @@ let test_satellite_simulators () =
         seed = 0; trial = 0; max_steps = 1_000_000 }
   in
   Alcotest.(check int) "continuum broadcast" 274 cr.Mobile_network.Engine.steps;
+  (* Clementi et al.'s dense model is a grid configuration: the jump
+     kernel with one-hop exchange *)
   let cl =
-    Baselines.Clementi.broadcast
-      { Baselines.Clementi.side = 16; agents = 64; big_r = 2; rho = 2;
-        seed = 0; trial = 0; max_steps = 100_000 }
+    Simulation.run_config
+      (Config.make ~side:16 ~agents:64 ~radius:2 ~kernel:(Walk.Jump 2)
+         ~exchange:Config.Single_hop ~seed:0 ~trial:0 ~max_steps:100_000 ())
   in
-  Alcotest.(check int) "clementi broadcast" 15 cl.Mobile_network.Engine.steps
+  Alcotest.(check int) "clementi broadcast" 15 cl.Simulation.steps
 
 (* The fault adversary draws from its own subsystem streams, so these
    pins also freeze the split_stream derivation: a change to the

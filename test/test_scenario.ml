@@ -125,7 +125,7 @@ let ast_equal (a : Ast.t) (b : Ast.t) =
   && List.equal Int.equal a.Ast.radii b.Ast.radii
   && List.equal (by Ast.protocol_to_string) a.Ast.protocols b.Ast.protocols
   && List.equal (by Ast.kernel_to_string) a.Ast.kernels b.Ast.kernels
-  && by Ast.exchange_to_string a.Ast.exchange b.Ast.exchange
+  && by Mobile_network.Config.exchange_to_string a.Ast.exchange b.Ast.exchange
   && Bool.equal a.Ast.torus b.Ast.torus
   && Int.equal a.Ast.seed b.Ast.seed
   && Int.equal a.Ast.trials b.Ast.trials
@@ -563,6 +563,15 @@ let test_diag_size_limits () =
        of 268435456 buckets; at most 16777216 fit (use a larger radius or a \
        smaller side)";
     ];
+  (* a floor plan allocates per node: a side whose node count exceeds
+     the slot bound once ran the process out of memory at radius 0; it
+     is reported at the side *)
+  check_diags "floor plan beyond the node bound"
+    {|{"space": "domain", "side": [64, 16384], "agents": 4}|}
+    [
+      "sc.json:1:29: scenario: a floor plan of side 16384 has 268435456 \
+       nodes; at most 16777216 fit (use a smaller side)";
+    ];
   (match
      Compile.compile_ast
        {
@@ -629,8 +638,11 @@ let test_diag_size_limits () =
         ]
         errs);
   ignore
+    (compile_exn {|{"side": 65536, "agents": 1, "radius": [0, 131072]}|}
+      : Compile.compiled);
+  ignore
     (compile_exn
-       {|{"side": 65536, "agents": 1, "radius": [0, 131072], "space": "domain"}|}
+       {|{"side": 4096, "agents": 1, "radius": [0, 131072], "space": "domain"}|}
       : Compile.compiled);
   ignore
     (compile_exn {|{"space": "continuum", "agents": 1, "density": 1}|}

@@ -273,33 +273,55 @@ let decode line =
   | Ok r -> r
   | Error msg -> Alcotest.failf "%s rejected: %s" line msg
 
+(* every request shape the daemon accepts: (label, decoded, line) *)
+let valid_requests =
+  [
+    ( "submit, defaults",
+      Daemon.Submit
+        { text = "{}"; filename = None; progress = false; series = false },
+      {|{"op":"submit","text":"{}"}|} );
+    ( "submit, every field",
+      Daemon.Submit
+        { text = "{}"; filename = Some "a.json"; progress = true; series = true },
+      {|{"op":"submit","text":"{}","filename":"a.json","progress":true,
+       "series":true}|} );
+    ( "check",
+      Daemon.Check { text = "{}"; filename = None },
+      {|{"op":"check","text":"{}"}|} );
+    ("health", Daemon.Health, {|{"op":"health"}|});
+    ( "metrics, default format",
+      Daemon.Metrics { prom = false },
+      {|{"op":"metrics"}|} );
+    ( "metrics, prom",
+      Daemon.Metrics { prom = true },
+      {|{"op":"metrics","format":"prom"}|} );
+    ( "watch, defaults",
+      Daemon.Watch { interval_ms = 1000; count = 0 },
+      {|{"op":"watch"}|} );
+    ( "watch, as serve-watch sends it",
+      Daemon.Watch { interval_ms = 50; count = 0 },
+      {|{"op":"watch","interval_ms":50,"count":0}|} );
+    ("shutdown", Daemon.Shutdown, {|{"op":"shutdown"}|});
+  ]
+
 let test_decode_requests () =
-  let check label expected line =
-    Alcotest.(check bool) label true (decode line = expected)
-  in
-  check "submit, defaults"
-    (Daemon.Submit
-       { text = "{}"; filename = None; progress = false; series = false })
-    {|{"op":"submit","text":"{}"}|};
-  check "submit, every field"
-    (Daemon.Submit
-       { text = "{}"; filename = Some "a.json"; progress = true; series = true })
-    {|{"op":"submit","text":"{}","filename":"a.json","progress":true,
-       "series":true}|};
-  check "check" (Daemon.Check { text = "{}"; filename = None })
-    {|{"op":"check","text":"{}"}|};
-  check "health" Daemon.Health {|{"op":"health"}|};
-  check "metrics, default format" (Daemon.Metrics { prom = false })
-    {|{"op":"metrics"}|};
-  check "metrics, prom" (Daemon.Metrics { prom = true })
-    {|{"op":"metrics","format":"prom"}|};
-  check "watch, defaults"
-    (Daemon.Watch { interval_ms = 1000; count = 0 })
-    {|{"op":"watch"}|};
-  check "watch, as serve-watch sends it"
-    (Daemon.Watch { interval_ms = 50; count = 0 })
-    {|{"op":"watch","interval_ms":50,"count":0}|};
-  check "shutdown" Daemon.Shutdown {|{"op":"shutdown"}|}
+  List.iter
+    (fun (label, expected, line) ->
+      Alcotest.(check bool) label true (decode line = expected))
+    valid_requests
+
+(* The decoder is total: a mutant of a valid request decodes, or is
+   rejected with a line:col diagnostic; it never raises. *)
+let prop_mutated_requests =
+  QCheck.Test.make ~name:"mutated requests never raise" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         oneofl (List.map (fun (_, _, line) -> line) valid_requests)
+         >>= Qgen.mutate))
+    (fun line ->
+      match Daemon.decode_request line with
+      | Ok _ -> true
+      | Error msg -> Qgen.has_position msg)
 
 (* A mistyped or out-of-range field is an error at its value, never a
    silent default. *)
@@ -367,6 +389,8 @@ let () =
           Alcotest.test_case "requests decode" `Quick test_decode_requests;
           Alcotest.test_case "bad requests rejected" `Quick
             test_reject_requests;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
+            prop_mutated_requests;
         ] );
       ( "checkpoint",
         [

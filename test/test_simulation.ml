@@ -444,6 +444,88 @@ let test_torus_validation () =
     | Error _ -> true
     | Ok () -> false)
 
+(* --- dense baseline (Clementi et al.) --- *)
+
+(* Their model is a grid configuration: agents jump to a uniform node
+   within [rho] and exchange one hop within [big_r] per step. *)
+let dense ?(side = 16) ?(agents = 64) ?(big_r = 2) ?(rho = 2) ?(seed = 0)
+    ?(trial = 0) ?(max_steps = 50_000) () =
+  Simulation.run_config
+    (Config.make ~side ~agents ~radius:big_r ~kernel:(Walk.Jump rho)
+       ~exchange:Config.Single_hop ~seed ~trial ~max_steps ())
+
+let test_dense_completes () =
+  let r = dense () in
+  Alcotest.(check bool) "completed" true (completed r);
+  Alcotest.(check int) "all informed" 64 r.Simulation.informed;
+  Alcotest.(check bool) "fast in the dense regime" true
+    (r.Simulation.steps < 200)
+
+let test_dense_single_agent () =
+  let r = dense ~agents:1 () in
+  Alcotest.(check bool) "completed" true (completed r);
+  Alcotest.(check int) "instant" 0 r.Simulation.steps
+
+let test_dense_deterministic () =
+  let a = dense ~seed:9 ~trial:3 () and b = dense ~seed:9 ~trial:3 () in
+  Alcotest.(check int) "same steps" a.Simulation.steps b.Simulation.steps
+
+let test_dense_trials_vary () =
+  let all = List.init 8 (fun trial -> (dense ~trial ()).Simulation.steps) in
+  Alcotest.(check bool) "trials differ" true
+    (List.exists (fun s -> s <> List.hd all) (List.tl all))
+
+let test_dense_bigger_radius_faster () =
+  let median big_r =
+    let times =
+      Array.init 9 (fun trial -> (dense ~big_r ~rho:big_r ~trial ()).Simulation.steps)
+    in
+    Array.sort compare times;
+    times.(4)
+  in
+  let t2 = median 2 and t8 = median 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "R=8 (%d) faster than R=2 (%d)" t8 t2)
+    true (t8 <= t2)
+
+let test_dense_zero_radii () =
+  (* R = 0: exchange only on exact cohabitation; rho = 0: nobody moves.
+     Both zero: must time out unless all agents share the source node. *)
+  let r = dense ~agents:8 ~big_r:0 ~rho:0 ~max_steps:50 () in
+  match r.Simulation.outcome with
+  | Simulation.Timed_out ->
+      Alcotest.(check bool) "stuck" true (r.Simulation.informed < 8)
+  | Simulation.Completed ->
+      Alcotest.(check int) "degenerate" 8 r.Simulation.informed
+
+let test_dense_one_hop_semantics () =
+  (* frozen agents (rho = 0): with R the grid's diameter the rumor
+     reaches everyone in at most one step after t0, but with R = 1 it
+     travels one hop per step, so a dense frozen population that floods
+     at once still needs about a grid diameter of steps *)
+  let fast = dense ~agents:32 ~big_r:30 ~rho:0 () in
+  Alcotest.(check bool) "R = diameter: at most 1 step" true
+    (fast.Simulation.steps <= 1);
+  let slow = dense ~agents:256 ~big_r:1 ~rho:0 ~max_steps:200 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "R=1 takes many steps (%d)" slow.Simulation.steps)
+    true
+    (slow.Simulation.steps >= 5)
+
+let prop_dense_informed_bounded =
+  QCheck.Test.make ~name:"informed count within [1, k]" ~count:100
+    QCheck.(quad (int_range 4 16) (int_range 1 40) (int_range 0 5) small_int)
+    (fun (side, agents, big_r, seed) ->
+      let r = dense ~side ~agents ~big_r ~rho:big_r ~seed ~max_steps:200 () in
+      r.Simulation.informed >= 1 && r.Simulation.informed <= agents)
+
+let prop_dense_completed_means_all =
+  QCheck.Test.make ~name:"completed implies everyone informed" ~count:100
+    QCheck.(triple (int_range 4 12) (int_range 1 30) small_int)
+    (fun (side, agents, seed) ->
+      let r = dense ~side ~agents ~seed () in
+      (not (completed r)) || r.Simulation.informed = agents)
+
 (* --- getters and misc --- *)
 
 let test_population_and_getters () =
@@ -621,15 +703,30 @@ let prop_components_oracle =
     ~count:40
     (QCheck.make
        QCheck.Gen.(
-         tup6 (int_range 3 10) (int_range 1 12) (int_range 0 2)
-           (int_range 0 999) bool
-           (oneofl [ Protocol.Broadcast; Protocol.Frog; Protocol.Gossip ])))
-    (fun (side, agents, radius, seed, torus, protocol) ->
+         pair
+           (tup6 (int_range 3 10) (int_range 1 12) (int_range 0 2)
+              (int_range 0 999) bool
+              (oneofl
+                 [ Protocol.Broadcast; Protocol.Frog; Protocol.Gossip;
+                   Protocol.Cover_walks ]))
+           (pair
+              (oneofl [ Config.Flood_component; Config.Single_hop ])
+              (oneofl [ Walk.Lazy_one_fifth; Walk.Jump 2 ]))))
+    (fun ((side, agents, radius, seed, torus, protocol), (exchange, kernel)) ->
       let cfg =
-        Config.make ~side ~agents ~radius ~torus ~protocol ~seed ~max_steps:300
-          ()
+        Config.make ~side ~agents ~radius ~torus ~kernel ~protocol ~exchange
+          ~seed ~max_steps:300 ()
+      in
+      let floods =
+        match (exchange, protocol) with
+        | ( Config.Flood_component,
+            (Protocol.Broadcast | Protocol.Frog | Protocol.Gossip) ) ->
+            true
+        | _ -> false
       in
       let ok = ref true in
+      (* the read-time island build (every exchange but flooding) must
+         see the same graph as the step did *)
       let check sim =
         let label, count = brute_components cfg (Simulation.positions sim) in
         let sizes = Array.make count 0 and informed = Array.make count 0 in
@@ -642,13 +739,14 @@ let prop_components_oracle =
         let sorted a = List.sort compare (Array.to_list a) in
         ok :=
           !ok
-          && sorted sizes = sorted (Simulation.island_sizes sim)
           && Simulation.max_island sim = Array.fold_left max 0 sizes
-          && Array.for_all2 (fun n i -> i = 0 || i = n) sizes informed
+          && sorted sizes = sorted (Simulation.island_sizes sim)
+          && ((not floods)
+             || Array.for_all2 (fun n i -> i = 0 || i = n) sizes informed)
       in
-      ignore
-        (Simulation.run ~on_step:check (Simulation.create cfg)
-          : Simulation.report);
+      let sim = Simulation.create cfg in
+      check sim;
+      ignore (Simulation.run ~on_step:check sim : Simulation.report);
       !ok)
 
 let () =
@@ -734,6 +832,18 @@ let () =
             test_torus_differs_from_bounded;
           Alcotest.test_case "validation" `Quick test_torus_validation;
         ] );
+      ( "baseline",
+        [
+          Alcotest.test_case "completes dense" `Quick test_dense_completes;
+          Alcotest.test_case "single agent" `Quick test_dense_single_agent;
+          Alcotest.test_case "deterministic" `Quick test_dense_deterministic;
+          Alcotest.test_case "trials vary" `Quick test_dense_trials_vary;
+          Alcotest.test_case "bigger radius faster" `Slow
+            test_dense_bigger_radius_faster;
+          Alcotest.test_case "zero radii" `Quick test_dense_zero_radii;
+          Alcotest.test_case "one-hop semantics" `Quick
+            test_dense_one_hop_semantics;
+        ] );
       ( "getters",
         [
           Alcotest.test_case "population and getters" `Quick
@@ -752,5 +862,6 @@ let () =
           [
             prop_run_invariants; prop_completed_means_goal_reached;
             prop_determinism; prop_components_oracle;
+            prop_dense_informed_bounded; prop_dense_completed_means_all;
           ] );
     ]
