@@ -1,18 +1,16 @@
+(* [bits] is padded to whole 64-bit words, so [union_into] can OR a
+   word at a time. Bits at or above [capacity] are never set, so the
+   byte code of [mem], [add], [iter], [equal] and [copy] needs no
+   change. *)
 type t = {
   bits : Bytes.t;
   capacity : int;
   mutable cardinal : int;
 }
 
-(* popcount of a byte, precomputed once *)
-let[@alloc_ok "module initialisation, runs once"] popcount_table =
-  Array.init 256 (fun b ->
-      let rec count b acc = if b = 0 then acc else count (b lsr 1) (acc + (b land 1)) in
-      count b 0)
-
 let create ~capacity =
   if capacity < 0 then invalid_arg "Rumor_set.create: negative capacity";
-  { bits = Bytes.make ((capacity + 7) / 8) '\000'; capacity; cardinal = 0 }
+  { bits = Bytes.make (8 * ((capacity + 63) / 64)) '\000'; capacity; cardinal = 0 }
 
 let capacity t = t.capacity
 
@@ -43,26 +41,44 @@ let singleton ~capacity i =
   ignore (add t i);
   t
 
-let rec union_bytes src dst byte stop acc =
-  if byte >= stop then acc
-  else begin
-    let s = Char.code (Bytes.get src byte) in
-    if s = 0 then union_bytes src dst (byte + 1) stop acc
-    else begin
-      let d = Char.code (Bytes.get dst byte) in
-      let fresh = s land lnot d land 0xFF in
-      if fresh = 0 then union_bytes src dst (byte + 1) stop acc
+(* The bounds-checked 64-bit primitives. [Bytes.get_int64_le] is an
+   ordinary function, whose int64 result stays unboxed only if the
+   compiler inlines it; a primitive keeps the word unboxed in the loop
+   below regardless. OR and popcount act on whole words, so the result
+   does not depend on byte order. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* SWAR popcount of a value below 2^32, on plain ints *)
+let[@inline always] popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
+(* A word of [src] adds nothing when it is zero or when its fresh bits
+   [s land lnot d] are; only a word with fresh bits is stored. *)
+let rec union_words src dst off stop acc =
+  if off >= stop then acc
+  else
+    let s = get64 src off in
+    if s = 0L then union_words src dst (off + 8) stop acc
+    else
+      let d = get64 dst off in
+      let fresh = Int64.logand s (Int64.logxor d (-1L)) in
+      if fresh = 0L then union_words src dst (off + 8) stop acc
       else begin
-        Bytes.set dst byte (Char.chr (d lor s));
-        union_bytes src dst (byte + 1) stop (acc + popcount_table.(fresh))
+        set64 dst off (Int64.logor d s);
+        union_words src dst (off + 8) stop
+          (acc
+          + popcount32 (Int64.to_int fresh land 0xFFFF_FFFF)
+          + popcount32 (Int64.to_int (Int64.shift_right_logical fresh 32)))
       end
-    end
-  end
 
 let union_into ~src ~dst =
   if src.capacity <> dst.capacity then
     invalid_arg "Rumor_set.union_into: capacity mismatch";
-  let added = union_bytes src.bits dst.bits 0 (Bytes.length src.bits) 0 in
+  let added = union_words src.bits dst.bits 0 (Bytes.length src.bits) 0 in
   dst.cardinal <- dst.cardinal + added;
   added
 

@@ -5,7 +5,9 @@
     set [M_a(t)] of known rumors. Sets only ever grow ("agents do not
     forget rumors", §2). This is a fixed-capacity bitset with a cached
     cardinality, sized so the per-step component floods stay cheap:
-    unioning two sets costs O(capacity / 8) byte operations. *)
+    unioning two sets costs O(capacity / 64) word operations. The bits
+    are padded to whole 64-bit words, and bits at or above [capacity]
+    are never set. *)
 
 type t
 

@@ -11,9 +11,20 @@ let unions ?(max_len = 40) n =
       (Gen.int_range 0 max_len)
       (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))))
 
-(* Rumor-id scripts for bitset properties. *)
+(* Rumor-id scripts for bitset properties over [0, capacity): half the
+   ids uniform, half at a 64-bit word's top bit (63, 127, ..., the
+   int64 sign bit) or at [capacity - 1]. *)
 let rumor_ids ?(max_len = 60) capacity =
-  QCheck.(list_of_size (Gen.int_range 0 max_len) (int_range 0 (capacity - 1)))
+  let open QCheck.Gen in
+  if capacity = 0 then return []
+  else
+    let edges =
+      (capacity - 1)
+      :: List.filter (fun i -> i < capacity)
+           (List.init ((capacity + 63) / 64) (fun w -> (64 * w) + 63))
+    in
+    list_size (int_range 0 max_len)
+      (frequency [ (1, int_range 0 (capacity - 1)); (1, oneofl edges) ])
 
 (* A structurally valid fault plan over a population of [agents].
    Probabilities land in [0, 1], duty cycles satisfy 0 <= off <= period,

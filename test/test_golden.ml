@@ -39,6 +39,20 @@ let test_engine_completion_times () =
     (steps ~side:24 ~agents:12 ~radius:2 ~seed:3 ());
   Alcotest.(check int) "gossip" 245
     (steps ~side:12 ~agents:5 ~protocol:Protocol.Gossip ~seed:1 ());
+  (* rumor sets one bit past a 64-bit word (k = 65) and spanning three
+     words (k = 130), flooded and single-hop *)
+  let gossip ~exchange ~agents =
+    steps ~side:32 ~agents ~radius:2 ~protocol:Protocol.Gossip ~exchange
+      ~seed:4 ()
+  in
+  Alcotest.(check int) "gossip k=65 flood" 344
+    (gossip ~exchange:Config.Flood_component ~agents:65);
+  Alcotest.(check int) "gossip k=130 flood" 112
+    (gossip ~exchange:Config.Flood_component ~agents:130);
+  Alcotest.(check int) "gossip k=65 single-hop" 344
+    (gossip ~exchange:Config.Single_hop ~agents:65);
+  Alcotest.(check int) "gossip k=130 single-hop" 128
+    (gossip ~exchange:Config.Single_hop ~agents:130);
   Alcotest.(check int) "frog" 625
     (steps ~side:12 ~agents:6 ~protocol:Protocol.Frog ~seed:2 ());
   Alcotest.(check int) "cover walks" 559

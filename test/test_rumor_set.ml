@@ -93,14 +93,76 @@ let test_iter_order () =
   Alcotest.(check (list int)) "increasing order" [ 0; 2; 17; 29 ]
     (List.rev !seen)
 
-(* --- qcheck: bitset behaves like a reference implementation (int sets) --- *)
+(* --- allocation: the word loop keeps its int64 words unboxed --- *)
 
-let ops_gen capacity = Qgen.rumor_ids capacity
+let words_per_call f =
+  let n = 10_000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let sink = ref 0
+
+(* A fresh-bits union is repeated by clearing [dst] back to [base]
+   through [union_into] itself, so each call of the measured closure
+   makes two unions with fresh bits and no other work that allocates. *)
+let test_union_allocates_nothing () =
+  List.iter
+    (fun capacity ->
+      let src = R.create ~capacity and base = R.create ~capacity in
+      List.iter
+        (fun i -> ignore (R.add src i))
+        [ 0; 5; 63; 64; capacity - 1 ];
+      ignore (R.add base 1);
+      let dst = R.copy base in
+      let check name f =
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "capacity %d, %s: minor words per call" capacity name)
+          0. (words_per_call f)
+      in
+      check "fresh bits" (fun () ->
+          R.clear dst;
+          sink := !sink + R.union_into ~src:base ~dst;
+          sink := !sink + R.union_into ~src ~dst);
+      check "no fresh bits" (fun () -> sink := !sink + R.union_into ~src ~dst))
+    [ 65; 256 ]
+
+(* --- qcheck: bitset behaves like a reference implementation (int sets) ---
+
+   Capacities sit on and around the 64-bit word boundaries of the
+   union loop; [Qgen.rumor_ids] leans towards each word's top bit. *)
+
+let boundary_capacities = [ 0; 1; 7; 8; 9; 63; 64; 65; 127; 128; 129; 256; 257 ]
+
+(* A capacity and [n] id lists over it. *)
+let boundary_scripts n =
+  let open QCheck.Gen in
+  let gen =
+    let* capacity = oneofl boundary_capacities in
+    let* lists = list_repeat n (Qgen.rumor_ids capacity) in
+    return (capacity, lists)
+  in
+  QCheck.make
+    ~print:(fun (capacity, lists) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat " | "
+           (List.map
+              (fun l -> String.concat "," (List.map string_of_int l))
+              lists)))
+    gen
+
+let of_list capacity ids =
+  let s = R.create ~capacity in
+  List.iter (fun i -> ignore (R.add s i)) ids;
+  s
 
 let prop_matches_reference =
-  let capacity = 37 in
   QCheck.Test.make ~name:"add/mem/cardinal match a reference set" ~count:300
-    (ops_gen capacity) (fun adds ->
+    (boundary_scripts 1) (fun (capacity, lists) ->
+      let adds = List.concat lists in
       let s = R.create ~capacity in
       let reference = Hashtbl.create 32 in
       List.iter
@@ -114,38 +176,57 @@ let prop_matches_reference =
       && List.for_all (fun i -> R.mem s i) adds)
 
 let prop_union_cardinal =
-  let capacity = 41 in
   QCheck.Test.make ~name:"union cardinal = |a U b|" ~count:300
-    QCheck.(pair (ops_gen capacity) (ops_gen capacity))
-    (fun (xs, ys) ->
-      let a = R.create ~capacity and b = R.create ~capacity in
-      List.iter (fun i -> ignore (R.add a i)) xs;
-      List.iter (fun i -> ignore (R.add b i)) ys;
-      ignore (R.union_into ~src:a ~dst:b);
-      let expected = List.sort_uniq compare (xs @ ys) in
-      R.cardinal b = List.length expected
-      && List.for_all (fun i -> R.mem b i) expected)
+    (boundary_scripts 2) (fun (capacity, lists) ->
+      match lists with
+      | [ xs; ys ] ->
+          let a = of_list capacity xs and b = of_list capacity ys in
+          ignore (R.union_into ~src:a ~dst:b);
+          let expected = List.sort_uniq compare (xs @ ys) in
+          R.cardinal b = List.length expected
+          && List.for_all (fun i -> R.mem b i) expected
+      | _ -> false)
 
+(* A chain of unions into one set: after each, [dst] is exactly the
+   list union, the return value counts the fresh rumors, [src] is
+   untouched, and [equal], [copy] and [iter] agree with a set built by
+   [add] alone. *)
 let prop_union_into_is_set_union =
-  let capacity = 41 in
   QCheck.Test.make
     ~name:"union_into behaves as the functional set union" ~count:300
-    QCheck.(pair (ops_gen capacity) (ops_gen capacity))
-    (fun (xs, ys) ->
-      let a = R.create ~capacity and b = R.create ~capacity in
-      List.iter (fun i -> ignore (R.add a i)) xs;
-      List.iter (fun i -> ignore (R.add b i)) ys;
-      let before_a = R.cardinal a in
-      let added = R.union_into ~src:a ~dst:b in
-      let union = List.sort_uniq compare (xs @ ys) in
-      (* dst is exactly a U b, membership-for-membership ... *)
-      List.for_all (fun i -> R.mem b i = List.mem i union)
-        (List.init capacity (fun i -> i))
-      (* ... the return value counts the fresh rumors ... *)
-      && added = R.cardinal b - List.length (List.sort_uniq compare ys)
-      (* ... and src is untouched *)
-      && R.cardinal a = before_a
-      && List.for_all (fun i -> R.mem a i) xs)
+    (boundary_scripts 4) (fun (capacity, lists) ->
+      match lists with
+      | [] -> false
+      | first :: rest ->
+          let dst = of_list capacity first in
+          let all = List.init capacity (fun i -> i) in
+          let step known xs =
+            let src = of_list capacity xs in
+            let before_dst = R.cardinal dst and before_src = R.cardinal src in
+            let added = R.union_into ~src ~dst in
+            let union = List.sort_uniq compare (known @ xs) in
+            let by_add = of_list capacity union in
+            let seen = ref [] in
+            R.iter dst ~f:(fun i -> seen := i :: !seen);
+            let ok =
+              List.for_all (fun i -> R.mem dst i = List.mem i union) all
+              && added = List.length union - before_dst
+              && R.cardinal dst = List.length union
+              && R.cardinal src = before_src
+              && List.for_all (fun i -> R.mem src i = List.mem i xs) all
+              && R.equal dst by_add
+              && R.equal (R.copy dst) by_add
+              && List.rev !seen = union
+            in
+            (ok, union)
+          in
+          let rec chain known = function
+            | [] -> true
+            | xs :: tl ->
+                let ok, known = step known xs in
+                ok && chain known tl
+          in
+          chain (List.sort_uniq compare first) rest)
 
 let () =
   Alcotest.run "rumor_set"
@@ -166,6 +247,11 @@ let () =
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "iter in order" `Quick test_iter_order;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "union_into allocates nothing" `Quick
+            test_union_allocates_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

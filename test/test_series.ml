@@ -192,6 +192,31 @@ let test_validator_rejections () =
     | "data", _ -> ("data", Json.List [ Json.List [ Json.Int 0 ] ])
     | kv -> kv)
 
+(* Series.parse is total: a mutant of a valid NDJSON export or of a
+   combined-document export is accepted or rejected with a message,
+   never an exception. *)
+let valid_exports =
+  let t = Series.create ~capacity:4 ~columns:[ "informed"; "components" ] () in
+  let ci = Series.col t "informed" and cc = Series.col t "components" in
+  for step = 0 to 5 do
+    Series.stage t ci (step + 1);
+    Series.stage t cc (-1);
+    Series.commit t ~step
+  done;
+  let meta = [ ("seed", Json.Int 4); ("space", Json.String "grid") ] in
+  [ Series.export_string ~meta t; Json.to_string (Series.to_json ~meta t) ]
+
+let prop_mutants_never_raise =
+  QCheck.Test.make ~name:"mutated series never raise" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneofl valid_exports >>= Qgen.mutate))
+    (fun text ->
+      match Series.parse text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "Series.parse raised %s"
+            (Printexc.to_string e))
+
 (* --- the disabled path costs nothing -------------------------------------- *)
 
 let test_null_no_alloc () =
@@ -357,6 +382,8 @@ let () =
             test_validator_rejections;
           Alcotest.test_case "bad row names its file line" `Quick
             test_bad_row_names_file_line;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+            prop_mutants_never_raise;
         ] );
       ( "engine",
         [
