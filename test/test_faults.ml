@@ -299,10 +299,11 @@ let pinned_plan ~roles =
     deaf = (if roles then [ 2 ] else []);
   }
 
-let pinned_run ~faulted (protocol, exchange, roles) =
+let pinned_run ?(topology = Grid.Bounded) ?(radius = 1) ~faulted
+    (protocol, exchange, roles) =
   let space =
-    Mobile_network.Grid_space.create (Grid.create ~side:12 ())
-      ~kernel:Walk.Lazy_one_fifth ~radius:1
+    Mobile_network.Grid_space.create (Grid.create ~topology ~side:12 ())
+      ~kernel:Walk.Lazy_one_fifth ~radius
   in
   let spec =
     {
@@ -427,6 +428,33 @@ let test_pinned_fault_runs () =
       if not roles then check_phase_samples ~faulted:false case)
     pinned_cases
 
+(* Radius 2, bounded and torus, under the same loss + churn plan. The
+   pins above all run at radius 1 on a bounded grid, yet a loss draw
+   follows every visited pair, so these fix the bucket table's pair
+   order at a wider radius and across the torus wrap. Measured before
+   the bucket table's rewrite; topology -> (steps, informed, MD5 of the
+   informed counts). *)
+let radius2_cases =
+  let module P = Mobile_network.Protocol in
+  [
+    ( "bounded", Grid.Bounded, (P.Broadcast, Exchange.Flood_component, false),
+      (29, 24, "98ee4024a4254f1d04176d223cc2f25e") );
+    ( "torus", Grid.Torus, (P.Broadcast, Exchange.Single_hop, false),
+      (24, 24, "34924e811c14f1bc61354d48e79d32b2") );
+  ]
+
+let test_pinned_radius2_fault_runs () =
+  List.iter
+    (fun (name, topology, case, (e_steps, e_informed, e_digest)) ->
+      let label = Printf.sprintf "r=2 %s %s" name (pinned_label case) in
+      let (steps, informed, _, digest), _ =
+        pinned_run ~topology ~radius:2 ~faulted:true case
+      in
+      Alcotest.(check int) (label ^ " steps") e_steps steps;
+      Alcotest.(check int) (label ^ " informed") e_informed informed;
+      Alcotest.(check string) (label ^ " informed series") e_digest digest)
+    radius2_cases
+
 (* --- masked flood vs component flood ----------------------------------- *)
 
 (* With all-true roles, the fixpoint flood over a pair list must inform
@@ -523,6 +551,8 @@ let () =
           Alcotest.test_case "roles need broadcast" `Quick
             test_roles_need_broadcast;
           Alcotest.test_case "pinned fault runs" `Quick test_pinned_fault_runs;
+          Alcotest.test_case "pinned fault runs at radius 2" `Quick
+            test_pinned_radius2_fault_runs;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -142,6 +142,45 @@ let test_radius0_memory () =
   Alcotest.(check (list (pair int int))) "still indexes" [ (0, 2) ]
     (emitted index)
 
+(* --- allocation: the per-step rebuild and scan at radius >= 1 --- *)
+
+let words_per_call f =
+  let n = 1_000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let pairs_seen = ref 0
+
+let count_pair _ _ = incr pairs_seen
+
+(* The engine's steady state: one [rebuild_soa] and one
+   [iter_close_pairs] a step, with an [f] allocated once. 256 agents on
+   a 64 x 64 grid at radius 2 (the dense-gossip shape), so both
+   rebuilds and the scan reuse every array they grew on the first
+   call. *)
+let test_bucket_step_allocates_nothing () =
+  List.iter
+    (fun (name, topology) ->
+      let grid = Grid.create ~topology ~side:64 () in
+      let rng = Prng.of_seed 3 in
+      let positions = Array.init 256 (fun _ -> Grid.random_node grid rng) in
+      let coords f = vec_of_coords (Array.map f positions) in
+      let xs = coords (Grid.x_of grid) and ys = coords (Grid.y_of grid) in
+      let index = Spatial.create grid ~radius:2 in
+      pairs_seen := 0;
+      let words =
+        words_per_call (fun () ->
+            ignore (Spatial.rebuild_soa index ~xs ~ys ~n:256 : Spatial.update);
+            Spatial.iter_close_pairs index ~f:count_pair)
+      in
+      Alcotest.(check bool) (name ^ ": visits pairs") true (!pairs_seen > 0);
+      Alcotest.(check (float 0.)) (name ^ ": minor words per step") 0. words)
+    [ ("bounded", Grid.Bounded); ("torus", Grid.Torus) ]
+
 (* --- qcheck: randomized agreement with brute force --- *)
 
 let prop_agreement =
@@ -356,6 +395,133 @@ let prop_radius0_pair_order =
           (Grid.Torus, false); (Grid.Torus, true);
         ])
 
+(* --- radius >= 1 pair order ---------------------------------------------
+
+   Loss faults draw one number per visited pair at every radius, so the
+   bucket table's order is a contract too. The reference follows it
+   from the documented geometry alone: buckets of [min radius side]
+   nodes a side, [ceil (side / bs)] columns bounded (a trailing narrow
+   column) and [floor (side / bs)] on a torus (the last column absorbs
+   the remainder), each coordinate clamped to the last column; buckets
+   in order of their smallest indexed agent, agents ascending within a
+   bucket; per bucket its own pairs, then those against the E, N, NE and
+   NW neighbours (wrapped on a torus, dropped off a bounded grid's
+   edge); each pair as (min, max). A torus of fewer than 3 columns
+   emits every close pair in lexicographic order. *)
+
+let reference_order_buckets ?present grid ~radius positions =
+  let k = Array.length positions in
+  let side = Grid.side grid and torus = Grid.is_torus grid in
+  let indexed i = match present with None -> true | Some pr -> pr.(i) in
+  let close i j = Grid.manhattan grid positions.(i) positions.(j) <= radius in
+  let bs = max 1 (min radius side) in
+  let per_row = if torus then max 1 (side / bs) else (side + bs - 1) / bs in
+  let out = ref [] in
+  if torus && per_row < 3 then
+    for i = 0 to k - 1 do
+      for j = i + 1 to k - 1 do
+        if indexed i && indexed j && close i j then out := (i, j) :: !out
+      done
+    done
+  else begin
+    let col c = min (c / bs) (per_row - 1) in
+    let bucket i =
+      (col (Grid.x_of grid positions.(i)), col (Grid.y_of grid positions.(i)))
+    in
+    let members b =
+      List.filter (fun a -> indexed a && bucket a = b) (List.init k Fun.id)
+    in
+    let order =
+      List.fold_left
+        (fun acc i ->
+          if indexed i && not (List.mem (bucket i) acc) then bucket i :: acc
+          else acc)
+        [] (List.init k Fun.id)
+      |> List.rev
+    in
+    let emit i j = if close i j then out := (min i j, max i j) :: !out in
+    List.iter
+      (fun ((bx, by) as b) ->
+        let here = members b in
+        List.iteri
+          (fun x i -> List.iteri (fun y j -> if y > x then emit i j) here)
+          here;
+        List.iter
+          (fun (dx, dy) ->
+            let nx = bx + dx and ny = by + dy in
+            let nx, ny =
+              if torus then ((nx + per_row) mod per_row, (ny + per_row) mod per_row)
+              else (nx, ny)
+            in
+            if nx >= 0 && nx < per_row && ny >= 0 && ny < per_row then begin
+              let there = members (nx, ny) in
+              List.iter (fun i -> List.iter (emit i) there) here
+            end)
+          [ (1, 0); (0, 1); (1, 1); (-1, 1) ])
+      order
+  end;
+  List.rev !out
+
+(* Shapes on the layout's edges, each named by its bucket columns:
+   exactly a power of two, one above it, a trailing narrow column, the
+   smallest torus the buckets serve (3 columns, the last one wide), the
+   tiny torus, and radii beyond the side. *)
+let order_shapes =
+  [
+    (Grid.Bounded, 32, 2) (* 16 columns *); (Grid.Bounded, 34, 2) (* 17 *);
+    (Grid.Bounded, 33, 2) (* 17, the last one node wide *);
+    (Grid.Torus, 16, 4) (* 4 *); (Grid.Torus, 15, 3) (* 5 *);
+    (Grid.Torus, 9, 3) (* 3 *); (Grid.Torus, 11, 3) (* 3, the last 5 wide *);
+    (Grid.Torus, 8, 3) (* 2: lexicographic *);
+    (Grid.Bounded, 12, 5); (Grid.Bounded, 7, 1); (Grid.Torus, 20, 1);
+    (Grid.Bounded, 10, max_int); (Grid.Torus, 10, max_int);
+  ]
+
+let prop_bucket_pair_order =
+  QCheck.Test.make ~name:"radius >= 1 pair order = reference order" ~count:60
+    QCheck.(
+      quad (int_range 3 40) (int_range 1 5) (int_range 1 60) small_int)
+    (fun (side, radius, k, seed) ->
+      let rng = Prng.of_seed seed in
+      let drawn = [ (Grid.Bounded, side, radius); (Grid.Torus, side, radius) ] in
+      List.for_all
+        (fun ((topology, side, radius), masked) ->
+          let grid = Grid.create ~topology ~side () in
+          (* crowd a window of about 6r x 6r nodes so buckets hold
+             several agents and most neighbours are occupied *)
+          let w = min side (6 * min radius side) in
+          let x0 = Prng.int rng side and y0 = Prng.int rng side in
+          let positions =
+            Array.init k (fun _ ->
+                Grid.index grid
+                  ~x:((x0 + Prng.int rng w) mod side)
+                  ~y:((y0 + Prng.int rng w) mod side))
+          in
+          let present =
+            if masked then Some (Array.init k (fun _ -> Prng.int rng 4 > 0))
+            else None
+          in
+          let expected = reference_order_buckets ?present grid ~radius positions in
+          let by_nodes = Spatial.create grid ~radius in
+          Spatial.rebuild ?present by_nodes ~positions;
+          let by_soa = Spatial.create grid ~radius in
+          let load positions =
+            let coords f = vec_of_coords (Array.map f positions) in
+            ignore
+              (Spatial.rebuild_soa ?present by_soa
+                 ~xs:(coords (Grid.x_of grid))
+                 ~ys:(coords (Grid.y_of grid))
+                 ~n:k
+                : Spatial.update)
+          in
+          (* a rebuild must leave nothing of the one before *)
+          load (Array.of_list (List.rev (Array.to_list positions)));
+          load positions;
+          expected = emitted by_nodes && expected = emitted by_soa)
+        (List.concat_map
+           (fun shape -> [ (shape, false); (shape, true) ])
+           (drawn @ order_shapes)))
+
 let prop_torus_agreement =
   QCheck.Test.make ~name:"torus index pairs = brute-force (wrap distances)"
     ~count:200
@@ -385,6 +551,11 @@ let () =
           Alcotest.test_case "huge radius" `Quick test_huge_radius;
           Alcotest.test_case "radius 0 memory" `Quick test_radius0_memory;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "r = 2 rebuild and scan allocate nothing" `Quick
+            test_bucket_step_allocates_nothing;
+        ] );
       ( "queries",
         [
           Alcotest.test_case "degenerate torus fallback" `Quick
@@ -394,7 +565,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_agreement; prop_pair_distance; prop_torus_agreement;
-            prop_radius0_pair_order;
+            prop_radius0_pair_order; prop_bucket_pair_order;
             prop_incremental_matches_scratch ~torus:false ~churn:false ();
             prop_incremental_matches_scratch ~torus:true ~churn:false ();
             prop_incremental_matches_scratch ~torus:false ~churn:true ();
