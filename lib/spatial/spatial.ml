@@ -5,14 +5,19 @@
    once); each rebuild touches only the buckets that actually hold
    agents (recorded in [touched]), so a rebuild costs O(k) regardless of
    how many buckets the grid has. Agent ids are stored contiguously in
-   [items], grouped by bucket via a counting sort. Morton keys
-   interleave the x/y bucket coordinates bit by bit, so spatially
-   adjacent buckets land near each other in the flat arrays (better
-   locality for the neighbourhood scans than row-major keys on large
-   grids). The key scheme is invisible to iteration order: pairs are
-   visited in first-touch bucket order (a function of agent order and
-   bucket *membership*, not bucket ids), agent-id order within a
-   bucket, and the same fixed E/N/NE/NW neighbour geometry.
+   [items], grouped by bucket via a counting sort, and each agent's
+   coordinates beside them in [sx]/[sy], so the pair scan reads three
+   contiguous int arrays. Morton keys interleave the x/y bucket
+   coordinates bit by bit, so spatially adjacent buckets land near each
+   other in the flat arrays (better locality for the neighbourhood
+   scans than row-major keys on large grids). A key is two lookups in
+   [col_key], the half key of every coordinate value, so indexing an
+   agent divides nothing; the scan steps to a neighbour's key by Morton
+   arithmetic and tests the grid's edge on the key's halves, so it
+   divides nothing either. The key scheme is invisible to iteration
+   order: pairs are visited in first-touch bucket order (a function of
+   agent order and bucket *membership*, not bucket ids), agent-id order
+   within a bucket, and the same fixed E/N/NE/NW neighbour geometry.
 
    Radius 0: a close pair is two agents on one node, and no neighbour
    lookup is needed, so nothing is sized to the grid. Each indexed agent
@@ -33,11 +38,13 @@
    Two position representations feed both indexes:
    - [rebuild] takes the legacy [Grid.node array];
    - [rebuild_soa] takes structure-of-arrays int32 coordinate vectors
-     (the engine's zero-allocation path). *)
+     (the engine's zero-allocation path).
+   Each differs only in how it reads an agent's position: at radius
+   >= 1 both record every indexed agent's coordinates ([ax]/[ay]) and
+   bucket, and share the placing pass and the pair scan, which has one
+   loop per topology (bounded or torus), chosen once per call. *)
 
 type vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let empty_vec : vec = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout 0
 
 type update = Full | Delta
 
@@ -48,6 +55,12 @@ let agent_mask = (1 lsl agent_bits) - 1
 
 let max_digit_bits = 12
 
+(* Half Morton keys of coordinate values, one int32 each (the half key
+   of a 16-bit column fits 31 bits). Kept outside the OCaml heap, so the
+   GC never scans it and [create]'s minor allocation does not grow with
+   the side. *)
+type key_table = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   grid : Grid.t;
   radius : int;
@@ -55,6 +68,13 @@ type t = {
   per_row : int;
   side : int;
   torus : bool;
+  (* radius >= 1: the half key of every coordinate below its length,
+     [min side max_key_cols] (empty at radius 0) *)
+  col_key : key_table;
+  last_key : int;  (* the half key of the last column, [per_row - 1] *)
+  (* the close test's per-axis wrap: [side] on a torus; on a bounded
+     grid [max_int], which never wins over a real distance *)
+  wrap : int;
   (* the first-touch counting sort's table: one slot per bucket at
      radius >= 1, one per digit value at radius 0 *)
   count : int array;  (* agents per slot *)
@@ -64,17 +84,16 @@ type t = {
   (* radius >= 1: agent ids grouped by bucket; radius 0: packed keys
      grouped by node *)
   mutable items : int array;
-  (* node-array path *)
-  mutable positions : Grid.node array;
   mutable present : bool array option;  (* agents indexed by the last rebuild *)
-  (* structure-of-arrays path *)
-  mutable xs : vec;
-  mutable ys : vec;
-  mutable soa : bool;  (* which representation the last rebuild used *)
   mutable n : int;  (* population of the last rebuild *)
-  (* radius >= 1: bucket of each agent in the last rebuild; entries are
-     0 or bucket ids this index wrote, so always < buckets *)
+  (* radius >= 1, per agent of the last rebuild: its bucket (0 or a
+     bucket id this index wrote, so always < buckets) and coordinates *)
   mutable bucket : int array;
+  mutable ax : int array;
+  mutable ay : int array;
+  (* radius >= 1: the coordinates of [items.(s)] at [sx.(s)], [sy.(s)] *)
+  mutable sx : int array;
+  mutable sy : int array;
   (* radius 0 *)
   digit_bits : int;
   passes : int;
@@ -100,35 +119,25 @@ let part1by1 x =
   let x = (x lor (x lsl 2)) land 0x33333333 in
   (x lor (x lsl 1)) land 0x55555555
 
-let compact1by1 x =
-  let x = x land 0x55555555 in
-  let x = (x lor (x lsr 1)) land 0x33333333 in
-  let x = (x lor (x lsr 2)) land 0x0F0F0F0F in
-  let x = (x lor (x lsr 4)) land 0x00FF00FF in
-  (x lor (x lsr 8)) land 0x0000FFFF
+(* A key is [hx lor (hy lsl 1)] for the half keys [hx], [hy] of its
+   column and row: x in the even bits, y in the odd ones. Numbers
+   confined to one set of bits compare like the coordinates they
+   interleave, so a key's halves are tested against the last column's
+   half key directly, and a neighbour's half is one carry away: setting
+   the other half's bits to 1 makes [+ 1] carry across them. *)
+let x_bits = 0x55555555
 
-(* Byte-wise interleave table: 256 entries cover one byte per lookup,
-   and bucket coordinates fit 16 bits ([create] guards per_row), so two
-   lookups per axis. The table stays hot in L1 and beats the five-step
-   shift/mask cascade by ~3x on the index hot path. *)
-let[@alloc_ok "module initialisation, runs once"] part1by1_tbl =
-  Array.init 256 part1by1
+let y_bits = 0xAAAAAAAA
 
-let[@unsafe_invariant
-     "bx/by are clamped to per_row - 1 < 0x10000 by callers, so the \
-      byte and high-byte lookups index part1by1_tbl within its 256 \
-      entries"] morton bx by =
-  let ex =
-    Array.unsafe_get part1by1_tbl (bx land 0xFF)
-    lor (Array.unsafe_get part1by1_tbl (bx lsr 8) lsl 16)
-  in
-  let ey =
-    Array.unsafe_get part1by1_tbl (by land 0xFF)
-    lor (Array.unsafe_get part1by1_tbl (by lsr 8) lsl 16)
-  in
-  ex lor (ey lsl 1)
-let morton_x b = compact1by1 b
-let morton_y b = compact1by1 (b lsr 1)
+let[@inline] next_x b = ((b lor y_bits) + 1) land x_bits
+
+let[@inline] next_y b = ((b lor x_bits) + 1) land y_bits
+
+let[@inline] prev_x hx = (hx - 1) land x_bits
+
+(* Columns [col_key] covers: [Config.max_side], so every grid the
+   engine accepts is covered whole by a table of at most 256 KiB. *)
+let max_key_cols = 1 lsl 16
 
 (* Bits of the largest node id [side^2 - 1]. *)
 let key_bits side =
@@ -168,6 +177,12 @@ let table_slots ~side ~torus ~radius =
     !np2 * !np2
   end
 
+(* The half key of column (or row) [c >= 0]: its bucket column, clamped
+   to the last one, spread to the even bits. *)
+let half_key ~bucket_side ~per_row c =
+  let col = c / bucket_side in
+  part1by1 (if col < per_row then col else per_row - 1)
+
 let create grid ~radius =
   if radius < 0 then invalid_arg "Spatial.create: negative radius";
   let side = Grid.side grid and torus = Grid.is_torus grid in
@@ -176,25 +191,37 @@ let create grid ~radius =
     invalid_arg "Spatial.create: more than 65536 bucket columns";
   let digit_bits, passes = digit_bits_of side in
   let slots = table_slots ~side ~torus ~radius in
+  let bucket_side = bucket_side ~side ~radius in
+  let col_key =
+    Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout
+      (if radius = 0 then 0 else min side max_key_cols)
+  in
+  for c = 0 to Bigarray.Array1.dim col_key - 1 do
+    Bigarray.Array1.set col_key c
+      (Int32.of_int (half_key ~bucket_side ~per_row c))
+  done;
   {
     grid;
     radius;
-    bucket_side = bucket_side ~side ~radius;
+    bucket_side;
     per_row;
     side;
     torus;
+    col_key;
+    last_key = part1by1 (per_row - 1);
+    wrap = (if torus then side else max_int);
     count = Array.make slots 0;
     start = Array.make slots 0;
     touched = Array.make slots 0;
     touched_len = 0;
     items = [||];
-    positions = [||];
     present = None;
-    xs = empty_vec;
-    ys = empty_vec;
-    soa = false;
     n = 0;
     bucket = [||];
+    ax = [||];
+    ay = [||];
+    sx = [||];
+    sy = [||];
     digit_bits;
     passes;
     m = 0;
@@ -209,15 +236,17 @@ let create grid ~radius =
 
 let radius t = t.radius
 
-let bucket_of t v =
-  let x = Grid.x_of t.grid v and y = Grid.y_of t.grid v in
-  let bx = min (x / t.bucket_side) (t.per_row - 1) in
-  let by = min (y / t.bucket_side) (t.per_row - 1) in
-  morton bx by
+(* The half key of coordinate [c >= 0]: a [col_key] lookup, or for a
+   coordinate past the table (a side above [max_key_cols], which no
+   engine run has) the division it saves. *)
+let[@inline] col_key t c =
+  if c < Bigarray.Array1.dim t.col_key then
+    Int32.to_int (Bigarray.Array1.get t.col_key c)
+  else half_key ~bucket_side:t.bucket_side ~per_row:t.per_row c
 
 (* The per-step loops below use unchecked array accesses. The indices
-   are structurally in range: bucket ids come from [bucket_of]/[morton]
-   over clamped coordinates (< buckets, the table's length), digits are
+   are structurally in range: bucket ids are keys of two half keys of
+   clamped columns (< buckets, the table's length), digits are
    masked to [digit_bits] (< the table's length at radius 0), agent ids
    are < n and output offsets < m <= n (every per-agent array is grown
    to n by [begin_rebuild]), and [touched_len] counts distinct slots, so
@@ -253,7 +282,13 @@ let begin_rebuild ?present t ~n =
     t.spare <- grow t.spare n;
     if t.passes > 1 then t.run_at <- grow t.run_at n
   end
-  else t.bucket <- grow t.bucket n;
+  else begin
+    t.bucket <- grow t.bucket n;
+    t.ax <- grow t.ax n;
+    t.ay <- grow t.ay n;
+    t.sx <- grow t.sx n;
+    t.sy <- grow t.sy n
+  end;
   t.n <- n;
   t.m <- 0;
   t.present <- present
@@ -285,28 +320,47 @@ let[@unsafe_invariant
 
 (* --- radius >= 1: the bucket table --- *)
 
-(* Place agents [0..n-1] into their bucket slices in reverse id order,
-   so each slice ends up in increasing agent order. *)
-let[@unsafe_invariant
-     "agent < n <= length bucket, length items (begin_rebuild); bucket \
-      holds this rebuild's bucket id of every indexed agent, and start \
-      stays within the bucket's slice of items"] place t =
+(* Pass 1 for one indexed agent: its coordinates, its bucket, and the
+   bucket's count. *)
+let[@inline]
+    [@unsafe_invariant
+      "agent < n <= length ax, ay, bucket (begin_rebuild); the key of \
+       two col_key halves is a bucket id < length count"] index_agent t
+    agent x y =
+  Array.unsafe_set t.ax agent x;
+  Array.unsafe_set t.ay agent y;
+  let b = col_key t x lor (col_key t y lsl 1) in
+  Array.unsafe_set t.bucket agent b;
+  count_agent t b
+
+(* One agent of pass 3: into the next free slot, from the end, of its
+   bucket's slice, its coordinates beside it. *)
+let[@inline]
+    [@unsafe_invariant
+      "agent < n <= length bucket, ax, ay; bucket holds this rebuild's \
+       bucket id of the indexed agent, and start stays within the \
+       bucket's slice of items, sx, sy (all of length >= n)"] place_agent
+    t agent =
+  let b = Array.unsafe_get t.bucket agent in
+  let s = Array.unsafe_get t.start b - 1 in
+  Array.unsafe_set t.items s agent;
+  Array.unsafe_set t.sx s (Array.unsafe_get t.ax agent);
+  Array.unsafe_set t.sy s (Array.unsafe_get t.ay agent);
+  Array.unsafe_set t.start b s
+
+(* Passes 2 and 3: slice offsets, then agents [0..n-1] into their
+   bucket slices in reverse id order, so each slice ends up in
+   increasing agent order. *)
+let place t =
+  end_offsets t 0 0;
   match t.present with
   | None ->
       for agent = t.n - 1 downto 0 do
-        let b = Array.unsafe_get t.bucket agent in
-        let s = Array.unsafe_get t.start b - 1 in
-        Array.unsafe_set t.items s agent;
-        Array.unsafe_set t.start b s
+        place_agent t agent
       done
   | Some pr ->
       for agent = t.n - 1 downto 0 do
-        if pr.(agent) then begin
-          let b = Array.unsafe_get t.bucket agent in
-          let s = Array.unsafe_get t.start b - 1 in
-          Array.unsafe_set t.items s agent;
-          Array.unsafe_set t.start b s
-        end
+        if pr.(agent) then place_agent t agent
       done
 
 (* --- radius 0: the LSD sort of packed node keys --- *)
@@ -395,8 +449,6 @@ let[@inline]
 let rebuild ?present t ~positions =
   let k = Array.length positions in
   begin_rebuild ?present t ~n:k;
-  t.positions <- positions;
-  t.soa <- false;
   t.delta_ok <- false;
   if t.radius = 0 then begin
     for agent = 0 to k - 1 do
@@ -409,13 +461,10 @@ let rebuild ?present t ~positions =
     (* pass 1: count agents per bucket, recording first-touched buckets *)
     for agent = 0 to k - 1 do
       if match present with None -> true | Some pr -> pr.(agent) then begin
-        let b = bucket_of t positions.(agent) in
-        t.bucket.(agent) <- b;
-        count_agent t b
+        let v = positions.(agent) in
+        index_agent t agent (Grid.x_of t.grid v) (Grid.y_of t.grid v)
       end
     done;
-    (* passes 2 and 3: slice offsets, then agents into their slices *)
-    end_offsets t 0 0;
     place t
   end
 
@@ -426,8 +475,7 @@ let[@unsafe_invariant
 
 let[@hot]
     [@unsafe_invariant
-      "agent < n with bucket grown to n by begin_rebuild; bucket ids \
-       come from morton over clamped coordinates < buckets"] rebuild_soa
+      "radius 0: agent < n with keys grown to n by begin_rebuild"] rebuild_soa
     ?present t ~xs ~ys ~n =
   (* Delta eligibility is judged against the *previous* rebuild:
      radius 0 (components are cell-local) and a previous unmasked SoA
@@ -436,9 +484,6 @@ let[@hot]
   let unmasked = match present with None -> true | Some _ -> false in
   let eligible = t.radius = 0 && t.delta_ok && t.n = n && unmasked in
   begin_rebuild ?present t ~n;
-  t.xs <- xs;
-  t.ys <- ys;
-  t.soa <- true;
   let side = t.side in
   if t.radius = 0 then begin
     if unmasked then begin
@@ -460,19 +505,11 @@ let[@hot]
     group_by_node t
   end
   else begin
-    let bs = t.bucket_side and clamp_hi = t.per_row - 1 in
     (* pass 1: count agents per bucket, recording first-touched buckets *)
     for agent = 0 to n - 1 do
-      if match present with None -> true | Some pr -> pr.(agent) then begin
-        let bx = min (vget xs agent / bs) clamp_hi
-        and by = min (vget ys agent / bs) clamp_hi in
-        let b = morton bx by in
-        Array.unsafe_set t.bucket agent b;
-        count_agent t b
-      end
+      if match present with None -> true | Some pr -> pr.(agent) then
+        index_agent t agent (vget xs agent) (vget ys agent)
     done;
-    (* passes 2 and 3: slice offsets, then agents into their slices *)
-    end_offsets t 0 0;
     place t
   end;
   (* keys is only trustworthy for the next step if every agent was
@@ -562,40 +599,59 @@ let[@hot] reconcile t ~dissolve ~union =
       (run_end v ~m (node_of v.(lo)) (lo + 1))
   done
 
-let axis_dist t a b =
-  let d = abs (a - b) in
-  if t.torus then min d (t.side - d) else d
+(* The distance between coordinates [a] and [b] along one axis. *)
+let[@inline] axis_dist t a b =
+  let d = a - b in
+  let d = if d < 0 then -d else d in
+  let w = t.wrap - d in
+  if w < d then w else d
 
-let close t i j =
-  if t.soa then
-    axis_dist t (vget t.xs i) (vget t.xs j)
-    + axis_dist t (vget t.ys i) (vget t.ys j)
-    <= t.radius
-  else Grid.manhattan t.grid t.positions.(i) t.positions.(j) <= t.radius
+(* Whether the agent at [(xi, yi)] and the agent in slot [y] are within
+   the radius. *)
+let[@inline] [@unsafe_invariant "y is a slot < n <= length sx, sy"] near t
+    xi yi y =
+  axis_dist t xi (Array.unsafe_get t.sx y)
+  + axis_dist t yi (Array.unsafe_get t.sy y)
+  <= t.radius
 
-(* Pairs within one bucket's slice. *)
-let iter_intra t b ~f =
-  let lo = t.start.(b) in
-  let hi = lo + t.count.(b) - 1 in
+(* Pairs within one bucket's slice; its agents ascend. *)
+let[@unsafe_invariant
+     "b is a touched bucket < length start, count; its slice lies in \
+      items, sx, sy.(0..n-1)"] iter_intra t b ~f =
+  let lo = Array.unsafe_get t.start b in
+  let hi = lo + Array.unsafe_get t.count b - 1 in
   for x = lo to hi - 1 do
-    let i = t.items.(x) in
+    let xi = Array.unsafe_get t.sx x and yi = Array.unsafe_get t.sy x in
     for y = x + 1 to hi do
-      let j = t.items.(y) in
-      if close t i j then f (min i j) (max i j)
+      if near t xi yi y then
+        f (Array.unsafe_get t.items x) (Array.unsafe_get t.items y)
     done
   done
 
 (* Pairs across two distinct buckets' slices. *)
-let iter_inter t b b' ~f =
-  let lo = t.start.(b) and n = t.count.(b) in
-  let lo' = t.start.(b') and n' = t.count.(b') in
-  for x = lo to lo + n - 1 do
-    let i = t.items.(x) in
-    for y = lo' to lo' + n' - 1 do
-      let j = t.items.(y) in
-      if close t i j then f (min i j) (max i j)
+let[@unsafe_invariant
+     "b, b' are buckets < length start, count, each count > 0 only for \
+      a bucket touched by this rebuild, whose slice lies in items, sx, \
+      sy.(0..n-1)"] iter_inter t b b' ~f =
+  let lo = Array.unsafe_get t.start b and lo' = Array.unsafe_get t.start b' in
+  let hi = lo + Array.unsafe_get t.count b - 1
+  and hi' = lo' + Array.unsafe_get t.count b' - 1 in
+  for x = lo to hi do
+    let xi = Array.unsafe_get t.sx x and yi = Array.unsafe_get t.sy x in
+    for y = lo' to hi' do
+      if near t xi yi y then begin
+        let i = Array.unsafe_get t.items x and j = Array.unsafe_get t.items y in
+        if i < j then f i j else f j i
+      end
     done
   done
+
+(* A bucket's pairs with its neighbour [b'], if [b'] holds agents. *)
+let[@inline]
+    [@unsafe_invariant
+      "b' is a key of two halves within the last column's: a bucket id \
+       < length count"] probe t b b' ~f =
+  if Array.unsafe_get t.count b' > 0 then iter_inter t b b' ~f
 
 (* Exhaustive O(k^2) fallback used when the bucket structure cannot
    guarantee each pair is seen exactly once (tiny torus layouts). Must
@@ -609,21 +665,51 @@ let iter_all_pairs t ~f =
   for i = 0 to k - 1 do
     if present_at t i then
       for j = i + 1 to k - 1 do
-        if present_at t j && close t i j then f i j
+        if
+          present_at t j
+          && axis_dist t t.ax.(i) t.ax.(j) + axis_dist t t.ay.(i) t.ay.(j)
+             <= t.radius
+        then f i j
       done
   done
 
-(* One forward-neighbour probe of [iter_close_pairs], hoisted to module
-   level: a local [scan] closure would capture b/bx/by/f and allocate
-   once per touched bucket per step. *)
-let scan_neighbour t ~f b bx by dx dy =
-  let nx = bx + dx and ny = by + dy in
-  let nx = if t.torus then (nx + t.per_row) mod t.per_row else nx in
-  let ny = if t.torus then (ny + t.per_row) mod t.per_row else ny in
-  if nx >= 0 && nx < t.per_row && ny >= 0 && ny < t.per_row then begin
-    let b' = morton nx ny in
-    if t.count.(b') > 0 then iter_inter t b b' ~f
-  end
+(* The forward-neighbour scans: every touched bucket's own pairs, then
+   those with its E, N, NE and NW neighbours, so each bucket pair is
+   considered once. A neighbour's key comes from the bucket's by Morton
+   arithmetic. Bounded: a neighbour past the last column or row, or
+   before the first, does not exist. *)
+let[@unsafe_invariant "idx < touched_len <= length touched"] scan_bounded t
+    ~f =
+  let last_x = t.last_key and last_y = t.last_key lsl 1 in
+  for idx = 0 to t.touched_len - 1 do
+    let b = Array.unsafe_get t.touched idx in
+    if Array.unsafe_get t.count b > 1 then iter_intra t b ~f;
+    let hx = b land x_bits and hy = b land y_bits in
+    let east = hx < last_x in
+    if east then probe t b (next_x b lor hy) ~f;
+    if hy < last_y then begin
+      let ny = next_y b in
+      probe t b (hx lor ny) ~f;
+      if east then probe t b (next_x b lor ny) ~f;
+      if hx > 0 then probe t b (prev_x hx lor ny) ~f
+    end
+  done
+
+(* Torus, at least 3 columns: indices wrap by compare-and-reset. *)
+let[@unsafe_invariant "idx < touched_len <= length touched"] scan_torus t ~f
+    =
+  let last_x = t.last_key and last_y = t.last_key lsl 1 in
+  for idx = 0 to t.touched_len - 1 do
+    let b = Array.unsafe_get t.touched idx in
+    if Array.unsafe_get t.count b > 1 then iter_intra t b ~f;
+    let hx = b land x_bits and hy = b land y_bits in
+    let ex = if hx = last_x then 0 else next_x b in
+    let ny = if hy = last_y then 0 else next_y b in
+    probe t b (ex lor hy) ~f;
+    probe t b (hx lor ny) ~f;
+    probe t b (ex lor ny) ~f;
+    probe t b ((if hx = 0 then last_x else prev_x hx) lor ny) ~f
+  done
 
 (* The pairs of the run [items.(lo..hi-1)] (one node, agents
    ascending), in lexicographic order. *)
@@ -657,22 +743,12 @@ let[@hot] iter_close_pairs t ~f =
           run_pairs t lo (run_end t.items ~m:t.m (node_of t.items.(lo)) (lo + 1)) ~f
       done
   end
-  else if t.torus && t.per_row < 3 then
+  else if not t.torus then scan_bounded t ~f
+  else if t.per_row >= 3 then scan_torus t ~f
+  else
     (* with fewer than 3 bucket columns, wrapped forward scans would
        revisit pairs; fall back to the exhaustive scan *)
     iter_all_pairs t ~f
-  else
-    for idx = 0 to t.touched_len - 1 do
-      let b = t.touched.(idx) in
-      iter_intra t b ~f;
-      (* scan only forward neighbours (E, N, NE, NW) so each bucket pair
-         is considered once; on the torus indices wrap *)
-      let bx = morton_x b and by = morton_y b in
-      scan_neighbour t ~f b bx by 1 0;
-      scan_neighbour t ~f b bx by 0 1;
-      scan_neighbour t ~f b bx by 1 1;
-      scan_neighbour t ~f b bx by (-1) 1
-    done
 
 let count_close_pairs t =
   let n = ref 0 in

@@ -477,6 +477,29 @@ let order_shapes =
     (Grid.Bounded, 10, max_int); (Grid.Torus, 10, max_int);
   ]
 
+(* Past [Config.max_side] the index keys columns beyond its key table
+   by division: agents on both sides of column 65536, bounded and
+   torus, still come out in the reference order. *)
+let test_beyond_key_table () =
+  List.iter
+    (fun (topology, radius) ->
+      let grid = Grid.create ~topology ~side:70000 () in
+      let at x y = Grid.index grid ~x ~y in
+      let positions =
+        [| at 65535 10; at 65536 11; at 67000 12; at 69999 13; at 0 14;
+           at 64000 3000; at 65537 1999; at 69000 69999; at 68000 0 |]
+      in
+      let expected = reference_order_buckets grid ~radius positions in
+      let index = Spatial.create grid ~radius in
+      Spatial.rebuild index ~positions;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "r=%d order" radius) expected (emitted index);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "r=%d pairs" radius)
+        (brute_pairs grid ~radius positions)
+        (List.sort compare expected))
+    [ (Grid.Bounded, 2000); (Grid.Torus, 3000) ]
+
 let prop_bucket_pair_order =
   QCheck.Test.make ~name:"radius >= 1 pair order = reference order" ~count:60
     QCheck.(
@@ -560,6 +583,8 @@ let () =
         [
           Alcotest.test_case "degenerate torus fallback" `Quick
             test_degenerate_torus_fallback;
+          Alcotest.test_case "beyond the key table" `Quick
+            test_beyond_key_table;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
