@@ -61,6 +61,10 @@ let max_digit_bits = 12
    the side. *)
 type key_table = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* radius 0 keys no columns; an empty table is immutable, so one serves
+   every index *)
+let no_keys : key_table = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout 0
+
 type t = {
   grid : Grid.t;
   radius : int;
@@ -193,8 +197,10 @@ let create grid ~radius =
   let slots = table_slots ~side ~torus ~radius in
   let bucket_side = bucket_side ~side ~radius in
   let col_key =
-    Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout
-      (if radius = 0 then 0 else min side max_key_cols)
+    if radius = 0 then no_keys
+    else
+      Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout
+        (min side max_key_cols)
   in
   for c = 0 to Bigarray.Array1.dim col_key - 1 do
     Bigarray.Array1.set col_key c
@@ -685,12 +691,12 @@ let[@unsafe_invariant "idx < touched_len <= length touched"] scan_bounded t
     let b = Array.unsafe_get t.touched idx in
     if Array.unsafe_get t.count b > 1 then iter_intra t b ~f;
     let hx = b land x_bits and hy = b land y_bits in
-    let east = hx < last_x in
-    if east then probe t b (next_x b lor hy) ~f;
+    let east = hx < last_x and ex = next_x b in
+    if east then probe t b (ex lor hy) ~f;
     if hy < last_y then begin
       let ny = next_y b in
       probe t b (hx lor ny) ~f;
-      if east then probe t b (next_x b lor ny) ~f;
+      if east then probe t b (ex lor ny) ~f;
       if hx > 0 then probe t b (prev_x hx lor ny) ~f
     end
   done

@@ -2,25 +2,40 @@
     [r] without the O(k^2) all-pairs scan.
 
     At radius [r >= 1] agents are bucketed into square cells of side
-    [r]; any two agents within Manhattan distance [r] are also within
-    Chebyshev distance [r], hence land in the same or side/corner-adjacent
-    buckets. Scanning each bucket against its 3x3 neighbourhood therefore
-    finds every close pair exactly once. Below the percolation point the
-    expected bucket occupancy is O(1), so a full pass costs O(k). Buckets
-    are keyed by Morton (Z-order) codes, so spatially adjacent buckets
-    sit near each other in the backing arrays, which are sized to the
-    (power-of-two padded) bucket grid.
+    [min r side]; any two agents within Manhattan distance [r] are also
+    within Chebyshev distance [r], hence land in the same or
+    side/corner-adjacent buckets. Scanning each bucket against its 3x3
+    neighbourhood therefore finds every close pair exactly once. Below
+    the percolation point the expected bucket occupancy is O(1), so a
+    full pass costs O(k). Buckets are keyed by Morton (Z-order) codes,
+    so spatially adjacent buckets sit near each other in the backing
+    arrays, which are sized to the (power-of-two padded) bucket grid.
+    Besides them the index keeps a table of each column's half key,
+    [min side 65536] int32 entries outside the OCaml heap (at most
+    256 KiB), and six int arrays of the population's length.
 
     At radius 0 a close pair is two agents on one node. The index groups
     agents by node with a counting sort over k-sized arrays and a table
     of at most 4096 slots, so its memory grows with k, not with the grid.
 
-    Pair order is part of the contract at radius 0, because callers draw
-    one random number per visited pair (the engine's loss faults):
-    nodes in order of their smallest indexed agent, agents ascending
-    within a node, pairs in lexicographic order within a node. At
-    [r >= 1] pairs come in first-touch bucket order, agent-id order
-    within a bucket.
+    Pair order is part of the contract at every radius, because callers
+    draw one random number per visited pair (the engine's loss faults).
+    At radius 0: nodes in order of their smallest indexed agent, agents
+    ascending within a node, pairs in lexicographic order within a node.
+    At [r >= 1] the bucket grid has [⌈side / b⌉] columns and rows on a
+    bounded grid (the last may be narrower) and [⌊side / b⌋] on a torus
+    (the last absorbs the remainder), for the bucket side [b = min r
+    side]; an agent at [(x, y)] is in column [min (x / b) (columns - 1)]
+    and likewise row. Buckets come in order of their smallest indexed
+    agent (first touch), agents ascending within a bucket. For each
+    bucket, first its own pairs in lexicographic order, then its pairs
+    with the agents of its E [(+1, 0)], N [(0, +1)], NE [(+1, +1)] and
+    NW [(-1, +1)] neighbours, in that order: for each of the bucket's
+    agents ascending, each of the neighbour's ascending. A neighbour
+    off a bounded grid's edge does not exist; on a torus indices wrap.
+    Each pair
+    is reported as [(min, max)]. A torus with fewer than 3 bucket
+    columns reports every close pair in lexicographic order instead.
 
     The index is rebuilt each simulation step ({!rebuild} from a node
     array, or {!rebuild_soa} from int32 coordinate vectors — the
