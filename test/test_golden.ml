@@ -81,6 +81,46 @@ let test_satellite_simulators () =
         seed = 0; trial = 0; max_steps = 1_000_000 }
   in
   Alcotest.(check int) "continuum broadcast" 274 cr.Mobile_network.Engine.steps;
+  (* radius >= 1 on a floor plan whose wall also blocks radio *)
+  let dl =
+    Barriers.Barrier_sim.broadcast
+      { Barriers.Barrier_sim.domain =
+          Barriers.Domain.central_wall (Grid.create ~side:24 ()) ~gap:2;
+        agents = 10; radius = 2; los_blocking = true; seed = 0; trial = 0;
+        max_steps = 1_000_000 }
+  in
+  Alcotest.(check int) "barrier broadcast r=2 line of sight" 877
+    dl.Mobile_network.Engine.steps;
+  (* k 256 in a box of side 16 at r 1.2: most of the 169 buckets occupied *)
+  let series =
+    Obs.Series.create ~capacity:max_int
+      ~columns:Mobile_network.Engine.series_columns ()
+  in
+  let cb =
+    Continuum.broadcast ~series
+      { Continuum.box_side = 16.; agents = 256; radius = 1.2; sigma = 0.3;
+        seed = 0; trial = 0; max_steps = 1_000_000 }
+  in
+  Alcotest.(check int) "continuum broadcast k=256" 16
+    cb.Mobile_network.Engine.steps;
+  let column name =
+    String.concat " "
+      (Array.to_list (Array.map string_of_int (Obs.Series.column series name)))
+  in
+  Alcotest.(check string) "continuum k=256 informed"
+    "137 226 239 241 243 243 243 246 246 246 255 255 255 255 255 255 256" (column "informed");
+  Alcotest.(check string) "continuum k=256 max_island"
+    "137 201 131 197 187 210 115 202 142 193 197 119 175 121 175 93 204"
+    (column "max_island");
+  (* one-shot snapshots through the grid index, at radii 0 to past r_c *)
+  let grid = Grid.create ~side:32 () in
+  Alcotest.(check int) "percolation estimate_rc" 7
+    (Visibility.Percolation.estimate_rc grid (Prng.of_seed 5) ~k:48 ~trials:4
+       ());
+  Alcotest.(check string) "percolation giant_fraction_at" "0.09375"
+    (Printf.sprintf "%.17g"
+       (Visibility.Percolation.giant_fraction_at grid (Prng.of_seed 6) ~k:48
+          ~radius:3 ~trials:4));
   (* Clementi et al.'s dense model is a grid configuration: the jump
      kernel with one-hop exchange *)
   let cl =
