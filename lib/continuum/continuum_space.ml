@@ -5,26 +5,21 @@ type pos = {
   ys : float array;
 }
 
-(* Bucket-grid over float positions with cell side >= radius: close
-   pairs lie in the same or 8-adjacent cells, so a forward scan
-   (E, N, NE, NW) of each occupied cell visits every pair once. Unlike
-   the pre-refactor per-step Hashtbl, the counting-sort arrays below are
-   allocated once and reused across rebuilds; only buckets touched by
-   the last rebuild are reset. *)
+(* Close pairs go through [Spatial]'s bucket table: each rebuild loads
+   every agent's cell (side [cell >= radius]) as integer coordinates on
+   a bounded grid of [per_row] cells a side at radius 1, so a bucket is
+   a cell and every close pair lies in one cell or two adjacent ones;
+   the table's float scan then tests the points themselves. *)
 type t = {
   box_side : float;
   radius : float;
   sigma : float;
   per_row : int;
   cell : float;  (* box_side / per_row; >= radius whenever radius > 0 *)
-  count : int array;  (* per-bucket occupancy (0 for untouched buckets) *)
-  fill : int array;  (* per-bucket placement cursor *)
-  start : int array;  (* per-bucket offset into [items] *)
-  mutable items : int array;  (* agent ids grouped by bucket *)
-  mutable bucket_of : int array;  (* per-agent bucket id *)
-  touched : int array;  (* buckets occupied by the last rebuild *)
-  mutable touched_len : int;
-  mutable n : int;  (* agents in the last rebuild *)
+  spatial : Spatial.t;
+  (* each agent's cell, grown to the population on first use *)
+  mutable cx : Spatial.vec;
+  mutable cy : Spatial.vec;
   mutable cur : pos;  (* positions of the last rebuild *)
 }
 
@@ -47,21 +42,16 @@ let create ~box_side ~radius ~sigma ~agents =
       max 1 (min fit ((2 * isqrt agents) + 3))
     else 1
   in
-  let buckets = per_row * per_row in
+  let cells () = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout agents in
   {
     box_side;
     radius;
     sigma;
     per_row;
     cell = box_side /. float_of_int per_row;
-    count = Array.make buckets 0;
-    fill = Array.make buckets 0;
-    start = Array.make buckets 0;
-    items = Array.make agents 0;
-    bucket_of = Array.make agents 0;
-    touched = Array.make (max 1 buckets) 0;
-    touched_len = 0;
-    n = 0;
+    spatial = Spatial.create (Grid.create ~side:per_row ()) ~radius:1;
+    cx = cells ();
+    cy = cells ();
     cur = { xs = [||]; ys = [||] };
   }
 
@@ -116,95 +106,27 @@ let[@inline] bucket_coord t c =
   let b = int_of_float (c /. t.cell) in
   if b >= t.per_row then t.per_row - 1 else if b < 0 then 0 else b
 
-let ensure_capacity t n =
-  if Array.length t.items < n then begin
-    t.items <- Array.make n 0;
-    t.bucket_of <- Array.make n 0
-  end
-
 let rebuild_index ?present t p =
   if t.radius > 0. then begin
     let n = Array.length p.xs in
-    ensure_capacity t n;
-    for u = 0 to t.touched_len - 1 do
-      let b = t.touched.(u) in
-      t.count.(b) <- 0;
-      t.fill.(b) <- 0
-    done;
-    t.touched_len <- 0;
+    if Bigarray.Array1.dim t.cx < n then begin
+      t.cx <- Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n;
+      t.cy <- Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n
+    end;
     for i = 0 to n - 1 do
-      if is_present present i then begin
-        let b =
-          (bucket_coord t p.ys.(i) * t.per_row) + bucket_coord t p.xs.(i)
-        in
-        t.bucket_of.(i) <- b;
-        if t.count.(b) = 0 then begin
-          t.touched.(t.touched_len) <- b;
-          t.touched_len <- t.touched_len + 1
-        end;
-        t.count.(b) <- t.count.(b) + 1
-      end
+      Bigarray.Array1.set t.cx i (Int32.of_int (bucket_coord t p.xs.(i)));
+      Bigarray.Array1.set t.cy i (Int32.of_int (bucket_coord t p.ys.(i)))
     done;
-    let off = ref 0 in
-    for u = 0 to t.touched_len - 1 do
-      let b = t.touched.(u) in
-      t.start.(b) <- !off;
-      off := !off + t.count.(b)
-    done;
-    for i = 0 to n - 1 do
-      if is_present present i then begin
-        let b = t.bucket_of.(i) in
-        t.items.(t.start.(b) + t.fill.(b)) <- i;
-        t.fill.(b) <- t.fill.(b) + 1
-      end
-    done;
-    t.n <- n;
+    ignore
+      (Spatial.rebuild_soa ?present t.spatial ~xs:t.cx ~ys:t.cy ~n
+        : Spatial.update);
     t.cur <- p
   end
 
 let iter_close_pairs t ~f =
-  if t.radius > 0. && t.n > 0 then begin
-    let xs = t.cur.xs and ys = t.cur.ys in
-    let r2 = t.radius *. t.radius in
-    let close i j =
-      let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
-      (dx *. dx) +. (dy *. dy) <= r2
-    in
-    let per_row = t.per_row in
-    for u = 0 to t.touched_len - 1 do
-      let b = t.touched.(u) in
-      let s = t.start.(b) and c = t.count.(b) in
-      (* intra-bucket pairs *)
-      for a = s to s + c - 1 do
-        let i = t.items.(a) in
-        for a' = a + 1 to s + c - 1 do
-          let j = t.items.(a') in
-          if close i j then f i j
-        done
-      done;
-      (* forward neighbours: E, N, NE, NW *)
-      let bx = b mod per_row and by = b / per_row in
-      let scan dx dy =
-        let nx = bx + dx and ny = by + dy in
-        if nx >= 0 && nx < per_row && ny >= 0 && ny < per_row then begin
-          let b' = (ny * per_row) + nx in
-          let s' = t.start.(b') and c' = t.count.(b') in
-          if c' > 0 then
-            for a = s to s + c - 1 do
-              let i = t.items.(a) in
-              for a' = s' to s' + c' - 1 do
-                let j = t.items.(a') in
-                if close i j then f i j
-              done
-            done
-        end
-      in
-      scan 1 0;
-      scan 0 1;
-      scan 1 1;
-      scan (-1) 1
-    done
-  end
+  if t.radius > 0. then
+    Spatial.iter_close_points t.spatial ~xs:t.cur.xs ~ys:t.cur.ys
+      ~radius:t.radius ~f
 
 let cover_cells _ = 0
 

@@ -3,13 +3,14 @@
     (discretised Brownian motion), connected within Euclidean distance
     [radius].
 
-    Close pairs are found through a bucket grid with cell side
-    [>= radius] (capped at ~[2 sqrt agents] cells per row so memory
-    stays O(agents) for any radius); the counting-sort storage is
-    allocated once at {!create} and reused every step, replacing the
-    per-step hash table the standalone simulator rebuilt. A zero radius
-    yields no pairs at all, even for coinciding agents — the same
-    degenerate semantics as the pre-refactor [Continuum.components]. *)
+    Close pairs come from {!Spatial}'s bucket table, the plain grid's
+    index: each rebuild loads every agent's cell, of side [>= radius]
+    (capped at ~[2 sqrt agents] cells per row so memory stays
+    O(agents) for any radius), and {!Spatial.iter_close_points} tests
+    the points within adjacent cells. Nothing is allocated per step
+    beyond the moves' boxed floats. A zero radius yields no pairs at
+    all, even for coinciding agents — the same degenerate semantics as
+    the pre-refactor [Continuum.components]. *)
 
 type pos = {
   xs : float array;
@@ -29,8 +30,3 @@ val box_side : t -> float
 val radius : t -> float
 
 val sigma : t -> float
-
-val reflect : float -> float -> float
-(** [reflect l x] folds [x] into [[0, l]] — the boundary behaviour of
-    the Brownian discretisation (reflection preserves the uniform
-    stationary law). *)

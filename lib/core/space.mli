@@ -55,9 +55,10 @@ module type S = sig
       serves one engine instance; it is mutated by [rebuild_index]. *)
 
   type pos
-  (** Bulk position state for all agents, e.g. a [Grid.node array] or a
-      pair of float coordinate arrays. Owned by the engine, mutated in
-      place by [move_all]. *)
+  (** Bulk position state for all agents: int32 coordinate vectors on
+      the grid and the floor plans, a pair of float coordinate arrays in
+      the continuum. Owned by the engine, mutated in place by
+      [move_all]. *)
 
   val init_positions : t -> Prng.t -> n:int -> pos
   (** Place [n] agents uniformly, drawing from the given stream. The

@@ -5,13 +5,18 @@
     barriers, the two ingredients of the paper's §4 future-work
     scenario.
 
-    Close pairs come from the same bucket-grid {!Spatial} index as the
-    plain grid; when [los_blocking] is set, the line-of-sight filter is
-    applied inside [iter_close_pairs], so the engine's component build
-    sees only radio-reachable edges. Coverage targets the free nodes
-    (blocked cells can never be visited). *)
+    It is the plain grid's space ({!Mobile_network.Grid_space}) under
+    the lazy kernel, with the same int32 coordinate vectors, index and
+    observation. A move is the bounded lazy {!Walk.step_inplace} step,
+    undone when it lands on a blocked cell: the same draws and the same
+    result as {!Domain.step_lazy}, which stays as its reference. When
+    [los_blocking] is set, the line-of-sight filter is applied inside
+    [iter_close_pairs], so the engine's component build sees only
+    radio-reachable edges. Coverage targets the free nodes (blocked
+    cells can never be visited). *)
 
-include Mobile_network.Space.S with type pos = Grid.node array
+include
+  Mobile_network.Space.S with type pos = Mobile_network.Grid_space.pos
 
 val create : Domain.t -> radius:int -> los_blocking:bool -> t
 (** @raise Invalid_argument if [radius < 0] (via {!Spatial.create}). *)

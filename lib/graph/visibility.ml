@@ -7,7 +7,15 @@ let snapshot grid ~radius ~positions =
   let k = Array.length positions in
   let dsu = Dsu.create k in
   let index = Spatial.create grid ~radius in
-  Spatial.rebuild index ~positions;
+  let coords f =
+    let v = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout k in
+    Array.iteri (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node))) positions;
+    v
+  in
+  ignore
+    (Spatial.rebuild_soa index ~xs:(coords (Grid.x_of grid))
+       ~ys:(coords (Grid.y_of grid)) ~n:k
+      : Spatial.update);
   let edges = ref 0 in
   Spatial.iter_close_pairs index ~f:(fun i j ->
       incr edges;

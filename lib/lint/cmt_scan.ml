@@ -190,6 +190,8 @@ type file_scan = {
 
 let empty_scan = { sf_findings = []; sf_fns = [] }
 
+(* Scan one [.cmt] into its per-file half. Interfaces and generated
+   module aliases yield an empty scan. Raises on unreadable files. *)
 let scan_file_full path =
   let cmt = Cmt_format.read_cmt path in
   let file = src_of_cmt cmt in

@@ -14,10 +14,6 @@ type file_scan = {
       (** call-graph nodes for the cross-file alloc/unsafe passes *)
 }
 
-val scan_file_full : string -> file_scan
-(** Scan one [.cmt] into its per-file half. Interfaces and generated
-    module aliases yield an empty scan. Raises on unreadable files. *)
-
 val scan_files : ?jobs:int -> string list -> file_scan list
 (** Per-file scans fanned out over a [Runtime.Pool] of [jobs] workers
     (default 1 = inline). Results are in submission order, so every
@@ -35,7 +31,7 @@ val analyze :
     suppress them, proving each annotation is load-bearing. *)
 
 val scan_file : string -> Finding.t list
-(** [analyze [scan_file_full path]] — scan one cmt with every rule
+(** Scan one cmt with every rule
     family (the alloc/unsafe call graph is local to that file).
     Findings carry the source path recorded in the cmt, relative to
     the build root (e.g. [lib/stats/stats.ml]). *)

@@ -261,7 +261,9 @@ let dag =
       ( "barriers",
         [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "mobile_network" ]
       ) );
-    ("lib/continuum", ("continuum", [ "obs"; "prng"; "dsu"; "mobile_network" ]));
+    ( "lib/continuum",
+      ( "continuum",
+        [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "mobile_network" ] ) );
     ("lib/render", ("render", [ "grid"; "mobile_network"; "barriers" ]));
     ( "lib/experiments",
       ( "experiments",

@@ -25,7 +25,8 @@ module Histogram = struct
     maximum : int Atomic.t;  (* min_int when empty *)
   }
 
-  (* 1 us .. 10 s in ns *)
+  (* Powers of ten from 1 us to 10 s, in nanoseconds: wide enough for a
+     per-step phase (~us) and a full experiment (~s) alike. *)
   let default_bounds =
     [|
       1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;

@@ -29,10 +29,6 @@ end
 module Histogram : sig
   type t
 
-  val default_bounds : int array
-  (** Powers of ten from 1 µs to 10 s, in nanoseconds — wide enough for
-      a per-step phase (~µs) and a full experiment (~s) alike. *)
-
   val create : ?bounds:int array -> unit -> t
   (** [bounds] are inclusive upper bucket edges, strictly ascending; an
       implicit overflow bucket catches everything above the last edge.

@@ -3,7 +3,6 @@ type t = Registry.t option
 let null = None
 let of_registry r = Some r
 let registry t = t
-let is_null t = t = None
 
 let ambient_sink : t Atomic.t = Atomic.make null
 

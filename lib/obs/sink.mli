@@ -22,8 +22,6 @@ val registry : t -> Registry.t option
 (** [None] iff the sink is {!null} — the one branch instrumented code
     needs. *)
 
-val is_null : t -> bool
-
 (** {2 Ambient sink}
 
     Mirrors {!Runtime.Pool}'s ambient pool: fan-out points buried under

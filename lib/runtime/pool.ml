@@ -120,6 +120,17 @@ let set_metrics t sink =
     | None -> None
     | Some reg -> Some (make_metrics t reg))
 
+(* Attach (or, with [Obs.Tracer.null], detach) an execution tracer.
+   With a recording tracer every job's lifecycle lands on the timeline:
+   a [pool.submit] instant when it enters the queue (on the submitting
+   domain's ring), a [pool.dequeue] instant when a domain picks it up,
+   and a [pool.task] duration span over the body on the domain that ran
+   it — all tagged ([args.v]) with the job's global submission index.
+   Task spans are outermost-job-only, like metric accounting: jobs a
+   domain executes while helping a nested fan-out are covered by the
+   outer span (their dequeue instants still appear). Same determinism
+   contract as [set_metrics]: pure observation, byte-identical
+   results. *)
 let set_tracer t tracer =
   t.trace <-
     (if not (Obs.Tracer.enabled tracer) then None

@@ -116,19 +116,6 @@ val set_metrics : t -> Obs.Sink.t -> unit
 (** Attach (or, with {!Obs.Sink.null}, detach) a metrics sink. Takes
     effect for subsequently submitted jobs; safe between fan-outs. *)
 
-val set_tracer : t -> Obs.Tracer.t -> unit
-(** Attach (or, with {!Obs.Tracer.null}, detach) an execution tracer.
-    With a recording tracer every job's lifecycle lands on the timeline:
-    a [pool.submit] instant when it enters the queue (on the submitting
-    domain's ring), a [pool.dequeue] instant when a domain picks it up,
-    and a [pool.task] duration span over the body on the domain that ran
-    it — all tagged ([args.v]) with the job's global submission index.
-    Task spans are outermost-job-only, like metric accounting: jobs a
-    domain executes while helping a nested fan-out are covered by the
-    outer span (their dequeue instants still appear). Same determinism
-    contract as {!set_metrics}: pure observation, byte-identical
-    results. *)
-
 (** Point-in-time view of a pool mid-run (all fields since the sink was
     attached). *)
 type stats = {

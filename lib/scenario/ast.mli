@@ -161,6 +161,3 @@ val hash : t -> string
     cosmetic [name] removed: invariant under field order, omitted
     defaults, singleton-list spelling and renaming; changed by any
     semantic field edit. *)
-
-val fnv1a64 : string -> string
-(** The underlying string hash (exposed for tests and the store). *)

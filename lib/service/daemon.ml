@@ -14,6 +14,7 @@ let default_root () =
 
 let default_socket ~root = Filename.concat root "daemon.sock"
 
+(* [<root>/results/<hash>.ndjson] *)
 let artifact_path ~root ~hash =
   Filename.concat (Filename.concat root "results") (hash ^ ".ndjson")
 

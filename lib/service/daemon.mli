@@ -72,9 +72,6 @@ val default_root : unit -> string
 val default_socket : root:string -> string
 (** [<root>/daemon.sock]. *)
 
-val artifact_path : root:string -> hash:string -> string
-(** [<root>/results/<hash>.ndjson]. *)
-
 (** A decoded request, one constructor per op (see the protocol above). *)
 type request =
   | Submit of {

@@ -35,14 +35,12 @@
    agents in id order. Either way the pairs come out in the order the
    interface promises.
 
-   Two position representations feed both indexes:
-   - [rebuild] takes the legacy [Grid.node array];
-   - [rebuild_soa] takes structure-of-arrays int32 coordinate vectors
-     (the engine's zero-allocation path).
-   Each differs only in how it reads an agent's position: at radius
-   >= 1 both record every indexed agent's coordinates ([ax]/[ay]) and
-   bucket, and share the placing pass and the pair scan, which has one
-   loop per topology (bounded or torus), chosen once per call. *)
+   One entry, [rebuild_soa], loads both indexes from int32 coordinate
+   vectors. At radius >= 1 it records each indexed agent's coordinates
+   ([ax]/[ay]) and bucket; the pair scan has one loop per topology
+   (bounded or torus), chosen once per call. The continuum loads its
+   agents' cells as coordinates at radius 1, so a bucket is a cell, and
+   scans them with [iter_close_points]. *)
 
 type vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -272,12 +270,12 @@ let grow a n =
     (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"])
   else a
 
-(* Shared prologue of both rebuild paths: empty the table and size the
-   per-agent scratch for [n] agents; at radius 0 the previous rebuild's
+(* [rebuild_soa]'s prologue: empty the table and size the per-agent
+   scratch for [n] agents; at radius 0 the previous rebuild's
    keys move to [prev_keys]. *)
 let begin_rebuild ?present t ~n =
   if n > 1 lsl agent_bits then
-    invalid_arg "Spatial.rebuild: more than 2^30 agents";
+    invalid_arg "Spatial.rebuild_soa: more than 2^30 agents";
   clear_table t;
   t.items <- grow t.items n;
   if t.radius = 0 then begin
@@ -451,28 +449,6 @@ let[@inline]
   Array.unsafe_set t.keys t.m key;
   count_agent t (digit key ~shift:0 ~mask:(digit_mask t));
   t.m <- t.m + 1
-
-let rebuild ?present t ~positions =
-  let k = Array.length positions in
-  begin_rebuild ?present t ~n:k;
-  t.delta_ok <- false;
-  if t.radius = 0 then begin
-    for agent = 0 to k - 1 do
-      if match present with None -> true | Some pr -> pr.(agent) then
-        push t ((positions.(agent) lsl agent_bits) lor agent)
-    done;
-    group_by_node t
-  end
-  else begin
-    (* pass 1: count agents per bucket, recording first-touched buckets *)
-    for agent = 0 to k - 1 do
-      if match present with None -> true | Some pr -> pr.(agent) then begin
-        let v = positions.(agent) in
-        index_agent t agent (Grid.x_of t.grid v) (Grid.y_of t.grid v)
-      end
-    done;
-    place t
-  end
 
 let[@unsafe_invariant
      "i is an agent index < n <= Array1.dim v (rebuild_soa contract)"] vget
@@ -755,6 +731,60 @@ let[@hot] iter_close_pairs t ~f =
     (* with fewer than 3 bucket columns, wrapped forward scans would
        revisit pairs; fall back to the exhaustive scan *)
     iter_all_pairs t ~f
+
+(* --- the continuum's scan: Euclidean distance between float points ---
+
+   The bounded scan again, testing the agents' points [xs], [ys] in
+   place of their integer coordinates; a separate loop, so that neither
+   test is a call per pair. *)
+
+(* Pairs of bucket [b]'s agents with bucket [b']'s, or with each other
+   when [b' = b]. *)
+let[@unsafe_invariant
+     "b, b' are touched buckets < length start, count; their slices lie \
+      in items.(0..n-1), whose agents are < n <= length xs, ys (checked \
+      by iter_close_points)"] pairs_points t (xs : float array)
+    (ys : float array) radius b b' ~f =
+  let r2 = radius *. radius in
+  let lo = Array.unsafe_get t.start b and lo' = Array.unsafe_get t.start b' in
+  let hi = lo + Array.unsafe_get t.count b - 1
+  and hi' = lo' + Array.unsafe_get t.count b' - 1 in
+  for x = lo to hi do
+    let i = Array.unsafe_get t.items x in
+    let xi = Array.unsafe_get xs i and yi = Array.unsafe_get ys i in
+    for y = (if b = b' then x + 1 else lo') to hi' do
+      let j = Array.unsafe_get t.items y in
+      let dx = xi -. Array.unsafe_get xs j and dy = yi -. Array.unsafe_get ys j in
+      if (dx *. dx) +. (dy *. dy) <= r2 then if i < j then f i j else f j i
+    done
+  done
+
+let[@inline]
+    [@unsafe_invariant
+      "b' is a key of two halves within the last column's: a bucket id \
+       < length count"] probe_points t xs ys radius b b' ~f =
+  if Array.unsafe_get t.count b' > 0 then pairs_points t xs ys radius b b' ~f
+
+let[@unsafe_invariant "idx < touched_len <= length touched"] iter_close_points
+    t ~xs ~ys ~radius ~f =
+  if t.torus || t.radius = 0 then
+    invalid_arg "Spatial.iter_close_points: not a bounded bucket table";
+  if Array.length xs < t.n || Array.length ys < t.n then
+    invalid_arg "Spatial.iter_close_points: fewer points than agents";
+  let last_x = t.last_key and last_y = t.last_key lsl 1 in
+  for idx = 0 to t.touched_len - 1 do
+    let b = Array.unsafe_get t.touched idx in
+    if Array.unsafe_get t.count b > 1 then pairs_points t xs ys radius b b ~f;
+    let hx = b land x_bits and hy = b land y_bits in
+    let east = hx < last_x and ex = next_x b in
+    if east then probe_points t xs ys radius b (ex lor hy) ~f;
+    if hy < last_y then begin
+      let ny = next_y b in
+      probe_points t xs ys radius b (hx lor ny) ~f;
+      if east then probe_points t xs ys radius b (ex lor ny) ~f;
+      if hx > 0 then probe_points t xs ys radius b (prev_x hx lor ny) ~f
+    end
+  done
 
 let count_close_pairs t =
   let n = ref 0 in

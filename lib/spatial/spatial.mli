@@ -1,5 +1,6 @@
 (** Spatial index: find all pairs of agents within Manhattan distance
-    [r] without the O(k^2) all-pairs scan.
+    [r] (in the continuum's box, Euclidean distance) without the O(k^2)
+    all-pairs scan.
 
     At radius [r >= 1] agents are bucketed into square cells of side
     [min r side]; any two agents within Manhattan distance [r] are also
@@ -37,14 +38,20 @@
     is reported as [(min, max)]. A torus with fewer than 3 bucket
     columns reports every close pair in lexicographic order instead.
 
-    The index is rebuilt each simulation step ({!rebuild} from a node
-    array, or {!rebuild_soa} from int32 coordinate vectors — the
-    engine's allocation-free path); the structure reuses its internal
-    arrays across rebuilds. At radius 0 it also keeps each agent's node
-    from the rebuild before, so a caller that maintains components
-    across steps can repair them incrementally ({!reconcile}) when a
-    rebuild reports {!Delta}. The engine itself does not: it rebuilds
-    its components from {!iter_close_pairs} every step.
+    The index is rebuilt each simulation step by its one entry,
+    {!rebuild_soa}, from int32 coordinate vectors; the structure reuses
+    its internal arrays across rebuilds. At radius 0 it also keeps each
+    agent's node from the rebuild before, so a caller that maintains
+    components across steps can repair them incrementally
+    ({!reconcile}) when a rebuild reports {!Delta}. The engine itself
+    does not: it rebuilds its components from {!iter_close_pairs} every
+    step.
+
+    The continuum's reflecting box uses the same bucket table: it loads
+    each agent's cell, of side at least its Euclidean radius, as
+    coordinates on a bounded grid of cells at radius 1, and
+    {!iter_close_points} then tests the agents' float points instead of
+    their Manhattan distance.
 
     Torus grids are fully supported: bucket adjacency wraps around, and
     degenerate layouts (fewer than 3 bucket columns) fall back to an
@@ -81,21 +88,16 @@ val table_slots : side:int -> torus:bool -> radius:int -> int
 
 val radius : t -> int
 
-val rebuild : ?present:bool array -> t -> positions:Grid.node array -> unit
-(** Load the current agent positions (array index = agent id). Replaces
-    any previous contents. When [present] is given, agents with
-    [present.(i) = false] are left out of the index entirely — no pair
-    scan visits them (the engine's churn mask). @raise Invalid_argument
-    if there are more than 2^30 agents. *)
-
 val rebuild_soa :
   ?present:bool array -> t -> xs:vec -> ys:vec -> n:int -> update
-(** [rebuild_soa t ~xs ~ys ~n] loads positions of agents [0..n-1] from
-    coordinate vectors. Same table and iteration semantics as
-    {!rebuild}, with no per-step allocation. Returns {!Delta} when
-    {!reconcile} may follow: at radius 0, for consecutive unmasked
-    rebuilds of the same population; otherwise {!Full}.
-    @raise Invalid_argument if [n > 2^30]. *)
+(** [rebuild_soa t ~xs ~ys ~n] loads the positions of agents [0..n-1]
+    from coordinate vectors ([xs.{i}], [ys.{i}] on the grid), with no
+    per-step allocation. Replaces any previous contents. When [present]
+    is given, agents with [present.(i) = false] are left out of the
+    index entirely — no pair scan visits them (the engine's churn
+    mask). Returns {!Delta} when {!reconcile} may follow: at radius 0,
+    for consecutive unmasked rebuilds of the same population; otherwise
+    {!Full}. @raise Invalid_argument if [n > 2^30]. *)
 
 val reconcile :
   t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit
@@ -115,6 +117,18 @@ val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
 (** Call [f i j] (with [i < j]) exactly once for every pair of agents at
     Manhattan distance [<= radius] in the last rebuild. For
     [radius = 0] this degenerates to exact-position cohabitation. *)
+
+val iter_close_points :
+  t -> xs:float array -> ys:float array -> radius:float ->
+  f:(int -> int -> unit) -> unit
+(** The continuum's scan. After a {!rebuild_soa} that loaded each
+    agent's cell on a bounded grid of cells of side at least [radius]:
+    call [f i j] (with [i < j]) exactly once for every pair of indexed
+    agents whose points [(xs.(i), ys.(i))] and [(xs.(j), ys.(j))] lie
+    within Euclidean distance [radius], in the bucket order of
+    {!iter_close_pairs}. No closure is built and the distance is not
+    chosen per pair. @raise Invalid_argument on a torus or at radius 0,
+    or if [xs] or [ys] is shorter than the rebuilt population. *)
 
 val count_close_pairs : t -> int
 (** Number of pairs that {!iter_close_pairs} would visit. *)

@@ -56,13 +56,6 @@ let continuum_run () =
        seed = 7; trial = 0; max_steps = 500 })
     .Mobile_network.Engine.steps
 
-(* Clementi et al.'s dense model: the jump kernel with one-hop exchange *)
-let clementi_run () =
-  (Simulation.run_config
-     (Config.make ~side:48 ~agents:1152 ~radius:4 ~kernel:(Walk.Jump 4)
-        ~exchange:Config.Single_hop ~seed:7 ~max_steps:4800 ()))
-    .Simulation.steps
-
 (* the floor plan is built once, so only the run is measured *)
 let barrier_run =
   let domain = Barriers.Domain.central_wall (Grid.create ~side:40 ()) ~gap:2 in
@@ -102,11 +95,13 @@ let probes =
     ("faulted flood", (fun () -> faulted_run ()), plus_words 12.5);
     ("faulted single-hop", faulted_run ~exchange:Config.Single_hop,
      plus_words 17.5);
-    (* k 256, box 16, r 1.2: each Prng.gaussian boxes its result (2
-       words, 2 draws per agent per step); the rest is the pair scan *)
-    ("continuum", continuum_run, plus_percent 4141.1);
-    (* side 48, k 1152, R 4 *)
-    ("clementi", clementi_run, plus_words 558.1);
+    (* k 256, box 16, r 1.2, 15 steps a run. The moves take 8 words per
+       agent: each coordinate's Prng.gaussian and reflect return a boxed
+       float (2 words each), since dune's dev profile compiles with
+       -opaque. The rest is set-up spread over the run's 15 steps, and
+       the engine's few words of a radius > 0 step; the pair scan
+       allocates nothing (test_continuum). *)
+    ("continuum", continuum_run, plus_percent 2538.3);
     (* side 40, k 24, central wall with gap 2, line of sight *)
     ("barrier", barrier_run, plus_words 7.7);
   ]
@@ -167,6 +162,36 @@ let test_population_budget () =
       "population-scale step allocates %.2f minor words/step (budget %.1f)"
       per_step population_budget_words_per_step
 
+(* Clementi et al.'s dense model, the jump kernel with one-hop exchange,
+   at side 128, k 1024, R = rho = 2: a run of 301 steps, with set-up
+   measured apart, since a dense run completes in a few steps and
+   would measure mostly set-up. Set-up allocates 3.4 words per agent
+   (the population probe's 3.0 stream views, plus the engine's fixed
+   set-up over fewer agents), a step 5.0 words. *)
+let clementi_budget_setup_words_per_agent = 4.4
+let clementi_budget_words_per_step = plus_words 5.0
+
+let test_clementi_budget () =
+  let agents = 1024 in
+  let cfg =
+    Config.make ~side:128 ~agents ~radius:2 ~kernel:(Walk.Jump 2)
+      ~exchange:Config.Single_hop ~seed:7 ~max_steps:4800 ()
+  in
+  (* warmup: lazy tables *)
+  ignore (Simulation.run (Simulation.create cfg));
+  let setup0 = Gc.minor_words () in
+  let sim = Simulation.create cfg in
+  let setup = (Gc.minor_words () -. setup0) /. float_of_int agents in
+  if setup > clementi_budget_setup_words_per_agent then
+    Alcotest.failf "clementi set-up allocates %.2f minor words/agent (budget %.1f)"
+      setup clementi_budget_setup_words_per_agent;
+  let minor0 = Gc.minor_words () in
+  let steps = (Simulation.run sim).Simulation.steps in
+  let per_step = (Gc.minor_words () -. minor0) /. float_of_int steps in
+  if per_step > clementi_budget_words_per_step then
+    Alcotest.failf "clementi allocates %.2f minor words/step (budget %.1f over %d steps)"
+      per_step clementi_budget_words_per_step steps
+
 let () =
   Alcotest.run "alloc-discipline"
     [
@@ -177,6 +202,8 @@ let () =
               (test_probe_budget run budget))
           probes
         @ [
+            Alcotest.test_case "clementi stays in budget" `Quick
+              test_clementi_budget;
             Alcotest.test_case "population scale stays in budget" `Quick
               test_population_budget;
           ] );

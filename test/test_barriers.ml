@@ -300,6 +300,83 @@ let prop_walk_stays_free =
       done;
       !ok)
 
+(* [Domain_space]'s in-place move against [Domain.step_lazy], its
+   reference: the same positions and the same stream draws, step by
+   step, for every mobility rule and under a churn mask. Half the agents
+   start where a move can fail: on a free node with a blocked or
+   off-grid neighbour. *)
+let prop_space_move_matches_step_lazy =
+  let module S = Barriers.Domain_space in
+  let module Space = Mobile_network.Space in
+  let module Grid_space = Mobile_network.Grid_space in
+  QCheck.Test.make ~name:"domain space move = step_lazy, draw for draw"
+    ~count:200
+    QCheck.(
+      quad (int_range 0 2) (int_range 4 16) (int_range 1 30)
+        (triple (int_range 0 2) bool small_int))
+    (fun (plan, side, n, (rule, churn, seed)) ->
+      let g = Grid.create ~side () in
+      let rng = Prng.of_seed seed in
+      let d =
+        match plan with
+        | 0 -> Domain.unobstructed g
+        | 1 -> Domain.central_wall g ~gap:(1 + Prng.int rng side)
+        | _ ->
+            Domain.rooms g ~rooms_per_side:(2 + Prng.int rng 2)
+              ~door:(1 + Prng.int rng 2)
+      in
+      let free = Domain.free_nodes d in
+      let edged =
+        Array.of_list
+          (List.filter (fun v -> Domain.free_degree d v < 4) (Array.to_list free))
+      in
+      let nodes =
+        Array.init n (fun _ ->
+            if Array.length edged > 0 && Prng.bool rng then
+              edged.(Prng.int rng (Array.length edged))
+            else free.(Prng.int rng (Array.length free)))
+      in
+      let vec f =
+        let v = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n in
+        Array.iteri (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node))) nodes;
+        v
+      in
+      let pos =
+        { Grid_space.side; xs = vec (Grid.x_of g); ys = vec (Grid.y_of g) }
+      in
+      let streams () = Array.init n (fun i -> Prng.of_seed ((seed * 97) + i)) in
+      let rngs = streams () and rngs' = streams () in
+      let informed = Array.init n (fun _ -> Prng.bool rng) in
+      let predators = Prng.int rng (n + 1) in
+      let mobility, moves =
+        match rule with
+        | 0 -> (Space.Mobile_all, fun _ -> true)
+        | 1 -> (Space.Mobile_informed informed, fun i -> informed.(i))
+        | _ ->
+            ( Space.Mobile_predators { informed; predators },
+              fun i -> i < predators || not informed.(i) )
+      in
+      let space = S.create d ~radius:1 ~los_blocking:false in
+      let agree () =
+        Array.for_all Fun.id
+          (Array.init n (fun i -> Grid_space.node_at pos i = nodes.(i)))
+      in
+      List.for_all
+        (fun _ ->
+          let present =
+            if churn then Some (Array.init n (fun _ -> Prng.int rng 3 > 0))
+            else None
+          in
+          S.move_all ?present space pos rngs mobility;
+          Array.iteri
+            (fun i v ->
+              if moves i && match present with None -> true | Some p -> p.(i)
+              then nodes.(i) <- Domain.step_lazy d rngs'.(i) v)
+            nodes;
+          agree ())
+        (List.init 8 Fun.id)
+      && Array.for_all2 (fun a b -> Prng.bits64 a = Prng.bits64 b) rngs rngs')
+
 let prop_los_symmetric =
   QCheck.Test.make ~name:"line of sight is symmetric" ~count:200
     QCheck.(pair (int_range 4 14) small_int)
@@ -360,5 +437,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_walk_stays_free; prop_los_symmetric ] );
+          [ prop_walk_stays_free; prop_space_move_matches_step_lazy;
+            prop_los_symmetric ] );
     ]

@@ -100,6 +100,31 @@ let test_supercritical_is_fast () =
     true
     (slow.E.steps > 5 * max 1 fast.E.steps)
 
+(* The steady state's index phase: a rebuild through the grid's bucket
+   table and the float scan, with an [f] allocated once, at the
+   alloc-discipline probe's shape (k 256, box 16, r 1.2). *)
+let pairs_seen = ref 0
+
+let count_pair _ _ = incr pairs_seen
+
+let test_index_allocates_nothing () =
+  let module S = C.Space in
+  let s = S.create ~box_side:16. ~radius:1.2 ~sigma:0.3 ~agents:256 in
+  let pos = S.init_positions s (Prng.of_seed 3) ~n:256 in
+  let step () =
+    S.rebuild_index s pos;
+    S.iter_close_pairs s ~f:count_pair
+  in
+  step ();
+  pairs_seen := 0;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    step ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1_000. in
+  Alcotest.(check bool) "visits pairs" true (!pairs_seen > 0);
+  Alcotest.(check (float 0.)) "minor words per rebuild and scan" 0. words
+
 let prop_informed_bounded =
   QCheck.Test.make ~name:"informed within [1, k]" ~count:80
     QCheck.(triple (int_range 1 40) (int_range 0 200) small_int)
@@ -135,6 +160,8 @@ let () =
           Alcotest.test_case "zero radius stalls" `Quick
             test_zero_radius_stalls;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "index allocates nothing" `Quick
+            test_index_allocates_nothing;
         ] );
       ( "percolation",
         [

@@ -132,14 +132,16 @@ let test_stride1_series_equals_on_step () =
    distance rule: the same set of unordered pairs, each exactly once.
    The index is loaded four times over a few moves (so every rebuild but
    the first reuses the previous one's state, as in a run), the third
-   time under a churn mask. *)
+   time under a churn mask. [place] may move agents by hand before each
+   load. *)
 module Pair_oracle (S : Space.S) = struct
-  let holds space ~n ~seed ~close =
+  let holds ?(place = ignore) space ~n ~seed ~close =
     let pos = S.init_positions space (Prng.of_seed seed) ~n in
     let rngs = Array.init n (fun i -> Prng.of_seed (seed + i + 1)) in
     List.for_all
       (fun step ->
         if step > 0 then S.move_all space pos rngs Space.Mobile_all;
+        place pos;
         let present =
           if step = 2 then Some (Array.init n (fun i -> i mod 3 <> 1)) else None
         in
@@ -182,14 +184,55 @@ let prop_grid_pairs =
             (Mobile_network.Grid_space.node_at pos j)
           <= radius))
 
+(* Four radius shapes: any radius up to 4; radii small enough that the
+   cap of [2 sqrt k + 3] cells per row binds; radii near the box side
+   (one or two cells); and 1, 1/2 or 1/4, so that agents on multiples
+   of the radius sit at exactly the radius apart. With [snap], every
+   agent has a coordinate exactly on a cell boundary, on a multiple of
+   the radius, or at [0.] or [box_side] before each load, and one in
+   three has both. *)
 let prop_continuum_pairs =
   let module S = Continuum.Space in
   let module O = Pair_oracle (S) in
-  QCheck.Test.make ~name:"continuum pairs = brute force" ~count:150
+  QCheck.Test.make ~name:"continuum pairs = brute force" ~count:300
     QCheck.(
-      quad (float_range 1. 12.) (int_range 1 30) (float_range 0. 4.) small_int)
-    (fun (box_side, n, radius, seed) ->
-      O.holds
+      quad (float_range 1. 12.) (int_range 1 30) (pair (int_range 0 3) (float_range 0. 1.))
+        (pair small_int bool))
+    (fun (box_side, n, (shape, u), (seed, snap)) ->
+      let capped = (2 * int_of_float (sqrt (float_of_int n))) + 3 in
+      let radius =
+        match shape with
+        | 0 -> 4. *. u
+        | 1 -> box_side /. float_of_int (capped + 1 + int_of_float (20. *. u))
+        | 2 -> box_side *. (0.75 +. (0.5 *. u))
+        | _ -> Float.ldexp 1. (-int_of_float (3. *. u))
+      in
+      let per_row =
+        if radius > 0. then
+          max 1 (min (int_of_float (Float.floor (box_side /. radius))) capped)
+        else 1
+      in
+      let cell = box_side /. float_of_int per_row in
+      let rng = Prng.of_seed (seed + 1000) in
+      let multiple step =
+        Float.min box_side (float_of_int (Prng.int rng (per_row + 2)) *. step)
+      in
+      let boundary () =
+        match Prng.int rng 4 with
+        | 0 -> 0.
+        | 1 -> box_side
+        | 2 -> multiple cell
+        | _ -> multiple radius
+      in
+      let place (pos : S.pos) =
+        if snap then
+          Array.iteri
+            (fun i _ ->
+              if i mod 3 < 2 then pos.S.xs.(i) <- boundary ();
+              if i mod 3 <> 1 then pos.S.ys.(i) <- boundary ())
+            pos.S.xs
+      in
+      O.holds ~place
         (S.create ~box_side ~radius ~sigma:(box_side /. 8.) ~agents:n)
         ~n ~seed
         ~close:(fun pos i j ->
@@ -215,9 +258,10 @@ let prop_domain_pairs =
         (Barriers.Domain_space.create domain ~radius ~los_blocking)
         ~n ~seed
         ~close:(fun pos i j ->
-          Grid.manhattan grid pos.(i) pos.(j) <= radius
+          let node = Mobile_network.Grid_space.node_at pos in
+          Grid.manhattan grid (node i) (node j) <= radius
           && ((not los_blocking)
-             || Barriers.Domain.line_of_sight domain pos.(i) pos.(j))))
+             || Barriers.Domain.line_of_sight domain (node i) (node j))))
 
 (* --- degenerate parameters ------------------------------------------------ *)
 

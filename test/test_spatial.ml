@@ -12,9 +12,27 @@ let brute_pairs grid ~radius positions =
   done;
   List.sort compare !out
 
+let vec_of_coords coords =
+  let v =
+    Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
+      (Array.length coords)
+  in
+  Array.iteri (fun i c -> Bigarray.Array1.set v i (Int32.of_int c)) coords;
+  v
+
+(* Load node positions through the index's coordinate-vector entry. *)
+let rebuild ?present index grid positions =
+  let coords f = vec_of_coords (Array.map f positions) in
+  ignore
+    (Spatial.rebuild_soa ?present index
+       ~xs:(coords (Grid.x_of grid))
+       ~ys:(coords (Grid.y_of grid))
+       ~n:(Array.length positions)
+      : Spatial.update)
+
 let index_pairs grid ~radius positions =
   let index = Spatial.create grid ~radius in
-  Spatial.rebuild index ~positions;
+  rebuild index grid positions;
   let out = ref [] in
   Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
   List.sort compare !out
@@ -24,14 +42,6 @@ let emitted index =
   let out = ref [] in
   Spatial.iter_close_pairs index ~f:(fun i j -> out := (i, j) :: !out);
   List.rev !out
-
-let vec_of_coords coords =
-  let v =
-    Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
-      (Array.length coords)
-  in
-  Array.iteri (fun i c -> Bigarray.Array1.set v i (Int32.of_int c)) coords;
-  v
 
 let test_matches_brute_force_various () =
   let grid = Grid.create ~side:20 () in
@@ -62,7 +72,7 @@ let test_pairs_ordered_and_unique () =
   let rng = Prng.of_seed 7 in
   let positions = Array.init 30 (fun _ -> Grid.random_node grid rng) in
   let index = Spatial.create grid ~radius:4 in
-  Spatial.rebuild index ~positions;
+  rebuild index grid positions;
   let seen = Hashtbl.create 64 in
   Spatial.iter_close_pairs index ~f:(fun i j ->
       Alcotest.(check bool) "i < j" true (i < j);
@@ -74,7 +84,7 @@ let test_count_close_pairs () =
   let rng = Prng.of_seed 9 in
   let positions = Array.init 25 (fun _ -> Grid.random_node grid rng) in
   let index = Spatial.create grid ~radius:2 in
-  Spatial.rebuild index ~positions;
+  rebuild index grid positions;
   Alcotest.(check int) "count = brute force"
     (List.length (brute_pairs grid ~radius:2 positions))
     (Spatial.count_close_pairs index)
@@ -82,9 +92,9 @@ let test_count_close_pairs () =
 let test_rebuild_replaces () =
   let grid = Grid.create ~side:6 () in
   let index = Spatial.create grid ~radius:0 in
-  Spatial.rebuild index ~positions:[| 0; 0 |];
+  rebuild index grid [| 0; 0 |];
   Alcotest.(check int) "one pair" 1 (Spatial.count_close_pairs index);
-  Spatial.rebuild index ~positions:[| 0; 35 |];
+  rebuild index grid [| 0; 35 |];
   Alcotest.(check int) "pairs replaced" 0 (Spatial.count_close_pairs index)
 
 let test_radius_getter_and_invalid () =
@@ -110,17 +120,11 @@ let test_huge_radius () =
       let positions = [| 0; 255; 17; 240; 128 |] in
       let label = Printf.sprintf "r=%d" radius in
       Alcotest.(check (list (pair int int)))
-        (label ^ " node path") (all_pairs 5)
+        (label ^ " pairs") (all_pairs 5)
         (index_pairs grid ~radius positions);
       let index = Spatial.create grid ~radius in
-      let coords f = vec_of_coords (Array.map f positions) in
-      ignore
-        (Spatial.rebuild_soa index
-           ~xs:(coords (Grid.x_of grid))
-           ~ys:(coords (Grid.y_of grid))
-           ~n:5
-          : Spatial.update);
-      Alcotest.(check int) (label ^ " SoA path") 10
+      rebuild index grid positions;
+      Alcotest.(check int) (label ^ " count") 10
         (Spatial.count_close_pairs index))
     [
       (Grid.Bounded, 4611686018427387889); (Grid.Bounded, max_int);
@@ -138,7 +142,7 @@ let test_radius0_memory () =
   Alcotest.(check bool)
     (Printf.sprintf "create allocates %.0f bytes < 64 KiB" bytes)
     true (bytes < 65536.);
-  Spatial.rebuild index ~positions:[| 5; 4194303; 5 |];
+  rebuild index grid [| 5; 4194303; 5 |];
   Alcotest.(check (list (pair int int))) "still indexes" [ (0, 2) ]
     (emitted index)
 
@@ -201,7 +205,7 @@ let prop_pair_distance =
       let rng = Prng.of_seed seed in
       let positions = Array.init k (fun _ -> Grid.random_node grid rng) in
       let index = Spatial.create grid ~radius in
-      Spatial.rebuild index ~positions;
+      rebuild index grid positions;
       let ok = ref true in
       Spatial.iter_close_pairs index ~f:(fun i j ->
           if Grid.manhattan grid positions.(i) positions.(j) > radius then
@@ -294,7 +298,7 @@ let prop_incremental_matches_scratch ?(offset = 0) ~torus ~churn () =
                 ~y:(Int32.to_int (Bigarray.Array1.get ys i)))
         in
         let fresh = Spatial.create grid ~radius:0 in
-        Spatial.rebuild ?present fresh ~positions;
+        rebuild ?present fresh grid positions;
         let scratch = Dsu.create k in
         Spatial.iter_close_pairs fresh ~f:(fun i j ->
             ignore (Dsu.union scratch i j));
@@ -379,17 +383,9 @@ let prop_radius0_pair_order =
             else None
           in
           let expected = reference_order ?present positions in
-          let by_nodes = Spatial.create grid ~radius:0 in
-          Spatial.rebuild ?present by_nodes ~positions;
-          let by_soa = Spatial.create grid ~radius:0 in
-          let coords f = vec_of_coords (Array.map f positions) in
-          ignore
-            (Spatial.rebuild_soa ?present by_soa
-               ~xs:(coords (Grid.x_of grid))
-               ~ys:(coords (Grid.y_of grid))
-               ~n:k
-              : Spatial.update);
-          expected = emitted by_nodes && expected = emitted by_soa)
+          let index = Spatial.create grid ~radius:0 in
+          rebuild ?present index grid positions;
+          expected = emitted index)
         [
           (Grid.Bounded, false); (Grid.Bounded, true);
           (Grid.Torus, false); (Grid.Torus, true);
@@ -491,7 +487,7 @@ let test_beyond_key_table () =
       in
       let expected = reference_order_buckets grid ~radius positions in
       let index = Spatial.create grid ~radius in
-      Spatial.rebuild index ~positions;
+      rebuild index grid positions;
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "r=%d order" radius) expected (emitted index);
       Alcotest.(check (list (pair int int)))
@@ -525,22 +521,12 @@ let prop_bucket_pair_order =
             else None
           in
           let expected = reference_order_buckets ?present grid ~radius positions in
-          let by_nodes = Spatial.create grid ~radius in
-          Spatial.rebuild ?present by_nodes ~positions;
-          let by_soa = Spatial.create grid ~radius in
-          let load positions =
-            let coords f = vec_of_coords (Array.map f positions) in
-            ignore
-              (Spatial.rebuild_soa ?present by_soa
-                 ~xs:(coords (Grid.x_of grid))
-                 ~ys:(coords (Grid.y_of grid))
-                 ~n:k
-                : Spatial.update)
-          in
+          let index = Spatial.create grid ~radius in
           (* a rebuild must leave nothing of the one before *)
-          load (Array.of_list (List.rev (Array.to_list positions)));
-          load positions;
-          expected = emitted by_nodes && expected = emitted by_soa)
+          rebuild ?present index grid
+            (Array.of_list (List.rev (Array.to_list positions)));
+          rebuild ?present index grid positions;
+          expected = emitted index)
         (List.concat_map
            (fun shape -> [ (shape, false); (shape, true) ])
            (drawn @ order_shapes)))
