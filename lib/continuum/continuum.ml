@@ -22,24 +22,26 @@ let critical_radius ~box_side ~agents =
   if agents <= 0 then invalid_arg "Continuum.critical_radius: agents <= 0";
   Mobile_network.Theory.continuum_critical_radius ~box_side ~agents
 
-let components ~box_side ~radius ~xs ~ys =
-  let k = Array.length xs in
-  let dsu = Dsu.create k in
-  if radius > 0. && k > 0 then begin
-    let space = Continuum_space.create ~box_side ~radius ~sigma:0. ~agents:k in
-    Continuum_space.rebuild_index space { Continuum_space.xs; ys };
-    Continuum_space.iter_close_pairs space ~f:(fun i j ->
-        ignore (Dsu.union dsu i j))
-  end;
-  dsu
-
 let giant_fraction rng ~box_side ~agents ~radius ~trials =
   if trials <= 0 then invalid_arg "Continuum.giant_fraction: trials <= 0";
+  (* one index serves every placement; no agents or a zero radius, no
+     pairs *)
+  let space =
+    if radius > 0. && agents > 0 then
+      Some (Continuum_space.create ~box_side ~radius ~sigma:0. ~agents)
+    else None
+  in
   let acc = ref 0. in
   for _ = 1 to trials do
     let xs = Array.init agents (fun _ -> Prng.float rng box_side) in
     let ys = Array.init agents (fun _ -> Prng.float rng box_side) in
-    let dsu = components ~box_side ~radius ~xs ~ys in
+    let dsu = Dsu.create agents in
+    Option.iter
+      (fun space ->
+        Continuum_space.rebuild_index space { Continuum_space.xs; ys };
+        Continuum_space.iter_close_pairs space ~f:(fun i j ->
+            ignore (Dsu.union dsu i j)))
+      space;
     acc := !acc +. (float_of_int (Dsu.max_set_size dsu) /. float_of_int agents)
   done;
   !acc /. float_of_int trials

@@ -42,7 +42,9 @@ let create ~box_side ~radius ~sigma ~agents =
       max 1 (min fit ((2 * isqrt agents) + 3))
     else 1
   in
-  let cells () = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout agents in
+  let cells () =
+    Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout agents
+  in
   {
     box_side;
     radius;

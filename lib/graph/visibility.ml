@@ -9,7 +9,9 @@ let snapshot grid ~radius ~positions =
   let index = Spatial.create grid ~radius in
   let coords f =
     let v = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout k in
-    Array.iteri (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node))) positions;
+    Array.iteri
+      (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node)))
+      positions;
     v
   in
   ignore

@@ -754,7 +754,8 @@ let[@unsafe_invariant
     let xi = Array.unsafe_get xs i and yi = Array.unsafe_get ys i in
     for y = (if b = b' then x + 1 else lo') to hi' do
       let j = Array.unsafe_get t.items y in
-      let dx = xi -. Array.unsafe_get xs j and dy = yi -. Array.unsafe_get ys j in
+      let dx = xi -. Array.unsafe_get xs j
+      and dy = yi -. Array.unsafe_get ys j in
       if (dx *. dx) +. (dy *. dy) <= r2 then if i < j then f i j else f j i
     done
   done

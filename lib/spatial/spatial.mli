@@ -47,11 +47,8 @@
     does not: it rebuilds its components from {!iter_close_pairs} every
     step.
 
-    The continuum's reflecting box uses the same bucket table: it loads
-    each agent's cell, of side at least its Euclidean radius, as
-    coordinates on a bounded grid of cells at radius 1, and
-    {!iter_close_points} then tests the agents' float points instead of
-    their Manhattan distance.
+    The continuum's box uses the same bucket table, one cell per
+    bucket, with its own scan ({!iter_close_points}).
 
     Torus grids are fully supported: bucket adjacency wraps around, and
     degenerate layouts (fewer than 3 bucket columns) fall back to an

@@ -183,13 +183,15 @@ let test_clementi_budget () =
   let sim = Simulation.create cfg in
   let setup = (Gc.minor_words () -. setup0) /. float_of_int agents in
   if setup > clementi_budget_setup_words_per_agent then
-    Alcotest.failf "clementi set-up allocates %.2f minor words/agent (budget %.1f)"
+    Alcotest.failf
+      "clementi set-up allocates %.2f minor words/agent (budget %.1f)"
       setup clementi_budget_setup_words_per_agent;
   let minor0 = Gc.minor_words () in
   let steps = (Simulation.run sim).Simulation.steps in
   let per_step = (Gc.minor_words () -. minor0) /. float_of_int steps in
   if per_step > clementi_budget_words_per_step then
-    Alcotest.failf "clementi allocates %.2f minor words/step (budget %.1f over %d steps)"
+    Alcotest.failf
+      "clementi allocates %.2f minor words/step (budget %.1f over %d steps)"
       per_step clementi_budget_words_per_step steps
 
 let () =

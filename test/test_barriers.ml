@@ -328,7 +328,9 @@ let prop_space_move_matches_step_lazy =
       let free = Domain.free_nodes d in
       let edged =
         Array.of_list
-          (List.filter (fun v -> Domain.free_degree d v < 4) (Array.to_list free))
+          (List.filter
+             (fun v -> Domain.free_degree d v < 4)
+             (Array.to_list free))
       in
       let nodes =
         Array.init n (fun _ ->
@@ -338,7 +340,9 @@ let prop_space_move_matches_step_lazy =
       in
       let vec f =
         let v = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n in
-        Array.iteri (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node))) nodes;
+        Array.iteri
+          (fun i node -> Bigarray.Array1.set v i (Int32.of_int (f node)))
+          nodes;
         v
       in
       let pos =

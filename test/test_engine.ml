@@ -196,7 +196,8 @@ let prop_continuum_pairs =
   let module O = Pair_oracle (S) in
   QCheck.Test.make ~name:"continuum pairs = brute force" ~count:300
     QCheck.(
-      quad (float_range 1. 12.) (int_range 1 30) (pair (int_range 0 3) (float_range 0. 1.))
+      quad (float_range 1. 12.) (int_range 1 30)
+        (pair (int_range 0 3) (float_range 0. 1.))
         (pair small_int bool))
     (fun (box_side, n, (shape, u), (seed, snap)) ->
       let capped = (2 * int_of_float (sqrt (float_of_int n))) + 3 in
