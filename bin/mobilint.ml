@@ -79,8 +79,11 @@ let () =
         parse rest
     | "--jobs" :: v :: rest ->
         (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> fail "--jobs wants a positive integer, got %S" v);
+        | Some n -> (
+            match Runtime.Pool.check_jobs n with
+            | Ok () -> jobs := n
+            | Error e -> fail "--jobs %s" e)
+        | None -> fail "--jobs wants a positive integer, got %S" v);
         parse rest
     | "--json" :: v :: rest ->
         json_out := Some v;

@@ -124,16 +124,27 @@ let csv_dir_arg =
   let doc = "Also write each experiment's table as CSV into $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
 
+(* Checked while the command line is evaluated, so a bad value exits 2
+   before the command makes anything (serve's --root, exp's output). *)
 let jobs_arg =
   let doc =
     "Worker domains for trial/experiment fan-out (default: the \
      recommended domain count, capped at 8). Results are identical for \
      every value; 1 disables parallelism."
   in
-  Arg.(
-    value
-    & opt int (Runtime.Pool.recommended_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let check jobs =
+    match Runtime.Pool.check_jobs jobs with
+    | Ok () -> jobs
+    | Error e ->
+        Printf.eprintf "--jobs %s\n" e;
+        exit 2
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt int (Runtime.Pool.recommended_jobs ())
+        & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 let metrics_arg =
   let doc =
@@ -700,10 +711,6 @@ let write_csv dir (result : Experiments.Exp_result.t) =
 
 let run_experiments ids quick seed jobs csv_dir metrics trace_events series_dir
     =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
   Runtime.Pool.set_ambient_jobs jobs;
   Option.iter
     (fun dir ->

@@ -13,31 +13,28 @@ let run ?(quick = false) ~seed () =
     Table.create
       ~header:[ "kernel"; "t"; "chi^2"; "critical (99.9%)"; "uniform?" ]
   in
-  (* one pass per kernel: walk each walker to the largest checkpoint,
-     snapshotting counts along the way *)
-  let horizon = List.fold_left max 0 checkpoints in
+  (* one pass per kernel: walk each walker from checkpoint to checkpoint
+     (ascending), counting positions at each *)
   let sample kernel =
-    let counts = Hashtbl.create 8 in
-    List.iter (fun t -> Hashtbl.replace counts t (Array.make n 0)) checkpoints;
+    let counts = List.map (fun t -> (t, Array.make n 0)) checkpoints in
     for _ = 1 to walkers do
-      let pos = ref (Grid.random_node grid rng) in
-      for t = 1 to horizon do
-        pos := Walk.step grid kernel rng !pos;
-        match Hashtbl.find_opt counts t with
-        | Some c -> c.(!pos) <- c.(!pos) + 1
-        | None -> ()
-      done
+      let pos = ref (Grid.random_node grid rng) and t0 = ref 0 in
+      List.iter
+        (fun (t, c) ->
+          pos := Walk.advance grid kernel rng !pos ~steps:(t - !t0);
+          t0 := t;
+          c.(!pos) <- c.(!pos) + 1)
+        counts
     done;
     List.map
-      (fun t ->
-        let c = Hashtbl.find counts t in
+      (fun (t, c) ->
         let stat = Stats.Chi_square.uniform_statistic c in
         Table.add_row table
           [ Walk.kernel_to_string kernel; Table.cell_int t;
             Table.cell_float stat; Table.cell_float critical;
             Table.cell_bool (stat <= critical) ];
         stat)
-      checkpoints
+      counts
   in
   let lazy_stats = sample Walk.Lazy_one_fifth in
   let simple_stats = sample Walk.Simple in

@@ -143,8 +143,16 @@ let set_tracer t tracer =
            n_task = Obs.Tracer.name tracer "pool.task";
          })
 
+(* OCaml 5.1 runs at most 128 domains, the calling one included. *)
+let max_jobs = 127
+
+let check_jobs jobs =
+  if jobs >= 1 && jobs <= max_jobs then Ok ()
+  else Error (Printf.sprintf "must be between 1 and %d (got %d)" max_jobs jobs)
+
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
+  if jobs > max_jobs then invalid_arg "Pool.create: jobs > max_jobs";
   let t =
     {
       jobs;

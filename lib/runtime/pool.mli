@@ -33,11 +33,21 @@
 
 type t
 
+val max_jobs : int
+(** The largest pool the runtime can spawn: OCaml 5.1 runs at most 128
+    domains, the calling one included. *)
+
+val check_jobs : int -> (unit, string) result
+(** [Ok ()] for a pool size in [[1, max_jobs]]; otherwise a message such
+    as ["must be between 1 and 127 (got 0)"], for a front end to prefix
+    with its flag's name. *)
+
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs] worker domains ([jobs = 1] spawns
     none; such a pool is purely sequential). Metrics are off until
     {!set_metrics} attaches a sink.
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if [jobs < 1] or [jobs > max_jobs], before
+    spawning anything. *)
 
 val jobs : t -> int
 (** Number of workers the pool was created with (1 = sequential). *)

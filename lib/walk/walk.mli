@@ -7,7 +7,23 @@
     distribution on nodes stationary — agents remain uniformly placed at
     every time step, a fact the analysis leans on repeatedly. A plain
     simple random walk is also provided as a comparison kernel (it is
-    {e not} uniform-stationary on the bounded grid). *)
+    {e not} uniform-stationary on the bounded grid).
+
+    {b One body per kernel.} Every entry point steps a walker on its
+    coordinates: the lazy, simple and lazy-half kernels share one
+    direction draw (W/E/S/N or stay, with no draw on a degree-0 node) and
+    one clamp-or-wrap coordinate update; the jump kernel has one
+    rejection sampler per topology. Only the engine's lazy-kernel paths
+    in {!step_inplace} and {!move_all} specialise that draw, and they are
+    held to it draw for draw. Every entry point therefore takes the same
+    draws in the same order from a given node and stream.
+
+    {b Scalar walks.} {!advance}, {!path}, {!excursion_stats},
+    {!hits_within} and {!first_meeting} split their start node into
+    coordinates once and step in registers, with no division and no
+    allocation per step. A node index is formed only where one is
+    returned or tested: the end of the walk, the target, the other
+    walker, or [where]. *)
 
 type kernel =
   | Lazy_one_fifth
@@ -65,9 +81,11 @@ type excursion = {
 
 val excursion_stats :
   Grid.t -> kernel -> Prng.t -> Grid.node -> steps:int -> excursion
-(** Runs [steps] transitions, accumulating the Lemma 2 statistics in one
-    pass: the {e range} ([R_l], Lemma 2.2) and the maximum displacement
-    (Lemma 2.1), without materialising the trajectory. *)
+(** Runs [steps] transitions and returns the Lemma 2 statistics: the
+    {e range} ([R_l], Lemma 2.2) and the maximum displacement (Lemma
+    2.1), without materialising the trajectory. Its visited set is one
+    array sized from [min (steps + 1) nodes], the most nodes the
+    excursion can visit. *)
 
 val hits_within :
   Grid.t -> kernel -> Prng.t -> start:Grid.node -> target:Grid.node ->

@@ -194,6 +194,40 @@ let test_clementi_budget () =
       "clementi allocates %.2f minor words/step (budget %.1f over %d steps)"
       per_step clementi_budget_words_per_step steps
 
+(* The scalar walks of Lemmas 1-3 step with no per-step allocation: a
+   10^4-step call allocates no more minor words than a 10-step one. Each
+   call runs its whole budget: the hitting target lies beyond reach, and
+   [where] rejects every meeting. *)
+let scalar_walks =
+  let grid = Grid.create ~side:1024 () in
+  let start = Grid.center grid and far = Grid.index grid ~x:0 ~y:0 in
+  [
+    ( "advance",
+      fun kernel rng steps -> ignore (Walk.advance grid kernel rng start ~steps) );
+    ( "hits_within",
+      fun kernel rng steps ->
+        ignore (Walk.hits_within grid kernel rng ~start ~target:far ~steps) );
+    ( "first_meeting",
+      fun kernel rng steps ->
+        ignore
+          (Walk.first_meeting grid kernel rng ~a:start ~b:far ~steps
+             ~where:(fun _ -> false) ()) );
+  ]
+
+let test_scalar_walk_flat run kernel () =
+  let rng = Prng.of_seed 7 in
+  let words steps =
+    let minor0 = Gc.minor_words () in
+    run kernel rng steps;
+    Gc.minor_words () -. minor0
+  in
+  ignore (words 10);
+  let short = words 10 in
+  let long = words 10_000 in
+  if long > short then
+    Alcotest.failf "10^4 steps allocate %.0f minor words, 10 steps %.0f" long
+      short
+
 let () =
   Alcotest.run "alloc-discipline"
     [
@@ -209,4 +243,16 @@ let () =
             Alcotest.test_case "population scale stays in budget" `Quick
               test_population_budget;
           ] );
+      ( "scalar walks",
+        List.concat_map
+          (fun (name, run) ->
+            List.map
+              (fun kernel ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s (%s) allocates nothing per step" name
+                     (Walk.kernel_to_string kernel))
+                  `Quick
+                  (test_scalar_walk_flat run kernel))
+              [ Walk.Lazy_one_fifth; Walk.Simple ])
+          scalar_walks );
     ]

@@ -54,6 +54,31 @@ let test_seed_changes_results () =
   Alcotest.(check bool) "different seeds, different measurements" true
     (Exp_result.to_csv a <> Exp_result.to_csv b)
 
+(* MD5 of each walk experiment's CSV at quick mode, seed 0. These
+   experiments draw through Walk's scalar primitives (advance, path,
+   excursion_stats, hits_within, first_meeting) rather than the engine,
+   so a change to those loops' draws shows here first. *)
+let walk_pins =
+  [
+    ("L1", "1ed84049ed1506ee51a7da2929093c73");
+    ("L2", "8a4f985fa9a0107aa48d2fe3119f8cdd");
+    ("L3", "11f01678aee90f768cfcf434c36a4476");
+    ("L4", "cfb04cb2f151ca7b337438dfb54169ab");
+    ("L5", "71929a933f0cf42b1c6f9a062c285602");
+    ("X3", "00d1d251814e635317129b29751cb489");
+    ("E4", "63b7ed7f409ae80bda97d51f72d76128");
+  ]
+
+let test_walk_experiment_pins () =
+  List.iter
+    (fun (id, digest) ->
+      let entry = Option.get (Registry.find id) in
+      let r = entry.Registry.run ~quick:true ~seed:0 () in
+      Alcotest.(check string)
+        (id ^ " CSV digest") digest
+        (Digest.to_hex (Digest.string (Exp_result.to_csv r))))
+    walk_pins
+
 let test_ids_duplicate_free () =
   let ids = Registry.ids () in
   let sorted = List.sort_uniq compare ids in
@@ -76,5 +101,7 @@ let () =
           Alcotest.test_case "deterministic given seed" `Slow
             test_quick_mode_deterministic;
           Alcotest.test_case "seed sensitivity" `Slow test_seed_changes_results;
+          Alcotest.test_case "walk experiments pinned" `Slow
+            test_walk_experiment_pins;
         ] );
     ]

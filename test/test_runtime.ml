@@ -55,6 +55,26 @@ let test_edge_cases () =
     (Invalid_argument "Pool.create: jobs < 1") (fun () ->
       ignore (Pool.create ~jobs:0))
 
+(* --jobs is checked against the runtime's domain cap before any pool
+   exists. Only values that spawn nothing reach Pool.create here: a
+   regressed cap check must not start domains in the test process. *)
+let test_jobs_bounds () =
+  let check = Alcotest.(check (result unit string)) in
+  check "1 accepted" (Ok ()) (Pool.check_jobs 1);
+  check "cap accepted" (Ok ()) (Pool.check_jobs Pool.max_jobs);
+  check "0 rejected" (Error "must be between 1 and 127 (got 0)")
+    (Pool.check_jobs 0);
+  check "cap + 1 rejected"
+    (Error (Printf.sprintf "must be between 1 and 127 (got %d)"
+              (Pool.max_jobs + 1)))
+    (Pool.check_jobs (Pool.max_jobs + 1));
+  check "huge rejected" (Error "must be between 1 and 127 (got 99999999)")
+    (Pool.check_jobs 99999999);
+  Alcotest.(check int) "128 domains, the caller's included" 127 Pool.max_jobs;
+  Alcotest.check_raises "negative jobs rejected"
+    (Invalid_argument "Pool.create: jobs < 1") (fun () ->
+      ignore (Pool.create ~jobs:(-5)))
+
 let test_init_matches_array_init () =
   let f i = (i * i) + 3 in
   let expect = Array.init 100 f in
@@ -212,6 +232,8 @@ let () =
           Alcotest.test_case "map matches List.mapi" `Quick
             test_map_matches_list_map;
           Alcotest.test_case "edge cases" `Quick test_edge_cases;
+          Alcotest.test_case "jobs bounded by the domain cap" `Quick
+            test_jobs_bounds;
           Alcotest.test_case "init matches Array.init" `Quick
             test_init_matches_array_init;
           Alcotest.test_case "map_reduce folds in order" `Quick

@@ -264,6 +264,249 @@ let prop_excursion_range_bounds =
       && e.Walk.range <= steps + 1
       && e.Walk.range <= Grid.nodes grid)
 
+(* --- oracle: the packed-node kernels ---
+
+   A node-index implementation of every kernel, stepped one transition at
+   a time: the reference the coordinate loops must reproduce draw for
+   draw. Each step recomputes (x, y) from the node with a [mod] and a
+   [/]; the Simple kernel folds over the neighbour list. *)
+
+module Oracle = struct
+  let directed_neighbour grid v dir =
+    let side = Grid.side grid in
+    let x = Grid.x_of grid v and y = Grid.y_of grid v in
+    if Grid.is_torus grid then
+      match dir with
+      | 0 -> (y * side) + ((x + side - 1) mod side)
+      | 1 -> (y * side) + ((x + 1) mod side)
+      | 2 -> (((y + side - 1) mod side) * side) + x
+      | _ -> (((y + 1) mod side) * side) + x
+    else
+      match dir with
+      | 0 -> if x > 0 then v - 1 else v
+      | 1 -> if x < side - 1 then v + 1 else v
+      | 2 -> if y > 0 then v - side else v
+      | _ -> if y < side - 1 then v + side else v
+
+  let uniform_neighbour grid rng v =
+    let deg = Grid.degree grid v in
+    if deg = 0 then v
+    else
+      let pick = Prng.int rng deg in
+      fst
+        (Grid.fold_neighbours grid v ~init:(v, 0) ~f:(fun (best, i) u ->
+             ((if i = pick then u else best), i + 1)))
+
+  let jump grid rng rho v =
+    if rho = 0 then v
+    else
+      let side = Grid.side grid in
+      let x = Grid.x_of grid v and y = Grid.y_of grid v in
+      let rec draw () =
+        let dx = Prng.int_incl rng (-rho) rho in
+        let dy = Prng.int_incl rng (-rho) rho in
+        if abs dx + abs dy > rho then draw ()
+        else if Grid.is_torus grid then
+          let nx = (((x + dx) mod side) + side) mod side in
+          let ny = (((y + dy) mod side) + side) mod side in
+          (ny * side) + nx
+        else
+          let nx = x + dx and ny = y + dy in
+          if nx < 0 || nx >= side || ny < 0 || ny >= side then draw ()
+          else (ny * side) + nx
+      in
+      draw ()
+
+  let step grid kernel rng v =
+    match kernel with
+    | Walk.Lazy_one_fifth ->
+        let d = Prng.int rng 5 in
+        if d = 4 then v else directed_neighbour grid v d
+    | Walk.Simple -> uniform_neighbour grid rng v
+    | Walk.Lazy_half -> if Prng.bool rng then v else uniform_neighbour grid rng v
+    | Walk.Jump rho -> jump grid rng rho v
+
+  let path grid kernel rng v ~steps =
+    let out = Array.make (steps + 1) v in
+    for i = 1 to steps do
+      out.(i) <- step grid kernel rng out.(i - 1)
+    done;
+    out
+
+  let excursion_stats grid kernel rng start ~steps =
+    let p = path grid kernel rng start ~steps in
+    let distinct = List.length (List.sort_uniq Int.compare (Array.to_list p)) in
+    {
+      Walk.final = p.(steps);
+      range = distinct;
+      max_displacement =
+        Array.fold_left (fun m v -> max m (Grid.manhattan grid start v)) 0 p;
+    }
+
+  let hits_within grid kernel rng ~start ~target ~steps =
+    let rec loop pos t =
+      pos = target || (t < steps && loop (step grid kernel rng pos) (t + 1))
+    in
+    loop start 0
+
+  let first_meeting grid kernel rng ~a ~b ~steps ~where =
+    let rec loop pa pb t =
+      if pa = pb && where pa then Some t
+      else if t = steps then None
+      else
+        let pa = step grid kernel rng pa in
+        let pb = step grid kernel rng pb in
+        loop pa pb (t + 1)
+    in
+    loop a b 0
+end
+
+let all_kernels =
+  [ Walk.Lazy_one_fifth; Walk.Simple; Walk.Lazy_half; Walk.Jump 0;
+    Walk.Jump 1; Walk.Jump 3 ]
+
+(* A coordinate on an edge half the time: corners and edges are where
+   the clamp, the wrap and the Simple kernel's degree differ. *)
+let coord_gen side =
+  QCheck.Gen.(frequency [ (1, return 0); (1, return (side - 1));
+                          (2, int_range 0 (side - 1)) ])
+
+type walk_case = {
+  grid : Grid.t;
+  kernel : Walk.kernel;
+  seed : int;
+  a : int;
+  b : int;
+  steps : int;
+}
+
+let walk_case_gen =
+  let open QCheck.Gen in
+  let* side = int_range 1 20 in
+  let* torus = if side >= 3 then bool else return false in
+  let topology = if torus then Grid.Torus else Grid.Bounded in
+  let grid = Grid.create ~topology ~side () in
+  let node = map2 (fun x y -> Grid.index grid ~x ~y) (coord_gen side) (coord_gen side) in
+  let* kernel = oneofl all_kernels in
+  let* seed = int_range 0 1_000_000 in
+  let* a = node and* b = node in
+  let* steps = frequency [ (1, int_range 0 3); (3, int_range 0 300) ] in
+  return { grid; kernel; seed; a; b; steps }
+
+let print_walk_case c =
+  Printf.sprintf "side %d%s, %s, seed %d, a %d, b %d, steps %d"
+    (Grid.side c.grid)
+    (if Grid.is_torus c.grid then " torus" else "")
+    (Walk.kernel_to_string c.kernel) c.seed c.a c.b c.steps
+
+(* Runs the fast call and the oracle on two copies of case [c]'s stream:
+   equal results, and equal stream states afterwards. *)
+let same_as_oracle c fast oracle =
+  let r1 = Prng.of_seed c.seed and r2 = Prng.of_seed c.seed in
+  let x = fast r1 and y = oracle r2 in
+  x = y && Int64.equal (Prng.fingerprint r1) (Prng.fingerprint r2)
+
+let prop_scalar_walks_match_oracle =
+  QCheck.Test.make ~name:"scalar walks equal a fold of the packed-node kernels"
+    ~count:1500
+    (QCheck.make ~print:print_walk_case walk_case_gen)
+    (fun c ->
+      let { grid; kernel; a; b; steps; _ } = c in
+      (* an arbitrary region that is neither everywhere nor nowhere *)
+      let where v = v mod 3 <> 1 in
+      let check name ok =
+        if not ok then QCheck.Test.fail_reportf "%s differs from the oracle" name
+      in
+      check "advance"
+        (same_as_oracle c
+           (fun r -> Walk.advance grid kernel r a ~steps)
+           (fun r -> (Oracle.path grid kernel r a ~steps).(steps)));
+      check "path"
+        (same_as_oracle c
+           (fun r -> Walk.path grid kernel r a ~steps)
+           (fun r -> Oracle.path grid kernel r a ~steps));
+      check "excursion_stats"
+        (same_as_oracle c
+           (fun r -> Walk.excursion_stats grid kernel r a ~steps)
+           (fun r -> Oracle.excursion_stats grid kernel r a ~steps));
+      check "hits_within"
+        (same_as_oracle c
+           (fun r -> Walk.hits_within grid kernel r ~start:a ~target:b ~steps)
+           (fun r -> Oracle.hits_within grid kernel r ~start:a ~target:b ~steps));
+      check "first_meeting"
+        (same_as_oracle c
+           (fun r -> Walk.first_meeting grid kernel r ~a ~b ~steps ())
+           (fun r ->
+             Oracle.first_meeting grid kernel r ~a ~b ~steps ~where:(fun _ -> true)));
+      check "first_meeting ~where"
+        (same_as_oracle c
+           (fun r -> Walk.first_meeting grid kernel r ~a ~b ~steps ~where ())
+           (fun r -> Oracle.first_meeting grid kernel r ~a ~b ~steps ~where));
+      true)
+
+(* The draw contract of walk.mli: [step], [step_inplace] and [move_all]
+   take the same draws in the same order, so a population stepped through
+   any of them ends in the same positions with the same streams. *)
+let prop_entry_points_agree =
+  let gen =
+    let open QCheck.Gen in
+    let* c = walk_case_gen in
+    let* n = int_range 1 6 in
+    let* rounds = int_range 1 40 in
+    let* starts =
+      list_repeat n
+        (map2
+           (fun x y -> Grid.index c.grid ~x ~y)
+           (coord_gen (Grid.side c.grid))
+           (coord_gen (Grid.side c.grid)))
+    in
+    return (c, Array.of_list starts, rounds)
+  in
+  QCheck.Test.make ~name:"step, step_inplace and move_all draw alike"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (c, starts, rounds) ->
+         Printf.sprintf "%s, %d agents, %d rounds" (print_walk_case c)
+           (Array.length starts) rounds)
+       gen)
+    (fun (c, starts, rounds) ->
+      let { grid; kernel; seed; _ } = c in
+      let n = Array.length starts in
+      let side = Grid.side grid in
+      let streams () = Prng.split_n (Prng.of_seed seed) n in
+      let vec () =
+        Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
+      in
+      let load () =
+        let xs = vec () and ys = vec () in
+        Array.iteri
+          (fun i v ->
+            xs.{i} <- Int32.of_int (v mod side);
+            ys.{i} <- Int32.of_int (v / side))
+          starts;
+        (xs, ys)
+      in
+      let nodes (xs, ys) =
+        Array.init n (fun i ->
+            (Int32.to_int ys.{i} * side) + Int32.to_int xs.{i})
+      in
+      let r_step = streams () and r_inplace = streams () and r_all = streams () in
+      let by_step = Array.copy starts in
+      let ((xs_i, ys_i) as inplace) = load () in
+      let ((xs_a, ys_a) as all) = load () in
+      for _ = 1 to rounds do
+        for i = 0 to n - 1 do
+          by_step.(i) <- Walk.step grid kernel r_step.(i) by_step.(i);
+          Walk.step_inplace grid kernel r_inplace.(i) ~xs:xs_i ~ys:ys_i i
+        done;
+        Walk.move_all grid kernel r_all ~xs:xs_a ~ys:ys_a ~n
+      done;
+      let fps r = Array.map Prng.fingerprint r in
+      by_step = nodes inplace
+      && by_step = nodes all
+      && fps r_step = fps r_inplace
+      && fps r_step = fps r_all)
+
 (* --- torus --- *)
 
 let test_torus_walk_valid () =
@@ -359,5 +602,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_path_valid; prop_excursion_range_bounds ] );
+          [ prop_path_valid; prop_excursion_range_bounds;
+            prop_scalar_walks_match_oracle; prop_entry_points_agree ] );
     ]
