@@ -39,10 +39,11 @@ test:
 # of side 16384, which allocates per node, while one of side 4096 still
 # runs there. The exchange pins
 # fix the step counts of exchange paths no golden covers: flooding at
-# r = 1, on a torus, for gossip (k = 64, one rumor word, and k = 130,
-# three words) and over a lossy graph, and single-hop for one rumor and
-# for gossip (as scenario cells). The dense-baseline
-# pin runs Clementi et al.'s model (jump kernel, single-hop exchange) as
+# r = 1, on a torus, for gossip (k = 64, one rumor word, k = 130,
+# three words, and dense_gossip's shape, side 64, k = 256, r = 2: four
+# words and about 50 components a step) and over a lossy graph, and
+# single-hop for one rumor and for gossip (as scenario cells). The
+# dense-baseline pin runs Clementi et al.'s model (jump kernel, single-hop exchange) as
 # an ordinary scenario cell and expects the 15 steps the golden test
 # pins. The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
@@ -110,6 +111,7 @@ check:
 	dune exec bin/mobisim.exe -- simulate --side 48 -k 96 --torus --seed 2 | grep -qx 'completed in 732 steps'
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 306 steps'
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 130 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 112 steps'
+	dune exec bin/mobisim.exe -- simulate --side 64 -k 256 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 395 steps'
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 48 -r 1 --loss-p 0.3 --seed 6 | grep -qx 'completed in 315 steps'
 	printf '{"side":32,"agents":64,"radius":1,"exchange":"single-hop","seed":5}' > /tmp/mobisim-single-hop.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-single-hop.json | grep -q '"steps":207'

@@ -10,20 +10,12 @@ type t = {
   mutable informed_count : int;
   mutable total_known : int;
   mutable live_preys : int;
-  root_informed : bool array;
-  newly_informed : bool array;
-  (* single-hop: the agents marked in [newly_informed] this step *)
+  marks : int array;
+  mutable members : int array;
+  mutable roots : int array;
+  mutable slots : Rumor_set.t array;
+  slot_owners : Intbuf.t;
   newly : Intbuf.t;
-  (* flood_gossip scratch: one reusable accumulator set per component
-     root, materialised on first use and cleared on reuse *)
-  acc : Rumor_set.t option array;
-  acc_live : bool array;
-  acc_used : Intbuf.t;
-  (* single_hop_gossip scratch: reusable pre-step snapshots plus a
-     flattened (i, j) pair log *)
-  snap : Rumor_set.t option array;
-  snap_live : bool array;
-  snap_used : Intbuf.t;
   pairs : Intbuf.t;
 }
 
@@ -32,6 +24,15 @@ let create ~population ~predators ~informed ~rumors =
   if Array.length informed <> population then
     invalid_arg "Exchange.create: informed array size mismatch";
   let gossip = Array.length rumors > 0 in
+  (* the slot sets are shared by every component and agent, so one
+     capacity must fit all *)
+  if
+    gossip
+    && not
+         (Array.for_all
+            (fun s -> Rumor_set.capacity s = Rumor_set.capacity rumors.(0))
+            rumors)
+  then invalid_arg "Exchange.create: rumor set capacities differ";
   {
     population;
     predators;
@@ -40,113 +41,138 @@ let create ~population ~predators ~informed ~rumors =
     informed_count = 0;
     total_known = 0;
     live_preys = 0;
-    root_informed = Array.make population false;
-    newly_informed = Array.make population false;
+    marks = Array.make population (-1);
+    members = [||];
+    roots = [||];
+    slots = [||];
+    slot_owners = Intbuf.create ~initial_capacity:(if gossip then 64 else 1) ();
     newly = Intbuf.create ();
-    acc = (if gossip then Array.make population None else [||]);
-    acc_live = (if gossip then Array.make population false else [||]);
-    acc_used = Intbuf.create ~initial_capacity:(if gossip then 64 else 1) ();
-    snap = (if gossip then Array.make population None else [||]);
-    snap_live = (if gossip then Array.make population false else [||]);
-    snap_used = Intbuf.create ~initial_capacity:(if gossip then 64 else 1) ();
     pairs = Intbuf.create ~initial_capacity:(if gossip then 64 else 1) ();
   }
 
-(* Fetch slot [i] of a scratch-set array, cleared and ready to
-   accumulate; allocates only the first time a slot is touched. *)
+(* The root pass ({!Dsu.touched_roots}) into [members]/[roots], grown
+   first if the touched count outgrew them; returns the log's length. *)
 let[@alloc_ok
-     "allocates a scratch set only the first time a slot is touched; \
-      steady-state steps reuse it"] scratch_set t slots i =
-  match slots.(i) with
-  | Some s ->
-      Rumor_set.clear s;
-      s
-  | None ->
-      let s = Rumor_set.create ~capacity:(Rumor_set.capacity t.rumors.(i)) in
-      slots.(i) <- Some s;
-      s
+     "grows the root-pass scratch to twice the touched count, capped at \
+      the population: a few times a run, never in a warm step"] root_pass
+    t ~dsu =
+  if Dsu.length dsu <> t.population then
+    invalid_arg "Exchange: dsu size <> population";
+  let len = Dsu.touched_count dsu in
+  if Array.length t.members < len then begin
+    let cap = min t.population (2 * len) in
+    t.members <- Array.make cap 0;
+    t.roots <- Array.make cap 0
+  end;
+  Dsu.touched_roots dsu ~members:t.members ~roots:t.roots
+
+(* Take the next slot for [owner] (a root, or an agent to snapshot):
+   mark the owner with the slot's index and return the slot's set, whose
+   contents are stale. Slots are handed out in first-touch order. *)
+let[@alloc_ok
+     "grows the slot pool by doubling: a few times a run, never in a \
+      warm step"] take_slot t owner =
+  let s = Intbuf.length t.slot_owners in
+  if s = Array.length t.slots then begin
+    let capacity = Rumor_set.capacity t.rumors.(0) in
+    let old = t.slots in
+    t.slots <-
+      Array.init
+        (max 8 (2 * s))
+        (fun j -> if j < s then old.(j) else Rumor_set.create ~capacity)
+  end;
+  Intbuf.push t.slot_owners owner;
+  t.marks.(owner) <- s;
+  t.slots.(s)
+
+(* Unmark every slot owner, so [marks] is all -1 again. *)
+let release_slots t =
+  for s = 0 to Intbuf.length t.slot_owners - 1 do
+    t.marks.(Intbuf.get t.slot_owners s) <- -1
+  done;
+  Intbuf.clear t.slot_owners
 
 (* Single-rumor flood: a component containing an informed agent becomes
    fully informed. Only agents in the DSU's touched log can share a
    component with anyone (an untouched agent is a singleton, which a
-   flood leaves as it is), so each pass walks the log: mark the roots
-   of informed members, inform the members of marked roots, then clear
-   the marks through the same log (every root is itself logged). Cost
+   flood leaves as it is), so each pass walks the root pass's two
+   arrays: mark the roots of informed members, inform the members of
+   marked roots, then clear the marks through the same arrays. Cost
    O(touched), not O(population). *)
 let[@hot]
     [@unsafe_invariant
-      "Dsu.touched and Dsu.find return validated element ids of a \
-       structure checked on entry to hold population elements, and \
-       population = length informed = length root_informed"] flood_single
-    t ~dsu =
-  if Dsu.length dsu <> t.population then
-    invalid_arg "Exchange.flood_single: dsu size <> population";
-  let touched = Dsu.touched_count dsu in
-  for u = 0 to touched - 1 do
-    let i = Dsu.touched dsu u in
-    if Array.unsafe_get t.informed i then
-      Array.unsafe_set t.root_informed (Dsu.find dsu i) true
+      "u < len <= length members = length roots (root_pass sizes \
+       them); members holds agent ids and roots holds -1 or agent ids of \
+       a DSU checked to hold population elements, and population = \
+       length informed = length marks"] flood_single t ~dsu =
+  let len = root_pass t ~dsu in
+  let members = t.members and roots = t.roots in
+  for u = 0 to len - 1 do
+    let r = Array.unsafe_get roots u in
+    if r >= 0 && Array.unsafe_get t.informed (Array.unsafe_get members u) then
+      Array.unsafe_set t.marks r 0
   done;
-  for u = 0 to touched - 1 do
-    let i = Dsu.touched dsu u in
-    if
-      (not (Array.unsafe_get t.informed i))
-      && Array.unsafe_get t.root_informed (Dsu.find dsu i)
-    then begin
-      Array.unsafe_set t.informed i true;
-      t.informed_count <- t.informed_count + 1
-    end
-  done;
-  for u = 0 to touched - 1 do
-    Array.unsafe_set t.root_informed (Dsu.touched dsu u) false
-  done
-
-(* Gossip flood: every agent's rumor set becomes the union over its
-   component. Only logged agents can sit in a non-trivial component,
-   and singletons are skipped; each non-trivial component accumulates
-   into one reused per-root scratch set, then copies back. (Clearing a
-   scratch set and unioning the first member into it is the
-   allocation-free equivalent of the copy the pre-refactor engine made
-   every step.) *)
-let[@hot] flood_gossip t ~dsu =
-  let touched = Dsu.touched_count dsu in
-  for u = 0 to touched - 1 do
-    let i = Dsu.touched dsu u in
-    if Dsu.set_size dsu i > 1 then begin
-      let root = Dsu.find dsu i in
-      if t.acc_live.(root) then
-        ignore
-          (Rumor_set.union_into ~src:t.rumors.(i)
-             ~dst:(Option.get t.acc.(root)))
-      else begin
-        let s = scratch_set t t.acc root in
-        ignore (Rumor_set.union_into ~src:t.rumors.(i) ~dst:s);
-        t.acc_live.(root) <- true;
-        Intbuf.push t.acc_used root
+  for u = 0 to len - 1 do
+    let r = Array.unsafe_get roots u in
+    if r >= 0 && Array.unsafe_get t.marks r >= 0 then begin
+      let i = Array.unsafe_get members u in
+      if not (Array.unsafe_get t.informed i) then begin
+        Array.unsafe_set t.informed i true;
+        t.informed_count <- t.informed_count + 1
       end
     end
   done;
-  for u = 0 to touched - 1 do
-    let i = Dsu.touched dsu u in
-    if Dsu.set_size dsu i > 1 then begin
-      let root = Dsu.find dsu i in
-      let acc = Option.get t.acc.(root) in
-      let added = Rumor_set.union_into ~src:acc ~dst:t.rumors.(i) in
-      t.total_known <- t.total_known + added;
-      if added > 0 && not t.informed.(i) then begin
+  for u = 0 to len - 1 do
+    let r = Array.unsafe_get roots u in
+    if r >= 0 then Array.unsafe_set t.marks r (-1)
+  done
+
+(* Gossip flood: every agent's rumor set becomes the union over its
+   component. Over the root pass's arrays, skipping singletons: the
+   first member of each component seeds a slot set, in first-touch
+   order, and the others are ORed in, each entry's root replaced by its
+   slot's index; each slot is recounted once; then every member takes
+   its slot's set. A member's set is a subset of its component's union,
+   so the write-back returns the rumors it gained. *)
+let[@hot] flood_gossip t ~dsu =
+  let len = root_pass t ~dsu in
+  let members = t.members and roots = t.roots in
+  for u = 0 to len - 1 do
+    let r = roots.(u) in
+    if r >= 0 then begin
+      let src = t.rumors.(members.(u)) in
+      let s = t.marks.(r) in
+      if s >= 0 then begin
+        Rumor_set.or_into ~src ~dst:t.slots.(s);
+        roots.(u) <- s
+      end
+      else begin
+        Rumor_set.copy_into ~src ~dst:(take_slot t r);
+        roots.(u) <- t.marks.(r)
+      end
+    end
+  done;
+  for s = 0 to Intbuf.length t.slot_owners - 1 do
+    Rumor_set.recount t.slots.(s)
+  done;
+  release_slots t;
+  for u = 0 to len - 1 do
+    let s = roots.(u) in
+    if s >= 0 then begin
+      let i = members.(u) in
+      let dst = t.rumors.(i) in
+      let added = Rumor_set.assign_superset ~src:t.slots.(s) ~dst in
+      if added > 0 then begin
+        t.total_known <- t.total_known + added;
         (* "informed" tracks knowledge of rumor 0 so the frontier metric
            is meaningful for gossip too *)
-        if Rumor_set.mem t.rumors.(i) 0 then begin
+        if (not t.informed.(i)) && Rumor_set.mem dst 0 then begin
           t.informed.(i) <- true;
           t.informed_count <- t.informed_count + 1
         end
       end
     end
-  done;
-  for u = 0 to Intbuf.length t.acc_used - 1 do
-    t.acc_live.(Intbuf.get t.acc_used u) <- false
-  done;
-  Intbuf.clear t.acc_used
+  done
 
 (* Role-aware single-rumor flood over an explicit live-pair list (the
    fault path with silent/deaf agents): repeated one-hop passes until a
@@ -182,12 +208,12 @@ let[@hot]
   done
 
 (* Single-hop commit: [newly] holds each agent the pair pass marked in
-   [newly_informed], once; inform exactly those and clear their marks,
-   so the cost is O(newly informed), not O(population). *)
+   [marks], once; inform exactly those and clear their marks, so the
+   cost is O(newly informed), not O(population). *)
 let[@hot] commit_newly t =
   for u = 0 to Intbuf.length t.newly - 1 do
     let i = Intbuf.get t.newly u in
-    t.newly_informed.(i) <- false;
+    t.marks.(i) <- -1;
     t.informed.(i) <- true
   done;
   t.informed_count <- t.informed_count + Intbuf.length t.newly;
@@ -196,8 +222,8 @@ let[@hot] commit_newly t =
 (* Mark agent [i] as informed at the end of this step (pair-pass side of
    [commit_newly]); an agent reached over several edges is logged once. *)
 let[@hot] mark_newly t i =
-  if not t.newly_informed.(i) then begin
-    t.newly_informed.(i) <- true;
+  if t.marks.(i) < 0 then begin
+    t.marks.(i) <- 0;
     Intbuf.push t.newly i
   end
 
@@ -231,15 +257,12 @@ let[@hot]
        pair; the sets themselves are reused scratch"] single_hop_gossip t
     ~iter_pairs =
   (* exchanges must all read pre-step sets, so snapshot the set of any
-     agent involved in at least one pair before mutating; snapshots and
-     the pair log are reused storage, not per-step allocations *)
+     agent involved in at least one pair, into a slot, before mutating;
+     slots and the pair log are reused storage, not per-step
+     allocations *)
   let snapshot i =
-    if not t.snap_live.(i) then begin
-      let s = scratch_set t t.snap i in
-      ignore (Rumor_set.union_into ~src:t.rumors.(i) ~dst:s);
-      t.snap_live.(i) <- true;
-      Intbuf.push t.snap_used i
-    end
+    if t.marks.(i) < 0 then
+      Rumor_set.copy_into ~src:t.rumors.(i) ~dst:(take_slot t i)
   in
   iter_pairs (fun i j ->
       snapshot i;
@@ -247,7 +270,7 @@ let[@hot]
       Intbuf.push t.pairs i;
       Intbuf.push t.pairs j);
   let deliver receiver sender =
-    let sender_pre = Option.get t.snap.(sender) in
+    let sender_pre = t.slots.(t.marks.(sender)) in
     let added = Rumor_set.union_into ~src:sender_pre ~dst:t.rumors.(receiver) in
     t.total_known <- t.total_known + added;
     if
@@ -266,10 +289,7 @@ let[@hot]
     deliver j i
   done;
   Intbuf.clear t.pairs;
-  for u = 0 to Intbuf.length t.snap_used - 1 do
-    t.snap_live.(Intbuf.get t.snap_used u) <- false
-  done;
-  Intbuf.clear t.snap_used
+  release_slots t
 
 (* Predator-prey: direct contact only, no chaining through preys. *)
 let[@hot]

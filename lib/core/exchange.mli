@@ -8,11 +8,10 @@
     gossip variants carry full rumor sets instead of one bit.
 
     A {!t} value bundles the knowledge state (who is informed, which
-    rumors each agent holds) with {e preallocated scratch}: the flood
-    accumulators, pre-step snapshots and pair logs that the pre-refactor
-    engine allocated afresh every step are materialised at most once here
-    and reused, so a warm exchange step allocates only the small closures
-    passed to [iter_pairs].
+    rumors each agent holds) with {e reused scratch}: one
+    population-sized mark array, and the root-pass arrays, slot sets
+    and pair logs, grown on first use and kept, so a warm exchange step
+    allocates only the small closures passed to [iter_pairs].
 
     No policy walks the whole population: each costs time in the agents
     on a visibility edge this step, which below the percolation point is
@@ -45,17 +44,22 @@ type t = {
   mutable informed_count : int;
   mutable total_known : int;  (** gossip: sum of rumor-set cardinals *)
   mutable live_preys : int;
-  root_informed : bool array;
-      (** flood_single per-root marks; all [false] between calls *)
-  newly_informed : bool array;
-      (** single-hop marks; all [false] between calls *)
+  marks : int array;
+      (** per-agent scratch, all [-1] between calls: flood_single marks
+          the roots of informed components, flood_gossip maps a root to
+          its slot, single_hop_gossip an agent to its snapshot's slot,
+          and the single-hop policies mark the agents they inform *)
+  mutable members : int array;
+      (** the floods' root pass ({!Dsu.touched_roots}): logged agents;
+          grown to twice the touched count when it no longer fits,
+          capped at [population] *)
+  mutable roots : int array;  (** the root pass: each member's root, or -1 *)
+  mutable slots : Rumor_set.t array;
+      (** gossip: reusable sets, handed out in first-touch order — one
+          accumulator per component, or one snapshot per agent on an
+          edge; grown by doubling *)
+  slot_owners : Intbuf.t;  (** gossip: the root or agent of each slot in use *)
   newly : Intbuf.t;  (** single-hop: the agents marked this step *)
-  acc : Rumor_set.t option array;  (** flood_gossip per-root accumulators *)
-  acc_live : bool array;
-  acc_used : Intbuf.t;
-  snap : Rumor_set.t option array;  (** single_hop_gossip snapshots *)
-  snap_live : bool array;
-  snap_used : Intbuf.t;
   pairs : Intbuf.t;  (** single_hop_gossip flattened pair log *)
 }
 
@@ -68,9 +72,10 @@ val create :
 (** Fresh exchange state over the given (engine-owned) knowledge arrays.
     Counters start at zero — the engine sets [informed_count],
     [total_known] and [live_preys] to match its initial placement.
-    Gossip scratch is only reserved when [rumors] is non-empty.
-    @raise Invalid_argument if [population <= 0] or the array sizes
-    disagree. *)
+    The only population-sized scratch is [marks]; the rest grows on
+    first use.
+    @raise Invalid_argument if [population <= 0], the array sizes
+    disagree, or the rumor sets' capacities differ. *)
 
 (** {1 Policies}
 
@@ -82,17 +87,21 @@ val create :
 val flood_single : t -> dsu:Dsu.t -> unit
 (** Every component containing an informed agent becomes fully informed.
     [dsu] holds the current components, over [population] elements.
-    Cost: O(the DSU's touched log), i.e. the agents stamped since its
-    last reset ({!Dsu.touched_count}) — every agent on an edge, plus any
-    a caller found or sized.
+    Cost: one root pass over the DSU's touched log
+    ({!Dsu.touched_roots}), i.e. the agents stamped since its last
+    reset — every agent on an edge, plus any a caller found or sized —
+    and three loops over its two arrays, with no call per agent.
     @raise Invalid_argument if [dsu] does not hold [population]
     elements. *)
 
 val flood_gossip : t -> dsu:Dsu.t -> unit
 (** Every agent's rumor set becomes the union over its component;
     updates [total_known] and rumor-0 based [informed] tracking.
-    Cost: O(touched log) DSU operations plus one rumor-set union per
-    member of a non-trivial component, twice. *)
+    Cost: one root pass over the touched log, then per member of a
+    non-trivial component one rumor-set OR (or copy) into its
+    component's accumulator and one write-back, each O(capacity / 64)
+    words, and one recount per component.
+    @raise Invalid_argument as {!flood_single}. *)
 
 val single_hop_single : t -> iter_pairs:((int -> int -> unit) -> unit) -> unit
 (** The rumor crosses each edge once, based on pre-step knowledge.

@@ -40,10 +40,31 @@ val union_into : src:t -> dst:t -> int
 
 val copy : t -> t
 
-val clear : t -> unit
-(** Remove every rumor, keeping the capacity — [clear s] followed by
-    [union_into ~src ~dst:s] is equivalent to [copy src] without the
-    allocation, which is how the exchange scratch sets are reused. *)
+(** {1 Component-flood primitives}
+
+    A component flood seeds one accumulator per component with
+    {!copy_into}, adds every other member with {!or_into}, {!recount}s
+    it once, and writes it back to each member with {!assign_superset}.
+    Each is one loop over the words.
+    @raise Invalid_argument if capacities differ. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** [dst] becomes equal to [src], cardinal included — {!copy} without
+    the allocation. *)
+
+val or_into : src:t -> dst:t -> unit
+(** Adds every rumor of [src] to [dst] without counting: [dst]'s
+    cardinal is stale until {!recount}. *)
+
+val recount : t -> unit
+(** Recompute the cardinal from the bits, after {!or_into}. *)
+
+val assign_superset : src:t -> dst:t -> int
+(** For [dst] a subset of [src] (a member's set and its component's
+    union): [dst] becomes equal to [src], and the result is
+    [cardinal src - cardinal dst], the number of rumors new to [dst].
+    Equal cardinals write nothing, so the subset relation is the
+    caller's obligation; it is not checked. *)
 
 val equal : t -> t -> bool
 

@@ -145,11 +145,26 @@ let[@hot]
 
 let touched_count t = t.touched_len
 
-let[@unsafe_invariant
-     "u is checked against touched_len <= length touched"] touched t u =
-  if u < 0 || u >= t.touched_len then
-    invalid_arg "Dsu.touched: index out of range";
-  Array.unsafe_get t.touched u
+(* The root pass: one loop over the log, writing each logged element and
+   its root (or -1 for a singleton) side by side, so a flood reads two
+   arrays instead of calling [find]/[set_size] per element. Every logged
+   element is stamped this epoch, so no [heal] is needed, and a root's
+   [size] is current. *)
+let[@hot]
+    [@unsafe_invariant
+      "u < touched_len <= length touched, and both scratch arrays are \
+       checked to hold touched_len entries; logged elements and their \
+       roots are validated element ids"] touched_roots t ~members ~roots =
+  let len = t.touched_len in
+  if Array.length members < len || Array.length roots < len then
+    invalid_arg "Dsu.touched_roots: scratch shorter than the touched log";
+  for u = 0 to len - 1 do
+    let i = Array.unsafe_get t.touched u in
+    let r = find_root t i in
+    Array.unsafe_set members u i;
+    Array.unsafe_set roots u (if Array.unsafe_get t.size r > 1 then r else -1)
+  done;
+  len
 
 let same_set t i j =
   check t i;

@@ -18,12 +18,13 @@
     {b Touched log.} Every element stamped in the current epoch — healed
     by its first {!find}, {!union}, {!same_set}, {!set_size}, {!groups}
     or {!dissolve} since the last {!reset} — is listed once in the
-    touched log ({!touched_count}, {!touched}). The log is complete for
-    non-trivial sets: a union stamps both of its elements, so every
-    member of a set of size > 1 is listed, and an element outside the
-    log is a singleton. A caller that only acts on non-trivial sets
+    touched log ({!touched_count}, {!touched_roots}). The log is
+    complete for non-trivial sets: a union stamps both of its elements,
+    so every member of a set of size > 1 is listed, and an element
+    outside the log is a singleton. A caller that only acts on non-trivial sets
     (the exchange floods) therefore costs O(elements on an edge), not
-    O(n). Fresh stamps start below the first epoch, so this holds on a
+    O(n): one {!touched_roots} pass reads every logged element and its
+    root. Fresh stamps start below the first epoch, so this holds on a
     structure that was never reset as well. *)
 
 type t
@@ -44,11 +45,17 @@ val touched_count : t -> int
 (** Number of elements stamped since the last {!reset} (or {!create}):
     the length of the touched log. At most {!length}. *)
 
-val touched : t -> int -> int
-(** [touched t u] is the [u]-th element of the touched log, in stamping
-    order, for [0 <= u < touched_count t]. Each stamped element appears
-    exactly once; every member of a non-singleton set appears.
-    @raise Invalid_argument if [u] is out of range. *)
+val touched_roots : t -> members:int array -> roots:int array -> int
+(** The root pass: [touched_roots t ~members ~roots] writes the touched
+    log, in stamping order, into [members.(0 .. len-1)], and at the same
+    index into [roots] the root of that element's set, or [-1] where
+    the element is a singleton; it returns [len = touched_count t].
+    One loop inside this module, with path halving, so a caller that
+    acts on non-trivial sets (the exchange floods) makes no call per
+    element. The arrays are the caller's scratch: only their first
+    [len] entries are written.
+    @raise Invalid_argument if either array is shorter than
+    [touched_count t]. *)
 
 val dissolve : t -> int -> unit
 (** [dissolve t i] detaches element [i] into a singleton of the current

@@ -534,7 +534,11 @@ let ambient_trace = ref Obs.Tracer.null
 let ambient_pool : t option ref = ref None
 
 let set_ambient_jobs n =
-  if n < 1 then invalid_arg "Pool.set_ambient_jobs: jobs < 1";
+  (* validated before the live pool is touched, so a bad size leaves
+     the ambient state as it was *)
+  (match check_jobs n with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Pool.set_ambient_jobs: jobs " ^ msg));
   Mutex.lock ambient_lock;
   (match !ambient_pool with
   | Some p when p.jobs <> n ->

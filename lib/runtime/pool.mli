@@ -160,7 +160,8 @@ val publish_stats : t -> unit
 val set_ambient_jobs : int -> unit
 (** Set the ambient pool size. If an ambient pool of a different size
     already exists it is shut down and recreated lazily.
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if {!check_jobs} rejects the size, before
+    any pool is touched: the ambient size stays as it was. *)
 
 val set_ambient_metrics : Obs.Sink.t -> unit
 (** Sink for the ambient pool: applied to the existing ambient pool if

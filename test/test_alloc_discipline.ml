@@ -50,12 +50,6 @@ let gossip_run ?exchange () =
   grid_run ~side:32 ~radius:2 ~protocol:Protocol.Gossip ?exchange
     ~max_steps:500 ()
 
-let continuum_run () =
-  (Continuum.broadcast
-     { Continuum.box_side = 16.; agents = 256; radius = 1.2; sigma = 0.3;
-       seed = 7; trial = 0; max_steps = 500 })
-    .Mobile_network.Engine.steps
-
 (* the floor plan is built once, so only the run is measured *)
 let barrier_run =
   let domain = Barriers.Domain.central_wall (Grid.create ~side:40 ()) ~gap:2 in
@@ -80,28 +74,21 @@ let probes =
     ("traced", traced_run, plus_words 25.0);
     ("series", series_run, plus_words 20.3);
     (* side 32, k 64, r 2 *)
-    ("gossip flood", (fun () -> gossip_run ()), plus_words 14.9);
+    ("gossip flood", (fun () -> gossip_run ()), plus_words 13.0);
     ("gossip single-hop", gossip_run ~exchange:Config.Single_hop,
-     plus_words 30.7);
+     plus_words 29.2);
     (* the same run, one rumor: the newly informed agents are committed
        from a grow-once list *)
     ( "single-hop",
       (fun () ->
         grid_run ~side:32 ~radius:2 ~exchange:Config.Single_hop
           ~max_steps:500 ()),
-      plus_words 20.4 );
+      plus_words 19.9 );
     (* side 32, k 64, r 1, loss 0.3, churn 0.02/0.3: the churn and loss
        draws allocate nothing (Prng.bernoulli compares integers) *)
     ("faulted flood", (fun () -> faulted_run ()), plus_words 12.5);
     ("faulted single-hop", faulted_run ~exchange:Config.Single_hop,
      plus_words 17.5);
-    (* k 256, box 16, r 1.2, 15 steps a run. The moves take 8 words per
-       agent: each coordinate's Prng.gaussian and reflect return a boxed
-       float (2 words each), since dune's dev profile compiles with
-       -opaque. The rest is set-up spread over the run's 15 steps, and
-       the engine's few words of a radius > 0 step; the pair scan
-       allocates nothing (test_continuum). *)
-    ("continuum", continuum_run, plus_percent 2538.3);
     (* side 40, k 24, central wall with gap 2, line of sight *)
     ("barrier", barrier_run, plus_words 7.7);
   ]
@@ -194,6 +181,61 @@ let test_clementi_budget () =
       "clementi allocates %.2f minor words/step (budget %.1f over %d steps)"
       per_step clementi_budget_words_per_step steps
 
+(* The continuum box at k 256, box 16, r 1.2 (15-step runs), with
+   set-up measured apart, as for the Clementi run: a run this short
+   would otherwise spread its set-up over 15 steps. [Continuum.broadcast]
+   is this engine over this space and spec; the step counts are checked
+   equal. Set-up allocates 28.4 words per agent (positions, streams,
+   space and engine); the budget leaves one word per agent of room. A
+   step allocates 2067.7 words: the moves take 8 words per agent, since
+   each coordinate's Prng.gaussian and reflect return a boxed float (2
+   words each) under dune's dev profile, which compiles with -opaque;
+   the rest is the engine's few words of a radius > 0 step, and the
+   pair scan allocates nothing (test_continuum). *)
+module Continuum_engine = Mobile_network.Engine.Make (Continuum.Space)
+
+let continuum_budget_setup_words_per_agent = 29.4
+let continuum_budget_words_per_step = plus_percent 2067.7
+
+let test_continuum_budget () =
+  let agents = 256 and box_side = 16. and radius = 1.2 and sigma = 0.3 in
+  let create () =
+    Continuum_engine.create ~theory_n:256
+      ~space:(Continuum.Space.create ~box_side ~radius ~sigma ~agents)
+      (Mobile_network.Engine.default_spec ~agents ~seed:7 ~trial:0
+         ~max_steps:500)
+  in
+  let broadcast =
+    Continuum.broadcast
+      { Continuum.box_side; agents; radius; sigma; seed = 7; trial = 0;
+        max_steps = 500 }
+  in
+  (* warmup: lazy tables *)
+  ignore (Continuum_engine.run (create ()));
+  let setup = ref 0. and words = ref 0. and steps = ref 0 in
+  for _ = 1 to 5 do
+    let w0 = Gc.minor_words () in
+    let sim = create () in
+    let w1 = Gc.minor_words () in
+    let r = Continuum_engine.run sim in
+    let w2 = Gc.minor_words () in
+    Alcotest.(check int) "the engine run is Continuum.broadcast"
+      broadcast.Mobile_network.Engine.steps r.Mobile_network.Engine.steps;
+    setup := !setup +. (w1 -. w0);
+    words := !words +. (w2 -. w1);
+    steps := !steps + r.Mobile_network.Engine.steps
+  done;
+  let setup = !setup /. float_of_int (5 * agents) in
+  if setup > continuum_budget_setup_words_per_agent then
+    Alcotest.failf
+      "continuum set-up allocates %.2f minor words/agent (budget %.1f)" setup
+      continuum_budget_setup_words_per_agent;
+  let per_step = !words /. float_of_int !steps in
+  if per_step > continuum_budget_words_per_step then
+    Alcotest.failf
+      "continuum allocates %.2f minor words/step (budget %.1f over %d steps)"
+      per_step continuum_budget_words_per_step !steps
+
 (* The scalar walks of Lemmas 1-3 step with no per-step allocation: a
    10^4-step call allocates no more minor words than a 10-step one. Each
    call runs its whole budget: the hitting target lies beyond reach, and
@@ -238,6 +280,8 @@ let () =
               (test_probe_budget run budget))
           probes
         @ [
+            Alcotest.test_case "continuum stays in budget" `Quick
+              test_continuum_budget;
             Alcotest.test_case "clementi stays in budget" `Quick
               test_clementi_budget;
             Alcotest.test_case "population scale stays in budget" `Quick

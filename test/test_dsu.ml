@@ -290,14 +290,24 @@ let ops_arb =
       int_range 1 16 >>= fun n ->
       map (fun ops -> (n, ops)) (list_size (int_range 0 60) (op_gen n)))
 
-let touched_list d = List.init (Dsu.touched_count d) (Dsu.touched d)
+(* The root pass into fresh scratch: the touched log and each logged
+   element's root, or -1 for a singleton. *)
+let root_pass d =
+  let n = Dsu.length d in
+  let members = Array.make n (-2) and roots = Array.make n (-2) in
+  let len = Dsu.touched_roots d ~members ~roots in
+  (Array.sub members 0 len, Array.sub roots 0 len)
+
+let touched_list d = Array.to_list (fst (root_pass d))
 
 (* After every operation the log lists exactly the elements an operation
    has reached since the last reset (the model [stamped]: the stamping
    rule of dsu.ml, stated on the operations), each once; and every
-   member of a non-singleton set is listed. A naive component array
-   tells [Dissolve_set] which members to dissolve, so dissolves always
-   cover whole sets, as the contract requires. *)
+   member of a non-singleton set is listed. The root pass gives a
+   singleton -1, and two members of one non-trivial set one root inside
+   that set. A naive component array tells [Dissolve_set] which members
+   to dissolve, so dissolves always cover whole sets, as the contract
+   requires. *)
 let prop_touched_log =
   QCheck.Test.make ~name:"touched log = elements stamped this epoch"
     ~count:500 ops_arb (fun (n, ops) ->
@@ -341,7 +351,22 @@ let prop_touched_log =
               Array.fill stamped 0 n false;
               Array.iteri (fun x _ -> comp.(x) <- x) comp;
               Dsu.reset d);
-          let log = touched_list d in
+          let members, roots = root_pass d in
+          let log = Array.to_list members in
+          let size x =
+            Array.fold_left (fun a c -> if c = comp.(x) then a + 1 else a) 0 comp
+          in
+          Array.iteri
+            (fun u x ->
+              let r = roots.(u) in
+              if size x = 1 then (if r <> -1 then ok := false)
+              else if r < 0 || r >= n || comp.(r) <> comp.(x) then ok := false
+              else
+                Array.iteri
+                  (fun v y ->
+                    if comp.(y) = comp.(x) && roots.(v) <> r then ok := false)
+                  members)
+            members;
           let sorted = List.sort_uniq Int.compare log in
           let expected =
             List.filter (fun x -> stamped.(x)) (List.init n Fun.id)
@@ -383,9 +408,17 @@ let test_touched_reset () =
   Dsu.dissolve d 2;
   Alcotest.(check (list int)) "dissolve logs only unstamped elements" [ 5; 2 ]
     (touched_list d);
-  Alcotest.check_raises "index past the log"
-    (Invalid_argument "Dsu.touched: index out of range") (fun () ->
-      ignore (Dsu.touched d 2))
+  Alcotest.check_raises "scratch shorter than the log"
+    (Invalid_argument "Dsu.touched_roots: scratch shorter than the touched log")
+    (fun () ->
+      ignore
+        (Dsu.touched_roots d ~members:(Array.make 1 0)
+           ~roots:(Array.make 6 0)));
+  ignore (Dsu.union d 5 2);
+  ignore (Dsu.find d 0);
+  let members, roots = root_pass d in
+  Alcotest.(check (array int)) "members in stamping order" [| 5; 2; 0 |] members;
+  Alcotest.(check (array int)) "roots, -1 for a singleton" [| 5; 5; -1 |] roots
 
 let () =
   Alcotest.run "dsu"

@@ -519,7 +519,13 @@ type case = {
 let case_arb =
   let open QCheck.Gen in
   let gen =
-    let* n = int_range 1 64 in
+    (* up to 150 agents, so gossip's rumor sets (capacity n) span one to
+       three 64-bit words, with the word edges drawn often *)
+    let* n =
+      frequency
+        [ (3, int_range 1 64); (2, oneofl [ 65; 128; 129; 130 ]);
+          (2, int_range 65 150) ]
+    in
     let agent = int_range 0 (n - 1) in
     let flags p = array_size (return n) (map (fun x -> x < p) float) in
     let touch = oneofl [ Find; Size; Dissolve ] in

@@ -182,6 +182,25 @@ let test_fault_injection () =
   Alcotest.(check int) "r=0 loss 0.6, torus" 588
     (r0steps ~torus:true ~side:100 ~agents:2000 ~seed:6 (loss 0.6))
 
+(* dense_gossip's shape (side 64, k 256, r 2, gossip): four-word rumor
+   sets and about 50 components a step. Every agent's rumor cardinal
+   after 40 steps, pinned by its total and the digest of the list in
+   agent order. *)
+let test_dense_gossip_cardinals () =
+  let sim =
+    Simulation.create
+      (Config.make ~side:64 ~agents:256 ~radius:2 ~protocol:Protocol.Gossip
+         ~seed:4 ())
+  in
+  for _ = 1 to 40 do
+    Simulation.step sim
+  done;
+  let cards = List.init 256 (Simulation.rumors_known sim) in
+  Alcotest.(check int) "total known" 5383 (List.fold_left ( + ) 0 cards);
+  Alcotest.(check string) "cardinals digest" "2840a649d13be5b24c9803a40a45d720"
+    (Digest.to_hex
+       (Digest.string (String.concat "," (List.map string_of_int cards))))
+
 let () =
   Alcotest.run "golden"
     [
@@ -194,5 +213,7 @@ let () =
           Alcotest.test_case "satellite simulators" `Quick
             test_satellite_simulators;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
+          Alcotest.test_case "dense gossip rumor cardinals" `Quick
+            test_dense_gossip_cardinals;
         ] );
     ]

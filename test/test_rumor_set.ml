@@ -65,7 +65,16 @@ let test_union_capacity_mismatch () =
   let a = R.create ~capacity:8 and b = R.create ~capacity:9 in
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Rumor_set.union_into: capacity mismatch") (fun () ->
-      ignore (R.union_into ~src:a ~dst:b))
+      ignore (R.union_into ~src:a ~dst:b));
+  Alcotest.check_raises "or_into"
+    (Invalid_argument "Rumor_set.or_into: capacity mismatch") (fun () ->
+      R.or_into ~src:a ~dst:b);
+  Alcotest.check_raises "copy_into"
+    (Invalid_argument "Rumor_set.copy_into: capacity mismatch") (fun () ->
+      R.copy_into ~src:a ~dst:b);
+  Alcotest.check_raises "assign_superset"
+    (Invalid_argument "Rumor_set.assign_superset: capacity mismatch")
+    (fun () -> ignore (R.assign_superset ~src:a ~dst:b))
 
 let test_copy_independent () =
   let a = R.singleton ~capacity:4 1 in
@@ -106,9 +115,9 @@ let words_per_call f =
 
 let sink = ref 0
 
-(* A fresh-bits union is repeated by clearing [dst] back to [base]
-   through [union_into] itself, so each call of the measured closure
-   makes two unions with fresh bits and no other work that allocates. *)
+(* A fresh-bits union is repeated by resetting [dst] to [base] with
+   [copy_into], so each call of the measured closure makes one union
+   with fresh bits and no other work that allocates. *)
 let test_union_allocates_nothing () =
   List.iter
     (fun capacity ->
@@ -124,10 +133,17 @@ let test_union_allocates_nothing () =
           0. (words_per_call f)
       in
       check "fresh bits" (fun () ->
-          R.clear dst;
-          sink := !sink + R.union_into ~src:base ~dst;
+          R.copy_into ~src:base ~dst;
           sink := !sink + R.union_into ~src ~dst);
-      check "no fresh bits" (fun () -> sink := !sink + R.union_into ~src ~dst))
+      check "no fresh bits" (fun () -> sink := !sink + R.union_into ~src ~dst);
+      (* one component flood's primitives: seed, OR, recount, write back *)
+      let member = R.copy base in
+      check "flood primitives" (fun () ->
+          R.copy_into ~src:base ~dst;
+          R.or_into ~src ~dst;
+          R.recount dst;
+          sink := !sink + R.assign_superset ~src:dst ~dst:member;
+          R.copy_into ~src:base ~dst:member))
     [ 65; 256 ]
 
 (* --- qcheck: bitset behaves like a reference implementation (int sets) ---
@@ -228,6 +244,43 @@ let prop_union_into_is_set_union =
           in
           chain (List.sort_uniq compare first) rest)
 
+(* A component flood over four members' sets: the first seeds an
+   accumulator by [copy_into] (over a stale set), the rest are ORed in,
+   one [recount]; then each member takes the accumulator by
+   [assign_superset]. At each stage the sets and cardinals match the
+   functional union, the sources are unchanged until written back, and
+   each write-back returns the rumors its member gained. *)
+let prop_flood_primitives =
+  QCheck.Test.make ~name:"flood primitives = functional set union" ~count:300
+    (boundary_scripts 5) (fun (capacity, lists) ->
+      match lists with
+      | stale :: (first :: rest as members) ->
+          let all = List.init capacity Fun.id in
+          let norm xs = List.sort_uniq compare xs in
+          let is s xs =
+            R.cardinal s = List.length (norm xs)
+            && List.for_all (fun i -> R.mem s i = List.mem i xs) all
+          in
+          let sets = List.map (of_list capacity) members in
+          let acc = of_list capacity stale in
+          R.copy_into ~src:(List.hd sets) ~dst:acc;
+          let seeded = is acc first in
+          List.iter (fun src -> R.or_into ~src ~dst:acc) (List.tl sets);
+          R.recount acc;
+          let union = first @ List.concat rest in
+          let summed = is acc union && List.for_all2 is sets members in
+          let written =
+            List.for_all2
+              (fun xs dst ->
+                let added = R.assign_superset ~src:acc ~dst in
+                added = List.length (norm union) - List.length (norm xs)
+                && is dst union
+                && R.assign_superset ~src:acc ~dst = 0)
+              members sets
+          in
+          seeded && summed && written
+      | _ -> false)
+
 let () =
   Alcotest.run "rumor_set"
     [
@@ -257,6 +310,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_matches_reference; prop_union_cardinal;
-            prop_union_into_is_set_union;
+            prop_union_into_is_set_union; prop_flood_primitives;
           ] );
     ]

@@ -185,6 +185,25 @@ let test_ambient_pool () =
       Alcotest.(check int) "ambient pool size" 3 (Pool.jobs (Pool.ambient ())));
   Alcotest.(check int) "ambient restored" 1 (Pool.ambient_jobs ())
 
+(* An out-of-range size is refused at the call, and the ambient size is
+   left as it was. The ambient pool is never forced here, so no domain
+   is spawned whatever the size. *)
+let test_ambient_jobs_range () =
+  with_ambient_jobs 3 (fun () ->
+      List.iter
+        (fun n ->
+          Alcotest.check_raises
+            (Printf.sprintf "set_ambient_jobs %d" n)
+            (Invalid_argument
+               (Printf.sprintf
+                  "Pool.set_ambient_jobs: jobs must be between 1 and %d (got %d)"
+                  Pool.max_jobs n))
+            (fun () -> Pool.set_ambient_jobs n);
+          Alcotest.(check int)
+            (Printf.sprintf "ambient_jobs unchanged by %d" n)
+            3 (Pool.ambient_jobs ()))
+        [ Pool.max_jobs + 1; 0; -1 ])
+
 (* --- production fan-out points --- *)
 
 let measure_sweep () =
@@ -247,6 +266,8 @@ let () =
           Alcotest.test_case "nested fan-out helps instead of deadlocking"
             `Quick test_nested_fanout_no_deadlock;
           Alcotest.test_case "ambient pool" `Quick test_ambient_pool;
+          Alcotest.test_case "ambient size out of range" `Quick
+            test_ambient_jobs_range;
         ] );
       ( "determinism",
         [
