@@ -42,7 +42,10 @@ test:
 # r = 1, on a torus, for gossip (k = 64, one rumor word, k = 130,
 # three words, and dense_gossip's shape, side 64, k = 256, r = 2: four
 # words and about 50 components a step) and over a lossy graph, and
-# single-hop for one rumor and for gossip (as scenario cells). The
+# single-hop for one rumor and for gossip (as scenario cells). A sparse
+# lossy radius-0 run on a side-512 grid (k/n below 0.001, a grid far
+# larger than the radius-0 index's collision filter, two sort passes)
+# pins the loss draws' pair order where most agents are alone. The
 # dense-baseline pin runs Clementi et al.'s model (jump kernel, single-hop exchange) as
 # an ordinary scenario cell and expects the 15 steps the golden test
 # pins. The service smoke drives the job daemon over its socket:
@@ -113,6 +116,7 @@ check:
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 130 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 112 steps'
 	dune exec bin/mobisim.exe -- simulate --side 64 -k 256 -r 2 --protocol gossip --seed 4 | grep -qx 'completed in 395 steps'
 	dune exec bin/mobisim.exe -- simulate --side 32 -k 48 -r 1 --loss-p 0.3 --seed 6 | grep -qx 'completed in 315 steps'
+	dune exec bin/mobisim.exe -- simulate --side 512 -k 256 -r 0 --loss-p 0.5 --seed 5 | grep -qx 'completed in 71622 steps'
 	printf '{"side":32,"agents":64,"radius":1,"exchange":"single-hop","seed":5}' > /tmp/mobisim-single-hop.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-single-hop.json | grep -q '"steps":207'
 	printf '{"side":32,"agents":64,"radius":2,"protocol":"gossip","exchange":"single-hop","seed":4}' > /tmp/mobisim-gossip-single-hop.json

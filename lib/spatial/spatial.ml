@@ -20,20 +20,34 @@
    within a bucket, and the same fixed E/N/NE/NW neighbour geometry.
 
    Radius 0: a close pair is two agents on one node, and no neighbour
-   lookup is needed, so nothing is sized to the grid. Each indexed agent
-   becomes one int, its node id (y * side + x, below 2^32) above its
-   agent id (below 2^30), and an LSD counting sort over digits of at
-   most 12 bits groups these by node. Each pass is the same first-touch
-   counting sort as the bucket table's, over a digit table of at most
-   4096 slots. A pass may order its digit groups any way it likes (a
-   stable pass keeps every group of the earlier passes contiguous), so
-   the result is grouped by node, agent ids ascending within a group.
-   Up to side 64 a node id is a single digit: one pass, whose groups
-   come in first-touch order, i.e. by smallest agent. With more passes
-   the group order is arbitrary, so each run of two or more agents is
-   recorded at its smallest agent ([run_at]) and the pair scan visits
-   agents in id order. Either way the pairs come out in the order the
-   interface promises.
+   lookup is needed, so nothing is sized to the grid. In the sparse
+   regime most agents are alone on their node, so a filter keeps them
+   out of the sort. Pass A writes each indexed agent's packed key, its
+   node id (y * side + x, below 2^32) above its agent id (below 2^30),
+   to [keys] ([reconcile] reads them), and bumps a saturating 0/1/2
+   counter for its node in the filter: about 4 slots per agent (a power
+   of two, at least [min_filter_bits] bits, sized to the population) of
+   4 bits each, 16 to a word, kept in the words of [items] that the
+   sort overwrites only after pass B, so it costs no memory of its own.
+   A node folds to its slot by [node lxor (node lsr b)], masked, which
+   is the identity when the table covers the grid: small grids get an
+   exact filter. Two agents on one node share a slot, so every agent
+   with company reads 2; an agent that reads 2 alone (a slot shared by
+   two nodes) only costs sort work. Pass B collects, in agent order,
+   the agents whose slot reads 2, each as its node above its rank among
+   them ([cand] maps a rank back to the agent). An LSD counting sort
+   over digits of at most 12 bits groups these candidates by node:
+   each pass is the same first-touch counting sort as the bucket
+   table's, over a digit table of at most 4096 slots. A pass may order
+   its digit groups any way it likes (a stable pass keeps every group
+   of the earlier passes contiguous), so the result is grouped by node,
+   ranks ascending within a group. Up to side 64 a node id is a single
+   digit: one pass, whose groups come in first-touch order, i.e. by
+   smallest rank, so by smallest agent. With more passes the group
+   order is arbitrary, so each run of two or more candidates is
+   recorded at its smallest rank (in the sort's spare buffer, free once
+   the sort is done) and the pair scan visits ranks in order. Either
+   way the pairs come out in the order the interface promises.
 
    One entry, [rebuild_soa], loads both indexes from int32 coordinate
    vectors. At radius >= 1 it records each indexed agent's coordinates
@@ -52,6 +66,9 @@ let agent_bits = 30
 let agent_mask = (1 lsl agent_bits) - 1
 
 let max_digit_bits = 12
+
+(* The radius-0 filter's fewest slots: 1024, in 64 words *)
+let min_filter_bits = 10
 
 (* Half Morton keys of coordinate values, one int32 each (the half key
    of a 16-bit column fits 31 bits). Kept outside the OCaml heap, so the
@@ -83,8 +100,8 @@ type t = {
   start : int array;  (* offset of each slot's slice of the output *)
   touched : int array;  (* slots used by the last counting pass *)
   mutable touched_len : int;
-  (* radius >= 1: agent ids grouped by bucket; radius 0: packed keys
-     grouped by node *)
+  (* radius >= 1: agent ids grouped by bucket; radius 0: the
+     candidates' packed keys grouped by node *)
   mutable items : int array;
   mutable present : bool array option;  (* agents indexed by the last rebuild *)
   mutable n : int;  (* population of the last rebuild *)
@@ -99,13 +116,20 @@ type t = {
   (* radius 0 *)
   digit_bits : int;
   passes : int;
+  node_bits : int;  (* bits of the largest node id *)
   mutable m : int;  (* agents indexed by the last rebuild *)
   (* packed keys of the indexed agents in id order, for the last rebuild
      and the one before (swapped every rebuild) *)
   mutable keys : int array;
   mutable prev_keys : int array;
-  mutable spare : int array;  (* the sort's other ping-pong buffer *)
-  mutable run_at : int array;  (* passes > 1: offset of the run an agent heads, or -1 *)
+  (* log2 of the filter's slots: saturating 0/1/2 counts of agents,
+     4 bits each, 16 to a word of [items] (see [bump]) *)
+  mutable filter_bits : int;
+  mutable cands : int;  (* agents whose slot read 2 in the last rebuild *)
+  mutable cand : int array;  (* the agent of each candidate rank *)
+  (* the sort's other ping-pong buffer; after the sort, when passes > 1,
+     the offset in [items] of the run each candidate rank heads, or -1 *)
+  mutable spare : int array;
   mutable delta_ok : bool;  (* [keys] covers all n agents at radius 0 *)
   (* [reconcile]'s scratch, grown on first use *)
   mutable entries : int array;
@@ -228,11 +252,14 @@ let create grid ~radius =
     sy = [||];
     digit_bits;
     passes;
+    node_bits = key_bits side;
     m = 0;
     keys = [||];
     prev_keys = [||];
+    filter_bits = 0;
+    cands = 0;
+    cand = [||];
     spare = [||];
-    run_at = [||];
     delta_ok = false;
     entries = [||];
     entries' = [||];
@@ -251,10 +278,11 @@ let[@inline] col_key t c =
 (* The per-step loops below use unchecked array accesses. The indices
    are structurally in range: bucket ids are keys of two half keys of
    clamped columns (< buckets, the table's length), digits are
-   masked to [digit_bits] (< the table's length at radius 0), agent ids
-   are < n and output offsets < m <= n (every per-agent array is grown
-   to n by [begin_rebuild]), and [touched_len] counts distinct slots, so
-   it never exceeds the table's length. *)
+   masked to [digit_bits] (< the table's length at radius 0), filter
+   slots are masked to [filter_bits] (their words fit [items]), agent ids
+   are < n and output offsets and candidate ranks < m <= n (every
+   per-agent array is grown to n by [begin_rebuild]), and [touched_len]
+   counts distinct slots, so it never exceeds the table's length. *)
 
 let[@unsafe_invariant
      "touched.(i < touched_len) holds distinct slots < length count"]
@@ -270,6 +298,18 @@ let grow a n =
     (Array.make n 0 [@alloc_ok "grow-once scratch: reused on every later step of the same population"])
   else a
 
+(* Bits of the radius-0 filter for [n] agents: about 4 slots per agent,
+   at least [min_filter_bits], at most the node ids' bits (where the
+   fold is the identity). *)
+let rec filter_bits_for t n b =
+  if b >= t.node_bits then t.node_bits
+  else if 1 lsl b >= 4 * n then b
+  else filter_bits_for t n (b + 1)
+
+(* Words of [items] the filter's 4-bit slots take, 16 to a word (the
+   last slot has 3 bits, enough for a count of at most 2). *)
+let filter_words t = ((1 lsl t.filter_bits) + 15) lsr 4
+
 (* [rebuild_soa]'s prologue: empty the table and size the per-agent
    scratch for [n] agents; at radius 0 the previous rebuild's
    keys move to [prev_keys]. *)
@@ -277,16 +317,21 @@ let begin_rebuild ?present t ~n =
   if n > 1 lsl agent_bits then
     invalid_arg "Spatial.rebuild_soa: more than 2^30 agents";
   clear_table t;
-  t.items <- grow t.items n;
   if t.radius = 0 then begin
     let k = t.prev_keys in
     t.prev_keys <- t.keys;
     t.keys <- grow k n;
     t.prev_keys <- grow t.prev_keys n;
-    t.spare <- grow t.spare n;
-    if t.passes > 1 then t.run_at <- grow t.run_at n
+    t.filter_bits <- filter_bits_for t n min_filter_bits;
+    (* the sort's two buffers trade places, so either may hold the
+       filter next *)
+    let len = max n (filter_words t) in
+    t.items <- grow t.items len;
+    t.spare <- grow t.spare len;
+    t.cand <- grow t.cand n
   end
   else begin
+    t.items <- grow t.items n;
     t.bucket <- grow t.bucket n;
     t.ax <- grow t.ax n;
     t.ay <- grow t.ay n;
@@ -377,6 +422,9 @@ let[@inline] node_of v = v lsr agent_bits
 
 let[@inline] agent_of v = v land agent_mask
 
+(* a candidate's key holds its rank where an agent's holds the agent *)
+let[@inline] rank_of v = v land agent_mask
+
 let[@unsafe_invariant
      "i < m <= length src; digits are masked below length count"]
     count_digit t src ~m ~shift =
@@ -420,35 +468,81 @@ let rec sort_from t p ~src ~m ~a ~b =
 let rec run_end v ~m key hi =
   if hi < m && node_of v.(hi) = key then run_end v ~m key (hi + 1) else hi
 
-(* Record at its smallest agent each run of two or more agents on one
-   node in [items.(x..m-1)]; the current run started at [lo], on node
-   [key]. *)
-let[@unsafe_invariant "x < m <= length items"] rec mark_runs t lo key x =
-  if x < t.m && node_of (Array.unsafe_get t.items x) = key then
+(* The run's smallest agent is its first; record each run of two or
+   more candidates on one node in [items.(x..cands-1)] at that agent's
+   rank, in [spare]; the current run started at [lo], on node [key]. *)
+let[@unsafe_invariant "x < cands <= length items"] rec mark_runs t lo key x =
+  if x < t.cands && node_of (Array.unsafe_get t.items x) = key then
     mark_runs t lo key (x + 1)
   else begin
-    if x - lo > 1 then t.run_at.(agent_of t.items.(lo)) <- lo;
-    if x < t.m then mark_runs t x (node_of (Array.unsafe_get t.items x)) (x + 1)
+    if x - lo > 1 then t.spare.(rank_of t.items.(lo)) <- lo;
+    if x < t.cands then
+      mark_runs t x (node_of (Array.unsafe_get t.items x)) (x + 1)
   end
 
-(* Sort the [m] keys counted into the table, then record the runs if
-   their order is not already by smallest agent. *)
+(* Sort the candidates collected into [spare], their first digit counted
+   into the table, then record the runs if their order is not already
+   by smallest rank. *)
 let group_by_node t =
-  let out = sort_from t 0 ~src:t.keys ~m:t.m ~a:t.items ~b:t.spare in
+  let out = sort_from t 0 ~src:t.spare ~m:t.cands ~a:t.items ~b:t.spare in
   if out != t.items then begin
     t.spare <- t.items;
     t.items <- out
   end;
   if t.passes > 1 then begin
-    Array.fill t.run_at 0 t.n (-1);
-    if t.m > 0 then mark_runs t 0 (node_of t.items.(0)) 1
+    Array.fill t.spare 0 t.cands (-1);
+    if t.cands > 0 then mark_runs t 0 (node_of t.items.(0)) 1
   end
 
+(* The filter slot of [node]: its bits xor-folded onto the table's,
+   the identity when the table covers every node id. *)
+let[@inline] slot t node =
+  (node lxor (node lsr t.filter_bits)) land ((1 lsl t.filter_bits) - 1)
+
+(* Pass A for one indexed agent on [node]: its filter slot [s], bits
+   [4 (s mod 16)] up of word [s / 16] of [items], bumped from c to
+   [min (c + 1) 2]. *)
 let[@inline]
-    [@unsafe_invariant "m < n <= length keys (begin_rebuild)"] push t key =
-  Array.unsafe_set t.keys t.m key;
-  count_agent t (digit key ~shift:0 ~mask:(digit_mask t));
-  t.m <- t.m + 1
+    [@unsafe_invariant
+      "slot masks below 2^filter_bits, so its word is below filter_words \
+       <= length items (begin_rebuild)"] bump t node =
+  let s = slot t node in
+  let w = s lsr 4 and lane = (s land 15) lsl 2 in
+  let v = Array.unsafe_get t.items w in
+  Array.unsafe_set t.items w (v + ((1 - ((v lsr lane) land 3) lsr 1) lsl lane))
+
+(* 1 when [node]'s filter slot reads 2, else 0 *)
+let[@inline]
+    [@unsafe_invariant
+      "slot masks below 2^filter_bits, so its word is below filter_words \
+       <= length items (begin_rebuild)"] crowded t node =
+  let s = slot t node in
+  ((Array.unsafe_get t.items (s lsr 4) lsr ((s land 15) lsl 2)) land 3) lsr 1
+
+(* Pass A for one agent under a presence mask: its key into [keys.(m)],
+   its slot bumped. *)
+let[@inline]
+    [@unsafe_invariant "m < n <= length keys (begin_rebuild)"] push t node
+    agent =
+  Array.unsafe_set t.keys t.m ((node lsl agent_bits) lor agent);
+  t.m <- t.m + 1;
+  bump t node
+
+(* Pass B over [keys.(i..m-1)], [r] candidates found so far: each agent
+   into [spare.(r)] as its node above [r], and into [cand.(r)], but [r]
+   advances only when its slot reads 2, so a later agent overwrites the
+   others. No branch depends on the filter. Returns the candidates. *)
+let[@unsafe_invariant
+     "r <= i < m <= n <= length keys, spare, cand (begin_rebuild)"] rec
+    collect t i r =
+  if i >= t.m then r
+  else begin
+    let key = Array.unsafe_get t.keys i in
+    let node = node_of key in
+    Array.unsafe_set t.spare r ((node lsl agent_bits) lor r);
+    Array.unsafe_set t.cand r (agent_of key);
+    collect t (i + 1) (r + crowded t node)
+  end
 
 let[@unsafe_invariant
      "i is an agent index < n <= Array1.dim v (rebuild_soa contract)"] vget
@@ -466,24 +560,23 @@ let[@hot]
   let unmasked = match present with None -> true | Some _ -> false in
   let eligible = t.radius = 0 && t.delta_ok && t.n = n && unmasked in
   begin_rebuild ?present t ~n;
-  let side = t.side in
   if t.radius = 0 then begin
-    if unmasked then begin
-      let mask = digit_mask t in
-      for agent = 0 to n - 1 do
-        let key =
-          (((vget ys agent * side) + vget xs agent) lsl agent_bits) lor agent
-        in
-        Array.unsafe_set t.keys agent key;
-        count_agent t (digit key ~shift:0 ~mask)
-      done;
-      t.m <- n
-    end
-    else
-      for agent = 0 to n - 1 do
-        if match present with None -> true | Some pr -> pr.(agent) then
-          push t ((((vget ys agent * side) + vget xs agent) lsl agent_bits) lor agent)
-      done;
+    Array.fill t.items 0 (filter_words t) 0;
+    let side = t.side in
+    (match present with
+    | None ->
+        for agent = 0 to n - 1 do
+          let node = (vget ys agent * side) + vget xs agent in
+          Array.unsafe_set t.keys agent ((node lsl agent_bits) lor agent);
+          bump t node
+        done;
+        t.m <- n
+    | Some pr ->
+        for agent = 0 to n - 1 do
+          if pr.(agent) then push t ((vget ys agent * side) + vget xs agent) agent
+        done);
+    t.cands <- collect t 0 0;
+    count_digit t t.spare ~m:t.cands ~shift:0;
     group_by_node t
   end
   else begin
@@ -693,36 +786,41 @@ let[@unsafe_invariant "idx < touched_len <= length touched"] scan_torus t ~f
     probe t b ((if hx = 0 then last_x else prev_x hx) lor ny) ~f
   done
 
-(* The pairs of the run [items.(lo..hi-1)] (one node, agents
-   ascending), in lexicographic order. *)
+(* The pairs of the run [items.(lo..hi-1)] (one node, ranks
+   ascending), in lexicographic order of their agents. *)
 let run_pairs t lo hi ~f =
   for x = lo to hi - 2 do
-    let i = agent_of t.items.(x) in
+    let i = t.cand.(rank_of t.items.(x)) in
     for y = x + 1 to hi - 1 do
-      f i (agent_of t.items.(y))
+      f i t.cand.(rank_of t.items.(y))
     done
   done
 
-(* One pass: the runs of [items.(x..m-1)] already come by smallest
-   agent; the current run started at [lo], on node [key]. *)
-let[@unsafe_invariant "x < m <= length items"] rec iter_runs t ~f lo key x =
-  if x < t.m && node_of (Array.unsafe_get t.items x) = key then
+(* One pass: the runs of [items.(x..cands-1)] already come by smallest
+   rank; the current run started at [lo], on node [key]. *)
+let[@unsafe_invariant "x < cands <= length items"] rec iter_runs t ~f lo key
+    x =
+  if x < t.cands && node_of (Array.unsafe_get t.items x) = key then
     iter_runs t ~f lo key (x + 1)
   else begin
     if x - lo > 1 then run_pairs t lo x ~f;
-    if x < t.m then iter_runs t ~f x (node_of (Array.unsafe_get t.items x)) (x + 1)
+    if x < t.cands then
+      iter_runs t ~f x (node_of (Array.unsafe_get t.items x)) (x + 1)
   end
 
 let[@hot] iter_close_pairs t ~f =
   if t.radius = 0 then begin
     if t.passes = 1 then begin
-      if t.m > 0 then iter_runs t ~f 0 (node_of t.items.(0)) 1
+      if t.cands > 0 then iter_runs t ~f 0 (node_of t.items.(0)) 1
     end
     else
-      for agent = 0 to t.n - 1 do
-        let lo = t.run_at.(agent) in
+      (* [spare] holds the offset of the run each rank heads, or -1 *)
+      for r = 0 to t.cands - 1 do
+        let lo = t.spare.(r) in
         if lo >= 0 then
-          run_pairs t lo (run_end t.items ~m:t.m (node_of t.items.(lo)) (lo + 1)) ~f
+          run_pairs t lo
+            (run_end t.items ~m:t.cands (node_of t.items.(lo)) (lo + 1))
+            ~f
       done
   end
   else if not t.torus then scan_bounded t ~f

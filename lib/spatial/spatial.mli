@@ -15,9 +15,14 @@
     [min side 65536] int32 entries outside the OCaml heap (at most
     256 KiB), and six int arrays of the population's length.
 
-    At radius 0 a close pair is two agents on one node. The index groups
-    agents by node with a counting sort over k-sized arrays and a table
-    of at most 4096 slots, so its memory grows with k, not with the grid.
+    At radius 0 a close pair is two agents on one node. A filter of
+    about 4 slots per agent (a power of two, at least 1024, no more than
+    the grid has nodes) counts agents per slot, saturating at 2, in
+    4-bit counters kept in the sort's output buffer; only the agents
+    whose slot reads 2 (every agent with company, and a few alone on a
+    node that shares its slot) are grouped by node, with a counting
+    sort over k-sized arrays and a digit table of at most 4096 slots.
+    So its memory grows with k, not with the grid.
 
     Pair order is part of the contract at every radius, because callers
     draw one random number per visited pair (the engine's loss faults).
@@ -92,9 +97,13 @@ val rebuild_soa :
     per-step allocation. Replaces any previous contents. When [present]
     is given, agents with [present.(i) = false] are left out of the
     index entirely — no pair scan visits them (the engine's churn
-    mask). Returns {!Delta} when {!reconcile} may follow: at radius 0,
-    for consecutive unmasked rebuilds of the same population; otherwise
-    {!Full}. @raise Invalid_argument if [n > 2^30]. *)
+    mask). At radius 0 most agents that share no node with another are
+    filtered out before the sort, so the sort and the pair scan cost
+    O(candidates), not O(n); the index grows its arrays on the first
+    rebuild and again only for a larger population. Returns {!Delta}
+    when {!reconcile} may follow: at radius 0, for consecutive unmasked
+    rebuilds of the same population; otherwise {!Full}.
+    @raise Invalid_argument if [n > 2^30]. *)
 
 val reconcile :
   t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit

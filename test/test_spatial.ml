@@ -133,7 +133,10 @@ let test_huge_radius () =
 
 (* At radius 0 nothing is sized to the grid: an index for a side-2048
    grid (4.2 million nodes) fits in a few dozen KiB, where a table with
-   one slot per node would take tens of MiB. *)
+   one slot per node would take tens of MiB; and a rebuild of a handful
+   of agents on a side-65536 grid (2^32 nodes) allocates a few KiB, its
+   filter at its floor of 1024 slots and its arrays sized to the
+   agents. *)
 let test_radius0_memory () =
   let grid = Grid.create ~side:2048 () in
   let before = Gc.allocated_bytes () in
@@ -144,7 +147,21 @@ let test_radius0_memory () =
     true (bytes < 65536.);
   rebuild index grid [| 5; 4194303; 5 |];
   Alcotest.(check (list (pair int int))) "still indexes" [ (0, 2) ]
-    (emitted index)
+    (emitted index);
+  let side = 65536 in
+  let grid = Grid.create ~side () in
+  let xs = vec_of_coords [| 0; side - 1; 0; 1024; side - 1; 7 |]
+  and ys = vec_of_coords [| 0; side - 1; 0; 0; side - 1; 9 |] in
+  let index = Spatial.create grid ~radius:0 in
+  let before = Gc.allocated_bytes () in
+  ignore (Spatial.rebuild_soa index ~xs ~ys ~n:6 : Spatial.update);
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "side-65536 rebuild of 6 agents allocates %.0f bytes < 4 KiB"
+       bytes)
+    true (bytes < 4096.);
+  Alcotest.(check (list (pair int int))) "side 65536 indexes"
+    [ (0, 2); (1, 4) ] (emitted index)
 
 (* --- allocation: the per-step rebuild and scan at radius >= 1 --- *)
 
@@ -184,6 +201,35 @@ let test_bucket_step_allocates_nothing () =
       Alcotest.(check bool) (name ^ ": visits pairs") true (!pairs_seen > 0);
       Alcotest.(check (float 0.)) (name ^ ": minor words per step") 0. words)
     [ ("bounded", Grid.Bounded); ("torus", Grid.Torus) ]
+
+(* The radius-0 twin: 64 agents, half of them on 8 crowded nodes, on a
+   side-64 grid (node ids of one sort digit: one pass) and a side-512
+   grid (two passes, runs recorded by rank). Each array grown on the
+   first call is reused. *)
+let test_radius0_step_allocates_nothing () =
+  List.iter
+    (fun side ->
+      let grid = Grid.create ~side () in
+      let rng = Prng.of_seed 5 in
+      let hot = Array.init 8 (fun _ -> Grid.random_node grid rng) in
+      let positions =
+        Array.init 64 (fun i ->
+            if i land 1 = 0 then hot.(Prng.int rng 8)
+            else Grid.random_node grid rng)
+      in
+      let coords f = vec_of_coords (Array.map f positions) in
+      let xs = coords (Grid.x_of grid) and ys = coords (Grid.y_of grid) in
+      let index = Spatial.create grid ~radius:0 in
+      pairs_seen := 0;
+      let words =
+        words_per_call (fun () ->
+            ignore (Spatial.rebuild_soa index ~xs ~ys ~n:64 : Spatial.update);
+            Spatial.iter_close_pairs index ~f:count_pair)
+      in
+      let name = Printf.sprintf "side %d" side in
+      Alcotest.(check bool) (name ^ ": visits pairs") true (!pairs_seen > 0);
+      Alcotest.(check (float 0.)) (name ^ ": minor words per step") 0. words)
+    [ 64; 512 ]
 
 (* --- qcheck: randomized agreement with brute force --- *)
 
@@ -391,6 +437,59 @@ let prop_radius0_pair_order =
           (Grid.Torus, false); (Grid.Torus, true);
         ])
 
+(* The radius-0 index lets only the agents whose node shares a slot of
+   a population-sized filter with another agent into its sort, and the
+   filter is far smaller than these grids (sides up to 4096, 16.7
+   million nodes, for at most 200 agents): many distinct nodes share a
+   slot. The positions mix lone agents, a few crowded nodes, agents
+   along one row or column, nodes congruent modulo powers of two, and
+   pairs of nodes that share a slot of a 2^b-slot table folded by
+   [node lxor (node lsr b)] (distinct nodes, so never a pair). Small
+   sides put k far above n. One index serves several rebuilds, masked
+   and unmasked, so a filter left dirty by one would show in the next. *)
+let filter_positions rng ~side ~k =
+  let n = side * side in
+  let hot = Array.init 3 (fun _ -> Prng.int rng n) in
+  let line = Prng.int rng side and base = Prng.int rng n in
+  let p = 1 lsl (8 + Prng.int rng 5) in
+  Array.init k (fun _ ->
+      match Prng.int rng 6 with
+      | 0 -> Prng.int rng n
+      | 1 -> hot.(Prng.int rng 3)
+      | 2 -> (line * side) + Prng.int rng side
+      | 3 -> (Prng.int rng side * side) + line
+      | 4 -> (base mod p) + (p * Prng.int rng (((n - 1 - (base mod p)) / p) + 1))
+      | _ ->
+          let b = 10 + Prng.int rng 3 in
+          let d = Prng.int rng (1 lsl b) in
+          let v = base lxor (d lsl b) lxor d in
+          if v < n then v else base)
+
+let prop_radius0_filter_collisions =
+  QCheck.Test.make ~name:"radius-0 pairs past filter collisions = reference"
+    ~count:150
+    QCheck.(pair (int_range 1 200) small_int)
+    (fun (k, seed) ->
+      let rng = Prng.of_seed seed in
+      let side =
+        match Prng.int rng 3 with
+        | 0 -> 1 + Prng.int rng 8
+        | 1 -> 1 + Prng.int rng 300
+        | _ -> 1 + Prng.int rng 4096
+      in
+      let grid = Grid.create ~side () in
+      let index = Spatial.create grid ~radius:0 in
+      List.for_all
+        (fun masked ->
+          let positions = filter_positions rng ~side ~k in
+          let present =
+            if masked then Some (Array.init k (fun _ -> Prng.int rng 3 > 0))
+            else None
+          in
+          rebuild ?present index grid positions;
+          reference_order ?present positions = emitted index)
+        [ false; true; false; false; true ])
+
 (* --- radius >= 1 pair order ---------------------------------------------
 
    Loss faults draw one number per visited pair at every radius, so the
@@ -564,6 +663,8 @@ let () =
         [
           Alcotest.test_case "r = 2 rebuild and scan allocate nothing" `Quick
             test_bucket_step_allocates_nothing;
+          Alcotest.test_case "r = 0 rebuild and scan allocate nothing" `Quick
+            test_radius0_step_allocates_nothing;
         ] );
       ( "queries",
         [
@@ -576,7 +677,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_agreement; prop_pair_distance; prop_torus_agreement;
-            prop_radius0_pair_order; prop_bucket_pair_order;
+            prop_radius0_pair_order; prop_radius0_filter_collisions;
+            prop_bucket_pair_order;
             prop_incremental_matches_scratch ~torus:false ~churn:false ();
             prop_incremental_matches_scratch ~torus:true ~churn:false ();
             prop_incremental_matches_scratch ~torus:false ~churn:true ();
