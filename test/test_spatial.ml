@@ -677,12 +677,12 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_agreement; prop_pair_distance; prop_torus_agreement;
-            prop_radius0_pair_order; prop_radius0_filter_collisions;
-            prop_bucket_pair_order;
+            prop_radius0_pair_order; prop_bucket_pair_order;
             prop_incremental_matches_scratch ~torus:false ~churn:false ();
             prop_incremental_matches_scratch ~torus:true ~churn:false ();
             prop_incremental_matches_scratch ~torus:false ~churn:true ();
             prop_incremental_matches_scratch ~torus:true ~churn:true ();
             prop_incremental_matches_scratch ~offset:91 ~torus:false ~churn:true ();
+            prop_radius0_filter_collisions;
           ] );
     ]
