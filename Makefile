@@ -68,11 +68,17 @@ test:
 # (each exit 2, a file:line:col diagnostic). The lint
 # gate keeps the determinism/concurrency/io/poly-compare/layering
 # invariants machine-checked. `dune build @all` also builds
-# examples/.
+# examples/; the example smokes run all five, and pin museum_courier's
+# radio-opaque row (its floor-plan runs call the engine directly).
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) lint
+	dune exec examples/quickstart.exe > /dev/null
+	dune exec examples/vehicular_gossip.exe > /dev/null
+	dune exec examples/wildlife_frog.exe > /dev/null
+	dune exec examples/epidemic_predator.exe > /dev/null
+	dune exec examples/museum_courier.exe | grep -Eq '^\| 3x3 wings +\| +3 \| yes +\| +1258\.00 \|$$'
 	dune exec bin/mobisim.exe -- exp --quick --jobs 2
 	dune exec bin/mobisim.exe -- exp E1 --quick --metrics /tmp/mobisim-metrics.json
 	dune exec bin/mobisim.exe -- validate-metrics /tmp/mobisim-metrics.json

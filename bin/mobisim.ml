@@ -431,21 +431,17 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
           ],
           None )
     | Ast.Continuum ->
-        let cfg = Service.Runner.continuum_config cell ~seed ~trial in
-        let rc =
-          Continuum.critical_radius ~box_side:cfg.Continuum.box_side ~agents
-        in
+        let g = Ast.continuum_geometry cell in
+        let rc = Continuum.critical_radius ~box_side:g.Ast.g_box_side ~agents in
         Printf.printf "continuum: box=%.1f k=%d r=%.2f (%.2f r_c) sigma=%.2f\n"
-          cfg.Continuum.box_side agents cfg.Continuum.radius
-          (if rc > 0. then cfg.Continuum.radius /. rc else 0.)
-          cfg.Continuum.sigma;
+          g.Ast.g_box_side agents g.Ast.g_radius
+          (if rc > 0. then g.Ast.g_radius /. rc else 0.)
+          g.Ast.g_sigma;
         ( [
             ("space", Obs.Json.String "continuum");
-            ( "side",
-              Obs.Json.Int (int_of_float (Float.ceil cfg.Continuum.box_side))
-            );
+            ("side", Obs.Json.Int (int_of_float (Float.ceil g.Ast.g_box_side)));
             ("agents", Obs.Json.Int agents);
-            ("radius", Obs.Json.Float cfg.Continuum.radius);
+            ("radius", Obs.Json.Float g.Ast.g_radius);
             ("seed", Obs.Json.Int seed);
             ("trial", Obs.Json.Int trial);
           ],

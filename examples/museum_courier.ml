@@ -7,7 +7,8 @@
    Run with: dune exec examples/museum_courier.exe *)
 
 module Domain = Barriers.Domain
-module B = Barriers.Barrier_sim
+module Engine = Mobile_network.Engine
+module E = Engine.Make (Barriers.Domain_space)
 module Table = Experiments.Table
 
 let median_time ~domain ~radius ~los_blocking =
@@ -15,11 +16,14 @@ let median_time ~domain ~radius ~los_blocking =
   let times =
     Array.init trials (fun trial ->
         let report =
-          B.broadcast
-            { B.domain; agents = 20; radius; los_blocking; seed = 23; trial;
-              max_steps = 500_000 }
+          E.run
+            (E.create
+               ~space:
+                 (Barriers.Domain_space.create domain ~radius ~los_blocking)
+               (Engine.default_spec ~agents:20 ~seed:23 ~trial
+                  ~max_steps:500_000))
         in
-        float_of_int report.Mobile_network.Engine.steps)
+        float_of_int report.Engine.steps)
   in
   Array.sort compare times;
   times.(trials / 2)

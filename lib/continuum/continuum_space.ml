@@ -28,9 +28,13 @@ let isqrt v =
   if (r + 1) * (r + 1) <= v then r + 1 else r
 
 let create ~box_side ~radius ~sigma ~agents =
-  if not (box_side > 0.) then
-    invalid_arg "Continuum_space.create: box_side <= 0";
-  if radius < 0. then invalid_arg "Continuum_space.create: negative radius";
+  (* written so that NaN fails every check *)
+  if not (box_side > 0. && Float.is_finite box_side) then
+    invalid_arg "Continuum_space.create: box_side must be positive and finite";
+  if not (radius >= 0.) then
+    invalid_arg "Continuum_space.create: radius must be >= 0";
+  if not (sigma > 0. && Float.is_finite sigma) then
+    invalid_arg "Continuum_space.create: sigma must be positive and finite";
   if agents <= 0 then invalid_arg "Continuum_space.create: agents <= 0";
   (* More than ~2 sqrt(k) buckets per row buys nothing (expected
      occupancy is already < 1), so cap there: the cell side only grows,
@@ -133,6 +137,9 @@ let iter_close_pairs t ~f =
 let cover_cells _ = 0
 
 let cover_target _ = 0
+
+(* the box's area, the analogue of the grid's side^2 node count *)
+let theory_n t = int_of_float (Float.round (t.box_side *. t.box_side))
 
 let observe _t p ~informed ~frontier ~cover:_ ~cover_any:_ =
   (* the informed frontier generalises to the continuum as the largest

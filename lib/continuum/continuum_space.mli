@@ -21,9 +21,12 @@ include Mobile_network.Space.S with type pos := pos
 
 val create : box_side:float -> radius:float -> sigma:float -> agents:int -> t
 (** [agents] sizes the index (runs may use fewer agents; more reallocate
-    lazily). @raise Invalid_argument on a non-positive box or agent
-    count, or a negative radius. [sigma] may be 0 for a static
-    placement. *)
+    lazily). This is the continuum's one validator; with
+    {!Mobile_network.Engine.create}'s step-cap check it covers every
+    parameter of a run.
+    @raise Invalid_argument on a box side or [sigma] that is not
+    positive and finite, a radius that is not [>= 0] (NaN included) or
+    [agents <= 0]. *)
 
 val box_side : t -> float
 

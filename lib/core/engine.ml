@@ -441,7 +441,7 @@ module Make (S : Space.S) = struct
 
   (* --- construction ------------------------------------------------------ *)
 
-  let create ?metrics ?tracer ?series ?theory_n ~space spec =
+  let create ?metrics ?tracer ?series ~space spec =
     if spec.agents <= 0 then invalid_arg "Engine.create: agents <= 0";
     if spec.max_steps < 0 then invalid_arg "Engine.create: negative max_steps";
     if spec.sources < 1 || spec.sources > spec.agents then
@@ -489,9 +489,7 @@ module Make (S : Space.S) = struct
       | None -> None
       | Some sr when not (Obs.Series.enabled sr) -> None
       | Some sr ->
-          let n =
-            match theory_n with Some n -> n | None -> S.cover_cells space
-          in
+          let n = S.theory_n space in
           let theory_tb =
             if n > 0 then Theory.broadcast_theta ~n ~k:spec.agents else 0.
           in

@@ -7,12 +7,13 @@
     floods), the step loop with per-phase {!Obs} timers and series
     recording, coverage/frontier tracking, the protocol stopping
     predicates and the run record. A concrete simulator is then a space
-    instance plus a {!spec} — see {!Simulation} (grid, including
-    Clementi et al.'s dense baseline: the {!Walk.Jump} kernel with
-    [Single_hop] exchange), [Continuum.broadcast] and
-    [Barriers.Barrier_sim.broadcast], all thin wrappers over this
-    functor. Every one of them returns {!report}: it is the only record
-    of how a run ended ({!Simulation.report} is an alias of it).
+    instance plus a {!spec}. {!Simulation} adds the grid's {!Config.t}
+    (Clementi et al.'s dense baseline included: the {!Walk.Jump} kernel
+    with [Single_hop] exchange); the floor plans and the continuum box
+    are [Make (Barriers.Domain_space)] and [Make (Continuum.Space)] run
+    on {!default_spec}, with no wrapper. Every run returns {!report}: it
+    is the only record of how a run ended ({!Simulation.report} is an
+    alias of it).
 
     Determinism contract: for a fixed space, [spec.seed]/[spec.trial]
     fully determine the run. The draw order is {e observable state} —
@@ -57,9 +58,8 @@ type spec = {
 }
 
 val default_spec : agents:int -> seed:int -> trial:int -> max_steps:int -> spec
-(** Single-source broadcast with component flooding and no faults — the
-    continuum and floor-plan simulators' case; override fields as
-    needed. *)
+(** Single-source broadcast with component flooding and no faults;
+    override fields as needed. *)
 
 val series_columns : string list
 (** The column set every engine records into an attached {!Obs.Series}:
@@ -94,7 +94,6 @@ module Make (S : Space.S) : sig
     ?metrics:Obs.Sink.t ->
     ?tracer:Obs.Tracer.t ->
     ?series:Obs.Series.t ->
-    ?theory_n:int ->
     space:S.t ->
     spec ->
     t
@@ -122,17 +121,16 @@ module Make (S : Space.S) : sig
       [series] (default none) attaches a per-step timeseries recorder
       created over {!series_columns}: one row per step (decimated by
       {!Obs.Series} once its capacity fills), committed at the end of
-      each step and once for the initial state. [theory_n] is the node
-      count [n] the theory-residual column's [T_B = n/√k] ramp uses;
-      it defaults to the space's [cover_cells] (the grid's [n]; pass it
-      explicitly for spaces whose cover-cell count is not the paper's
-      [n], e.g. the continuum). Series recording, like the other two
+      each step and once for the initial state. The theory-residual
+      column's [T_B = n/√k] ramp takes [n] from the space's
+      {!Space.S.theory_n}. Series recording, like the other two
       instruments, is pure observation: results are byte-identical with
       a recorder attached or not, and passing {!Obs.Series.null} is the
       same as passing nothing.
       @raise Invalid_argument on non-positive [agents], a negative
-      [max_steps], or an out-of-range [source]/[sources]; callers with
-      richer configs validate those first with their own messages. *)
+      [max_steps], or an out-of-range [source]/[sources]. The space's
+      own [create] checks its parameters; {!Simulation.create}
+      validates a whole {!Config.t} first with its own messages. *)
 
   val step : t -> unit
   (** Advance one time step; no-op once {!is_done}. *)

@@ -88,6 +88,8 @@ let cover_cells t = Grid.nodes t.grid
 
 let cover_target t = Grid.nodes t.grid
 
+let theory_n t = Grid.nodes t.grid
+
 (* Accumulating the frontier through a tail-recursive loop instead of a
    [ref] keeps the coverless steady state allocation-free without
    flambda. *)

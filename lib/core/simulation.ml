@@ -47,12 +47,7 @@ let create ?metrics ?series ?full_rebuild:_ cfg =
   let space =
     Grid_space.create grid ~kernel:cfg.Config.kernel ~radius:cfg.Config.radius
   in
-  {
-    cfg;
-    e =
-      E.create ?metrics ?series ~theory_n:(Config.n cfg) ~space
-        (spec_of_config cfg);
-  }
+  { cfg; e = E.create ?metrics ?series ~space (spec_of_config cfg) }
 
 (* --- running -------------------------------------------------------------- *)
 

@@ -50,6 +50,8 @@ module type S = sig
 
   val cover_target : t -> int
 
+  val theory_n : t -> int
+
   val observe :
     t ->
     pos ->

@@ -95,6 +95,12 @@ module type S = sig
   (** Number of cells that counts as full coverage ([cover_cells] for
       the plain grid; the free-node count for barrier domains). *)
 
+  val theory_n : t -> int
+  (** The node count [n] of the paper's [T_B = n/√k] ramp, which the
+      series' [theory_residual] column measures a run against: the
+      grid's nodes, a floor plan's free nodes, a continuum box's area
+      rounded. *)
+
   val observe :
     t ->
     pos ->

@@ -14,6 +14,8 @@ type t = {
 type pos = Grid_space.pos
 
 let create domain ~radius ~los_blocking =
+  if Domain.free_count domain = 0 then
+    invalid_arg "Domain_space.create: domain has no free node";
   let grid = Domain.grid domain in
   let none = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout 0 in
   {
@@ -88,6 +90,8 @@ let iter_close_pairs t ~f =
 let cover_cells t = Grid_space.cover_cells t.grid_space
 
 let cover_target t = Domain.free_count t.domain
+
+let theory_n t = Domain.free_count t.domain
 
 let observe t pos ~informed ~frontier ~cover ~cover_any =
   Grid_space.observe t.grid_space pos ~informed ~frontier ~cover ~cover_any

@@ -19,7 +19,8 @@ include
   Mobile_network.Space.S with type pos = Mobile_network.Grid_space.pos
 
 val create : Domain.t -> radius:int -> los_blocking:bool -> t
-(** @raise Invalid_argument if [radius < 0] (via {!Spatial.create}). *)
+(** @raise Invalid_argument if the domain has no free node, or if
+    [radius < 0] (via {!Spatial.create}). *)
 
 val domain : t -> Domain.t
 

@@ -1,11 +1,14 @@
-module B = Barriers.Barrier_sim
+module Engine = Mobile_network.Engine
+module E = Engine.Make (Barriers.Domain_space)
 
 let median_broadcast ~domain ~agents ~radius ~los_blocking ~seed ~trials
     ~max_steps =
   let measured =
     Sweep.samples ~trials ~run:(fun ~trial ->
-        B.broadcast
-          { B.domain; agents; radius; los_blocking; seed; trial; max_steps })
+        E.run
+          (E.create
+             ~space:(Barriers.Domain_space.create domain ~radius ~los_blocking)
+             (Engine.default_spec ~agents ~seed ~trial ~max_steps)))
   in
   Sweep.median measured.Sweep.times
 

@@ -1,3 +1,6 @@
+module Engine = Mobile_network.Engine
+module E = Engine.Make (Continuum.Space)
+
 let run ?(quick = false) ~seed () =
   let ks = if quick then [ 64; 256 ] else [ 64; 256; 1024 ] in
   let trials = if quick then 3 else 5 in
@@ -18,9 +21,12 @@ let run ?(quick = false) ~seed () =
     in
     let measured =
       Sweep.samples ~trials ~run:(fun ~trial ->
-          Continuum.broadcast
-            { Continuum.box_side; agents = k; radius;
-              sigma = radius /. 4.; seed; trial; max_steps = 500_000 })
+          E.run
+            (E.create
+               ~space:
+                 (Continuum.Space.create ~box_side ~radius
+                    ~sigma:(radius /. 4.) ~agents:k)
+               (Engine.default_spec ~agents:k ~seed ~trial ~max_steps:500_000)))
     in
     let med = Sweep.median measured.Sweep.times in
     Table.add_row table

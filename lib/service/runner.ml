@@ -4,18 +4,6 @@ module Compile = Scenario.Compile
 
 module Engine = Mobile_network.Engine
 
-let continuum_config (c : Ast.cell) ~seed ~trial =
-  let g = Ast.continuum_geometry c in
-  {
-    Continuum.box_side = g.Ast.g_box_side;
-    agents = c.Ast.c_agents;
-    radius = g.Ast.g_radius;
-    sigma = g.Ast.g_sigma;
-    seed;
-    trial;
-    max_steps = (match c.Ast.c_max_steps with Some m -> m | None -> 1_000_000);
-  }
-
 let domain_of_cell (c : Ast.cell) =
   let grid = Grid.create ~side:c.Ast.c_side () in
   match c.Ast.c_plan with
@@ -24,29 +12,36 @@ let domain_of_cell (c : Ast.cell) =
   | Ast.Rooms { per_side; door } ->
       Barriers.Domain.rooms grid ~rooms_per_side:per_side ~door
 
+module Domain_engine = Engine.Make (Barriers.Domain_space)
+module Continuum_engine = Engine.Make (Continuum.Space)
+
 let run_cell ?series ?on_step ?domain (c : Ast.cell) ~seed ~trial =
+  let spec max_steps =
+    Engine.default_spec ~agents:c.Ast.c_agents ~seed ~trial
+      ~max_steps:(Option.value c.Ast.c_max_steps ~default:max_steps)
+  in
   match c.Ast.c_space with
   | Ast.Grid ->
       Mobile_network.Simulation.run_config ?on_step ?series
         (Ast.cell_config c ~seed ~trial)
   | Ast.Continuum ->
-      Continuum.broadcast ?series (continuum_config c ~seed ~trial)
+      let g = Ast.continuum_geometry c in
+      Continuum_engine.run
+        (Continuum_engine.create ?series
+           ~space:
+             (Continuum.Space.create ~box_side:g.Ast.g_box_side
+                ~radius:g.Ast.g_radius ~sigma:g.Ast.g_sigma
+                ~agents:c.Ast.c_agents)
+           (spec 1_000_000))
   | Ast.Domain ->
       let side = c.Ast.c_side in
-      Barriers.Barrier_sim.broadcast ?series
-        {
-          Barriers.Barrier_sim.domain =
-            (match domain with Some d -> d | None -> domain_of_cell c);
-          agents = c.Ast.c_agents;
-          radius = c.Ast.c_radius;
-          los_blocking = c.Ast.c_los_blocking;
-          seed;
-          trial;
-          max_steps =
-            (match c.Ast.c_max_steps with
-            | Some m -> m
-            | None -> 100 * side * side);
-        }
+      Domain_engine.run
+        (Domain_engine.create ?series
+           ~space:
+             (Barriers.Domain_space.create
+                (match domain with Some d -> d | None -> domain_of_cell c)
+                ~radius:c.Ast.c_radius ~los_blocking:c.Ast.c_los_blocking)
+           (spec (100 * side * side)))
 
 let run_payload ?series c ~seed ~trial =
   let r = run_cell ?series c ~seed ~trial in

@@ -59,16 +59,12 @@ val run_cell :
     [mobisim simulate --scenario] ([covered] is 0 off the grid).
     [series] attaches a per-step recorder (all three spaces); [on_step]
     reaches {!Mobile_network.Simulation.run_config} and is ignored on
-    the non-grid spaces. Non-grid cells derive their engine parameters
-    here: see {!continuum_config}; a domain cell runs [domain] (default
-    {!domain_of_cell}) with a [100 * side * side] default step cap. *)
-
-val continuum_config :
-  Scenario.Ast.cell -> seed:int -> trial:int -> Continuum.config
-(** The continuum engine configuration of a cell: the box of
-    {!Scenario.Ast.continuum_geometry} (by default side [side], radius
-    [r], [sigma = r / 4], [1.0] when [r = 0]) and a default step cap of
-    [1_000_000]. *)
+    the non-grid spaces. A grid cell runs its {!Scenario.Ast.cell_config};
+    the other two run the engine on
+    {!Mobile_network.Engine.default_spec} over their space: a continuum
+    cell the box of {!Scenario.Ast.continuum_geometry} with a default
+    step cap of [1_000_000], a domain cell [domain] (default
+    {!domain_of_cell}) with a [100 * side * side] one. *)
 
 val domain_of_cell : Scenario.Ast.cell -> Barriers.Domain.t
 (** The cell's floor plan on a bounded [side x side] grid. *)

@@ -50,13 +50,18 @@ let gossip_run ?exchange () =
   grid_run ~side:32 ~radius:2 ~protocol:Protocol.Gossip ?exchange
     ~max_steps:500 ()
 
+module Domain_engine = Mobile_network.Engine.Make (Barriers.Domain_space)
+
 (* the floor plan is built once, so only the run is measured *)
 let barrier_run =
   let domain = Barriers.Domain.central_wall (Grid.create ~side:40 ()) ~gap:2 in
   fun () ->
-    (Barriers.Barrier_sim.broadcast
-       { Barriers.Barrier_sim.domain; agents = 24; radius = 4;
-         los_blocking = true; seed = 7; trial = 0; max_steps = 20_000 })
+    (Domain_engine.run
+       (Domain_engine.create
+          ~space:
+            (Barriers.Domain_space.create domain ~radius:4 ~los_blocking:true)
+          (Mobile_network.Engine.default_spec ~agents:24 ~seed:7 ~trial:0
+             ~max_steps:20_000)))
       .Mobile_network.Engine.steps
 
 let plus_words measured = measured +. 8.
@@ -183,15 +188,14 @@ let test_clementi_budget () =
 
 (* The continuum box at k 256, box 16, r 1.2 (15-step runs), with
    set-up measured apart, as for the Clementi run: a run this short
-   would otherwise spread its set-up over 15 steps. [Continuum.broadcast]
-   is this engine over this space and spec; the step counts are checked
-   equal. Set-up allocates 28.4 words per agent (positions, streams,
-   space and engine); the budget leaves one word per agent of room. A
-   step allocates 2067.7 words: the moves take 8 words per agent, since
-   each coordinate's Prng.gaussian and reflect return a boxed float (2
-   words each) under dune's dev profile, which compiles with -opaque;
-   the rest is the engine's few words of a radius > 0 step, and the
-   pair scan allocates nothing (test_continuum). *)
+   would otherwise spread its set-up over 15 steps. Set-up allocates
+   28.4 words per agent (positions, streams, space and engine); the
+   budget leaves one word per agent of room. A step allocates 2067.7
+   words: the moves take 8 words per agent, since each coordinate's
+   Prng.gaussian and reflect return a boxed float (2 words each) under
+   dune's dev profile, which compiles with -opaque; the rest is the
+   engine's few words of a radius > 0 step, and the pair scan allocates
+   nothing (test_continuum). *)
 module Continuum_engine = Mobile_network.Engine.Make (Continuum.Space)
 
 let continuum_budget_setup_words_per_agent = 29.4
@@ -200,15 +204,10 @@ let continuum_budget_words_per_step = plus_percent 2067.7
 let test_continuum_budget () =
   let agents = 256 and box_side = 16. and radius = 1.2 and sigma = 0.3 in
   let create () =
-    Continuum_engine.create ~theory_n:256
+    Continuum_engine.create
       ~space:(Continuum.Space.create ~box_side ~radius ~sigma ~agents)
       (Mobile_network.Engine.default_spec ~agents ~seed:7 ~trial:0
          ~max_steps:500)
-  in
-  let broadcast =
-    Continuum.broadcast
-      { Continuum.box_side; agents; radius; sigma; seed = 7; trial = 0;
-        max_steps = 500 }
   in
   (* warmup: lazy tables *)
   ignore (Continuum_engine.run (create ()));
@@ -219,8 +218,6 @@ let test_continuum_budget () =
     let w1 = Gc.minor_words () in
     let r = Continuum_engine.run sim in
     let w2 = Gc.minor_words () in
-    Alcotest.(check int) "the engine run is Continuum.broadcast"
-      broadcast.Mobile_network.Engine.steps r.Mobile_network.Engine.steps;
     setup := !setup +. (w1 -. w0);
     words := !words +. (w2 -. w1);
     steps := !steps + r.Mobile_network.Engine.steps

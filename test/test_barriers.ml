@@ -1,8 +1,9 @@
-(* Tests for the barrier-domain substrate and its broadcast simulator. *)
+(* Tests for the barrier-domain substrate and broadcast on it: the
+   engine over [Domain_space]. *)
 
 module Domain = Barriers.Domain
-module B = Barriers.Barrier_sim
 module E = Mobile_network.Engine
+module DE = E.Make (Barriers.Domain_space)
 
 let grid10 = Grid.create ~side:10 ()
 
@@ -194,22 +195,18 @@ let test_step_lazy_stationarity () =
         (abs (c - expected) < expected / 3))
     counts
 
-(* --- barrier simulator --- *)
+(* --- broadcast on a floor plan --- *)
 
-let default_cfg domain =
-  {
-    B.domain;
-    agents = 8;
-    radius = 0;
-    los_blocking = false;
-    seed = 0;
-    trial = 0;
-    max_steps = 200_000;
-  }
+let broadcast ?(agents = 8) ?(radius = 0) ?(los_blocking = false)
+    ?(trial = 0) ?(max_steps = 200_000) domain =
+  DE.run
+    (DE.create
+       ~space:(Barriers.Domain_space.create domain ~radius ~los_blocking)
+       (E.default_spec ~agents ~seed:0 ~trial ~max_steps))
 
 let test_sim_completes_open () =
   let d = Domain.unobstructed (Grid.create ~side:16 ()) in
-  let r = B.broadcast (default_cfg d) in
+  let r = broadcast d in
   (match r.E.outcome with
   | E.Completed -> ()
   | E.Timed_out -> Alcotest.fail "should complete");
@@ -217,14 +214,14 @@ let test_sim_completes_open () =
 
 let test_sim_completes_through_wall () =
   let d = Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
-  let r = B.broadcast (default_cfg d) in
+  let r = broadcast d in
   match r.E.outcome with
   | E.Completed -> Alcotest.(check int) "all informed" 8 r.E.informed
   | E.Timed_out -> Alcotest.fail "connected domain must complete"
 
 let test_sim_deterministic () =
   let d = Domain.rooms (Grid.create ~side:18 ()) ~rooms_per_side:2 ~door:2 in
-  let a = B.broadcast (default_cfg d) and b = B.broadcast (default_cfg d) in
+  let a = broadcast d and b = broadcast d in
   Alcotest.(check int) "same steps" a.E.steps b.E.steps
 
 let test_sim_times_out_when_disconnected () =
@@ -232,8 +229,7 @@ let test_sim_times_out_when_disconnected () =
   let d =
     Domain.with_rectangles g ~rects:[ { Domain.x = 5; y = 0; w = 1; h = 10 } ]
   in
-  let cfg = { (default_cfg d) with B.max_steps = 2_000; agents = 8 } in
-  let r = B.broadcast cfg in
+  let r = broadcast ~max_steps:2_000 ~agents:8 d in
   (* with 8 agents both chambers are occupied w.h.p., so the rumor can
      never cross *)
   match r.E.outcome with
@@ -245,32 +241,35 @@ let test_sim_times_out_when_disconnected () =
 
 let test_sim_single_agent () =
   let d = Domain.unobstructed grid10 in
-  let r = B.broadcast { (default_cfg d) with B.agents = 1 } in
+  let r = broadcast ~agents:1 d in
   (match r.E.outcome with
   | E.Completed -> ()
   | E.Timed_out -> Alcotest.fail "single agent completes at t0");
   Alcotest.(check int) "zero steps" 0 r.E.steps
 
+(* Each bad parameter is rejected by the layer that owns it: the engine
+   (agents, step cap), the index (radius) or the floor plan's space. *)
 let test_sim_validation () =
   let d = Domain.unobstructed grid10 in
-  Alcotest.check_raises "agents" (Invalid_argument "Barrier_sim.broadcast: agents <= 0")
-    (fun () -> ignore (B.broadcast { (default_cfg d) with B.agents = 0 }));
+  Alcotest.check_raises "agents" (Invalid_argument "Engine.create: agents <= 0")
+    (fun () -> ignore (broadcast ~agents:0 d));
   Alcotest.check_raises "radius"
-    (Invalid_argument "Barrier_sim.broadcast: negative radius") (fun () ->
-      ignore (B.broadcast { (default_cfg d) with B.radius = -1 }));
+    (Invalid_argument "Spatial.create: negative radius") (fun () ->
+      ignore (broadcast ~radius:(-1) d));
+  Alcotest.check_raises "max_steps"
+    (Invalid_argument "Engine.create: negative max_steps") (fun () ->
+      ignore (broadcast ~max_steps:(-1) d));
   let empty = Domain.of_blocked grid10 ~blocked:(fun _ -> true) in
   Alcotest.check_raises "empty domain"
-    (Invalid_argument "Barrier_sim.broadcast: domain has no free node")
-    (fun () -> ignore (B.broadcast (default_cfg empty)))
+    (Invalid_argument "Domain_space.create: domain has no free node")
+    (fun () -> ignore (broadcast empty))
 
 let test_sim_los_blocking_not_faster () =
   let d = Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
   let median los_blocking =
     let times =
       Array.init 7 (fun trial ->
-          (B.broadcast
-             { (default_cfg d) with B.radius = 4; los_blocking; trial })
-            .E.steps)
+          (broadcast ~radius:4 ~los_blocking ~trial d).E.steps)
     in
     Array.sort compare times;
     float_of_int times.(3)

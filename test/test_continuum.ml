@@ -2,10 +2,14 @@
 
 module C = Continuum
 module E = Mobile_network.Engine
+module CE = E.Make (C.Space)
 
-let cfg ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) ?(sigma = 0.25)
+let broadcast ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) ?(sigma = 0.25)
     ?(seed = 0) ?(trial = 0) ?(max_steps = 200_000) () =
-  { C.box_side; agents; radius; sigma; seed; trial; max_steps }
+  CE.run
+    (CE.create
+       ~space:(C.Space.create ~box_side ~radius ~sigma ~agents)
+       (E.default_spec ~agents ~seed ~trial ~max_steps))
 
 let completed (r : E.report) =
   match r.E.outcome with E.Completed -> true | E.Timed_out -> false
@@ -23,47 +27,69 @@ let test_critical_radius () =
       ignore (C.critical_radius ~box_side:0. ~agents:4))
 
 let test_broadcast_completes () =
-  let r = C.broadcast (cfg ()) in
+  let r = broadcast () in
   Alcotest.(check bool) "completed" true (completed r);
   Alcotest.(check int) "all informed" 32 r.E.informed
 
 let test_single_agent () =
-  let r = C.broadcast (cfg ~agents:1 ()) in
+  let r = broadcast ~agents:1 () in
   Alcotest.(check bool) "completed" true (completed r);
   Alcotest.(check int) "instant" 0 r.E.steps
 
 let test_deterministic () =
-  let a = C.broadcast (cfg ~seed:4 ~trial:1 ()) in
-  let b = C.broadcast (cfg ~seed:4 ~trial:1 ()) in
+  let a = broadcast ~seed:4 ~trial:1 () in
+  let b = broadcast ~seed:4 ~trial:1 () in
   Alcotest.(check int) "same steps" a.E.steps b.E.steps;
   Alcotest.(check int) "same informed" a.E.informed b.E.informed
 
 let test_trials_vary () =
-  let steps trial = (C.broadcast (cfg ~trial ())).E.steps in
+  let steps trial = (broadcast ~trial ()).E.steps in
   let all = List.init 6 steps in
   Alcotest.(check bool) "trials differ" true
     (List.exists (fun s -> s <> List.hd all) (List.tl all))
 
 let test_huge_radius_instant () =
   (* radius covering the whole box: one component at t0 *)
-  let r = C.broadcast (cfg ~radius:20. ()) in
+  let r = broadcast ~radius:20. () in
   Alcotest.(check bool) "completed" true (completed r);
   Alcotest.(check int) "instant flood" 0 r.E.steps
 
 let test_zero_radius_stalls () =
   (* measure-zero meeting probability: nothing ever happens *)
-  let r = C.broadcast (cfg ~agents:4 ~radius:0. ~max_steps:100 ()) in
+  let r = broadcast ~agents:4 ~radius:0. ~max_steps:100 () in
   Alcotest.(check bool) "timed out" false (completed r);
   Alcotest.(check int) "only the source knows" 1 r.E.informed
 
+(* The space checks the box, radius, sigma and agent count; the engine
+   the step cap. NaN fails every check, infinity the box's and sigma's
+   (an infinite step would reflect off the walls forever). *)
 let test_validation () =
-  Alcotest.check_raises "agents" (Invalid_argument "Continuum.broadcast: agents <= 0")
-    (fun () -> ignore (C.broadcast (cfg ~agents:0 ())));
-  Alcotest.check_raises "sigma" (Invalid_argument "Continuum.broadcast: sigma <= 0")
-    (fun () -> ignore (C.broadcast (cfg ~sigma:0. ())));
-  Alcotest.check_raises "radius"
-    (Invalid_argument "Continuum.broadcast: negative radius") (fun () ->
-      ignore (C.broadcast (cfg ~radius:(-1.) ())))
+  let raises label msg f =
+    Alcotest.check_raises label (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let space_msg what = "Continuum_space.create: " ^ what in
+  raises "agents" (space_msg "agents <= 0") (broadcast ~agents:0);
+  let sigma = space_msg "sigma must be positive and finite" in
+  raises "sigma" sigma (broadcast ~sigma:0.);
+  raises "infinite sigma" sigma (broadcast ~sigma:Float.infinity);
+  raises "nan sigma" sigma (broadcast ~sigma:Float.nan);
+  raises "radius" (space_msg "radius must be >= 0") (broadcast ~radius:(-1.));
+  raises "nan radius" (space_msg "radius must be >= 0")
+    (broadcast ~radius:Float.nan);
+  let box = space_msg "box_side must be positive and finite" in
+  raises "box" box (broadcast ~box_side:0.);
+  raises "infinite box" box (broadcast ~box_side:Float.infinity);
+  raises "nan box" box (broadcast ~box_side:Float.nan);
+  raises "max_steps" "Engine.create: negative max_steps"
+    (broadcast ~max_steps:(-1));
+  let giant ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) () =
+    C.giant_fraction (Prng.of_seed 1) ~box_side ~agents ~radius ~trials:2
+  in
+  raises "giant agents" "Continuum.giant_fraction: agents <= 0"
+    (giant ~agents:0);
+  raises "giant box" "Continuum.giant_fraction: box <= 0" (giant ~box_side:0.);
+  raises "giant box at r = 0" "Continuum.giant_fraction: box <= 0"
+    (giant ~box_side:(-1.) ~radius:0.)
 
 let test_giant_fraction_regimes () =
   let rng = Prng.of_seed 7 in
@@ -86,12 +112,10 @@ let test_supercritical_is_fast () =
   let box_side = 16. and agents = 256 in
   let rc = C.critical_radius ~box_side ~agents in
   let fast =
-    C.broadcast
-      (cfg ~box_side ~agents ~radius:(1.5 *. rc) ~sigma:(rc /. 4.) ())
+    broadcast ~box_side ~agents ~radius:(1.5 *. rc) ~sigma:(rc /. 4.) ()
   in
   let slow =
-    C.broadcast
-      (cfg ~box_side ~agents ~radius:(0.4 *. rc) ~sigma:(rc /. 4.) ())
+    broadcast ~box_side ~agents ~radius:(0.4 *. rc) ~sigma:(rc /. 4.) ()
   in
   Alcotest.(check bool) "both complete" true (completed fast && completed slow);
   Alcotest.(check bool)
@@ -131,7 +155,7 @@ let prop_informed_bounded =
     (fun (agents, radius_pct, seed) ->
       let radius = float_of_int radius_pct /. 100. in
       let r =
-        C.broadcast (cfg ~agents ~radius ~seed ~max_steps:300 ())
+        broadcast ~agents ~radius ~seed ~max_steps:300 ()
       in
       r.E.informed >= 1 && r.E.informed <= agents)
 
@@ -139,7 +163,7 @@ let prop_completed_means_all =
   QCheck.Test.make ~name:"completed implies everyone informed" ~count:80
     QCheck.(pair (int_range 1 30) small_int)
     (fun (agents, seed) ->
-      let r = C.broadcast (cfg ~agents ~seed ()) in
+      let r = broadcast ~agents ~seed () in
       match r.E.outcome with
       | E.Completed -> r.E.informed = agents
       | E.Timed_out -> true)

@@ -10,7 +10,8 @@ module Simulation = Mobile_network.Simulation
 module Exchange = Mobile_network.Exchange
 module Rumor_set = Mobile_network.Rumor_set
 module Space = Mobile_network.Space
-module Barrier_sim = Barriers.Barrier_sim
+module Continuum_engine = Engine.Make (Continuum.Space)
+module Domain_engine = Engine.Make (Barriers.Domain_space)
 
 (* Clementi et al.'s dense model: the grid engine with a jump kernel of
    radius [rho] and one-hop exchange at radius [big_r] *)
@@ -48,23 +49,28 @@ let test_recorded_run_agrees_with_broadcast () =
   let cb = ccfg () and cr = ccfg ~series:sr () in
   check "clementi" ~steps:cb.Engine.steps ~informed:cb.Engine.informed
     ~steps':cr.Engine.steps ~informed':cr.Engine.informed sr;
-  let ucfg =
-    { Continuum.box_side = 8.; agents = 32; radius = 1.; sigma = 0.25;
-      seed = 3; trial = 1; max_steps = 50_000 }
+  let continuum ?series () =
+    Continuum_engine.run
+      (Continuum_engine.create ?series
+         ~space:
+           (Continuum.Space.create ~box_side:8. ~radius:1. ~sigma:0.25
+              ~agents:32)
+         (Engine.default_spec ~agents:32 ~seed:3 ~trial:1 ~max_steps:50_000))
   in
   let sr = stride1_series () in
-  let ub = Continuum.broadcast ucfg
-  and ur = Continuum.broadcast ~series:sr ucfg in
+  let ub = continuum () and ur = continuum ~series:sr () in
   check "continuum" ~steps:ub.Engine.steps ~informed:ub.Engine.informed
     ~steps':ur.Engine.steps ~informed':ur.Engine.informed sr;
   let domain = Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
-  let bcfg =
-    { Barrier_sim.domain; agents = 12; radius = 0; los_blocking = false;
-      seed = 3; trial = 1; max_steps = 20_000 }
+  let barrier ?series () =
+    Domain_engine.run
+      (Domain_engine.create ?series
+         ~space:
+           (Barriers.Domain_space.create domain ~radius:0 ~los_blocking:false)
+         (Engine.default_spec ~agents:12 ~seed:3 ~trial:1 ~max_steps:20_000))
   in
   let sr = stride1_series () in
-  let bb = Barrier_sim.broadcast bcfg
-  and br = Barrier_sim.broadcast ~series:sr bcfg in
+  let bb = barrier () and br = barrier ~series:sr () in
   check "barrier" ~steps:bb.Engine.steps
     ~informed:bb.Engine.informed ~steps':br.Engine.steps
     ~informed':br.Engine.informed sr
@@ -305,16 +311,6 @@ let test_continuum_zero_radius_no_pairs () =
   let pairs = ref 0 in
   S.iter_close_pairs s ~f:(fun _ _ -> incr pairs);
   Alcotest.(check int) "no visibility edges at radius 0" 0 !pairs
-
-let test_continuum_zero_sigma_is_static () =
-  let module S = Continuum.Space in
-  let s = S.create ~box_side:4. ~radius:1. ~sigma:0. ~agents:8 in
-  let pos = S.init_positions s (Prng.of_seed 1) ~n:8 in
-  let xs0 = Array.copy pos.S.xs and ys0 = Array.copy pos.S.ys in
-  let rngs = Array.init 8 (fun i -> Prng.of_seed i) in
-  S.move_all s pos rngs Space.Mobile_all;
-  Alcotest.(check bool) "positions unchanged" true
-    (pos.S.xs = xs0 && pos.S.ys = ys0)
 
 (* --- exchange policies on hand-built graphs ------------------------------- *)
 
@@ -680,8 +676,6 @@ let () =
             test_full_radius_instant;
           Alcotest.test_case "continuum radius=0 has no pairs" `Quick
             test_continuum_zero_radius_no_pairs;
-          Alcotest.test_case "continuum sigma=0 is static" `Quick
-            test_continuum_zero_sigma_is_static;
         ] );
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest

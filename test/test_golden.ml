@@ -67,46 +67,54 @@ let test_engine_completion_times () =
   Alcotest.(check int) "single-hop" 612
     (steps ~side:16 ~agents:6 ~seed:0 ~exchange:Config.Single_hop ())
 
+(* The floor plans and the continuum box: the engine over their spaces,
+   a single-source broadcast from seed 0, trial 0. *)
+module Engine = Mobile_network.Engine
+module Domain_engine = Engine.Make (Barriers.Domain_space)
+module Continuum_engine = Engine.Make (Continuum.Space)
+
+let spec ~agents =
+  Engine.default_spec ~agents ~seed:0 ~trial:0 ~max_steps:1_000_000
+
+let domain_run ?series ?(los_blocking = false) ~radius ~agents domain =
+  Domain_engine.run
+    (Domain_engine.create ?series
+       ~space:(Barriers.Domain_space.create domain ~radius ~los_blocking)
+       (spec ~agents))
+
+let continuum_run ?series ~box_side ~radius ~sigma ~agents () =
+  Continuum_engine.run
+    (Continuum_engine.create ?series
+       ~space:(Continuum.Space.create ~box_side ~radius ~sigma ~agents)
+       (spec ~agents))
+
+let stride1_series () =
+  Obs.Series.create ~capacity:max_int ~columns:Engine.series_columns ()
+
+let column series name =
+  String.concat " "
+    (Array.to_list (Array.map string_of_int (Obs.Series.column series name)))
+
 let test_satellite_simulators () =
   let d = Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2 in
-  let br =
-    Barriers.Barrier_sim.broadcast
-      { Barriers.Barrier_sim.domain = d; agents = 8; radius = 0;
-        los_blocking = false; seed = 0; trial = 0; max_steps = 1_000_000 }
-  in
-  Alcotest.(check int) "barrier broadcast" 1300 br.Mobile_network.Engine.steps;
-  let cr =
-    Continuum.broadcast
-      { Continuum.box_side = 8.; agents = 32; radius = 0.5; sigma = 0.2;
-        seed = 0; trial = 0; max_steps = 1_000_000 }
-  in
-  Alcotest.(check int) "continuum broadcast" 274 cr.Mobile_network.Engine.steps;
+  let br = domain_run ~radius:0 ~agents:8 d in
+  Alcotest.(check int) "barrier broadcast" 1300 br.Engine.steps;
+  let cr = continuum_run ~box_side:8. ~radius:0.5 ~sigma:0.2 ~agents:32 () in
+  Alcotest.(check int) "continuum broadcast" 274 cr.Engine.steps;
   (* radius >= 1 on a floor plan whose wall also blocks radio *)
   let dl =
-    Barriers.Barrier_sim.broadcast
-      { Barriers.Barrier_sim.domain =
-          Barriers.Domain.central_wall (Grid.create ~side:24 ()) ~gap:2;
-        agents = 10; radius = 2; los_blocking = true; seed = 0; trial = 0;
-        max_steps = 1_000_000 }
+    domain_run ~radius:2 ~los_blocking:true ~agents:10
+      (Barriers.Domain.central_wall (Grid.create ~side:24 ()) ~gap:2)
   in
   Alcotest.(check int) "barrier broadcast r=2 line of sight" 877
-    dl.Mobile_network.Engine.steps;
+    dl.Engine.steps;
   (* k 256 in a box of side 16 at r 1.2: most of the 169 buckets occupied *)
-  let series =
-    Obs.Series.create ~capacity:max_int
-      ~columns:Mobile_network.Engine.series_columns ()
-  in
+  let series = stride1_series () in
   let cb =
-    Continuum.broadcast ~series
-      { Continuum.box_side = 16.; agents = 256; radius = 1.2; sigma = 0.3;
-        seed = 0; trial = 0; max_steps = 1_000_000 }
+    continuum_run ~series ~box_side:16. ~radius:1.2 ~sigma:0.3 ~agents:256 ()
   in
-  Alcotest.(check int) "continuum broadcast k=256" 16
-    cb.Mobile_network.Engine.steps;
-  let column name =
-    String.concat " "
-      (Array.to_list (Array.map string_of_int (Obs.Series.column series name)))
-  in
+  Alcotest.(check int) "continuum broadcast k=256" 16 cb.Engine.steps;
+  let column = column series in
   Alcotest.(check string) "continuum k=256 informed"
     "137 226 239 241 243 243 243 246 246 246 255 255 255 255 255 255 256" (column "informed");
   Alcotest.(check string) "continuum k=256 max_island"
@@ -129,6 +137,39 @@ let test_satellite_simulators () =
          ~exchange:Config.Single_hop ~seed:0 ~trial:0 ~max_steps:100_000 ())
   in
   Alcotest.(check int) "clementi broadcast" 15 cl.Simulation.steps
+
+(* The series' theory_residual column, informed minus the ramp
+   round (k min(1, t / T_B)) with T_B = n / sqrt k, for one short run
+   per space. Each space supplies its own n: the grid's 144 nodes, the
+   floor plan's 134 free nodes (its side^2 would shift the ramp from
+   step 10 on) and the continuum box's area, 256. *)
+let test_theory_residual () =
+  let series = stride1_series () in
+  let g =
+    Simulation.run_config ~series
+      (Config.make ~side:12 ~agents:16 ~radius:2 ~seed:0 ())
+  in
+  Alcotest.(check int) "grid steps" 27 g.Simulation.steps;
+  Alcotest.(check string) "grid theory_residual"
+    "4 4 5 5 4 4 3 3 4 4 4 4 4 3 3 3 3 2 2 3 2 2 2 2 4 4 3 4"
+    (column series "theory_residual");
+  let series = stride1_series () in
+  let d =
+    domain_run ~series ~radius:2 ~agents:16
+      (Barriers.Domain.central_wall (Grid.create ~side:12 ()) ~gap:2)
+  in
+  Alcotest.(check int) "wall steps" 17 d.Engine.steps;
+  Alcotest.(check string) "wall theory_residual"
+    "5 6 6 6 5 5 4 4 3 3 3 3 2 5 5 5 6 8"
+    (column series "theory_residual");
+  let series = stride1_series () in
+  let c =
+    continuum_run ~series ~box_side:16. ~radius:1.2 ~sigma:0.3 ~agents:256 ()
+  in
+  Alcotest.(check int) "continuum steps" 16 c.Engine.steps;
+  Alcotest.(check string) "continuum theory_residual"
+    "137 210 207 193 179 163 147 134 118 102 95 79 63 47 31 15 0"
+    (column series "theory_residual")
 
 (* The fault adversary draws from its own subsystem streams, so these
    pins also freeze the split_stream derivation: a change to the
@@ -212,6 +253,7 @@ let () =
             test_engine_completion_times;
           Alcotest.test_case "satellite simulators" `Quick
             test_satellite_simulators;
+          Alcotest.test_case "theory residual" `Quick test_theory_residual;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "dense gossip rumor cardinals" `Quick
             test_dense_gossip_cardinals;

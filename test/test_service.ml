@@ -198,9 +198,13 @@ let test_run_payload_deterministic () =
     (Runner.run_payload cell ~seed:3 ~trial:1)
 
 (* A floor-plan cell and a density/rc_mult cell run exactly the engines
-   their fields describe: the same reports as building the domain and
-   the continuum box by hand (box side sqrt (k / density), radius
-   rc_mult * r_c, sigma = sigma_frac * radius). *)
+   their fields describe: the same reports as running the engine by
+   hand over the domain and the continuum box (box side
+   sqrt (k / density), radius rc_mult * r_c, sigma = sigma_frac *
+   radius), each with its space's default step cap. *)
+module Domain_engine = Mobile_network.Engine.Make (Barriers.Domain_space)
+module Continuum_engine = Mobile_network.Engine.Make (Continuum.Space)
+
 let test_run_cell_space_fields () =
   let cell text = List.hd (compile_exn text).Compile.cells in
   let same label (a : Mobile_network.Engine.report)
@@ -210,23 +214,22 @@ let test_run_cell_space_fields () =
       [ a.Mobile_network.Engine.steps; a.Mobile_network.Engine.informed ]
       [ b.Mobile_network.Engine.steps; b.Mobile_network.Engine.informed ]
   in
+  let spec ~agents ~max_steps =
+    Mobile_network.Engine.default_spec ~agents ~seed:4 ~trial:1 ~max_steps
+  in
   same "wall:2 with line-of-sight blocking"
     (Runner.run_cell
        (cell
           {|{"space": "domain", "side": 16, "agents": 8, "radius": 4,
              "plan": "wall:2", "los_blocking": true}|})
        ~seed:4 ~trial:1)
-    (Barriers.Barrier_sim.broadcast
-       {
-         Barriers.Barrier_sim.domain =
-           Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2;
-         agents = 8;
-         radius = 4;
-         los_blocking = true;
-         seed = 4;
-         trial = 1;
-         max_steps = 100 * 16 * 16;
-       });
+    (Domain_engine.run
+       (Domain_engine.create
+          ~space:
+            (Barriers.Domain_space.create
+               (Barriers.Domain.central_wall (Grid.create ~side:16 ()) ~gap:2)
+               ~radius:4 ~los_blocking:true)
+          (spec ~agents:8 ~max_steps:(100 * 16 * 16))));
   let box_side = sqrt (16. /. 0.5) in
   let radius = 0.8 *. Continuum.critical_radius ~box_side ~agents:16 in
   same "density, rc_mult and sigma_frac"
@@ -235,16 +238,12 @@ let test_run_cell_space_fields () =
           {|{"space": "continuum", "agents": 16, "density": 0.5,
              "rc_mult": 0.8, "sigma_frac": 0.5}|})
        ~seed:4 ~trial:1)
-    (Continuum.broadcast
-       {
-         Continuum.box_side;
-         agents = 16;
-         radius;
-         sigma = radius *. 0.5;
-         seed = 4;
-         trial = 1;
-         max_steps = 1_000_000;
-       })
+    (Continuum_engine.run
+       (Continuum_engine.create
+          ~space:
+            (Continuum.Space.create ~box_side ~radius ~sigma:(radius *. 0.5)
+               ~agents:16)
+          (spec ~agents:16 ~max_steps:1_000_000)))
 
 (* ---- checkpoints -------------------------------------------------------- *)
 
