@@ -48,7 +48,11 @@ test:
 # pins the loss draws' pair order where most agents are alone. The
 # dense-baseline pin runs Clementi et al.'s model (jump kernel, single-hop exchange) as
 # an ordinary scenario cell and expects the 15 steps the golden test
-# pins. The service smoke drives the job daemon over its socket:
+# pins. The radius-0 pins fix the step counts of the clique-mode paths
+# (one hop floods a node's group, no union-find) that no golden covers:
+# frog and broadcast-cover flags, and single-hop cells for one rumor and
+# for gossip; multi-source runs have no flag and are pinned in
+# test_golden. The service smoke drives the job daemon over its socket:
 # double-submit byte-identity with cache-served metrics, then kill -9
 # mid-sweep and a byte-identical checkpoint resume. The flag-run smokes
 # check that `simulate` flags compile through the scenario validator
@@ -129,6 +133,12 @@ check:
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-gossip-single-hop.json | grep -q '"steps":306'
 	printf '{"side":16,"agents":64,"radius":2,"kernel":"jump:2","exchange":"single-hop","seed":0,"max_steps":100000}' > /tmp/mobisim-dense.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-dense.json | grep -q '"steps":15,'
+	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 -r 0 --protocol frog --seed 3 | grep -qx 'completed in 845 steps'
+	dune exec bin/mobisim.exe -- simulate --side 32 -k 64 -r 0 --protocol broadcast-cover --seed 3 | grep -qx 'completed in 873 steps'
+	printf '{"side":32,"agents":64,"radius":0,"exchange":"single-hop","seed":3}' > /tmp/mobisim-r0-single-hop.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-r0-single-hop.json | grep -q '"steps":476'
+	printf '{"side":16,"agents":16,"radius":0,"protocol":"gossip","exchange":"single-hop","seed":3}' > /tmp/mobisim-r0-gossip-single-hop.json
+	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-r0-gossip-single-hop.json | grep -q '"steps":572'
 	dune exec bin/mobisim.exe -- simulate --space domain --side 12 -k 6 -r 1 --seed 2 | grep -qx 'completed in 89 steps'
 	printf '{ "space": "domain", "side": 12, "agents": 6, "radius": 1, "seed": 2 }' > /tmp/mobisim-domain-cell.json
 	dune exec bin/mobisim.exe -- simulate --scenario /tmp/mobisim-domain-cell.json | grep -q '"steps":89'

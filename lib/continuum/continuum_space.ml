@@ -67,12 +67,18 @@ let radius t = t.radius
 
 let sigma t = t.sigma
 
-(* Reflect a coordinate into [0, l] (folding handles overshoots of any
-   size, though sigma << l in practice). *)
-let rec reflect l x =
-  if x < 0. then reflect l (-.x)
-  else if x > l then reflect l ((2. *. l) -. x)
+(* Reflect a coordinate into [0, l]. A move within [[-l, 2l]] folds
+   back at most twice, with the arithmetic it always had; one further
+   out is first reduced, exactly, into [[0, 2l)] by the reflection's
+   period (it is even in x), so a move costs O(1) for any sigma. *)
+let rec fold_into l x =
+  if x < 0. then fold_into l (-.x)
+  else if x > l then fold_into l ((2. *. l) -. x)
   else x
+
+let reflect l x =
+  if x < -.l || x > 2. *. l then fold_into l (Float.rem (Float.abs x) (2. *. l))
+  else fold_into l x
 
 let init_positions t rng ~n =
   let xs = Array.init n (fun _ -> Prng.float rng t.box_side) in
@@ -133,6 +139,12 @@ let iter_close_pairs t ~f =
   if t.radius > 0. then
     Spatial.iter_close_points t.spatial ~xs:t.cur.xs ~ys:t.cur.ys
       ~radius:t.radius ~f
+
+(* a zero radius yields no pairs at all, even for coinciding agents *)
+let cliques _ = false
+
+let fold_group_sizes _ ~init:_ ~f:_ =
+  invalid_arg "Continuum_space.fold_group_sizes: the box has no cliques"
 
 let cover_cells _ = 0
 

@@ -135,6 +135,32 @@ let validate_series json =
         if i > 0 && rows.(i).(c) < rows.(i - 1).(c) then
           fail i (what ^ " decreased")
       in
+      (* [Some true] for predator–prey, which has no island statistic *)
+      let preys =
+        match meta "protocol" with
+        | Some (J.String p) ->
+            Some (String.starts_with ~prefix:"predator-prey" p)
+        | Some _ | None -> None
+      in
+      (* components in [1, population], or -1 without islands; an
+         island of s agents leaves at most population - s other sets *)
+      let islands i =
+        match col "components" with
+        | None -> ()
+        | Some cc -> (
+            let c = rows.(i).(cc) in
+            match (c, preys) with
+            | -1, (Some true | None) -> ()
+            | -1, Some false -> fail i "components is -1 outside predator-prey"
+            | _, Some true -> fail i "components must be -1 for predator-prey"
+            | _, (Some false | None) -> (
+                if c < 1 then fail i "components out of range";
+                within i (Some cc) ~lo:1 population "components";
+                match (col "max_island", population) with
+                | Some ci, Some p when rows.(i).(ci) > p - c + 1 ->
+                    fail i "largest island exceeds population - components + 1"
+                | _ -> ()))
+      in
       (* the completed flag is decidable from the last row only at
          stride 1, where that row is the final state *)
       let goal =
@@ -158,6 +184,7 @@ let validate_series json =
               (Option.map pred (meta_int "side"))
               "frontier";
             within i (col "max_island") ~lo:0 population "island size";
+            islands i;
             within i (Some cc) ~lo:0 nodes "coverage";
             monotone i ci "informed";
             monotone i cf "frontier";
@@ -195,6 +222,15 @@ type series_ctx = {
   base_gc_major : int;
 }
 
+(* Where the island statistic comes from, fixed once by [create]. *)
+type islands =
+  | Flooded of Dsu.t  (* the exchange floods over the DSU: built in the step *)
+  | On_read of Dsu.t  (* built from the step's pairs when first read *)
+  | Groups
+      (* the space's components are cliques and no fault removes an
+         edge: the islands are the nodes' groups, and there is no DSU *)
+  | Absent  (* predator–prey has no island statistic *)
+
 let tracks_coverage = function
   | Protocol.Broadcast_cover | Protocol.Cover_walks -> true
   | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
@@ -209,10 +245,11 @@ module Make (S : Space.S) = struct
     rngs : Prng.t array;  (* one independent stream per individual *)
     pos : S.pos;
     ex : Exchange.t;
-    dsu : Dsu.t;
-    union_edge : int -> int -> unit;  (* preallocated: unions into dsu *)
     (* Per-spec decisions, fixed once by [create]. *)
-    components : bool;  (* does the exchange read the DSU (flooding)? *)
+    islands : islands;
+    visit : int -> int -> unit;
+        (* preallocated pair visitor: a union into the DSU, or with
+           [Groups] the one-hop mark of {!Exchange.hop} *)
     pairs : (int -> int -> unit) -> unit;
         (* the step's pair source: the index's close pairs, or under
            faults the replay of [live_pairs]; preallocated *)
@@ -232,7 +269,7 @@ module Make (S : Space.S) = struct
     collect_live : int -> int -> unit;  (* preallocated filter+push *)
     src : int option;
     mutable frontier : int;
-    mutable islands_at : int;  (* the step whose graph [dsu] holds; -1: none *)
+    mutable islands_at : int;  (* the step whose graph the DSU holds; -1: none *)
     mutable time : int;
     obs : phase_timers option;
     trc : trace_ctx option;
@@ -264,34 +301,42 @@ module Make (S : Space.S) = struct
 
   (* --- islands ------------------------------------------------------------ *)
 
-  (* The island statistic is the DSU over the step's graph. Flooding
-     reads it, so [build_graph] builds it during the step; every other
-     exchange reads raw pairs, so [refresh_islands] builds it from the
-     step's pair source the first time the statistic is read: the last
-     rebuild's close pairs, or under faults the step's live pairs. A
-     read-time build is no phase and records no sample. Predator–prey
-     has no island statistic. The engine never dissolves, so the DSU's
-     running union maximum is the largest island, in O(1). *)
-  let build_islands t =
-    Dsu.reset t.dsu;
-    t.pairs t.union_edge;
+  (* The island statistic is the DSU over the step's graph, or in
+     clique mode the space's groups. A flood reads the DSU, so
+     [build_graph] builds it during the step; every other exchange reads
+     raw pairs, so [refresh] builds it from the step's pair source the
+     first time the statistic is read: the last rebuild's close pairs,
+     or under faults the step's live pairs. A read-time build is no
+     phase and records no sample. The engine never dissolves, so the
+     DSU's running union maximum is the largest island, in O(1). In
+     clique mode a group of s agents on one node is one island of s,
+     and every other agent is alone: s - 1 fewer sets per group. *)
+  let build_islands t dsu =
+    Dsu.reset dsu;
+    t.pairs t.visit;
     t.islands_at <- t.time
 
-  let has_islands t =
-    match t.spec.protocol with
-    | Protocol.Predator_prey _ -> false
-    | Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-    | Protocol.Broadcast_cover | Protocol.Cover_walks ->
-        true
+  let refresh t dsu = if t.islands_at <> t.time then build_islands t dsu
 
-  let refresh_islands t = if t.islands_at <> t.time then build_islands t
+  (* the set count; -1 without islands *)
+  let components t =
+    match t.islands with
+    | Flooded dsu | On_read dsu ->
+        refresh t dsu;
+        Dsu.set_count dsu
+    | Groups ->
+        t.population
+        - S.fold_group_sizes t.space ~init:0 ~f:(fun merged s ->
+              merged + s - 1)
+    | Absent -> -1
 
   let max_island t =
-    if has_islands t then begin
-      refresh_islands t;
-      Dsu.max_union_size t.dsu
-    end
-    else 0
+    match t.islands with
+    | Flooded dsu | On_read dsu ->
+        refresh t dsu;
+        Dsu.max_union_size dsu
+    | Groups -> S.fold_group_sizes t.space ~init:1 ~f:Int.max
+    | Absent -> 0
 
   (* One series sample: staged at the end of a step so every phase
      duration of that step is in [ph_ns]. Gated on [Series.want] so
@@ -307,12 +352,7 @@ module Make (S : Space.S) = struct
           let sr = s.sr in
           Obs.Series.stage sr s.sc_informed t.ex.Exchange.informed_count;
           Obs.Series.stage sr s.sc_frontier t.frontier;
-          Obs.Series.stage sr s.sc_components
-            (if has_islands t then begin
-               refresh_islands t;
-               Dsu.set_count t.dsu
-             end
-             else -1);
+          Obs.Series.stage sr s.sc_components (components t);
           Obs.Series.stage sr s.sc_island (max_island t);
           Obs.Series.stage sr s.sc_covered (covered_count t);
           let expected =
@@ -345,14 +385,19 @@ module Make (S : Space.S) = struct
      into [live_pairs] — every candidate edge gets exactly one loss draw,
      in index order, shared by the component build and the exchange, so
      the effective graph is one consistent object per step. The DSU is
-     built from the step's pair source iff the exchange floods
-     ([t.components]). A fault-free step that does not flood records no
-     components sample. *)
+     built from the step's pair source iff the exchange floods over it
+     ([Flooded]). A fault-free step that does not, clique mode's
+     included, records no components sample. *)
   let build_graph t =
     let t0 = phase_start t in
     S.rebuild_index ?present:t.present t.space t.pos;
     phase_end t ph_index t0;
-    if t.components || Option.is_some t.faults then begin
+    let flooded =
+      match t.islands with
+      | Flooded _ -> true
+      | On_read _ | Groups | Absent -> false
+    in
+    if flooded || Option.is_some t.faults then begin
       let t1 = phase_start t in
       (match t.faults with
       | None -> ()
@@ -360,15 +405,23 @@ module Make (S : Space.S) = struct
           Intbuf.clear t.live_pairs;
           if not (Faults.blackout f) then
             S.iter_close_pairs t.space ~f:t.collect_live);
-      if t.components then build_islands t;
+      (match t.islands with
+      | Flooded dsu -> build_islands t dsu
+      | On_read _ | Groups | Absent -> ());
       phase_end t ph_components t1
     end
 
-  (* The exchange bodies, one per (protocol, mechanism, roles) arm of
-     [exchange_body], each a named module-level function over the step's
-     pair source: selecting one is a code-pointer load, never a closure
-     allocation. *)
-  let ex_flood_single t = Exchange.flood_single t.ex ~dsu:t.dsu
+  (* The exchange bodies, one per arm of [exchange_body], each a named
+     module-level function over the step's pair source: selecting one
+     is a code-pointer load, or for the DSU floods one closure built by
+     [create], never a per-step allocation. *)
+  let ex_flood_single dsu t = Exchange.flood_single t.ex ~dsu
+
+  (* clique mode: one hop from any informed member informs a whole
+     component, through the visitor [create] built *)
+  let ex_hop t =
+    t.pairs t.visit;
+    Exchange.commit_hops t.ex
 
   (* with roles, flooding is the reachability closure through
      transmitting agents rather than plain components *)
@@ -382,7 +435,7 @@ module Make (S : Space.S) = struct
     Exchange.single_hop_single_masked t.ex ~iter_pairs:t.pairs
       ~transmits:t.transmits ~accepts:t.accepts
 
-  let ex_flood_gossip t = Exchange.flood_gossip t.ex ~dsu:t.dsu
+  let ex_flood_gossip dsu t = Exchange.flood_gossip t.ex ~dsu
 
   let ex_single_hop_gossip t =
     Exchange.single_hop_gossip t.ex ~iter_pairs:t.pairs
@@ -392,20 +445,25 @@ module Make (S : Space.S) = struct
   (* [roles] (silent/deaf agents) only occur with single-rumor
      broadcasts: [create] rejects them elsewhere, and loss, outages and
      churn act purely through the pair source. Without roles the
-     component flood gives the masked flood's result, cheaper. Cover
-     walks have no exchange: everyone is informed from the start. *)
-  let exchange_body spec ~roles =
+     component flood gives the masked flood's result, cheaper, and in
+     clique mode one hop gives it with no DSU, for either mechanism.
+     Cover walks have no exchange: everyone is informed from the
+     start. *)
+  let exchange_body spec ~roles ~islands =
     match spec.protocol with
     | Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover -> (
-        match (spec.exchange, roles) with
-        | Exchange.Flood_component, false -> Some ex_flood_single
-        | Exchange.Flood_component, true -> Some ex_flood_masked
-        | Exchange.Single_hop, false -> Some ex_single_hop
-        | Exchange.Single_hop, true -> Some ex_single_hop_masked)
+        match (islands, spec.exchange, roles) with
+        | Flooded dsu, _, _ -> Some (ex_flood_single dsu)
+        | Groups, _, _ -> Some ex_hop
+        | (On_read _ | Absent), Exchange.Flood_component, _ ->
+            Some ex_flood_masked
+        | (On_read _ | Absent), Exchange.Single_hop, false -> Some ex_single_hop
+        | (On_read _ | Absent), Exchange.Single_hop, true ->
+            Some ex_single_hop_masked)
     | Protocol.Gossip -> (
-        match spec.exchange with
-        | Exchange.Flood_component -> Some ex_flood_gossip
-        | Exchange.Single_hop -> Some ex_single_hop_gossip)
+        match islands with
+        | Flooded dsu -> Some (ex_flood_gossip dsu)
+        | On_read _ | Groups | Absent -> Some ex_single_hop_gossip)
     | Protocol.Cover_walks -> None
     | Protocol.Predator_prey _ -> Some ex_catch_preys
 
@@ -601,7 +659,6 @@ module Make (S : Space.S) = struct
       | Protocol.Cover_walks ->
           Space.Mobile_all
     in
-    let dsu = Dsu.create population in
     let live_pairs = Intbuf.create () in
     let roles, transmits, accepts =
       match faults with
@@ -609,20 +666,28 @@ module Make (S : Space.S) = struct
           (true, Faults.transmits f, Faults.accepts f)
       | Some _ | None -> (false, [||], [||])
     in
-    (* only the component floods read the DSU; the masked flood (roles)
+    (* Only the component floods read the DSU; the masked flood (roles)
        and single hop read pairs, and cover walks and predator–prey do
-       not flood *)
-    let components =
-      (not roles)
-      &&
+       not flood. Clique mode allocates no DSU: the single-rumor floods
+       take one hop and the islands come from the space's groups. Loss
+       removes edges inside a node, so any fault plan keeps the DSU;
+       gossip floods keep it too, since single-hop gossip costs O(m²)
+       set unions on a node of m. *)
+    let cliques = S.cliques space && Option.is_none faults in
+    let islands =
       match (spec.protocol, spec.exchange) with
-      | ( (Protocol.Broadcast | Protocol.Gossip | Protocol.Frog
-          | Protocol.Broadcast_cover),
-          Exchange.Flood_component ) ->
-          true
-      | (Protocol.Cover_walks | Protocol.Predator_prey _), _
-      | _, Exchange.Single_hop ->
-          false
+      | Protocol.Predator_prey _, _ -> Absent
+      | Protocol.Gossip, Exchange.Flood_component ->
+          Flooded (Dsu.create population)
+      | _ when cliques -> Groups
+      | ( (Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover),
+          Exchange.Flood_component )
+        when not roles ->
+          Flooded (Dsu.create population)
+      | ( ( Protocol.Broadcast | Protocol.Frog | Protocol.Broadcast_cover
+          | Protocol.Gossip | Protocol.Cover_walks ),
+          _ ) ->
+          On_read (Dsu.create population)
     in
     let t =
       {
@@ -632,9 +697,12 @@ module Make (S : Space.S) = struct
         rngs;
         pos;
         ex;
-        dsu;
-        union_edge = (fun i j -> ignore (Dsu.union dsu i j));
-        components;
+        islands;
+        visit =
+          (match islands with
+          | Flooded dsu | On_read dsu -> fun i j -> ignore (Dsu.union dsu i j)
+          | Groups -> Exchange.hop ex
+          | Absent -> fun _ _ -> ());
         pairs =
           (match faults with
           | None -> fun f -> S.iter_close_pairs space ~f
@@ -644,7 +712,7 @@ module Make (S : Space.S) = struct
                   f (Intbuf.get live_pairs (2 * p))
                     (Intbuf.get live_pairs ((2 * p) + 1))
                 done);
-        body = exchange_body spec ~roles;
+        body = exchange_body spec ~roles ~islands;
         faults;
         present = Option.bind faults Faults.present_mask;
         transmits;
@@ -764,14 +832,23 @@ module Make (S : Space.S) = struct
   let frontier_x t = t.frontier
 
   let island_sizes t =
-    if not (has_islands t) then [||]
-    else begin
-      refresh_islands t;
-      let sizes = ref [] in
-      Dsu.iter_sets t.dsu ~f:(fun ~representative:_ ~members ->
-          sizes := List.length members :: !sizes);
-      Array.of_list !sizes
-    end
+    match t.islands with
+    | Flooded dsu | On_read dsu ->
+        refresh t dsu;
+        let sizes = ref [] in
+        Dsu.iter_sets dsu ~f:(fun ~representative:_ ~members ->
+            sizes := List.length members :: !sizes);
+        Array.of_list !sizes
+    | Groups ->
+        (* the groups first, then one 1 per agent alone *)
+        let sizes = Array.make (components t) 1 in
+        ignore
+          (S.fold_group_sizes t.space ~init:0 ~f:(fun g s ->
+               sizes.(g) <- s;
+               g + 1)
+            : int);
+        sizes
+    | Absent -> [||]
 
   let live_preys t = t.ex.Exchange.live_preys
 

@@ -64,8 +64,8 @@ val default_spec : agents:int -> seed:int -> trial:int -> max_steps:int -> spec
 val series_columns : string list
 (** The column set every engine records into an attached {!Obs.Series}:
     [informed], [frontier] ({!Make.frontier_x}), [components] (the
-    step graph's component count; [-1] for predator–prey only, which
-    has no island statistic), [max_island], [covered] ({!Make.covered_count}), [theory_residual]
+    step graph's component count, singletons included; [-1] for
+    predator–prey only, which has no island statistic), [max_island], [covered] ({!Make.covered_count}), [theory_residual]
     (informed minus the Θ̃(n/√k) linear ramp [round (k * min 1 (t /
     T_B))] with [T_B = Theory.broadcast_theta]), the five per-phase
     [_ns] columns, and cumulative-since-creation [minor_words] /
@@ -78,10 +78,16 @@ val validate_series : Obs.Json.t -> (unit, string) result
     combined form {!Obs.Series.parse} returns), for any series with the
     [informed], [frontier] and [covered] columns; others pass
     unchecked. Row [i] holds step [i * stride] (no gaps), and informed
-    count, frontier and coverage never decrease.
+    count, frontier and coverage never decrease. A [components] column
+    holds [-1] exactly for predator–prey (a ["protocol"] meta starting
+    [predator-prey]; without that meta [-1] passes) and otherwise at
+    least 1.
     When the export's ["meta"] carries them, [population] bounds the
-    informed count and the largest island, [side] the frontier
-    ([-1 <= x < side]) and [nodes] the coverage. At stride 1 a
+    informed count, the largest island and the component count, and a
+    largest island of [s] leaves room for at most [population - s]
+    other components ([max_island <= population - components + 1]);
+    [side] bounds the frontier ([-1 <= x < side]) and [nodes] the
+    coverage. At stride 1 a
     ["completed"] flag must agree with the last row for the protocols
     where the metrics decide it ([broadcast]/[frog]: everyone informed;
     [broadcast-cover]/[cover-walks]: every node covered). Errors name
@@ -105,8 +111,9 @@ module Make (S : Space.S) : sig
       [sim.phase.exchange_ns] and [sim.phase.record_ns], and increments
       [sim.steps] ([sim.runs] counts engine instances). A phase a step
       does not run records nothing: [components] runs only when the
-      exchange floods or faults filter the pairs, [exchange] not for
-      cover walks. Every space
+      exchange floods over the union-find or faults filter the pairs,
+      [exchange] not for cover walks. In clique mode (below) no step
+      records a [components] sample. Every space
       shares the same instrument names, so continuum or barrier runs
       profile exactly like grid runs.
 
@@ -123,7 +130,20 @@ module Make (S : Space.S) : sig
       {!Obs.Series} once its capacity fills), committed at the end of
       each step and once for the initial state. The theory-residual
       column's [T_B = n/√k] ramp takes [n] from the space's
-      {!Space.S.theory_n}. Series recording, like the other two
+      {!Space.S.theory_n}.
+
+      {b Clique mode.} When the space's components are cliques
+      ({!Space.S.cliques}: the grid or a floor plan at radius 0) and
+      the fault plan is empty, the engine allocates no union-find. One
+      hop informs a whole component, so broadcast, frog and
+      broadcast-cover take the one-hop body under either mechanism,
+      through a pair visitor built here (a step allocates nothing), and
+      the island statistics come from the space's groups
+      ({!Space.S.fold_group_sizes}). Results are those of the
+      union-find path. Gossip floods keep the union-find (one-hop
+      gossip costs O(m²) set unions on a node of m agents), and so does
+      any non-empty fault plan: loss removes edges inside a node, and a
+      component stops being a clique. Series recording, like the other two
       instruments, is pure observation: results are byte-identical with
       a recorder attached or not, and passing {!Obs.Series.null} is the
       same as passing nothing.
@@ -167,13 +187,17 @@ module Make (S : Space.S) : sig
 
   val max_island : t -> int
   (** The largest component of the last step's graph; 0 for
-      predator–prey. A step whose exchange floods builds the components
-      anyway; after any other exchange the first read builds them from
-      the step's pairs (O(edges), no allocation, no phase sample). *)
+      predator–prey. A step whose exchange floods over the union-find
+      builds the components anyway; after any other exchange the first
+      read builds them from the step's pairs (O(edges), no allocation,
+      no phase sample). In clique mode it is the largest group on one
+      node, or 1 (linear in the agents on a shared node, no
+      allocation). *)
 
   val island_sizes : t -> int array
   (** Component sizes of the last step's graph, built on first read like
-      {!max_island}; empty for predator–prey. O(population);
+      {!max_island} (in clique mode: the groups, then a 1 for every
+      agent alone); empty for predator–prey. O(population);
       allocates. *)
 
   val covered_count : t -> int

@@ -210,7 +210,7 @@ let[@hot]
 (* Single-hop commit: [newly] holds each agent the pair pass marked in
    [marks], once; inform exactly those and clear their marks, so the
    cost is O(newly informed), not O(population). *)
-let[@hot] commit_newly t =
+let[@hot] commit_hops t =
   for u = 0 to Intbuf.length t.newly - 1 do
     let i = Intbuf.get t.newly u in
     t.marks.(i) <- -1;
@@ -220,7 +220,7 @@ let[@hot] commit_newly t =
   Intbuf.clear t.newly
 
 (* Mark agent [i] as informed at the end of this step (pair-pass side of
-   [commit_newly]); an agent reached over several edges is logged once. *)
+   [commit_hops]); an agent reached over several edges is logged once. *)
 let[@hot] mark_newly t i =
   if t.marks.(i) < 0 then begin
     t.marks.(i) <- 0;
@@ -239,17 +239,20 @@ let[@hot]
       else if
         t.informed.(j) && transmits.(j) && (not t.informed.(i)) && accepts.(i)
       then mark_newly t i);
-  commit_newly t
+  commit_hops t
 
 (* Single-hop exchange (ablation): a rumor crosses at most one
-   visibility edge per step, based on pre-step knowledge. *)
+   visibility edge per step, based on pre-step knowledge. [hop] is the
+   pair visitor, [commit_hops] the commit. *)
+let[@hot] hop t i j =
+  if t.informed.(i) && not t.informed.(j) then mark_newly t j
+  else if t.informed.(j) && not t.informed.(i) then mark_newly t i
+
 let[@hot]
     [@alloc_ok "one pair-visitor closure per step, not per pair"] single_hop_single
     t ~iter_pairs =
-  iter_pairs (fun i j ->
-      if t.informed.(i) && not t.informed.(j) then mark_newly t j
-      else if t.informed.(j) && not t.informed.(i) then mark_newly t i);
-  commit_newly t
+  iter_pairs (hop t);
+  commit_hops t
 
 let[@hot]
     [@alloc_ok

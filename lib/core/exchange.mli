@@ -105,7 +105,19 @@ val flood_gossip : t -> dsu:Dsu.t -> unit
 
 val single_hop_single : t -> iter_pairs:((int -> int -> unit) -> unit) -> unit
 (** The rumor crosses each edge once, based on pre-step knowledge.
-    Cost: O(edges + newly informed agents). *)
+    Cost: O(edges + newly informed agents). Equal to
+    [iter_pairs (hop t); commit_hops t]. *)
+
+val hop : t -> int -> int -> unit
+(** {!single_hop_single}'s pair visitor: [hop t i j] marks [j] when
+    only [i] is informed, or [i] when only [j] is, once per agent. The
+    marked agents stay uninformed until {!commit_hops}, so every pair
+    reads pre-step knowledge. A caller that applies [hop t] once and
+    keeps the closure runs a single-hop step with no allocation. *)
+
+val commit_hops : t -> unit
+(** Inform the agents {!hop} marked since the last commit and clear
+    their marks. Cost: O(marked agents). *)
 
 val flood_single_masked :
   t ->

@@ -84,6 +84,11 @@ let[@hot] rebuild_index ?present t pos =
 
 let iter_close_pairs t ~f = Spatial.iter_close_pairs t.spatial ~f
 
+(* at radius 0 a close pair is two agents on one node *)
+let cliques t = Spatial.radius t.spatial = 0
+
+let fold_group_sizes t ~init ~f = Spatial.fold_group_sizes t.spatial ~init ~f
+
 let cover_cells t = Grid.nodes t.grid
 
 let cover_target t = Grid.nodes t.grid

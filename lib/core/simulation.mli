@@ -50,7 +50,11 @@ val create :
     recording sink the engine observes, per executed step, one sample
     into each of the phase histograms [sim.phase.move_ns],
     [sim.phase.index_ns] (spatial-index rebuild),
-    [sim.phase.components_ns] (DSU build + island statistic),
+    [sim.phase.components_ns] (DSU build + island statistic; only on
+    steps that flood over the DSU or filter pairs through faults, so a
+    fault-free radius-0 run, whose components are the nodes' groups
+    and need no DSU, records none — see {!Engine.Make.create}'s clique
+    mode),
     [sim.phase.exchange_ns] (flood / single-hop / catch) and
     [sim.phase.record_ns] (frontier, coverage), and increments
     the [sim.steps] counter ([sim.runs] counts simulations). All

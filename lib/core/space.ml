@@ -46,6 +46,10 @@ module type S = sig
 
   val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
 
+  val cliques : t -> bool
+
+  val fold_group_sizes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+
   val cover_cells : t -> int
 
   val cover_target : t -> int

@@ -87,6 +87,23 @@ module type S = sig
       at radius 0; changing a space's pair order changes its lossy
       runs. *)
 
+  val cliques : t -> bool
+  (** Whether every component of the visibility graph is a clique: the
+      grid and the floor plans at radius 0, where a close pair is two
+      agents on one node (a node always has line of sight to itself).
+      Then one hop informs a whole component, and the components are
+      the nodes' groups ({!fold_group_sizes}). Fixed at creation. The
+      continuum answers [false]. *)
+
+  val fold_group_sizes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+  (** When {!cliques} holds: [f] folded over the sizes of the last
+      [rebuild_index]'s groups of two or more agents on one node, in
+      no particular order. Each such group is one component of the
+      step's graph; every other indexed agent is alone. Linear in the
+      agents on a shared node (and the few alone that the grid's
+      radius-0 filter keeps), no allocation.
+      @raise Invalid_argument when {!cliques} does not hold. *)
+
   val cover_cells : t -> int
   (** Size of the discrete cell-id range coverage bitmaps must span, or
       [0] when the space does not support coverage (continuum). *)

@@ -87,6 +87,13 @@ let iter_close_pairs t ~f =
         then f i j)
   else Grid_space.iter_close_pairs t.grid_space ~f
 
+(* a node always sees itself, so line of sight keeps every pair at
+   radius 0 *)
+let cliques t = Grid_space.cliques t.grid_space
+
+let fold_group_sizes t ~init ~f =
+  Grid_space.fold_group_sizes t.grid_space ~init ~f
+
 let cover_cells t = Grid_space.cover_cells t.grid_space
 
 let cover_target t = Domain.free_count t.domain

@@ -808,6 +808,25 @@ let[@unsafe_invariant "x < cands <= length items"] rec iter_runs t ~f lo key
       iter_runs t ~f x (node_of (Array.unsafe_get t.items x)) (x + 1)
   end
 
+(* The sizes of the runs of two or more in [items.(x..cands-1)]
+   folded into [acc]; the current run started at [lo], on node [key]. *)
+let[@unsafe_invariant "x < cands <= length items"] rec fold_runs t ~f acc lo
+    key x =
+  if x < t.cands && node_of (Array.unsafe_get t.items x) = key then
+    fold_runs t ~f acc lo key (x + 1)
+  else begin
+    let acc = if x - lo > 1 then f acc (x - lo) else acc in
+    if x < t.cands then
+      fold_runs t ~f acc x (node_of (Array.unsafe_get t.items x)) (x + 1)
+    else acc
+  end
+
+(* Every node's candidates form one run, whichever pass wrote them last,
+   so the runs' order does not matter here. *)
+let fold_group_sizes t ~init ~f =
+  if t.radius <> 0 then invalid_arg "Spatial.fold_group_sizes: radius > 0";
+  if t.cands > 0 then fold_runs t ~f init 0 (node_of t.items.(0)) 1 else init
+
 let[@hot] iter_close_pairs t ~f =
   if t.radius = 0 then begin
     if t.passes = 1 then begin

@@ -124,6 +124,13 @@ val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
     Manhattan distance [<= radius] in the last rebuild. For
     [radius = 0] this degenerates to exact-position cohabitation. *)
 
+val fold_group_sizes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+(** At radius 0: [f] folded over the sizes of the last rebuild's
+    groups of two or more indexed agents on one node, in no particular
+    order. Every close pair lies inside one such group, and each group
+    is a clique of {!iter_close_pairs}. O(candidates), no allocation.
+    @raise Invalid_argument at radius [> 0]. *)
+
 val iter_close_points :
   t -> xs:float array -> ys:float array -> radius:float ->
   f:(int -> int -> unit) -> unit

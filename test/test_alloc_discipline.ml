@@ -120,8 +120,17 @@ let test_probe_budget run budget () =
    per agent of room, none for a second per-agent block. The steady
    state must allocate nothing, so the step budget is one word per
    step — room for the measurement itself, none for a per-agent or
-   per-bucket allocation. *)
+   per-bucket allocation.
+
+   The set-up's total allocation, major heap included
+   ([Gc.allocated_bytes]), is 11.1 words per agent: the stream views,
+   the informed flags, the exchange's marks and the radius-0 index's
+   five arrays (the positions and the stream store are Bigarrays,
+   outside the heap). At radius 0 the components are cliques, so the
+   engine allocates no union-find; one that did (4 words per agent)
+   would read 15.3. The budget leaves 0.9 words per agent of room. *)
 let population_budget_setup_words_per_agent = 4.0
+let population_budget_setup_total_words_per_agent = 12.0
 let population_budget_words_per_step = 1.0
 
 let test_population_budget () =
@@ -129,15 +138,23 @@ let test_population_budget () =
   let cfg =
     Config.make ~side:1024 ~agents ~radius:0 ~seed:7 ~max_steps:60 ()
   in
-  let setup0 = Gc.minor_words () in
+  let setup0 = Gc.minor_words () and bytes0 = Gc.allocated_bytes () in
   let sim = Simulation.create cfg in
   let setup =
     (Gc.minor_words () -. setup0) /. float_of_int agents
+  in
+  let setup_total =
+    (Gc.allocated_bytes () -. bytes0)
+    /. float_of_int (Sys.word_size / 8 * agents)
   in
   if setup > population_budget_setup_words_per_agent then
     Alcotest.failf
       "population-scale set-up allocates %.2f minor words/agent (budget %.1f)"
       setup population_budget_setup_words_per_agent;
+  if setup_total > population_budget_setup_total_words_per_agent then
+    Alcotest.failf
+      "population-scale set-up allocates %.2f words/agent in all (budget %.1f)"
+      setup_total population_budget_setup_total_words_per_agent;
   (* warmup: the grow-once index scratch is sized by the first steps *)
   for _ = 1 to 5 do
     Simulation.step sim

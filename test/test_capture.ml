@@ -220,6 +220,33 @@ let test_validation_catches_tampering () =
     ((List.nth (data truncated) 1).(informed_col) < 5);
   broken "truncation" truncated
 
+(* The island columns: [components] in [1, population] (-1 only for
+   predator–prey), and a largest island of s leaves at most
+   population - s other sets. *)
+let test_validation_catches_island_tampering () =
+  let broken label bad =
+    match check_doc bad with
+    | Ok () -> Alcotest.failf "%s not caught" label
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: message names the row (%s)" label e)
+          true
+          (String.length e > 4 && String.sub e 0 4 = "row ")
+  in
+  let doc = parsed (capture ~seed:3 ()) in
+  broken "no components" (with_cell doc ~row:0 ~col:"components" 0);
+  broken "components over population"
+    (with_cell doc ~row:0 ~col:"components" 6);
+  broken "components -1 for broadcast"
+    (with_cell doc ~row:0 ~col:"components" (-1));
+  broken "island too large for the set count"
+    (with_cell
+       (with_cell doc ~row:0 ~col:"components" 5)
+       ~row:0 ~col:"max_island" 2);
+  let pp = parsed (capture ~protocol:(Protocol.Predator_prey { preys = 3 }) ()) in
+  broken "components for predator-prey"
+    (with_cell pp ~row:0 ~col:"components" 1)
+
 let test_validate_accepts_timeout_series () =
   Alcotest.(check bool) "timeout series is valid" true
     (match check_doc (parsed (capture ~side:24 ~agents:3 ~max_steps:4 ())) with
@@ -268,6 +295,8 @@ let () =
             test_validation_catches_tampering;
           Alcotest.test_case "accepts timeouts" `Quick
             test_validate_accepts_timeout_series;
+          Alcotest.test_case "catches island tampering" `Quick
+            test_validation_catches_island_tampering;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -149,6 +149,63 @@ let test_index_allocates_nothing () =
   Alcotest.(check bool) "visits pairs" true (!pairs_seen > 0);
   Alcotest.(check (float 0.)) "minor words per rebuild and scan" 0. words
 
+(* Reflection into the box. Moves of any size land in [0, box_side]:
+   sigma 1e12 on a box of side 1, and the sigma of
+   [simulate --space continuum --side 1 --rc-mult 0.1 --sigma-frac 1e6].
+   Moves of up to a few box widths keep the arithmetic of folding back
+   one width at a time, bit for bit. *)
+let rec fold_back l x =
+  if x < 0. then fold_back l (-.x)
+  else if x > l then fold_back l ((2. *. l) -. x)
+  else x
+
+let moved ~box_side ~sigma ~steps =
+  let module S = C.Space in
+  let agents = 8 in
+  let s = S.create ~box_side ~radius:0.1 ~sigma ~agents in
+  let pos = S.init_positions s (Prng.of_seed 5) ~n:agents in
+  let rngs = Prng.split_n (Prng.of_seed 6) agents in
+  List.init steps (fun _ ->
+      S.move_all s pos rngs Mobile_network.Space.Mobile_all;
+      (Array.copy pos.S.xs, Array.copy pos.S.ys))
+
+let test_huge_sigma_stays_in_box () =
+  List.iter
+    (fun sigma ->
+      List.iter
+        (fun (xs, ys) ->
+          Array.iter
+            (fun c ->
+              if not (c >= 0. && c <= 1.) then
+                Alcotest.failf "sigma %g: coordinate %h outside [0, 1]" sigma c)
+            (Array.append xs ys))
+        (moved ~box_side:1. ~sigma ~steps:200))
+    [ 1e12; 42367.; 3.5 ]
+
+let test_small_moves_fold_as_before () =
+  let box_side = 4. and sigma = 1.5 and agents = 8 in
+  let init =
+    C.Space.init_positions
+      (C.Space.create ~box_side ~radius:0.1 ~sigma ~agents)
+      (Prng.of_seed 5) ~n:agents
+  in
+  let rngs = Prng.split_n (Prng.of_seed 6) agents in
+  let xs = Array.copy init.C.Space.xs and ys = Array.copy init.C.Space.ys in
+  let move c i =
+    fold_back box_side (c +. Prng.gaussian rngs.(i) ~mean:0. ~stddev:sigma)
+  in
+  List.iter
+    (fun (xs', ys') ->
+      for i = 0 to agents - 1 do
+        xs.(i) <- move xs.(i) i;
+        ys.(i) <- move ys.(i) i
+      done;
+      if
+        not
+          (Array.for_all2 Float.equal xs xs' && Array.for_all2 Float.equal ys ys')
+      then Alcotest.fail "a move differs from folding back one width at a time")
+    (moved ~box_side ~sigma ~steps:300)
+
 let prop_informed_bounded =
   QCheck.Test.make ~name:"informed within [1, k]" ~count:80
     QCheck.(triple (int_range 1 40) (int_range 0 200) small_int)
@@ -186,6 +243,10 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "index allocates nothing" `Quick
             test_index_allocates_nothing;
+          Alcotest.test_case "huge sigma stays in the box" `Quick
+            test_huge_sigma_stays_in_box;
+          Alcotest.test_case "small moves fold as before" `Quick
+            test_small_moves_fold_as_before;
         ] );
       ( "percolation",
         [

@@ -8,6 +8,7 @@ module Config = Mobile_network.Config
 module Engine = Mobile_network.Engine
 module Simulation = Mobile_network.Simulation
 module Exchange = Mobile_network.Exchange
+module Protocol = Mobile_network.Protocol
 module Rumor_set = Mobile_network.Rumor_set
 module Space = Mobile_network.Space
 module Continuum_engine = Engine.Make (Continuum.Space)
@@ -656,6 +657,64 @@ let prop_policies =
     prop_policy "single_hop_single_masked" Single_hop_masked;
   ]
 
+(* --- clique mode ----------------------------------------------------------- *)
+
+(* At radius 0 every component is the group on one node, so a fault-free
+   grid run floods by one hop and reads its islands from the groups,
+   with no union-find. A fault plan that never acts (one outage window
+   past the step cap) forces the same configuration onto the union-find
+   path; the two must agree at every step on the informed flags and
+   count, the positions, the largest island and the set count. *)
+let prop_clique_mode_agrees =
+  QCheck.Test.make ~name:"radius-0 clique mode = union-find path, every step"
+    ~count:150
+    QCheck.(
+      pair
+        (quad (int_range 3 32) (int_range 1 80) (int_range 1 3) bool)
+        (triple
+           (oneofl
+              [ Protocol.Broadcast; Protocol.Frog; Protocol.Broadcast_cover ])
+           (oneofl [ Config.Flood_component; Config.Single_hop ])
+           (int_range 0 9999)))
+    (fun ((side, agents, sources, torus), (protocol, exchange, seed)) ->
+      let max_steps = 120 in
+      let make faults =
+        Config.make ~side ~agents ~torus ~protocol ~exchange ~seed
+          ~sources:(min sources agents) ~max_steps ~faults ()
+      in
+      let inert =
+        { Faults.Plan.empty with
+          Faults.Plan.windows =
+            [ { Faults.Plan.w_from = max_steps + 1;
+                w_until = max_steps + 2;
+                w_agent = None } ] }
+      in
+      let sa = stride1_series () and sb = stride1_series () in
+      let a = Simulation.create ~series:sa (make Faults.Plan.empty)
+      and b = Simulation.create ~series:sb (make inert) in
+      let sorted e = List.sort compare (Array.to_list e) in
+      let agree () =
+        Simulation.informed_count a = Simulation.informed_count b
+        && List.for_all
+             (fun i -> Simulation.is_informed a i = Simulation.is_informed b i)
+             (List.init agents Fun.id)
+        && Simulation.positions a = Simulation.positions b
+        && Simulation.max_island a = Simulation.max_island b
+        && sorted (Simulation.island_sizes a)
+           = sorted (Simulation.island_sizes b)
+      in
+      let ok = ref (agree ()) in
+      while !ok && not (Simulation.is_done a && Simulation.is_done b)
+            && Simulation.time a < max_steps do
+        Simulation.step a;
+        Simulation.step b;
+        ok := agree () && Simulation.time a = Simulation.time b
+      done;
+      !ok
+      && List.for_all
+           (fun c -> Obs.Series.column sa c = Obs.Series.column sb c)
+           [ "informed"; "components"; "max_island"; "covered" ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -692,4 +751,5 @@ let () =
           Alcotest.test_case "catch_preys no chaining" `Quick
             test_catch_preys_no_chaining;
         ] );
+      ("clique mode", [ QCheck_alcotest.to_alcotest prop_clique_mode_agrees ]);
     ]

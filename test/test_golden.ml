@@ -13,9 +13,11 @@ module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
 
 let steps ?(torus = false) ?(radius = 0) ?(protocol = Protocol.Broadcast)
-    ?(exchange = Config.Flood_component) ~side ~agents ~seed () =
+    ?(exchange = Config.Flood_component) ?(sources = 1) ~side ~agents ~seed ()
+    =
   (Simulation.run_config
-     (Config.make ~torus ~radius ~protocol ~exchange ~side ~agents ~seed ()))
+     (Config.make ~torus ~radius ~protocol ~exchange ~sources ~side ~agents
+        ~seed ()))
     .Simulation.steps
 
 let test_prng_stream () =
@@ -242,6 +244,25 @@ let test_dense_gossip_cardinals () =
     (Digest.to_hex
        (Digest.string (String.concat "," (List.map string_of_int cards))))
 
+(* Three sources at radius 0 (side 32, k 64) for each single-rumor
+   flood: no CLI flag or scenario field reaches [sources], so these
+   pins stand where `make check` pins the one-source runs. *)
+let test_multi_source_radius0 () =
+  List.iter
+    (fun (label, protocol, pinned) ->
+      List.iteri
+        (fun seed expected ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s seed %d" label seed)
+            expected
+            (steps ~protocol ~sources:3 ~side:32 ~agents:64 ~seed ()))
+        pinned)
+    [
+      ("broadcast", Protocol.Broadcast, [ 401; 250; 373 ]);
+      ("frog", Protocol.Frog, [ 465; 384; 480 ]);
+      ("broadcast-cover", Protocol.Broadcast_cover, [ 675; 488; 529 ]);
+    ]
+
 let () =
   Alcotest.run "golden"
     [
@@ -257,5 +278,7 @@ let () =
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "dense gossip rumor cardinals" `Quick
             test_dense_gossip_cardinals;
+          Alcotest.test_case "radius-0 multi-source" `Quick
+            test_multi_source_radius0;
         ] );
     ]

@@ -708,7 +708,7 @@ let prop_components_oracle =
               (int_range 0 999) bool
               (oneofl
                  [ Protocol.Broadcast; Protocol.Frog; Protocol.Gossip;
-                   Protocol.Cover_walks ]))
+                   Protocol.Broadcast_cover; Protocol.Cover_walks ]))
            (pair
               (oneofl [ Config.Flood_component; Config.Single_hop ])
               (oneofl [ Walk.Lazy_one_fifth; Walk.Jump 2 ]))))
@@ -720,7 +720,8 @@ let prop_components_oracle =
       let floods =
         match (exchange, protocol) with
         | ( Config.Flood_component,
-            (Protocol.Broadcast | Protocol.Frog | Protocol.Gossip) ) ->
+            ( Protocol.Broadcast | Protocol.Frog | Protocol.Gossip
+            | Protocol.Broadcast_cover ) ) ->
             true
         | _ -> false
       in
