@@ -114,6 +114,9 @@ check:
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 16384 -k 64 -r 1 --max-steps 50 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'needs a spatial index of' /tmp/mobisim-bad.err
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --space domain --side 16384 -k 4 --max-steps 5 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'a floor plan of side 16384 has' /tmp/mobisim-bad.err
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --space domain --side 4096 -k 4 --max-steps 5 > /dev/null
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- percolation --side 70000 -k 2 --trials 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'side must be at most' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- percolation --side 16384 -k 2 --trials 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'needs a spatial index of' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- theory --side 70000 -k 2 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'side must be at most' /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
@@ -170,8 +173,9 @@ bench:
 
 # Static analysis over the typed ASTs: forbidden-identifier scan
 # (determinism + concurrency allowlists), polymorphic-compare detection,
-# the lib/ layering DAG, and the allocation-discipline + unsafe-access
-# audit over the [@hot] call graph. `@check` emits the .cmt files
+# the lib/ layering DAG, the allocation-discipline + unsafe-access
+# audit over the [@hot] call graph, and exports (.cmti) that no other
+# lib/ or bin/ unit uses (.cmt). `@check` emits the .cmt files
 # mobilint reads (a plain `dune build` skips executables' cmts). mobilint
 # exits 2 (not 0) when it finds no .cmt files, so a broken build alias
 # can never masquerade as a clean scan. The JSON round-trip exercises

@@ -1,6 +1,6 @@
-(* mobilint — typed-AST determinism, concurrency, allocation-discipline
-   and unsafe-access linter over the repo's own .cmt output. See README
-   "Static analysis".
+(* mobilint — typed-AST determinism, concurrency, allocation-discipline,
+   unsafe-access and unused-export linter over the repo's own .cmt and
+   .cmti output. See README "Static analysis".
 
    Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -11,17 +11,17 @@ let usage () =
   print_string
     "usage: mobilint [OPTIONS] [CMT-FILE|DIR ...]\n\
      \n\
-     Lints dune-emitted .cmt files (typed ASTs) and lib/*/dune layering.\n\
-     With no paths, scans lib/ and bin/ under --root. Build the cmts\n\
-     first: dune build @lib/check @bin/check (or make lint). Finding\n\
-     zero cmt files is an error, not a clean scan.\n\
+     Lints dune-emitted .cmt/.cmti files (typed ASTs) and lib/*/dune\n\
+     layering. With no paths, scans lib/ and bin/ under --root. Build\n\
+     the cmts first: dune build @lib/check @bin/check (or make lint).\n\
+     Finding zero cmt files is an error, not a clean scan.\n\
      \n\
      options:\n\
      \  --root DIR       build tree to scan (default _build/default)\n\
      \  --dune-root DIR  source tree for layering dune files (default .)\n\
      \  --rules LIST     comma-separated subset of: determinism,\n\
      \                   concurrency, poly-compare, layering, io,\n\
-     \                   alloc, unsafe\n\
+     \                   alloc, unsafe, unused-export\n\
      \  --jobs N         scan cmt files over N pool workers (default:\n\
      \                   Runtime.Pool.recommended_jobs; output is\n\
      \                   byte-identical at any N)\n\

@@ -43,6 +43,18 @@ let require checks =
       List.iter (Printf.eprintf "invalid arguments: %s\n") errs;
       exit 2
 
+(* percolation and theory take --side and --agents without building a
+   Config, so they hold them to the engine's size limits themselves *)
+let size_checks side agents =
+  [
+    (side > 0, "--side must be positive");
+    ( side <= Config.max_side,
+      Printf.sprintf "--side must be at most %d" Config.max_side );
+    (agents > 0, "--agents must be positive");
+    ( agents <= Config.max_population,
+      Printf.sprintf "--agents must be at most %d" Config.max_population );
+  ]
+
 (* --- shared argument definitions ----------------------------------------- *)
 
 (* Run-parameter defaults are the scenario defaults: a flag left unset
@@ -790,11 +802,12 @@ let list_cmd =
 
 let run_percolation side agents seed trials =
   require
-    [
-      (side > 0, "--side must be positive");
-      (agents > 0, "--agents must be positive");
-      (trials > 0, "--trials must be positive");
-    ];
+    (size_checks side agents @ [ (trials > 0, "--trials must be positive") ]);
+  (* the radius scan starts at 0; radius 1 builds its largest bucket
+     table, since the columns only shrink as the radius grows *)
+  (match Config.check_index ~side ~torus:false ~radius:1 with
+  | Ok () -> ()
+  | Error e -> require [ (false, e) ]);
   let grid = Grid.create ~side () in
   let n = side * side in
   let rng = Prng.of_seed seed in
@@ -1178,11 +1191,7 @@ let bench_check_cmd =
 (* --- theory ----------------------------------------------------------------- *)
 
 let run_theory side agents =
-  require
-    [
-      (side > 0, "--side must be positive");
-      (agents > 0, "--agents must be positive");
-    ];
+  require (size_checks side agents);
   let module Theory = Mobile_network.Theory in
   let n = side * side in
   let k = agents in

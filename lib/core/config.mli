@@ -53,7 +53,7 @@ val exchange_to_string : exchange -> string
 val n : t -> int
 (** Number of grid nodes, [side * side]. *)
 
-val default_max_steps : t -> int
+val default_max_steps : t -> int [@@seam "test_config"]
 (** Safety cap used when [max_steps = None]: generous slack above every
     theory curve in this repo (including the slowest, single-walk cover
     time [~ n log^2 n]), so a mis-parameterised run terminates and is
@@ -100,7 +100,7 @@ val validate : t -> (unit, string) result
     is valid: the dense baseline runs [k = n/2] agents. Allocates
     nothing on success. *)
 
-val rng_for : t -> Prng.t
+val rng_for : t -> Prng.t [@@seam "test_config"]
 (** The root random stream of this (seed, trial) pair. *)
 
 val to_string : t -> string

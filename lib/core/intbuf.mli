@@ -13,7 +13,7 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** @raise Invalid_argument if the index is out of range. *)
 
-val last : t -> int option
+val last : t -> int option [@@seam "test_intbuf"]
 (** Most recently pushed value, if any. *)
 
 val clear : t -> unit

@@ -38,9 +38,9 @@ type t =
 
 val to_string : t -> string
 
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@seam "test_config"]
 
-val is_flooding : t -> bool
+val is_flooding : t -> bool [@@seam "test_config"]
 (** Whether rumor exchange uses component-wide flooding (everything but
     [Predator_prey]). *)
 

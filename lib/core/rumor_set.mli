@@ -23,13 +23,13 @@ val capacity : t -> int
 val cardinal : t -> int
 (** Number of rumors known. O(1). *)
 
-val is_full : t -> bool
+val is_full : t -> bool [@@seam "test_rumor_set"]
 (** Whether all [capacity] rumors are known. *)
 
 val mem : t -> int -> bool
 (** @raise Invalid_argument if the id is out of range. *)
 
-val add : t -> int -> int
+val add : t -> int -> int [@@seam "test_engine, test_rumor_set"]
 (** Insert a rumor id; returns 1 if it was new, 0 if already present.
     @raise Invalid_argument if the id is out of range. *)
 
@@ -38,7 +38,7 @@ val union_into : src:t -> dst:t -> int
     the number of rumors that were new to [dst]. [src] is unchanged.
     @raise Invalid_argument if capacities differ. *)
 
-val copy : t -> t
+val copy : t -> t [@@seam "test_rumor_set"]
 
 (** {1 Component-flood primitives}
 
@@ -66,7 +66,7 @@ val assign_superset : src:t -> dst:t -> int
     Equal cardinals write nothing, so the subset relation is the
     caller's obligation; it is not checked. *)
 
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@seam "test_engine, test_rumor_set"]
 
-val iter : t -> f:(int -> unit) -> unit
+val iter : t -> f:(int -> unit) -> unit [@@seam "test_rumor_set"]
 (** Visit known rumor ids in increasing order. *)

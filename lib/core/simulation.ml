@@ -70,8 +70,6 @@ let completion_time cfg =
 
 (* --- getters ------------------------------------------------------------- *)
 
-let config t = t.cfg
-
 let grid t = Grid_space.grid (E.space t.e)
 
 let time t = E.time t.e

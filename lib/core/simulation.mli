@@ -42,7 +42,9 @@ val create :
   t
 (** [full_rebuild] is accepted and ignored: the engine rebuilds the
     visibility-graph components from scratch every step, so there is no
-    other path to select. It remains only for existing callers.
+    other path to select. Its only callers are the "incremental vs full
+    rebuild" checks in bench/suite/engine_wl.ml; ROADMAP item 2 deletes
+    it with them.
 
     [metrics] (default {!Obs.Sink.ambient}) selects where per-phase
     timings go. Against the null sink instrumentation is free: the
@@ -72,8 +74,6 @@ val create :
 
 (** {1 Inspection} *)
 
-val config : t -> Config.t
-
 val grid : t -> Grid.t
 
 val time : t -> int
@@ -89,6 +89,7 @@ val is_informed : t -> int -> bool
     or a caught prey). @raise Invalid_argument if out of range. *)
 
 val rumors_known : t -> int -> int
+  [@@seam "test_golden: the gossip pin; test_simulation"]
 (** Number of distinct rumors agent [i] knows. For single-rumor
     protocols this is 0 or 1. *)
 
@@ -111,6 +112,7 @@ val max_island : t -> int
     predator–prey. *)
 
 val island_sizes : t -> int array
+  [@@seam "test_engine, test_faults, test_simulation"]
 (** Sizes of all visibility-graph components at the last exchange, in no
     particular order (sum = population). Empty for predator–prey, whose
     exchange does not build components. O(population); allocates. *)
@@ -119,7 +121,7 @@ val covered_count : t -> int
 (** Number of grid nodes covered so far (0 when the protocol does not
     track coverage). *)
 
-val live_preys : t -> int
+val live_preys : t -> int [@@seam "test_simulation"]
 (** Remaining preys (0 for non-predator protocols). *)
 
 val present_count : t -> int
@@ -127,10 +129,12 @@ val present_count : t -> int
     equals {!population} when the config's fault plan has no churn. *)
 
 val is_done : t -> bool
+  [@@seam "test_alloc_discipline, test_engine, test_faults, test_simulation"]
 
 (** {1 Running} *)
 
 val step : t -> unit
+  [@@seam "bench/suite engine_wl.ml, probes.ml; six test suites"]
 (** Advance one time step. No-op once {!is_done} (stepping a finished
     simulation is allowed and does nothing). *)
 
@@ -147,6 +151,6 @@ val run_config :
   report
 (** [create] + [run]. *)
 
-val completion_time : Config.t -> int option
+val completion_time : Config.t -> int option [@@seam "test_simulation"]
 (** Convenience: run and return [Some steps] on completion, [None] on
     timeout. *)

@@ -28,9 +28,6 @@ module Cover = struct
       Bytes.set t.bits byte (Char.chr (b lor mask));
       t.count <- t.count + 1
     end
-
-  let mem t cell =
-    Char.code (Bytes.get t.bits (cell lsr 3)) land (1 lsl (cell land 7)) <> 0
 end
 
 module type S = sig

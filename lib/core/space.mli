@@ -42,8 +42,6 @@ module Cover : sig
 
   val mark : t -> int -> unit
   (** Mark a cell; idempotent. *)
-
-  val mem : t -> int -> bool
 end
 
 (** What a space must provide. Instances: {!Grid_space} (the paper's

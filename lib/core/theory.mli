@@ -7,7 +7,7 @@
     logarithms throughout ([log n] factors in the paper are base-free
     inside Θ/O). *)
 
-val ln : float -> float
+val ln : float -> float [@@seam "test_theory"]
 (** Natural log, clamped so that [ln x >= 1e-9] for [x <= e] — keeps
     curves finite and positive at the small parameters experiments use. *)
 
@@ -61,12 +61,12 @@ val island_size_bound : n:int -> float
 (** Lemma 6: below the percolation point no island exceeds [log n]
     agents w.h.p. *)
 
-val meeting_probability_lower : d:int -> float
+val meeting_probability_lower : d:int -> float [@@seam "test_theory"]
 (** Lemma 3: two walks at distance [d] meet within [d^2] steps, inside
     the lens [D], with probability at least [c3 / max(1, log d)]; the
     returned shape is [1 / max(1, log d)]. *)
 
-val hitting_probability_lower : d:int -> float
+val hitting_probability_lower : d:int -> float [@@seam "test_theory"]
 (** Lemma 1: a walk visits a node at distance [d] within [d^2] steps
     with probability at least [c1 / max(1, log d)]; shape
     [1 / max(1, log d)]. *)
@@ -78,7 +78,7 @@ val range_lower : steps:int -> float
 (** Lemma 2.2: with probability > 1/2 a walk visits at least
     [c2 * l / log l] distinct nodes in [l] steps; shape [l / log l]. *)
 
-val frontier_speed_bound : n:int -> k:int -> float
+val frontier_speed_bound : n:int -> k:int -> float [@@seam "test_theory"]
 (** Lemma 7: over a window of [gamma^2 / (144 log n)] steps the informed
     frontier advances at most [(gamma log n) / 2]; returned as the
     implied max speed (distance per step),

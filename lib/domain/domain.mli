@@ -24,11 +24,13 @@ val unobstructed : Grid.t -> t
 (** The plain grid: nothing blocked. *)
 
 val of_blocked : Grid.t -> blocked:(Grid.node -> bool) -> t
+  [@@seam "test_barriers"]
 (** General constructor from a predicate (evaluated once per node).
     @raise Invalid_argument on a torus grid — barrier domains model
     bounded floor plans (all constructors inherit this restriction). *)
 
 val with_rectangles : Grid.t -> rects:rect list -> t
+  [@@seam "test_barriers, test_render"]
 (** Block the union of the given rectangles (clipped to the grid). *)
 
 val central_wall : Grid.t -> gap:int -> t
@@ -51,10 +53,10 @@ val is_free : t -> Grid.node -> bool
 val free_count : t -> int
 (** Number of free nodes. *)
 
-val free_nodes : t -> Grid.node array
+val free_nodes : t -> Grid.node array [@@seam "test_barriers"]
 (** All free nodes, ascending. Fresh array. *)
 
-val blocked_count : t -> int
+val blocked_count : t -> int [@@seam "test_barriers"]
 
 val is_connected : t -> bool
 (** Whether the free region is connected (BFS). The empty region counts
@@ -63,11 +65,12 @@ val is_connected : t -> bool
 val random_free_node : t -> Prng.t -> Grid.node
 (** Uniform over free nodes. @raise Invalid_argument if none. *)
 
-val free_degree : t -> Grid.node -> int
+val free_degree : t -> Grid.node -> int [@@seam "test_barriers"]
 (** Number of free grid neighbours of a free node. *)
 
 val fold_free_neighbours :
   t -> Grid.node -> init:'a -> f:('a -> Grid.node -> 'a) -> 'a
+  [@@seam "test_barriers"]
 
 val line_of_sight : t -> Grid.node -> Grid.node -> bool
 (** Whether the straight segment between the two node centres stays
@@ -77,6 +80,7 @@ val line_of_sight : t -> Grid.node -> Grid.node -> bool
 (** {1 Mobility} *)
 
 val step_lazy : t -> Prng.t -> Grid.node -> Grid.node
+  [@@seam "test_barriers: the floor-plan move oracle"]
 (** One transition of the paper's lazy kernel restricted to the domain:
     each {e free} neighbour w.p. 1/5, stay with the remaining mass
     (blocked or off-grid directions turn into holding probability, just

@@ -13,7 +13,8 @@
     [Spatial.reconcile]: instead of resetting, a caller dissolves only
     the members of grid nodes whose occupancy changed and re-unions
     them, leaving untouched components intact across steps. (The engine
-    resets and re-unions every step instead.)
+    resets and re-unions every step instead; the only caller is
+    bench/suite/probes.ml, and ROADMAP item 2 deletes {!dissolve}.)
 
     {b Touched log.} Every element stamped in the current epoch — healed
     by its first {!find}, {!union}, {!same_set}, {!set_size}, {!groups}
@@ -58,6 +59,7 @@ val touched_roots : t -> members:int array -> roots:int array -> int
     [touched_count t]. *)
 
 val dissolve : t -> int -> unit
+  [@@seam "bench/suite/probes.ml; goes with ROADMAP item 2"]
 (** [dissolve t i] detaches element [i] into a singleton of the current
     epoch *without* starting a new epoch, leaving all other sets intact.
 
@@ -68,9 +70,13 @@ val dissolve : t -> int -> unit
     component is exactly the population of one grid node, and it
     dissolves every current member of every dirty node. Partial
     dissolution would leave surviving members pointing at a recycled
-    root with a stale size. Taints {!set_count}'s O(1) counter (recomputed on demand). *)
+    root with a stale size. Taints {!set_count}'s O(1) counter
+    (recomputed on demand). Called only by bench/suite/probes.ml
+    (directly and through [Spatial.reconcile]) and by tests; ROADMAP
+    item 2 deletes it. *)
 
 val find : t -> int -> int
+  [@@seam "bench/suite/probes.ml; goes with ROADMAP item 2"]
 (** Canonical representative of the element's set. Performs path
     compression. @raise Invalid_argument if out of range. *)
 
@@ -79,9 +85,10 @@ val union : t -> int -> int -> bool
     in different sets. *)
 
 val same_set : t -> int -> int -> bool
+  [@@seam "test_dsu, test_spatial, test_visibility: connectivity oracle"]
 (** Whether the two elements currently share a set. *)
 
-val set_size : t -> int -> int
+val set_size : t -> int -> int [@@seam "test_dsu, test_engine"]
 (** Size of the set containing the element. *)
 
 val set_count : t -> int
@@ -103,7 +110,7 @@ val iter_sets : t -> f:(representative:int -> members:int list -> unit) -> unit
 (** Iterate over every set, passing its representative and full member
     list. Member lists are in increasing order. O(n) total. *)
 
-val groups : t -> int list array
+val groups : t -> int list array [@@seam "test_dsu"]
 (** [groups t] is an array indexed by representative; entry [r] holds the
     members of [r]'s set (increasing order) and non-representative entries
     hold [[]]. O(n). *)

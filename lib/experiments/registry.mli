@@ -38,6 +38,6 @@ val run_all :
   seed:int ->
   Format.formatter ->
   unit ->
-  Exp_result.t list
+  Exp_result.t list [@@seam "test_runtime"]
 (** Run every experiment, rendering each result (in catalogue order,
     incrementally) as it becomes available. *)

@@ -60,6 +60,7 @@ val doublings : from:int -> count:int -> int list
     @raise Invalid_argument if [from <= 0] or [count < 0]. *)
 
 val geometric : from:float -> factor:float -> count:int -> float list
+  [@@seam "test_harness"]
 (** Geometric grid of floats. @raise Invalid_argument unless
     [from > 0.], [factor > 1.], [count >= 0]. *)
 

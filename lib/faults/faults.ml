@@ -323,8 +323,6 @@ let create plan ~population ~seed ~trial =
       List.exists (fun w -> w.Plan.w_agent <> None) plan.Plan.windows;
   }
 
-let plan t = t.plan
-
 let[@alloc_ok
      "fault-adversary bookkeeping: a handful of window-predicate \
       closures per step, never per pair; the pristine engine path skips \

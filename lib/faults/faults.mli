@@ -102,7 +102,7 @@ module Plan : sig
   val to_json : t -> Obs.Json.t
   (** Rendered by {!to_string}, which round-trips through {!of_string}. *)
 
-  val to_string : t -> string
+  val to_string : t -> string [@@seam "qgen, test_faults, test_scenario"]
   (** Compact JSON rendering of {!to_json}. *)
 
   val summary : t -> string
@@ -123,8 +123,6 @@ val create : Plan.t -> population:int -> seed:int -> trial:int -> t
     @raise Invalid_argument if the plan fails {!Plan.validate} or
     references an agent index [>= population]. *)
 
-val plan : t -> Plan.t
-
 val begin_step : t -> time:int -> unit
 (** Advance the adversary to step [time]: recompute the outage state
     for this step and, for [time > 0], draw one churn Bernoulli per
@@ -137,15 +135,12 @@ val blackout : t -> bool
     window): no contact edge is live, so the engine skips pair
     collection entirely. *)
 
-val active : t -> int -> bool
-(** Whether agent [i] is present and its radio is up this step. *)
-
 val edge_live : t -> int -> int -> bool
 (** Whether the contact edge [(i, j)] carries messages this step: both
-    endpoints {!active}, and the edge survives the loss draw. Draws one
-    Bernoulli from the loss stream iff [loss_p > 0] and both endpoints
-    are active, so call it exactly once per candidate edge in a
-    deterministic order. *)
+    endpoints present with their radios up, and the edge survives the
+    loss draw. Draws one Bernoulli from the loss stream iff [loss_p > 0]
+    and both endpoints are active, so call it exactly once per candidate
+    edge in a deterministic order. *)
 
 val present_mask : t -> bool array option
 (** [Some mask] iff the plan has churn: [mask.(i)] is agent [i]'s

@@ -36,11 +36,6 @@ let giant_fraction dsu =
   let k = Dsu.length dsu in
   if k = 0 then 0. else float_of_int (Dsu.max_set_size dsu) /. float_of_int k
 
-let mean_component_size dsu =
-  let k = Dsu.length dsu in
-  if k = 0 then 0.
-  else float_of_int k /. float_of_int (Dsu.set_count dsu)
-
 module Percolation = struct
   let rc_theory ~n ~k =
     if n <= 0 || k <= 0 then invalid_arg "Percolation.rc_theory: n, k > 0";

@@ -19,7 +19,7 @@ val snapshot :
 (** Build the visibility graph for one time step. O(k) expected below the
     percolation point. *)
 
-val component_sizes : Dsu.t -> int array
+val component_sizes : Dsu.t -> int array [@@seam "test_visibility"]
 (** Sizes of all components, in no particular order. Sum equals the
     number of agents. *)
 
@@ -27,12 +27,9 @@ val max_component_size : Dsu.t -> int
 (** The largest island (Lemma 6 studies its growth with [n]). 0 when
     there are no agents. *)
 
-val giant_fraction : Dsu.t -> float
+val giant_fraction : Dsu.t -> float [@@seam "test_visibility"]
 (** Largest component size divided by the number of agents; the standard
     percolation order parameter. 0 for an empty agent set. *)
-
-val mean_component_size : Dsu.t -> float
-(** Average component size. *)
 
 (** Empirical percolation analysis over uniformly placed agents. *)
 module Percolation : sig

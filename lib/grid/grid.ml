@@ -16,8 +16,6 @@ let create ?(topology = Bounded) ~side () =
 
 let side t = t.side
 
-let topology t = t.topology
-
 let is_torus t = t.topology = Torus
 
 let nodes t = t.side * t.side

@@ -33,14 +33,12 @@ val create : ?topology:topology -> side:int -> unit -> t
 val side : t -> int
 (** Side length. *)
 
-val topology : t -> topology
-
 val is_torus : t -> bool
 
 val nodes : t -> int
 (** Total number of nodes [n = side * side]. *)
 
-val diameter : t -> int
+val diameter : t -> int [@@seam "test_grid, test_visibility"]
 (** Manhattan diameter: [2 (side - 1)] bounded, [2 (side / 2)] on the
     torus (0 for the single-node grid). *)
 
@@ -54,10 +52,10 @@ val x_of : t -> node -> int
 val y_of : t -> node -> int
 (** Row of a node. *)
 
-val coords : t -> node -> int * int
+val coords : t -> node -> int * int [@@seam "test_grid"]
 (** [(x, y)] of a node. *)
 
-val mem : t -> x:int -> y:int -> bool
+val mem : t -> x:int -> y:int -> bool [@@seam "test_grid"]
 (** Whether [(x, y)] lies on the grid. *)
 
 val center : t -> node
@@ -70,36 +68,37 @@ val manhattan : t -> node -> node -> int
 val chebyshev : t -> node -> node -> int
 (** Chebyshev (max-coordinate) distance; wraps on the torus. *)
 
-val distance_to_border : t -> node -> int
+val distance_to_border : t -> node -> int [@@seam "test_grid"]
 (** Minimum number of steps from the node to any grid border; [max_int]
     on the torus (it has no border). *)
 
-val degree : t -> node -> int
+val degree : t -> node -> int [@@seam "test_barriers, test_grid, test_walk"]
 (** Number of grid neighbours: 2 at corners, 3 on edges, 4 inside —
     always 4 on the torus. *)
 
 val fold_neighbours : t -> node -> init:'a -> f:('a -> node -> 'a) -> 'a
 (** Fold over the 2–4 neighbours of a node. Allocation-free. *)
 
-val neighbours : t -> node -> node list
+val neighbours : t -> node -> node list [@@seam "test_grid, test_walk"]
 (** Neighbour list (convenience for tests; the simulator uses
     {!fold_neighbours}). *)
 
 val random_node : t -> Prng.t -> node
 (** A uniformly random node. *)
 
-val ball_size_unbounded : int -> int
+val ball_size_unbounded : int -> int [@@seam "test_grid"]
 (** [ball_size_unbounded d] is the number of lattice points within
     Manhattan distance [d] of a point on the {e infinite} grid:
-    [2d^2 + 2d + 1]. Used by theory curves (e.g. island-size bounds).
+    [2d^2 + 2d + 1].
     @raise Invalid_argument if [d < 0]. *)
 
-val ball_size : t -> node -> int -> int
+val ball_size : t -> node -> int -> int [@@seam "test_grid"]
 (** [ball_size t v d] is the exact number of grid nodes within Manhattan
     distance [d] of [v], accounting for borders (or for wrap-around on
     the torus). @raise Invalid_argument if [d < 0]. *)
 
 val fold_ball : t -> node -> int -> init:'a -> f:('a -> node -> 'a) -> 'a
+  [@@seam "test_grid"]
 (** Fold over all nodes within Manhattan distance [d] of [v] (including
     [v] itself). On the torus the ball must not wrap onto itself:
     @raise Invalid_argument if [2 d + 1 > side] there. *)
@@ -116,7 +115,7 @@ module Tessellation : sig
   val create : t -> cell_side:int -> tess
   (** @raise Invalid_argument if [cell_side <= 0]. *)
 
-  val cell_side : tess -> int
+  val cell_side : tess -> int [@@seam "test_grid"]
 
   val cells_per_row : tess -> int
 
@@ -124,16 +123,16 @@ module Tessellation : sig
 
   val cell_of_node : tess -> node -> cell
 
-  val cell_origin : tess -> cell -> int * int
+  val cell_origin : tess -> cell -> int * int [@@seam "test_grid"]
   (** Bottom-left [(x, y)] of a cell. *)
 
-  val cell_center : tess -> cell -> node
+  val cell_center : tess -> cell -> node [@@seam "test_grid"]
   (** A node near the geometric centre of the cell. *)
 
-  val nodes_in_cell : tess -> cell -> int
+  val nodes_in_cell : tess -> cell -> int [@@seam "test_grid"]
   (** Number of grid nodes in the cell (smaller for clipped border
       cells). *)
 
-  val adjacent_cells : tess -> cell -> cell list
+  val adjacent_cells : tess -> cell -> cell list [@@seam "test_grid"]
   (** The up-to-4 side-adjacent cells. *)
 end

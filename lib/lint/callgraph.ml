@@ -608,3 +608,114 @@ let reachable ~use_suppressed fns =
           f.f_refs
   done;
   witness
+
+(* ---- unit-level uses (the unused-export family) ----------------------- *)
+
+(* A unit's qualified name with dune's mangling undone and the library
+   kept: "Mobile_network__Engine" -> "Mobile_network.Engine", the alias
+   module "Obs__" -> "Obs". Unlike [normalize_qual], which drops the
+   library so the call graph can match either spelling, this keeps
+   [Obs.Registry] and [Experiments.Registry] apart. *)
+let unit_qual name =
+  let n = String.length name in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 1 < n && name.[!i] = '_' && name.[!i + 1] = '_' then begin
+      Buffer.add_char b '.';
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char b name.[!i];
+      incr i
+    end
+  done;
+  String.split_on_char '.' (Buffer.contents b)
+  |> List.filter (fun c -> c <> "")
+  |> String.concat "."
+
+type unit_uses = {
+  uu_unit : string;  (* the unit's [unit_qual] name *)
+  uu_refs : string list;
+      (* every value path it references, resolved to its qualified
+         name, the unit's own values included *)
+  uu_whole : string list;
+      (* modules it uses whole: functor arguments, first-class packs and
+         includes use every value of their signature *)
+  uu_aliases : (string * string) list;
+      (* the module aliases it declares, as qualified alias -> target,
+         so that other units' paths through them resolve *)
+}
+
+let rec structure_of (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_structure s -> Some s
+  | Typedtree.Tmod_constraint (inner, _, _, _) -> structure_of inner
+  | _ -> None
+
+let unit_uses ~aliases ~modname str =
+  let unit = unit_qual modname in
+  let refs = ref [] and whole = ref [] and decls = ref [] in
+  (* The unit's own values and submodules resolve as if each were an
+     alias of its qualified name: a bare [f] in [module M = struct ...
+     end] of unit [U] is [U.M.f]. A local variable stays a bare name,
+     which no export matches. *)
+  let scope = Hashtbl.copy aliases in
+  let rec declare prefix (str : Typedtree.structure) =
+    List.iter
+      (fun (item : Typedtree.structure_item) ->
+        match item.str_desc with
+        | Typedtree.Tstr_value (_, vbs) ->
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
+                List.iter
+                  (fun id ->
+                    Hashtbl.replace scope (Ident.unique_name id)
+                      (prefix ^ "." ^ Ident.name id))
+                  (Typedtree.pat_bound_idents vb.vb_pat))
+              vbs
+        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+            let path = prefix ^ "." ^ Ident.name id in
+            match alias_target aliases mb_expr with
+            | Some target -> decls := (path, unit_qual target) :: !decls
+            | None ->
+                Hashtbl.replace scope (Ident.unique_name id) path;
+                Option.iter (declare path) (structure_of mb_expr))
+        | _ -> ())
+      str.str_items
+  in
+  declare unit str;
+  let add_whole me =
+    Option.iter
+      (fun m -> whole := unit_qual m :: !whole)
+      (alias_target scope me)
+  in
+  let default = Tast_iterator.default_iterator in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) ->
+        refs := unit_qual (resolve scope p) :: !refs
+    | Typedtree.Texp_pack me -> add_whole me
+    | _ -> ());
+    default.expr sub e
+  in
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Typedtree.Tmod_apply (_, arg, _) -> add_whole arg
+    | _ -> ());
+    default.module_expr sub me
+  in
+  let structure_item sub (item : Typedtree.structure_item) =
+    (match item.str_desc with
+    | Typedtree.Tstr_include i -> add_whole i.incl_mod
+    | _ -> ());
+    default.structure_item sub item
+  in
+  let it = { default with expr; module_expr; structure_item } in
+  it.structure it str;
+  {
+    uu_unit = unit;
+    uu_refs = List.rev !refs;
+    uu_whole = List.rev !whole;
+    uu_aliases = List.rev !decls;
+  }

@@ -186,27 +186,34 @@ let scan_structure ~aliases ~file str =
 type file_scan = {
   sf_findings : Finding.t list;
   sf_fns : Callgraph.fn list;
+  sf_exports : Unused_export.export list;
+  sf_uses : Callgraph.unit_uses option;
 }
 
-let empty_scan = { sf_findings = []; sf_fns = [] }
+let empty_scan =
+  { sf_findings = []; sf_fns = []; sf_exports = []; sf_uses = None }
 
-(* Scan one [.cmt] into its per-file half. Interfaces and generated
-   module aliases yield an empty scan. Raises on unreadable files. *)
+(* Scan one [.cmt] into its per-file half, or one [.cmti] into the
+   values it exports. Generated module aliases yield an empty scan.
+   Raises on unreadable files. *)
 let scan_file_full path =
   let cmt = Cmt_format.read_cmt path in
   let file = src_of_cmt cmt in
   (* dune-generated module aliases ([*.ml-gen]) carry no user code *)
   if Filename.check_suffix file ".ml-gen" then empty_scan
   else
+    let modname = cmt.Cmt_format.cmt_modname in
     match cmt.Cmt_format.cmt_annots with
     | Cmt_format.Implementation str ->
         let aliases = Callgraph.aliases str in
         {
+          empty_scan with
           sf_findings = scan_structure ~aliases ~file str;
-          sf_fns =
-            Callgraph.collect ~aliases ~file
-              ~modname:cmt.Cmt_format.cmt_modname str;
+          sf_fns = Callgraph.collect ~aliases ~file ~modname str;
+          sf_uses = Some (Callgraph.unit_uses ~aliases ~modname str);
         }
+    | Cmt_format.Interface sg ->
+        { empty_scan with sf_exports = Unused_export.exports ~file ~modname sg }
     | _ -> empty_scan
 
 (* Scans are independent per file, so they fan out through the
@@ -220,14 +227,18 @@ let scan_files ?(jobs = 1) paths =
         Runtime.Pool.map pool ~f:(fun _ p -> scan_file_full p) paths)
 
 (* The cross-file phase: merge the per-file scans, then resolve the
-   call graph over the whole set. The respect flags are the canary
-   mode (see Alloc / Unsafe_audit). *)
+   call graph over the whole set, and match the exports against every
+   unit's uses. The respect flags are the canary mode (see Alloc,
+   Unsafe_audit and Unused_export). *)
 let analyze ?(respect_alloc_ok = true) ?(respect_unsafe_invariants = true)
-    scans =
+    ?(respect_seams = true) scans =
   let fns = List.concat_map (fun s -> s.sf_fns) scans in
   List.concat_map (fun s -> s.sf_findings) scans
   @ Alloc.check ~respect_alloc_ok fns
   @ Unsafe_audit.check ~respect_invariants:respect_unsafe_invariants fns
+  @ Unused_export.check ~respect_seams
+      (List.concat_map (fun s -> s.sf_exports) scans)
+      (List.filter_map (fun s -> s.sf_uses) scans)
 
 let scan_file path = analyze [ scan_file_full path ]
 
@@ -240,7 +251,10 @@ let rec find_cmts acc dir =
     (fun acc entry ->
       let path = Filename.concat dir entry in
       if Sys.is_directory path then find_cmts acc path
-      else if Filename.check_suffix entry ".cmt" then path :: acc
+      else if
+        Filename.check_suffix entry ".cmt"
+        || Filename.check_suffix entry ".cmti"
+      then path :: acc
       else acc)
     acc entries
 
@@ -254,7 +268,7 @@ let tree_cmts ~root ~subdirs =
       else [])
     subdirs
 
-let scan_tree ?jobs ?respect_alloc_ok ?respect_unsafe_invariants ~root
-    ~subdirs () =
-  analyze ?respect_alloc_ok ?respect_unsafe_invariants
+let scan_tree ?jobs ?respect_alloc_ok ?respect_unsafe_invariants
+    ?respect_seams ~root ~subdirs () =
+  analyze ?respect_alloc_ok ?respect_unsafe_invariants ?respect_seams
     (scan_files ?jobs (tree_cmts ~root ~subdirs))

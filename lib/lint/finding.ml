@@ -6,9 +6,13 @@ type rule =
   | Io
   | Alloc
   | Unsafe
+  | Unused_export
 
 let all_rules =
-  [ Determinism; Concurrency; Poly_compare; Layering; Io; Alloc; Unsafe ]
+  [
+    Determinism; Concurrency; Poly_compare; Layering; Io; Alloc; Unsafe;
+    Unused_export;
+  ]
 
 let rule_tag = function
   | Determinism -> "determinism"
@@ -18,6 +22,7 @@ let rule_tag = function
   | Io -> "io"
   | Alloc -> "alloc"
   | Unsafe -> "unsafe"
+  | Unused_export -> "unused-export"
 
 let rule_of_tag = function
   | "determinism" -> Some Determinism
@@ -27,6 +32,7 @@ let rule_of_tag = function
   | "io" -> Some Io
   | "alloc" -> Some Alloc
   | "unsafe" -> Some Unsafe
+  | "unused-export" -> Some Unused_export
   | _ -> None
 
 let rule_index = function
@@ -37,6 +43,7 @@ let rule_index = function
   | Io -> 4
   | Alloc -> 5
   | Unsafe -> 6
+  | Unused_export -> 7
 
 type t = {
   file : string;  (* path relative to the repo root, e.g. lib/stats/stats.ml *)

@@ -12,12 +12,17 @@ type rule =
   | Unsafe
       (** an [unsafe_get]/[unsafe_set] outside the audited-unsafe module
           table, or inside it but without [\[@unsafe_invariant "..."\]] *)
+  | Unused_export
+      (** a value a [.mli] exports that no other compilation unit in the
+          scanned tree references, unless it carries
+          [\[@@seam "reason"\]] *)
 
 val all_rules : rule list
 
 val rule_tag : rule -> string
 (** Stable machine-readable tag: ["determinism"], ["concurrency"],
-    ["poly-compare"], ["layering"], ["io"], ["alloc"], ["unsafe"]. *)
+    ["poly-compare"], ["layering"], ["io"], ["alloc"], ["unsafe"],
+    ["unused-export"]. *)
 
 val rule_of_tag : string -> rule option
 

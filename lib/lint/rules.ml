@@ -139,6 +139,10 @@ let attr_hot = "hot"
 let attr_alloc_ok = "alloc_ok"
 let attr_unsafe_invariant = "unsafe_invariant"
 
+(* [val f : ... [@@seam "reason"]] in a .mli: an export kept only for a
+   user outside the scanned tree, which the reason names. *)
+let attr_seam = "seam"
+
 let contains ~sub s =
   let nl = String.length sub and hl = String.length s in
   let rec go i = i + nl <= hl && (String.sub s i nl = sub || go (i + 1)) in

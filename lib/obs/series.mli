@@ -45,11 +45,8 @@
 
 type t
 
-val null : t
+val null : t [@@seam "test_series"]
 (** The disabled recorder: every operation is a no-op. *)
-
-val default_capacity : int
-(** Rows retained when [create] is not told otherwise (1024). *)
 
 val schema : string
 (** The schema tag, ["mobisim-series/1"]. *)
@@ -94,16 +91,14 @@ val stride : t -> int
 (** Current sampling stride (a power of two; 1 until the first
     decimation). *)
 
-val columns : t -> string list
-(** Exported column names, ["step"] first. [[]] on {!null}. *)
-
 val column : t -> string -> int array
+  [@@seam "test_engine, test_golden, test_series, test_simulation"]
 (** A copy of one column's retained values (accepts ["step"]).
     Allocates; for tests and post-run export, not hot loops. *)
 
 (** {2 Export} *)
 
-val to_json : ?meta:(string * Json.t) list -> t -> Json.t
+val to_json : ?meta:(string * Json.t) list -> t -> Json.t [@@seam "test_series"]
 (** The combined document: header fields plus all rows under ["data"].
     [meta] adds caller context (config, cell hash, …) under ["meta"]. *)
 
@@ -112,6 +107,7 @@ val export_string : ?meta:(string * Json.t) list -> t -> string
     [--series FILE] writes). *)
 
 val validate : Json.t -> (unit, string) result
+  [@@seam "test_capture, test_series"]
 (** Structural check of the combined document: schema tag, ["step"]-
     first string columns, power-of-two stride, integer rows of the
     declared width whose steps strictly increase and sit on the

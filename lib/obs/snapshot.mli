@@ -32,6 +32,7 @@ val to_json_string : Registry.t -> string
 (** Pretty-printed {!to_json}, newline-terminated. *)
 
 val percentile_ns : Metric.Histogram.t -> q:float -> float option
+  [@@seam "test_obs"]
 (** The [q]-quantile ([0 < q <= 1]) estimated from the fixed buckets:
     linear interpolation inside the bucket holding the q-th sample,
     bounded by the recorded exact min/max. [None] on an empty
@@ -49,9 +50,7 @@ val to_prometheus : Registry.t -> string
     and [_count] — what [mobisim serve-metrics --prom] renders for a
     scrape. *)
 
-val validate : Json.t -> (unit, string) result
-(** Structural check of the documented shape. *)
-
 val parse : string -> (Json.t, string) result
-(** Parse then {!validate} — the well-formedness gate the CLI's
-    [validate-metrics] command and the [make check] smoke test use. *)
+(** Parse, then check the documented shape — the well-formedness gate
+    the CLI's [validate-metrics] command and the [make check] smoke
+    test use. *)

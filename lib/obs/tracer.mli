@@ -4,13 +4,13 @@
     take on average?"), the tracer records individual events so the
     timeline itself can be inspected: which domain ran which phase of
     which trial, where the queue went idle, and where the stop-the-world
-    GC cycles landed. {!export} merges everything into Chrome
+    GC cycles landed. {!export_string} merges everything into Chrome
     trace-event JSON, loadable in Perfetto ({:https://ui.perfetto.dev})
     or [chrome://tracing].
 
     {b Bounded memory, safe in hot loops.} Every emitting domain owns
     one fixed-capacity ring (registered on first emit; default
-    {!default_capacity} events). The hot path is lock-free — the ring is
+    2{^16} events). The hot path is lock-free — the ring is
     single-writer — and performs four int stores. Once a ring is full,
     further events are counted in {!dropped} and discarded; tracing can
     never grow memory without bound or crash a run.
@@ -25,7 +25,7 @@
     never influence scheduling, random streams or results; runs are
     byte-identical with tracing on or off (enforced by [test_tracer]).
 
-    Readers ({!export}, {!events}, {!dropped}) expect quiescence: call
+    Readers ({!export_string}, {!events}, {!dropped}) expect quiescence: call
     them after the traced fan-outs have completed, not concurrently with
     emitting domains. *)
 
@@ -33,9 +33,6 @@ type t
 
 val null : t
 (** The disabled tracer: every operation is a no-op. *)
-
-val default_capacity : int
-(** Events per domain ring when [create] is not told otherwise (2{^16}). *)
 
 val create : ?capacity:int -> unit -> t
 (** A recording tracer whose per-domain rings hold [capacity] events.
@@ -66,7 +63,7 @@ val duration_v : t -> name -> ts:int -> dur:int -> v:int -> unit
 (** {!duration} carrying an integer tag (exported as [args.v]) — e.g.
     a job index or trial number. *)
 
-val instant : t -> name -> ts:int -> unit
+val instant : t -> name -> ts:int -> unit [@@seam "test_tracer"]
 (** A point event ([ph = "i"], thread scope). *)
 
 val instant_v : t -> name -> ts:int -> v:int -> unit
@@ -111,23 +108,17 @@ val events : t -> int
 val dropped : t -> int
 (** Events discarded because a ring was full, summed over all rings. *)
 
-val export : t -> Json.t
-(** All rings merged by timestamp into one Chrome trace-event array:
+val export_string : t -> string
+(** All rings merged by timestamp into one Chrome trace-event array,
+    one compact event per line (what [--trace-events FILE] writes):
     [thread_name] metadata per domain, then every event as
     [{"name", "ph", "ts", "pid": 1, "tid": <domain>, ...}] with [ts]/
     [dur] in microseconds, then one [tracer.dropped] instant per ring
     that overflowed. Deterministic: ties sort by [(ts, tid, ring
     index)]. *)
 
-val export_string : t -> string
-(** {!export} rendered one compact event per line (what
-    [--trace-events FILE] writes). *)
-
-val validate : Json.t -> (unit, string) result
-(** Structural check for trace-event documents: a JSON array whose
-    elements carry [name]/[ph] strings, numeric [ts], integer
-    [pid]/[tid], a non-negative numeric [dur] on ["X"] events, and
-    per-[tid] non-decreasing [ts]. *)
-
 val parse : string -> (Json.t, string) result
-(** [Json.parse] followed by {!validate}. *)
+(** [Json.parse] followed by a structural check for trace-event
+    documents: a JSON array whose elements carry [name]/[ph] strings,
+    numeric [ts], integer [pid]/[tid], a non-negative numeric [dur] on
+    ["X"] events, and per-[tid] non-decreasing [ts]. *)

@@ -242,19 +242,6 @@ let bernoulli t ~p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Prng.bernoulli: p not in [0,1]";
   bits53 t < int_of_float (Float.ceil (p *. 0x1p53))
 
-let geometric t ~p =
-  if not (p > 0. && p <= 1.) then invalid_arg "Prng.geometric: p not in (0,1]";
-  if p = 1. then 0
-  else
-    (* inversion: floor(log(U) / log(1-p)) with U in (0,1] *)
-    let u = 1. -. unit_float t in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-
-let exponential t ~rate =
-  if not (rate > 0.) then invalid_arg "Prng.exponential: rate must be positive";
-  let u = 1. -. unit_float t in
-  -.log u /. rate
-
 let gaussian t ~mean ~stddev =
   if not (stddev >= 0.) then invalid_arg "Prng.gaussian: negative stddev";
   (* Box–Muller; the second variate is discarded for statelessness. *)

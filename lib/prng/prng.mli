@@ -28,6 +28,7 @@ val of_seed : int -> t
     non-degenerate internal state. *)
 
 val mix_seed : seed:int -> trial:int -> int
+  [@@seam "bench/suite probes.ml, service_wl.ml; ROADMAP item 2"]
 (** [mix_seed ~seed ~trial] folds an experiment seed and a trial
     (replicate) index into a single well-mixed integer seed,
     [(seed * 0x9E3779B9) lxor trial] — the one seed-derivation formula
@@ -37,7 +38,7 @@ val mix_seed : seed:int -> trial:int -> int
 val of_seed_trial : seed:int -> trial:int -> t
 (** [of_seed_trial ~seed ~trial] is [of_seed (mix_seed ~seed ~trial)]. *)
 
-val split : t -> t
+val split : t -> t [@@seam "bench/suite/probes.ml; test_prng, test_golden"]
 (** [split parent] advances [parent] and returns a child stream whose
     future output is statistically independent of the parent's. Splitting
     is deterministic: the same parent state always yields the same child. *)
@@ -64,14 +65,15 @@ val split_stream : seed:int -> trial:int -> subsystem:int -> t
     pre-existing unsalted derivation; {!Faults} uses subsystems 1 and 2.
     @raise Invalid_argument if [subsystem < 0]. *)
 
-val copy : t -> t
+val copy : t -> t [@@seam "test_prng"]
 (** [copy stream] is an independent duplicate sharing the current state —
     both copies then produce the same future sequence. Useful in tests. *)
 
 val bits64 : t -> int64
+  [@@seam "the determinism pins in test_prng, test_golden and others"]
 (** Next raw 64-bit output of the generator. *)
 
-val bits30 : t -> int
+val bits30 : t -> int [@@seam "test_prng"]
 (** Next 30 uniformly random bits as a non-negative [int]. *)
 
 val int : t -> int -> int
@@ -83,7 +85,7 @@ val int_incl : t -> int -> int -> int
 (** [int_incl stream lo hi] is uniform on the inclusive range [lo, hi].
     @raise Invalid_argument if [lo > hi]. *)
 
-val unit_float : t -> float
+val unit_float : t -> float [@@seam "test_prng"]
 (** Uniform on [0, 1), with 53 bits of precision. *)
 
 val float : t -> float -> float
@@ -97,23 +99,14 @@ val bernoulli : t -> p:float -> bool
 (** [bernoulli stream ~p] is [true] with probability [p].
     @raise Invalid_argument unless [0. <= p <= 1.]. *)
 
-val geometric : t -> p:float -> int
-(** [geometric stream ~p] is the number of Bernoulli([p]) failures before
-    the first success (support [0, 1, 2, ...]).
-    @raise Invalid_argument unless [0. < p <= 1.]. *)
-
-val exponential : t -> rate:float -> float
-(** Exponentially distributed with the given [rate] (mean [1. /. rate]).
-    @raise Invalid_argument unless [rate > 0.]. *)
-
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Normally distributed (Box–Muller).
     @raise Invalid_argument unless [stddev >= 0.]. *)
 
-val choose : t -> 'a array -> 'a
+val choose : t -> 'a array -> 'a [@@seam "test_prng"]
 (** Uniformly random element. @raise Invalid_argument on empty array. *)
 
-val shuffle : t -> 'a array -> unit
+val shuffle : t -> 'a array -> unit [@@seam "test_prng"]
 (** In-place Fisher–Yates shuffle; uniform over all permutations. *)
 
 val sample_distinct : t -> m:int -> bound:int -> int array
@@ -123,5 +116,6 @@ val sample_distinct : t -> m:int -> bound:int -> int array
     @raise Invalid_argument if [m < 0] or [m > bound]. *)
 
 val fingerprint : t -> int64
+  [@@seam "the determinism pins in test_prng and test_walk"]
 (** A digest of the current internal state, for regression tests. Does not
     advance the stream. *)

@@ -20,7 +20,7 @@ val domain_ascii : ?max_width:int -> Barriers.Domain.t -> string
 
 val domain_frame :
   ?max_width:int -> Barriers.Domain.t -> positions:Grid.node array ->
-  informed:(int -> bool) -> string
+  informed:(int -> bool) -> string [@@seam "test_render"]
 (** A frame over a barrier domain: agents drawn on top of the blocked
     map, same legend as {!frame}. [informed i] reports agent [i]'s
     status. *)

@@ -33,7 +33,7 @@
 
 type t
 
-val max_jobs : int
+val max_jobs : int [@@seam "test_runtime"]
 (** The largest pool the runtime can spawn: OCaml 5.1 runs at most 128
     domains, the calling one included. *)
 
@@ -49,7 +49,7 @@ val create : jobs:int -> t
     @raise Invalid_argument if [jobs < 1] or [jobs > max_jobs], before
     spawning anything. *)
 
-val jobs : t -> int
+val jobs : t -> int [@@seam "test_runtime"]
 (** Number of workers the pool was created with (1 = sequential). *)
 
 val shutdown : t -> unit
@@ -72,14 +72,7 @@ val map :
     job, in completion order; [on_result] fires once per job, in
     {e submission} order, as soon as the ordered prefix up to that job
     has completed — this is what incremental table rendering hangs off.
-    Both run on the calling domain.
-
-    For live dashboards, an [on_progress] callback may additionally
-    poll {!stats} on the same pool: both run on the calling domain, so
-    a front end can render "done m/n, queue depth q, workers x% busy"
-    per completion event without any locking of its own. Like metrics
-    in general, such polling is read-only — it cannot change what the
-    pool computes (see the determinism note below {!stats}). *)
+    Both run on the calling domain. *)
 
 val init : t -> n:int -> f:(int -> 'b) -> 'b array
 (** [init pool ~n ~f] is a parallel [Array.init n f] (submission order
@@ -95,7 +88,7 @@ val map_reduce :
   reduce:('acc -> 'b -> 'acc) ->
   init:'acc ->
   'a list ->
-  'acc
+  'acc [@@seam "test_runtime"]
 (** Parallel map, then a sequential in-order fold on the calling domain;
     deterministic even for non-commutative [reduce]. *)
 
@@ -126,26 +119,8 @@ val set_metrics : t -> Obs.Sink.t -> unit
 (** Attach (or, with {!Obs.Sink.null}, detach) a metrics sink. Takes
     effect for subsequently submitted jobs; safe between fan-outs. *)
 
-(** Point-in-time view of a pool mid-run (all fields since the sink was
-    attached). *)
-type stats = {
-  stat_jobs : int;  (** pool size, for busy-fraction context *)
-  queue_depth : int;  (** jobs submitted but not yet started *)
-  tasks_run : int;  (** jobs finished, across all domains *)
-  wall_ns : int;  (** elapsed wall-clock since attach *)
-  busy_fraction : float array;
-      (** fraction of wall time each row spent executing jobs; indices
-          [0 .. jobs-1] are worker domains, the last entry is the
-          coordinator row ([jobs = 1] pools have only the coordinator) *)
-}
-
-val stats : t -> stats option
-(** [None] iff no recording sink is attached. Safe to call from
-    [on_progress] (mid-run): instruments are lock-free, so this never
-    blocks workers. *)
-
 val publish_stats : t -> unit
-(** Write the current {!stats} into the attached registry as gauges
+(** Write the pool's current statistics into the attached registry as gauges
     ([pool.queue_depth], [pool.wall_s], [<row>.busy_fraction]) so they
     appear in {!Obs.Snapshot} exports. Front ends call this once after
     a run, before writing [--metrics FILE]. No-op without a sink. *)
@@ -174,7 +149,7 @@ val set_ambient_tracer : Obs.Tracer.t -> unit
     semantics as {!set_ambient_metrics}. Front ends set this together
     with {!Obs.Tracer.set_ambient} when [--trace-events] is given. *)
 
-val ambient_jobs : unit -> int
+val ambient_jobs : unit -> int [@@seam "test_runtime"]
 (** Current ambient pool size (without forcing pool creation). *)
 
 val ambient : unit -> t

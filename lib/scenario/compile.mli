@@ -25,6 +25,7 @@ val total_runs : compiled -> int
 (** [List.length cells * trials]. *)
 
 val parse : ?filename:string -> string -> (Ast.t, string list) result
+  [@@seam "test_scenario"]
 (** Parse only (plus field-level structural checks): unknown fields,
     wrong types, malformed protocol/kernel strings. Diagnostics are
     formatted [file:line:col: scenario: message]. *)

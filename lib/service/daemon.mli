@@ -87,6 +87,7 @@ type request =
   | Shutdown
 
 val decode_request : string -> (request, string) result
+  [@@seam "test_service: requests decoded without a socket"]
 (** Decode one request line; the error reads ["line:col: message"]. *)
 
 val serve : ?quiet:bool -> config -> unit

@@ -35,8 +35,6 @@ let create ?(metrics = Obs.Sink.null) ~root () =
     c_misses = counter "service.cache.misses";
   }
 
-let root t = t.root
-
 let entry_path t ~hash ~seed ~trial =
   Filename.concat
     (Filename.concat t.cache_dir hash)

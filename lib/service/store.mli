@@ -24,10 +24,6 @@ val create : ?metrics:Obs.Sink.t -> root:string -> unit -> t
 (** Opens (creating directories as needed) the cache under
     [<root>/cache]. [metrics] defaults to {!Obs.Sink.null}. *)
 
-val root : t -> string
-(** The service root the store was created with (not the cache
-    subdirectory). *)
-
 val get : t -> hash:string -> seed:int -> trial:int -> string option
 (** The cached payload bytes, or [None]. Counts a hit or a miss. *)
 
@@ -35,8 +31,8 @@ val put : t -> hash:string -> seed:int -> trial:int -> string -> unit
 (** Atomically persist a payload. Overwrites an existing entry with
     (by determinism) identical bytes — last write wins either way. *)
 
-val hits : t -> int
-val misses : t -> int
+val hits : t -> int [@@seam "test_service"]
+val misses : t -> int [@@seam "test_service"]
 
 (** {2 Shared file primitives} (used by {!Checkpoint} and the daemon's
     artifact writer so every on-disk write in the service is atomic the

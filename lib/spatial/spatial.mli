@@ -50,7 +50,8 @@
     components across steps can repair them incrementally
     ({!reconcile}) when a rebuild reports {!Delta}. The engine itself
     does not: it rebuilds its components from {!iter_close_pairs} every
-    step.
+    step. The only caller of {!reconcile} and the only reader of the
+    verdict is bench/suite/probes.ml; ROADMAP item 2 deletes both.
 
     The continuum's box uses the same bucket table, one cell per
     bucket, with its own scan ({!iter_close_points}).
@@ -69,7 +70,8 @@ type update =
   | Full  (** no usable previous membership to compare against *)
   | Delta
       (** the previous rebuild indexed the same agents at radius 0;
-          {!reconcile} can repair components incrementally *)
+          {!reconcile} can repair components incrementally (read only
+          by bench/suite/probes.ml, see above) *)
 
 val create : Grid.t -> radius:int -> t
 (** [create grid ~radius] prepares an index for agents on [grid] with
@@ -107,6 +109,7 @@ val rebuild_soa :
 
 val reconcile :
   t -> dissolve:(int -> unit) -> union:(int -> int -> unit) -> unit
+  [@@seam "bench/suite/probes.ml; goes with ROADMAP item 2"]
 (** After a {!rebuild_soa} that returned {!Delta}: repair an external
     component structure that matched the previous rebuild. First
     computes the nodes whose membership changed (an agent that switched
@@ -116,7 +119,8 @@ val reconcile :
     such node's cohabitants. Components of untouched nodes are never
     visited — their members are pairwise cohabiting, so their old
     unions remain exact. After a {!Full} rebuild the comparison is
-    meaningless (though memory-safe); do not call this.
+    meaningless (though memory-safe); do not call this. Only
+    bench/suite/probes.ml calls it, and ROADMAP item 2 deletes it.
     @raise Invalid_argument at radius [> 0]. *)
 
 val iter_close_pairs : t -> f:(int -> int -> unit) -> unit
@@ -144,4 +148,5 @@ val iter_close_points :
     or if [xs] or [ys] is shorter than the rebuilt population. *)
 
 val count_close_pairs : t -> int
+  [@@seam "bench/suite/probes.ml; goes with ROADMAP item 2"]
 (** Number of pairs that {!iter_close_pairs} would visit. *)

@@ -265,44 +265,6 @@ module Regression = struct
     fit.intercept2 +. (fit.slope_x *. x) +. (fit.slope_y *. y)
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if not (lo < hi) then invalid_arg "Stats.Histogram.create: lo >= hi";
-    if bins <= 0 then invalid_arg "Stats.Histogram.create: bins <= 0";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw =
-      int_of_float (float_of_int bins *. (x -. t.lo) /. (t.hi -. t.lo))
-    in
-    let i = max 0 (min (bins - 1) raw) in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-
-  let total t = t.total
-
-  let bin_mid t i =
-    let bins = float_of_int (Array.length t.counts) in
-    t.lo +. ((float_of_int i +. 0.5) *. (t.hi -. t.lo) /. bins)
-
-  let pp fmt t =
-    let peak = Array.fold_left max 1 t.counts in
-    Array.iteri
-      (fun i c ->
-        let bar = String.make (c * 40 / peak) '#' in
-        Format.fprintf fmt "%10.3g %6d %s@." (bin_mid t i) c bar)
-      t.counts
-end
 
 (* Beasley-Springer-Moro rational approximation of the inverse standard
    normal CDF. *)

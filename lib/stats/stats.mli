@@ -1,5 +1,5 @@
 (** Statistics for experiment analysis: online moments, descriptive
-    summaries, quantiles, histograms, least-squares fits (used to recover
+    summaries, quantiles, least-squares fits (used to recover
     the paper's scaling exponents from log-log sweeps) and bootstrap
     confidence intervals.
 
@@ -14,7 +14,7 @@ module Online : sig
 
   val add : t -> float -> unit
 
-  val count : t -> int
+  val count : t -> int [@@seam "test_stats"]
 
   val mean : t -> float
   (** 0 when empty. *)
@@ -22,15 +22,15 @@ module Online : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-  val stddev : t -> float
+  val stddev : t -> float [@@seam "test_prng"]
 
-  val min : t -> float
+  val min : t -> float [@@seam "test_stats"]
   (** [infinity] when empty. *)
 
-  val max : t -> float
+  val max : t -> float [@@seam "test_stats"]
   (** [neg_infinity] when empty. *)
 
-  val merge : t -> t -> t
+  val merge : t -> t -> t [@@seam "test_stats"]
   (** Combine two accumulators as if all observations were seen by one
       (parallel Welford / Chan et al.). Inputs are unchanged. *)
 end
@@ -60,7 +60,7 @@ module Summary : sig
   (** Mean plus/minus a 95% normal-approximation half-width
       [(mean, halfwidth)]. Half-width is 0 for samples of size < 2. *)
 
-  val pp : Format.formatter -> t -> unit
+  val pp : Format.formatter -> t -> unit [@@seam "test_stats"]
 end
 
 (** Ordinary least squares on (x, y) pairs, plus the log-log convenience
@@ -73,7 +73,7 @@ module Regression : sig
     n : int;
   }
 
-  val ols : (float * float) array -> fit
+  val ols : (float * float) array -> fit [@@seam "test_stats"]
   (** @raise Invalid_argument with fewer than two distinct x values. *)
 
   val log_log : (float * float) array -> fit
@@ -82,12 +82,12 @@ module Regression : sig
       coordinates are rejected. @raise Invalid_argument if fewer than two
       usable points remain. *)
 
-  val predict : fit -> float -> float
+  val predict : fit -> float -> float [@@seam "test_stats"]
   (** Evaluate the fitted line at [x] (in the space the fit was made:
       for {!log_log} pass [log x] and exponentiate yourself, or use
       {!predict_power}). *)
 
-  val predict_power : fit -> float -> float
+  val predict_power : fit -> float -> float [@@seam "test_stats"]
   (** Treat the fit as a power law: [exp intercept *. x ** slope]. *)
 
   (** Two-predictor least squares, used for joint scaling fits such as
@@ -100,7 +100,7 @@ module Regression : sig
     n2 : int;
   }
 
-  val ols2 : (float * float * float) array -> fit2
+  val ols2 : (float * float * float) array -> fit2 [@@seam "test_stats"]
   (** [ols2 [| (x, y, z); ... |]] fits [z = intercept2 + slope_x * x +
       slope_y * y] by least squares (normal equations).
       @raise Invalid_argument with fewer than three points or a
@@ -117,25 +117,6 @@ module Regression : sig
   (** Evaluate the fitted plane (in the space the fit was made). *)
 end
 
-(** Fixed-width histogram over a closed interval. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** @raise Invalid_argument if [lo >= hi] or [bins <= 0]. *)
-
-  val add : t -> float -> unit
-  (** Out-of-range values are clamped into the edge bins. *)
-
-  val counts : t -> int array
-
-  val total : t -> int
-
-  val bin_mid : t -> int -> float
-
-  val pp : Format.formatter -> t -> unit
-  (** Render as rows of [midpoint count bar]. *)
-end
 
 (** Pearson chi-square goodness-of-fit testing, used for the
     stationarity experiments (is the agent distribution still uniform
@@ -143,6 +124,7 @@ end
     approximation, accurate to well under 1% for df >= 3. *)
 module Chi_square : sig
   val statistic : observed:int array -> expected:float array -> float
+    [@@seam "test_stats"]
   (** Pearson's X² = Σ (O - E)² / E.
       @raise Invalid_argument on length mismatch, empty input, or a
       non-positive expected count. *)
@@ -158,11 +140,12 @@ module Chi_square : sig
       (0, 1). *)
 
   val test_uniform : counts:int array -> confidence:float -> bool
+    [@@seam "test_walk: the uniformity check"]
   (** [true] when the counts are consistent with uniformity at the given
       confidence level (statistic below the critical value). *)
 end
 
-val normal_quantile : float -> float
+val normal_quantile : float -> float [@@seam "test_stats"]
 (** Inverse standard-normal CDF (Beasley–Springer–Moro), absolute error
     below 1e-7 on (1e-10, 1 - 1e-10).
     @raise Invalid_argument outside (0, 1). *)
@@ -172,6 +155,7 @@ module Bootstrap : sig
   val ci :
     Prng.t -> float array -> stat:(float array -> float) ->
     ?replicates:int -> ?level:float -> unit -> float * float
+    [@@seam "bench/suite/sample.ml; test_stats"]
   (** [ci rng sample ~stat ()] is a percentile-bootstrap confidence
       interval (default [?replicates = 1000], [?level = 0.95]) for
       [stat sample]. @raise Invalid_argument on empty input. *)

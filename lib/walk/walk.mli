@@ -44,6 +44,7 @@ type kernel =
 val kernel_to_string : kernel -> string
 
 val step : Grid.t -> kernel -> Prng.t -> Grid.node -> Grid.node
+  [@@seam "test_walk and test_engine: the scalar-walk oracle"]
 (** One transition of the kernel from the given node. *)
 
 type vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -68,6 +69,7 @@ val advance : Grid.t -> kernel -> Prng.t -> Grid.node -> steps:int -> Grid.node
     [steps < 0]. *)
 
 val path : Grid.t -> kernel -> Prng.t -> Grid.node -> steps:int -> Grid.node array
+  [@@seam "test_walk"]
 (** Full trajectory including the start: [steps + 1] entries. *)
 
 (** {1 Walk statistics (Lemmas 1–3)} *)

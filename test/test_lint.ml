@@ -105,6 +105,13 @@ let findings_in file rule findings =
       && Lint.Finding.rule_tag f.Lint.Finding.rule = rule)
     findings
 
+let contains_sub ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  in
+  go 0
+
 let test_canary_alloc_ok () =
   (* With [@alloc_ok] justifications ignored, the suppressed allocation
      sites resurface — i.e. deleting any one of them from a hot module
@@ -128,6 +135,121 @@ let test_canary_unsafe_invariant () =
   Alcotest.(check bool)
     "disabling [@unsafe_invariant] resurfaces Dsu's unchecked accesses" true
     (findings_in "lib/dsu/dsu.ml" "unsafe" findings <> [])
+
+(* ---- unused exports --------------------------------------------------- *)
+
+(* The unused-export rule needs a set of units: interfaces (.cmti) and
+   the implementations that may use them (.cmt). *)
+let scan_units units =
+  Lint.Cmt_scan.analyze
+    (Lint.Cmt_scan.scan_files
+       (List.concat_map
+          (fun u ->
+            let cmt = fixture_cmt u in
+            if Sys.file_exists (cmt ^ "i") then [ cmt ^ "i"; cmt ] else [ cmt ])
+          units))
+
+let test_unused_export_fixture () =
+  let findings =
+    Lint.Report.sort (scan_units [ "fx_export_unused"; "fx_export_user" ])
+  in
+  let expected =
+    [
+      (4, "Fx_export_unused.nothing_uses is exported but no other unit");
+      (7, "Fx_export_unused.used_inside is exported but only its own unit");
+      (10, "stale [@@seam]: Fx_export_unused.seamed_but_used is referenced");
+      (13, "[@@seam] on Fx_export_unused.seam_without_reason without a reason");
+    ]
+  in
+  Alcotest.(check (list int))
+    "one finding per case, at its val" (List.map fst expected)
+    (List.map (fun f -> f.Lint.Finding.line) findings);
+  List.iter2
+    (fun (_, prefix) f ->
+      Alcotest.(check string)
+        "rule" "unused-export"
+        (Lint.Finding.rule_tag f.Lint.Finding.rule);
+      Alcotest.(check string)
+        "file" "test/lint_fixtures/fx_export_unused.mli" f.Lint.Finding.file;
+      Alcotest.(check bool)
+        ("message starts " ^ prefix) true
+        (String.starts_with ~prefix f.Lint.Finding.message))
+    expected findings
+
+let test_unused_export_clean () =
+  Alcotest.(check (list string))
+    "alias chain and functor argument count as uses" []
+    (List.map Lint.Finding.to_string
+       (scan_units
+          [ "fx_export_ok"; "fx_export_ok_alias"; "fx_export_ok_user" ]));
+  (* without the unit declaring the alias, the path through it resolves
+     nowhere: the resolution is what keeps via_alias clean *)
+  Alcotest.(check (list int))
+    "without the alias unit, via_alias is unused" [ 4 ]
+    (List.map
+       (fun f -> f.Lint.Finding.line)
+       (scan_units [ "fx_export_ok"; "fx_export_ok_user" ]))
+
+(* Every [@@seam "..."] attribute in lib/, counted per interface from
+   the source text (doc comments write the attribute escaped, or without
+   a space before it). *)
+let seams_in_lib () =
+  let lib = Filename.concat (repo_root ()) "lib" in
+  let count s =
+    let needle = " [@@seam \"" in
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else go (i + 1) (if String.sub s i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Sys.readdir lib |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun d ->
+         let dir = Filename.concat lib d in
+         if not (Sys.is_directory dir) then []
+         else
+           Sys.readdir dir |> Array.to_list |> List.sort String.compare
+           |> List.filter_map (fun f ->
+                  if not (Filename.check_suffix f ".mli") then None
+                  else
+                    let ic = open_in_bin (Filename.concat dir f) in
+                    let s = really_input_string ic (in_channel_length ic) in
+                    close_in ic;
+                    match count s with
+                    | 0 -> None
+                    | c -> Some (Printf.sprintf "lib/%s/%s" d f, c)))
+
+let test_canary_seam () =
+  (* With seams ignored, the scan reports exactly the seamed values:
+     every [@@seam] is load-bearing, and nothing else is unused. *)
+  let findings =
+    Lint.Cmt_scan.scan_tree ~respect_seams:false
+      ~root:Filename.parent_dir_name ~subdirs:[ "lib"; "bin" ] ()
+    |> List.filter (fun f ->
+           Lint.Finding.rule_tag f.Lint.Finding.rule = "unused-export")
+  in
+  let per_file =
+    List.fold_left
+      (fun acc f ->
+        let file = f.Lint.Finding.file in
+        match List.assoc_opt file acc with
+        | Some c -> (file, c + 1) :: List.remove_assoc file acc
+        | None -> (file, 1) :: acc)
+      [] findings
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let seams = seams_in_lib () in
+  Alcotest.(check bool) "lib/ carries seams" true (seams <> []);
+  Alcotest.(check (list (pair string int)))
+    "findings per interface = [@@seam]s per interface" seams per_file;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        ("a seamed value is reported as unused: " ^ Lint.Finding.to_string f)
+        true
+        (contains_sub ~needle:" is exported but " f.Lint.Finding.message))
+    findings
 
 (* ---- parallel scan determinism ---------------------------------------- *)
 
@@ -379,6 +501,10 @@ let () =
           Alcotest.test_case "golden diagnostics" `Quick
             test_fixture_diagnostics;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
+          Alcotest.test_case "unused-export findings" `Quick
+            test_unused_export_fixture;
+          Alcotest.test_case "unused-export clean fixture" `Quick
+            test_unused_export_clean;
         ] );
       ( "clean-tree",
         [ Alcotest.test_case "real codebase is clean" `Quick test_clean_tree ]
@@ -389,6 +515,7 @@ let () =
             test_canary_alloc_ok;
           Alcotest.test_case "[@unsafe_invariant] is load-bearing" `Quick
             test_canary_unsafe_invariant;
+          Alcotest.test_case "[@@seam] is load-bearing" `Quick test_canary_seam;
           Alcotest.test_case "parallel scan determinism" `Quick
             test_jobs_determinism;
         ] );

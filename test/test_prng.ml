@@ -192,43 +192,6 @@ let test_bernoulli_frequency () =
     true
     (Float.abs (freq -. 0.3) < 0.01)
 
-let test_geometric () =
-  let rng = Prng.of_seed 61 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "p=1 is always 0" 0 (Prng.geometric rng ~p:1.)
-  done;
-  let n = 50_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    let v = Prng.geometric rng ~p:0.5 in
-    Alcotest.(check bool) "non-negative" true (v >= 0);
-    sum := !sum + v
-  done;
-  (* mean of failures-before-success at p = 1/2 is 1 *)
-  let mean = float_of_int !sum /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "mean %.3f near 1.0" mean)
-    true
-    (Float.abs (mean -. 1.0) < 0.05);
-  Alcotest.check_raises "p = 0 rejected"
-    (Invalid_argument "Prng.geometric: p not in (0,1]") (fun () ->
-      ignore (Prng.geometric rng ~p:0.))
-
-let test_exponential () =
-  let rng = Prng.of_seed 67 in
-  let n = 50_000 in
-  let sum = ref 0. in
-  for _ = 1 to n do
-    let v = Prng.exponential rng ~rate:2. in
-    Alcotest.(check bool) "non-negative" true (v >= 0.);
-    sum := !sum +. v
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "mean %.4f near 0.5" mean)
-    true
-    (Float.abs (mean -. 0.5) < 0.02)
-
 let test_gaussian () =
   let rng = Prng.of_seed 71 in
   let n = 50_000 in
@@ -552,8 +515,6 @@ let () =
             test_bernoulli_endpoints;
           Alcotest.test_case "bernoulli frequency" `Slow
             test_bernoulli_frequency;
-          Alcotest.test_case "geometric" `Slow test_geometric;
-          Alcotest.test_case "exponential" `Slow test_exponential;
           Alcotest.test_case "gaussian" `Slow test_gaussian;
         ] );
       ( "arrays",

@@ -1,5 +1,5 @@
 (* Tests for the statistics library: online moments, summaries,
-   regression, histograms and bootstrap intervals. *)
+   regression and bootstrap intervals. *)
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
@@ -236,32 +236,6 @@ let test_log_log2_filters () =
         (Stats.Regression.log_log2
            [| (1., 1., 1.); (2., 2., -1.); (0., 3., 3.); (4., -4., 4.) |]))
 
-(* --- Histogram --- *)
-
-let test_histogram_basics () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 9.9; 5. ];
-  Alcotest.(check int) "total" 5 (Stats.Histogram.total h);
-  Alcotest.(check (array int)) "counts" [| 2; 1; 1; 0; 1 |]
-    (Stats.Histogram.counts h);
-  check_float "mid of bin 0" 1. (Stats.Histogram.bin_mid h 0);
-  check_float "mid of bin 4" 9. (Stats.Histogram.bin_mid h 4)
-
-let test_histogram_clamps () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  Stats.Histogram.add h (-5.);
-  Stats.Histogram.add h 42.;
-  Alcotest.(check (array int)) "clamped to edges" [| 1; 1 |]
-    (Stats.Histogram.counts h)
-
-let test_histogram_errors () =
-  Alcotest.check_raises "lo >= hi"
-    (Invalid_argument "Stats.Histogram.create: lo >= hi") (fun () ->
-      ignore (Stats.Histogram.create ~lo:1. ~hi:1. ~bins:3));
-  Alcotest.check_raises "bins <= 0"
-    (Invalid_argument "Stats.Histogram.create: bins <= 0") (fun () ->
-      ignore (Stats.Histogram.create ~lo:0. ~hi:1. ~bins:0))
-
 let test_pp_smoke () =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
@@ -269,14 +243,7 @@ let test_pp_smoke () =
   Format.pp_print_flush fmt ();
   Alcotest.(check bool) "summary pp mentions count" true
     (let s = Buffer.contents buf in
-     String.length s > 3 && String.sub s 0 3 = "n=3");
-  Buffer.clear buf;
-  let h = Stats.Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 0.1; 0.1; 0.9 ];
-  Stats.Histogram.pp fmt h;
-  Format.pp_print_flush fmt ();
-  Alcotest.(check bool) "histogram pp draws bars" true
-    (String.contains (Buffer.contents buf) '#')
+     String.length s > 3 && String.sub s 0 3 = "n=3")
 
 (* --- normal quantile and chi-square --- *)
 
@@ -455,12 +422,6 @@ let () =
           Alcotest.test_case "log_log2 power law" `Quick
             test_log_log2_power_law;
           Alcotest.test_case "log_log2 filters" `Quick test_log_log2_filters;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "basics" `Quick test_histogram_basics;
-          Alcotest.test_case "clamps" `Quick test_histogram_clamps;
-          Alcotest.test_case "errors" `Quick test_histogram_errors;
         ] );
       ( "printing",
         [ Alcotest.test_case "pp smoke" `Quick test_pp_smoke ] );

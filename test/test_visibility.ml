@@ -47,9 +47,6 @@ let test_component_sizes () =
     (Visibility.max_component_size snap.Visibility.component_of);
   Alcotest.(check bool) "giant fraction" true
     (Float.abs (Visibility.giant_fraction snap.Visibility.component_of -. 0.5)
-     < 1e-9);
-  Alcotest.(check bool) "mean component size" true
-    (Float.abs (Visibility.mean_component_size snap.Visibility.component_of -. 2.)
      < 1e-9)
 
 let test_empty_agent_set () =
