@@ -37,7 +37,11 @@ test:
 # side 16384 at radius 1, whose bucket table would need 6 GiB, must be
 # refused (exit 2) rather than run out of memory; so must a floor plan
 # of side 16384, which allocates per node, while one of side 4096 still
-# runs there. The exchange pins
+# runs there. An agent count within the engine's limits but beyond that
+# memory (10^8 agents) must be refused too, by `simulate` and by
+# `percolation`, with a diagnostic naming the count (it once escaped as
+# an uncaught Out_of_memory, exit 125). The percolation pin fixes the
+# estimated r_c that one seeded `percolation` run prints. The exchange pins
 # fix the step counts of exchange paths no golden covers: flooding at
 # r = 1, on a torus, for gossip (k = 64, one rumor word, k = 130,
 # three words, and dense_gossip's shape, side 64, k = 256, r = 2: four
@@ -117,6 +121,9 @@ check:
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- percolation --side 70000 -k 2 --trials 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'side must be at most' /tmp/mobisim-bad.err
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- percolation --side 16384 -k 2 --trials 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'needs a spatial index of' /tmp/mobisim-bad.err
 	ulimit -v 2000000 && dune exec bin/mobisim.exe -- theory --side 70000 -k 2 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q 'side must be at most' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- simulate --side 64 -k 100000000 --max-steps 5 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q '^out of memory: 100000000 agents' /tmp/mobisim-bad.err
+	ulimit -v 2000000 && dune exec bin/mobisim.exe -- percolation --side 64 -k 100000000 --trials 1 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && grep -q '^out of memory: 100000000 agents' /tmp/mobisim-bad.err
+	dune exec bin/mobisim.exe -- percolation --side 48 -k 40 --trials 6 --seed 3 | grep -qx 'estimated r_c (giant fraction >= 0.5): 10'
 	dune exec bin/mobisim.exe -- simulate --space continuum --agents 0 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space domain --side 8 -k 4 --max-steps=-3 > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err
 	dune exec bin/mobisim.exe -- simulate --space continuum --protocol gossip > /dev/null 2> /tmp/mobisim-bad.err; test $$? -eq 2 && test -s /tmp/mobisim-bad.err

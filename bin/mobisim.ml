@@ -5,8 +5,10 @@ open Cmdliner
 
 module Config = Mobile_network.Config
 module Engine = Mobile_network.Engine
+module Percolation = Mobile_network.Percolation
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
+module Theory = Mobile_network.Theory
 module Ast = Scenario.Ast
 
 (* --- files ------------------------------------------------------------------ *)
@@ -54,6 +56,19 @@ let size_checks side agents =
     ( agents <= Config.max_population,
       Printf.sprintf "--agents must be at most %d" Config.max_population );
   ]
+
+(* An agent count within [Config.max_population] can still be more than
+   the process's memory holds: the positions, streams and index are
+   allocated per agent. That is a usage error (exit 2) naming the
+   count, not an internal one. *)
+let or_out_of_memory ~agents f =
+  try f ()
+  with Out_of_memory ->
+    Printf.eprintf
+      "out of memory: %d agents do not fit in this process's memory (use \
+       fewer agents)\n"
+      agents;
+    exit 2
 
 (* --- shared argument definitions ----------------------------------------- *)
 
@@ -444,7 +459,9 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
           None )
     | Ast.Continuum ->
         let g = Ast.continuum_geometry cell in
-        let rc = Continuum.critical_radius ~box_side:g.Ast.g_box_side ~agents in
+        let rc =
+          Theory.continuum_critical_radius ~box_side:g.Ast.g_box_side ~agents
+        in
         Printf.printf "continuum: box=%.1f k=%d r=%.2f (%.2f r_c) sigma=%.2f\n"
           g.Ast.g_box_side agents g.Ast.g_radius
           (if rc > 0. then g.Ast.g_radius /. rc else 0.)
@@ -490,9 +507,10 @@ let run_simulate_cell (cell : Ast.cell) ~seed ~trial ~trace ~render ~show_map
       print_string (Render.frame sim)
   in
   let r =
-    as_pool_job (fun () ->
-        Service.Runner.run_cell ?series:(Option.map snd series) ~on_step
-          ?domain cell ~seed ~trial)
+    or_out_of_memory ~agents (fun () ->
+        as_pool_job (fun () ->
+            Service.Runner.run_cell ?series:(Option.map snd series) ~on_step
+              ?domain cell ~seed ~trial))
   in
   let completed =
     match r.Engine.outcome with
@@ -811,21 +829,22 @@ let run_percolation side agents seed trials =
   let grid = Grid.create ~side () in
   let n = side * side in
   let rng = Prng.of_seed seed in
-  let rc = Visibility.Percolation.rc_theory ~n ~k:agents in
+  let rc = Theory.percolation_radius ~n ~k:agents in
   Printf.printf "n=%d k=%d: r_c (theory) = %.2f, Theorem-2 threshold = %.3f\n"
     n agents rc
-    (Visibility.Percolation.sub_critical_radius ~n ~k:agents);
-  let est = Visibility.Percolation.estimate_rc grid rng ~k:agents ~trials () in
-  Printf.printf "estimated r_c (giant fraction >= 0.5): %d\n" est;
-  List.iter
-    (fun mult ->
-      let radius = int_of_float (mult *. rc) in
-      let frac =
-        Visibility.Percolation.giant_fraction_at grid rng ~k:agents ~radius
-          ~trials
-      in
-      Printf.printf "r = %.2f rc (%3d): giant fraction %.3f\n" mult radius frac)
-    [ 0.25; 0.5; 1.0; 1.5; 2.0 ]
+    (Theory.subcritical_radius ~n ~k:agents);
+  or_out_of_memory ~agents (fun () ->
+      let est = Percolation.estimate_rc grid rng ~k:agents ~trials in
+      Printf.printf "estimated r_c (giant fraction >= 0.5): %d\n" est;
+      List.iter
+        (fun mult ->
+          let radius = int_of_float (mult *. rc) in
+          let frac =
+            Percolation.giant_fraction_at grid rng ~k:agents ~radius ~trials
+          in
+          Printf.printf "r = %.2f rc (%3d): giant fraction %.3f\n" mult radius
+            frac)
+        [ 0.25; 0.5; 1.0; 1.5; 2.0 ])
 
 let percolation_cmd =
   let trials =
@@ -1192,7 +1211,6 @@ let bench_check_cmd =
 
 let run_theory side agents =
   require (size_checks side agents);
-  let module Theory = Mobile_network.Theory in
   let n = side * side in
   let k = agents in
   Printf.printf "theory curves for n = %d (side %d), k = %d\n\n" n side k;

@@ -15,28 +15,17 @@
     runs are deterministic given [(seed, trial)].
 
     The continuum (Gilbert disk) percolation threshold is at intensity
-    [lambda_c ≈ 1.436 / r²] (agents per unit area); {!critical_radius}
-    inverts this for a given density.
+    [lambda_c ≈ 1.436 / r²] (agents per unit area);
+    {!Mobile_network.Theory.continuum_critical_radius} inverts this for
+    a given density, and [Mobile_network.Percolation.Make (Space)]
+    measures the giant fraction around it.
 
     A run is [Mobile_network.Engine.Make (Space)] on
     [Mobile_network.Engine.default_spec]: the grid engine's step loop,
     phase metrics and series recording, with the Brownian box supplying
     mobility and the close-pair index. {!Space.create} validates the
-    box; this module adds only the percolation helpers. *)
+    box. *)
 
 (** The {!Mobile_network.Space.S} instance: float positions, Gaussian
     moves, reflecting box, radius-bucket close pairs. *)
 module Space = Continuum_space
-
-val critical_radius : box_side:float -> agents:int -> float
-(** The Gilbert-graph percolation radius for [agents] uniform points in
-    the box: [sqrt (1.436 / lambda)] with [lambda = agents / box_side²].
-    @raise Invalid_argument on non-positive arguments. *)
-
-val giant_fraction :
-  Prng.t -> box_side:float -> agents:int -> radius:float -> trials:int ->
-  float
-(** Mean largest-component fraction over fresh uniform placements —
-    the continuum order parameter.
-    @raise Invalid_argument on a non-positive box, agent count or
-    trial count. *)

@@ -160,9 +160,7 @@ let to_string t =
     if Faults.Plan.is_empty t.faults then ""
     else " faults=" ^ Faults.Plan.summary t.faults
 
-let percolation_radius t =
-  Visibility.Percolation.rc_theory ~n:(n t) ~k:t.agents
+let percolation_radius t = Theory.percolation_radius ~n:(n t) ~k:t.agents
 
 let is_subcritical t =
-  float_of_int t.radius
-  < Visibility.Percolation.sub_critical_radius ~n:(n t) ~k:t.agents
+  float_of_int t.radius < Theory.subcritical_radius ~n:(n t) ~k:t.agents

@@ -24,21 +24,27 @@ let dimitriou_bound ~n ~k = float_of_int n *. lnf n *. lnf k
 let peres_polylog ~k = lnf k ** 2.
 
 let percolation_radius ~n ~k =
-  Visibility.Percolation.rc_theory ~n ~k
+  if n <= 0 || k <= 0 then invalid_arg "Theory.percolation_radius: n, k > 0";
+  sqrt (float_of_int n /. float_of_int k)
 
 (* continuum percolation constant for Gilbert disk graphs:
    lambda_c * r^2 ~ 1.436 (Quintanilla et al. estimates) *)
 let continuum_percolation_constant = 1.436
 
 let continuum_critical_radius ~box_side ~agents =
+  if not (box_side > 0.) then
+    invalid_arg "Theory.continuum_critical_radius: box <= 0";
+  if agents <= 0 then invalid_arg "Theory.continuum_critical_radius: agents <= 0";
   let lambda = float_of_int agents /. (box_side *. box_side) in
   sqrt (continuum_percolation_constant /. lambda)
 
 let subcritical_radius ~n ~k =
-  Visibility.Percolation.sub_critical_radius ~n ~k
+  if n <= 0 || k <= 0 then invalid_arg "Theory.subcritical_radius: n, k > 0";
+  sqrt (float_of_int n /. (64. *. exp 6. *. float_of_int k))
 
 let island_parameter ~n ~k =
-  Visibility.Percolation.island_parameter ~n ~k
+  if n <= 0 || k <= 0 then invalid_arg "Theory.island_parameter: n, k > 0";
+  sqrt (float_of_int n /. (4. *. exp 6. *. float_of_int k))
 
 let island_size_bound ~n = lnf n
 

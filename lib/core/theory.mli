@@ -45,17 +45,26 @@ val peres_polylog : k:int -> float
     polylogarithmic in [k]; rendered as [log^2 k] for plotting. *)
 
 val percolation_radius : n:int -> k:int -> float
-(** [r_c ~ sqrt (n / k)]. *)
+(** The critical radius [r_c ~ sqrt (n / k)] (§1) around which a giant
+    component emerges ({!Percolation} measures it).
+    @raise Invalid_argument if [n <= 0] or [k <= 0]. *)
 
 val continuum_critical_radius : box_side:float -> agents:int -> float
-(** Unchecked [Continuum.critical_radius], the continuum analogue of
-    {!percolation_radius}: [sqrt (1.436 / (agents / box_side²))]. *)
+(** The continuum analogue of {!percolation_radius}: the Gilbert-graph
+    percolation radius for [agents] uniform points in the box,
+    [sqrt (1.436 / lambda)] with [lambda = agents / box_side²].
+    @raise Invalid_argument if [box_side] is not positive (NaN
+    included) or [agents <= 0]. *)
 
 val subcritical_radius : n:int -> k:int -> float
-(** Theorem 2's radius threshold [sqrt (n / (64 e^6 k))]. *)
+(** Theorem 2's radius threshold [sqrt (n / (64 e^6 k))], below which
+    its lower bound applies; always well below {!percolation_radius}.
+    @raise Invalid_argument if [n <= 0] or [k <= 0]. *)
 
 val island_parameter : n:int -> k:int -> float
-(** Lemma 6's [gamma = sqrt (n / (4 e^6 k))]. *)
+(** Lemma 6's [gamma = sqrt (n / (4 e^6 k))]: islands of parameter
+    [gamma] have at most [log n] agents w.h.p.
+    @raise Invalid_argument if [n <= 0] or [k <= 0]. *)
 
 val island_size_bound : n:int -> float
 (** Lemma 6: below the percolation point no island exceeds [log n]

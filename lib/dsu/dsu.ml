@@ -195,19 +195,6 @@ let set_count t =
     !count
   end
 
-let max_set_size t =
-  let n = Array.length t.parent in
-  if n = 0 then 0
-  else begin
-    (* untouched elements are singletons, so the floor is 1 *)
-    let best = ref 1 in
-    for i = 0 to n - 1 do
-      if t.stamp.(i) = t.epoch && t.parent.(i) = i && t.size.(i) > !best then
-        best := t.size.(i)
-    done;
-    !best
-  end
-
 let max_union_size t = t.max_merged
 
 let groups t =

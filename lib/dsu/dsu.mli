@@ -85,7 +85,7 @@ val union : t -> int -> int -> bool
     in different sets. *)
 
 val same_set : t -> int -> int -> bool
-  [@@seam "test_dsu, test_spatial, test_visibility: connectivity oracle"]
+  [@@seam "test_dsu, test_spatial: connectivity oracle"]
 (** Whether the two elements currently share a set. *)
 
 val set_size : t -> int -> int [@@seam "test_dsu, test_engine"]
@@ -94,17 +94,14 @@ val set_size : t -> int -> int [@@seam "test_dsu, test_engine"]
 val set_count : t -> int
 (** Current number of disjoint sets. *)
 
-val max_set_size : t -> int
-(** Size of the largest set — the "largest island" of Lemma 6. O(n). *)
-
 val max_union_size : t -> int
 (** Running maximum of merged-set sizes since the last {!reset} (O(1)).
-    In an epoch with no {!dissolve}, this equals {!max_set_size} for any
-    non-empty structure: every multi-element set's final size is
-    produced by its last union, and with no unions all sets are
-    singletons (the counter starts at [min n 1]). After a dissolve the
-    counter may overstate the current maximum — use {!max_set_size}
-    (or an external occupancy bound) in incremental epochs. *)
+    In an epoch with no {!dissolve}, this is the size of the largest
+    set — the "largest island" of Lemma 6 — for any structure: every
+    multi-element set's final size is produced by its last union, and
+    with no unions all sets are singletons (the counter starts at
+    [min n 1]). After a dissolve the counter may overstate the current
+    maximum; incremental epochs need an external occupancy bound. *)
 
 val iter_sets : t -> f:(representative:int -> members:int list -> unit) -> unit
 (** Iterate over every set, passing its representative and full member

@@ -28,7 +28,7 @@ let run ?(quick = false) ~seed () =
       let mean, _ = Stats.Summary.mean_ci95 measured.times in
       let med = Sweep.median measured.times in
       let giant =
-        Visibility.Percolation.giant_fraction_at grid rng ~k ~radius
+        Mobile_network.Percolation.giant_fraction_at grid rng ~k ~radius
           ~trials:20
       in
       medians := (radius, med) :: !medians;
@@ -54,7 +54,8 @@ let run ?(quick = false) ~seed () =
   in
   let collapse_ratio = median_at 0 /. median_at super_r in
   let est_rc =
-    Visibility.Percolation.estimate_rc grid rng ~k ~trials:(if quick then 5 else 10) ()
+    Mobile_network.Percolation.estimate_rc grid rng ~k
+      ~trials:(if quick then 5 else 10)
   in
   let figure =
     (* linear radius axis (it includes r = 0), log time axis *)

@@ -1,3 +1,5 @@
+module Islands = Mobile_network.Percolation.Make (Mobile_network.Grid_space)
+
 let run ?(quick = false) ~seed () =
   let sides = if quick then [ 32; 64 ] else [ 32; 64; 128; 192 ] in
   let density = 64 in
@@ -19,19 +21,19 @@ let run ?(quick = false) ~seed () =
       let sub_r = max 1 (int_of_float (rc /. 2.)) in
       let super_r = int_of_float (2. *. rc) in
       let grid = Grid.create ~side () in
+      let space =
+        Mobile_network.Grid_space.create grid ~kernel:Walk.Lazy_one_fifth
+          ~radius:sub_r
+      in
       let maxima =
         Array.init placements (fun _ ->
-            let positions =
-              Array.init k (fun _ -> Grid.random_node grid rng)
-            in
-            let snap = Visibility.snapshot grid ~radius:sub_r ~positions in
-            float_of_int (Visibility.max_component_size snap.component_of))
+            float_of_int (Islands.largest_island space rng ~agents:k))
       in
       let summary = Stats.Summary.of_array maxima in
       let p95 = Stats.Summary.quantile maxima ~q:0.95 in
       let lnn = log (float_of_int n) in
       let giant =
-        Visibility.Percolation.giant_fraction_at grid rng ~k ~radius:super_r
+        Mobile_network.Percolation.giant_fraction_at grid rng ~k ~radius:super_r
           ~trials:20
       in
       ratios := p95 /. lnn :: !ratios;

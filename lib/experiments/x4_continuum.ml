@@ -1,5 +1,6 @@
 module Engine = Mobile_network.Engine
 module E = Engine.Make (Continuum.Space)
+module P = Mobile_network.Percolation.Make (Continuum.Space)
 
 let run ?(quick = false) ~seed () =
   let ks = if quick then [ 64; 256 ] else [ 64; 256; 1024 ] in
@@ -14,18 +15,18 @@ let run ?(quick = false) ~seed () =
   let measure ~k ~mult =
     (* fixed density 1 agent per unit area: box side sqrt k *)
     let box_side = sqrt (float_of_int k) in
-    let rc = Continuum.critical_radius ~box_side ~agents:k in
-    let radius = mult *. rc in
-    let giant =
-      Continuum.giant_fraction rng ~box_side ~agents:k ~radius ~trials:10
+    let rc =
+      Mobile_network.Theory.continuum_critical_radius ~box_side ~agents:k
     in
+    let radius = mult *. rc in
+    let space () =
+      Continuum.Space.create ~box_side ~radius ~sigma:(radius /. 4.) ~agents:k
+    in
+    let giant = P.giant_fraction (space ()) rng ~agents:k ~trials:10 in
     let measured =
       Sweep.samples ~trials ~run:(fun ~trial ->
           E.run
-            (E.create
-               ~space:
-                 (Continuum.Space.create ~box_side ~radius
-                    ~sigma:(radius /. 4.) ~agents:k)
+            (E.create ~space:(space ())
                (Engine.default_spec ~agents:k ~seed ~trial ~max_steps:500_000)))
     in
     let med = Sweep.median measured.Sweep.times in

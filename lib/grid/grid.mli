@@ -38,7 +38,7 @@ val is_torus : t -> bool
 val nodes : t -> int
 (** Total number of nodes [n = side * side]. *)
 
-val diameter : t -> int [@@seam "test_grid, test_visibility"]
+val diameter : t -> int [@@seam "test_grid, test_percolation"]
 (** Manhattan diameter: [2 (side - 1)] bounded, [2 (side / 2)] on the
     torus (0 for the single-node grid). *)
 

@@ -256,24 +256,21 @@ let dag =
     ("lib/runtime", ("runtime", [ "obs" ]));
     ("lib/lint", ("lint", [ "obs"; "runtime" ]));
     ("lib/faults", ("faults", [ "prng"; "obs" ]));
-    ("lib/graph", ("visibility", [ "prng"; "grid"; "dsu"; "spatial"; "stats" ]));
     ( "lib/core",
       ( "mobile_network",
-        [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "visibility";
-          "stats"; "faults" ] ) );
+        [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "stats"; "faults" ]
+      ) );
     ( "lib/domain",
       ( "barriers",
         [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "mobile_network" ]
       ) );
     ( "lib/continuum",
-      ( "continuum",
-        [ "obs"; "prng"; "grid"; "dsu"; "spatial"; "mobile_network" ] ) );
+      ("continuum", [ "obs"; "prng"; "grid"; "spatial"; "mobile_network" ]) );
     ("lib/render", ("render", [ "grid"; "mobile_network"; "barriers" ]));
     ( "lib/experiments",
       ( "experiments",
-        [ "obs"; "runtime"; "prng"; "grid"; "dsu"; "spatial"; "walk";
-          "visibility"; "stats"; "mobile_network"; "barriers"; "continuum";
-          "faults" ] ) );
+        [ "obs"; "runtime"; "prng"; "grid"; "dsu"; "spatial"; "walk"; "stats";
+          "mobile_network"; "barriers"; "continuum"; "faults" ] ) );
     ("lib/scenario", ("scenario", [ "obs"; "walk"; "faults"; "mobile_network" ]));
     ( "lib/service",
       ( "service",

@@ -3,6 +3,9 @@
 module C = Continuum
 module E = Mobile_network.Engine
 module CE = E.Make (C.Space)
+module P = Mobile_network.Percolation.Make (C.Space)
+
+let critical_radius = Mobile_network.Theory.continuum_critical_radius
 
 let broadcast ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) ?(sigma = 0.25)
     ?(seed = 0) ?(trial = 0) ?(max_steps = 200_000) () =
@@ -16,15 +19,18 @@ let completed (r : E.report) =
 
 let test_critical_radius () =
   (* lambda = 1: rc = sqrt(1.436) *)
-  let rc = C.critical_radius ~box_side:8. ~agents:64 in
+  let rc = critical_radius ~box_side:8. ~agents:64 in
   Alcotest.(check bool) "value" true (Float.abs (rc -. sqrt 1.436) < 1e-9);
   (* rc scales like 1/sqrt(lambda) *)
-  let rc4 = C.critical_radius ~box_side:8. ~agents:256 in
+  let rc4 = critical_radius ~box_side:8. ~agents:256 in
   Alcotest.(check bool) "quadruple density halves rc" true
     (Float.abs (rc4 -. (rc /. 2.)) < 1e-9);
   Alcotest.check_raises "bad box"
-    (Invalid_argument "Continuum.critical_radius: box <= 0") (fun () ->
-      ignore (C.critical_radius ~box_side:0. ~agents:4))
+    (Invalid_argument "Theory.continuum_critical_radius: box <= 0") (fun () ->
+      ignore (critical_radius ~box_side:0. ~agents:4));
+  Alcotest.check_raises "no agents"
+    (Invalid_argument "Theory.continuum_critical_radius: agents <= 0")
+    (fun () -> ignore (critical_radius ~box_side:8. ~agents:0))
 
 let test_broadcast_completes () =
   let r = broadcast () in
@@ -82,25 +88,27 @@ let test_validation () =
   raises "nan box" box (broadcast ~box_side:Float.nan);
   raises "max_steps" "Engine.create: negative max_steps"
     (broadcast ~max_steps:(-1));
-  let giant ?(box_side = 8.) ?(agents = 32) ?(radius = 1.) () =
-    C.giant_fraction (Prng.of_seed 1) ~box_side ~agents ~radius ~trials:2
+  let giant ?(agents = 32) ?(trials = 2) () =
+    P.giant_fraction
+      (C.Space.create ~box_side:8. ~radius:1. ~sigma:1. ~agents:32)
+      (Prng.of_seed 1) ~agents ~trials
   in
-  raises "giant agents" "Continuum.giant_fraction: agents <= 0"
+  raises "giant agents" "Percolation.giant_fraction: agents <= 0"
     (giant ~agents:0);
-  raises "giant box" "Continuum.giant_fraction: box <= 0" (giant ~box_side:0.);
-  raises "giant box at r = 0" "Continuum.giant_fraction: box <= 0"
-    (giant ~box_side:(-1.) ~radius:0.)
+  raises "giant trials" "Percolation.giant_fraction: trials <= 0"
+    (giant ~trials:0)
 
 let test_giant_fraction_regimes () =
   let rng = Prng.of_seed 7 in
   let box_side = 16. and agents = 256 in
-  let rc = C.critical_radius ~box_side ~agents in
-  let sub =
-    C.giant_fraction rng ~box_side ~agents ~radius:(0.4 *. rc) ~trials:10
+  let rc = critical_radius ~box_side ~agents in
+  let at mult =
+    P.giant_fraction
+      (C.Space.create ~box_side ~radius:(mult *. rc) ~sigma:1. ~agents)
+      rng ~agents ~trials:10
   in
-  let super =
-    C.giant_fraction rng ~box_side ~agents ~radius:(2. *. rc) ~trials:10
-  in
+  let sub = at 0.4 in
+  let super = at 2. in
   Alcotest.(check bool) "fractions in range" true
     (sub >= 0. && sub <= 1. && super >= 0. && super <= 1.);
   Alcotest.(check bool)
@@ -110,7 +118,7 @@ let test_giant_fraction_regimes () =
 
 let test_supercritical_is_fast () =
   let box_side = 16. and agents = 256 in
-  let rc = C.critical_radius ~box_side ~agents in
+  let rc = critical_radius ~box_side ~agents in
   let fast =
     broadcast ~box_side ~agents ~radius:(1.5 *. rc) ~sigma:(rc /. 4.) ()
   in

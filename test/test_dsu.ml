@@ -15,7 +15,7 @@ let test_create () =
 let test_empty () =
   let d = Dsu.create 0 in
   Alcotest.(check int) "no sets" 0 (Dsu.set_count d);
-  Alcotest.(check int) "max set empty" 0 (Dsu.max_set_size d)
+  Alcotest.(check int) "max set empty" 0 (Dsu.max_union_size d)
 
 let test_union_basics () =
   let d = Dsu.create 6 in
@@ -61,13 +61,13 @@ let test_reset () =
     Alcotest.(check int) "size 1 after reset" 1 (Dsu.set_size d i)
   done
 
-let test_max_set_size () =
+let test_max_union_size () =
   let d = Dsu.create 10 in
-  Alcotest.(check int) "all singletons" 1 (Dsu.max_set_size d);
+  Alcotest.(check int) "all singletons" 1 (Dsu.max_union_size d);
   ignore (Dsu.union d 0 1);
   ignore (Dsu.union d 1 2);
   ignore (Dsu.union d 5 6);
-  Alcotest.(check int) "largest is 3" 3 (Dsu.max_set_size d)
+  Alcotest.(check int) "largest is 3" 3 (Dsu.max_union_size d)
 
 let test_groups () =
   let d = Dsu.create 5 in
@@ -435,7 +435,7 @@ let () =
         ] );
       ( "aggregates",
         [
-          Alcotest.test_case "max set size" `Quick test_max_set_size;
+          Alcotest.test_case "max set size" `Quick test_max_union_size;
           Alcotest.test_case "groups" `Quick test_groups;
           Alcotest.test_case "iter_sets" `Quick test_iter_sets;
           Alcotest.test_case "members sorted" `Quick test_members_sorted;

@@ -125,12 +125,12 @@ let test_satellite_simulators () =
   (* one-shot snapshots through the grid index, at radii 0 to past r_c *)
   let grid = Grid.create ~side:32 () in
   Alcotest.(check int) "percolation estimate_rc" 7
-    (Visibility.Percolation.estimate_rc grid (Prng.of_seed 5) ~k:48 ~trials:4
-       ());
+    (Mobile_network.Percolation.estimate_rc grid (Prng.of_seed 5) ~k:48
+       ~trials:4);
   Alcotest.(check string) "percolation giant_fraction_at" "0.09375"
     (Printf.sprintf "%.17g"
-       (Visibility.Percolation.giant_fraction_at grid (Prng.of_seed 6) ~k:48
-          ~radius:3 ~trials:4));
+       (Mobile_network.Percolation.giant_fraction_at grid (Prng.of_seed 6)
+          ~k:48 ~radius:3 ~trials:4));
   (* Clementi et al.'s dense model is a grid configuration: the jump
      kernel with one-hop exchange *)
   let cl =

@@ -465,7 +465,7 @@ let test_layering_accepts_declared_edges () =
     [
       ("core",
        "(library\n (name mobile_network)\n (libraries obs prng grid dsu \
-        spatial walk visibility stats))\n");
+        spatial walk stats))\n");
       (* external deps are ignored even on strict layers *)
       ("prng", "(library\n (name prng)\n (libraries alcotest))\n")
     ]

@@ -231,7 +231,9 @@ let test_run_cell_space_fields () =
                ~radius:4 ~los_blocking:true)
           (spec ~agents:8 ~max_steps:(100 * 16 * 16))));
   let box_side = sqrt (16. /. 0.5) in
-  let radius = 0.8 *. Continuum.critical_radius ~box_side ~agents:16 in
+  let radius =
+    0.8 *. Mobile_network.Theory.continuum_critical_radius ~box_side ~agents:16
+  in
   same "density, rc_mult and sigma_frac"
     (Runner.run_cell
        (cell

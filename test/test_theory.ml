@@ -51,11 +51,25 @@ let test_dimitriou_dominates () =
 
 let test_radii () =
   check_float "rc" 8. (Theory.percolation_radius ~n:1024 ~k:16);
-  Alcotest.(check bool) "ordering" true
-    (Theory.subcritical_radius ~n:1024 ~k:16
-     < Theory.island_parameter ~n:1024 ~k:16
-    && Theory.island_parameter ~n:1024 ~k:16
-       < Theory.percolation_radius ~n:1024 ~k:16)
+  (* Theorem 2 threshold < Lemma 6 gamma < r_c *)
+  List.iter
+    (fun (n, k) ->
+      let sub = Theory.subcritical_radius ~n ~k
+      and gamma = Theory.island_parameter ~n ~k
+      and rc = Theory.percolation_radius ~n ~k in
+      Alcotest.(check bool) "ordering" true (sub < gamma && gamma < rc);
+      check_float "sub / rc = 1 / (8 e^3)" (1. /. (8. *. exp 3.)) (sub /. rc))
+    [ (1024, 16); (4096, 32) ];
+  List.iter
+    (fun (name, f, n, k) ->
+      Alcotest.check_raises name
+        (Invalid_argument (Printf.sprintf "Theory.%s: n, k > 0" name))
+        (fun () -> ignore (f ~n ~k)))
+    [
+      ("percolation_radius", Theory.percolation_radius, 0, 1);
+      ("subcritical_radius", Theory.subcritical_radius, 4, 0);
+      ("island_parameter", Theory.island_parameter, -1, 4);
+    ]
 
 let test_island_bound () =
   check_float ~eps:1e-9 "ln n" (log 4096.) (Theory.island_size_bound ~n:4096)
