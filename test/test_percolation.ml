@@ -63,6 +63,28 @@ let test_full_connectivity_large_radius () =
 
 (* --- percolation --- *)
 
+module Theory = Mobile_network.Theory
+
+let test_rc_theory () =
+  Alcotest.(check bool) "rc(1024, 16) = 8" true
+    (Float.abs (Theory.percolation_radius ~n:1024 ~k:16 -. 8.) < 1e-9);
+  Alcotest.check_raises "bad args"
+    (Invalid_argument "Theory.percolation_radius: n, k > 0") (fun () ->
+      ignore (Theory.percolation_radius ~n:0 ~k:1))
+
+let test_threshold_ordering () =
+  (* Theorem 2 threshold < Lemma 6 gamma < r_c *)
+  List.iter
+    (fun (n, k) ->
+      let sub = Theory.subcritical_radius ~n ~k
+      and gamma = Theory.island_parameter ~n ~k
+      and rc = Theory.percolation_radius ~n ~k in
+      Alcotest.(check bool) "sub < gamma" true (sub < gamma);
+      Alcotest.(check bool) "gamma < rc" true (gamma < rc);
+      Alcotest.(check bool) "ratio sub/rc = 1/(8 e^3)" true
+        (Float.abs ((sub /. rc) -. (1. /. (8. *. exp 3.))) < 1e-9))
+    [ (1024, 16); (4096, 32) ]
+
 let test_giant_fraction_monotone_in_radius () =
   let rng = Prng.of_seed 5 in
   let g = Grid.create ~side:32 () in
@@ -194,6 +216,9 @@ let () =
         ] );
       ( "percolation",
         [
+          Alcotest.test_case "rc theory" `Quick test_rc_theory;
+          Alcotest.test_case "threshold ordering" `Quick
+            test_threshold_ordering;
           Alcotest.test_case "giant fraction grows with radius" `Slow
             test_giant_fraction_monotone_in_radius;
           Alcotest.test_case "estimated rc sane" `Slow

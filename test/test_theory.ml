@@ -49,17 +49,8 @@ let test_dimitriou_dominates () =
         (Theory.dimitriou_bound ~n:4096 ~k > Theory.broadcast_theta ~n:4096 ~k))
     [ 4; 64; 1024 ]
 
+(* the radii's values and ordering are checked in test_percolation *)
 let test_radii () =
-  check_float "rc" 8. (Theory.percolation_radius ~n:1024 ~k:16);
-  (* Theorem 2 threshold < Lemma 6 gamma < r_c *)
-  List.iter
-    (fun (n, k) ->
-      let sub = Theory.subcritical_radius ~n ~k
-      and gamma = Theory.island_parameter ~n ~k
-      and rc = Theory.percolation_radius ~n ~k in
-      Alcotest.(check bool) "ordering" true (sub < gamma && gamma < rc);
-      check_float "sub / rc = 1 / (8 e^3)" (1. /. (8. *. exp 3.)) (sub /. rc))
-    [ (1024, 16); (4096, 32) ];
   List.iter
     (fun (name, f, n, k) ->
       Alcotest.check_raises name
