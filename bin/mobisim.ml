@@ -45,22 +45,20 @@ let require checks =
       List.iter (Printf.eprintf "invalid arguments: %s\n") errs;
       exit 2
 
-(* percolation and theory take --side and --agents without building a
-   Config, so they hold them to the engine's size limits themselves *)
-let size_checks side agents =
-  [
-    (side > 0, "--side must be positive");
-    ( side <= Config.max_side,
-      Printf.sprintf "--side must be at most %d" Config.max_side );
-    (agents > 0, "--agents must be positive");
-    ( agents <= Config.max_population,
-      Printf.sprintf "--agents must be at most %d" Config.max_population );
-  ]
+(* Flags describe a scenario: compile it through the scenario validator,
+   whose diagnostics make an invalid flag run a usage error (exit 2). *)
+let compile_flags ast =
+  match Scenario.Compile.compile_ast ast with
+  | Ok compiled -> compiled
+  | Error errs ->
+      List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
+      exit 2
 
 (* An agent count within [Config.max_population] can still be more than
    the process's memory holds: the positions, streams and index are
    allocated per agent. That is a usage error (exit 2) naming the
-   count, not an internal one. *)
+   count, not an internal one. The compiler does not model memory, so
+   this handler is the last resort behind it. *)
 let or_out_of_memory ~agents f =
   try f ()
   with Out_of_memory ->
@@ -668,16 +666,11 @@ let run_simulate scenario space side agents radius protocol kernel seed trial
           ( Option.is_none rc_mult || Option.is_none radius,
             "--rc-mult replaces --radius: set one of them, not both" );
         ];
-      match Scenario.Compile.compile_ast flags with
-      | Error errs ->
-          List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-          exit 2
-      | Ok compiled ->
-          List.iter
-            (fun cell ->
-              run_simulate_cell cell ~seed ~trial ~trace ~render ~show_map
-                metrics trace_events series)
-            compiled.Scenario.Compile.cells)
+      List.iter
+        (fun cell ->
+          run_simulate_cell cell ~seed ~trial ~trace ~render ~show_map metrics
+            trace_events series)
+        (compile_flags flags).Scenario.Compile.cells)
 
 let simulate_cmd =
   let trace =
@@ -819,13 +812,12 @@ let list_cmd =
 (* --- percolation ---------------------------------------------------------- *)
 
 let run_percolation side agents seed trials =
-  require
-    (size_checks side agents @ [ (trials > 0, "--trials must be positive") ]);
+  require [ (trials > 0, "--trials must be positive") ];
   (* the radius scan starts at 0; radius 1 builds its largest bucket
      table, since the columns only shrink as the radius grows *)
-  (match Config.check_index ~side ~torus:false ~radius:1 with
-  | Ok () -> ()
-  | Error e -> require [ (false, e) ]);
+  ignore
+    (compile_flags
+       { Ast.default with sides = [ side ]; agents = [ agents ]; radii = [ 1 ] });
   let grid = Grid.create ~side () in
   let n = side * side in
   let rng = Prng.of_seed seed in
@@ -1210,7 +1202,8 @@ let bench_check_cmd =
 (* --- theory ----------------------------------------------------------------- *)
 
 let run_theory side agents =
-  require (size_checks side agents);
+  ignore
+    (compile_flags { Ast.default with sides = [ side ]; agents = [ agents ] });
   let n = side * side in
   let k = agents in
   Printf.printf "theory curves for n = %d (side %d), k = %d\n\n" n side k;
@@ -1332,37 +1325,64 @@ let client_request socket_path req =
       Printf.eprintf "%s\n" msg;
       exit 1
 
-(* Exit status from a response's first line: an explicit "ok":false is
-   a daemon-reported failure; an explicit "ok":true a success; anything
-   else (raw-payload ops like metrics, watch or --prom) is success —
+(* One response line's verdict. *)
+type line_status = Failed | Header of int | Result | Quiet
+
+(* An explicit "ok":false is a daemon-reported failure; a submit
+   header ("ok":true with "runs") announces its result lines; a JSON
+   line without "ok" or "progress" is a result line. Anything else
+   (non-JSON --prom text, health lines, progress lines) says nothing:
    the daemon reports failures only through "ok":false lines. *)
-let first_line_ok first_line =
-  match Obs.Json.parse first_line with
-  | Error _ -> true
+let line_status line =
+  match Obs.Json.parse line with
+  | Error _ -> Quiet
   | Ok j -> (
-      match Obs.Json.member "ok" j with
-      | Some (Obs.Json.Bool b) -> b
-      | Some _ | None -> true)
+      match (Obs.Json.member "ok" j, Obs.Json.member "runs" j) with
+      | Some (Obs.Json.Bool false), _ -> Failed
+      | Some (Obs.Json.Bool true), Some (Obs.Json.Int runs) -> Header runs
+      | Some _, _ -> Quiet
+      | None, _ ->
+          if Option.is_some (Obs.Json.member "progress" j) then Quiet
+          else Result)
+
+(* Exit 1 on an "ok":false line anywhere in the response. A submit
+   response must also carry every result line its header announced:
+   one that stops short (the daemon died mid-sweep) fails too. *)
+let check_response ~submit lines =
+  let statuses = List.map line_status lines in
+  if List.exists (function Failed -> true | _ -> false) statuses then exit 1;
+  if submit then
+    match statuses with
+    | Header runs :: rest ->
+        let got =
+          List.length (List.filter (function Result -> true | _ -> false) rest)
+        in
+        if got <> runs then begin
+          Printf.eprintf "response ended after %d of %d result lines\n" got
+            runs;
+          exit 1
+        end
+    | _ ->
+        prerr_endline "response ended before its header";
+        exit 1
 
 (* The whole response is echoed to stdout either way (NDJSON in,
    NDJSON out). *)
-let print_response response =
+let print_response ?(submit = false) response =
   print_string response;
-  let first =
-    match String.index_opt response '\n' with
-    | None -> response
-    | Some i -> String.sub response 0 i
-  in
-  if not (first_line_ok first) then exit 1
+  check_response ~submit
+    (List.filter
+       (fun l -> not (String.equal l ""))
+       (String.split_on_char '\n' response))
 
-(* Streamed variant: print each line the moment it arrives, track the
-   first line's verdict. *)
-let stream_response socket_path req =
-  let first = ref None in
+(* Streamed variant: print each line the moment it arrives, then judge
+   the lines. *)
+let stream_response ?(submit = false) socket_path req =
+  let lines = ref [] in
   (match
      Service.Daemon.Client.request_stream ~socket_path
        ~on_line:(fun line ->
-         if !first = None then first := Some line;
+         lines := line :: !lines;
          print_string line;
          flush stdout)
        (Obs.Json.to_string req)
@@ -1371,9 +1391,7 @@ let stream_response socket_path req =
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1);
-  match !first with
-  | Some line when not (first_line_ok line) -> exit 1
-  | Some _ | None -> ()
+  check_response ~submit (List.rev !lines)
 
 let run_submit path root socket progress series =
   let _, socket_path = resolve_service root socket in
@@ -1388,8 +1406,8 @@ let run_submit path root socket progress series =
       @ (if progress then [ ("progress", Obs.Json.Bool true) ] else [])
       @ if series then [ ("series", Obs.Json.Bool true) ] else [])
   in
-  if progress then stream_response socket_path req
-  else print_response (client_request socket_path req)
+  if progress then stream_response ~submit:true socket_path req
+  else print_response ~submit:true (client_request socket_path req)
 
 let submit_cmd =
   let progress =

@@ -139,7 +139,6 @@ let validate t =
                    broadcast protocols"
               else Ok ())
 
-let rng_for t = Prng.split_stream ~seed:t.seed ~trial:t.trial ~subsystem:0
 
 let to_string t =
   Printf.sprintf

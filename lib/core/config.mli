@@ -32,7 +32,7 @@ type t = {
           (default 1, the paper's setting); when [> 1] they are drawn
           uniformly without replacement and [source] must be [None] *)
   max_steps : int option;
-      (** hard safety cap; [None] uses {!default_max_steps} *)
+      (** hard safety cap; [None] uses {!effective_max_steps}'s default *)
   faults : Faults.Plan.t;
       (** fault adversary ({!Faults.Plan.empty} for the paper's
           loss-free world — the default; an empty plan is byte-identical
@@ -53,13 +53,11 @@ val exchange_to_string : exchange -> string
 val n : t -> int
 (** Number of grid nodes, [side * side]. *)
 
-val default_max_steps : t -> int [@@seam "test_config"]
-(** Safety cap used when [max_steps = None]: generous slack above every
-    theory curve in this repo (including the slowest, single-walk cover
-    time [~ n log^2 n]), so a mis-parameterised run terminates and is
-    reported as timed out rather than hanging. *)
-
 val effective_max_steps : t -> int
+(** [max_steps], or when it is [None] a safety cap with generous slack
+    above every theory curve in this repo (including the slowest,
+    single-walk cover time [~ n log^2 n]), so a mis-parameterised run
+    terminates and is reported as timed out rather than hanging. *)
 
 (** {1 Size limits}
 
@@ -99,9 +97,6 @@ val validate : t -> (unit, string) result
     roles fit the run, ...) and report the first failure. Any density
     is valid: the dense baseline runs [k = n/2] agents. Allocates
     nothing on success. *)
-
-val rng_for : t -> Prng.t [@@seam "test_config"]
-(** The root random stream of this (seed, trial) pair. *)
 
 val to_string : t -> string
 

@@ -499,7 +499,7 @@ module Make (S : Space.S) = struct
 
   (* --- construction ------------------------------------------------------ *)
 
-  let create ?metrics ?tracer ?series ~space spec =
+  let create ?metrics ?tracer ?series:(sr = Obs.Series.null) ~space spec =
     if spec.agents <= 0 then invalid_arg "Engine.create: agents <= 0";
     if spec.max_steps < 0 then invalid_arg "Engine.create: negative max_steps";
     if spec.sources < 1 || spec.sources > spec.agents then
@@ -543,36 +543,34 @@ module Make (S : Space.S) = struct
           }
     in
     let ser =
-      match series with
-      | None -> None
-      | Some sr when not (Obs.Series.enabled sr) -> None
-      | Some sr ->
-          let n = S.theory_n space in
-          let theory_tb =
-            if n > 0 then Theory.broadcast_theta ~n ~k:spec.agents else 0.
-          in
-          let st = Gc.quick_stat () in
-          Some
-            {
-              sr;
-              sc_informed = Obs.Series.col sr "informed";
-              sc_frontier = Obs.Series.col sr "frontier";
-              sc_components = Obs.Series.col sr "components";
-              sc_island = Obs.Series.col sr "max_island";
-              sc_covered = Obs.Series.col sr "covered";
-              sc_residual = Obs.Series.col sr "theory_residual";
-              sc_phase =
-                Array.map (fun p -> Obs.Series.col sr (p ^ "_ns")) phase_names;
-              sc_minor = Obs.Series.col sr "minor_words";
-              sc_gc_minor = Obs.Series.col sr "gc_minor";
-              sc_gc_major = Obs.Series.col sr "gc_major";
-              ph_ns = Array.make (Array.length phase_names) 0;
-              theory_tb;
-              agents_f = float_of_int spec.agents;
-              base_minor = Gc.minor_words ();
-              base_gc_minor = st.Gc.minor_collections;
-              base_gc_major = st.Gc.major_collections;
-            }
+      if not (Obs.Series.enabled sr) then None
+      else
+        let n = S.theory_n space in
+        let theory_tb =
+          if n > 0 then Theory.broadcast_theta ~n ~k:spec.agents else 0.
+        in
+        let st = Gc.quick_stat () in
+        Some
+          {
+            sr;
+            sc_informed = Obs.Series.col sr "informed";
+            sc_frontier = Obs.Series.col sr "frontier";
+            sc_components = Obs.Series.col sr "components";
+            sc_island = Obs.Series.col sr "max_island";
+            sc_covered = Obs.Series.col sr "covered";
+            sc_residual = Obs.Series.col sr "theory_residual";
+            sc_phase =
+              Array.map (fun p -> Obs.Series.col sr (p ^ "_ns")) phase_names;
+            sc_minor = Obs.Series.col sr "minor_words";
+            sc_gc_minor = Obs.Series.col sr "gc_minor";
+            sc_gc_major = Obs.Series.col sr "gc_major";
+            ph_ns = Array.make (Array.length phase_names) 0;
+            theory_tb;
+            agents_f = float_of_int spec.agents;
+            base_minor = Gc.minor_words ();
+            base_gc_minor = st.Gc.minor_collections;
+            base_gc_major = st.Gc.major_collections;
+          }
     in
     let k = spec.agents in
     let population = Protocol.population spec.protocol ~k in

@@ -7,13 +7,14 @@
     floods), the step loop with per-phase {!Obs} timers and series
     recording, coverage/frontier tracking, the protocol stopping
     predicates and the run record. A concrete simulator is then a space
-    instance plus a {!spec}. {!Simulation} adds the grid's {!Config.t}
-    (Clementi et al.'s dense baseline included: the {!Walk.Jump} kernel
-    with [Single_hop] exchange); the floor plans and the continuum box
-    are [Make (Barriers.Domain_space)] and [Make (Continuum.Space)] run
-    on {!default_spec}, with no wrapper. Every run returns {!report}: it
-    is the only record of how a run ended ({!Simulation.report} is an
-    alias of it).
+    instance plus a {!spec}. {!Simulation} is the grid instance,
+    [Make (Grid_space)] itself ([Simulation.t] is its [t]), plus entry
+    points over the grid's {!Config.t} (Clementi et al.'s dense baseline
+    included: the {!Walk.Jump} kernel with [Single_hop] exchange); the
+    floor plans and the continuum box are [Make (Barriers.Domain_space)]
+    and [Make (Continuum.Space)] run on {!default_spec}, with no
+    wrapper. Every run returns {!report}: it is the only record of how a
+    run ended ({!Simulation.report} is an alias of it).
 
     Determinism contract: for a fixed space, [spec.seed]/[spec.trial]
     fully determine the run. The draw order is {e observable state} —

@@ -23,8 +23,6 @@ let get t i =
   if i < 0 || i >= t.length then invalid_arg "Intbuf.get: index out of range";
   t.data.(i)
 
-let last t = if t.length = 0 then None else Some t.data.(t.length - 1)
-
 let clear t = t.length <- 0
 
 let to_array t = Array.sub t.data 0 t.length

@@ -13,9 +13,6 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** @raise Invalid_argument if the index is out of range. *)
 
-val last : t -> int option [@@seam "test_intbuf"]
-(** Most recently pushed value, if any. *)
-
 val clear : t -> unit
 (** Forget all pushed values, keeping the backing storage — so a buffer
     reused across simulation steps stops allocating once warm. *)

@@ -16,8 +16,6 @@ let capacity t = t.capacity
 
 let cardinal t = t.cardinal
 
-let is_full t = t.cardinal = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Rumor_set: id out of range"
 
@@ -127,9 +125,6 @@ let assign_superset ~src ~dst =
     dst.cardinal <- src.cardinal
   end;
   added
-
-let copy t =
-  { bits = Bytes.copy t.bits; capacity = t.capacity; cardinal = t.cardinal }
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.bits b.bits
 

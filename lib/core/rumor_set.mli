@@ -21,24 +21,16 @@ val singleton : capacity:int -> int -> t
 val capacity : t -> int
 
 val cardinal : t -> int
+  [@@seam "test_golden's gossip pin; test_engine's reference model"]
 (** Number of rumors known. O(1). *)
-
-val is_full : t -> bool [@@seam "test_rumor_set"]
-(** Whether all [capacity] rumors are known. *)
 
 val mem : t -> int -> bool
 (** @raise Invalid_argument if the id is out of range. *)
-
-val add : t -> int -> int [@@seam "test_engine, test_rumor_set"]
-(** Insert a rumor id; returns 1 if it was new, 0 if already present.
-    @raise Invalid_argument if the id is out of range. *)
 
 val union_into : src:t -> dst:t -> int
 (** [union_into ~src ~dst] adds every rumor of [src] to [dst], returning
     the number of rumors that were new to [dst]. [src] is unchanged.
     @raise Invalid_argument if capacities differ. *)
-
-val copy : t -> t [@@seam "test_rumor_set"]
 
 (** {1 Component-flood primitives}
 
@@ -49,8 +41,7 @@ val copy : t -> t [@@seam "test_rumor_set"]
     @raise Invalid_argument if capacities differ. *)
 
 val copy_into : src:t -> dst:t -> unit
-(** [dst] becomes equal to [src], cardinal included — {!copy} without
-    the allocation. *)
+(** [dst] becomes equal to [src], cardinal included. *)
 
 val or_into : src:t -> dst:t -> unit
 (** Adds every rumor of [src] to [dst] without counting: [dst]'s
@@ -66,7 +57,8 @@ val assign_superset : src:t -> dst:t -> int
     Equal cardinals write nothing, so the subset relation is the
     caller's obligation; it is not checked. *)
 
-val equal : t -> t -> bool [@@seam "test_engine, test_rumor_set"]
+val equal : t -> t -> bool
+  [@@seam "test_engine: exchange results against the reference model"]
 
 val iter : t -> f:(int -> unit) -> unit [@@seam "test_rumor_set"]
 (** Visit known rumor ids in increasing order. *)

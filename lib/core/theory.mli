@@ -5,11 +5,8 @@
 
     [n] is the number of grid nodes, [k] the number of agents. Natural
     logarithms throughout ([log n] factors in the paper are base-free
-    inside Θ/O). *)
-
-val ln : float -> float [@@seam "test_theory"]
-(** Natural log, clamped so that [ln x >= 1e-9] for [x <= e] — keeps
-    curves finite and positive at the small parameters experiments use. *)
+    inside Θ/O), clamped to at least [1e-9] so that curves stay finite
+    and positive at the small parameters experiments use. *)
 
 val broadcast_theta : n:int -> k:int -> float
 (** The headline bound: [T_B = Θ~ (n / sqrt k)] (Theorems 1 and 2), as
@@ -70,12 +67,12 @@ val island_size_bound : n:int -> float
 (** Lemma 6: below the percolation point no island exceeds [log n]
     agents w.h.p. *)
 
-val meeting_probability_lower : d:int -> float [@@seam "test_theory"]
+val meeting_probability_lower : d:int -> float
 (** Lemma 3: two walks at distance [d] meet within [d^2] steps, inside
     the lens [D], with probability at least [c3 / max(1, log d)]; the
     returned shape is [1 / max(1, log d)]. *)
 
-val hitting_probability_lower : d:int -> float [@@seam "test_theory"]
+val hitting_probability_lower : d:int -> float
 (** Lemma 1: a walk visits a node at distance [d] within [d^2] steps
     with probability at least [c1 / max(1, log d)]; shape
     [1 / max(1, log d)]. *)

@@ -84,10 +84,6 @@ let is_free t node = not (blocked_bit t.blocked node)
 
 let free_count t = t.free_count
 
-let free_nodes t = Array.copy t.free_nodes
-
-let blocked_count t = Grid.nodes t.grid - t.free_count
-
 let is_connected t =
   if t.free_count = 0 then true
   else begin
@@ -116,13 +112,11 @@ let is_connected t =
 
 let random_free_node t rng =
   if t.free_count = 0 then invalid_arg "Domain.random_free_node: no free node";
-  t.free_nodes.(Prng.int rng t.free_count)
+  Prng.choose rng t.free_nodes
 
 let fold_free_neighbours t v ~init ~f =
   Grid.fold_neighbours t.grid v ~init ~f:(fun acc u ->
       if is_free t u then f acc u else acc)
-
-let free_degree t v = fold_free_neighbours t v ~init:0 ~f:(fun acc _ -> acc + 1)
 
 let line_of_sight t a b =
   if not (is_free t a && is_free t b) then false

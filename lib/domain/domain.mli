@@ -23,15 +23,11 @@ type rect = { x : int; y : int; w : int; h : int }
 val unobstructed : Grid.t -> t
 (** The plain grid: nothing blocked. *)
 
-val of_blocked : Grid.t -> blocked:(Grid.node -> bool) -> t
-  [@@seam "test_barriers"]
-(** General constructor from a predicate (evaluated once per node).
+val with_rectangles : Grid.t -> rects:rect list -> t
+  [@@seam "test_barriers, test_percolation, test_render: floor plans no plan spells"]
+(** Block the union of the given rectangles (clipped to the grid).
     @raise Invalid_argument on a torus grid — barrier domains model
     bounded floor plans (all constructors inherit this restriction). *)
-
-val with_rectangles : Grid.t -> rects:rect list -> t
-  [@@seam "test_barriers, test_render"]
-(** Block the union of the given rectangles (clipped to the grid). *)
 
 val central_wall : Grid.t -> gap:int -> t
 (** A one-cell-thick vertical wall through the middle column with a
@@ -53,11 +49,6 @@ val is_free : t -> Grid.node -> bool
 val free_count : t -> int
 (** Number of free nodes. *)
 
-val free_nodes : t -> Grid.node array [@@seam "test_barriers"]
-(** All free nodes, ascending. Fresh array. *)
-
-val blocked_count : t -> int [@@seam "test_barriers"]
-
 val is_connected : t -> bool
 (** Whether the free region is connected (BFS). The empty region counts
     as connected. *)
@@ -65,12 +56,10 @@ val is_connected : t -> bool
 val random_free_node : t -> Prng.t -> Grid.node
 (** Uniform over free nodes. @raise Invalid_argument if none. *)
 
-val free_degree : t -> Grid.node -> int [@@seam "test_barriers"]
-(** Number of free grid neighbours of a free node. *)
-
 val fold_free_neighbours :
   t -> Grid.node -> init:'a -> f:('a -> Grid.node -> 'a) -> 'a
-  [@@seam "test_barriers"]
+  [@@seam "test_barriers: the free degrees behind step_lazy's holding mass"]
+(** Fold over the free grid neighbours of a node. *)
 
 val line_of_sight : t -> Grid.node -> Grid.node -> bool
 (** Whether the straight segment between the two node centres stays

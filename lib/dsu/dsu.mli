@@ -17,7 +17,7 @@
     bench/suite/probes.ml, and ROADMAP item 2 deletes {!dissolve}.)
 
     {b Touched log.} Every element stamped in the current epoch — healed
-    by its first {!find}, {!union}, {!same_set}, {!set_size}, {!groups}
+    by its first {!find}, {!union}, {!same_set}, {!set_size}, {!iter_sets}
     or {!dissolve} since the last {!reset} — is listed once in the
     touched log ({!touched_count}, {!touched_roots}). The log is
     complete for non-trivial sets: a union stamps both of its elements,
@@ -88,7 +88,7 @@ val same_set : t -> int -> int -> bool
   [@@seam "test_dsu, test_spatial: connectivity oracle"]
 (** Whether the two elements currently share a set. *)
 
-val set_size : t -> int -> int [@@seam "test_dsu, test_engine"]
+val set_size : t -> int -> int [@@seam "test_engine: the reference model's flood oracle"]
 (** Size of the set containing the element. *)
 
 val set_count : t -> int
@@ -106,8 +106,3 @@ val max_union_size : t -> int
 val iter_sets : t -> f:(representative:int -> members:int list -> unit) -> unit
 (** Iterate over every set, passing its representative and full member
     list. Member lists are in increasing order. O(n) total. *)
-
-val groups : t -> int list array [@@seam "test_dsu"]
-(** [groups t] is an array indexed by representative; entry [r] holds the
-    members of [r]'s set (increasing order) and non-representative entries
-    hold [[]]. O(n). *)

@@ -30,7 +30,8 @@ let run ?(quick = false) ~seed () =
             | Some _ -> true
             | None -> false)
       in
-      let s = p *. Float.max 1. (log (float_of_int d)) in
+      (* P over Lemma 3's shape 1 / max(1, ln d) *)
+      let s = p *. (1. /. Mobile_network.Theory.meeting_probability_lower ~d) in
       scaled := s :: !scaled;
       Table.add_row table
         [ Table.cell_int d; Table.cell_int steps; Table.cell_int trials;

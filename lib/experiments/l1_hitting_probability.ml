@@ -24,7 +24,8 @@ let run ?(quick = false) ~seed () =
             Walk.hits_within grid Walk.Lazy_one_fifth (rng ~d ~trial) ~start
               ~target ~steps)
       in
-      let s = p *. Float.max 1. (log (float_of_int d)) in
+      (* P over Lemma 1's shape 1 / max(1, ln d) *)
+      let s = p *. (1. /. Mobile_network.Theory.hitting_probability_lower ~d) in
       scaled := s :: !scaled;
       Table.add_row table
         [ Table.cell_int d; Table.cell_int steps; Table.cell_int trials;

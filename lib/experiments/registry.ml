@@ -192,6 +192,3 @@ let run_entries ?pool ?quick ~seed ~on_result entries =
             (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0));
           result)
     entries
-
-let run_all ?pool ?quick ~seed fmt () =
-  run_entries ?pool ?quick ~seed ~on_result:(Exp_result.render fmt) all

@@ -31,13 +31,3 @@ val run_entries :
     domain, in list order, as soon as each ordered prefix completes —
     front ends hang rendering and CSV export off it. With a pool of one
     job this is exactly the sequential run-render loop of old. *)
-
-val run_all :
-  ?pool:Runtime.Pool.t ->
-  ?quick:bool ->
-  seed:int ->
-  Format.formatter ->
-  unit ->
-  Exp_result.t list [@@seam "test_runtime"]
-(** Run every experiment, rendering each result (in catalogue order,
-    incrementally) as it becomes available. *)

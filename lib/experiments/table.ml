@@ -2,20 +2,16 @@ type t = {
   header : string list;
   arity : int;
   mutable rows : string list list;  (* reversed *)
-  mutable count : int;
 }
 
 let create ~header =
   if header = [] then invalid_arg "Table.create: empty header";
-  { header; arity = List.length header; rows = []; count = 0 }
+  { header; arity = List.length header; rows = [] }
 
 let add_row t row =
   if List.length row <> t.arity then
     invalid_arg "Table.add_row: arity mismatch with header";
-  t.rows <- row :: t.rows;
-  t.count <- t.count + 1
-
-let row_count t = t.count
+  t.rows <- row :: t.rows
 
 let rows_in_order t = List.rev t.rows
 

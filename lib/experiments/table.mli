@@ -12,8 +12,6 @@ val create : header:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the arity differs from the header. *)
 
-val row_count : t -> int [@@seam "test_experiments, test_harness"]
-
 val render : Format.formatter -> t -> unit
 (** Boxed, aligned text table. *)
 

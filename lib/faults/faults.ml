@@ -239,8 +239,6 @@ module Plan = struct
     if t.loss_p <> 0. then add "loss_p" (Json.Float t.loss_p);
     Json.Assoc !fields
 
-  let to_string t = Json.to_string (to_json t)
-
   let summary t =
     let parts = ref [] in
     let add s = parts := s :: !parts in

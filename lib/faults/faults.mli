@@ -100,10 +100,8 @@ module Plan : sig
       diagnostics. *)
 
   val to_json : t -> Obs.Json.t
-  (** Rendered by {!to_string}, which round-trips through {!of_string}. *)
-
-  val to_string : t -> string [@@seam "qgen, test_faults, test_scenario"]
-  (** Compact JSON rendering of {!to_json}. *)
+  (** Rendered by {!Obs.Json.to_string}, it round-trips through
+      {!of_string}. *)
 
   val summary : t -> string
   (** Short human-readable digest for config printouts, e.g.

@@ -20,11 +20,6 @@ let is_torus t = t.topology = Torus
 
 let nodes t = t.side * t.side
 
-let diameter t =
-  match t.topology with
-  | Bounded -> 2 * (t.side - 1)
-  | Torus -> 2 * (t.side / 2)
-
 let index t ~x ~y =
   if x < 0 || x >= t.side || y < 0 || y >= t.side then
     invalid_arg "Grid.index: coordinates out of bounds";
@@ -33,10 +28,6 @@ let index t ~x ~y =
 let x_of t v = v mod t.side
 
 let y_of t v = v / t.side
-
-let coords t v = (x_of t v, y_of t v)
-
-let mem t ~x ~y = x >= 0 && x < t.side && y >= 0 && y < t.side
 
 let center t = index t ~x:(t.side / 2) ~y:(t.side / 2)
 
@@ -160,8 +151,6 @@ module Tessellation = struct
     let per_row = (grid.side + cell_side - 1) / cell_side in
     { grid; cell_side; per_row }
 
-  let cell_side tess = tess.cell_side
-
   let cells_per_row tess = tess.per_row
 
   let cell_count tess = tess.per_row * tess.per_row
@@ -169,34 +158,4 @@ module Tessellation = struct
   let cell_of_node tess v =
     let x = x_of tess.grid v and y = y_of tess.grid v in
     ((y / tess.cell_side) * tess.per_row) + (x / tess.cell_side)
-
-  let cell_origin tess c =
-    let cx = c mod tess.per_row and cy = c / tess.per_row in
-    (cx * tess.cell_side, cy * tess.cell_side)
-
-  (* Width/height of a cell, clipped at the grid border. *)
-  let extent tess c =
-    let ox, oy = cell_origin tess c in
-    let w = min tess.cell_side (tess.grid.side - ox) in
-    let h = min tess.cell_side (tess.grid.side - oy) in
-    (w, h)
-
-  let cell_center tess c =
-    let ox, oy = cell_origin tess c in
-    let w, h = extent tess c in
-    index tess.grid ~x:(ox + (w / 2)) ~y:(oy + (h / 2))
-
-  let nodes_in_cell tess c =
-    let w, h = extent tess c in
-    w * h
-
-  let adjacent_cells tess c =
-    let cx = c mod tess.per_row and cy = c / tess.per_row in
-    let add acc (x, y) =
-      if x >= 0 && x < tess.per_row && y >= 0 && y < tess.per_row then
-        ((y * tess.per_row) + x) :: acc
-      else acc
-    in
-    List.fold_left add []
-      [ (cx - 1, cy); (cx + 1, cy); (cx, cy - 1); (cx, cy + 1) ]
 end

@@ -38,10 +38,6 @@ val is_torus : t -> bool
 val nodes : t -> int
 (** Total number of nodes [n = side * side]. *)
 
-val diameter : t -> int [@@seam "test_grid, test_percolation"]
-(** Manhattan diameter: [2 (side - 1)] bounded, [2 (side / 2)] on the
-    torus (0 for the single-node grid). *)
-
 val index : t -> x:int -> y:int -> node
 (** [index t ~x ~y] is the node at column [x], row [y].
     @raise Invalid_argument if out of bounds. *)
@@ -51,12 +47,6 @@ val x_of : t -> node -> int
 
 val y_of : t -> node -> int
 (** Row of a node. *)
-
-val coords : t -> node -> int * int [@@seam "test_grid"]
-(** [(x, y)] of a node. *)
-
-val mem : t -> x:int -> y:int -> bool [@@seam "test_grid"]
-(** Whether [(x, y)] lies on the grid. *)
 
 val center : t -> node
 (** The node at [(side / 2, side / 2)]. *)
@@ -72,14 +62,14 @@ val distance_to_border : t -> node -> int [@@seam "test_grid"]
 (** Minimum number of steps from the node to any grid border; [max_int]
     on the torus (it has no border). *)
 
-val degree : t -> node -> int [@@seam "test_barriers, test_grid, test_walk"]
+val degree : t -> node -> int [@@seam "test_walk, test_barriers: the walk oracles' holding mass"]
 (** Number of grid neighbours: 2 at corners, 3 on edges, 4 inside —
     always 4 on the torus. *)
 
 val fold_neighbours : t -> node -> init:'a -> f:('a -> node -> 'a) -> 'a
 (** Fold over the 2–4 neighbours of a node. Allocation-free. *)
 
-val neighbours : t -> node -> node list [@@seam "test_grid, test_walk"]
+val neighbours : t -> node -> node list [@@seam "test_walk: the scalar-walk oracle's neighbourhood"]
 (** Neighbour list (convenience for tests; the simulator uses
     {!fold_neighbours}). *)
 
@@ -115,24 +105,9 @@ module Tessellation : sig
   val create : t -> cell_side:int -> tess
   (** @raise Invalid_argument if [cell_side <= 0]. *)
 
-  val cell_side : tess -> int [@@seam "test_grid"]
-
   val cells_per_row : tess -> int
 
   val cell_count : tess -> int
 
   val cell_of_node : tess -> node -> cell
-
-  val cell_origin : tess -> cell -> int * int [@@seam "test_grid"]
-  (** Bottom-left [(x, y)] of a cell. *)
-
-  val cell_center : tess -> cell -> node [@@seam "test_grid"]
-  (** A node near the geometric centre of the cell. *)
-
-  val nodes_in_cell : tess -> cell -> int [@@seam "test_grid"]
-  (** Number of grid nodes in the cell (smaller for clipped border
-      cells). *)
-
-  val adjacent_cells : tess -> cell -> cell list [@@seam "test_grid"]
-  (** The up-to-4 side-adjacent cells. *)
 end

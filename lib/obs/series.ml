@@ -162,11 +162,6 @@ let row_json t i =
         :: List.init (Array.length a.columns) (fun c ->
                Json.Int (Bigarray.Array2.get a.data c i)))
 
-let to_json ?meta t =
-  Json.Assoc
-    (header_members ?meta t
-    @ [ ("data", Json.List (List.init (rows t) (fun i -> row_json t i))) ])
-
 let export_string ?meta t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Json.to_string (Json.Assoc (header_members ?meta t)));

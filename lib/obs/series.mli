@@ -39,13 +39,13 @@
     v}
 
     followed by one compact JSON array of integers per row, step first.
-    {!to_json} renders the same document as a single object with the
-    rows under ["data"]. {!validate} accepts the combined form;
-    {!parse} accepts either rendering and returns the combined form. *)
+    The combined form is the same document as a single object with the
+    rows under ["data"]; {!parse} accepts either rendering and returns
+    the combined form. *)
 
 type t
 
-val null : t [@@seam "test_series"]
+val null : t
 (** The disabled recorder: every operation is a no-op. *)
 
 val schema : string
@@ -92,29 +92,21 @@ val stride : t -> int
     decimation). *)
 
 val column : t -> string -> int array
-  [@@seam "test_engine, test_golden, test_series, test_simulation"]
+  [@@seam "the series reader of test_golden's pins and of test_engine, test_series, test_simulation"]
 (** A copy of one column's retained values (accepts ["step"]).
     Allocates; for tests and post-run export, not hot loops. *)
 
 (** {2 Export} *)
 
-val to_json : ?meta:(string * Json.t) list -> t -> Json.t [@@seam "test_series"]
-(** The combined document: header fields plus all rows under ["data"].
-    [meta] adds caller context (config, cell hash, …) under ["meta"]. *)
-
 val export_string : ?meta:(string * Json.t) list -> t -> string
 (** NDJSON: compact header line, then one compact row per line (what
     [--series FILE] writes). *)
 
-val validate : Json.t -> (unit, string) result
-  [@@seam "test_capture, test_series"]
-(** Structural check of the combined document: schema tag, ["step"]-
-    first string columns, power-of-two stride, integer rows of the
-    declared width whose steps strictly increase and sit on the
-    stride. *)
-
 val parse : string -> (Json.t, string) result
-(** Parse either rendering, validate, and return the combined form. An
+(** Parse either rendering, validate, and return the combined form. The
+    validation is structural: schema tag, ["step"]-first string
+    columns, power-of-two stride, integer rows of the declared width
+    whose steps strictly increase and sit on the stride. An
     NDJSON row that is not JSON is reported at its line in the file
     (the header is line 1): ["invalid series row: L:C: JSON parse
     error: ..."]. *)

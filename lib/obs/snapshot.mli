@@ -19,7 +19,10 @@
     v}
 
     with empty buckets omitted and the overflow bucket keyed ["+Inf"].
-    The [p*_ns] fields are {!percentile_ns} estimates.
+    The [p*_ns] fields estimate the q-quantile from the fixed buckets:
+    linear interpolation inside the bucket holding the q-th sample,
+    bounded by the recorded exact min/max, [null] on an empty histogram.
+    The error is at most the occupied bucket's width.
 
     Snapshots are reads of lock-free instruments, so a snapshot taken
     {e while domains are still recording} is internally consistent per
@@ -30,13 +33,6 @@ val to_json : Registry.t -> Json.t
 
 val to_json_string : Registry.t -> string
 (** Pretty-printed {!to_json}, newline-terminated. *)
-
-val percentile_ns : Metric.Histogram.t -> q:float -> float option
-  [@@seam "test_obs"]
-(** The [q]-quantile ([0 < q <= 1]) estimated from the fixed buckets:
-    linear interpolation inside the bucket holding the q-th sample,
-    bounded by the recorded exact min/max. [None] on an empty
-    histogram. The error is at most the occupied bucket's width. *)
 
 val to_table : Registry.t -> string
 (** One line per instrument, aligned, durations humanised; histograms

@@ -118,7 +118,6 @@ let[@inline] emit t kind n ~ts ~dur ~v =
 
 let duration t n ~ts ~dur = emit t kind_duration n ~ts ~dur ~v:no_value
 let duration_v t n ~ts ~dur ~v = emit t kind_duration n ~ts ~dur ~v
-let instant t n ~ts = emit t kind_instant n ~ts ~dur:0 ~v:no_value
 let instant_v t n ~ts ~v = emit t kind_instant n ~ts ~dur:0 ~v
 let counter t n ~ts ~v = emit t kind_counter n ~ts ~dur:0 ~v
 

@@ -63,10 +63,9 @@ val duration_v : t -> name -> ts:int -> dur:int -> v:int -> unit
 (** {!duration} carrying an integer tag (exported as [args.v]) — e.g.
     a job index or trial number. *)
 
-val instant : t -> name -> ts:int -> unit [@@seam "test_tracer"]
-(** A point event ([ph = "i"], thread scope). *)
-
 val instant_v : t -> name -> ts:int -> v:int -> unit
+(** A point event ([ph = "i"], thread scope) carrying an integer tag
+    (exported as [args.v]). *)
 
 val counter : t -> name -> ts:int -> v:int -> unit
 (** A counter sample ([ph = "C"], exported as [args.value]): Perfetto

@@ -85,11 +85,9 @@ val int_incl : t -> int -> int -> int
 (** [int_incl stream lo hi] is uniform on the inclusive range [lo, hi].
     @raise Invalid_argument if [lo > hi]. *)
 
-val unit_float : t -> float [@@seam "test_prng"]
-(** Uniform on [0, 1), with 53 bits of precision. *)
-
 val float : t -> float -> float
-(** [float stream bound] is uniform on [0, bound).
+(** [float stream bound] is uniform on [0, bound), with 53 bits of
+    precision: [float stream 1.] is the raw unit draw.
     @raise Invalid_argument if [bound <= 0.] or not finite. *)
 
 val bool : t -> bool
@@ -103,7 +101,7 @@ val gaussian : t -> mean:float -> stddev:float -> float
 (** Normally distributed (Box–Muller).
     @raise Invalid_argument unless [stddev >= 0.]. *)
 
-val choose : t -> 'a array -> 'a [@@seam "test_prng"]
+val choose : t -> 'a array -> 'a
 (** Uniformly random element. @raise Invalid_argument on empty array. *)
 
 val shuffle : t -> 'a array -> unit [@@seam "test_prng"]

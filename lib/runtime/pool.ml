@@ -175,8 +175,6 @@ let create ~jobs =
               worker_loop t));
   t
 
-let jobs t = t.jobs
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.stopping <- true;
@@ -279,7 +277,7 @@ let try_pop t =
   Mutex.unlock t.mutex;
   job
 
-(* --- one fan-out (a single map/init/map_reduce call) --- *)
+(* --- one fan-out (a single map/init call) --- *)
 
 type 'b ctx = {
   total : int;
@@ -477,9 +475,6 @@ let init t ~n ~f =
     in
     Array.concat pieces
   end
-
-let map_reduce t ~map:f ~reduce ~init items =
-  List.fold_left reduce init (map t ~f items)
 
 let recommended_jobs ?(cap = 8) () =
   max 1 (min cap (Domain.recommended_domain_count ()))

@@ -8,7 +8,7 @@
     results never depend on evaluation order. The pool preserves that
     observable determinism:
 
-    - {b Submission order}: [map], [init] and [map_reduce] always return
+    - {b Submission order}: [map] and [init] always return
       results in submission order, regardless of completion order.
     - {b Sequential identity}: a pool with [jobs = 1] runs every job
       inline on the calling domain, in order, with no worker domains —
@@ -19,7 +19,7 @@
       pool drains every submitted job, then re-raises the exception of
       the {e lowest-indexed} failed job — the same exception the
       sequential run would have raised first.
-    - {b Nesting}: a job may itself call [map]/[init]/[map_reduce] on a
+    - {b Nesting}: a job may itself call [map]/[init] on a
       pool. The nested call does not block a worker: it enqueues its
       sub-jobs and then {e helps}, executing queued jobs from the shared
       queue until its own are done. This makes trial-level and
@@ -33,12 +33,9 @@
 
 type t
 
-val max_jobs : int [@@seam "test_runtime"]
-(** The largest pool the runtime can spawn: OCaml 5.1 runs at most 128
-    domains, the calling one included. *)
-
 val check_jobs : int -> (unit, string) result
-(** [Ok ()] for a pool size in [[1, max_jobs]]; otherwise a message such
+(** [Ok ()] for a pool size in [[1, 127]] (OCaml 5.1 runs at most
+    128 domains, the calling one included); otherwise a message such
     as ["must be between 1 and 127 (got 0)"], for a front end to prefix
     with its flag's name. *)
 
@@ -46,11 +43,8 @@ val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs] worker domains ([jobs = 1] spawns
     none; such a pool is purely sequential). Metrics are off until
     {!set_metrics} attaches a sink.
-    @raise Invalid_argument if [jobs < 1] or [jobs > max_jobs], before
+    @raise Invalid_argument if [jobs < 1] or [jobs > 127], before
     spawning anything. *)
-
-val jobs : t -> int [@@seam "test_runtime"]
-(** Number of workers the pool was created with (1 = sequential). *)
 
 val shutdown : t -> unit
 (** Join all workers. Idempotent. Outstanding jobs are completed first;
@@ -81,16 +75,6 @@ val init : t -> n:int -> f:(int -> 'b) -> 'b array
     do not drown in scheduling overhead; chunking depends only on
     [(n, jobs pool)] and never changes the result.
     @raise Invalid_argument if [n < 0]. *)
-
-val map_reduce :
-  t ->
-  map:(int -> 'a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc [@@seam "test_runtime"]
-(** Parallel map, then a sequential in-order fold on the calling domain;
-    deterministic even for non-commutative [reduce]. *)
 
 val recommended_jobs : ?cap:int -> unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [[1, cap]]
@@ -149,7 +133,8 @@ val set_ambient_tracer : Obs.Tracer.t -> unit
     semantics as {!set_ambient_metrics}. Front ends set this together
     with {!Obs.Tracer.set_ambient} when [--trace-events] is given. *)
 
-val ambient_jobs : unit -> int [@@seam "test_runtime"]
+val ambient_jobs : unit -> int
+  [@@seam "test_runtime: the ambient size, read without spawning a pool"]
 (** Current ambient pool size (without forcing pool creation). *)
 
 val ambient : unit -> t

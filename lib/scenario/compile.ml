@@ -300,15 +300,6 @@ let finish ctx =
 
 (* --- entry points -------------------------------------------------------- *)
 
-let parse ?filename text =
-  let ctx = { filename; errs = [] } in
-  match Pjson.parse text with
-  | Error (pos, msg) ->
-      Error [ Pjson.format ?filename pos ("scenario: JSON parse error: " ^ msg) ]
-  | Ok j -> (
-      let ast = parse_pjson ctx j in
-      match finish ctx with [] -> Ok ast | errs -> Error errs)
-
 let desugar (ast : Ast.t) =
   {
     ast;

@@ -24,18 +24,16 @@ type compiled = {
 val total_runs : compiled -> int
 (** [List.length cells * trials]. *)
 
-val parse : ?filename:string -> string -> (Ast.t, string list) result
-  [@@seam "test_scenario"]
-(** Parse only (plus field-level structural checks): unknown fields,
-    wrong types, malformed protocol/kernel strings. Diagnostics are
-    formatted [file:line:col: scenario: message]. *)
-
 val compile : ?filename:string -> string -> (compiled, string list) result
-(** The full pipeline: {!parse} plus semantic validation (positive
+(** The full pipeline: parsing with field-level structural checks
+    (unknown fields, wrong types, malformed protocol/kernel strings),
+    then semantic validation (positive
     sizes, non-empty axes, grid-only fields on non-grid spaces, per-cell
     {!Mobile_network.Config.validate}, fault-plan agent ranges), then
-    desugaring. [Ok] implies every cell's configuration is accepted by
-    the engine. This is what [mobisim scenario check] runs. *)
+    desugaring. Diagnostics are formatted
+    [file:line:col: scenario: message]. [Ok] implies every cell's
+    configuration is accepted by the engine. This is what
+    [mobisim scenario check] runs. *)
 
 val compile_ast : Ast.t -> (compiled, string list) result
 (** Validate + desugar an already-built AST (diagnostics without

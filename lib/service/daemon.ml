@@ -148,6 +148,9 @@ type state = {
   registry : Obs.Registry.t;
   served : int ref;
   mutable stop : bool;
+  mutable exhausted : bool;
+      (* a run raised Out_of_memory: the heap keeps what the run grew,
+         so the daemon restarts in a fresh image once it has answered *)
 }
 
 let header_line (c : Compile.compiled) =
@@ -162,19 +165,40 @@ let header_line (c : Compile.compiled) =
        ])
 
 (* Run a compiled scenario to completion: checkpoint, sweep, persist
-   the artifact, clear the checkpoint. Returns the body. *)
+   the artifact, clear the checkpoint. Returns the body, or the error
+   line of a sweep that raised (a cell beyond the process's memory, an
+   engine check): that job is retired with the error line as its
+   artifact, so neither a reply nor a restart runs it again, and
+   nothing of it reaches the store. An I/O error (a client hang-up
+   while streaming, a failed write) propagates with the checkpoint
+   kept, for the next start to resume. *)
 let execute ?on_progress ?on_line ?series_dir st (text : string)
     (compiled : Compile.compiled) =
   let root = st.cfg.root in
   let id = compiled.Compile.hash in
   Checkpoint.write ~root ~id ~text;
-  let body =
-    Runner.run ~metrics:st.sink ?on_progress ?on_line ?series_dir
-      ~pool:st.pool ~store:st.store compiled
+  let outcome, artifact =
+    match
+      Runner.run ~metrics:st.sink ?on_progress ?on_line ?series_dir
+        ~pool:st.pool ~store:st.store compiled
+    with
+    | body -> (Ok body, artifact_path ~root ~hash:id)
+    | exception ((Unix.Unix_error _ | Sys_error _) as e) -> raise e
+    | exception e ->
+        (match e with
+        | Out_of_memory ->
+            (* free the run's large arrays for the error path *)
+            Gc.compact ();
+            st.exhausted <- true
+        | _ -> ());
+        let line =
+          error_response [ "run failed: " ^ Printexc.to_string e ]
+        in
+        (Error line, artifact_path ~root ~hash:(id ^ ".error"))
   in
-  Store.write_atomic (artifact_path ~root ~hash:id) body;
+  Store.write_atomic artifact (match outcome with Ok b | Error b -> b);
   Checkpoint.remove ~root ~id;
-  body
+  outcome
 
 let handle_submit st client ~text ?filename ~progress ~series () =
   match Compile.compile ?filename text with
@@ -208,9 +232,11 @@ let handle_submit st client ~text ?filename ~progress ~series () =
         if series then Some (Filename.concat st.cfg.root "series") else None
       in
       write_all client (header_line compiled);
-      let body = execute ?on_progress ?on_line ?series_dir st text compiled in
+      let outcome = execute ?on_progress ?on_line ?series_dir st text compiled in
       incr st.served;
-      if not progress then write_all client body
+      match outcome with
+      | Ok body -> if not progress then write_all client body
+      | Error line -> write_all client line
 
 let handle_check client ~text ?filename () =
   match Compile.compile ?filename text with
@@ -281,6 +307,14 @@ let say quiet fmt =
     (fun s -> if not quiet then Printf.eprintf "mobisim-serve: %s\n%!" s)
     fmt
 
+(* Start again from the same command line, with the process's first
+   heap: OCaml keeps the major heap a run grew, so after a run that ran
+   out of memory there is no room left to serve. The failed job is
+   retired first, so the new image does not replay it. *)
+let restart quiet =
+  say quiet "restarting: a run exhausted the daemon's memory";
+  Unix.execv Sys.executable_name Sys.argv
+
 let replay_pending ~quiet st =
   List.iter
     (fun (id, text) ->
@@ -292,8 +326,10 @@ let replay_pending ~quiet st =
       | Ok compiled ->
           say quiet "resuming pending job %s (%d runs)" id
             (Compile.total_runs compiled);
-          let (_ : string) = execute st text compiled in
-          ())
+          match execute st text compiled with
+          | Ok (_ : string) -> ()
+          | Error line ->
+              say quiet "retired pending job %s: %s" id (String.trim line))
     (Checkpoint.list_pending ~root:st.cfg.root)
 
 let serve ?(quiet = false) cfg =
@@ -304,8 +340,23 @@ let serve ?(quiet = false) cfg =
   let store = Store.create ~metrics:sink ~root:cfg.root () in
   let pool = Runtime.Pool.create ~jobs:cfg.jobs in
   Runtime.Pool.set_metrics pool sink;
-  let st = { cfg; store; pool; sink; registry; served = ref 0; stop = false } in
+  let st =
+    {
+      cfg;
+      store;
+      pool;
+      sink;
+      registry;
+      served = ref 0;
+      stop = false;
+      exhausted = false;
+    }
+  in
   replay_pending ~quiet st;
+  if st.exhausted then begin
+    Runtime.Pool.shutdown pool;
+    restart quiet
+  end;
   (* bind, replacing a stale socket file from a killed daemon *)
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -319,7 +370,7 @@ let serve ?(quiet = false) cfg =
       Unix.listen sock 8;
       say quiet "listening on %s (root %s, jobs %d)" cfg.socket_path cfg.root
         cfg.jobs;
-      while not st.stop do
+      while not (st.stop || st.exhausted) do
         let client, _ = Unix.accept sock in
         (try handle_request st client (read_line_fd client) with
         | Unix.Unix_error (e, _, _) ->
@@ -327,7 +378,8 @@ let serve ?(quiet = false) cfg =
         | Sys_error msg -> say quiet "client error: %s" msg);
         try Unix.close client with Unix.Unix_error _ -> ()
       done;
-      say quiet "shutting down")
+      if not st.exhausted then say quiet "shutting down");
+  if st.exhausted then restart quiet
 
 (* --- client -------------------------------------------------------------- *)
 

@@ -25,7 +25,12 @@
       ["series":true] the daemon additionally records one per-step
       {!Obs.Series} per cell into [<root>/series/<cell hash>.series.json]
       (an extra trial-0 run after the sweep; the artifact bytes are
-      unchanged).
+      unchanged). A sweep that raises (a cell beyond the daemon's
+      memory, say) ends the response with
+      [{"ok":false,"errors":["run failed: ..."]}] in place of the rest
+      of the body, and the daemon keeps serving. After a run that ran
+      out of memory it first restarts in place (same process, same
+      command line, a fresh heap: OCaml keeps the heap a run grew).
     - [{"op":"check","text":...}]: compile only; [{"ok":true,...}]
       header (no body) or [{"ok":false,"errors":[...]}].
     - [{"op":"health"}]: [{"ok":true,"jobs":J,"served":N,"pending":P}].
@@ -58,7 +63,10 @@
     (atomically) when it completes. On start the daemon replays pending
     checkpoints before listening; a daemon killed mid-sweep thus
     converges to the same artifact bytes as an uninterrupted one, with
-    already-cached cells not recomputed. *)
+    already-cached cells not recomputed. A job whose sweep raises, live
+    or on replay, is retired: its checkpoint is removed and its error
+    line persisted to [<root>/results/<hash>.error.ndjson], so a restart
+    always reaches [listen]. Nothing of a failed run is cached. *)
 
 type config = {
   root : string;  (** service state directory (cache/pending/results) *)

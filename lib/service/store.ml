@@ -1,8 +1,6 @@
 type t = {
   root : string;
   cache_dir : string;
-  hits : int ref;
-  misses : int ref;
   c_hits : Obs.Metric.Counter.t option;
   c_misses : Obs.Metric.Counter.t option;
 }
@@ -29,8 +27,6 @@ let create ?(metrics = Obs.Sink.null) ~root () =
   {
     root;
     cache_dir;
-    hits = ref 0;
-    misses = ref 0;
     c_hits = counter "service.cache.hits";
     c_misses = counter "service.cache.misses";
   }
@@ -49,12 +45,10 @@ let read_file path =
 let get t ~hash ~seed ~trial =
   let path = entry_path t ~hash ~seed ~trial in
   if Sys.file_exists path then begin
-    incr t.hits;
     Option.iter Obs.Metric.Counter.incr t.c_hits;
     Some (read_file path)
   end
   else begin
-    incr t.misses;
     Option.iter Obs.Metric.Counter.incr t.c_misses;
     None
   end
@@ -78,6 +72,3 @@ let write_atomic path bytes =
 
 let put t ~hash ~seed ~trial bytes =
   write_atomic (entry_path t ~hash ~seed ~trial) bytes
-
-let hits t = !(t.hits)
-let misses t = !(t.misses)

@@ -14,9 +14,7 @@
     checkpoint resume ({!Checkpoint}) relies on.
 
     With a recording sink attached the store counts
-    [service.cache.hits] / [service.cache.misses] into the registry;
-    the same totals are always available in-process via {!hits} /
-    {!misses} regardless of sink. *)
+    [service.cache.hits] / [service.cache.misses] into the registry. *)
 
 type t
 
@@ -30,9 +28,6 @@ val get : t -> hash:string -> seed:int -> trial:int -> string option
 val put : t -> hash:string -> seed:int -> trial:int -> string -> unit
 (** Atomically persist a payload. Overwrites an existing entry with
     (by determinism) identical bytes — last write wins either way. *)
-
-val hits : t -> int [@@seam "test_service"]
-val misses : t -> int [@@seam "test_service"]
 
 (** {2 Shared file primitives} (used by {!Checkpoint} and the daemon's
     artifact writer so every on-disk write in the service is atomic the

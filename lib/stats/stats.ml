@@ -3,22 +3,15 @@ module Online = struct
     mutable count : int;
     mutable mean : float;
     mutable m2 : float;
-    mutable min_v : float;
-    mutable max_v : float;
   }
 
-  let create () =
-    { count = 0; mean = 0.; m2 = 0.; min_v = infinity; max_v = neg_infinity }
+  let create () = { count = 0; mean = 0.; m2 = 0. }
 
   let add t x =
     t.count <- t.count + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
-
-  let count t = t.count
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
   let mean t = if t.count = 0 then 0. else t.mean
 
@@ -26,10 +19,6 @@ module Online = struct
     if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
 
   let stddev t = sqrt (variance t)
-
-  let min t = t.min_v
-
-  let max t = t.max_v
 
   let merge a b =
     if a.count = 0 then { b with count = b.count }
@@ -42,8 +31,6 @@ module Online = struct
         count = a.count + b.count;
         mean = a.mean +. (delta *. nb /. n);
         m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
-        min_v = Float.min a.min_v b.min_v;
-        max_v = Float.max a.max_v b.max_v;
       }
     end
 end
@@ -107,11 +94,6 @@ module Summary = struct
       else 1.96 *. Online.stddev acc /. sqrt (float_of_int n)
     in
     (Online.mean acc, half)
-
-  let pp fmt t =
-    Format.fprintf fmt
-      "n=%d mean=%.4g sd=%.4g min=%.4g p10=%.4g med=%.4g p90=%.4g max=%.4g"
-      t.count t.mean t.stddev t.min t.p10 t.median t.p90 t.max
 end
 
 module Regression = struct
@@ -159,10 +141,6 @@ module Regression = struct
     if Array.length usable < 2 then
       invalid_arg "Stats.Regression.log_log: need 2 points with positive coords";
     ols usable
-
-  let predict fit x = (fit.slope *. x) +. fit.intercept
-
-  let predict_power fit x = exp fit.intercept *. (x ** fit.slope)
 
   type fit2 = {
     intercept2 : float;
@@ -351,11 +329,6 @@ module Chi_square = struct
     let dff = float_of_int df in
     let t = 1. -. (2. /. (9. *. dff)) +. (z *. sqrt (2. /. (9. *. dff))) in
     dff *. (t ** 3.)
-
-  let test_uniform ~counts ~confidence =
-    let df = Array.length counts - 1 in
-    if df < 1 then invalid_arg "Stats.Chi_square.test_uniform: need >= 2 bins";
-    uniform_statistic counts <= critical_value ~df ~confidence
 end
 
 module Bootstrap = struct
@@ -367,7 +340,7 @@ module Bootstrap = struct
       invalid_arg "Stats.Bootstrap.ci: level out of (0, 1)";
     let stats =
       Array.init replicates (fun _ ->
-          let resampled = Array.init n (fun _ -> sample.(Prng.int rng n)) in
+          let resampled = Array.init n (fun _ -> Prng.choose rng sample) in
           stat resampled)
     in
     let alpha = (1. -. level) /. 2. in

@@ -14,21 +14,11 @@ module Online : sig
 
   val add : t -> float -> unit
 
-  val count : t -> int [@@seam "test_stats"]
-
   val mean : t -> float
   (** 0 when empty. *)
 
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two observations. *)
-
-  val stddev : t -> float [@@seam "test_prng"]
-
-  val min : t -> float [@@seam "test_stats"]
-  (** [infinity] when empty. *)
-
-  val max : t -> float [@@seam "test_stats"]
-  (** [neg_infinity] when empty. *)
 
   val merge : t -> t -> t [@@seam "test_stats"]
   (** Combine two accumulators as if all observations were seen by one
@@ -59,8 +49,6 @@ module Summary : sig
   val mean_ci95 : float array -> float * float
   (** Mean plus/minus a 95% normal-approximation half-width
       [(mean, halfwidth)]. Half-width is 0 for samples of size < 2. *)
-
-  val pp : Format.formatter -> t -> unit [@@seam "test_stats"]
 end
 
 (** Ordinary least squares on (x, y) pairs, plus the log-log convenience
@@ -73,22 +61,12 @@ module Regression : sig
     n : int;
   }
 
-  val ols : (float * float) array -> fit [@@seam "test_stats"]
-  (** @raise Invalid_argument with fewer than two distinct x values. *)
-
   val log_log : (float * float) array -> fit
-  (** Fit [log y = slope * log x + intercept]: [slope] estimates the
-      scaling exponent of [y ~ x^slope]. Points with non-positive
-      coordinates are rejected. @raise Invalid_argument if fewer than two
-      usable points remain. *)
-
-  val predict : fit -> float -> float [@@seam "test_stats"]
-  (** Evaluate the fitted line at [x] (in the space the fit was made:
-      for {!log_log} pass [log x] and exponentiate yourself, or use
-      {!predict_power}). *)
-
-  val predict_power : fit -> float -> float [@@seam "test_stats"]
-  (** Treat the fit as a power law: [exp intercept *. x ** slope]. *)
+  (** Fit [log y = slope * log x + intercept] by ordinary least squares
+      on the logs: [slope] estimates the scaling exponent of
+      [y ~ x^slope]. Points with non-positive coordinates are rejected.
+      @raise Invalid_argument if fewer than two usable points remain, or
+      if all usable x values are identical. *)
 
   (** Two-predictor least squares, used for joint scaling fits such as
       [T_B ~ n^a * k^b] over a 2-D parameter sweep. *)
@@ -100,18 +78,13 @@ module Regression : sig
     n2 : int;
   }
 
-  val ols2 : (float * float * float) array -> fit2 [@@seam "test_stats"]
-  (** [ols2 [| (x, y, z); ... |]] fits [z = intercept2 + slope_x * x +
-      slope_y * y] by least squares (normal equations).
-      @raise Invalid_argument with fewer than three points or a
-      degenerate (collinear) design. *)
-
   val log_log2 : (float * float * float) array -> fit2
-  (** Fit [log z = intercept2 + slope_x * log x + slope_y * log y]:
-      the two slopes estimate the exponents of [z ~ x^a y^b]. Points
-      with non-positive coordinates are dropped.
+  (** Fit [log z = intercept2 + slope_x * log x + slope_y * log y] by
+      least squares on the logs (normal equations): the two slopes
+      estimate the exponents of [z ~ x^a y^b]. Points with non-positive
+      coordinates are dropped.
       @raise Invalid_argument if fewer than three usable points remain
-      or the design is degenerate. *)
+      or the design is degenerate (collinear). *)
 
   val predict2 : fit2 -> float -> float -> float
   (** Evaluate the fitted plane (in the space the fit was made). *)
@@ -123,32 +96,20 @@ end
     after T steps?). Critical values come from the Wilson–Hilferty
     approximation, accurate to well under 1% for df >= 3. *)
 module Chi_square : sig
-  val statistic : observed:int array -> expected:float array -> float
-    [@@seam "test_stats"]
-  (** Pearson's X² = Σ (O - E)² / E.
-      @raise Invalid_argument on length mismatch, empty input, or a
-      non-positive expected count. *)
-
   val uniform_statistic : int array -> float
-  (** Test counts against the uniform distribution over their own total.
+  (** Pearson's X² = Σ (O - E)² / E of the counts against the uniform
+      distribution over their own total.
       @raise Invalid_argument on empty input or zero total. *)
 
   val critical_value : df:int -> confidence:float -> float
   (** Upper [confidence] quantile of the chi-square distribution with
-      [df] degrees of freedom (Wilson–Hilferty).
+      [df] degrees of freedom (Wilson–Hilferty, from the inverse
+      standard-normal CDF of Beasley–Springer–Moro, absolute error below
+      1e-7 on (1e-10, 1 - 1e-10)). Counts are consistent with uniformity
+      at that level when their {!uniform_statistic} does not exceed it.
       @raise Invalid_argument if [df <= 0] or [confidence] outside
       (0, 1). *)
-
-  val test_uniform : counts:int array -> confidence:float -> bool
-    [@@seam "test_walk: the uniformity check"]
-  (** [true] when the counts are consistent with uniformity at the given
-      confidence level (statistic below the critical value). *)
 end
-
-val normal_quantile : float -> float [@@seam "test_stats"]
-(** Inverse standard-normal CDF (Beasley–Springer–Moro), absolute error
-    below 1e-7 on (1e-10, 1 - 1e-10).
-    @raise Invalid_argument outside (0, 1). *)
 
 (** Percentile bootstrap for arbitrary statistics of a sample. *)
 module Bootstrap : sig

@@ -69,7 +69,7 @@ val advance : Grid.t -> kernel -> Prng.t -> Grid.node -> steps:int -> Grid.node
     [steps < 0]. *)
 
 val path : Grid.t -> kernel -> Prng.t -> Grid.node -> steps:int -> Grid.node array
-  [@@seam "test_walk"]
+  [@@seam "test_walk: the trajectory behind excursion_stats's oracle"]
 (** Full trajectory including the start: [steps + 1] entries. *)
 
 (** {1 Walk statistics (Lemmas 1–3)} *)

@@ -60,7 +60,7 @@ let plan ~agents =
     let* deaf = list_size (int_range 0 2) agent in
     return { Faults.Plan.loss_p; duty; windows; churn; silent; deaf }
   in
-  QCheck.make ~print:Faults.Plan.to_string gen
+  QCheck.make ~print:(fun p -> Obs.Json.to_string (Faults.Plan.to_json p)) gen
 
 (* [text] after 1-4 random byte edits: a byte flipped, a byte inserted
    or a byte deleted. Half the new bytes are JSON punctuation, digits or

@@ -1,5 +1,5 @@
 #!/bin/sh
-# End-to-end smoke for the mobisim service daemon. Four scenes:
+# End-to-end smoke for the mobisim service daemon. Five scenes:
 #
 #   1. cache: submit the same sweep twice to one daemon — responses must
 #      be byte-identical, and after the warm submit the metrics must show
@@ -22,6 +22,13 @@
 #      (never a dead daemon: serve-health must still answer), and a
 #      floor-plan cell's result line equals `simulate --scenario` on the
 #      same file.
+#
+#   5. a run that raises: under a 600 MB address-space limit, a cell of
+#      3 million agents runs out of memory. `submit` must exit non-zero,
+#      the same daemon (restarted in place) must then serve a small
+#      submit, and a restart with that job's checkpoint pending must
+#      retire it (an error artifact, no checkpoint) and reach listen
+#      instead of dying again.
 #
 # Needs only the built binary: MOBISIM=... overrides the default path.
 set -eu
@@ -255,4 +262,53 @@ local_run=$("$BIN" simulate --scenario "$TMP/wall.json" | sed -n 's/^result: //p
 
 "$BIN" serve-stop --root "$ROOT_E" --socket "$SOCK_E" > /dev/null
 echo "service_smoke: bad-input scene ok ($n_bad rejected, wall:2 result $served)"
+
+# --- scene 5: a run that raises is an error line, not a dead daemon ------
+
+ROOT_F=$TMP/f
+SOCK_F=$TMP/f.sock
+serve_limited() { # root socket: a daemon with a 600 MB address space
+  (ulimit -v 600000 && exec "$BIN" serve --quiet --root "$1" --socket "$2" \
+    --jobs 1) &
+  DAEMON_F=$!
+  PIDS="$PIDS $DAEMON_F"
+}
+serve_limited "$ROOT_F" "$SOCK_F"
+wait_health "$ROOT_F" "$SOCK_F"
+
+printf '%s\n' '{"side":64,"agents":3000000,"radius":0,"seed":1,"max_steps":3}' \
+  > "$TMP/huge.json"
+if "$BIN" submit "$TMP/huge.json" --root "$ROOT_F" --socket "$SOCK_F" \
+  > "$TMP/huge.out" 2>&1; then
+  fail "a submit whose run ran out of memory exited 0: $(cat "$TMP/huge.out")"
+fi
+grep -q '"ok":false' "$TMP/huge.out" \
+  || fail "the failed run sent no error line: $(cat "$TMP/huge.out")"
+# the daemon restarts in place (same process) to get its memory back
+wait_health "$ROOT_F" "$SOCK_F"
+kill -0 "$DAEMON_F" 2>/dev/null || fail "the daemon process is gone"
+"$BIN" submit "$TMP/sweep.json" --root "$ROOT_F" --socket "$SOCK_F" \
+  > "$TMP/after.out" \
+  || fail "the daemon did not serve a small submit after the failed run"
+cmp -s "$TMP/cold.out" "$TMP/after.out" \
+  || fail "the submit after the failed run differs from scene 1's"
+HASH_F=$(sed -n '1s/.*"hash":"\([^"]*\)".*/\1/p' "$TMP/huge.out")
+[ -n "$HASH_F" ] || fail "the failed submit's header names no hash"
+[ -s "$ROOT_F/results/$HASH_F.error.ndjson" ] \
+  || fail "the failed job left no error artifact"
+[ -z "$(find "$ROOT_F/pending" -name '*.json')" ] \
+  || fail "the failed job left its checkpoint behind"
+"$BIN" serve-stop --root "$ROOT_F" --socket "$SOCK_F" > /dev/null
+
+# the job's checkpoint, as a daemon killed during the run leaves it
+cp "$TMP/huge.json" "$ROOT_F/pending/$HASH_F.json"
+rm "$ROOT_F/results/$HASH_F.error.ndjson"
+serve_limited "$ROOT_F" "$SOCK_F"
+wait_health "$ROOT_F" "$SOCK_F"
+[ -z "$(find "$ROOT_F/pending" -name '*.json')" ] \
+  || fail "the restarted daemon kept the failing checkpoint"
+[ -s "$ROOT_F/results/$HASH_F.error.ndjson" ] \
+  || fail "the replayed failing job left no error artifact"
+"$BIN" serve-stop --root "$ROOT_F" --socket "$SOCK_F" > /dev/null
+echo "service_smoke: raising-run scene ok (job $HASH_F retired)"
 echo "service_smoke: OK"

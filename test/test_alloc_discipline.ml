@@ -12,6 +12,7 @@
 module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
+module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 
 let grid_run ?series ?(side = 64) ?radius ?protocol ?exchange ?faults
     ?(max_steps = 2000) () =
@@ -165,7 +166,7 @@ let test_population_budget () =
     Simulation.step sim
   done;
   let per_step = (Gc.minor_words () -. minor0) /. float_of_int steps in
-  Alcotest.(check bool) "window still running" false (Simulation.is_done sim);
+  Alcotest.(check bool) "window still running" false (Grid_engine.is_done sim);
   if per_step > population_budget_words_per_step then
     Alcotest.failf
       "population-scale step allocates %.2f minor words/step (budget %.1f)"

@@ -7,44 +7,56 @@ module DE = E.Make (Barriers.Domain_space)
 
 let grid10 = Grid.create ~side:10 ()
 
+(* A floor plan blocking exactly the nodes [blocked] selects, built from
+   one unit rectangle per blocked node. *)
+let of_blocked g ~blocked =
+  Domain.with_rectangles g
+    ~rects:
+      (List.filter_map
+         (fun v ->
+           if blocked v then
+             Some { Domain.x = Grid.x_of g v; y = Grid.y_of g v; w = 1; h = 1 }
+           else None)
+         (List.init (Grid.nodes g) Fun.id))
+
+let blocked_count d = Grid.nodes (Domain.grid d) - Domain.free_count d
+
+let free_degree d v =
+  Domain.fold_free_neighbours d v ~init:0 ~f:(fun n _ -> n + 1)
+
+(* The free nodes, ascending. *)
+let free_nodes d =
+  Array.of_list
+    (List.filter (Domain.is_free d)
+       (List.init (Grid.nodes (Domain.grid d)) Fun.id))
+
 let test_unobstructed () =
   let d = Domain.unobstructed grid10 in
   Alcotest.(check int) "all free" 100 (Domain.free_count d);
-  Alcotest.(check int) "none blocked" 0 (Domain.blocked_count d);
+  Alcotest.(check int) "none blocked" 0 (blocked_count d);
   Alcotest.(check bool) "connected" true (Domain.is_connected d);
   for v = 0 to 99 do
     Alcotest.(check bool) "free" true (Domain.is_free d v);
     Alcotest.(check int) "degree matches grid" (Grid.degree grid10 v)
-      (Domain.free_degree d v)
+      (free_degree d v)
   done
 
 let test_of_blocked_predicate () =
-  let d = Domain.of_blocked grid10 ~blocked:(fun v -> v mod 7 = 0) in
+  let d = of_blocked grid10 ~blocked:(fun v -> v mod 7 = 0) in
   for v = 0 to 99 do
     Alcotest.(check bool)
       (Printf.sprintf "node %d" v)
       (v mod 7 <> 0) (Domain.is_free d v)
   done;
   Alcotest.(check int) "free count" 85 (Domain.free_count d);
-  Alcotest.(check int) "blocked count" 15 (Domain.blocked_count d)
-
-let test_free_nodes_sorted_and_fresh () =
-  let d = Domain.of_blocked grid10 ~blocked:(fun v -> v < 10) in
-  let nodes = Domain.free_nodes d in
-  Alcotest.(check int) "count" 90 (Array.length nodes);
-  Alcotest.(check int) "first free" 10 nodes.(0);
-  for i = 1 to Array.length nodes - 1 do
-    Alcotest.(check bool) "ascending" true (nodes.(i) > nodes.(i - 1))
-  done;
-  nodes.(0) <- 0;
-  Alcotest.(check int) "internal array unaffected" 10 (Domain.free_nodes d).(0)
+  Alcotest.(check int) "blocked count" 15 (blocked_count d)
 
 let test_with_rectangles () =
   let d =
     Domain.with_rectangles grid10
       ~rects:[ { Domain.x = 2; y = 3; w = 3; h = 2 } ]
   in
-  Alcotest.(check int) "blocked = 3x2" 6 (Domain.blocked_count d);
+  Alcotest.(check int) "blocked = 3x2" 6 (blocked_count d);
   Alcotest.(check bool) "inside blocked" false
     (Domain.is_free d (Grid.index grid10 ~x:3 ~y:4));
   Alcotest.(check bool) "outside free" true
@@ -54,12 +66,12 @@ let test_with_rectangles () =
     Domain.with_rectangles grid10
       ~rects:[ { Domain.x = 8; y = 8; w = 5; h = 5 } ]
   in
-  Alcotest.(check int) "clipped to 2x2" 4 (Domain.blocked_count clipped)
+  Alcotest.(check int) "clipped to 2x2" 4 (blocked_count clipped)
 
 let test_central_wall () =
   let d = Domain.central_wall grid10 ~gap:2 in
   (* wall at x = 5, 10 - 2 = 8 cells blocked *)
-  Alcotest.(check int) "blocked cells" 8 (Domain.blocked_count d);
+  Alcotest.(check int) "blocked cells" 8 (blocked_count d);
   Alcotest.(check bool) "connected through gap" true (Domain.is_connected d);
   (* gap rows are 4 and 5 *)
   Alcotest.(check bool) "gap cell free" true
@@ -71,17 +83,17 @@ let test_central_wall () =
       ignore (Domain.central_wall grid10 ~gap:0));
   (* a gap as wide as the side blocks nothing *)
   let open_wall = Domain.central_wall grid10 ~gap:10 in
-  Alcotest.(check int) "full gap = open" 0 (Domain.blocked_count open_wall)
+  Alcotest.(check int) "full gap = open" 0 (blocked_count open_wall)
 
 let test_rooms () =
   let g = Grid.create ~side:12 () in
   let d = Domain.rooms g ~rooms_per_side:2 ~door:2 in
   Alcotest.(check bool) "connected through doors" true (Domain.is_connected d);
-  Alcotest.(check bool) "some cells blocked" true (Domain.blocked_count d > 0);
+  Alcotest.(check bool) "some cells blocked" true (blocked_count d > 0);
   Alcotest.(check bool) "most cells free" true
     (Domain.free_count d > (Grid.nodes g * 3) / 4);
   let single = Domain.rooms g ~rooms_per_side:1 ~door:1 in
-  Alcotest.(check int) "one room = open" 0 (Domain.blocked_count single);
+  Alcotest.(check int) "one room = open" 0 (blocked_count single);
   Alcotest.check_raises "bad rooms"
     (Invalid_argument "Domain.rooms: rooms_per_side must be positive")
     (fun () -> ignore (Domain.rooms g ~rooms_per_side:0 ~door:1))
@@ -96,7 +108,7 @@ let test_disconnected_domain () =
   Alcotest.(check int) "90 free nodes" 90 (Domain.free_count d)
 
 let test_empty_domain_connected () =
-  let d = Domain.of_blocked grid10 ~blocked:(fun _ -> true) in
+  let d = of_blocked grid10 ~blocked:(fun _ -> true) in
   Alcotest.(check int) "no free nodes" 0 (Domain.free_count d);
   Alcotest.(check bool) "vacuously connected" true (Domain.is_connected d);
   let rng = Prng.of_seed 1 in
@@ -116,7 +128,7 @@ let test_free_neighbours () =
   let d = Domain.central_wall grid10 ~gap:2 in
   (* the cell left of a wall cell loses its east neighbour *)
   let v = Grid.index grid10 ~x:4 ~y:0 in
-  Alcotest.(check int) "degree drops next to wall" 2 (Domain.free_degree d v);
+  Alcotest.(check int) "degree drops next to wall" 2 (free_degree d v);
   let listed =
     Domain.fold_free_neighbours d v ~init:[] ~f:(fun acc u -> u :: acc)
   in
@@ -168,7 +180,7 @@ let test_step_lazy_respects_domain () =
           (Grid.manhattan grid10 !pos next <= 1);
         pos := next
       done)
-    (Domain.free_nodes d)
+    (free_nodes d)
 
 let test_step_lazy_stationarity () =
   (* uniform over free nodes must be preserved by the domain kernel *)
@@ -259,7 +271,7 @@ let test_sim_validation () =
   Alcotest.check_raises "max_steps"
     (Invalid_argument "Engine.create: negative max_steps") (fun () ->
       ignore (broadcast ~max_steps:(-1) d));
-  let empty = Domain.of_blocked grid10 ~blocked:(fun _ -> true) in
+  let empty = of_blocked grid10 ~blocked:(fun _ -> true) in
   Alcotest.check_raises "empty domain"
     (Invalid_argument "Domain_space.create: domain has no free node")
     (fun () -> ignore (broadcast empty))
@@ -288,7 +300,7 @@ let prop_walk_stays_free =
       (* random blocked pattern at ~20% density, but keep at least one
          free node *)
       let d =
-        Domain.of_blocked g ~blocked:(fun v ->
+        of_blocked g ~blocked:(fun v ->
             v <> 0 && Prng.bernoulli rng ~p:0.2)
       in
       let pos = ref (Domain.random_free_node d rng) in
@@ -324,11 +336,11 @@ let prop_space_move_matches_step_lazy =
             Domain.rooms g ~rooms_per_side:(2 + Prng.int rng 2)
               ~door:(1 + Prng.int rng 2)
       in
-      let free = Domain.free_nodes d in
+      let free = free_nodes d in
       let edged =
         Array.of_list
           (List.filter
-             (fun v -> Domain.free_degree d v < 4)
+             (fun v -> free_degree d v < 4)
              (Array.to_list free))
       in
       let nodes =
@@ -387,10 +399,10 @@ let prop_los_symmetric =
       let g = Grid.create ~side () in
       let rng = Prng.of_seed seed in
       let d =
-        Domain.of_blocked g ~blocked:(fun v ->
+        of_blocked g ~blocked:(fun v ->
             v <> 0 && v <> 1 && Prng.bernoulli rng ~p:0.25)
       in
-      let free = Domain.free_nodes d in
+      let free = free_nodes d in
       let a = free.(Prng.int rng (Array.length free)) in
       let b = free.(Prng.int rng (Array.length free)) in
       Domain.line_of_sight d a b = Domain.line_of_sight d b a)
@@ -402,8 +414,6 @@ let () =
         [
           Alcotest.test_case "unobstructed" `Quick test_unobstructed;
           Alcotest.test_case "of_blocked" `Quick test_of_blocked_predicate;
-          Alcotest.test_case "free_nodes" `Quick
-            test_free_nodes_sorted_and_fresh;
           Alcotest.test_case "rectangles" `Quick test_with_rectangles;
           Alcotest.test_case "central wall" `Quick test_central_wall;
           Alcotest.test_case "rooms" `Quick test_rooms;

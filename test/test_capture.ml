@@ -47,7 +47,9 @@ let parsed text =
   | Error e -> Alcotest.failf "capture rejected by Series.parse: %s" e
 
 let check_doc doc =
-  Result.bind (Series.validate doc) (fun () -> Engine.validate_series doc)
+  Result.bind
+    (Result.map ignore (Series.parse (Json.to_string doc)))
+    (fun () -> Engine.validate_series doc)
 
 let member name doc =
   match Json.member name doc with

@@ -73,11 +73,9 @@ let test_groups () =
   let d = Dsu.create 5 in
   ignore (Dsu.union d 0 3);
   ignore (Dsu.union d 3 4);
-  let groups = Dsu.groups d in
   let found = ref [] in
-  Array.iter
-    (fun members -> if members <> [] then found := members :: !found)
-    groups;
+  Dsu.iter_sets d ~f:(fun ~representative:_ ~members ->
+      found := members :: !found);
   let sorted = List.sort compare !found in
   Alcotest.(check (list (list int))) "groups partition"
     [ [ 0; 3; 4 ]; [ 1 ]; [ 2 ] ]
@@ -346,7 +344,7 @@ let prop_touched_log =
               done
           | Groups ->
               Array.fill stamped 0 n true;
-              ignore (Dsu.groups d)
+              Dsu.iter_sets d ~f:(fun ~representative:_ ~members:_ -> ())
           | Reset ->
               Array.fill stamped 0 n false;
               Array.iteri (fun x _ -> comp.(x) <- x) comp;

@@ -7,6 +7,7 @@
 module Config = Mobile_network.Config
 module Engine = Mobile_network.Engine
 module Simulation = Mobile_network.Simulation
+module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 module Exchange = Mobile_network.Exchange
 module Protocol = Mobile_network.Protocol
 module Rumor_set = Mobile_network.Rumor_set
@@ -577,7 +578,11 @@ let agrees policy c =
     if gossip then
       Array.init c.n (fun i ->
           let s = Rumor_set.singleton ~capacity:c.n i in
-          if c.init.(i) then ignore (Rumor_set.add s 0);
+          if c.init.(i) then
+            ignore
+              (Rumor_set.union_into
+                 ~src:(Rumor_set.singleton ~capacity:c.n 0)
+                 ~dst:s);
           s)
     else [||]
   in
@@ -700,11 +705,11 @@ let prop_clique_mode_agrees =
              (List.init agents Fun.id)
         && Simulation.positions a = Simulation.positions b
         && Simulation.max_island a = Simulation.max_island b
-        && sorted (Simulation.island_sizes a)
-           = sorted (Simulation.island_sizes b)
+        && sorted (Grid_engine.island_sizes a)
+           = sorted (Grid_engine.island_sizes b)
       in
       let ok = ref (agree ()) in
-      while !ok && not (Simulation.is_done a && Simulation.is_done b)
+      while !ok && not (Grid_engine.is_done a && Grid_engine.is_done b)
             && Simulation.time a < max_steps do
         Simulation.step a;
         Simulation.step b;

@@ -7,7 +7,10 @@
 module Plan = Faults.Plan
 module Config = Mobile_network.Config
 module Simulation = Mobile_network.Simulation
+module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 module Exchange = Mobile_network.Exchange
+
+let plan_string p = Obs.Json.to_string (Plan.to_json p)
 
 (* --- Plan validation and JSON ------------------------------------------ *)
 
@@ -133,15 +136,15 @@ let prop_generated_plans_validate =
 let prop_plan_roundtrip =
   QCheck.Test.make ~name:"JSON round-trip is the identity" ~count:200
     (Qgen.plan ~agents:8) (fun p ->
-      match Plan.of_string (Plan.to_string p) with
+      match Plan.of_string (plan_string p) with
       | Error msg -> QCheck.Test.fail_reportf "re-parse failed: %s" msg
-      | Ok p' -> String.equal (Plan.to_string p) (Plan.to_string p'))
+      | Ok p' -> String.equal (plan_string p) (plan_string p'))
 
 let prop_mutated_plans_diagnosed =
   QCheck.Test.make ~name:"mutated plans never raise" ~count:2000
     (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(
-         QCheck.gen (Qgen.plan ~agents:8) >|= Plan.to_string >>= Qgen.mutate))
+         QCheck.gen (Qgen.plan ~agents:8) >|= plan_string >>= Qgen.mutate))
     (fun text ->
       match Plan.of_string ~filename:"f.json" text with
       | Ok _ -> true
@@ -163,7 +166,7 @@ let informed_series ?(check = fun _ -> ()) config =
   let sim = Simulation.create config in
   let series = ref [ Simulation.informed_count sim ] in
   check sim;
-  while (not (Simulation.is_done sim)) && Simulation.time sim < cap do
+  while (not (Grid_engine.is_done sim)) && Simulation.time sim < cap do
     Simulation.step sim;
     series := Simulation.informed_count sim :: !series;
     check sim
@@ -214,7 +217,7 @@ let test_churn_conservation () =
     (* the DSU side never loses an agent either: component sizes
        partition the whole population, present or not *)
     if Simulation.time sim mod 10 = 0 then (
-      let total = Array.fold_left ( + ) 0 (Simulation.island_sizes sim) in
+      let total = Array.fold_left ( + ) 0 (Grid_engine.island_sizes sim) in
       Alcotest.(check int) "island sizes partition the population" k total)
   in
   assert_monotone "churn" (informed_series ~check (cfg ~agents:k plan))
@@ -287,7 +290,6 @@ let test_roles_need_broadcast () =
    also runs fault-free, to check which phases record a sample:
    components iff the exchange floods or faults are on, exchange unless
    the protocol has none (cover walks). *)
-module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 
 let pinned_plan ~roles =
   {
@@ -504,7 +506,7 @@ let prop_random_plan_invariants =
       let sim = Simulation.create config in
       let prev = ref (Simulation.informed_count sim) in
       let ok = ref true in
-      while (not (Simulation.is_done sim)) && Simulation.time sim < cap do
+      while (not (Grid_engine.is_done sim)) && Simulation.time sim < cap do
         Simulation.step sim;
         let now = Simulation.informed_count sim in
         if now < !prev then ok := false;

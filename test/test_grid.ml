@@ -13,9 +13,8 @@ let test_create_invalid () =
 let test_basic_dimensions () =
   Alcotest.(check int) "side" 5 (Grid.side grid5);
   Alcotest.(check int) "nodes" 25 (Grid.nodes grid5);
-  Alcotest.(check int) "diameter" 8 (Grid.diameter grid5);
-  let one = Grid.create ~side:1 () in
-  Alcotest.(check int) "single-node diameter" 0 (Grid.diameter one)
+  Alcotest.(check int) "corner-to-corner distance" 8
+    (Grid.manhattan grid5 0 (Grid.nodes grid5 - 1))
 
 let test_index_coords_roundtrip () =
   for x = 0 to 4 do
@@ -23,7 +22,6 @@ let test_index_coords_roundtrip () =
       let v = Grid.index grid5 ~x ~y in
       Alcotest.(check int) "x roundtrip" x (Grid.x_of grid5 v);
       Alcotest.(check int) "y roundtrip" y (Grid.y_of grid5 v);
-      Alcotest.(check (pair int int)) "coords" (x, y) (Grid.coords grid5 v)
     done
   done
 
@@ -33,9 +31,7 @@ let test_index_bounds () =
       ignore (Grid.index grid5 ~x:5 ~y:0));
   Alcotest.check_raises "negative y"
     (Invalid_argument "Grid.index: coordinates out of bounds") (fun () ->
-      ignore (Grid.index grid5 ~x:0 ~y:(-1)));
-  Alcotest.(check bool) "mem inside" true (Grid.mem grid5 ~x:4 ~y:4);
-  Alcotest.(check bool) "mem outside" false (Grid.mem grid5 ~x:5 ~y:0)
+      ignore (Grid.index grid5 ~x:0 ~y:(-1)))
 
 let test_distances () =
   let a = Grid.index grid5 ~x:0 ~y:0 in
@@ -55,8 +51,8 @@ let test_distance_to_border () =
     (Grid.distance_to_border grid5 (Grid.index grid5 ~x:2 ~y:2))
 
 let test_center () =
-  Alcotest.(check (pair int int)) "center of 5x5" (2, 2)
-    (Grid.coords grid5 (Grid.center grid5))
+  Alcotest.(check int) "center of 5x5" (Grid.index grid5 ~x:2 ~y:2)
+    (Grid.center grid5)
 
 let test_degree_census () =
   (* a side-s grid has 4 corners (deg 2), 4(s-2) edge nodes (deg 3) and
@@ -164,63 +160,48 @@ let test_tess_basic () =
   let g = Grid.create ~side:8 () in
   let tess = T.create g ~cell_side:4 in
   Alcotest.(check int) "cells per row" 2 (T.cells_per_row tess);
-  Alcotest.(check int) "cell count" 4 (T.cell_count tess);
-  Alcotest.(check int) "cell side" 4 (T.cell_side tess)
+  Alcotest.(check int) "cell count" 4 (T.cell_count tess)
 
 let test_tess_invalid () =
   Alcotest.check_raises "zero cell"
     (Invalid_argument "Grid.Tessellation.create: cell_side must be positive")
     (fun () -> ignore (T.create grid5 ~cell_side:0))
 
-let test_tess_partition () =
-  (* every node belongs to exactly one cell, and nodes_in_cell sums to n *)
-  let g = Grid.create ~side:10 () in
-  let tess = T.create g ~cell_side:3 in
+(* Nodes per cell, counted through [cell_of_node]. *)
+let census tess g =
   let counts = Array.make (T.cell_count tess) 0 in
   for v = 0 to Grid.nodes g - 1 do
     let c = T.cell_of_node tess v in
     counts.(c) <- counts.(c) + 1
   done;
+  counts
+
+let test_tess_partition () =
+  (* every node belongs to exactly one cell: side 10 in cells of 3 is
+     three full columns of cells and a clipped one of width 1 *)
+  let g = Grid.create ~side:10 () in
+  let tess = T.create g ~cell_side:3 in
+  let width i = if i < 3 then 3 else 1 in
   Array.iteri
-    (fun c expected ->
+    (fun c count ->
       Alcotest.(check int)
         (Printf.sprintf "cell %d population" c)
-        (T.nodes_in_cell tess c) expected)
-    counts;
-  let total = Array.fold_left ( + ) 0 counts in
-  Alcotest.(check int) "total nodes" (Grid.nodes g) total
+        (width (c mod 4) * width (c / 4))
+        count)
+    (census tess g);
+  Alcotest.(check int) "total nodes" (Grid.nodes g)
+    (Array.fold_left ( + ) 0 (census tess g))
 
 let test_tess_origin_and_membership () =
   let g = Grid.create ~side:10 () in
   let tess = T.create g ~cell_side:3 in
   for v = 0 to Grid.nodes g - 1 do
     let c = T.cell_of_node tess v in
-    let ox, oy = T.cell_origin tess c in
-    let x, y = Grid.coords g v in
+    let ox = c mod T.cells_per_row tess * 3
+    and oy = c / T.cells_per_row tess * 3 in
+    let x = Grid.x_of g v and y = Grid.y_of g v in
     Alcotest.(check bool) "within cell bounds" true
       (x >= ox && x < ox + 3 && y >= oy && y < oy + 3)
-  done
-
-let test_tess_center_in_cell () =
-  let g = Grid.create ~side:10 () in
-  let tess = T.create g ~cell_side:3 in
-  for c = 0 to T.cell_count tess - 1 do
-    let center = T.cell_center tess c in
-    Alcotest.(check int) "center in its cell" c (T.cell_of_node tess center)
-  done
-
-let test_tess_adjacent_symmetric () =
-  let g = Grid.create ~side:12 () in
-  let tess = T.create g ~cell_side:4 in
-  for c = 0 to T.cell_count tess - 1 do
-    let adj = T.adjacent_cells tess c in
-    Alcotest.(check bool) "2-4 adjacent" true
-      (List.length adj >= 2 && List.length adj <= 4);
-    List.iter
-      (fun c' ->
-        Alcotest.(check bool) "symmetric adjacency" true
-          (List.mem c (T.adjacent_cells tess c')))
-      adj
   done
 
 let test_tess_clipped_border () =
@@ -228,9 +209,10 @@ let test_tess_clipped_border () =
   let g = Grid.create ~side:10 () in
   let tess = T.create g ~cell_side:4 in
   Alcotest.(check int) "cells per row" 3 (T.cells_per_row tess);
-  Alcotest.(check int) "full cell" 16 (T.nodes_in_cell tess 0);
-  Alcotest.(check int) "right-clipped" 8 (T.nodes_in_cell tess 2);
-  Alcotest.(check int) "corner-clipped" 4 (T.nodes_in_cell tess 8)
+  let counts = census tess g in
+  Alcotest.(check int) "full cell" 16 counts.(0);
+  Alcotest.(check int) "right-clipped" 8 counts.(2);
+  Alcotest.(check int) "corner-clipped" 4 counts.(8)
 
 (* --- qcheck properties --- *)
 
@@ -302,7 +284,8 @@ let test_torus_distances_wrap () =
   Alcotest.(check int) "wrap chebyshev" 1 (Grid.chebyshev torus7 a b);
   let c = Grid.index torus7 ~x:3 ~y:0 in
   Alcotest.(check int) "max axis distance" 3 (Grid.manhattan torus7 a c);
-  Alcotest.(check int) "diameter" 6 (Grid.diameter torus7);
+  Alcotest.(check int) "diameter" 6
+    (Grid.manhattan torus7 a (Grid.index torus7 ~x:3 ~y:3));
   Alcotest.(check int) "no border" max_int (Grid.distance_to_border torus7 a)
 
 let test_torus_ball () =
@@ -386,9 +369,6 @@ let () =
           Alcotest.test_case "partition" `Quick test_tess_partition;
           Alcotest.test_case "origin/membership" `Quick
             test_tess_origin_and_membership;
-          Alcotest.test_case "center in cell" `Quick test_tess_center_in_cell;
-          Alcotest.test_case "adjacency symmetric" `Quick
-            test_tess_adjacent_symmetric;
           Alcotest.test_case "clipped borders" `Quick test_tess_clipped_border;
         ] );
       ( "torus",

@@ -5,7 +5,6 @@ module Intbuf = Mobile_network.Intbuf
 let test_empty () =
   let b = Intbuf.create () in
   Alcotest.(check int) "length" 0 (Intbuf.length b);
-  Alcotest.(check (option int)) "last" None (Intbuf.last b);
   Alcotest.(check (array int)) "to_array" [||] (Intbuf.to_array b)
 
 let test_push_and_get () =
@@ -16,7 +15,6 @@ let test_push_and_get () =
   Alcotest.(check int) "length" 3 (Intbuf.length b);
   Alcotest.(check int) "get 0" 10 (Intbuf.get b 0);
   Alcotest.(check int) "get 2" 30 (Intbuf.get b 2);
-  Alcotest.(check (option int)) "last" (Some 30) (Intbuf.last b);
   Alcotest.(check (array int)) "to_array order" [| 10; 20; 30 |]
     (Intbuf.to_array b)
 

@@ -241,6 +241,12 @@ let test_canary_seam () =
   in
   let seams = seams_in_lib () in
   Alcotest.(check bool) "lib/ carries seams" true (seams <> []);
+  (* the test-only surface stays small: a seam names an oracle, a pin or
+     a user outside lib/ and bin/ *)
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 seams in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 40 seams in lib/ (found %d)" total)
+    true (total <= 40);
   Alcotest.(check (list (pair string int)))
     "findings per interface = [@@seam]s per interface" seams per_file;
   List.iter

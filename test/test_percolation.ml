@@ -26,9 +26,15 @@ let test_chain_connectivity () =
      three by two hops once each node holds an agent, as 30 agents do
      at this seed *)
   let grid = Grid.create ~side:5 () in
-  let free = List.map (fun x -> Grid.index grid ~x ~y:0) [ 0; 2; 4 ] in
   let domain =
-    Barriers.Domain.of_blocked grid ~blocked:(fun v -> not (List.mem v free))
+    (* free: (0,0), (2,0) and (4,0) *)
+    Barriers.Domain.with_rectangles grid
+      ~rects:
+        [
+          { Barriers.Domain.x = 0; y = 1; w = 5; h = 4 };
+          { x = 1; y = 0; w = 1; h = 1 };
+          { x = 3; y = 0; w = 1; h = 1 };
+        ]
   in
   let module On_plan = Percolation.Make (Barriers.Domain_space) in
   let island ~radius =
@@ -54,7 +60,7 @@ let test_empty_agent_set () =
            ~trials:1))
 
 let test_full_connectivity_large_radius () =
-  let radius = Grid.diameter (Grid.create ~side:16 ()) in
+  let radius = 2 * (16 - 1) (* side 16's diameter *) in
   Alcotest.(check int) "single island" 12
     (On_grid.largest_island (grid_space radius) (Prng.of_seed 4) ~agents:12);
   Alcotest.(check (float 0.)) "giant fraction 1" 1.

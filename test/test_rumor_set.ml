@@ -2,11 +2,23 @@
 
 module R = Mobile_network.Rumor_set
 
+(* Insertion and copying through the public set operations: [add] is
+   a union with a singleton (1 if the id was new), [copy] a fresh set
+   written by [copy_into]. *)
+let add s i = R.union_into ~src:(R.singleton ~capacity:(R.capacity s) i) ~dst:s
+
+let copy s =
+  let c = R.create ~capacity:(R.capacity s) in
+  R.copy_into ~src:s ~dst:c;
+  c
+
+let is_full s = R.cardinal s = R.capacity s
+
 let test_create_empty () =
   let s = R.create ~capacity:10 in
   Alcotest.(check int) "capacity" 10 (R.capacity s);
   Alcotest.(check int) "cardinal" 0 (R.cardinal s);
-  Alcotest.(check bool) "not full" false (R.is_full s);
+  Alcotest.(check bool) "not full" false (is_full s);
   for i = 0 to 9 do
     Alcotest.(check bool) "no members" false (R.mem s i)
   done;
@@ -16,18 +28,18 @@ let test_create_empty () =
 
 let test_zero_capacity () =
   let s = R.create ~capacity:0 in
-  Alcotest.(check bool) "empty set of nothing is full" true (R.is_full s);
+  Alcotest.(check bool) "empty set of nothing is full" true (is_full s);
   Alcotest.(check int) "cardinal" 0 (R.cardinal s)
 
 let test_add_and_mem () =
   let s = R.create ~capacity:20 in
-  Alcotest.(check int) "first add returns 1" 1 (R.add s 7);
-  Alcotest.(check int) "repeat add returns 0" 0 (R.add s 7);
+  Alcotest.(check int) "first add returns 1" 1 (add s 7);
+  Alcotest.(check int) "repeat add returns 0" 0 (add s 7);
   Alcotest.(check bool) "member" true (R.mem s 7);
   Alcotest.(check bool) "non-member" false (R.mem s 8);
   Alcotest.(check int) "cardinal tracks" 1 (R.cardinal s);
   Alcotest.check_raises "out of range" (Invalid_argument "Rumor_set: id out of range")
-    (fun () -> ignore (R.add s 20));
+    (fun () -> ignore (add s 20));
   Alcotest.check_raises "negative" (Invalid_argument "Rumor_set: id out of range")
     (fun () -> ignore (R.mem s (-1)))
 
@@ -39,15 +51,15 @@ let test_singleton () =
 let test_full () =
   let s = R.create ~capacity:9 in
   for i = 0 to 8 do
-    ignore (R.add s i)
+    ignore (add s i)
   done;
-  Alcotest.(check bool) "full" true (R.is_full s);
+  Alcotest.(check bool) "full" true (is_full s);
   Alcotest.(check int) "cardinal" 9 (R.cardinal s)
 
 let test_union_into () =
   let a = R.create ~capacity:16 and b = R.create ~capacity:16 in
-  List.iter (fun i -> ignore (R.add a i)) [ 0; 3; 9; 15 ];
-  List.iter (fun i -> ignore (R.add b i)) [ 3; 4; 15 ];
+  List.iter (fun i -> ignore (add a i)) [ 0; 3; 9; 15 ];
+  List.iter (fun i -> ignore (add b i)) [ 3; 4; 15 ];
   let added = R.union_into ~src:a ~dst:b in
   Alcotest.(check int) "two new rumors" 2 added;
   Alcotest.(check int) "b cardinal" 5 (R.cardinal b);
@@ -78,8 +90,8 @@ let test_union_capacity_mismatch () =
 
 let test_copy_independent () =
   let a = R.singleton ~capacity:4 1 in
-  let b = R.copy a in
-  ignore (R.add b 2);
+  let b = copy a in
+  ignore (add b 2);
   Alcotest.(check int) "copy gained" 2 (R.cardinal b);
   Alcotest.(check int) "original untouched" 1 (R.cardinal a);
   Alcotest.(check bool) "equality after copy diverges" false (R.equal a b)
@@ -87,16 +99,16 @@ let test_copy_independent () =
 let test_equal () =
   let a = R.create ~capacity:12 and b = R.create ~capacity:12 in
   Alcotest.(check bool) "both empty" true (R.equal a b);
-  ignore (R.add a 5);
+  ignore (add a 5);
   Alcotest.(check bool) "differ" false (R.equal a b);
-  ignore (R.add b 5);
+  ignore (add b 5);
   Alcotest.(check bool) "equal again" true (R.equal a b);
   let c = R.create ~capacity:13 in
   Alcotest.(check bool) "capacity mismatch unequal" false (R.equal a c)
 
 let test_iter_order () =
   let s = R.create ~capacity:30 in
-  List.iter (fun i -> ignore (R.add s i)) [ 17; 2; 29; 0 ];
+  List.iter (fun i -> ignore (add s i)) [ 17; 2; 29; 0 ];
   let seen = ref [] in
   R.iter s ~f:(fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "increasing order" [ 0; 2; 17; 29 ]
@@ -123,10 +135,10 @@ let test_union_allocates_nothing () =
     (fun capacity ->
       let src = R.create ~capacity and base = R.create ~capacity in
       List.iter
-        (fun i -> ignore (R.add src i))
+        (fun i -> ignore (add src i))
         [ 0; 5; 63; 64; capacity - 1 ];
-      ignore (R.add base 1);
-      let dst = R.copy base in
+      ignore (add base 1);
+      let dst = copy base in
       let check name f =
         Alcotest.(check (float 0.))
           (Printf.sprintf "capacity %d, %s: minor words per call" capacity name)
@@ -137,7 +149,7 @@ let test_union_allocates_nothing () =
           sink := !sink + R.union_into ~src ~dst);
       check "no fresh bits" (fun () -> sink := !sink + R.union_into ~src ~dst);
       (* one component flood's primitives: seed, OR, recount, write back *)
-      let member = R.copy base in
+      let member = copy base in
       check "flood primitives" (fun () ->
           R.copy_into ~src:base ~dst;
           R.or_into ~src ~dst;
@@ -172,7 +184,7 @@ let boundary_scripts n =
 
 let of_list capacity ids =
   let s = R.create ~capacity in
-  List.iter (fun i -> ignore (R.add s i)) ids;
+  List.iter (fun i -> ignore (add s i)) ids;
   s
 
 let prop_matches_reference =
@@ -185,7 +197,7 @@ let prop_matches_reference =
         (fun i ->
           let fresh = not (Hashtbl.mem reference i) in
           Hashtbl.replace reference i ();
-          let added = R.add s i in
+          let added = add s i in
           assert ((added = 1) = fresh))
         adds;
       R.cardinal s = Hashtbl.length reference
@@ -231,7 +243,7 @@ let prop_union_into_is_set_union =
               && R.cardinal src = before_src
               && List.for_all (fun i -> R.mem src i = List.mem i xs) all
               && R.equal dst by_add
-              && R.equal (R.copy dst) by_add
+              && R.equal (copy dst) by_add
               && List.rev !seen = union
             in
             (ok, union)

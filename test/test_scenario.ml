@@ -130,7 +130,7 @@ let ast_equal (a : Ast.t) (b : Ast.t) =
   && Int.equal a.Ast.seed b.Ast.seed
   && Int.equal a.Ast.trials b.Ast.trials
   && Option.equal Int.equal a.Ast.max_steps b.Ast.max_steps
-  && by Faults.Plan.to_string a.Ast.faults b.Ast.faults
+  && by (fun p -> Obs.Json.to_string (Faults.Plan.to_json p)) a.Ast.faults b.Ast.faults
   && by Ast.plan_to_string a.Ast.plan b.Ast.plan
   && Bool.equal a.Ast.los_blocking b.Ast.los_blocking
   && Option.equal Float.equal a.Ast.density b.Ast.density
@@ -140,11 +140,11 @@ let ast_equal (a : Ast.t) (b : Ast.t) =
 let prop_roundtrip =
   QCheck.Test.make ~name:"to_string |> parse is the identity" ~count:200
     any_ast_arbitrary (fun ast ->
-      match Compile.parse (Ast.to_string ast) with
+      match Compile.compile (Ast.to_string ast) with
       | Error errs ->
           QCheck.Test.fail_reportf "canonical form does not re-parse: %s"
             (String.concat "; " errs)
-      | Ok ast' -> ast_equal ast ast')
+      | Ok c -> ast_equal ast c.Compile.ast)
 
 let prop_hash_spelling_invariant =
   (* field order, omitted defaults, scalar-vs-singleton axes and the

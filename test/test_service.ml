@@ -36,9 +36,17 @@ let run_fresh ~jobs ?metrics text =
 
 (* ---- store -------------------------------------------------------------- *)
 
+(* The store's cache probes, read from the registry it counts into. *)
+let cache_counts reg =
+  let counter name =
+    Obs.Metric.Counter.value (Obs.Registry.counter reg name)
+  in
+  (counter "service.cache.hits", counter "service.cache.misses")
+
 let test_store_roundtrip () =
   with_temp_dir (fun root ->
-      let store = Store.create ~root () in
+      let reg = Obs.Registry.create () in
+      let store = Store.create ~metrics:(Obs.Sink.of_registry reg) ~root () in
       Alcotest.(check (option string))
         "miss before put" None
         (Store.get store ~hash:"aaaa" ~seed:1 ~trial:0);
@@ -49,8 +57,9 @@ let test_store_roundtrip () =
       Alcotest.(check (option string))
         "distinct trial is a distinct key" None
         (Store.get store ~hash:"aaaa" ~seed:1 ~trial:1);
-      Alcotest.(check int) "2 misses" 2 (Store.misses store);
-      Alcotest.(check int) "1 hit" 1 (Store.hits store))
+      let hits, misses = cache_counts reg in
+      Alcotest.(check int) "2 misses" 2 misses;
+      Alcotest.(check int) "1 hit" 1 hits)
 
 let test_store_counters_in_registry () =
   with_temp_dir (fun root ->
@@ -98,7 +107,8 @@ let test_runner_partial_cache_resume () =
      bytes of an uninterrupted run — the checkpoint-replay property *)
   let full_fresh = run_fresh ~jobs:2 sweep_text in
   with_temp_dir (fun root ->
-      let store = Store.create ~root () in
+      let reg = Obs.Registry.create () in
+      let store = Store.create ~metrics:(Obs.Sink.of_registry reg) ~root () in
       let half =
         compile_exn
           {|{"side": 12, "agents": 6, "protocol": ["broadcast", "gossip"],
@@ -112,7 +122,7 @@ let test_runner_partial_cache_resume () =
             resumed;
           Alcotest.(check int)
             "the pre-populated trial-0 entries were reused" 2
-            (Store.hits store)))
+            (fst (cache_counts reg))))
 
 let test_runner_progress_order () =
   with_temp_dir (fun root ->

@@ -4,7 +4,12 @@
 module Config = Mobile_network.Config
 module Protocol = Mobile_network.Protocol
 module Simulation = Mobile_network.Simulation
+module Grid_engine = Mobile_network.Engine.Make (Mobile_network.Grid_space)
 module Series = Obs.Series
+
+(* Distinct rumors a gossip agent knows. *)
+let rumors_known sim i =
+  Mobile_network.Rumor_set.cardinal (Grid_engine.rumors sim).(i)
 
 let run ?source ?max_steps ?(seed = 0) ?(trial = 0) ?(radius = 0) ~side ~agents
     protocol =
@@ -116,7 +121,7 @@ let test_invalid_config_raises () =
 
 let test_step_after_done_is_noop () =
   let sim = Simulation.create (Config.make ~side:8 ~agents:1 ()) in
-  Alcotest.(check bool) "done at t0" true (Simulation.is_done sim);
+  Alcotest.(check bool) "done at t0" true (Grid_engine.is_done sim);
   Simulation.step sim;
   Alcotest.(check int) "time unchanged" 0 (Simulation.time sim)
 
@@ -149,7 +154,7 @@ let test_gossip_everyone_knows_everything () =
     Alcotest.(check int)
       (Printf.sprintf "agent %d knows all" i)
       6
-      (Simulation.rumors_known sim i)
+      (rumors_known sim i)
   done
 
 let test_gossip_initial_knowledge () =
@@ -158,7 +163,7 @@ let test_gossip_initial_knowledge () =
   (* after the t0 exchange every agent knows at least its own rumor *)
   for i = 0 to 4 do
     Alcotest.(check bool) "knows at least own rumor" true
-      (Simulation.rumors_known sim i >= 1)
+      (rumors_known sim i >= 1)
   done
 
 (* --- frog --- *)
@@ -176,7 +181,7 @@ let test_frog_uninformed_agents_frozen () =
   let initial = Simulation.positions sim in
   let violations = ref 0 in
   let steps = ref 0 in
-  while (not (Simulation.is_done sim)) && !steps < 2000 do
+  while (not (Grid_engine.is_done sim)) && !steps < 2000 do
     Simulation.step sim;
     incr steps;
     for i = 0 to 7 do
@@ -239,10 +244,10 @@ let test_predator_prey_extinction () =
   (* the t = 0 exchange may already catch preys that start on a
      predator's node *)
   Alcotest.(check bool) "initial live preys within [0, 6]" true
-    (Simulation.live_preys sim >= 0 && Simulation.live_preys sim <= 6);
+    (Grid_engine.live_preys sim >= 0 && Grid_engine.live_preys sim <= 6);
   let r = Simulation.run sim in
   Alcotest.(check bool) "completed" true (completed r);
-  Alcotest.(check int) "no prey left" 0 (Simulation.live_preys sim);
+  Alcotest.(check int) "no prey left" 0 (Grid_engine.live_preys sim);
   Alcotest.(check int) "everyone caught or predator" 10 r.Simulation.informed
 
 let test_predator_prey_no_preys_instant () =
@@ -259,12 +264,12 @@ let test_predator_prey_live_preys_monotone () =
       ()
   in
   let sim = Simulation.create cfg in
-  let prev = ref (Simulation.live_preys sim) in
+  let prev = ref (Grid_engine.live_preys sim) in
   let steps = ref 0 in
-  while (not (Simulation.is_done sim)) && !steps < 50_000 do
+  while (not (Grid_engine.is_done sim)) && !steps < 50_000 do
     Simulation.step sim;
     incr steps;
-    let now = Simulation.live_preys sim in
+    let now = Grid_engine.live_preys sim in
     Alcotest.(check bool) "monotone decrease" true (now <= !prev);
     prev := now
   done;
@@ -351,7 +356,7 @@ let test_single_hop_gossip_completes () =
   let r = Simulation.run sim in
   Alcotest.(check bool) "completed" true (completed r);
   for i = 0 to 4 do
-    Alcotest.(check int) "knows all" 5 (Simulation.rumors_known sim i)
+    Alcotest.(check int) "knows all" 5 (rumors_known sim i)
   done
 
 let test_flood_dominates_single_hop_stepwise () =
@@ -369,12 +374,12 @@ let test_flood_dominates_single_hop_stepwise () =
   let hop = mk Config.Single_hop in
   let steps = ref 0 in
   let ok = ref true in
-  while (not (Simulation.is_done hop)) && !steps < 3000 do
+  while (not (Grid_engine.is_done hop)) && !steps < 3000 do
     (* positions agree exactly while both runs are still live (a
        finished simulation freezes, so skip the check once flooding
        completes) *)
     if
-      (not (Simulation.is_done flood))
+      (not (Grid_engine.is_done flood))
       && Simulation.positions flood <> Simulation.positions hop
     then ok := false;
     if Simulation.informed_count flood < Simulation.informed_count hop then
@@ -566,11 +571,11 @@ let test_max_island_tracked () =
   (* radius >= diameter: all agents are one island *)
   Alcotest.(check int) "island of everyone" 6 (Simulation.max_island sim);
   Alcotest.(check (array int)) "single island listed" [| 6 |]
-    (Simulation.island_sizes sim)
+    (Grid_engine.island_sizes sim)
 
 let test_island_sizes_partition () =
   let sim = Simulation.create (Config.make ~side:16 ~agents:9 ~radius:2 ()) in
-  let sizes = Simulation.island_sizes sim in
+  let sizes = Grid_engine.island_sizes sim in
   Alcotest.(check int) "sizes sum to population" 9
     (Array.fold_left ( + ) 0 sizes);
   Alcotest.(check int) "max matches" (Simulation.max_island sim)
@@ -583,18 +588,7 @@ let test_island_sizes_partition () =
          ())
   in
   Alcotest.(check (array int)) "predator-prey has none" [||]
-    (Simulation.island_sizes pp)
-
-let test_completion_time_helper () =
-  (match Simulation.completion_time (Config.make ~side:10 ~agents:4 ()) with
-  | Some t -> Alcotest.(check bool) "positive time" true (t > 0)
-  | None -> Alcotest.fail "should complete");
-  match
-    Simulation.completion_time
-      (Config.make ~side:32 ~agents:2 ~max_steps:2 ())
-  with
-  | Some _ -> Alcotest.fail "cannot complete in 2 steps (w.h.p. placement)"
-  | None -> ()
+    (Grid_engine.island_sizes pp)
 
 (* --- qcheck: engine invariants on random small configurations --- *)
 
@@ -648,12 +642,12 @@ let prop_completed_means_goal_reached =
           | Protocol.Gossip ->
               let all = ref true in
               for i = 0 to population - 1 do
-                if Simulation.rumors_known sim i <> population then all := false
+                if rumors_known sim i <> population then all := false
               done;
               !all
           | Protocol.Broadcast_cover | Protocol.Cover_walks ->
               r.Simulation.covered = Config.n cfg
-          | Protocol.Predator_prey _ -> Simulation.live_preys sim = 0))
+          | Protocol.Predator_prey _ -> Grid_engine.live_preys sim = 0))
 
 let prop_determinism =
   QCheck.Test.make ~name:"identical configs give identical runs" ~count:60
@@ -741,7 +735,7 @@ let prop_components_oracle =
         ok :=
           !ok
           && Simulation.max_island sim = Array.fold_left max 0 sizes
-          && sorted sizes = sorted (Simulation.island_sizes sim)
+          && sorted sizes = sorted (Grid_engine.island_sizes sim)
           && ((not floods)
              || Array.for_all2 (fun n i -> i = 0 || i = n) sizes informed)
       in
@@ -855,8 +849,6 @@ let () =
           Alcotest.test_case "max island" `Quick test_max_island_tracked;
           Alcotest.test_case "island sizes" `Quick
             test_island_sizes_partition;
-          Alcotest.test_case "completion_time" `Quick
-            test_completion_time_helper;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -115,8 +115,10 @@ let test_frontier_speed () =
   Alcotest.(check bool) "positive and finite" true (v > 0. && Float.is_finite v)
 
 let test_ln_clamps () =
-  Alcotest.(check bool) "ln of tiny positive" true (Theory.ln 1e-300 >= 1e-9);
-  check_float ~eps:1e-12 "ln e" 1. (Theory.ln (exp 1.))
+  (* ln 1 = 0 is clamped: the curves stay positive at n = 1 *)
+  check_float ~eps:1e-24 "ln 1 clamps to 1e-9" 1e-9
+    (Theory.island_size_bound ~n:1);
+  check_float ~eps:1e-12 "ln 3" (log 3.) (Theory.island_size_bound ~n:3)
 
 let () =
   Alcotest.run "theory"

@@ -39,7 +39,7 @@ let test_golden_export () =
   let mark = Tracer.name tr "mark" in
   let informed = Tracer.name tr "sim.informed" in
   Tracer.duration tr phase ~ts:1_000 ~dur:500;
-  Tracer.instant tr mark ~ts:1_500;
+  Tracer.instant_v tr mark ~ts:1_500 ~v:3;
   Tracer.counter tr informed ~ts:2_000 ~v:42;
   Tracer.duration_v tr phase ~ts:2_500 ~dur:1_000 ~v:7;
   let tid = (Domain.self () :> int) in
@@ -48,7 +48,7 @@ let test_golden_export () =
       {|[
 {"name":"thread_name","ph":"M","ts":0.0,"pid":1,"tid":%d,"args":{"name":"domain%d"}},
 {"name":"sim.phase.move","ph":"X","ts":0.0,"pid":1,"tid":%d,"dur":0.5},
-{"name":"mark","ph":"i","ts":0.5,"pid":1,"tid":%d,"s":"t"},
+{"name":"mark","ph":"i","ts":0.5,"pid":1,"tid":%d,"s":"t","args":{"v":3}},
 {"name":"sim.informed","ph":"C","ts":1.0,"pid":1,"tid":%d,"args":{"value":42}},
 {"name":"sim.phase.move","ph":"X","ts":1.5,"pid":1,"tid":%d,"dur":1.0,"args":{"v":7}}
 ]
@@ -106,7 +106,7 @@ let test_null_tracer_no_alloc () =
   let emitted =
     measure_minor (fun i ->
         Tracer.duration Tracer.null n ~ts:i ~dur:1;
-        Tracer.instant Tracer.null n ~ts:i;
+        Tracer.instant_v Tracer.null n ~ts:i ~v:i;
         Tracer.counter Tracer.null n ~ts:i ~v:i;
         Tracer.gc_sample Tracer.null g)
   in
